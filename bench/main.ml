@@ -1,20 +1,22 @@
 (* The benchmark harness: regenerates every reproduced table/figure of
-   the paper's evaluation (experiments E1-E10 and F2; see DESIGN.md and
-   EXPERIMENTS.md), then runs bechamel microbenchmarks for the two
-   timing-sensitive claims (layer crossing, shadow commit).
+   the paper's evaluation and every ablation and system experiment
+   (Experiments.names: E1-E10, F2, A1-A5, CHAOS, WAL, OBSLAG,
+   RECONSCALE, MEMBER, CONSENSUS, HEALTH, DELTA, MERGE, SCALE; see
+   DESIGN.md and EXPERIMENTS.md), then runs bechamel microbenchmarks for
+   the two timing-sensitive claims (layer crossing, shadow commit).
 
    Usage:
      bench/main.exe                   run everything
      bench/main.exe e4 e6             run selected experiments
      bench/main.exe micro             run only the microbenchmarks
      bench/main.exe --smoke           fast subset (CI; no microbenchmarks)
-     bench/main.exe --json out.json   also write verdicts as JSON
+     bench/main.exe --json out.json   also write verdicts and metrics as JSON
      bench/main.exe --scale-ops N     trace length for the SCALE benchmark
-     bench/main.exe --scale-hosts N   cluster size for the SCALE benchmark
      bench/main.exe --scale-floor F   fail SCALE below F sim-ops/sec (CI gate)
      bench/main.exe --trace-out f     stream SCALE spans to f as Chrome
                                       trace-event JSONL (see Trace_export)
-     bench/main.exe --check-schema f  validate a previously written JSON file *)
+     bench/main.exe --check-schema f  check that f carries every key its
+                                      experiments declare (Experiments.schema) *)
 
 open Bechamel
 open Toolkit
@@ -100,260 +102,31 @@ let print_summary verdicts =
     (List.length verdicts - List.length failed)
     (List.length verdicts)
 
-(* Hand-rolled JSON (no JSON library in the dependency set). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json path ~mode verdicts =
-  let oc = open_out path in
-  let failed = List.filter (fun v -> not v.Experiments.holds) verdicts in
-  Printf.fprintf oc "{\n  \"schema\": \"ficus-bench/1\",\n  \"mode\": %S,\n" mode;
-  Printf.fprintf oc "  \"reproduced\": %d,\n  \"total\": %d,\n"
-    (List.length verdicts - List.length failed)
-    (List.length verdicts);
-  Printf.fprintf oc "  \"experiments\": [";
-  List.iteri
-    (fun i v ->
-      Printf.fprintf oc "%s\n    { \"experiment\": \"%s\", \"holds\": %b, \"claim\": \"%s\", \"detail\": \"%s\" }"
-        (if i = 0 then "" else ",")
-        (json_escape v.Experiments.experiment)
-        v.Experiments.holds
-        (json_escape v.Experiments.claim)
-        (json_escape v.Experiments.detail))
-    verdicts;
-  Printf.fprintf oc "\n  ]";
-  (match !Experiments.last_lag_metrics with
-   | Some m ->
-     Printf.fprintf oc ",\n  \"metrics\": {\n";
-     Printf.fprintf oc "    \"spans\": %d,\n" m.Experiments.lm_spans;
-     Printf.fprintf oc "    \"lag_p50\": %d,\n    \"lag_p95\": %d,\n    \"lag_p99\": %d,\n"
-       m.Experiments.lm_lag_p50 m.Experiments.lm_lag_p95 m.Experiments.lm_lag_p99;
-     Printf.fprintf oc "    \"per_replica\": {";
-     List.iteri
-       (fun i (host, (p50, p95, p99)) ->
-         Printf.fprintf oc "%s\n      \"%s\": { \"lag_p50\": %d, \"lag_p95\": %d, \"lag_p99\": %d }"
-           (if i = 0 then "" else ",")
-           (json_escape host) p50 p95 p99)
-       m.Experiments.lm_per_replica;
-     Printf.fprintf oc "\n    },\n";
-     Printf.fprintf oc "    \"journal_flushes\": %d,\n    \"journal_txns\": %d\n  }"
-       m.Experiments.lm_journal_flushes m.Experiments.lm_journal_txns
-   | None -> ());
-  (match !Experiments.last_recon_metrics with
-   | Some m ->
-     Printf.fprintf oc ",\n  \"reconciliation\": {\n";
-     Printf.fprintf oc "    \"recon.full_rpcs\": %d,\n" m.Experiments.rm_full_rpcs;
-     Printf.fprintf oc "    \"recon.rpcs\": %d,\n" m.Experiments.rm_incr_rpcs;
-     Printf.fprintf oc "    \"recon.pruned_subtrees\": %d\n  }" m.Experiments.rm_pruned
-   | None -> ());
-  (match !Experiments.last_member_metrics with
-   | Some m ->
-     Printf.fprintf oc ",\n  \"membership\": {\n";
-     Printf.fprintf oc "    \"gossip.rounds_to_converge\": %d,\n"
-       m.Experiments.mm_rounds_to_converge;
-     Printf.fprintf oc "    \"gossip.suspect_events\": %d,\n"
-       m.Experiments.mm_suspect_events;
-     Printf.fprintf oc "    \"prop.rpcs_skipped_dead\": %d,\n"
-       m.Experiments.mm_rpcs_skipped_dead;
-     Printf.fprintf oc "    \"membership.eager_pushes\": %d,\n"
-       m.Experiments.mm_eager_pushes;
-     Printf.fprintf oc "    \"net.rpc.failed_seed\": %d,\n"
-       m.Experiments.mm_failed_rpcs_seed;
-     Printf.fprintf oc "    \"net.rpc.failed_gossip\": %d\n  }"
-       m.Experiments.mm_failed_rpcs_gossip
-   | None -> ());
-  (match !Experiments.last_consensus_metrics with
-   | Some m ->
-     Printf.fprintf oc ",\n  \"consensus\": {\n";
-     Printf.fprintf oc "    \"control.divergence_ticks\": %d,\n"
-       m.Experiments.cn_raft_divergence_ticks;
-     Printf.fprintf oc "    \"control.divergence_ticks_gossip\": %d,\n"
-       m.Experiments.cn_gossip_divergence_ticks;
-     Printf.fprintf oc "    \"rounds_to_agreement\": %d,\n"
-       m.Experiments.cn_raft_rounds_to_agreement;
-     Printf.fprintf oc "    \"rounds_to_agreement_gossip\": %d,\n"
-       m.Experiments.cn_gossip_rounds_to_agreement;
-     Printf.fprintf oc "    \"raft.leader_changes\": %d,\n"
-       m.Experiments.cn_raft_leader_changes;
-     Printf.fprintf oc "    \"control.unavailable_ticks\": %d,\n"
-       m.Experiments.cn_raft_unavailable_ticks;
-     Printf.fprintf oc "    \"control.ops\": %d,\n    \"control.failed_ops\": %d,\n"
-       m.Experiments.cn_raft_control_ops m.Experiments.cn_raft_control_failed;
-     Printf.fprintf oc "    \"data_available\": %b\n  }"
-       m.Experiments.cn_data_available
-   | None -> ());
-  (match !Experiments.last_health_metrics with
-   | Some m ->
-     Printf.fprintf oc ",\n  \"health\": {\n";
-     Printf.fprintf oc "    \"health.divergence_ticks_max\": %d,\n"
-       m.Experiments.hm_divergence_ticks_max;
-     Printf.fprintf oc "    \"health.staleness_p99\": %d,\n"
-       m.Experiments.hm_staleness_p99;
-     Printf.fprintf oc "    \"health.events_degraded\": %d,\n"
-       m.Experiments.hm_events_degraded;
-     Printf.fprintf oc "    \"health.events_stuck\": %d,\n"
-       m.Experiments.hm_events_stuck;
-     Printf.fprintf oc "    \"health.quiescent_events\": %d,\n"
-       m.Experiments.hm_quiescent_events;
-     Printf.fprintf oc "    \"health.stuck_span\": %d,\n"
-       m.Experiments.hm_stuck_span;
-     Printf.fprintf oc "    \"profile.top_daemon\": \"%s\",\n"
-       (json_escape m.Experiments.hm_top_daemon);
-     Printf.fprintf oc "    \"profile.top_activations\": %d\n  }"
-       m.Experiments.hm_top_activations
-   | None -> ());
-  (match !Experiments.last_delta_metrics with
-   | Some m ->
-     Printf.fprintf oc ",\n  \"delta\": {\n";
-     Printf.fprintf oc "    \"file_size\": %d,\n" m.Experiments.dm_file_size;
-     Printf.fprintf oc "    \"prop.bytes_whole\": %d,\n" m.Experiments.dm_whole_bytes;
-     Printf.fprintf oc "    \"prop.bytes\": %d,\n" m.Experiments.dm_delta_bytes;
-     Printf.fprintf oc "    \"prop.bytes_saved\": %d,\n" m.Experiments.dm_saved;
-     Printf.fprintf oc "    \"prop.chunks_hit\": %d,\n" m.Experiments.dm_chunks_hit;
-     Printf.fprintf oc "    \"prop.chunks_miss\": %d,\n" m.Experiments.dm_chunks_miss;
-     Printf.fprintf oc "    \"delta.ratio\": %.1f,\n" m.Experiments.dm_ratio;
-     Printf.fprintf oc "    \"digests_equal\": %b\n  }" m.Experiments.dm_digests_equal
-   | None -> ());
-  (match !Experiments.last_merge_metrics with
-   | Some m ->
-     Printf.fprintf oc ",\n  \"merge\": {\n";
-     Printf.fprintf oc "    \"merge.converged\": %b,\n" m.Experiments.gm_crdt_converged;
-     Printf.fprintf oc "    \"merge.digest_equal\": %b,\n"
-       m.Experiments.gm_crdt_digest_equal;
-     Printf.fprintf oc "    \"crdt.unreachable_dirs\": %d,\n"
-       m.Experiments.gm_crdt_unreachable;
-     Printf.fprintf oc "    \"crdt.cycles\": %d,\n" m.Experiments.gm_crdt_cycles;
-     Printf.fprintf oc "    \"crdt.cycles_broken\": %d,\n"
-       m.Experiments.gm_cycles_broken;
-     Printf.fprintf oc "    \"crdt.orphans\": %d,\n" m.Experiments.gm_orphans_attached;
-     Printf.fprintf oc "    \"crdt.losers_demoted\": %d,\n"
-       m.Experiments.gm_losers_demoted;
-     Printf.fprintf oc "    \"merge.payload_kept\": %b,\n"
-       m.Experiments.gm_crdt_payload_kept;
-     Printf.fprintf oc "    \"legacy.converged\": %b,\n"
-       m.Experiments.gm_legacy_converged;
-     Printf.fprintf oc "    \"legacy.digest_equal\": %b,\n"
-       m.Experiments.gm_legacy_digest_equal;
-     Printf.fprintf oc "    \"legacy.payload_kept\": %b,\n"
-       m.Experiments.gm_legacy_payload_kept;
-     Printf.fprintf oc "    \"legacy.conflicts\": %d\n  }"
-       m.Experiments.gm_legacy_conflicts
-   | None -> ());
-  (match !Experiments.last_scale_metrics with
-   | Some m ->
-     Printf.fprintf oc ",\n  \"scale\": {\n";
-     Printf.fprintf oc "    \"ops\": %d,\n    \"hosts\": %d,\n"
-       m.Experiments.sm_ops m.Experiments.sm_hosts;
-     Printf.fprintf oc "    \"wall_seconds\": %.3f,\n    \"sim_ops_per_sec\": %.1f,\n"
-       m.Experiments.sm_wall_seconds m.Experiments.sm_ops_per_sec;
-     Printf.fprintf oc "    \"errors\": %d,\n    \"pulls\": %d,\n"
-       m.Experiments.sm_errors m.Experiments.sm_pulls;
-     Printf.fprintf oc "    \"deterministic\": %b,\n" m.Experiments.sm_deterministic;
-     Printf.fprintf oc "    \"linear_ticks_per_sec\": %.1f,\n"
-       m.Experiments.sm_linear_ticks_per_sec;
-     Printf.fprintf oc "    \"indexed_ticks_per_sec\": %.1f,\n"
-       m.Experiments.sm_indexed_ticks_per_sec;
-     Printf.fprintf oc "    \"quiescent_speedup\": %.2f,\n"
-       m.Experiments.sm_quiescent_speedup;
-     Printf.fprintf oc "    \"spans_cap\": %d,\n    \"spans_live\": %d,\n"
-       m.Experiments.sm_spans_cap m.Experiments.sm_spans_live;
-     Printf.fprintf oc "    \"spans_minted\": %d,\n    \"trace_spans\": %d,\n"
-       m.Experiments.sm_spans_minted m.Experiments.sm_trace_spans;
-     Printf.fprintf oc "    \"trace_complete\": %b,\n" m.Experiments.sm_trace_complete;
-     Printf.fprintf oc "    \"floor\": %.1f\n  }" !Experiments.scale_floor
-   | None -> ());
-  Printf.fprintf oc "\n}\n";
-  close_out oc;
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Bench_json.to_string ~mode verdicts));
   Printf.printf "\nWrote %s\n%!" path
 
-(* ------------------------------------------------------------------ *)
-(* Schema validation: the one authoritative list of keys a full bench
-   JSON must carry.  CI's bench-smoke job runs `--check-schema` on its
-   artifact instead of maintaining its own grep list; extending
-   [write_json] means extending this list, and the check fails loudly
-   when they drift. *)
-
-let schema_keys =
-  [
-    (* envelope *)
-    "schema"; "mode"; "reproduced"; "total"; "experiments";
-    (* per-verdict *)
-    "experiment"; "holds"; "claim"; "detail";
-    (* observability (obslag) *)
-    "metrics"; "spans"; "lag_p50"; "lag_p95"; "lag_p99"; "per_replica";
-    "journal_flushes"; "journal_txns";
-    (* reconciliation (reconscale) *)
-    "reconciliation"; "recon.full_rpcs"; "recon.rpcs"; "recon.pruned_subtrees";
-    (* membership (member) *)
-    "membership"; "gossip.rounds_to_converge"; "gossip.suspect_events";
-    "prop.rpcs_skipped_dead"; "membership.eager_pushes";
-    "net.rpc.failed_seed"; "net.rpc.failed_gossip";
-    (* control plane (consensus) *)
-    "consensus"; "control.divergence_ticks"; "control.divergence_ticks_gossip";
-    "rounds_to_agreement"; "rounds_to_agreement_gossip"; "raft.leader_changes";
-    "control.unavailable_ticks"; "control.ops"; "control.failed_ops";
-    "data_available";
-    (* health plane (health) *)
-    "health"; "health.divergence_ticks_max"; "health.staleness_p99";
-    "health.events_degraded"; "health.events_stuck"; "health.quiescent_events";
-    "health.stuck_span"; "profile.top_daemon"; "profile.top_activations";
-    (* delta propagation (delta) *)
-    "delta"; "file_size"; "prop.bytes_whole"; "prop.bytes"; "prop.bytes_saved";
-    "prop.chunks_hit"; "prop.chunks_miss"; "delta.ratio"; "digests_equal";
-    (* directory merge (merge) *)
-    "merge"; "merge.converged"; "merge.digest_equal"; "crdt.unreachable_dirs";
-    "crdt.cycles"; "crdt.cycles_broken"; "crdt.orphans"; "crdt.losers_demoted";
-    "merge.payload_kept"; "legacy.converged"; "legacy.digest_equal";
-    "legacy.payload_kept"; "legacy.conflicts";
-    (* scale *)
-    "scale"; "ops"; "hosts"; "wall_seconds"; "sim_ops_per_sec"; "errors";
-    "pulls"; "deterministic"; "linear_ticks_per_sec"; "indexed_ticks_per_sec";
-    "quiescent_speedup"; "spans_cap"; "spans_live"; "spans_minted";
-    "trace_spans"; "trace_complete"; "floor";
-  ]
-
+(* CI runs this on its artifacts.  The required keys are not listed
+   here: they follow from the experiments the file names. *)
 let check_schema path =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "--check-schema: %s: %s\n" path msg;
+        exit 1)
+      fmt
+  in
   let contents =
-    try
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error msg ->
-      Printf.eprintf "--check-schema: cannot read %s: %s\n" path msg;
-      exit 1
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> fail "cannot read: %s" msg
   in
-  let contains key =
-    (* Keys appear exactly as "key": in the hand-rolled output. *)
-    let needle = Printf.sprintf "\"%s\":" key in
-    let nl = String.length needle and cl = String.length contents in
-    let rec scan i = i + nl <= cl && (String.sub contents i nl = needle || scan (i + 1)) in
-    scan 0
-  in
-  let missing = List.filter (fun k -> not (contains k)) schema_keys in
-  if not (String.length contents > 0 && contents.[0] = '{') then begin
-    Printf.eprintf "--check-schema: %s does not look like a JSON object\n" path;
-    exit 1
-  end;
-  if missing <> [] then begin
-    Printf.eprintf "--check-schema: %s is missing key(s): %s\n" path
-      (String.concat ", " missing);
-    exit 1
-  end;
-  Printf.printf "%s: all %d schema keys present\n%!" path (List.length schema_keys)
+  match Bench_json.parse contents with
+  | Error msg -> fail "not JSON: %s" msg
+  | Ok doc -> (
+    match Bench_json.missing_keys doc with
+    | [] -> Printf.printf "%s: every declared key present\n%!" path
+    | missing -> fail "missing key(s): %s" (String.concat ", " missing))
 
 (* The fast, deterministic subset for CI: no timing-sensitive
    experiments (E1 is wall-clock based), no parameter sweeps, no
@@ -402,17 +175,13 @@ let () =
       Experiments.scale_ops := int_arg "--scale-ops" v;
       scale_ops_set := true;
       parse tl (json, smoke, rest)
-    | "--scale-hosts" :: v :: tl ->
-      Experiments.scale_hosts := int_arg "--scale-hosts" v;
-      parse tl (json, smoke, rest)
     | "--scale-floor" :: v :: tl ->
       Experiments.scale_floor := float_arg "--scale-floor" v;
       parse tl (json, smoke, rest)
     | "--trace-out" :: path :: tl ->
       Experiments.scale_trace_out := Some path;
       parse tl (json, smoke, rest)
-    | ([ "--scale-ops" ] | [ "--scale-hosts" ] | [ "--scale-floor" ]
-      | [ "--trace-out" ]) as a ->
+    | ([ "--scale-ops" ] | [ "--scale-floor" ] | [ "--trace-out" ]) as a ->
       Printf.eprintf "%s requires a value\n" (List.hd a);
       exit 2
     | a :: tl -> parse tl (json, smoke, a :: rest)
@@ -444,6 +213,7 @@ let () =
           claim = "(experiment crashed)";
           holds = false;
           detail = Printexc.to_string e;
+          metrics = [];
         }
   in
   let run_names names =

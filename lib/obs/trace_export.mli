@@ -34,3 +34,6 @@ val lines : t -> int
 
 val path : t -> string
 val close : t -> unit
+
+val json_escape : string -> string
+(** Escape a string for use between JSON double quotes. *)
