@@ -3,7 +3,8 @@
    (Experiments.names: E1-E10, F2, A1-A5, CHAOS, WAL, OBSLAG,
    RECONSCALE, MEMBER, CONSENSUS, HEALTH, DELTA, MERGE, SCALE; see
    DESIGN.md and EXPERIMENTS.md), then runs bechamel microbenchmarks for
-   the two timing-sensitive claims (layer crossing, shadow commit).
+   the two timing-sensitive claims (layer crossing, shadow commit) and
+   for directory lookup and insert at 1k/10k/100k entries.
 
    Usage:
      bench/main.exe                   run everything
@@ -57,8 +58,40 @@ let micro_shadow_tests () =
         (Staged.stage (fun () -> get (Shadow.install ~dir:root fid ~data))))
     [ 1024; 8192; 65536 ]
 
+(* Directory index: a name lookup and an insert on an n-entry Ficus
+   directory.  Both are map operations, so the per-op cost should stay
+   close to flat from 1k to 100k entries. *)
+let micro_fdir_tests () =
+  List.concat_map
+    (fun n ->
+      let fid i = { Ids.issuer = 1; uniq = i } in
+      let birth i = { Fdir.b_rid = 1; b_seq = i } in
+      let name i = Printf.sprintf "entry-%06d" i in
+      let rec fill d i =
+        if i > n then d
+        else
+          let d =
+            Fdir.add d ~rid:1 ~name:(name i) ~fid:(fid i) ~kind:Aux_attrs.Freg ~birth:(birth i)
+          in
+          fill (get d) (i + 1)
+      in
+      let d = fill (Fdir.empty 1) 1 in
+      let probe = name (n / 2) in
+      [
+        Test.make
+          ~name:(Printf.sprintf "fdir-lookup/%dk" (n / 1000))
+          (Staged.stage (fun () -> ignore (Fdir.find_live d probe)));
+        Test.make
+          ~name:(Printf.sprintf "fdir-add/%dk" (n / 1000))
+          (Staged.stage (fun () ->
+               ignore
+                 (Fdir.add d ~rid:1 ~name:"fresh" ~fid:(fid (n + 1)) ~kind:Aux_attrs.Freg
+                    ~birth:(birth (n + 1)))));
+      ])
+    [ 1_000; 10_000; 100_000 ]
+
 let run_micro () =
-  let tests = micro_layer_tests () @ micro_shadow_tests () in
+  let tests = micro_layer_tests () @ micro_shadow_tests () @ micro_fdir_tests () in
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let ols =

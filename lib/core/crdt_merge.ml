@@ -178,7 +178,7 @@ let tree_stats t =
   let* () =
     Physical.walk_stored_dirs t (fun path fdir ->
         let fid = match List.rev path with [] -> Ids.root_fid | f :: _ -> f in
-        if (not (NodeSet.mem (node_of fid) reachable)) && Fdir.live fdir <> [] then
+        if (not (NodeSet.mem (node_of fid) reachable)) && Fdir.live_count fdir > 0 then
           incr unreachable)
   in
   Ok

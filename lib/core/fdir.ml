@@ -18,22 +18,80 @@ type entry = {
   status : status;
 }
 
-type t = {
-  entries : entry list;
-  vv : Vv.t;
-  known : Vv.t Kmap.t;
-}
-
 let birth_compare a b =
   match Int.compare a.b_rid b.b_rid with 0 -> Int.compare a.b_seq b.b_seq | c -> c
 
 let birth_equal a b = birth_compare a b = 0
 
-let empty rid = { entries = []; vv = Vv.empty; known = Kmap.singleton rid Vv.empty }
+module Birth = struct
+  type t = birth
+
+  let compare = birth_compare
+end
+
+module Bmap = Map.Make (Birth)
+module Bset = Set.Make (Birth)
+module Smap = Map.Make (String)
+
+module Fmap = Map.Make (struct
+  type t = Ids.file_id
+
+  let compare = Ids.fid_compare
+end)
+
+(* Every entry, tombstones included, keyed by birth: the identity the
+   OR-set merge unions on and the order [encode] writes.  The two
+   indexes hold the births of the {e live} entries only — by plain name
+   (a name's collision group, oldest birth first) and by fid — and are
+   a pure function of [entries]; [index]/[unindex] keep them in step on
+   every local update, [of_entries] rebuilds them after decode and
+   merge. *)
+type t = {
+  entries : entry Bmap.t;
+  by_name : Bset.t Smap.t;
+  by_fid : Bset.t Fmap.t;
+  nlive : int;
+  vv : Vv.t;
+  known : Vv.t Kmap.t;
+}
 
 let is_live e = match e.status with Live -> true | Dead _ -> false
 
-let sort_entries entries = List.sort (fun a b -> birth_compare a.birth b.birth) entries
+let add_birth b = function None -> Some (Bset.singleton b) | Some s -> Some (Bset.add b s)
+
+let remove_birth b = function
+  | None -> None
+  | Some s ->
+    let s = Bset.remove b s in
+    if Bset.is_empty s then None else Some s
+
+let index t e =
+  {
+    t with
+    by_name = Smap.update e.name (add_birth e.birth) t.by_name;
+    by_fid = Fmap.update e.fid (add_birth e.birth) t.by_fid;
+    nlive = t.nlive + 1;
+  }
+
+let unindex t e =
+  {
+    t with
+    by_name = Smap.update e.name (remove_birth e.birth) t.by_name;
+    by_fid = Fmap.update e.fid (remove_birth e.birth) t.by_fid;
+    nlive = t.nlive - 1;
+  }
+
+let of_entries ~vv ~known entries =
+  Bmap.fold
+    (fun _ e t -> if is_live e then index t e else t)
+    entries
+    { entries; by_name = Smap.empty; by_fid = Fmap.empty; nlive = 0; vv; known }
+
+let empty rid = of_entries ~vv:Vv.empty ~known:(Kmap.singleton rid Vv.empty) Bmap.empty
+
+let vv t = t.vv
+let entries t = List.map snd (Bmap.bindings t.entries)
+let live_count t = t.nlive
 
 (* ------------------------------------------------------------------ *)
 (* Read-time collision repair: among live entries sharing a name, the
@@ -42,41 +100,52 @@ let sort_entries entries = List.sort (fun a b -> birth_compare a.birth b.birth) 
    Purely a function of the entry set, so every replica computes the
    same view — no merge-time mutation is needed for convergence.      *)
 
+let effective t e =
+  if birth_equal (Bset.min_elt (Smap.find e.name t.by_name)) e.birth then e.name
+  else
+    let rec fresh candidate =
+      if Smap.mem candidate t.by_name then fresh (candidate ^ "#") else candidate
+    in
+    fresh (Printf.sprintf "%s#%d.%d" e.name e.birth.b_rid e.birth.b_seq)
+
 let live t =
-  let live_entries = List.filter is_live t.entries in
-  let plain_names =
-    List.fold_left (fun acc e -> e.name :: acc) [] live_entries
-    |> List.sort_uniq String.compare
-  in
-  let by_name = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let current = Option.value ~default:[] (Hashtbl.find_opt by_name e.name) in
-      Hashtbl.replace by_name e.name (e :: current))
-    live_entries;
-  let effective e =
-    match Hashtbl.find_opt by_name e.name with
-    | Some [ _ ] | None -> e.name
-    | Some group ->
-      let winner =
-        List.fold_left (fun acc c -> if birth_compare c.birth acc.birth < 0 then c else acc)
-          (List.hd group) group
-      in
-      if birth_equal winner.birth e.birth then e.name
-      else
-        let rec fresh candidate =
-          if List.mem candidate plain_names then fresh (candidate ^ "#") else candidate
-        in
-        fresh (Printf.sprintf "%s#%d.%d" e.name e.birth.b_rid e.birth.b_seq)
-  in
-  List.map (fun e -> (effective e, e)) live_entries
+  Bmap.fold (fun _ e acc -> if is_live e then (effective t e, e) :: acc else acc) t.entries []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let decode_birth s =
+  match String.split_on_char '.' s with
+  | [ r; q ] ->
+    (match int_of_string_opt r, int_of_string_opt q with
+     | Some b_rid, Some b_seq -> Some { b_rid; b_seq }
+     | _, _ -> None)
+  | _ -> None
+
+(* A plain live name resolves to its group's oldest birth: repaired
+   names are never plain names, so nothing else can read as it.  Any
+   other name can only be a repaired one, "base#rid.seq" plus the '#'s
+   that stepped past plain names; the digits name the one birth it can
+   be, and recomputing that entry's effective name settles it. *)
 let find_live t name =
-  List.find_map (fun (n, e) -> if n = name then Some e else None) (live t)
+  match Smap.find_opt name t.by_name with
+  | Some group -> Bmap.find_opt (Bset.min_elt group) t.entries
+  | None ->
+    let rec stem_len n = if n > 0 && name.[n - 1] = '#' then stem_len (n - 1) else n in
+    let n = stem_len (String.length name) in
+    let stem = String.sub name 0 n in
+    (match String.rindex_opt stem '#' with
+     | None -> None
+     | Some i ->
+       (match decode_birth (String.sub stem (i + 1) (n - i - 1)) with
+        | None -> None
+        | Some birth ->
+          (match Bmap.find_opt birth t.entries with
+           | Some e when is_live e && String.equal (effective t e) name -> Some e
+           | Some _ | None -> None)))
 
 let find_by_fid t fid =
-  List.find_opt (fun e -> is_live e && Ids.fid_equal e.fid fid) t.entries
+  match Fmap.find_opt fid t.by_fid with
+  | None -> None
+  | Some births -> Bmap.find_opt (Bset.min_elt births) t.entries
 
 (* Live entries deduplicated by fid (a hard-linked file appears once),
    in effective-name order.  The unit of work for reconciliation. *)
@@ -84,15 +153,14 @@ let live_fids t =
   let seen = Hashtbl.create 16 in
   List.filter_map
     (fun (_, e) ->
-      let k = Ids.fid_to_hex e.fid in
-      if Hashtbl.mem seen k then None
+      if Hashtbl.mem seen e.fid then None
       else begin
-        Hashtbl.replace seen k ();
+        Hashtbl.replace seen e.fid ();
         Some e
       end)
     (live t)
 
-let find_birth t birth = List.find_opt (fun e -> birth_equal e.birth birth) t.entries
+let find_birth t birth = Bmap.find_opt birth t.entries
 
 (* ------------------------------------------------------------------ *)
 (* Local updates                                                       *)
@@ -109,26 +177,20 @@ let valid_name name =
 
 let add t ~rid ~name ~fid ~kind ~birth =
   if not (valid_name name) then Error Errno.EINVAL
-  else if find_birth t birth <> None then Error Errno.EINVAL
+  else if Bmap.mem birth t.entries then Error Errno.EINVAL
   else if find_live t name <> None then Error Errno.EEXIST
   else
     let t = bump t rid in
     let e = { name; fid; kind; birth; status = Live } in
-    Ok { t with entries = sort_entries (e :: t.entries) }
+    Ok (index { t with entries = Bmap.add birth e t.entries } e)
 
 let kill t ~rid birth =
   match find_birth t birth with
-  | None -> Error Errno.ENOENT
-  | Some e ->
-    (match e.status with
-     | Dead _ -> Error Errno.ENOENT
-     | Live ->
-       let t = bump t rid in
-       let dead = { e with status = Dead { death_vv = t.vv } } in
-       let entries =
-         List.map (fun e' -> if birth_equal e'.birth birth then dead else e') t.entries
-       in
-       Ok { t with entries })
+  | None | Some { status = Dead _; _ } -> Error Errno.ENOENT
+  | Some ({ status = Live; _ } as e) ->
+    let t = bump t rid in
+    let dead = { e with status = Dead { death_vv = t.vv } } in
+    Ok (unindex { t with entries = Bmap.add birth dead t.entries } e)
 
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
@@ -144,45 +206,32 @@ type merge_result = {
   new_collisions : (string * birth list) list;
 }
 
+let collided t name =
+  match Smap.find_opt name t.by_name with
+  | Some group -> not (birth_equal (Bset.min_elt group) (Bset.max_elt group))
+  | None -> false
+
 let collisions t =
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      if is_live e then
-        Hashtbl.replace groups e.name
-          (e.birth :: Option.value ~default:[] (Hashtbl.find_opt groups e.name)))
-    t.entries;
-  Hashtbl.fold
-    (fun name births acc ->
-      if List.length births > 1 then (name, List.sort birth_compare births) :: acc else acc)
-    groups []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  Smap.fold
+    (fun name group acc -> if collided t name then (name, Bset.elements group) :: acc else acc)
+    t.by_name []
+  |> List.rev
+
+(* Entry union for one birth held on both sides: a tombstone on either
+   side wins. *)
+let join local remote =
+  match local.status, remote.status with
+  | Dead { death_vv = d1 }, Dead { death_vv = d2 } ->
+    (* Both sides killed this birth, possibly at divergent vvs.  Join
+       the death vectors so the tombstone itself converges byte-wise
+       (and GC waits for the later of the two kills). *)
+    if Vv.equal d1 d2 then local else { local with status = Dead { death_vv = Vv.merge d1 d2 } }
+  | Dead _, _ -> local
+  | _, Dead _ -> remote
+  | Live, Live -> local
 
 let merge ?(may_expire = fun _ -> true) ~local_rid ~remote_rid ~peers local remote =
-  (* Entry union: a tombstone on either side wins for its birth. *)
-  let table = Hashtbl.create 32 in
-  let note e =
-    let key = (e.birth.b_rid, e.birth.b_seq) in
-    match Hashtbl.find_opt table key with
-    | None -> Hashtbl.replace table key e
-    | Some prev ->
-      let chosen =
-        match prev.status, e.status with
-        | Dead { death_vv = d1 }, Dead { death_vv = d2 } ->
-          (* Both sides killed this birth, possibly at divergent vvs.
-             Join the death vectors so the tombstone itself converges
-             byte-wise (and GC waits for the later of the two kills). *)
-          if Vv.equal d1 d2 then prev
-          else { prev with status = Dead { death_vv = Vv.merge d1 d2 } }
-        | Dead _, _ -> prev
-        | _, Dead _ -> e
-        | Live, Live -> prev
-      in
-      Hashtbl.replace table key chosen
-  in
-  List.iter note local.entries;
-  List.iter note remote.entries;
-  let union = Hashtbl.fold (fun _ e acc -> e :: acc) table [] |> sort_entries in
+  let union = Bmap.union (fun _ l r -> Some (join l r)) local.entries remote.entries in
   (* Gossip the knowledge map.  The remote replica has reached its own
      vv; we are about to reach the merged vv. *)
   let merged_vv = Vv.merge local.vv remote.vv in
@@ -213,35 +262,35 @@ let merge ?(may_expire = fun _ -> true) ~local_rid ~remote_rid ~peers local remo
       (fun rid -> Vv.dominates (Option.value ~default:Vv.empty (Kmap.find_opt rid known)) death_vv)
       peers
   in
+  (* [Bmap.partition] applies the predicate in birth order, so the
+     [may_expire] probes run in a deterministic order. *)
   let kept, expired =
-    List.partition
-      (fun e ->
+    Bmap.partition
+      (fun _ e ->
         match e.status with
         | Live -> true
         | Dead { death_vv } -> not (everyone_knows death_vv && may_expire e))
       union
   in
-  let merged = { entries = kept; vv = merged_vv; known } in
+  let merged = of_entries ~vv:merged_vv ~known kept in
   (* Actions: difference between the local live view and the merged one. *)
-  let was_live birth entries =
-    List.exists (fun e -> birth_equal e.birth birth && is_live e) entries
+  let was_live birth =
+    match Bmap.find_opt birth local.entries with Some e -> is_live e | None -> false
   in
-  let actions = ref [] in
-  List.iter
-    (fun e ->
-      match e.status with
-      | Live ->
-        if not (was_live e.birth local.entries) then actions := Materialize e :: !actions
-      | Dead _ ->
-        if was_live e.birth local.entries then actions := Unmaterialize e :: !actions)
-    union;
+  let actions =
+    Bmap.fold
+      (fun _ e acc ->
+        match e.status with
+        | Live -> if was_live e.birth then acc else Materialize e :: acc
+        | Dead _ -> if was_live e.birth then Unmaterialize e :: acc else acc)
+      union []
+  in
   (* [union] already produced any needed Unmaterialize for these. *)
-  List.iter (fun e -> actions := Expire e :: !actions) expired;
-  let local_collisions = collisions local in
+  let actions = Bmap.fold (fun _ e acc -> Expire e :: acc) expired actions in
   let new_collisions =
-    List.filter (fun (name, _) -> not (List.mem_assoc name local_collisions)) (collisions merged)
+    List.filter (fun (name, _) -> not (collided local name)) (collisions merged)
   in
-  { merged; actions = List.rev !actions; new_collisions }
+  { merged; actions = List.rev actions; new_collisions }
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: line-oriented, names percent-escaped.                *)
@@ -264,8 +313,8 @@ let encode t =
   Kmap.iter
     (fun rid vv -> Buffer.add_string buf (Printf.sprintf "K %d %s\n" rid (Vv.encode vv)))
     t.known;  (* Kmap iterates in ascending rid order, as the sort did *)
-  List.iter
-    (fun e ->
+  Bmap.iter
+    (fun _ e ->
       let status =
         match e.status with
         | Live -> "L"
@@ -285,31 +334,23 @@ let decode_kind = function
   | "graft" -> Some Aux_attrs.Fgraft
   | _ -> None
 
-let decode_birth s =
-  match String.split_on_char '.' s with
-  | [ r; q ] ->
-    (match int_of_string_opt r, int_of_string_opt q with
-     | Some b_rid, Some b_seq -> Some { b_rid; b_seq }
-     | _, _ -> None)
-  | _ -> None
-
 let decode_vv_field s = if s = "-" then Some Vv.empty else Vv.decode s
 
+(* A birth is an entry's identity, so a file holding one twice is
+   corrupt: rejected rather than silently collapsed to one entry. *)
 let decode s =
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  let rec go acc = function
-    | [] ->
-      let { entries; vv; known } = acc in
-      Some { entries = sort_entries entries; vv; known }
+  let rec go (entries, vv, known) = function
+    | [] -> Some (of_entries ~vv ~known entries)
     | line :: rest ->
       (match String.split_on_char ' ' line with
        | [ "V"; vv ] ->
          (match Vv.decode vv with
-          | Some vv -> go { acc with vv } rest
+          | Some vv -> go (entries, vv, known) rest
           | None -> None)
-       | [ "K"; rid; vv ] ->
-         (match int_of_string_opt rid, Vv.decode vv with
-          | Some rid, Some vv -> go { acc with known = Kmap.add rid vv acc.known } rest
+       | [ "K"; rid; kvv ] ->
+         (match int_of_string_opt rid, Vv.decode kvv with
+          | Some rid, Some kvv -> go (entries, vv, Kmap.add rid kvv known) rest
           | _, _ -> None)
        | "E" :: name :: fid :: birth :: kind :: status ->
          let parsed =
@@ -325,11 +366,12 @@ let decode s =
            | _, _, _, _ -> None
          in
          (match parsed with
-          | Some e -> go { acc with entries = e :: acc.entries } rest
-          | None -> None)
+          | Some e when not (Bmap.mem e.birth entries) ->
+            go (Bmap.add e.birth e entries, vv, known) rest
+          | Some _ | None -> None)
        | _ -> None)
   in
-  go { entries = []; vv = Vv.empty; known = Kmap.empty } lines
+  go (Bmap.empty, Vv.empty, Kmap.empty) lines
 
 let pp_entry ppf e =
   let status =

@@ -52,34 +52,47 @@ type entry = {
   status : status;
 }
 
-type t = {
-  entries : entry list;                  (** sorted by birth *)
-  vv : Version_vector.t;                 (** directory version vector *)
-  known : Version_vector.t Kmap.t;       (** gossip: replica → vv it has reached *)
-}
+type t
+(** A directory replica: every entry keyed by birth, tombstones included,
+    plus indexes over the live entries by plain name and by fid, so that
+    every name→entry and fid→entry step is a map lookup.  Immutable. *)
 
 val empty : Ids.replica_id -> t
 (** An empty directory at the given replica ([known] seeded with it). *)
 
 val birth_compare : birth -> birth -> int
 
+val vv : t -> Version_vector.t
+(** The directory version vector. *)
+
+val entries : t -> entry list
+(** Every entry, tombstones included, in birth order (the [encode]
+    order). *)
+
+val live_count : t -> int
+(** Number of live entries ([List.length (live t)], without building the
+    view). *)
+
 (** {1 Read-time view} *)
 
 val live : t -> (string * entry) list
 (** Live entries with their {e effective} names after deterministic
-    collision repair, sorted by effective name. *)
+    collision repair, sorted by effective name.  Builds the whole view:
+    O(n log n). *)
 
 val find_live : t -> string -> entry option
-(** Look up by effective name. *)
+(** Look up by effective name, in O(log n) without building the view. *)
 
 val find_by_fid : t -> Ids.file_id -> entry option
-(** First live entry for the file, if any (a file may have several names). *)
+(** The live entry of oldest birth for the file, if any (a file may have
+    several names).  O(log n). *)
 
 val live_fids : t -> entry list
 (** Live entries deduplicated by fid, in effective-name order — the unit
     of per-child work during reconciliation. *)
 
 val find_birth : t -> birth -> entry option
+(** The entry of that birth, live or dead.  O(log n). *)
 
 (** {1 Local updates}
 
@@ -130,6 +143,9 @@ val merge :
 (** {1 Serialization} *)
 
 val encode : t -> string
+
 val decode : string -> t option
+(** [None] on a malformed file, including one that holds the same birth
+    twice. *)
 
 val pp_entry : Format.formatter -> entry -> unit

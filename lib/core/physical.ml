@@ -38,14 +38,15 @@ type t = {
      (path, pending vector).  Purely an I/O batching device — losing it
      in a crash only under-claims, which is always safe. *)
   pending_summaries : (string, fidpath * Vv.t ref) Hashtbl.t;
-  (* Decoded-directory cache, keyed by the DIR file's encoded bytes.
-     Content addressing makes staleness impossible: any directory update
-     rewrites the DIR file, and the new bytes simply miss.  Fdir values
-     are immutable, so sharing the decoded structure is safe.  Bounded;
-     see [load_fdir]. *)
-  fdir_cache : (string, Fdir.t) Hashtbl.t;
+  (* Decoded directories, one slot per directory keyed by its fid: the
+     DIR bytes last read or written there and their decoding.  A load
+     still reads the DIR file and hits only when the bytes are equal, so
+     staleness is impossible — any update rewrites the file and the new
+     bytes miss — and the heap holds one version per directory.  Fdir
+     values are immutable, so sharing the decoded structure is safe.  Bounded; see [fdir_slot_put]. *)
+  fdir_slots : (Ids.file_id, string * Fdir.t) Hashtbl.t;
   (* Chunk-map cache for delta propagation, content-keyed like
-     [fdir_cache] (same structural-staleness-freedom argument: new
+     [fdir_slots] (same structural-staleness-freedom argument: new
      contents are a new key) and write-through from the install path, so
      serving a chunk map for a just-installed file never re-chunks. *)
   chunk_cache : (string, Chunking.chunk list) Hashtbl.t;
@@ -185,27 +186,31 @@ let split_file_path path =
   | [] -> Error Errno.EINVAL
   | fid :: rev_parent -> Ok (List.rev rev_parent, fid)
 
+(* The Ficus directory a UFS directory resolved from [path] holds. *)
+let dir_fid path = match List.rev path with [] -> Ids.root_fid | fid :: _ -> fid
+
 (* Decoding a directory is the hot path's dominant allocation (every
-   lookup re-reads the DIR file); the content-addressed cache turns the
-   common re-decode into one Hashtbl probe.  Crude bounded eviction: the
+   lookup re-reads the DIR file); the per-directory slot turns the
+   common re-decode into a byte comparison.  Crude bounded eviction: the
    working set is the handful of directories under active use, so a full
    reset on overflow is simpler than LRU and just as effective. *)
-let fdir_cache_cap = 512
+let fdir_slot_cap = 512
 
-let fdir_cache_put t contents fdir =
-  if Hashtbl.length t.fdir_cache >= fdir_cache_cap then Hashtbl.reset t.fdir_cache;
-  Hashtbl.replace t.fdir_cache contents fdir
+let fdir_slot_put t fid contents fdir =
+  if Hashtbl.length t.fdir_slots >= fdir_slot_cap && not (Hashtbl.mem t.fdir_slots fid) then
+    Hashtbl.reset t.fdir_slots;
+  Hashtbl.replace t.fdir_slots fid (contents, fdir)
 
-let load_fdir t ufs_dir =
+let load_fdir t ~fid ufs_dir =
   let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
   let* contents = Vnode.read_all dirfile in
-  match Hashtbl.find_opt t.fdir_cache contents with
-  | Some d -> Ok d
-  | None ->
+  match Hashtbl.find_opt t.fdir_slots fid with
+  | Some (bytes, d) when String.equal bytes contents -> Ok d
+  | Some _ | None ->
     (match Fdir.decode contents with
      | None -> Error Errno.EIO
      | Some d ->
-       fdir_cache_put t contents d;
+       fdir_slot_put t fid contents d;
        Ok d)
 
 (* Chunk maps are far larger per entry than decoded directories (the
@@ -228,12 +233,12 @@ let chunks_of_content t contents =
     chunk_cache_put t contents chunks;
     chunks
 
-(* Write-through: seeding the cache with the bytes just written means
+(* Write-through: seeding the slot with the bytes just written means
    the next load after an update hits. *)
-let store_fdir t ufs_dir fdir =
+let store_fdir t ~fid ufs_dir fdir =
   let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
   let contents = Fdir.encode fdir in
-  fdir_cache_put t contents fdir;
+  fdir_slot_put t fid contents fdir;
   Vnode.write_all dirfile contents
 
 (* Create the UFS storage of a fresh, empty Ficus directory. *)
@@ -426,7 +431,7 @@ let file_event ?vv t path fid = emit ?vv t ~fidpath:path ~fid ~kind:Aux_attrs.Fr
 
 let dir_version_info t path =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   let* kind, uid, stored_summary =
     match path with
     | [] ->
@@ -446,8 +451,8 @@ let dir_version_info t path =
   Ok
     {
       vi_kind = kind;
-      vi_vv = fdir.Fdir.vv;
-      vi_size = List.length (Fdir.live fdir);
+      vi_vv = Fdir.vv fdir;
+      vi_size = Fdir.live_count fdir;
       vi_uid = uid;
       vi_stored = true;
       vi_span = 0;
@@ -463,7 +468,7 @@ let reg_version_info t path =
     | Error Errno.ENOENT ->
       (* No aux yet: the entry may exist in the parent directory without
          any materialized storage. *)
-      let* fdir = load_fdir t parent_ufs in
+      let* fdir = load_fdir t ~fid:(dir_fid parent) parent_ufs in
       (match Fdir.find_by_fid fdir fid with
        | Some e -> Ok { (Aux_attrs.make e.Fdir.kind) with Aux_attrs.vv = Vv.empty }
        | None -> Error Errno.ENOENT)
@@ -494,7 +499,7 @@ let get_version t path =
   | _ ->
     let* parent, fid = split_file_path path in
     let* parent_ufs = resolve_dir t parent in
-    let* fdir = load_fdir t parent_ufs in
+    let* fdir = load_fdir t ~fid:(dir_fid parent) parent_ufs in
     (match Fdir.find_by_fid fdir fid with
      | None -> Error Errno.ENOENT
      | Some e ->
@@ -514,7 +519,7 @@ let fetch_file t path =
 
 let fetch_dir t path =
   let* ufs_dir = resolve_dir t path in
-  load_fdir t ufs_dir
+  load_fdir t ~fid:(dir_fid path) ufs_dir
 
 (* Version info for child entry [e] of the directory at [path] whose UFS
    directory is [ufs_dir] — the per-child body of the batched [getdirvvs]
@@ -550,7 +555,7 @@ let child_version_info t ufs_dir path e =
   | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
     let* aux = Aux_attrs.load ~dir:ufs_dir fid in
     let* child_ufs = ufs_dir.Vnode.lookup (Ids.fid_to_hex fid) in
-    let* child_fdir = load_fdir t child_ufs in
+    let* child_fdir = load_fdir t ~fid:fid child_ufs in
     let summary =
       Vv.merge
         (Option.value ~default:Vv.empty aux.Aux_attrs.summary)
@@ -559,8 +564,8 @@ let child_version_info t ufs_dir path e =
     Ok
       {
         vi_kind = aux.Aux_attrs.kind;
-        vi_vv = child_fdir.Fdir.vv;
-        vi_size = List.length (Fdir.live child_fdir);
+        vi_vv = Fdir.vv child_fdir;
+        vi_size = Fdir.live_count child_fdir;
         vi_uid = aux.Aux_attrs.uid;
         vi_stored = true;
         vi_span = 0;
@@ -673,7 +678,7 @@ and dir_lookup t path name =
   if Ctl_name.is_ctl name then ctl_lookup t path name
   else
     let* ufs_dir = resolve_dir t path in
-    let* fdir = load_fdir t ufs_dir in
+    let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
     let* entry =
       if String.length name > 0 && name.[0] = '@' then
         match Ids.fid_of_at_name name with
@@ -695,7 +700,7 @@ and dir_lookup t path name =
 
 and dir_create t path name =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   let* uniq = alloc_uniq t in
   let fid = { Ids.issuer = t.rid; uniq } in
   let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
@@ -705,20 +710,20 @@ and dir_create t path name =
     { (Aux_attrs.make Aux_attrs.Freg) with Aux_attrs.vv = Vv.singleton t.rid 1 }
   in
   let* () = Aux_attrs.store ~dir:ufs_dir fid aux in
-  let* () = store_fdir t ufs_dir fdir in
+  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
   note_summary_event t path;
   dir_event t path;
   Ok (reg_vnode t (path @ [ fid ]))
 
 and dir_mkdir t path name =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   let* uniq = alloc_uniq t in
   let fid = { Ids.issuer = t.rid; uniq } in
   let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
   let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Fdir ~birth in
   let* _child = make_dir_storage t ufs_dir fid (Aux_attrs.make Aux_attrs.Fdir) in
-  let* () = store_fdir t ufs_dir fdir in
+  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
   note_summary_event t path;
   dir_event t path;
   Ok (dir_vnode t (path @ [ fid ]) Aux_attrs.Fdir)
@@ -733,7 +738,7 @@ and drop_file_storage fdir ufs_dir fid =
 
 and dir_remove t path name =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   match Fdir.find_live fdir name with
   | None -> Error Errno.ENOENT
   | Some e ->
@@ -741,27 +746,27 @@ and dir_remove t path name =
     else
       let* fdir = Fdir.kill fdir ~rid:t.rid e.Fdir.birth in
       let* () = drop_file_storage fdir ufs_dir e.Fdir.fid in
-      let* () = store_fdir t ufs_dir fdir in
+      let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
       note_summary_event t path;
       dir_event t path;
       Ok ()
 
 and dir_rmdir t path name =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   match Fdir.find_live fdir name with
   | None -> Error Errno.ENOENT
   | Some e ->
     if e.Fdir.kind = Aux_attrs.Freg then Error Errno.ENOTDIR
     else
       let* child_ufs = ufs_dir.Vnode.lookup (Ids.fid_to_hex e.Fdir.fid) in
-      let* child_fdir = load_fdir t child_ufs in
-      if Fdir.live child_fdir <> [] then Error Errno.ENOTEMPTY
+      let* child_fdir = load_fdir t ~fid:e.Fdir.fid child_ufs in
+      if Fdir.live_count child_fdir > 0 then Error Errno.ENOTEMPTY
       else
         let* fdir = Fdir.kill fdir ~rid:t.rid e.Fdir.birth in
         let* () = rm_tree ufs_dir (Ids.fid_to_hex e.Fdir.fid) in
         let* () = ignore_enoent (ufs_dir.Vnode.remove (Ids.aux_name e.Fdir.fid)) in
-        let* () = store_fdir t ufs_dir fdir in
+        let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
         note_summary_event t path;
         dir_event t path;
         Ok ()
@@ -797,13 +802,13 @@ and dir_rename t path sname dst dname =
                  && List.for_all2 Ids.fid_equal path dst_path in
   let* src_ufs = resolve_dir t path in
   let* dst_ufs = if same_dir then Ok src_ufs else resolve_dir t dst_path in
-  let* src_fdir = load_fdir t src_ufs in
+  let* src_fdir = load_fdir t ~fid:(dir_fid path) src_ufs in
   let* entry =
     match Fdir.find_live src_fdir sname with
     | Some e -> Ok e
     | None -> Error Errno.ENOENT
   in
-  let* dst_fdir = if same_dir then Ok src_fdir else load_fdir t dst_ufs in
+  let* dst_fdir = if same_dir then Ok src_fdir else load_fdir t ~fid:(dir_fid dst_path) dst_ufs in
   (* Destination name handling: replace a plain file, refuse a directory. *)
   let* dst_fdir =
     match Fdir.find_live dst_fdir dname with
@@ -824,7 +829,7 @@ and dir_rename t path sname dst dname =
     let* fdir =
       Fdir.add fdir ~rid:t.rid ~name:dname ~fid:entry.Fdir.fid ~kind:entry.Fdir.kind ~birth
     in
-    let* () = store_fdir t src_ufs fdir in
+    let* () = store_fdir t ~fid:(dir_fid path) src_ufs fdir in
     note_summary_event t path;
     dir_event t path;
     Ok ()
@@ -843,8 +848,8 @@ and dir_rename t path sname dst dname =
       Fdir.add dst_fdir ~rid:t.rid ~name:dname ~fid:entry.Fdir.fid ~kind:entry.Fdir.kind ~birth
     in
     let* () = move_storage entry src_ufs dst_ufs in
-    let* () = store_fdir t src_ufs src_fdir in
-    let* () = store_fdir t dst_ufs dst_fdir in
+    let* () = store_fdir t ~fid:(dir_fid path) src_ufs src_fdir in
+    let* () = store_fdir t ~fid:(dir_fid dst_path) dst_ufs dst_fdir in
     note_summary_event t path;
     note_summary_event t dst_path;
     dir_event t path;
@@ -860,7 +865,7 @@ and dir_link t path target name =
   in
   let* tparent, tfid = split_file_path target_path in
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   let* uniq = alloc_uniq t in
   let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
   let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid:tfid ~kind:Aux_attrs.Freg ~birth in
@@ -879,14 +884,14 @@ and dir_link t path target name =
        | Error _ as e -> e)
     | Error _ as e -> e
   in
-  let* () = store_fdir t ufs_dir fdir in
+  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
   note_summary_event t path;
   dir_event t path;
   Ok ()
 
 and dir_readdir t path =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   Ok
     (List.map
        (fun (name, e) ->
@@ -975,7 +980,7 @@ and ctl_target t path who =
     Ok (path, vi)
   else
     let* ufs_dir = resolve_dir t path in
-    let* fdir = load_fdir t ufs_dir in
+    let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
     let* entry =
       if String.length who > 0 && who.[0] = '@' then
         match Ids.fid_of_at_name who with
@@ -1077,7 +1082,7 @@ and ctl_lookup t path name =
        if vi.vi_kind = Aux_attrs.Freg then Error Errno.ENOTDIR
        else
          let* ufs_dir = resolve_dir t target in
-         let* fdir = load_fdir t ufs_dir in
+         let* fdir = load_fdir t ~fid:(dir_fid target) ufs_dir in
          let buf = Buffer.create 1024 in
          (match vi.vi_summary with
           | Some s -> Buffer.add_string buf ("summary=" ^ Vv.encode s ^ "\n")
@@ -1160,7 +1165,7 @@ and ctl_lookup t path name =
             (Printf.sprintf "vref=%d.%d\nrid=%d\n" t.vref.Ids.alloc t.vref.Ids.vol t.rid))
      | "resolve", who :: _ ->
        let* ufs_dir = resolve_dir t path in
-       let* fdir = load_fdir t ufs_dir in
+       let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
        (match Fdir.find_live fdir who with
         | None -> Error Errno.ENOENT
         | Some e ->
@@ -1327,8 +1332,8 @@ let apply_action t path ufs_dir merged action =
         | Error Errno.ENOENT -> Ok ()
         | Error _ as err -> err
         | Ok child_ufs ->
-          let* child_fdir = load_fdir t child_ufs in
-          if Fdir.live child_fdir = [] then begin
+          let* child_fdir = load_fdir t ~fid:e.Fdir.fid child_ufs in
+          if Fdir.live_count child_fdir = 0 then begin
             let* () = rm_tree ufs_dir hex in
             ignore_enoent (ufs_dir.Vnode.remove (Ids.aux_name e.Fdir.fid))
           end
@@ -1364,7 +1369,7 @@ let apply_action t path ufs_dir merged action =
 
 let merge_dir t path ~remote_rid remote =
   let* ufs_dir = resolve_dir t path in
-  let* local = load_fdir t ufs_dir in
+  let* local = load_fdir t ~fid:(dir_fid path) ufs_dir in
   let peer_rids = List.map fst t.peers in
   (* CRDT mode keeps a tombstoned directory's storage in place for the
      repair pass — so its tombstone must stay discoverable too.  Defer
@@ -1380,10 +1385,10 @@ let merge_dir t path ~remote_rid remote =
       (match ufs_dir.Vnode.lookup (Ids.fid_to_hex e.Fdir.fid) with
        | Error _ -> true
        | Ok child ->
-         (match load_fdir t child with
+         (match load_fdir t ~fid:e.Fdir.fid child with
           | Error _ -> true
           | Ok f ->
-            if Fdir.live f = [] then true
+            if Fdir.live_count f = 0 then true
             else begin
               Counters.incr t.counters "phys.crdt.expire_deferred";
               false
@@ -1399,7 +1404,7 @@ let merge_dir t path ~remote_rid remote =
       apply rest
   in
   let* () = apply result.Fdir.actions in
-  let* () = store_fdir t ufs_dir result.Fdir.merged in
+  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir result.Fdir.merged in
   (* Any observable change to the stored directory — entries, tombstone
      expiry, known-map gossip — is an incorporation event peers must not
      prune past. *)
@@ -1440,7 +1445,7 @@ let merge_dir t path ~remote_rid remote =
 let walk_stored_dirs t f =
   let visited = Hashtbl.create 32 in
   let rec go path ufs_dir =
-    match load_fdir t ufs_dir with
+    match load_fdir t ~fid:(dir_fid path) ufs_dir with
     | Error Errno.ENOENT -> Ok () (* half-built storage; skip *)
     | Error _ as e -> e
     | Ok fdir ->
@@ -1463,7 +1468,7 @@ let walk_stored_dirs t f =
                  children rest
              end)
       in
-      children fdir.Fdir.entries
+      children (Fdir.entries fdir)
   in
   Hashtbl.replace visited (Ids.fid_to_hex Ids.root_fid) ();
   let* root_ufs = t.container.Vnode.lookup (Ids.fid_to_hex Ids.root_fid) in
@@ -1503,12 +1508,12 @@ let find_dir_storage t fid =
    an already-dead or expired entry is a no-op. *)
 let demote_entry t path birth =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   match Fdir.kill fdir ~rid:t.rid birth with
   | Error Errno.ENOENT -> Ok false
   | Error _ as e -> e
   | Ok fdir ->
-    let* () = store_fdir t ufs_dir fdir in
+    let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
     note_summary_event t path;
     dir_event t path;
     Counters.incr t.counters "phys.crdt.demote";
@@ -1519,7 +1524,7 @@ let demote_entry t path birth =
    already claims the name (user-created; repair then skips attaches). *)
 let ensure_lost_found t =
   let* root_ufs = resolve_dir t [] in
-  let* root_fdir = load_fdir t root_ufs in
+  let* root_fdir = load_fdir t ~fid:Ids.root_fid root_ufs in
   let birth = { Fdir.b_rid = lost_found_fid.Ids.issuer; b_seq = lost_found_fid.Ids.uniq } in
   let storage () =
     match root_ufs.Vnode.lookup (Ids.fid_to_hex lost_found_fid) with
@@ -1541,7 +1546,7 @@ let ensure_lost_found t =
      | Error _ -> Ok None (* a user-created "lost+found" holds the name *)
      | Ok root_fdir ->
        let* v = storage () in
-       let* () = store_fdir t root_ufs root_fdir in
+       let* () = store_fdir t ~fid:Ids.root_fid root_ufs root_fdir in
        note_summary_event t [];
        dir_event t [];
        Ok (Some v))
@@ -1559,7 +1564,7 @@ let attach_to_lost_found t ~fid ~kind =
     match lf with
     | None -> Ok false
     | Some lf_ufs ->
-      let* lf_fdir = load_fdir t lf_ufs in
+      let* lf_fdir = load_fdir t ~fid:lost_found_fid lf_ufs in
       let hex = Ids.fid_to_hex fid in
       let birth = { Fdir.b_rid = fid.Ids.issuer; b_seq = fid.Ids.uniq } in
       let lf_path = [ lost_found_fid ] in
@@ -1570,7 +1575,7 @@ let attach_to_lost_found t ~fid ~kind =
           (match Fdir.add lf_fdir ~rid:t.rid ~name:hex ~fid ~kind ~birth with
            | Error _ -> Ok false
            | Ok lf_fdir ->
-             let* () = store_fdir t lf_ufs lf_fdir in
+             let* () = store_fdir t ~fid:lost_found_fid lf_ufs lf_fdir in
              note_summary_event t lf_path;
              dir_event t lf_path;
              Ok true)
@@ -1626,7 +1631,7 @@ let add_plain_entry t ufs_dir fdir name =
 
 let make_graft_point t ~parent ~name ~target ~replicas =
   let* ufs_dir = resolve_dir t parent in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid parent) ufs_dir in
   let* uniq = alloc_uniq t in
   let fid = { Ids.issuer = t.rid; uniq } in
   let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
@@ -1635,7 +1640,7 @@ let make_graft_point t ~parent ~name ~target ~replicas =
     { (Aux_attrs.make Aux_attrs.Fgraft) with Aux_attrs.graft_target = Some target }
   in
   let* child_ufs = make_dir_storage t ufs_dir fid aux in
-  let* child_fdir = load_fdir t child_ufs in
+  let* child_fdir = load_fdir t ~fid:fid child_ufs in
   let* child_fdir = add_plain_entry t child_ufs child_fdir (volume_entry_name target) in
   let rec add_replicas fdir = function
     | [] -> Ok fdir
@@ -1644,8 +1649,8 @@ let make_graft_point t ~parent ~name ~target ~replicas =
       add_replicas fdir rest
   in
   let* child_fdir = add_replicas child_fdir replicas in
-  let* () = store_fdir t child_ufs child_fdir in
-  let* () = store_fdir t ufs_dir fdir in
+  let* () = store_fdir t ~fid:fid child_ufs child_fdir in
+  let* () = store_fdir t ~fid:(dir_fid parent) ufs_dir fdir in
   note_summary_event t (parent @ [ fid ]);
   dir_event t parent;
   Ok ()
@@ -1686,9 +1691,9 @@ let graft_entries_of_fdir fdir =
 
 let add_graft_replica t path r h =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ufs_dir in
+  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
   let* fdir = add_plain_entry t ufs_dir fdir (replica_entry_name r h) in
-  let* () = store_fdir t ufs_dir fdir in
+  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
   note_summary_event t path;
   dir_event t path;
   Ok ()
@@ -1713,7 +1718,7 @@ let create ?(obs = Obs.default) ~container ~clock ~host ~vref ~rid ~peers () =
       open_count = 0;
       dir_merge = `Legacy;
       pending_summaries = Hashtbl.create 64;
-      fdir_cache = Hashtbl.create 64;
+      fdir_slots = Hashtbl.create 64;
       chunk_cache = Hashtbl.create 16;
     }
   in
@@ -1763,7 +1768,7 @@ let recompute_summaries t =
     let* aux = Aux_attrs.load ~dir:parent_ufs fid in
     let* () = Aux_attrs.store ~dir:parent_ufs fid { aux with Aux_attrs.summary = Some claim } in
     let* child_ufs = parent_ufs.Vnode.lookup (Ids.fid_to_hex fid) in
-    let* fdir = load_fdir t child_ufs in
+    let* fdir = load_fdir t ~fid:fid child_ufs in
     let rec walk = function
       | [] -> Ok ()
       | e :: rest ->
@@ -1795,7 +1800,7 @@ let attach ?(obs = Obs.default) ~container ~clock ~host () =
       open_count = 0;
       dir_merge = `Legacy;
       pending_summaries = Hashtbl.create 64;
-      fdir_cache = Hashtbl.create 64;
+      fdir_slots = Hashtbl.create 64;
       chunk_cache = Hashtbl.create 16;
     }
   in

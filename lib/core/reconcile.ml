@@ -176,13 +176,16 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
   let complete = ref true in
   let count s = stats := add_stats !stats s in
   let* fdir = Physical.fetch_dir local path in
+  (* The peer's child versions by fid, first listing winning. *)
+  let remote_children = Hashtbl.create (List.length dv.Remote.dv_children) in
+  List.iter
+    (fun (f, vi) ->
+      if not (Hashtbl.mem remote_children f) then Hashtbl.replace remote_children f vi)
+    dv.Remote.dv_children;
   List.iter
     (fun e ->
       let fid = e.Fdir.fid in
-      let remote_vi =
-        List.find_opt (fun (f, _) -> Ids.fid_equal f fid) dv.Remote.dv_children
-        |> Option.map snd
-      in
+      let remote_vi = Hashtbl.find_opt remote_children fid in
       match e.Fdir.kind, remote_vi with
       | Aux_attrs.Freg, None ->
         (* Not live remotely (tombstone already merged) — nothing to pull. *)

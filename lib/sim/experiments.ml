@@ -683,7 +683,7 @@ let a2_tombstone_gc () =
       List.length
         (List.filter
            (fun e -> match e.Fdir.status with Fdir.Dead _ -> true | Fdir.Live -> false)
-           fdir.Fdir.entries)
+           (Fdir.entries fdir))
     in
     (tombstones, String.length (Fdir.encode fdir))
   in
@@ -731,7 +731,7 @@ let a2_tombstone_gc () =
       List.length
         (List.filter
            (fun e -> match e.Fdir.status with Fdir.Dead _ -> true | Fdir.Live -> false)
-           fdir.Fdir.entries)
+           (Fdir.entries fdir))
     in
     (tombstones, String.length (Fdir.encode fdir))
   in

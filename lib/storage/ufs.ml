@@ -47,12 +47,27 @@ type superblock = {
   journal_blocks : int;  (* 0 = unjournaled *)
 }
 
+(* A directory as last parsed: the data bytes it was parsed from, its
+   entries in on-disk order, and a name index built on first lookup.  A
+   pure function of [bytes]. *)
+type dir_view = {
+  bytes : string;
+  entries : (string * inum * kind) list;
+  names : (string, inum) Hashtbl.t Lazy.t;  (* first entry of each name *)
+}
+
 type t = {
   cache : Block_cache.t;
   sb : superblock;
   bs : int;  (* block size *)
   now : unit -> int;
   journal : Journal.t option;
+  (* Parsed directories by inode.  Every directory read still fetches
+     the data through the buffer cache and reuses the view only when the
+     bytes are equal, so the view can never be stale — not after a
+     crash, a journal abort or a failed write — and nothing here changes
+     which blocks are read or written. *)
+  dirs : (inum, dir_view) Hashtbl.t;
 }
 
 type ino = {
@@ -349,7 +364,7 @@ let mkfs ?(cache_capacity = 256) ?ninodes ?(inode_size = default_inode_size)
       let cache = Block_cache.create ~capacity:cache_capacity disk in
       (* Format with direct write-through; the journal only starts
          intercepting once the image is complete. *)
-      let t = { cache; sb; bs; now; journal = None } in
+      let t = { cache; sb; bs; now; journal = None; dirs = Hashtbl.create 64 } in
       let* () = Block_cache.write cache 0 (encode_sb bs sb) in
       (* Zero both bitmaps and the inode table. *)
       let zero = Bytes.make bs '\000' in
@@ -401,7 +416,8 @@ let mount ?(cache_capacity = 256) ?(journal_flush_blocks = 32) ?(journal_flush_a
   let* b = Block_cache.read cache 0 in
   let* sb = decode_sb b in
   if sb.nblocks <> Disk.nblocks disk then Error Errno.EINVAL
-  else if sb.journal_blocks = 0 then Ok { cache; sb; bs; now; journal = None }
+  else if sb.journal_blocks = 0 then
+    Ok { cache; sb; bs; now; journal = None; dirs = Hashtbl.create 64 }
   else begin
     let j =
       make_journal ~cache ~sb ~bs ~flush_blocks:journal_flush_blocks
@@ -410,7 +426,7 @@ let mount ?(cache_capacity = 256) ?(journal_flush_blocks = 32) ?(journal_flush_a
     (* Crash recovery: re-apply every sealed record group, discard any
        torn tail, and start with an empty log. *)
     let* (_applied : int) = Journal.recover j in
-    Ok { cache; sb; bs; now; journal = Some j }
+    Ok { cache; sb; bs; now; journal = Some j; dirs = Hashtbl.create 64 }
   end
 
 let nfree_blocks t =
@@ -683,36 +699,66 @@ let valid_name name =
   let len = String.length name in
   len > 0 && len <= max_name && not (String.contains name '/')
 
+let dir_view bytes entries =
+  let names =
+    lazy
+      (let tbl = Hashtbl.create (List.length entries) in
+       List.iter
+         (fun (n, inum, _) -> if not (Hashtbl.mem tbl n) then Hashtbl.replace tbl n inum)
+         entries;
+       tbl)
+  in
+  { bytes; entries; names }
+
+(* Bounded: a full reset on overflow only costs re-parsing the
+   directories in use. *)
+let dirs_cap = 512
+
+let remember_dir t inum view =
+  if Hashtbl.length t.dirs >= dirs_cap && not (Hashtbl.mem t.dirs inum) then Hashtbl.reset t.dirs;
+  Hashtbl.replace t.dirs inum view
+
 let load_dir t inum =
   let* ino = read_live_ino t inum in
   if ino.i_kind <> 2 then Error Errno.ENOTDIR
   else
     let* data = read_at t ino ~off:0 ~len:ino.i_size in
-    Ok (ino, parse_dir data)
+    match Hashtbl.find_opt t.dirs inum with
+    | Some view when String.equal view.bytes data -> Ok (ino, view)
+    | Some _ | None ->
+      let view = dir_view data (parse_dir data) in
+      remember_dir t inum view;
+      Ok (ino, view)
+
+let dir_find view name = Hashtbl.find_opt (Lazy.force view.names) name
 
 (* Rewrite directory contents in place.  For a directory that fits in one
    block this is a single data-block write followed by bookkeeping: a
    crash in between leaves either the old or the new entry set, never a
-   mixture and never an empty directory (see the terminator note above). *)
+   mixture and never an empty directory (see the terminator note above).
+   The bytes written are exactly what the next read returns, so they
+   seed the parsed view. *)
 let store_dir t inum ino entries =
   if entries = [] then truncate_ino t inum ino 0
   else begin
     let data = serialize_dir entries ^ String.make 6 '\000' in
     let* () = write_at t inum ino ~off:0 data in
     let* ino = read_live_ino t inum in
-    if ino.i_size > String.length data then truncate_ino t inum ino (String.length data)
-    else Ok ()
+    let* () =
+      if ino.i_size > String.length data then truncate_ino t inum ino (String.length data)
+      else Ok ()
+    in
+    remember_dir t inum (dir_view data entries);
+    Ok ()
   end
 
 let dir_entries t inum =
-  let* _ino, entries = load_dir t inum in
-  Ok entries
+  let* _ino, view = load_dir t inum in
+  Ok view.entries
 
 let dir_lookup t inum name =
-  let* _ino, entries = load_dir t inum in
-  match List.find_opt (fun (n, _, _) -> n = name) entries with
-  | Some (_, child, _) -> Ok child
-  | None -> Error Errno.ENOENT
+  let* _ino, view = load_dir t inum in
+  match dir_find view name with Some child -> Ok child | None -> Error Errno.ENOENT
 
 (* ------------------------------------------------------------------ *)
 (* Public attribute operations                                         *)
@@ -766,37 +812,25 @@ let add_entry t dir name child kind =
   if not (valid_name name) then
     Error (if String.length name > max_name then Errno.ENAMETOOLONG else Errno.EINVAL)
   else
-    let* ino, entries = load_dir t dir in
-    if List.exists (fun (n, _, _) -> n = name) entries then Error Errno.EEXIST
-    else store_dir t dir ino (entries @ [ (name, child, kind) ])
+    let* ino, view = load_dir t dir in
+    if dir_find view name <> None then Error Errno.EEXIST
+    else store_dir t dir ino (view.entries @ [ (name, child, kind) ])
 
-let create t ~dir name =
+(* [create] and [mkdir]: the name is checked before an inode is
+   allocated.  The directory is read twice before the check; the
+   block-cache hit counts include the second read. *)
+let make_node t ~dir name kind ~mode =
   with_txn t @@ fun () ->
   let* _ = load_dir t dir in
-  let* exists = match dir_lookup t dir name with
-    | Ok _ -> Ok true
-    | Error Errno.ENOENT -> Ok false
-    | Error _ as e -> e
-  in
-  if exists then Error Errno.EEXIST
+  let* _ino, view = load_dir t dir in
+  if dir_find view name <> None then Error Errno.EEXIST
   else
-    let* inum = alloc_inode t ~kind:Reg ~mode:0o644 ~uid:0 in
-    let* () = add_entry t dir name inum Reg in
+    let* inum = alloc_inode t ~kind ~mode ~uid:0 in
+    let* () = add_entry t dir name inum kind in
     Ok inum
 
-let mkdir t ~dir name =
-  with_txn t @@ fun () ->
-  let* _ = load_dir t dir in
-  let* exists = match dir_lookup t dir name with
-    | Ok _ -> Ok true
-    | Error Errno.ENOENT -> Ok false
-    | Error _ as e -> e
-  in
-  if exists then Error Errno.EEXIST
-  else
-    let* inum = alloc_inode t ~kind:Dir ~mode:0o755 ~uid:0 in
-    let* () = add_entry t dir name inum Dir in
-    Ok inum
+let create t ~dir name = make_node t ~dir name Reg ~mode:0o644
+let mkdir t ~dir name = make_node t ~dir name Dir ~mode:0o755
 
 let link t ~dir name target =
   with_txn t @@ fun () ->
@@ -807,11 +841,11 @@ let link t ~dir name target =
     write_ino t target { ino with i_nlink = ino.i_nlink + 1 }
 
 let remove_entry t dir name =
-  let* ino, entries = load_dir t dir in
-  match List.find_opt (fun (n, _, _) -> n = name) entries with
+  let* ino, view = load_dir t dir in
+  match List.find_opt (fun (n, _, _) -> n = name) view.entries with
   | None -> Error Errno.ENOENT
   | Some (_, child, kind) ->
-    let entries = List.filter (fun (n, _, _) -> n <> name) entries in
+    let entries = List.filter (fun (n, _, _) -> n <> name) view.entries in
     let* () = store_dir t dir ino entries in
     Ok (child, kind)
 
@@ -836,8 +870,8 @@ let rmdir t ~dir name =
   let* ino = read_live_ino t child in
   if ino.i_kind <> 2 then Error Errno.ENOTDIR
   else
-    let* _ino, entries = load_dir t child in
-    if ino.i_nlink <= 1 && entries <> [] then Error Errno.ENOTEMPTY
+    let* _ino, view = load_dir t child in
+    if ino.i_nlink <= 1 && view.entries <> [] then Error Errno.ENOTEMPTY
     else
       let* _ = remove_entry t dir name in
       drop_link t child
@@ -851,8 +885,8 @@ let check_replaceable t ~src_is_dir d =
   | true, false -> Error Errno.ENOTDIR
   | false, true -> Error Errno.EISDIR
   | true, true ->
-    let* _ino, entries = load_dir t d in
-    if dst_ino.i_nlink <= 1 && entries <> [] then Error Errno.ENOTEMPTY else Ok ()
+    let* _ino, view = load_dir t d in
+    if dst_ino.i_nlink <= 1 && view.entries <> [] then Error Errno.ENOTEMPTY else Ok ()
   | false, false -> Ok ()
 
 (* Journaled, the whole rename — including the shadow-file commit point
@@ -884,9 +918,9 @@ let rename t ~sdir ~sname ~ddir ~dname =
          inode released.  A crash in between leaks the old inode but the
          name always resolves to a complete version. *)
       let* () = check_replaceable t ~src_is_dir d in
-      let* ino, entries = load_dir t sdir in
+      let* ino, view = load_dir t sdir in
       let entries =
-        List.filter (fun (n, _, _) -> n <> sname && n <> dname) entries
+        List.filter (fun (n, _, _) -> n <> sname && n <> dname) view.entries
         @ [ (dname, src, src_kind) ]
       in
       let* () = store_dir t sdir ino entries in
@@ -898,9 +932,9 @@ let rename t ~sdir ~sname ~ddir ~dname =
       let* _ = remove_entry t sdir sname in
       add_entry t ddir dname src src_kind
     | None when sdir = ddir ->
-      let* ino, entries = load_dir t sdir in
+      let* ino, view = load_dir t sdir in
       let entries =
-        List.map (fun (n, i, k) -> if n = sname then (dname, i, k) else (n, i, k)) entries
+        List.map (fun (n, i, k) -> if n = sname then (dname, i, k) else (n, i, k)) view.entries
       in
       store_dir t sdir ino entries
     | None ->
@@ -979,12 +1013,12 @@ let check t =
           if ino.i_kind = 2 then
             match load_dir t inum with
             | Error _ -> complain "unreadable directory %d" inum
-            | Ok (_, entries) ->
+            | Ok (_, view) ->
               List.iter
                 (fun (_, child, _) ->
                   bump child;
                   walk child)
-                entries
+                view.entries
         end
     end
   in

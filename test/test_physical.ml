@@ -57,10 +57,10 @@ let test_write_bumps_version_vector () =
 let test_dir_updates_bump_dir_vv () =
   let _, _, _, phys = fresh_phys () in
   let root = Physical.root phys in
-  let vv0 = (ok (Physical.fetch_dir phys [])).Fdir.vv in
+  let vv0 = Fdir.vv (ok (Physical.fetch_dir phys [])) in
   let _ = ok (root.Vnode.create "a") in
   ok (root.Vnode.remove "a");
-  let vv1 = (ok (Physical.fetch_dir phys [])).Fdir.vv in
+  let vv1 = Fdir.vv (ok (Physical.fetch_dir phys [])) in
   Alcotest.(check int) "two directory updates" (Vv.get vv0 1 + 2) (Vv.get vv1 1)
 
 let test_notifications_emitted () =
@@ -116,7 +116,7 @@ let test_remove_is_tombstone_not_forgetting () =
   ok (root.Vnode.remove "f");
   expect_err Errno.ENOENT (Result.map (fun _ -> ()) (root.Vnode.lookup "f"));
   let fdir = ok (Physical.fetch_dir phys []) in
-  Alcotest.(check int) "tombstone retained" 1 (List.length fdir.Fdir.entries)
+  Alcotest.(check int) "tombstone retained" 1 (List.length (Fdir.entries fdir))
 
 let test_rename_within_and_across_dirs () =
   let _, _, _, phys = fresh_phys () in

@@ -166,7 +166,7 @@ let fdir_props =
     prop "codec roundtrip on random states" ~count:300 scripts_arb (fun (s1, _, _) ->
         let a = apply_script 1 s1 in
         match Fdir.decode (Fdir.encode a) with
-        | Some a' -> live_view a = live_view a' && Vv.equal a.Fdir.vv a'.Fdir.vv
+        | Some a' -> live_view a = live_view a' && Vv.equal (Fdir.vv a) (Fdir.vv a')
         | None -> false);
   ]
 

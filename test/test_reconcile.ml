@@ -90,7 +90,7 @@ let test_tombstones_gced_after_full_rounds () =
       Alcotest.(check int)
         (Printf.sprintf "no tombstones at host%d" i)
         0
-        (List.length fdir.Fdir.entries))
+        (List.length (Fdir.entries fdir)))
     [ 0; 1 ]
 
 let test_no_lost_updates_under_churn () =

@@ -250,6 +250,194 @@ let test_sparse_file_reads_zeros () =
     (ok (Ufs.read fs f ~off:1024 ~len:16));
   fsck fs
 
+(* ------------------------------------------------------------------ *)
+(* The parsed-directory views are checked against the bytes every read
+   fetches, so no crash, journal abort or failed write can leave a stale
+   one behind.  Random namespace histories, interleaved with injected
+   write failures, aborted transactions and crash reboots: after every
+   step the live file system's lookups must agree with its own entry
+   lists, and at each checkpoint with a fresh mount of a copy of the
+   media, with fsck clean on both. *)
+
+type ufs_op =
+  | U_create of int * int  (** dir, name *)
+  | U_mkdir of int * int
+  | U_unlink of int * int
+  | U_rmdir of int * int
+  | U_rename of int * int * int * int
+  | U_bad_create of int  (** invalid name: the transaction aborts after allocating *)
+  | U_fail_writes of int  (** the device fails every write after the next [n] *)
+  | U_crash
+  | U_checkpoint
+
+let print_ufs_op = function
+  | U_create (d, n) -> Printf.sprintf "create %d/%d" d n
+  | U_mkdir (d, n) -> Printf.sprintf "mkdir %d/%d" d n
+  | U_unlink (d, n) -> Printf.sprintf "unlink %d/%d" d n
+  | U_rmdir (d, n) -> Printf.sprintf "rmdir %d/%d" d n
+  | U_rename (a, b, c, d) -> Printf.sprintf "rename %d/%d %d/%d" a b c d
+  | U_bad_create d -> Printf.sprintf "bad-create %d" d
+  | U_fail_writes n -> Printf.sprintf "fail-writes-after %d" n
+  | U_crash -> "crash"
+  | U_checkpoint -> "checkpoint"
+
+(* Long names make a directory of a dozen entries span several 512-byte
+   blocks. *)
+let ufs_prop_name n =
+  if n mod 2 = 0 then Printf.sprintf "n%d" n else Printf.sprintf "n%d-%s" n (String.make 60 'p')
+
+let ufs_op_gen =
+  QCheck.Gen.(
+    let dir = int_bound 7 and name = int_bound 13 in
+    frequency
+      [
+        (6, map2 (fun d n -> U_create (d, n)) dir name);
+        (3, map2 (fun d n -> U_mkdir (d, n)) dir name);
+        (3, map2 (fun d n -> U_unlink (d, n)) dir name);
+        (2, map2 (fun d n -> U_rmdir (d, n)) dir name);
+        (4, map2 (fun (a, b) (c, d) -> U_rename (a, b, c, d)) (pair dir name) (pair dir name));
+        (1, map (fun d -> U_bad_create d) dir);
+        (1, map (fun n -> U_fail_writes n) (int_bound 12));
+        (1, return U_crash);
+        (1, return U_checkpoint);
+      ])
+
+let ufs_history_arb =
+  QCheck.make
+    ~shrink:QCheck.Shrink.(pair nil list)
+    ~print:(fun (journaled, ops) ->
+      Printf.sprintf "%s: %s"
+        (if journaled then "journaled" else "unjournaled")
+        (String.concat "; " (List.map print_ufs_op ops)))
+    QCheck.Gen.(pair bool (list_size (int_range 1 60) ufs_op_gen))
+
+(* Every directory reachable from the root, with its entries, in walk
+   order. *)
+let rec ufs_tree fs inum =
+  match Ufs.dir_entries fs inum with
+  | Error e -> [ (inum, Error e) ]
+  | Ok entries ->
+    (inum, Ok entries)
+    :: List.concat_map
+         (fun (_, child, kind) -> if kind = Ufs.Dir then ufs_tree fs child else [])
+         entries
+
+let show_tree tree =
+  String.concat " | "
+    (List.map
+       (fun (inum, r) ->
+         match r with
+         | Error e -> Printf.sprintf "%d: %s" inum (Errno.to_string e)
+         | Ok entries ->
+           Printf.sprintf "%d: %s" inum
+             (String.concat "," (List.map (fun (n, i, _) -> Printf.sprintf "%s=%d" n i) entries)))
+       tree)
+
+(* Lookups answer from the name index; the entry list is the parse.  A
+   stale index shows up as a disagreement. *)
+let lookups_agree ~ctx fs =
+  List.iter
+    (fun (dir, r) ->
+      match r with
+      | Error _ -> ()
+      | Ok entries ->
+        List.iter
+          (fun n ->
+            let expected =
+              match List.find_opt (fun (n', _, _) -> n' = n) entries with
+              | Some (_, i, _) -> Ok i
+              | None -> Error Errno.ENOENT
+            in
+            let got = Ufs.dir_lookup fs dir n in
+            if got <> expected then
+              QCheck.Test.fail_reportf "%s: lookup %d/%s answered %s, entries say %s" ctx dir n
+                (match got with Ok i -> string_of_int i | Error e -> Errno.to_string e)
+                (match expected with Ok i -> string_of_int i | Error e -> Errno.to_string e))
+          (List.init 14 ufs_prop_name))
+    (ufs_tree fs (Ufs.root fs))
+
+let matches_fresh_mount ~ctx disk fs =
+  Disk.clear_failures disk;
+  (match Ufs.sync fs with
+   | Ok () -> ()
+   | Error e -> QCheck.Test.fail_reportf "%s: sync: %s" ctx (Errno.to_string e));
+  let copy = Disk.create ~nblocks:(Disk.nblocks disk) ~block_size:(Disk.block_size disk) () in
+  Disk.restore copy (Disk.snapshot disk);
+  let fresh =
+    match Ufs.mount ~now:(fun () -> 0) copy with
+    | Ok f -> f
+    | Error e -> QCheck.Test.fail_reportf "%s: mount: %s" ctx (Errno.to_string e)
+  in
+  let live = ufs_tree fs (Ufs.root fs) and cold = ufs_tree fresh (Ufs.root fresh) in
+  if live <> cold then
+    QCheck.Test.fail_reportf "%s: live and fresh mount differ@.live:  %s@.fresh: %s" ctx
+      (show_tree live) (show_tree cold);
+  lookups_agree ~ctx fresh;
+  List.iter
+    (fun (which, f) ->
+      match Ufs.check f with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "%s: fsck (%s): %s" ctx which m)
+    [ ("live", fs); ("fresh", fresh) ]
+
+let run_ufs_history (journaled, ops) =
+  let disk = Disk.create ~nblocks:768 ~block_size:512 () in
+  let clock = ref 0 in
+  let now () = incr clock; !clock in
+  let fs =
+    ok ~msg:"mkfs"
+      (Ufs.mkfs ~cache_capacity:16 ~ninodes:96 ~journal_blocks:(if journaled then 96 else 0)
+         ~journal_flush_blocks:8 ~journal_flush_age:4 ~now disk)
+  in
+  let dir_at i =
+    let dirs = List.map fst (ufs_tree fs (Ufs.root fs)) in
+    List.nth dirs (i mod List.length dirs)
+  in
+  List.iteri
+    (fun step op ->
+      let ctx = Printf.sprintf "step %d (%s)" step (print_ufs_op op) in
+      (match op with
+       | U_create (d, n) -> ignore (Ufs.create fs ~dir:(dir_at d) (ufs_prop_name n))
+       | U_mkdir (d, n) -> ignore (Ufs.mkdir fs ~dir:(dir_at d) (ufs_prop_name n))
+       | U_unlink (d, n) -> ignore (Ufs.unlink fs ~dir:(dir_at d) (ufs_prop_name n))
+       | U_rmdir (d, n) -> ignore (Ufs.rmdir fs ~dir:(dir_at d) (ufs_prop_name n))
+       | U_rename (a, b, c, d) ->
+         let sdir = dir_at a and ddir = dir_at c in
+         (* Moving a directory under itself would detach the subtree: the
+            UFS, like the Ficus layers above it, leaves that check to its
+            callers. *)
+         let into_itself =
+           match Ufs.dir_lookup fs sdir (ufs_prop_name b) with
+           | Ok src -> List.mem_assoc ddir (ufs_tree fs src)
+           | Error _ -> false
+         in
+         if not into_itself then
+           ignore
+             (Ufs.rename fs ~sdir ~sname:(ufs_prop_name b) ~ddir ~dname:(ufs_prop_name d))
+       | U_bad_create d ->
+         (* Allocates the inode, then fails on the name: only a journaled
+            file system rolls that back, so only there is it fsck-clean. *)
+         if journaled then ignore (Ufs.create fs ~dir:(dir_at d) "")
+       | U_fail_writes n ->
+         (* Unjournaled, a write failing mid-operation leaves the partial
+            update on the media by design; the journal makes it atomic. *)
+         if journaled then Disk.fail_writes_after disk n
+       | U_crash ->
+         Disk.clear_failures disk;
+         ignore (Ufs.crash_reboot fs)
+       | U_checkpoint -> matches_fresh_mount ~ctx disk fs);
+      ignore (Ufs.journal_tick fs);
+      lookups_agree ~ctx fs)
+    ops;
+  matches_fresh_mount ~ctx:"end" disk fs;
+  true
+
+let ufs_props =
+  [
+    QCheck.Test.make ~name:"directory views survive crashes, aborts and write failures"
+      ~count:200 ufs_history_arb run_ufs_history;
+  ]
+
 let suite =
   [
     case "mkfs and mount" test_mkfs_mount;
@@ -274,3 +462,4 @@ let suite =
     case "directory spanning blocks" test_directory_spanning_blocks;
     case "sparse files read zeros" test_sparse_file_reads_zeros;
   ]
+  @ List.map QCheck_alcotest.to_alcotest ufs_props
