@@ -209,7 +209,7 @@ let stats () =
   let root1 = get (Cluster.logical_root cluster 1 vref) in
   get (Vnode.write_all (get (root1.Vnode.lookup "stats-demo.txt")) "written across NFS");
   let (_ : int) = Cluster.run_propagation cluster in
-  let body = get (Remote.stats root1) in
+  let body = get (Remote.stats ~obs:(Cluster.obs cluster) root1) in
   let lines = String.split_on_char '\n' body |> List.filter (fun l -> l <> "") in
   let counters = ref [] and gauges = ref [] and hists = ref [] and spans = ref [] in
   List.iter

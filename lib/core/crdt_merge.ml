@@ -273,7 +273,8 @@ let pending_registers t =
           })
     (pending_file_groups t)
 
-let resolve_pending ~local ~resolver =
+let resolve_pending local =
+  let resolver = Physical.resolver local in
   match resolver with
   | Resolver.Owner_report -> 0
   | Resolver.Lww | Resolver.App_merge _ ->

@@ -5,7 +5,7 @@
     directory's entry set but leaves the {e tree} unconstrained:
     concurrent cross-renames can tombstone every path to a subtree
     (orphans) or make the surviving parent links cyclic.  In [`Crdt]
-    mode ({!Physical.set_dir_merge}) tombstoned directories keep their
+    mode ({!Physical.set_merge_policy}) tombstoned directories keep their
     storage in place, and {!repair} — run by
     {!Reconcile.reconcile_volume} after every active pass — walks that
     storage, feeds the live parent links to the pure decision kernel
@@ -20,7 +20,7 @@
     File conflicts get the same treatment through {!Mv_register}: each
     pending conflict is a multi-value register (the maximal antichain
     of concurrent versions), and {!resolve_pending} applies the
-    session's {!Resolver} — last-writer-wins, an app-level merge
+    replica's {!Resolver} — last-writer-wins, an app-level merge
     callback, or the paper's owner-report behavior (leave it in the
     {!Conflict_log}). *)
 
@@ -70,9 +70,10 @@ val pending_registers : Physical.t -> pending list
     file: the local stored version joined with every remote version the
     conflict log preserved.  What [ficusctl conflicts] lists. *)
 
-val resolve_pending : local:Physical.t -> resolver:Resolver.t -> int
-(** Resolve every pending file conflict the [resolver] can decide
-    ([Owner_report] decides none).  The chosen contents are installed
+val resolve_pending : Physical.t -> int
+(** Resolve every pending file conflict the replica's resolver
+    ({!Physical.set_merge_policy}) can decide ([Owner_report] decides
+    none).  The chosen contents are installed
     under the {e join} of all version vectors — no bump — so replicas
     resolving independently install byte-identical results and later
     exchanges see them as up to date.  Returns how many registers were

@@ -24,8 +24,8 @@ let stats_of ~mode ~wire ~size ~hit ~miss =
   { mode; wire_bytes = wire; saved_bytes = max 0 (size - wire); chunks_hit = hit;
     chunks_miss = miss }
 
-let whole ~mode ~extra_wire remote_root path =
-  let* vi, data, wire = Remote.fetch_file_sized remote_root path in
+let whole ~obs ~mode ~extra_wire remote_root path =
+  let* vi, data, wire = Remote.fetch_file_sized ~obs remote_root path in
   Ok
     ( Data (vi, data),
       {
@@ -46,6 +46,8 @@ let whole ~mode ~extra_wire remote_root path =
    degrades to the whole-file fetch, with the bytes already spent kept
    on the bill. *)
 let fetch_file ~local ~remote_root path =
+  let obs = Physical.obs local in
+  let whole = whole ~obs in
   let local_copy =
     match Physical.fetch_file local path with
     | Ok (lvi, ldata)
@@ -56,7 +58,7 @@ let fetch_file ~local ~remote_root path =
   match local_copy with
   | None -> whole ~mode:Whole ~extra_wire:0 remote_root path
   | Some (lvi, ldata) ->
-    (match Remote.fetch_chunk_map remote_root path with
+    (match Remote.fetch_chunk_map ~obs remote_root path with
      | Error Errno.EINVAL ->
        (* Pre-chunking peer: the getdirvvs precedent — degrade, never
           fail. *)
@@ -95,7 +97,7 @@ let fetch_file ~local ~remote_root path =
          in
          (* A digest missing twice in the map still travels once. *)
          let missing = List.sort_uniq String.compare missing in
-         match Remote.fetch_chunks remote_root path missing with
+         match Remote.fetch_chunks ~obs remote_root path missing with
          | Error (Errno.EAGAIN | Errno.EINVAL) ->
            whole ~mode:Fallback ~extra_wire:map_wire remote_root path
          | Error _ as e -> e

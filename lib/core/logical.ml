@@ -168,7 +168,7 @@ let candidates t ~all g path =
     let scored =
       List.map
         (fun (rc, root) ->
-          match Remote.get_version root path with
+          match Remote.get_version ~obs:t.obs root path with
           | Ok vi ->
             let score =
               (if vi.Physical.vi_stored then 1_000_000 else 0) + Vv.sum vi.Physical.vi_vv
@@ -312,7 +312,7 @@ let rec make t ln : Vnode.t =
           with_replica t ln.ln_vref ln.ln_path (fun root ->
               let* dir = walk_self root in
               let* _new_vnode = dir.Vnode.create name in
-              let* fid, _kind = Remote.resolve dir name in
+              let* fid, _kind = Remote.resolve ~obs:t.obs dir name in
               Ok fid)
         in
         Ok
@@ -330,7 +330,7 @@ let rec make t ln : Vnode.t =
           with_replica t ln.ln_vref ln.ln_path (fun root ->
               let* dir = walk_self root in
               let* _new_vnode = dir.Vnode.mkdir name in
-              let* fid, _kind = Remote.resolve dir name in
+              let* fid, _kind = Remote.resolve ~obs:t.obs dir name in
               Ok fid)
         in
         Ok
@@ -402,7 +402,7 @@ let rec make t ln : Vnode.t =
           with_replica t ln.ln_vref ln.ln_path (fun root ->
               let* parent = Remote.walk root (parent_path ln) in
               let fid = match ln.ln_path with [] -> None | _ -> Some (self_fid ln) in
-              Remote.send_open parent fid flag)
+              Remote.send_open ~obs:t.obs parent fid flag)
         in
         (match result with
          | Ok () -> ()
@@ -419,7 +419,7 @@ let rec make t ln : Vnode.t =
             with_replica t ln.ln_vref ln.ln_path (fun root ->
                 let* parent = Remote.walk root (parent_path ln) in
                 let fid = match ln.ln_path with [] -> None | _ -> Some (self_fid ln) in
-                Remote.send_close parent fid)
+                Remote.send_close ~obs:t.obs parent fid)
           in
           (match result with Ok () -> () | Error _ -> ());
           Ok ());
@@ -443,7 +443,7 @@ and logical_lookup t ln name =
   let* fid, kind =
     with_replica t ln.ln_vref ln.ln_path (fun root ->
         let* dir = Remote.walk root ln.ln_path in
-        Remote.resolve dir name)
+        Remote.resolve ~obs:t.obs dir name)
   in
   let child_path = ln.ln_path @ [ fid ] in
   match kind with
@@ -455,7 +455,7 @@ and logical_lookup t ln name =
        the grafted volume's root. *)
     let* target, replicas =
       with_replica t ln.ln_vref child_path (fun root ->
-          let* fdir = Remote.fetch_dir root child_path in
+          let* fdir = Remote.fetch_dir ~obs:t.obs root child_path in
           match Physical.graft_entries_of_fdir fdir with
           | Some info -> Ok info
           | None -> Error Errno.EIO)

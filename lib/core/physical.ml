@@ -31,9 +31,11 @@ type t = {
      place behind the tombstone; the CRDT repair pass ({!Crdt_merge})
      then re-parents it into the replicated lost+found directory as
      ordinary joinable Fdir operations, so every replica converges on
-     the same repaired tree.  Volatile: the cluster wiring re-applies
-     the mode after attach/reboot. *)
+     the same repaired tree.  With [resolver] (which settles concurrent
+     file updates in [`Crdt] passes) it is the replica's merge policy.
+     Volatile: the cluster wiring re-applies it after attach/reboot. *)
   mutable dir_merge : [ `Legacy | `Crdt ];
+  mutable resolver : Resolver.t;
   (* Subtree-summary bumps not yet written to the aux files: path key ->
      (path, pending vector).  Purely an I/O batching device — losing it
      in a crash only under-claims, which is always safe. *)
@@ -81,7 +83,11 @@ let conflicts t = t.conflicts
 let open_files t = t.open_count
 let set_notifier t f = t.notifier <- Some f
 let dir_merge_mode t = t.dir_merge
-let set_dir_merge t m = t.dir_merge <- m
+let resolver t = t.resolver
+
+let set_merge_policy t ~dir_merge ~resolver =
+  t.dir_merge <- dir_merge;
+  t.resolver <- resolver
 
 (* The conflict orphanage: a reserved, deterministic directory every
    replica can create independently and still converge on — issuer 0 is
@@ -1717,6 +1723,7 @@ let create ?(obs = Obs.default) ~container ~clock ~host ~vref ~rid ~peers () =
       obs;
       open_count = 0;
       dir_merge = `Legacy;
+      resolver = Resolver.Owner_report;
       pending_summaries = Hashtbl.create 64;
       fdir_slots = Hashtbl.create 64;
       chunk_cache = Hashtbl.create 16;
@@ -1799,6 +1806,7 @@ let attach ?(obs = Obs.default) ~container ~clock ~host () =
       obs;
       open_count = 0;
       dir_merge = `Legacy;
+      resolver = Resolver.Owner_report;
       pending_summaries = Hashtbl.create 64;
       fdir_slots = Hashtbl.create 64;
       chunk_cache = Hashtbl.create 16;

@@ -66,15 +66,22 @@ val set_notifier : t -> (Notify.event -> unit) -> unit
     events into best-effort datagrams to the peer replicas. *)
 
 val dir_merge_mode : t -> [ `Legacy | `Crdt ]
-val set_dir_merge : t -> [ `Legacy | `Crdt ] -> unit
-(** Directory-merge discipline.  [`Legacy] (default) preserves the seed
-    behavior: a directory tombstoned remotely while holding live content
-    here is moved into the replica-local ["ORPHANS"] UFS directory.
-    [`Crdt] keeps such subtrees' storage in place behind the tombstone
-    and lets the {!Crdt_merge} repair pass re-parent them into the
-    replicated [lost+found] directory as joinable operations, so all
-    replicas converge on the same repaired tree.  The mode is volatile;
-    re-apply it after {!attach}. *)
+val resolver : t -> Resolver.t
+
+val set_merge_policy : t -> dir_merge:[ `Legacy | `Crdt ] -> resolver:Resolver.t -> unit
+(** The replica's merge policy, which every reconciliation pass into it
+    follows.  [dir_merge] is the directory-merge discipline.  [`Legacy]
+    (default) preserves the seed behavior: a directory tombstoned
+    remotely while holding live content here is moved into the
+    replica-local ["ORPHANS"] UFS directory.  [`Crdt] keeps such
+    subtrees' storage in place behind the tombstone and lets the
+    {!Crdt_merge} repair pass re-parent them into the replicated
+    [lost+found] directory as joinable operations, so all replicas
+    converge on the same repaired tree.  [resolver] (default
+    [Owner_report], the paper's behavior: conflicts stay in the log for
+    the owner) settles concurrent file updates after each active
+    [`Crdt] pass.  The policy is volatile; re-apply it after
+    {!attach}. *)
 
 (** {1 The vnode stack} *)
 

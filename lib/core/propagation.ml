@@ -123,7 +123,7 @@ let pull t phys (e : New_version_cache.entry) =
         (* Whole-copy mode: the measurement baseline for the DELTA
            experiment, and an escape hatch if chunking misbehaves. *)
         let* vi, data, wire =
-          Remote.fetch_file_sized remote_root e.New_version_cache.fidpath
+          Remote.fetch_file_sized ~obs:t.obs remote_root e.New_version_cache.fidpath
         in
         Ok
           ( Delta.Data (vi, data),
@@ -168,7 +168,7 @@ let pull t phys (e : New_version_cache.entry) =
        Ok [])
   | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
     let* remote_fdir, dir_wire =
-      Remote.fetch_dir_sized remote_root e.New_version_cache.fidpath
+      Remote.fetch_dir_sized ~obs:t.obs remote_root e.New_version_cache.fidpath
     in
     let* result =
       Physical.merge_dir phys e.New_version_cache.fidpath

@@ -8,14 +8,11 @@ type t = {
   rotation : (int * int, int) Hashtbl.t;  (* volume -> peer cursor *)
   counters : Counters.t;
   obs : Obs.t;
-  dir_merge : [ `Legacy | `Crdt ] option;  (* None: each replica's sticky mode *)
-  resolver : Resolver.t;
   mutable next_due : int;
 }
 
 let create ?(period = 100) ?(obs = Obs.default)
-    ?(liveness = fun _ -> Gossip.Alive) ?dir_merge ?(resolver = Resolver.Owner_report)
-    ~clock ~host ~connect ~replicas () =
+    ?(liveness = fun _ -> Gossip.Alive) ~clock ~host ~connect ~replicas () =
   {
     period;
     clock;
@@ -26,8 +23,6 @@ let create ?(period = 100) ?(obs = Obs.default)
     rotation = Hashtbl.create 8;
     counters = Counters.create ();
     obs;
-    dir_merge;
-    resolver;
     next_due = Clock.now clock + period;
   }
 
@@ -94,8 +89,7 @@ let reconcile_one t (vref, phys) =
                it was spared a connect this period. *)
             count_n t "recon.skipped_doubtful" doubtful;
           (match
-             Reconcile.reconcile_volume ?dir_merge:t.dir_merge ~resolver:t.resolver
-               ~local:phys ~remote_root ~remote_rid ()
+             Reconcile.reconcile_volume ~local:phys ~remote_root ~remote_rid ()
            with
            | Ok stats -> stats
            | Error _ ->

@@ -17,8 +17,6 @@ val create :
   ?period:int ->
   ?obs:Obs.t ->
   ?liveness:(string -> Gossip.liveness) ->
-  ?dir_merge:[ `Legacy | `Crdt ] ->
-  ?resolver:Resolver.t ->
   clock:Clock.t ->
   host:string ->
   connect:Remote.connector ->
@@ -37,9 +35,8 @@ val create :
     ["recon.skipped_doubtful"].  Doubtful peers are deprioritized, never
     excluded, so all-pairs convergence is preserved.
 
-    [dir_merge]/[resolver] are forwarded to every
-    {!Reconcile.reconcile_volume} pass; when [dir_merge] is omitted each
-    replica's own sticky mode applies. *)
+    Each pass follows the replica's own merge policy
+    ({!Physical.set_merge_policy}). *)
 
 val tick : t -> Reconcile.stats option
 (** Run a pass if the period has elapsed; [None] when not yet due.

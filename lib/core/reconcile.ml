@@ -73,7 +73,7 @@ let merge_stats_of_result (result : Fdir.merge_result) =
   }
 
 let reconcile_dir ~local ~remote_root ~remote_rid path =
-  let* remote_fdir = Remote.fetch_dir remote_root path in
+  let* remote_fdir = Remote.fetch_dir ~obs:(Physical.obs local) remote_root path in
   let* result = Physical.merge_dir local path ~remote_rid remote_fdir in
   Ok { (merge_stats_of_result result) with rpcs = 1 }
 
@@ -128,7 +128,7 @@ let pull_file ~local ~remote_root ~remote_rid path remote_vi =
 (* Pull one regular file if the remote history is ahead of ours; report a
    conflict if the histories are concurrent. *)
 let reconcile_file ~local ~remote_root ~remote_rid path =
-  match Remote.get_version remote_root path with
+  match Remote.get_version ~obs:(Physical.obs local) remote_root path with
   | Error Errno.ENOENT ->
     (* The remote directory no longer lists it — a later merge pass will
        carry the tombstone; nothing to do now. *)
@@ -216,7 +216,9 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
         in
         if prune then count { empty_stats with subtrees_pruned = 1 }
         else (
-          match Remote.fetch_dir_versions remote_root child_path with
+          match
+            Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root child_path
+          with
           | Error Errno.ENOENT ->
             (* Raced with a remote removal; the tombstone arrives later. *)
             count { empty_stats with rpcs = 1 }
@@ -248,15 +250,9 @@ let note_metrics local s =
   if s.rpcs > 0 then Metrics.add m "recon.rpcs" s.rpcs;
   if s.subtrees_pruned > 0 then Metrics.add m "recon.pruned_subtrees" s.subtrees_pruned
 
-let reconcile_volume ?dir_merge ?(resolver = Resolver.Owner_report) ~local ~remote_root
-    ~remote_rid () =
-  (* An explicit mode overrides the replica's sticky one; either way the
-     physical layer must agree with the pass (its Unmaterialize behavior
-     depends on it). *)
-  (match dir_merge with Some m -> Physical.set_dir_merge local m | None -> ());
-  let mode = Physical.dir_merge_mode local in
+let reconcile_volume ~local ~remote_root ~remote_rid () =
   let result =
-    match Remote.fetch_dir_versions remote_root [] with
+    match Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root [] with
     | Error Errno.EINVAL ->
       (* The peer predates the batched op: full per-file walk. *)
       reconcile_subtree ~local ~remote_root ~remote_rid []
@@ -290,10 +286,10 @@ let reconcile_volume ?dir_merge ?(resolver = Resolver.Owner_report) ~local ~remo
   | Error _ -> ());
   match result with
   | Error _ -> result
-  | Ok s when mode <> `Crdt -> Ok s
+  | Ok s when Physical.dir_merge_mode local <> `Crdt -> Ok s
   | Ok s ->
     (* CRDT mode: the walk converged every *directory*; now converge the
-       *tree* (re-parent orphans, cut cycles) and apply the session's
+       *tree* (re-parent orphans, cut cycles) and apply the replica's
        file-conflict resolver.  Quiescent passes (nothing merged, pulled
        or conflicted) are already at the fixpoint — skip the storage
        walk so a quiet volume stays one RPC per pass. *)
@@ -304,7 +300,7 @@ let reconcile_volume ?dir_merge ?(resolver = Resolver.Owner_report) ~local ~remo
     in
     if not active then Ok s
     else begin
-      let resolved = Crdt_merge.resolve_pending ~local ~resolver in
+      let resolved = Crdt_merge.resolve_pending local in
       match Crdt_merge.repair local with
       | Error _ -> Ok { s with errors = s.errors + 1 }
       | Ok r ->

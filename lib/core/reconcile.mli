@@ -60,8 +60,6 @@ val reconcile_subtree :
     baseline the [reconscale] experiment measures against. *)
 
 val reconcile_volume :
-  ?dir_merge:[ `Legacy | `Crdt ] ->
-  ?resolver:Resolver.t ->
   local:Physical.t -> remote_root:Vnode.t -> remote_rid:Ids.replica_id ->
   unit -> (stats, Errno.t) result
 (** Incremental reconciliation from the volume root: batched version
@@ -70,14 +68,12 @@ val reconcile_volume :
     [recon.pruned_subtrees] counters of the local replica's metrics
     registry.
 
-    [dir_merge] (default: the local replica's sticky mode, see
-    {!Physical.set_dir_merge}) selects the directory-merge discipline.
-    Under [`Crdt], every {e active} pass is followed by a
-    {!Crdt_merge.repair} (re-parent orphaned subtrees into
-    [lost+found], cut rename cycles deterministically) and by
-    {!Crdt_merge.resolve_pending} with [resolver] (default
-    [Owner_report], the paper's behavior: conflicts stay in the log for
-    the owner). *)
+    The local replica's merge policy ({!Physical.set_merge_policy})
+    selects the directory-merge discipline.  Under [`Crdt], every
+    {e active} pass is followed by a {!Crdt_merge.repair} (re-parent
+    orphaned subtrees into [lost+found], cut rename cycles
+    deterministically) and by {!Crdt_merge.resolve_pending} with the
+    replica's resolver. *)
 
 val resolve_file_conflict :
   local:Physical.t -> Conflict_log.entry -> keep:[ `Local | `Remote | `Merged of string ] ->

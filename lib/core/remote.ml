@@ -15,36 +15,35 @@ let walk root path =
 (* Control requests must evade the NFS client's name-lookup cache: a
    repeated lookup of the same encoded name would be answered with the
    cached (stale) response vnode (the "unexpected behavior" of paper
-   §2.2).  A per-call serial number makes every request name unique. *)
-let ctl_serial = ref 0
-
+   §2.2).  A per-call serial number, counted in the caller's {!Obs.t}
+   (one per cluster), makes every request name unique. *)
 (* The sized variant also reports the bytes the exchange put on the wire
    (request name + response body — the walk to the parent directory is
    not charged), so callers can account transfer costs honestly. *)
-let ctl_sized dir ~op ~args =
-  incr ctl_serial;
-  let args = args @ [ Printf.sprintf "n%d" !ctl_serial ] in
+let ctl_sized ~obs dir ~op ~args =
+  obs.Obs.ctl_serial <- obs.Obs.ctl_serial + 1;
+  let args = args @ [ Printf.sprintf "n%d" obs.Obs.ctl_serial ] in
   let* name = Ctl_name.encode ~op ~args in
   let* response_vnode = dir.Vnode.lookup name in
   let* body = Vnode.read_all response_vnode in
   Ok (body, String.length name + String.length body)
 
-let ctl dir ~op ~args =
-  let* body, _wire = ctl_sized dir ~op ~args in
+let ctl ~obs dir ~op ~args =
+  let* body, _wire = ctl_sized ~obs dir ~op ~args in
   Ok body
 
 (* A control op addressed to [path]: issued on the parent directory with
    the final component as "@hex" argument, or on the root with ".";
    [extra] args follow the target. *)
-let ctl_at_sized root path ~op ~extra =
+let ctl_at_sized ~obs root path ~op ~extra =
   match List.rev path with
-  | [] -> ctl_sized root ~op ~args:("." :: extra)
+  | [] -> ctl_sized ~obs root ~op ~args:("." :: extra)
   | fid :: rev_parent ->
     let* parent = walk root (List.rev rev_parent) in
-    ctl_sized parent ~op ~args:(Ids.fid_to_at_name fid :: extra)
+    ctl_sized ~obs parent ~op ~args:(Ids.fid_to_at_name fid :: extra)
 
-let ctl_at root path ~op =
-  let* body, _wire = ctl_at_sized root path ~op ~extra:[] in
+let ctl_at ~obs root path ~op =
+  let* body, _wire = ctl_at_sized ~obs root path ~op ~extra:[] in
   Ok body
 
 let parse_fields s =
@@ -95,8 +94,8 @@ let parse_version_info s =
      | _, _, _, _ -> Error Errno.EIO)
   | _, _, _, _, _ -> Error Errno.EIO
 
-let get_version root path =
-  let* response = ctl_at root path ~op:"getvv" in
+let get_version ~obs root path =
+  let* response = ctl_at ~obs root path ~op:"getvv" in
   parse_version_info response
 
 (* First occurrence of "\n--\n" at or after [i]: hop from newline to
@@ -114,8 +113,8 @@ let find_sep response i =
   in
   if i >= n then None else go i
 
-let fetch_file_sized root path =
-  let* response, wire = ctl_at_sized root path ~op:"readfile" ~extra:[] in
+let fetch_file_sized ~obs root path =
+  let* response, wire = ctl_at_sized ~obs root path ~op:"readfile" ~extra:[] in
   (* Header lines, then a "--" separator line, then the raw contents. *)
   match find_sep response 0 with
   | None -> Error Errno.EIO
@@ -126,16 +125,16 @@ let fetch_file_sized root path =
     let* vi = parse_version_info (header ^ "\n") in
     Ok (vi, data, wire)
 
-let fetch_file root path =
-  let* vi, data, _wire = fetch_file_sized root path in
+let fetch_file ~obs root path =
+  let* vi, data, _wire = fetch_file_sized ~obs root path in
   Ok (vi, data)
 
-let fetch_dir_sized root path =
-  let* response, wire = ctl_at_sized root path ~op:"getdir" ~extra:[] in
+let fetch_dir_sized ~obs root path =
+  let* response, wire = ctl_at_sized ~obs root path ~op:"getdir" ~extra:[] in
   match Fdir.decode response with None -> Error Errno.EIO | Some d -> Ok (d, wire)
 
-let fetch_dir root path =
-  let* d, _wire = fetch_dir_sized root path in
+let fetch_dir ~obs root path =
+  let* d, _wire = fetch_dir_sized ~obs root path in
   Ok d
 
 (* ---------------- delta negotiation (content-defined chunks) -------- *)
@@ -148,8 +147,8 @@ type chunk_map = {
   cm_chunks : Chunking.chunk list;
 }
 
-let fetch_chunk_map root path =
-  let* response, wire = ctl_at_sized root path ~op:"getchunkmap" ~extra:[] in
+let fetch_chunk_map ~obs root path =
+  let* response, wire = ctl_at_sized ~obs root path ~op:"getchunkmap" ~extra:[] in
   match find_sep response 0 with
   | None -> Error Errno.EIO
   | Some i ->
@@ -201,7 +200,7 @@ let parse_chunk_bodies response table =
   in
   go 0
 
-let fetch_chunks root path digests =
+let fetch_chunks ~obs root path digests =
   let table = Hashtbl.create (List.length digests * 2) in
   let rec take k acc = function
     | rest when k = 0 -> (List.rev acc, rest)
@@ -213,7 +212,7 @@ let fetch_chunks root path digests =
     | ds ->
       let batch, rest = take readchunks_batch [] ds in
       let csv = String.concat "," batch in
-      let* response, w = ctl_at_sized root path ~op:"readchunks" ~extra:[ csv ] in
+      let* response, w = ctl_at_sized ~obs root path ~op:"readchunks" ~extra:[ csv ] in
       let* () = parse_chunk_bodies response table in
       batches (wire + w) rest
   in
@@ -233,8 +232,8 @@ type dir_versions = {
      child=<hex-fid>         (one block per live child)
      <encode_version_info body>
      ... *)
-let fetch_dir_versions root path =
-  let* response = ctl_at root path ~op:"getdirvvs" in
+let fetch_dir_versions ~obs root path =
+  let* response = ctl_at ~obs root path ~op:"getdirvvs" in
   let lines = String.split_on_char '\n' response in
   let rec split_until marker acc = function
     | [] -> Error Errno.EIO
@@ -277,8 +276,8 @@ let fetch_dir_versions root path =
   let* dv_children = children [] (None, []) rest in
   Ok { dv_summary; dv_fdir; dv_children }
 
-let resolve dir name =
-  let* response = ctl dir ~op:"resolve" ~args:[ name ] in
+let resolve ~obs dir name =
+  let* response = ctl ~obs dir ~op:"resolve" ~args:[ name ] in
   let fields = parse_fields response in
   match List.assoc_opt "fid" fields, List.assoc_opt "kind" fields with
   | Some fid, Some kind ->
@@ -289,8 +288,8 @@ let resolve dir name =
      | _, _ -> Error Errno.EIO)
   | _, _ -> Error Errno.EIO
 
-let peers root =
-  let* response = ctl root ~op:"peers" ~args:[] in
+let peers ~obs root =
+  let* response = ctl ~obs root ~op:"peers" ~args:[] in
   match String.trim response with
   | "" -> Ok []
   | body ->
@@ -306,8 +305,8 @@ let peers root =
     if List.exists Option.is_none parts then Error Errno.EIO
     else Ok (List.filter_map Fun.id parts)
 
-let meta root =
-  let* response = ctl root ~op:"meta" ~args:[] in
+let meta ~obs root =
+  let* response = ctl ~obs root ~op:"meta" ~args:[] in
   let fields = parse_fields response in
   match List.assoc_opt "vref" fields, List.assoc_opt "rid" fields with
   | Some vref, Some rid ->
@@ -319,19 +318,19 @@ let meta root =
      | _, _ -> Error Errno.EIO)
   | _, _ -> Error Errno.EIO
 
-let stats root = ctl root ~op:"stats" ~args:[]
+let stats ~obs root = ctl ~obs root ~op:"stats" ~args:[]
 
 let flag_to_string = function
   | Vnode.Read_only -> "ro"
   | Vnode.Write_only -> "wo"
   | Vnode.Read_write -> "rw"
 
-let send_open dir fid flag =
+let send_open ~obs dir fid flag =
   let who = match fid with None -> "." | Some fid -> Ids.fid_to_at_name fid in
-  let* _resp = ctl dir ~op:"open" ~args:[ who; flag_to_string flag ] in
+  let* _resp = ctl ~obs dir ~op:"open" ~args:[ who; flag_to_string flag ] in
   Ok ()
 
-let send_close dir fid =
+let send_close ~obs dir fid =
   let who = match fid with None -> "." | Some fid -> Ids.fid_to_at_name fid in
-  let* _resp = ctl dir ~op:"close" ~args:[ who ] in
+  let* _resp = ctl ~obs dir ~op:"close" ~args:[ who ] in
   Ok ()

@@ -6,7 +6,11 @@
     only a root vnode, which may be the physical layer directly
     (co-resident) or an NFS client mount of it (paper Figure 2).  All the
     services the vnode interface lacks travel as {!Ctl_name}-encoded
-    [lookup] names; this module does the encoding and response parsing. *)
+    [lookup] names; this module does the encoding and response parsing.
+
+    Every control call takes the caller's [~obs], whose [ctl_serial]
+    numbers the request names, so each cluster counts its own (see
+    {!Obs.t}). *)
 
 type connector =
   host:string -> vref:Ids.volume_ref -> rid:Ids.replica_id -> (Vnode.t, Errno.t) result
@@ -18,17 +22,21 @@ val walk : Vnode.t -> Physical.fidpath -> (Vnode.t, Errno.t) result
 (** Resolve a fid path from a physical root by repeated ["@hex"]
     handle-lookups. *)
 
-val get_version : Vnode.t -> Physical.fidpath -> (Physical.version_info, Errno.t) result
+val get_version :
+  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Physical.version_info, Errno.t) result
 val fetch_file :
-  Vnode.t -> Physical.fidpath -> (Physical.version_info * string, Errno.t) result
-val fetch_dir : Vnode.t -> Physical.fidpath -> (Fdir.t, Errno.t) result
+  obs:Obs.t -> Vnode.t -> Physical.fidpath ->
+  (Physical.version_info * string, Errno.t) result
+val fetch_dir : obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Fdir.t, Errno.t) result
 
 val fetch_file_sized :
-  Vnode.t -> Physical.fidpath -> (Physical.version_info * string * int, Errno.t) result
+  obs:Obs.t -> Vnode.t -> Physical.fidpath ->
+  (Physical.version_info * string * int, Errno.t) result
 (** {!fetch_file} plus the bytes the exchange put on the wire (request
     name + response body), for honest transfer accounting. *)
 
-val fetch_dir_sized : Vnode.t -> Physical.fidpath -> (Fdir.t * int, Errno.t) result
+val fetch_dir_sized :
+  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Fdir.t * int, Errno.t) result
 
 (** {1 Delta negotiation}
 
@@ -47,14 +55,14 @@ type chunk_map = {
 }
 
 val fetch_chunk_map :
-  Vnode.t -> Physical.fidpath -> (chunk_map * int, Errno.t) result
+  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (chunk_map * int, Errno.t) result
 (** The ["getchunkmap"] ctl op: version info + whole-file digest +
     content-defined chunk map, plus wire bytes.  Peers that predate
     chunking answer [EINVAL]; callers fall back to {!fetch_file}
     (mirroring the [getdirvvs] fallback). *)
 
 val fetch_chunks :
-  Vnode.t -> Physical.fidpath -> string list ->
+  obs:Obs.t -> Vnode.t -> Physical.fidpath -> string list ->
   ((string, string) Hashtbl.t * int, Errno.t) result
 (** Fetch the bodies of the listed chunk digests via batched
     ["readchunks"] calls; returns digest → body plus total wire bytes.
@@ -71,26 +79,28 @@ type dir_versions = {
           [get_version] per file *)
 }
 
-val fetch_dir_versions : Vnode.t -> Physical.fidpath -> (dir_versions, Errno.t) result
+val fetch_dir_versions :
+  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (dir_versions, Errno.t) result
 (** Batched ["getdirvvs"] fetch: a directory's summary, fdir and all
     child version infos in a single round trip.  Servers that predate the
     op answer [EINVAL]; callers fall back to the per-file walk. *)
 
 val resolve :
-  Vnode.t -> string -> (Ids.file_id * Aux_attrs.fkind, Errno.t) result
+  obs:Obs.t -> Vnode.t -> string -> (Ids.file_id * Aux_attrs.fkind, Errno.t) result
 (** Name-to-handle translation in a directory vnode: the mapping the
     logical layer performs for every pathname component (paper §2.5). *)
 
-val peers : Vnode.t -> ((Ids.replica_id * string) list, Errno.t) result
-val meta : Vnode.t -> (Ids.volume_ref * Ids.replica_id, Errno.t) result
+val peers : obs:Obs.t -> Vnode.t -> ((Ids.replica_id * string) list, Errno.t) result
+val meta : obs:Obs.t -> Vnode.t -> (Ids.volume_ref * Ids.replica_id, Errno.t) result
 
-val stats : Vnode.t -> (string, Errno.t) result
+val stats : obs:Obs.t -> Vnode.t -> (string, Errno.t) result
 (** Fetch the observability snapshot (metrics + span timelines) through
     the [".#ficus#stats"] ctl-name — the paper's encoded-lookup trick
     carrying a service the vnode interface never anticipated. *)
 
-val send_open : Vnode.t -> Ids.file_id option -> Vnode.open_flag -> (unit, Errno.t) result
+val send_open :
+  obs:Obs.t -> Vnode.t -> Ids.file_id option -> Vnode.open_flag -> (unit, Errno.t) result
 (** Deliver an open to the physical layer through the encoded-lookup
     channel, surviving NFS's open/close suppression (paper §2.3). *)
 
-val send_close : Vnode.t -> Ids.file_id option -> (unit, Errno.t) result
+val send_close : obs:Obs.t -> Vnode.t -> Ids.file_id option -> (unit, Errno.t) result

@@ -77,7 +77,6 @@ type queue =
 type t = {
   clock : Clock.t;
   rng : Random.State.t;
-  datagram_loss : float;
   mutable faults : faults;
   host_faults : (host_id, faults) Hashtbl.t;
   link_faults : (host_id * host_id, faults) Hashtbl.t;
@@ -90,14 +89,11 @@ type t = {
   counters : Counters.t;
 }
 
-let create ?(seed = 42) ?(datagram_loss = 0.0) ?(faults = no_faults)
-    ?(indexed = true) clock =
-  if datagram_loss < 0.0 || datagram_loss > 1.0 then invalid_arg "Sim_net.create";
+let create ?(seed = 42) ?(faults = no_faults) ?(indexed = true) clock =
   check_faults faults;
   {
     clock;
     rng = Random.State.make [| seed |];
-    datagram_loss;
     faults;
     host_faults = Hashtbl.create 8;
     link_faults = Hashtbl.create 8;
@@ -300,8 +296,7 @@ let pump t =
   let delivered = ref 0 in
   let deliver p =
     let f = effective t p.p_src p.p_dst in
-    let loss = Float.max t.datagram_loss f.loss in
-    let lost = loss > 0.0 && Random.State.float t.rng 1.0 < loss in
+    let lost = f.loss > 0.0 && Random.State.float t.rng 1.0 < f.loss in
     if lost || not (reachable t p.p_src p.p_dst) then
       Counters.incr t.counters "net.datagrams.dropped"
     else begin

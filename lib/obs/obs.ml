@@ -2,7 +2,7 @@
    one metrics registry plus one span table, and the shared Logs
    reporter that tags every line with host name and simulated time. *)
 
-type t = { metrics : Metrics.t; spans : Span.t }
+type t = { metrics : Metrics.t; spans : Span.t; mutable ctl_serial : int }
 
 let create () =
   let metrics = Metrics.create () in
@@ -10,7 +10,7 @@ let create () =
   (* Retention evictions surface in the registry as they happen, so a
      capped soak's [.#ficus#stats] snapshot shows the loss rate live. *)
   Span.set_evict_notify spans (fun () -> Metrics.incr metrics "spans.evicted");
-  { metrics; spans }
+  { metrics; spans; ctl_serial = 0 }
 
 (* A process-wide default, used by components constructed without an
    explicit [?obs] (unit tests building a bare Physical.t, say).  Each

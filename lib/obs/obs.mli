@@ -1,7 +1,12 @@
 (** The observability bundle: one metrics registry + one span table,
     plus the shared [Logs] reporter tagging host and simulated time. *)
 
-type t = { metrics : Metrics.t; spans : Span.t }
+type t = { metrics : Metrics.t; spans : Span.t; mutable ctl_serial : int }
+(** [ctl_serial] numbers the control requests ({!Remote}) issued under
+    this bundle, making each request name unique so the NFS client's
+    name cache never answers one (paper §2.2).  It is per bundle, hence
+    per cluster, so the wire bytes those names cost depend only on the
+    cluster's own calls. *)
 
 val create : unit -> t
 

@@ -23,7 +23,9 @@ type t = {
   clock : Clock.t;
   net : Sim_net.t;
   obs : Obs.t;
-  hosts : host array;
+  mutable hosts : host array;
+      (* set once, at the end of [create]; closures built while the
+         hosts are made hold this same record *)
   name_to_id : (string, Sim_net.host_id) Hashtbl.t;
   name_to_index : (string, int) Hashtbl.t;
   volumes : (int * int, (Ids.replica_id * string) list) Hashtbl.t;
@@ -32,23 +34,16 @@ type t = {
   journaled : bool;
   control_members : int list;
       (* coordinator-group host indexes; [] on gossip-only clusters *)
-  control_wait : int;
-      (* tick budget a control op may spend finding a leader and
-         waiting for its command to commit before failing *)
   dir_merge : [ `Legacy | `Crdt ];
-      (* directory-merge discipline applied to every physical replica
-         this cluster creates, attaches or reboots *)
   resolver : Resolver.t;
-      (* file-conflict resolver forwarded to every reconciliation pass
-         (only consulted in `Crdt mode) *)
-  (* The ready-queue (shared mutable containers, not mutable fields: the
-     record is functionally updated once during create and closures hold
-     the early copy). *)
+      (* the merge policy {!install_replica} gives every physical replica
+         this cluster creates, adds or reboots *)
+  (* The ready-queue. *)
   active : (int, unit) Hashtbl.t;
       (* host indexes that may have immediate work: a datagram was just
          delivered to them, or their last daemon run left propagation
          pulls pending *)
-  timer_wake : int ref;
+  mutable timer_wake : int;
       (* earliest tick at which any host's periodic timer (reconciler,
          gossip) can fire; 0 forces a full scan on the next tick *)
   peers_synced : (int, int) Hashtbl.t;
@@ -57,8 +52,8 @@ type t = {
   health : Health.t option;
       (* the convergence watchdog's SLO state; None = watchdog off,
          which is the default because sampling walks replica state *)
-  health_due : int ref; (* next tick the watchdog samples at *)
-  raft_churn_seen : int ref;
+  mutable health_due : int; (* next tick the watchdog samples at *)
+  mutable raft_churn_seen : int;
       (* raft.leader_changes high-water mark at the last health sample,
          so churn is a per-window delta rather than a lifetime count *)
   diverged_since : (int * int, int) Hashtbl.t;
@@ -220,15 +215,11 @@ let control_rpc raft cp payload =
     else Some (Control_redirect { cr_leader = Raft.leader_hint raft })
   | _ -> None
 
-let create ?(seed = 11) ?(datagram_loss = 0.0) ?(faults = Sim_net.no_faults)
-    ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes ?disk_blocks_for
-    ?ninodes_for
-    ?(cache_capacity = 256) ?(propagation_delay = 0) ?(prop_delta = true)
-    ?(reconcile_period = 100)
-    ?(selection = Logical.Most_recent) ?(journal_blocks = 0) ?gossip ?log_level
-    ?(indexed = true) ?(control = `Gossip) ?(raft = Raft.default_config)
-    ?(control_wait = 200) ?health ?(dir_merge = `Legacy)
-    ?(resolver = Resolver.Owner_report) ~nhosts () =
+let create ?(seed = 11) ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes
+    ?disk_blocks_for ?ninodes_for ?(cache_capacity = 256) ?(propagation_delay = 0)
+    ?(prop_delta = true) ?(reconcile_period = 100) ?(selection = Logical.Most_recent)
+    ?(journal_blocks = 0) ?gossip ?(indexed = true) ?(control = `Gossip) ?health
+    ?(dir_merge = `Legacy) ?(resolver = Resolver.Owner_report) ~nhosts () =
   if nhosts <= 0 then invalid_arg "Cluster.create";
   let control_members =
     match control with
@@ -244,11 +235,8 @@ let create ?(seed = 11) ?(datagram_loss = 0.0) ?(faults = Sim_net.no_faults)
       members
   in
   let clock = Clock.create () in
-  let net = Sim_net.create ~seed ~datagram_loss ~faults ~indexed clock in
+  let net = Sim_net.create ~seed ~indexed clock in
   let obs = Obs.create () in
-  (match log_level with
-   | None -> ()
-   | Some level -> Obs.install_reporter ~level ~now:(Clock.fn clock) ());
   let name_to_id = Hashtbl.create 8 in
   let name_to_index = Hashtbl.create 8 in
   let t =
@@ -264,16 +252,15 @@ let create ?(seed = 11) ?(datagram_loss = 0.0) ?(faults = Sim_net.no_faults)
       indexed;
       journaled = journal_blocks > 0;
       control_members;
-      control_wait;
       dir_merge;
       resolver;
       active = Hashtbl.create 64;
-      timer_wake = ref 0;
+      timer_wake = 0;
       peers_synced = Hashtbl.create 64;
       health =
         Option.map (fun cfg -> Health.create ~metrics:obs.Obs.metrics cfg) health;
-      health_due = ref 0;
-      raft_churn_seen = ref 0;
+      health_due = 0;
+      raft_churn_seen = 0;
       diverged_since = Hashtbl.create 4;
       profile = Health.Profile.create ();
     }
@@ -323,7 +310,8 @@ let create ?(seed = 11) ?(datagram_loss = 0.0) ?(faults = Sim_net.no_faults)
           { Raft.p_save = raft_save h_ufs; p_load = raft_load h_ufs }
         in
         let r =
-          Raft.create ~config:raft ~seed:(seed + (4099 * i)) ~persist ~obs ~net
+          Raft.create ~config:Raft.default_config ~seed:(seed + (4099 * i)) ~persist ~obs
+            ~net
             ~peers
             ~apply:(fun ~index cmd -> Control_plane.apply cp ~index cmd)
             ~snapshot:(fun () -> Control_plane.snapshot cp)
@@ -349,7 +337,7 @@ let create ?(seed = 11) ?(datagram_loss = 0.0) ?(faults = Sim_net.no_faults)
          in
          let h_recon =
            Recon_daemon.create ~period:reconcile_period ~obs ~liveness ~clock
-             ~dir_merge ~resolver ~host:h_name ~connect
+             ~host:h_name ~connect
              ~replicas:(fun () -> (Lazy.force h).h_replicas) ()
          in
          {
@@ -394,7 +382,7 @@ let create ?(seed = 11) ?(datagram_loss = 0.0) ?(faults = Sim_net.no_faults)
             | _ -> ())
         hosts)
     hosts;
-  let t = { t with hosts } in
+  t.hosts <- hosts;
   (* Feed the ready-queue: every delivered datagram (update notification,
      gossip leg, …) marks its destination runnable.  Sim_net host ids are
      assigned in creation order, so they equal cluster host indexes. *)
@@ -414,6 +402,21 @@ let wire_notifier t h phys =
             | Some dst -> Sim_net.send t.net ~src:h.h_id ~dst (Notify.Ficus_notify ev)
             | None -> ())
         peers)
+
+(* Bring a replica into service on host [h]: give it the cluster's merge
+   policy, wire its update notifier, export it over NFS and register it
+   with the host.  The one path for a created, an added and a rebooted
+   replica. *)
+let install_replica t h vref phys =
+  Physical.set_merge_policy phys ~dir_merge:t.dir_merge ~resolver:t.resolver;
+  wire_notifier t h phys;
+  Nfs_server.add_export h.h_server
+    ~name:(export_name vref (Physical.rid phys))
+    (Physical.root phys);
+  h.h_replicas <- (vref, phys) :: h.h_replicas;
+  index_replica h vref phys;
+  (* The container mkdir or a journal replay may have staged work. *)
+  mark_active t h.h_index
 
 (* Re-publish a host's own replica set into its gossip entry; the delta
    then converges epidemically.  No-op on gossip-less clusters.
@@ -682,8 +685,8 @@ let health_sample t hd =
   (* Raft leadership churn, as a per-window delta of the registry's
      lifetime leader_changes counter. *)
   let changes = Metrics.counter m "raft.leader_changes" in
-  let churn = changes - !(t.raft_churn_seen) in
-  t.raft_churn_seen := changes;
+  let churn = changes - t.raft_churn_seen in
+  t.raft_churn_seen <- changes;
   Metrics.gauge_set m "health.raft_churn" churn;
   Health.observe hd ~tick:now ~gauge:"health.raft_churn" ~value:churn
     ~span:Span.none ~detail:"leader changes this window";
@@ -704,8 +707,8 @@ let health_tick t =
   | None -> ()
   | Some hd ->
     let now = Clock.now t.clock in
-    if now >= !(t.health_due) then begin
-      t.health_due := now + (Health.config hd).Health.period;
+    if now >= t.health_due then begin
+      t.health_due <- now + (Health.config hd).Health.period;
       health_sample t hd
     end
 
@@ -724,36 +727,64 @@ let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
    deliver datagrams, run gossip and raft rounds, run propagation, tick
    the periodic reconcilers.
 
-   Linear mode (the seed behavior, kept as the oracle): every daemon of
-   every host runs every tick, relying on each being a cheap no-op when
-   idle.  Indexed mode runs the same phases but consults the
-   ready-queue: a tick on a fully quiescent cluster — no deliverable
-   datagrams, no host in [active], no timer due, no journal commit
-   staged — returns after one cheap pump and three O(1) checks, and a
-   busy tick still skips the hosts whose daemons would no-op.  Each
+   Indexed mode consults the ready-queue: a tick on a fully quiescent
+   cluster — no deliverable datagrams, no host in [active], no timer
+   due, no journal commit staged — returns after one cheap pump and
+   three O(1) checks, and a busy tick still skips the hosts whose
+   daemons would no-op.  Linear mode (the seed behavior, kept as the
+   oracle) is the same body with every per-host "is it due" test forced
+   true, relying on each daemon being a cheap no-op when idle.  Each
    per-host skip is individually a proven no-op (empty new-version
    cache, timer not due, nothing staged), so both modes produce
    identical cluster state, metrics and PRNG consumption; the
    equivalence qcheck in the test suite drives random schedules through
    both and compares everything. *)
 
-let tick_daemons_linear t =
+let any_journal_pending t =
+  t.journaled && Array.exists (fun h -> Ufs.journal_pending h.h_ufs) t.hosts
+
+(* Indexed mode's requiesce: hosts that still owe propagation work stay
+   runnable; everyone else sleeps until the earliest timer anywhere. *)
+let requiesce t =
+  Hashtbl.reset t.active;
+  let wake = ref max_int in
+  Array.iter
+    (fun h ->
+      if Propagation.pending h.h_prop > 0 then Hashtbl.replace t.active h.h_index ();
+      let due = Recon_daemon.next_due h.h_recon in
+      let due =
+        match h.h_gossip with Some g -> min due (Gossip.next_due g) | None -> due
+      in
+      let due =
+        match h.h_control with
+        | Some (r, _) -> min due (Raft.next_due r)
+        | None -> due
+      in
+      if due < !wake then wake := due)
+    t.hosts;
+  t.timer_wake <- !wake
+
+let run_daemons t =
+  let now = Clock.now t.clock in
+  let due b = (not t.indexed) || b in
   let t0 = now_us () in
   let raft_acts =
     Array.fold_left
       (fun acc h ->
         match h.h_control with
-        | Some (r, _) ->
+        | Some (r, _) when due (Raft.next_due r <= now) ->
           Raft.tick r;
           acc + 1
-        | None -> acc)
+        | Some _ | None -> acc)
       0 t.hosts
   in
   let t1 = now_us () in
   let gossip_acts, gossip_work =
     Array.fold_left
       (fun (n, w) h ->
-        match h.h_gossip with Some g -> (n + 1, w + Gossip.tick g) | None -> (n, w))
+        match h.h_gossip with
+        | Some g when due (Gossip.next_due g <= now) -> (n + 1, w + Gossip.tick g)
+        | Some _ | None -> (n, w))
       (0, 0) t.hosts
   in
   (* Datagrams delivered by this (or an earlier) pump may have merged
@@ -763,21 +794,38 @@ let tick_daemons_linear t =
   (* The journal flush daemon runs off the same cron as propagation and
      reconciliation: age out any staged group commit.  (No-op on
      unjournaled hosts; an EIO here surfaces on the next operation.) *)
+  let journal_acts = ref 0 in
   Array.iter
-    (fun h -> match Ufs.journal_tick h.h_ufs with Ok () | Error _ -> ())
+    (fun h ->
+      if due (Ufs.journal_pending h.h_ufs) then begin
+        incr journal_acts;
+        match Ufs.journal_tick h.h_ufs with Ok () | Error _ -> ()
+      end)
     t.hosts;
   let t3 = now_us () in
-  let pulls = Array.fold_left (fun acc h -> acc + Propagation.run_once h.h_prop) 0 t.hosts in
+  let prop_acts = ref 0 in
+  let pulls =
+    Array.fold_left
+      (fun acc h ->
+        if due (Propagation.pending h.h_prop > 0) then begin
+          incr prop_acts;
+          acc + Propagation.run_once h.h_prop
+        end
+        else acc)
+      0 t.hosts
+  in
   let t4 = now_us () in
   let recon_acts = ref 0 in
   let recon =
     Array.fold_left
       (fun acc h ->
-        match Recon_daemon.tick h.h_recon with
-        | Some stats ->
-          incr recon_acts;
-          Reconcile.add_stats acc stats
-        | None -> acc)
+        if due (Recon_daemon.next_due h.h_recon <= now) then
+          match Recon_daemon.tick h.h_recon with
+          | Some stats ->
+            incr recon_acts;
+            Reconcile.add_stats acc stats
+          | None -> acc
+        else acc)
       Reconcile.empty_stats t.hosts
   in
   let t5 = now_us () in
@@ -785,117 +833,26 @@ let tick_daemons_linear t =
   Health.Profile.record prof ~daemon:"raft" ~activations:raft_acts ~work:0 ~us:(t1 - t0);
   Health.Profile.record prof ~daemon:"gossip" ~activations:gossip_acts ~work:gossip_work
     ~us:(t2 - t1);
-  Health.Profile.record prof ~daemon:"journal" ~activations:(Array.length t.hosts) ~work:0
+  Health.Profile.record prof ~daemon:"journal" ~activations:!journal_acts ~work:0
     ~us:(t3 - t2);
-  Health.Profile.record prof ~daemon:"prop" ~activations:(Array.length t.hosts) ~work:pulls
+  Health.Profile.record prof ~daemon:"prop" ~activations:!prop_acts ~work:pulls
     ~us:(t4 - t3);
   Health.Profile.record prof ~daemon:"recon" ~activations:!recon_acts
     ~work:(recon.Reconcile.dirs_merged + recon.Reconcile.files_pulled)
     ~us:(t5 - t4);
+  if t.indexed then requiesce t;
   (pulls, recon)
-
-let any_journal_pending t =
-  t.journaled && Array.exists (fun h -> Ufs.journal_pending h.h_ufs) t.hosts
-
-let tick_daemons_indexed t =
-  let now = Clock.now t.clock in
-  if Hashtbl.length t.active = 0 && now < !(t.timer_wake) && not (any_journal_pending t)
-  then (0, Reconcile.empty_stats)
-  else begin
-    let t0 = now_us () in
-    let raft_acts =
-      Array.fold_left
-        (fun acc h ->
-          match h.h_control with
-          | Some (r, _) when Raft.next_due r <= now ->
-            Raft.tick r;
-            acc + 1
-          | Some _ | None -> acc)
-        0 t.hosts
-    in
-    let t1 = now_us () in
-    let gossip_acts, gossip_work =
-      Array.fold_left
-        (fun (n, w) h ->
-          match h.h_gossip with
-          | Some g when Gossip.next_due g <= now -> (n + 1, w + Gossip.tick g)
-          | Some _ | None -> (n, w))
-        (0, 0) t.hosts
-    in
-    sync_peers_from_gossip t;
-    let t2 = now_us () in
-    let journal_acts = ref 0 in
-    Array.iter
-      (fun h ->
-        if Ufs.journal_pending h.h_ufs then begin
-          incr journal_acts;
-          match Ufs.journal_tick h.h_ufs with Ok () | Error _ -> ()
-        end)
-      t.hosts;
-    let t3 = now_us () in
-    let prop_acts = ref 0 in
-    let pulls =
-      Array.fold_left
-        (fun acc h ->
-          if Propagation.pending h.h_prop > 0 then begin
-            incr prop_acts;
-            acc + Propagation.run_once h.h_prop
-          end
-          else acc)
-        0 t.hosts
-    in
-    let t4 = now_us () in
-    let recon_acts = ref 0 in
-    let recon =
-      Array.fold_left
-        (fun acc h ->
-          if Recon_daemon.next_due h.h_recon <= now then
-            match Recon_daemon.tick h.h_recon with
-            | Some stats ->
-              incr recon_acts;
-              Reconcile.add_stats acc stats
-            | None -> acc
-          else acc)
-        Reconcile.empty_stats t.hosts
-    in
-    let t5 = now_us () in
-    let prof = t.profile in
-    Health.Profile.record prof ~daemon:"raft" ~activations:raft_acts ~work:0 ~us:(t1 - t0);
-    Health.Profile.record prof ~daemon:"gossip" ~activations:gossip_acts ~work:gossip_work
-      ~us:(t2 - t1);
-    Health.Profile.record prof ~daemon:"journal" ~activations:!journal_acts ~work:0
-      ~us:(t3 - t2);
-    Health.Profile.record prof ~daemon:"prop" ~activations:!prop_acts ~work:pulls
-      ~us:(t4 - t3);
-    Health.Profile.record prof ~daemon:"recon" ~activations:!recon_acts
-      ~work:(recon.Reconcile.dirs_merged + recon.Reconcile.files_pulled)
-      ~us:(t5 - t4);
-    (* Requiesce: hosts that still owe propagation work stay runnable;
-       everyone else sleeps until the earliest timer anywhere. *)
-    Hashtbl.reset t.active;
-    let wake = ref max_int in
-    Array.iter
-      (fun h ->
-        if Propagation.pending h.h_prop > 0 then Hashtbl.replace t.active h.h_index ();
-        let due = Recon_daemon.next_due h.h_recon in
-        let due =
-          match h.h_gossip with Some g -> min due (Gossip.next_due g) | None -> due
-        in
-        let due =
-          match h.h_control with
-          | Some (r, _) -> min due (Raft.next_due r)
-          | None -> due
-        in
-        if due < !wake then wake := due)
-      t.hosts;
-    t.timer_wake := !wake;
-    (pulls, recon)
-  end
 
 let tick_daemons t ticks =
   Clock.advance t.clock ticks;
   let (_ : int) = pump t in
-  let r = if t.indexed then tick_daemons_indexed t else tick_daemons_linear t in
+  let quiescent =
+    t.indexed
+    && Hashtbl.length t.active = 0
+    && Clock.now t.clock < t.timer_wake
+    && not (any_journal_pending t)
+  in
+  let r = if quiescent then (0, Reconcile.empty_stats) else run_daemons t in
   health_tick t;
   r
 
@@ -903,6 +860,11 @@ let tick_daemons t ticks =
 (* Raft-routed control operations                                      *)
 
 let is_raft t = t.control_members <> []
+
+(* The tick budget a control op may spend finding a leader and waiting
+   for its command to commit before failing.  Raft elections take 12-24
+   ticks, so this covers a few of them. *)
+let control_wait = 60
 
 (* Submit one encoded control command from host [i]: find the leader
    (members answer redirects, partitions answer EUNREACHABLE), then
@@ -913,7 +875,7 @@ let is_raft t = t.control_members <> []
 let raft_commit t ~src:i ?(span = Span.none) cmd =
   let h = t.hosts.(i) in
   let start = Clock.now t.clock in
-  let deadline = start + t.control_wait in
+  let deadline = start + control_wait in
   let m = t.obs.Obs.metrics in
   Metrics.incr m "control.ops";
   let call j msg = Sim_net.call t.net ~src:h.h_id ~dst:t.hosts.(j).h_id msg in
@@ -984,6 +946,30 @@ let raft_read_replicas t ~src:i vref =
   in
   try_members t.control_members
 
+(* Serialize [cmds] through the coordinator log from host [src], in
+   order.  [Ok None] on gossip-only clusters, which have no log;
+   otherwise the committed index of the last command. *)
+let control_commit t ~src cmds =
+  if not (is_raft t) then Ok None
+  else
+    let rec go last = function
+      | [] -> Ok (Some last)
+      | cmd :: rest ->
+        let* idx = raft_commit t ~src (Control_plane.encode_cmd cmd) in
+        go idx rest
+    in
+    go 0 cmds
+
+(* With raft control, base a replica-set change on the leader's
+   committed set when it is reachable — concurrent edits serialize
+   through the log instead of racing on local views. *)
+let committed_peers t ~src vref peers =
+  if not (is_raft t) then peers
+  else
+    match raft_read_replicas t ~src vref with
+    | Some (Some committed, _) -> committed
+    | Some (None, _) | None -> peers
+
 let create_volume t ~on =
   match on with
   | [] -> Error Errno.EINVAL
@@ -996,31 +982,23 @@ let create_volume t ~on =
        mechanics.  No reachable quorum within the budget fails the
        operation with nothing changed anywhere. *)
     let* cindex =
-      if not (is_raft t) then Ok 0
-      else
-        let reg =
-          Control_plane.encode_cmd
-            (Control_plane.Register_volume
-               {
-                 rv_alloc = vref.Ids.alloc;
-                 rv_vol = vref.Ids.vol;
-                 rv_label = Printf.sprintf "vol%d" vref.Ids.vol;
-                 rv_replicas = peers;
-               })
-        in
-        let* (_ : int) = raft_commit t ~src:first reg in
-        let gr =
-          Control_plane.encode_cmd
-            (Control_plane.Set_graft
-               {
-                 sg_path = Printf.sprintf "vol.%d.%d" vref.Ids.alloc vref.Ids.vol;
-                 sg_alloc = vref.Ids.alloc;
-                 sg_vol = vref.Ids.vol;
-               })
-        in
-        raft_commit t ~src:first gr
+      control_commit t ~src:first
+        [
+          Control_plane.Register_volume
+            {
+              rv_alloc = vref.Ids.alloc;
+              rv_vol = vref.Ids.vol;
+              rv_label = Printf.sprintf "vol%d" vref.Ids.vol;
+              rv_replicas = peers;
+            };
+          Control_plane.Set_graft
+            {
+              sg_path = Printf.sprintf "vol.%d.%d" vref.Ids.alloc vref.Ids.vol;
+              sg_alloc = vref.Ids.alloc;
+              sg_vol = vref.Ids.vol;
+            };
+        ]
     in
-    let cindex = if cindex = 0 then None else Some cindex in
     let rec place rid = function
       | [] -> Ok ()
       | i :: rest ->
@@ -1030,13 +1008,7 @@ let create_volume t ~on =
           Physical.create ~obs:t.obs ~container ~clock:t.clock ~host:h.h_name ~vref ~rid
             ~peers ()
         in
-        Physical.set_dir_merge phys t.dir_merge;
-        wire_notifier t h phys;
-        Nfs_server.add_export h.h_server ~name:(export_name vref rid) (Physical.root phys);
-        h.h_replicas <- (vref, phys) :: h.h_replicas;
-        index_replica h vref phys;
-        (* The container mkdir may have staged a journal commit. *)
-        mark_active t h.h_index;
+        install_replica t h vref phys;
         place (rid + 1) rest
     in
     let* () = place 1 on in
@@ -1071,31 +1043,16 @@ let add_replica t ~host:i vref =
   let h = t.hosts.(i) in
   if replica h vref <> None then Error Errno.EEXIST
   else begin
-    (* With raft control, base the change on the leader's committed set
-       when it is reachable — concurrent replica-set edits serialize
-       through the log instead of racing on local views. *)
-    let peers =
-      if not (is_raft t) then peers
-      else
-        match raft_read_replicas t ~src:i vref with
-        | Some (Some committed, _) -> committed
-        | Some (None, _) | None -> peers
-    in
+    let peers = committed_peers t ~src:i vref peers in
     let rid = 1 + List.fold_left (fun acc (r, _) -> max acc r) 0 peers in
     let peers = peers @ [ (rid, h.h_name) ] in
     let* cindex =
-      if not (is_raft t) then Ok 0
-      else
-        raft_commit t ~src:i
-          (Control_plane.encode_cmd
-             (Control_plane.Set_replicas
-                {
-                  sr_alloc = vref.Ids.alloc;
-                  sr_vol = vref.Ids.vol;
-                  sr_replicas = peers;
-                }))
+      control_commit t ~src:i
+        [
+          Control_plane.Set_replicas
+            { sr_alloc = vref.Ids.alloc; sr_vol = vref.Ids.vol; sr_replicas = peers };
+        ]
     in
-    let cindex = if cindex = 0 then None else Some cindex in
     let* container =
       Namei.mkdir_p ~root:(Ufs_vnode.root h.h_ufs) (container_path vref rid)
     in
@@ -1103,20 +1060,15 @@ let add_replica t ~host:i vref =
       Physical.create ~obs:t.obs ~container ~clock:t.clock ~host:h.h_name ~vref ~rid
         ~peers ()
     in
-    Physical.set_dir_merge phys t.dir_merge;
-    Nfs_server.add_export h.h_server ~name:(export_name vref rid) (Physical.root phys);
-    h.h_replicas <- (vref, phys) :: h.h_replicas;
-    index_replica h vref phys;
-    mark_active t h.h_index;
+    install_replica t h vref phys;
     (match h.h_gossip with
      | None -> refresh_peers t vref peers
      | Some _ ->
        (* Local operation only: record the authoritative set in the
-          harness registry, wire the newcomer, and seed the membership
-          delta — every other replica learns the new peer epidemically
-          via its own gossip table. *)
+          harness registry and seed the membership delta — every other
+          replica learns the new peer epidemically via its own gossip
+          table. *)
        Hashtbl.replace t.volumes (vref.Ids.alloc, vref.Ids.vol) peers;
-       wire_notifier t h phys;
        seed_gossip t ~label:"member:join" ?cindex i);
     (* Populate the newcomer from the first accessible existing replica. *)
     let connect = connector t h in
@@ -1142,31 +1094,19 @@ let remove_replica t ~host:i vref =
   | None -> Error Errno.ENOENT
   | Some phys ->
     let rid = Physical.rid phys in
-    let peers =
-      if not (is_raft t) then peers
-      else
-        match raft_read_replicas t ~src:i vref with
-        | Some (Some committed, _) -> committed
-        | Some (None, _) | None -> peers
-    in
+    let peers = committed_peers t ~src:i vref peers in
     let remaining = List.filter (fun (r, _) -> r <> rid) peers in
     (* Raft first: the retirement only takes effect once serialized;
        then the local drop, and — raft or not — the gossip delta, so
        non-members converge epidemically without waiting for a full
        anti-entropy exchange with a coordinator. *)
     let* cindex =
-      if not (is_raft t) then Ok 0
-      else
-        raft_commit t ~src:i
-          (Control_plane.encode_cmd
-             (Control_plane.Set_replicas
-                {
-                  sr_alloc = vref.Ids.alloc;
-                  sr_vol = vref.Ids.vol;
-                  sr_replicas = remaining;
-                }))
+      control_commit t ~src:i
+        [
+          Control_plane.Set_replicas
+            { sr_alloc = vref.Ids.alloc; sr_vol = vref.Ids.vol; sr_replicas = remaining };
+        ]
     in
-    let cindex = if cindex = 0 then None else Some cindex in
     h.h_replicas <- List.filter (fun (v, _) -> not (Ids.vref_equal v vref)) h.h_replicas;
     Hashtbl.remove h.h_replica_idx (vref.Ids.alloc, vref.Ids.vol);
     (match h.h_gossip with
@@ -1175,6 +1115,25 @@ let remove_replica t ~host:i vref =
        Hashtbl.replace t.volumes (vref.Ids.alloc, vref.Ids.vol) remaining;
        seed_gossip t ~label:"member:leave" ?cindex i);
     Ok ()
+
+(* Host [h]'s two local beliefs about who stores [vref], each with the
+   committed control index it reflects: its gossip table's, and (on a
+   coordinator member) the registry it applies from the raft log. *)
+let gossip_view h vref =
+  match h.h_gossip with
+  | None -> None
+  | Some g -> (
+    match Gossip.replica_peers g ~alloc:vref.Ids.alloc ~vol:vref.Ids.vol with
+    | [] -> None
+    | reps -> Some (reps, Gossip.control_index g))
+
+let member_view h vref =
+  match h.h_control with
+  | None -> None
+  | Some (_, cp) ->
+    Option.map
+      (fun (reps, _) -> (reps, Control_plane.applied_index cp))
+      (Control_plane.volume cp ~alloc:vref.Ids.alloc ~vol:vref.Ids.vol)
 
 (* Pathname translation with a raft control plane resolves a (possibly
    stale) graft point from whichever view — this host's gossip table or
@@ -1186,26 +1145,14 @@ let resolve_graft_peers t i vref =
   else begin
     let h = t.hosts.(i) in
     let m = t.obs.Obs.metrics in
-    let gossip_view =
-      match h.h_gossip with
-      | None -> None
-      | Some g -> (
-        match Gossip.replica_peers g ~alloc:vref.Ids.alloc ~vol:vref.Ids.vol with
-        | [] -> None
-        | reps -> Some (reps, Gossip.control_index g))
-    in
     let coord_view =
-      match h.h_control with
-      | Some (_, cp) ->
-        Option.map
-          (fun (reps, _) -> (reps, Control_plane.applied_index cp))
-          (Control_plane.volume cp ~alloc:vref.Ids.alloc ~vol:vref.Ids.vol)
-      | None -> (
+      if Option.is_some h.h_control then member_view h vref
+      else
         match raft_read_replicas t ~src:i vref with
         | Some (Some reps, applied) -> Some (reps, applied)
-        | Some (None, _) | None -> None)
+        | Some (None, _) | None -> None
     in
-    match coord_view, gossip_view with
+    match coord_view, gossip_view h vref with
     | Some (creps, ci), Some (greps, gi) ->
       if ci >= gi then begin
         Metrics.incr m "control.graft_from_coordinator";
@@ -1259,23 +1206,7 @@ let leave_host t i =
    across hosts. *)
 let replica_view t i vref =
   let h = t.hosts.(i) in
-  let gossip_view =
-    match h.h_gossip with
-    | None -> None
-    | Some g -> (
-      match Gossip.replica_peers g ~alloc:vref.Ids.alloc ~vol:vref.Ids.vol with
-      | [] -> None
-      | reps -> Some (reps, Gossip.control_index g))
-  in
-  let coord_view =
-    match h.h_control with
-    | None -> None
-    | Some (_, cp) ->
-      Option.map
-        (fun (reps, _) -> (reps, Control_plane.applied_index cp))
-        (Control_plane.volume cp ~alloc:vref.Ids.alloc ~vol:vref.Ids.vol)
-  in
-  match coord_view, gossip_view with
+  match member_view h vref, gossip_view h vref with
   | Some (creps, ci), Some (_, gi) when ci >= gi -> creps
   | _, Some (greps, _) -> greps
   | Some (creps, _), None -> creps
@@ -1346,26 +1277,22 @@ let reboot t i =
       end)
     t.hosts;
   Logical.reset_connections h.h_logical;
-  (* Re-attach every volume replica from disk (shadow cleanup included)
-     and re-export it. *)
+  (* Re-attach every volume replica from disk (shadow cleanup included),
+     in the order the host lists them, then install them oldest-first so
+     the list keeps its order: reconciliation walks it, so it decides
+     the order of RPCs.  The merge policy is volatile configuration, not
+     replica state; installing re-applies it. *)
   let rec reattach acc = function
     | [] -> Ok (List.rev acc)
     | (vref, phys) :: rest ->
-      let rid = Physical.rid phys in
-      let* container =
-        Namei.walk ~root:(Ufs_vnode.root h.h_ufs) (container_path vref rid)
-      in
+      let path = container_path vref (Physical.rid phys) in
+      let* container = Namei.walk ~root:(Ufs_vnode.root h.h_ufs) path in
       let* fresh = Physical.attach ~obs:t.obs ~container ~clock:t.clock ~host:h.h_name () in
-      (* The merge mode is volatile configuration, not replica state:
-         re-apply the cluster's discipline to the fresh attach. *)
-      Physical.set_dir_merge fresh t.dir_merge;
-      wire_notifier t h fresh;
-      Nfs_server.add_export h.h_server ~name:(export_name vref rid) (Physical.root fresh);
       reattach ((vref, fresh) :: acc) rest
   in
   let* fresh_replicas = reattach [] h.h_replicas in
-  h.h_replicas <- fresh_replicas;
-  List.iter (fun (vref, phys) -> index_replica h vref phys) fresh_replicas;
+  h.h_replicas <- [];
+  List.iter (fun (vref, phys) -> install_replica t h vref phys) (List.rev fresh_replicas);
   (* The raft member restarts from the hard state the journal replay
      just recovered: term, vote, log and snapshot survive; role and
      commit progress are volatile and rebuilt by the protocol. *)
@@ -1395,8 +1322,7 @@ let reconcile_pair t vref stats (local_i, _local_rid, local_phys) (remote_i, rem
   | Error _ -> Reconcile.add_stats stats { Reconcile.empty_stats with errors = 1 }
   | Ok remote_root ->
     (match
-       Reconcile.reconcile_volume ~resolver:t.resolver ~local:local_phys ~remote_root
-         ~remote_rid ()
+       Reconcile.reconcile_volume ~local:local_phys ~remote_root ~remote_rid ()
      with
      | Ok s -> Reconcile.add_stats stats s
      | Error _ -> Reconcile.add_stats stats { Reconcile.empty_stats with errors = 1 })

@@ -14,8 +14,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?datagram_loss:float ->
-  ?faults:Sim_net.faults ->
   ?disk_blocks:int ->
   ?block_size:int ->
   ?ninodes:int ->
@@ -28,11 +26,8 @@ val create :
   ?selection:Logical.selection ->
   ?journal_blocks:int ->
   ?gossip:Gossip.config ->
-  ?log_level:Logs.level ->
   ?indexed:bool ->
   ?control:[ `Gossip | `Raft of int list ] ->
-  ?raft:Raft.config ->
-  ?control_wait:int ->
   ?health:Health.config ->
   ?dir_merge:[ `Legacy | `Crdt ] ->
   ?resolver:Resolver.t ->
@@ -40,9 +35,9 @@ val create :
 (** Hosts are named ["host0"], ["host1"], ….  All parameters are shared
     by every host.  [journal_blocks] (default 0) formats each host's UFS
     with a write-ahead journal of that size; the group-commit flush
-    daemon is then driven by {!tick_daemons}.  [log_level] installs the
-    shared {!Obs.reporter} (host-tagged, simulated-time-stamped) at that
-    level; by default logging is left alone.
+    daemon is then driven by {!tick_daemons}.  The network starts
+    fault-free; inject loss, latency, duplication, reordering or RPC
+    failures with {!set_faults}.
 
     [prop_delta] (default [true]) is forwarded to every host's
     {!Propagation.create} [?delta]: [false] forces whole-file fetches on
@@ -74,9 +69,11 @@ val create :
     ({!Sim_net.create}), and {!tick_daemons} keeps a per-host
     ready-queue so hosts with no queued datagrams, an empty new-version
     cache and no due timers are skipped entirely.  [~indexed:false] is
-    the seed's linear scan, kept as the oracle for the equivalence
-    property test and as the before arm of the SCALE benchmark; both
-    modes produce identical cluster state, metrics and PRNG draws.
+    the seed's linear scan — the same tick body with every per-host
+    "is it due" test forced true — kept as the oracle for the
+    equivalence property test and as the before arm of the SCALE
+    benchmark; both modes produce identical cluster state, metrics and
+    PRNG draws.
 
     [control] (default [`Gossip], the seed behavior) selects how
     control-plane metadata — the volume registry, replica sets, graft
@@ -86,15 +83,14 @@ val create :
     own journaled UFS.  {!create_volume}, {!add_replica} and
     {!remove_replica} then serialize through the coordinator log before
     any local mechanics (and fail with [EUNREACHABLE] when no quorum is
-    reachable within [control_wait] ticks, default 200, driving the
-    daemons while they wait), after which the change still propagates to
+    reachable within 60 ticks, driving the daemons while they wait; a
+    raft election takes 12–24), after which the change still propagates to
     non-members epidemically — the gossip entry carries the committed
     index it was serialized at, and pathname translation
     ({!logical_root}) resolves a stale graft point from whichever view,
     gossip or coordinator, carries the higher committed index.  File
     {e data} never touches consensus: one-copy availability is
-    unchanged.  [raft] overrides timing/compaction
-    ({!Raft.default_config}).
+    unchanged.  Members run {!Raft.default_config}.
 
     [health] (default: absent) arms the convergence watchdog: every
     [config.period] ticks of {!tick_daemons} the cluster derives live
@@ -109,9 +105,12 @@ val create :
     events with span-linked evidence.  Off by default because the
     divergence walk reads every replica's full state each sample.
 
-    [dir_merge] (default [`Legacy], the seed behavior) selects the
-    directory-merge discipline applied to every replica the cluster
-    creates, attaches or reboots.  [`Crdt] layers the conflict-free
+    [dir_merge] and [resolver] are the merge policy
+    ({!Physical.set_merge_policy}) given to every replica the cluster
+    creates, adds or reboots; each reconciliation pass follows the
+    policy of the replica it pulls into.  [dir_merge] (default
+    [`Legacy], the seed behavior) selects the directory-merge
+    discipline.  [`Crdt] layers the conflict-free
     replicated tree under reconciliation: concurrent cross-renames that
     orphan or cycle whole subtrees are repaired deterministically into
     the replicated [lost+found] directory ({!Crdt_merge}) instead of

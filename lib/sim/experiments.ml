@@ -1687,8 +1687,7 @@ let consensus_arm ~raft () =
   let cfg = Gossip.default_config in
   let control = if raft then `Raft [ 0; 1; 2; 3; 4 ] else `Gossip in
   let cluster =
-    Cluster.create ~seed:90210 ~nhosts:8 ~gossip:cfg ~control ~control_wait:60
-      ~journal_blocks:32 ()
+    Cluster.create ~seed:90210 ~nhosts:8 ~gossip:cfg ~control ~journal_blocks:32 ()
   in
   let clock = Cluster.clock cluster in
   let snapshot_counter name =
@@ -1728,7 +1727,7 @@ let consensus_arm ~raft () =
   for _ = 1 to 3 do round (); sample () done;
   (* Minority-side replica-set change.  The optimistic arm accepts it
      locally (and starts diverging); the consensus arm refuses it after
-     burning its [control_wait] budget looking for a quorum. *)
+     burning its 60-tick control wait looking for a quorum. *)
   let minority_add = Cluster.add_replica cluster ~host:5 vref in
   sample ();
   for _ = 1 to 6 do round (); sample () done;

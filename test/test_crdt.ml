@@ -266,7 +266,11 @@ let test_cycle_not_silent_legacy () =
 (* ------------------------------------------------------------------ *)
 (* Resolvers, end to end                                               *)
 
-let concurrent_write_cluster ~resolver =
+(* [reboot] restarts both hosts once the partition is up, so the
+   replicas that meet the conflict are the ones {!Cluster.reboot}
+   re-attached: the resolver is volatile replica configuration, and
+   only a reboot that re-applies the cluster's policy lets it settle. *)
+let concurrent_write_cluster ?(reboot = false) ~resolver () =
   let cluster = Cluster.create ~nhosts:2 ~dir_merge:`Crdt ~resolver () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
@@ -274,6 +278,8 @@ let concurrent_write_cluster ~resolver =
   let (_ : int) = Cluster.run_propagation cluster in
   let (_ : int) = ok (Cluster.converge cluster vref ()) in
   Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
+  if reboot then List.iter (fun i -> ok (Cluster.reboot cluster i)) [ 0; 1 ];
+  let root0 = ok (Cluster.logical_root cluster 0 vref) in
   let root1 = ok (Cluster.logical_root cluster 1 vref) in
   write_file root0 "f" "from-zero";
   write_file root1 "f" "from-one";
@@ -283,8 +289,7 @@ let concurrent_write_cluster ~resolver =
 
 let pending_count p = List.length (Conflict_log.pending (Physical.conflicts p))
 
-let test_resolver_lww () =
-  let cluster, vref = concurrent_write_cluster ~resolver:Resolver.Lww in
+let check_lww_settled (cluster, vref) =
   let c0 = read_file (ok (Cluster.logical_root cluster 0 vref)) "f" in
   let c1 = read_file (ok (Cluster.logical_root cluster 1 vref)) "f" in
   Alcotest.(check string) "same winner everywhere" c0 c1;
@@ -300,9 +305,15 @@ let test_resolver_lww () =
   Alcotest.(check string) "digests agree" (digest_of cluster vref 0)
     (digest_of cluster vref 1)
 
+let test_resolver_lww () =
+  check_lww_settled (concurrent_write_cluster ~resolver:Resolver.Lww ())
+
+let test_resolver_survives_reboot () =
+  check_lww_settled (concurrent_write_cluster ~reboot:true ~resolver:Resolver.Lww ())
+
 let test_resolver_app_merge () =
   let merge a b = a ^ "+" ^ b in
-  let cluster, vref = concurrent_write_cluster ~resolver:(Resolver.App_merge merge) in
+  let cluster, vref = concurrent_write_cluster ~resolver:(Resolver.App_merge merge) () in
   let c0 = read_file (ok (Cluster.logical_root cluster 0 vref)) "f" in
   let c1 = read_file (ok (Cluster.logical_root cluster 1 vref)) "f" in
   Alcotest.(check string) "same merged contents" c0 c1;
@@ -316,7 +327,7 @@ let test_resolver_owner_report_round_trip () =
   (* Default resolver: the conflict stays in the log as a multi-value
      register until the owner picks; resolving at one replica then
      converging clears everyone. *)
-  let cluster, vref = concurrent_write_cluster ~resolver:Resolver.Owner_report in
+  let cluster, vref = concurrent_write_cluster ~resolver:Resolver.Owner_report () in
   let p0 = phys cluster vref 0 in
   let regs = Crdt_merge.pending_registers p0 in
   Alcotest.(check int) "one pending register" 1 (List.length regs);
@@ -383,6 +394,16 @@ let test_crash_mid_merge () =
     (fun i ->
       Alcotest.(check bool) "payload survived" true
         (List.mem "payload" (replica_contents (phys cluster vref i))))
+    [ 0; 1 ];
+  (* The concurrent writes to "f" were settled by the cluster's Lww
+     resolver, which the reboot must have re-applied to host0's fresh
+     replica. *)
+  List.iter
+    (fun i ->
+      Alcotest.(check int)
+        (Printf.sprintf "host%d has no pending conflict" i)
+        0
+        (pending_count (phys cluster vref i)))
     [ 0; 1 ]
 
 (* ------------------------------------------------------------------ *)
@@ -598,6 +619,7 @@ let suite =
     case "cross-rename cycle repairs under crdt" test_cycle_repair_crdt;
     case "cross-rename cycle is reported under legacy" test_cycle_not_silent_legacy;
     case "lww resolver converges concurrent writes" test_resolver_lww;
+    case "lww resolver survives a reboot of both hosts" test_resolver_survives_reboot;
     case "app-merge resolver combines both versions" test_resolver_app_merge;
     case "owner-report keeps the register until resolved" test_resolver_owner_report_round_trip;
     case "crash mid-merge replays to the same tree" test_crash_mid_merge;

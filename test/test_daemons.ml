@@ -6,7 +6,8 @@
 open Util
 
 let test_daemons_converge_without_explicit_reconcile () =
-  let cluster = Cluster.create ~nhosts:3 ~reconcile_period:50 ~datagram_loss:1.0 () in
+  let cluster = Cluster.create ~nhosts:3 ~reconcile_period:50 () in
+  Cluster.set_faults cluster { Sim_net.no_faults with loss = 1.0 };
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   create_file root0 "slow-news" "travels anyway";

@@ -54,7 +54,7 @@ let test_partition_drops_datagrams () =
 
 let test_datagram_loss () =
   let clock = Clock.create () in
-  let net = Sim_net.create ~seed:3 ~datagram_loss:1.0 clock in
+  let net = Sim_net.create ~seed:3 ~faults:{ Sim_net.no_faults with loss = 1.0 } clock in
   let a = Sim_net.add_host net "a" in
   let b = Sim_net.add_host net "b" in
   let hits = ref 0 in

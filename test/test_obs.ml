@@ -84,9 +84,9 @@ let test_span_timeline_cross_host () =
     }
   in
   let cluster =
-    Cluster.create ~faults ~selection:Logical.Prefer_local ~journal_blocks:256
-      ~nhosts:2 ()
+    Cluster.create ~selection:Logical.Prefer_local ~journal_blocks:256 ~nhosts:2 ()
   in
+  Cluster.set_faults cluster faults;
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   let f = ok (root0.Vnode.create "f") in
@@ -174,7 +174,7 @@ let test_stats_ctl_local_and_nfs () =
   ok (Vnode.write_all f "local bytes");
   (* Local stack: logical layer passes the ctl name straight through to
      the co-resident physical layer. *)
-  let body_local = ok (Remote.stats root0) in
+  let body_local = ok (Remote.stats ~obs:(Cluster.obs cluster) root0) in
   Alcotest.(check bool) "local body non-empty" true (String.length body_local > 0);
   Alcotest.(check bool) "local counters present" true
     (contains_sub body_local "counter ");
@@ -184,7 +184,7 @@ let test_stats_ctl_local_and_nfs () =
   let root1 = ok (Cluster.logical_root cluster 1 vref) in
   let f1 = ok (root1.Vnode.lookup "f") in
   ok (Vnode.write_all f1 "written across NFS");
-  let body_nfs = ok (Remote.stats root1) in
+  let body_nfs = ok (Remote.stats ~obs:(Cluster.obs cluster) root1) in
   Alcotest.(check bool) "NFS body non-empty" true (String.length body_nfs > 0);
   Alcotest.(check bool) "NFS counters present" true (contains_sub body_nfs "counter ");
   (* The cross-NFS write's span recorded both sides of the wire. *)

@@ -201,19 +201,19 @@ let test_ctl_getvv_readfile_getdir () =
   let f = ok (root.Vnode.create "f") in
   ok (f.Vnode.write ~off:0 "payload");
   (* Exercise the full remote path over the local vnode stack. *)
-  let vi = ok (Remote.get_version root []) in
+  let vi = ok (Remote.get_version ~obs:(Physical.obs phys) root []) in
   Alcotest.(check bool) "root is dir" true (vi.Physical.vi_kind = Aux_attrs.Fdir);
-  let fdir = ok (Remote.fetch_dir root []) in
+  let fdir = ok (Remote.fetch_dir ~obs:(Physical.obs phys) root []) in
   let e = Option.get (Fdir.find_live fdir "f") in
-  let vi, data = ok (Remote.fetch_file root [ e.Fdir.fid ]) in
+  let vi, data = ok (Remote.fetch_file ~obs:(Physical.obs phys) root [ e.Fdir.fid ]) in
   Alcotest.(check string) "contents" "payload" data;
   Alcotest.(check int) "vv" 2 (Vv.get vi.Physical.vi_vv 1);
-  let fid, kind = ok (Remote.resolve root "f") in
+  let fid, kind = ok (Remote.resolve ~obs:(Physical.obs phys) root "f") in
   Alcotest.(check bool) "resolve fid" true (Ids.fid_equal fid e.Fdir.fid);
   Alcotest.(check bool) "resolve kind" true (kind = Aux_attrs.Freg);
-  let peers = ok (Remote.peers root) in
+  let peers = ok (Remote.peers ~obs:(Physical.obs phys) root) in
   Alcotest.(check int) "peers" 2 (List.length peers);
-  let vref, rid = ok (Remote.meta root) in
+  let vref, rid = ok (Remote.meta ~obs:(Physical.obs phys) root) in
   Alcotest.(check int) "rid" 1 rid;
   Alcotest.(check int) "vol" 1 vref.Ids.vol
 

@@ -4,7 +4,8 @@
 open Util
 
 let test_subtree_reconciles_nested_changes () =
-  let cluster = Cluster.create ~nhosts:2 ~datagram_loss:1.0 () in
+  let cluster = Cluster.create ~nhosts:2 () in
+  Cluster.set_faults cluster { Sim_net.no_faults with loss = 1.0 };
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   let _ = ok (Namei.mkdir_p ~root:root0 "a/b") in

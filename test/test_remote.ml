@@ -13,24 +13,28 @@ let test_fetch_file_with_embedded_separator () =
   (* File contents containing the protocol's header separator must
      survive the encode/decode roundtrip. *)
   let cluster, vref = two_hosts () in
+  let obs = Cluster.obs cluster in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   let tricky = "header-looking\n--\npayload with separator\n--\nmore" in
   create_file root0 "tricky" tricky;
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  let fdir = ok (Remote.fetch_dir remote_root []) in
+  let fdir = ok (Remote.fetch_dir ~obs remote_root []) in
   let e = Option.get (Fdir.find_live fdir "tricky") in
-  let _, data = ok (Remote.fetch_file remote_root [ e.Fdir.fid ]) in
+  let _, data = ok (Remote.fetch_file ~obs remote_root [ e.Fdir.fid ]) in
   Alcotest.(check string) "contents intact" tricky data
 
 let test_ctl_defeats_nfs_name_cache () =
   (* Repeated control fetches through a caching NFS mount must see fresh
      state every time (the per-call serial defeats the name cache). *)
   let cluster, vref = two_hosts () in
+  let obs = Cluster.obs cluster in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  let live_count () = List.length (Fdir.live (ok (Remote.fetch_dir remote_root []))) in
+  let live_count () =
+    List.length (Fdir.live (ok (Remote.fetch_dir ~obs remote_root [])))
+  in
   Alcotest.(check int) "initially empty" 0 (live_count ());
   create_file root0 "new-file" "x";
   (* Same mount, same clock instant: a cached response would still say
@@ -39,54 +43,60 @@ let test_ctl_defeats_nfs_name_cache () =
 
 let test_remote_walk_and_errors () =
   let cluster, vref = two_hosts () in
+  let obs = Cluster.obs cluster in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   let _ = ok (Namei.mkdir_p ~root:root0 "a/b") in
   create_file root0 "a/b/leaf" "deep";
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  let fdir = ok (Remote.fetch_dir remote_root []) in
+  let fdir = ok (Remote.fetch_dir ~obs remote_root []) in
   let a = Option.get (Fdir.find_live fdir "a") in
-  let sub = ok (Remote.fetch_dir remote_root [ a.Fdir.fid ]) in
+  let sub = ok (Remote.fetch_dir ~obs remote_root [ a.Fdir.fid ]) in
   let b = Option.get (Fdir.find_live sub "b") in
   let leaf_fid, kind =
-    let subsub = ok (Remote.fetch_dir remote_root [ a.Fdir.fid; b.Fdir.fid ]) in
+    let subsub = ok (Remote.fetch_dir ~obs remote_root [ a.Fdir.fid; b.Fdir.fid ]) in
     let leaf = Option.get (Fdir.find_live subsub "leaf") in
     (leaf.Fdir.fid, leaf.Fdir.kind)
   in
   Alcotest.(check bool) "leaf is a file" true (kind = Aux_attrs.Freg);
-  let vi = ok (Remote.get_version remote_root [ a.Fdir.fid; b.Fdir.fid; leaf_fid ]) in
+  let vi =
+    ok (Remote.get_version ~obs remote_root [ a.Fdir.fid; b.Fdir.fid; leaf_fid ])
+  in
   Alcotest.(check int) "size over the wire" 4 vi.Physical.vi_size;
   (* Unknown fids error cleanly. *)
   expect_err Errno.ENOENT
     (Result.map (fun _ -> ())
-       (Remote.get_version remote_root [ { Ids.issuer = 9; uniq = 999 } ]));
+       (Remote.get_version ~obs remote_root [ { Ids.issuer = 9; uniq = 999 } ]));
   (* readfile of a directory is rejected. *)
   expect_err Errno.EISDIR
-    (Result.map (fun _ -> ()) (Remote.fetch_file remote_root [ a.Fdir.fid ]))
+    (Result.map (fun _ -> ()) (Remote.fetch_file ~obs remote_root [ a.Fdir.fid ]))
 
 let test_resolve_remote () =
   let cluster, vref = two_hosts () in
+  let obs = Cluster.obs cluster in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   create_file root0 "target" "x";
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  let fid, kind = ok (Remote.resolve remote_root "target") in
+  let fid, kind = ok (Remote.resolve ~obs remote_root "target") in
   Alcotest.(check bool) "kind" true (kind = Aux_attrs.Freg);
   Alcotest.(check bool) "issuer is replica 1" true (fid.Ids.issuer = 1);
-  expect_err Errno.ENOENT (Result.map (fun _ -> ()) (Remote.resolve remote_root "missing"))
+  expect_err Errno.ENOENT
+    (Result.map (fun _ -> ()) (Remote.resolve ~obs remote_root "missing"))
 
 let test_fetch_dir_versions () =
   (* The batched getdirvvs op: one RPC returns the directory's subtree
      summary, its fdir, and version info for every live child — with
      contents that embed protocol markers surviving the roundtrip. *)
   let cluster, vref = two_hosts () in
+  let obs = Cluster.obs cluster in
   let root0 = ok (Cluster.logical_root cluster 0 vref) in
   create_file root0 "plain" "pay\nchild=42\nload";
   create_file root0 "tricky" "body with\nfdir:\nand\nendfdir:\nmarkers";
   let _ = ok (root0.Vnode.mkdir "sub") in
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  let dv = ok (Remote.fetch_dir_versions remote_root []) in
+  let dv = ok (Remote.fetch_dir_versions ~obs remote_root []) in
   Alcotest.(check bool) "summary present" true (dv.Remote.dv_summary <> None);
   let live = Fdir.live dv.Remote.dv_fdir in
   Alcotest.(check int) "three live entries" 3 (List.length live);
@@ -139,12 +149,13 @@ let test_graft_points_reconcile_as_directories () =
 
 let test_send_open_close_remote () =
   let cluster, vref = two_hosts () in
+  let obs = Cluster.obs cluster in
   let phys0 = Option.get (Cluster.replica (Cluster.host cluster 0) vref) in
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  ok (Remote.send_open remote_root None Vnode.Read_write);
+  ok (Remote.send_open ~obs remote_root None Vnode.Read_write);
   Alcotest.(check int) "open registered across NFS" 1 (Physical.open_files phys0);
-  ok (Remote.send_close remote_root None);
+  ok (Remote.send_close ~obs remote_root None);
   Alcotest.(check int) "closed" 0 (Physical.open_files phys0)
 
 let suite =

@@ -138,10 +138,10 @@ let dump phys =
   in
   List.sort compare (walk "" [] [])
 
-let run_cl_schedule ~indexed schedule =
+let run_cl_schedule ?control ?journal_blocks ~indexed schedule =
   let cluster =
     Cluster.create ~seed:7 ~nhosts:4 ~propagation_delay:20 ~reconcile_period:30
-      ~gossip:Gossip.default_config ~indexed ()
+      ~gossip:Gossip.default_config ?control ?journal_blocks ~indexed ()
   in
   match Cluster.create_volume cluster ~on:[ 0; 1; 2; 3 ] with
   | Error _ -> None
@@ -192,20 +192,28 @@ let run_cl_schedule ~indexed schedule =
             Option.map dump (Cluster.replica (Cluster.host cluster i) vref))
           [ 0; 1; 2; 3 ]
       in
-      Some (dumps, !pulls, !recon_errors, Clock.now (Cluster.clock cluster))
+      let metrics = (Cluster.metrics_snapshot cluster).Cluster.ms_metrics in
+      Some (dumps, metrics, !pulls, !recon_errors, Clock.now (Cluster.clock cluster))
     end
+
+(* Both modes must agree on replica state and on every counter, gauge
+   and histogram in the metrics registry.  The raft input adds the tick
+   body's raft and journal "is it due" tests to the comparison. *)
+let equivalent ?control ?journal_blocks schedule =
+  match
+    ( run_cl_schedule ?control ?journal_blocks ~indexed:true schedule,
+      run_cl_schedule ?control ?journal_blocks ~indexed:false schedule )
+  with
+  | Some a, Some b -> a = b
+  | _ -> false
 
 let cluster_props =
   [
     prop "indexed tick_daemons == linear scan on random schedules" ~count:30
-      cl_schedule_arb (fun schedule ->
-        match
-          (run_cl_schedule ~indexed:true schedule,
-           run_cl_schedule ~indexed:false schedule)
-        with
-        | Some a, Some b -> a = b
-        | None, None -> true
-        | _ -> false);
+      cl_schedule_arb (fun schedule -> equivalent schedule);
+    prop "indexed tick_daemons == linear scan with raft control and a journal"
+      ~count:30 cl_schedule_arb (fun schedule ->
+        equivalent ~control:(`Raft [ 0; 1; 2 ]) ~journal_blocks:32 schedule);
   ]
 
 (* ------------------------------------------------------------------ *)
