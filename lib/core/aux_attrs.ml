@@ -46,7 +46,7 @@ let encode t =
     ]
     @ (match t.graft_target with
        | None -> []
-       | Some { Ids.alloc; vol } -> [ Printf.sprintf "graft=%d.%d" alloc vol ])
+       | Some v -> [ "graft=" ^ Ids.vref_to_string v ])
     @ (if t.span = 0 then [] else [ Printf.sprintf "span=%d" t.span ])
     @ (match t.summary with
        | None -> []
@@ -55,31 +55,21 @@ let encode t =
   in
   String.concat "\n" lines ^ "\n"
 
+let fields s =
+  String.split_on_char '\n' s
+  |> List.filter_map (fun line ->
+         match String.index_opt line '=' with
+         | None -> None
+         | Some i -> Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1)))
+
 let decode s =
-  let fields =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun line ->
-           match String.index_opt line '=' with
-           | None -> None
-           | Some i ->
-             Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1)))
-  in
+  let fields = fields s in
   let find k = List.assoc_opt k fields in
   match find "kind", find "vv", find "uid", find "conflict" with
   | Some kind, Some vv, Some uid, Some conflict ->
     (match kind_of_string kind, Version_vector.decode vv, int_of_string_opt uid with
      | Some kind, Some vv, Some uid ->
-       let graft_target =
-         match find "graft" with
-         | None -> None
-         | Some g ->
-           (match String.split_on_char '.' g with
-            | [ a; v ] ->
-              (match int_of_string_opt a, int_of_string_opt v with
-               | Some alloc, Some vol -> Some { Ids.alloc; vol }
-               | _, _ -> None)
-            | _ -> None)
-       in
+       let graft_target = Option.bind (find "graft") Ids.vref_of_string in
        let span =
          match find "span" with
          | None -> 0

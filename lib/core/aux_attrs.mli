@@ -41,8 +41,14 @@ val make : fkind -> t
 val encode : t -> string
 val decode : string -> t option
 
+val fields : string -> (string * string) list
+(** The [key=value] lines of [s], in order; lines without ['='] are
+    skipped.  The one field parser of aux files, ["META"] and the control
+    replies ({!Ctl_wire}). *)
+
 val kind_to_vtype : fkind -> Vnode.vtype
 val kind_to_string : fkind -> string
+val kind_of_string : string -> fkind option
 
 (** {1 Vnode-mediated access}
 

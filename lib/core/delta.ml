@@ -25,7 +25,7 @@ let stats_of ~mode ~wire ~size ~hit ~miss =
     chunks_miss = miss }
 
 let whole ~obs ~mode ~extra_wire remote_root path =
-  let* vi, data, wire = Remote.fetch_file_sized ~obs remote_root path in
+  let* vi, data, wire = Remote.fetch_file ~obs remote_root path in
   Ok
     ( Data (vi, data),
       {
@@ -35,6 +35,8 @@ let whole ~obs ~mode ~extra_wire remote_root path =
         chunks_hit = 0;
         chunks_miss = 0;
       } )
+
+let fetch_whole ~obs remote_root path = whole ~obs ~mode:Whole ~extra_wire:0 remote_root path
 
 (* Delta-or-whole fetch of a regular file from [remote_root].
 
@@ -56,7 +58,7 @@ let fetch_file ~local ~remote_root path =
     | Ok _ | Error _ -> None
   in
   match local_copy with
-  | None -> whole ~mode:Whole ~extra_wire:0 remote_root path
+  | None -> fetch_whole ~obs remote_root path
   | Some (lvi, ldata) ->
     (match Remote.fetch_chunk_map ~obs remote_root path with
      | Error Errno.EINVAL ->
@@ -64,8 +66,7 @@ let fetch_file ~local ~remote_root path =
           fail. *)
        whole ~mode:Fallback ~extra_wire:0 remote_root path
      | Error _ as e -> e
-     | Ok (cm, map_wire) ->
-       let rvi = cm.Remote.cm_vi in
+     | Ok (rvi, digest, remote_chunks, map_wire) ->
        if Vv.dominates lvi.Physical.vi_vv rvi.Physical.vi_vv then
          (* The map header already proves we're current: a duplicate or
             raced notification is answered without the contents. *)
@@ -93,7 +94,7 @@ let fetch_file ~local ~remote_root path =
                  incr miss;
                  Some c.Chunking.digest
                end)
-             cm.Remote.cm_chunks
+             remote_chunks
          in
          (* A digest missing twice in the map still travels once. *)
          let missing = List.sort_uniq String.compare missing in
@@ -106,13 +107,13 @@ let fetch_file ~local ~remote_root path =
              Option.map (Chunking.slice ldata) (Hashtbl.find_opt have_tbl d)
            in
            let reassembled =
-             Chunking.reassemble cm.Remote.cm_chunks ~have
+             Chunking.reassemble remote_chunks ~have
                ~fetched:(Hashtbl.find_opt bodies)
            in
            let verified =
-             match reassembled, cm.Remote.cm_digest with
-             | Some data, Some d when Chunking.digest_hex data <> d -> None
-             | r, _ -> r
+             match reassembled with
+             | Some data when Chunking.digest_hex data <> digest -> None
+             | r -> r
            in
            (match verified with
             | None ->

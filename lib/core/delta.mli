@@ -32,6 +32,12 @@ type outcome =
 val min_delta_size : int
 (** Local copies smaller than this are not worth negotiating over. *)
 
+val fetch_whole :
+  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (outcome * stats, Errno.t) result
+(** The plain whole-file fetch ([Whole] mode): the path {!fetch_file}
+    takes without a usable local copy, and the whole-copy propagation
+    baseline. *)
+
 val fetch_file :
   local:Physical.t ->
   remote_root:Vnode.t ->

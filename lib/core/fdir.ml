@@ -328,12 +328,6 @@ let encode t =
     t.entries;
   Buffer.contents buf
 
-let decode_kind = function
-  | "reg" -> Some Aux_attrs.Freg
-  | "dir" -> Some Aux_attrs.Fdir
-  | "graft" -> Some Aux_attrs.Fgraft
-  | _ -> None
-
 let decode_vv_field s = if s = "-" then Some Vv.empty else Vv.decode s
 
 (* A birth is an entry's identity, so a file holding one twice is
@@ -354,7 +348,7 @@ let decode s =
           | _, _ -> None)
        | "E" :: name :: fid :: birth :: kind :: status ->
          let parsed =
-           match unescape name, Ids.fid_of_hex fid, decode_birth birth, decode_kind kind with
+           match unescape name, Ids.fid_of_hex fid, decode_birth birth, Aux_attrs.kind_of_string kind with
            | Some name, Some fid, Some birth, Some kind ->
              (match status with
               | [ "L" ] -> Some { name; fid; kind; birth; status = Live }

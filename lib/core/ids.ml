@@ -19,6 +19,16 @@ let fid_compare a b =
 
 let vref_equal a b = a.alloc = b.alloc && a.vol = b.vol
 
+let vref_to_string v = Printf.sprintf "%d.%d" v.alloc v.vol
+
+let vref_of_string s =
+  match String.split_on_char '.' s with
+  | [ a; v ] ->
+    (match int_of_string_opt a, int_of_string_opt v with
+     | Some alloc, Some vol -> Some { alloc; vol }
+     | _, _ -> None)
+  | _ -> None
+
 let fid_to_hex fid = Printf.sprintf "%08x.%08x" fid.issuer fid.uniq
 
 let fid_of_hex s =

@@ -33,6 +33,11 @@ val fid_equal : file_id -> file_id -> bool
 val fid_compare : file_id -> file_id -> int
 val vref_equal : volume_ref -> volume_ref -> bool
 
+val vref_to_string : volume_ref -> string
+(** ["alloc.vol"], the form every on-disk and wire field carries. *)
+
+val vref_of_string : string -> volume_ref option
+
 val fid_to_hex : file_id -> string
 (** The dual mapping (paper §2.6): a file-id as the 17-character
     hexadecimal UFS name ["xxxxxxxx.xxxxxxxx"] under which the replica's

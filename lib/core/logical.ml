@@ -455,7 +455,7 @@ and logical_lookup t ln name =
        the grafted volume's root. *)
     let* target, replicas =
       with_replica t ln.ln_vref child_path (fun root ->
-          let* fdir = Remote.fetch_dir ~obs:t.obs root child_path in
+          let* fdir, _wire = Remote.fetch_dir ~obs:t.obs root child_path in
           match Physical.graft_entries_of_fdir fdir with
           | Some info -> Ok info
           | None -> Error Errno.EIO)

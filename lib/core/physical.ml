@@ -54,7 +54,7 @@ type t = {
   chunk_cache : (string, Chunking.chunk list) Hashtbl.t;
 }
 
-type version_info = {
+type version_info = Ctl_wire.version_info = {
   vi_kind : Aux_attrs.fkind;
   vi_vv : Vv.t;
   vi_size : int;
@@ -101,28 +101,11 @@ let lost_found_name = "lost+found"
 (* ------------------------------------------------------------------ *)
 (* META                                                                *)
 
+(* The "meta" reply's fields, then the allocator watermark and the peer
+   list. *)
 let encode_meta t =
-  let peers =
-    t.peers
-    |> List.map (fun (r, h) -> Printf.sprintf "%d@%s" r h)
-    |> String.concat ","
-  in
-  Printf.sprintf "vref=%d.%d\nrid=%d\nnext_uniq=%d\npeers=%s\n" t.vref.Ids.alloc
-    t.vref.Ids.vol t.rid t.next_uniq peers
-
-let parse_peers s =
-  if s = "" then Some []
-  else
-    String.split_on_char ',' s
-    |> List.map (fun part ->
-           match String.index_opt part '@' with
-           | None -> None
-           | Some i ->
-             (match int_of_string_opt (String.sub part 0 i) with
-              | None -> None
-              | Some r -> Some (r, String.sub part (i + 1) (String.length part - i - 1))))
-    |> fun parsed ->
-    if List.exists Option.is_none parsed then None else Some (List.filter_map Fun.id parsed)
+  Ctl_wire.encode_meta t.vref t.rid
+  ^ Printf.sprintf "next_uniq=%d\npeers=%s\n" t.next_uniq (Ctl_wire.peers_to_string t.peers)
 
 let store_meta t =
   let* meta =
@@ -136,32 +119,19 @@ let store_meta t =
 let load_meta t =
   let* meta = t.container.Vnode.lookup meta_name in
   let* contents = Vnode.read_all meta in
-  let fields =
-    String.split_on_char '\n' contents
-    |> List.filter_map (fun line ->
-           match String.index_opt line '=' with
-           | None -> None
-           | Some i ->
-             Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1)))
-  in
-  let find k = List.assoc_opt k fields in
-  match find "vref", find "rid", find "next_uniq", find "peers" with
-  | Some vref, Some rid, Some next_uniq, Some peers ->
-    (match
-       String.split_on_char '.' vref, int_of_string_opt rid, int_of_string_opt next_uniq,
-       parse_peers peers
-     with
-     | [ a; v ], Some rid, Some next_uniq, Some peers ->
-       (match int_of_string_opt a, int_of_string_opt v with
-        | Some alloc, Some vol ->
-          t.vref <- { Ids.alloc; vol };
-          t.rid <- rid;
-          t.next_uniq <- next_uniq;
-          t.peers <- peers;
-          Ok ()
-        | _, _ -> Error Errno.EIO)
-     | _, _, _, _ -> Error Errno.EIO)
-  | _, _, _, _ -> Error Errno.EIO
+  let* vref, rid = Ctl_wire.decode_meta contents in
+  let find k = List.assoc_opt k (Aux_attrs.fields contents) in
+  match
+    Option.bind (find "next_uniq") int_of_string_opt,
+    Option.bind (find "peers") Ctl_wire.peers_of_string
+  with
+  | Some next_uniq, Some peers ->
+    t.vref <- vref;
+    t.rid <- rid;
+    t.next_uniq <- next_uniq;
+    t.peers <- peers;
+    Ok ()
+  | _, _ -> Error Errno.EIO
 
 let set_peers t peers =
   t.peers <- peers;
@@ -172,6 +142,12 @@ let alloc_uniq t =
   t.next_uniq <- n + 1;
   let* () = store_meta t in
   Ok n
+
+(* A fresh fid and the birth of the entry that names it, from one
+   allocation. *)
+let fresh_id t =
+  let* uniq = alloc_uniq t in
+  Ok ({ Ids.issuer = t.rid; uniq }, { Fdir.b_rid = t.rid; b_seq = uniq })
 
 (* ------------------------------------------------------------------ *)
 (* Storage resolution along the namespace-parallel layout              *)
@@ -192,8 +168,8 @@ let split_file_path path =
   | [] -> Error Errno.EINVAL
   | fid :: rev_parent -> Ok (List.rev rev_parent, fid)
 
-(* The Ficus directory a UFS directory resolved from [path] holds. *)
-let dir_fid path = match List.rev path with [] -> Ids.root_fid | fid :: _ -> fid
+(* The fid [path] names: its last element, or the root's. *)
+let path_fid path = match List.rev path with [] -> Ids.root_fid | fid :: _ -> fid
 
 (* Decoding a directory is the hot path's dominant allocation (every
    lookup re-reads the DIR file); the per-directory slot turns the
@@ -424,9 +400,7 @@ let emit ?(vv = Vv.empty) t ~fidpath ~fid ~kind =
         vv;
       }
 
-let dir_event t path =
-  let fid = match List.rev path with [] -> Ids.root_fid | fid :: _ -> fid in
-  emit t ~fidpath:path ~fid ~kind:Aux_attrs.Fdir
+let dir_event t path = emit t ~fidpath:path ~fid:(path_fid path) ~kind:Aux_attrs.Fdir
 
 (* [vv] is the file's post-update version vector; receivers whose local
    history already dominates it drop the notification without an RPC. *)
@@ -435,148 +409,109 @@ let file_event ?vv t path fid = emit ?vv t ~fidpath:path ~fid ~kind:Aux_attrs.Fr
 (* ------------------------------------------------------------------ *)
 (* Version info                                                        *)
 
-let dir_version_info t path =
-  let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-  let* kind, uid, stored_summary =
-    match path with
-    | [] ->
-      (match Aux_attrs.load ~dir:t.container Ids.root_fid with
-       | Ok aux -> Ok (aux.Aux_attrs.kind, aux.Aux_attrs.uid, aux.Aux_attrs.summary)
-       | Error Errno.ENOENT -> Ok (Aux_attrs.Fdir, 0, None)
-       | Error _ as e -> e)
-    | _ ->
-      let* parent, fid = split_file_path path in
-      let* parent_ufs = resolve_dir t parent in
-      let* aux = Aux_attrs.load ~dir:parent_ufs fid in
-      Ok (aux.Aux_attrs.kind, aux.Aux_attrs.uid, aux.Aux_attrs.summary)
-  in
-  let summary =
-    Vv.merge (Option.value ~default:Vv.empty stored_summary) (pending_summary t path)
-  in
-  Ok
-    {
-      vi_kind = kind;
-      vi_vv = Fdir.vv fdir;
-      vi_size = Fdir.live_count fdir;
-      vi_uid = uid;
-      vi_stored = true;
-      vi_span = 0;
-      vi_summary = Some summary;
-    }
+(* The UFS directory of the Ficus directory at [path], whose storage
+   [holder] holds, and its decoding. *)
+let dir_at t holder path =
+  let fid = path_fid path in
+  let* ufs_dir = holder.Vnode.lookup (Ids.fid_to_hex fid) in
+  let* fdir = load_fdir t ~fid ufs_dir in
+  Ok (ufs_dir, fdir)
 
-let reg_version_info t path =
-  let* parent, fid = split_file_path path in
-  let* parent_ufs = resolve_dir t parent in
+(* Version info of the [kind] entry at [path], whose storage and aux file
+   [holder] holds: the parent's UFS directory, or the volume container
+   for the root.  Callers pass the directory they already hold, so no
+   walk from the root is repeated.  A file entry may be known before any
+   storage is materialized, and a fresh image's root has no aux. *)
+let entry_info t holder path kind =
+  let fid = path_fid path in
   let* aux =
-    match Aux_attrs.load ~dir:parent_ufs fid with
-    | Ok aux -> Ok aux
-    | Error Errno.ENOENT ->
-      (* No aux yet: the entry may exist in the parent directory without
-         any materialized storage. *)
-      let* fdir = load_fdir t ~fid:(dir_fid parent) parent_ufs in
-      (match Fdir.find_by_fid fdir fid with
-       | Some e -> Ok { (Aux_attrs.make e.Fdir.kind) with Aux_attrs.vv = Vv.empty }
-       | None -> Error Errno.ENOENT)
-    | Error _ as e -> e
+    match Aux_attrs.load ~dir:holder fid with
+    | Error Errno.ENOENT when kind = Aux_attrs.Freg || path = [] -> Ok (Aux_attrs.make kind)
+    | r -> r
   in
-  let* size, stored =
-    match parent_ufs.Vnode.lookup (Ids.fid_to_hex fid) with
-    | Ok data ->
-      let* attrs = data.Vnode.getattr () in
-      Ok (attrs.Vnode.size, true)
-    | Error Errno.ENOENT -> Ok (0, false)
-    | Error _ as e -> e
-  in
-  Ok
+  let info ~vv ~size ~stored ~span ~summary =
     {
       vi_kind = aux.Aux_attrs.kind;
-      vi_vv = aux.Aux_attrs.vv;
+      vi_vv = vv;
       vi_size = size;
       vi_uid = aux.Aux_attrs.uid;
       vi_stored = stored;
-      vi_span = aux.Aux_attrs.span;
-      vi_summary = None;
+      vi_span = span;
+      vi_summary = summary;
     }
-
-let get_version t path =
-  match path with
-  | [] -> dir_version_info t []
-  | _ ->
-    let* parent, fid = split_file_path path in
-    let* parent_ufs = resolve_dir t parent in
-    let* fdir = load_fdir t ~fid:(dir_fid parent) parent_ufs in
-    (match Fdir.find_by_fid fdir fid with
-     | None -> Error Errno.ENOENT
-     | Some e ->
-       (match e.Fdir.kind with
-        | Aux_attrs.Freg -> reg_version_info t path
-        | Aux_attrs.Fdir | Aux_attrs.Fgraft -> dir_version_info t path))
-
-let fetch_file t path =
-  let* vi = reg_version_info t path in
-  if not vi.vi_stored then Error Errno.EAGAIN
-  else
-    let* parent, fid = split_file_path path in
-    let* parent_ufs = resolve_dir t parent in
-    let* data = parent_ufs.Vnode.lookup (Ids.fid_to_hex fid) in
-    let* contents = Vnode.read_all data in
-    Ok (vi, contents)
-
-let fetch_dir t path =
-  let* ufs_dir = resolve_dir t path in
-  load_fdir t ~fid:(dir_fid path) ufs_dir
-
-(* Version info for child entry [e] of the directory at [path] whose UFS
-   directory is [ufs_dir] — the per-child body of the batched [getdirvvs]
-   response, avoiding a root-relative re-resolution per child. *)
-let child_version_info t ufs_dir path e =
-  let fid = e.Fdir.fid in
-  match e.Fdir.kind with
+  in
+  match kind with
   | Aux_attrs.Freg ->
-    let* aux =
-      match Aux_attrs.load ~dir:ufs_dir fid with
-      | Ok aux -> Ok aux
-      | Error Errno.ENOENT -> Ok (Aux_attrs.make Aux_attrs.Freg)
-      | Error _ as err -> err
-    in
     let* size, stored =
-      match ufs_dir.Vnode.lookup (Ids.fid_to_hex fid) with
+      match holder.Vnode.lookup (Ids.fid_to_hex fid) with
       | Ok data ->
         let* attrs = data.Vnode.getattr () in
         Ok (attrs.Vnode.size, true)
       | Error Errno.ENOENT -> Ok (0, false)
-      | Error _ as err -> err
+      | Error _ as e -> e
     in
-    Ok
-      {
-        vi_kind = aux.Aux_attrs.kind;
-        vi_vv = aux.Aux_attrs.vv;
-        vi_size = size;
-        vi_uid = aux.Aux_attrs.uid;
-        vi_stored = stored;
-        vi_span = aux.Aux_attrs.span;
-        vi_summary = None;
-      }
+    Ok (info ~vv:aux.Aux_attrs.vv ~size ~stored ~span:aux.Aux_attrs.span ~summary:None)
   | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
-    let* aux = Aux_attrs.load ~dir:ufs_dir fid in
-    let* child_ufs = ufs_dir.Vnode.lookup (Ids.fid_to_hex fid) in
-    let* child_fdir = load_fdir t ~fid:fid child_ufs in
+    let* _, fdir = dir_at t holder path in
     let summary =
-      Vv.merge
-        (Option.value ~default:Vv.empty aux.Aux_attrs.summary)
-        (pending_summary t (path @ [ fid ]))
+      Vv.merge (Option.value ~default:Vv.empty aux.Aux_attrs.summary) (pending_summary t path)
     in
     Ok
-      {
-        vi_kind = aux.Aux_attrs.kind;
-        vi_vv = Fdir.vv child_fdir;
-        vi_size = Fdir.live_count child_fdir;
-        vi_uid = aux.Aux_attrs.uid;
-        vi_stored = true;
-        vi_span = 0;
-        vi_summary = Some summary;
-      }
+      (info ~vv:(Fdir.vv fdir) ~size:(Fdir.live_count fdir) ~stored:true ~span:0
+         ~summary:(Some summary))
+
+let get_version t path =
+  match split_file_path path with
+  | Error _ -> entry_info t t.container [] Aux_attrs.Fdir
+  | Ok (parent, fid) ->
+    let* parent_ufs = resolve_dir t parent in
+    let* fdir = load_fdir t ~fid:(path_fid parent) parent_ufs in
+    (match Fdir.find_by_fid fdir fid with
+     | None -> Error Errno.ENOENT
+     | Some e -> entry_info t parent_ufs path e.Fdir.kind)
+
+(* The contents of the file [fid] stored in [holder], described by [vi]. *)
+let stored_contents holder fid vi =
+  if not vi.vi_stored then Error Errno.EAGAIN
+  else
+    let* data = holder.Vnode.lookup (Ids.fid_to_hex fid) in
+    Vnode.read_all data
+
+let fetch_file t path =
+  let* parent, fid = split_file_path path in
+  let* parent_ufs = resolve_dir t parent in
+  let* vi = entry_info t parent_ufs path Aux_attrs.Freg in
+  let* data = stored_contents parent_ufs fid vi in
+  Ok (vi, data)
+
+let fetch_dir t path =
+  let* ufs_dir = resolve_dir t path in
+  load_fdir t ~fid:(path_fid path) ufs_dir
+
+(* An entry of [fdir] by "@hex" handle or by name. *)
+let find_entry fdir who =
+  if String.length who > 0 && who.[0] = '@' then
+    match Ids.fid_of_at_name who with
+    | None -> Error Errno.EINVAL
+    | Some fid -> Option.to_result ~none:Errno.ENOENT (Fdir.find_by_fid fdir fid)
+  else Option.to_result ~none:Errno.ENOENT (Fdir.find_live fdir who)
+
+(* The one directory-update step: load the directory at [path], let [f]
+   rewrite it (and the storage of its children), store it, then record
+   the local event and notify the peers. *)
+let update_dir t path f =
+  let fid = path_fid path in
+  let* ufs_dir = resolve_dir t path in
+  let* fdir = load_fdir t ~fid ufs_dir in
+  let* fdir, result = f ufs_dir fdir in
+  let* () = store_fdir t ~fid ufs_dir fdir in
+  note_summary_event t path;
+  dir_event t path;
+  Ok result
+
+let track_open t counter delta =
+  Counters.incr t.counters counter;
+  t.open_count <- t.open_count + delta
 
 (* ------------------------------------------------------------------ *)
 (* The vnode layer                                                     *)
@@ -615,171 +550,17 @@ let ctl_vnode response =
 
 let vtype_of_fkind = Aux_attrs.kind_to_vtype
 
-(* Forward declarations for mutually recursive vnode builders. *)
-let rec dir_vnode t path kind : Vnode.t =
-  {
-    (Vnode.not_supported (Phys_dir (t, path, kind))) with
-    getattr = (fun () -> dir_getattr t path kind);
-    lookup = (fun name -> dir_lookup t path name);
-    create = (fun name -> dir_create t path name);
-    mkdir = (fun name -> dir_mkdir t path name);
-    remove = (fun name -> dir_remove t path name);
-    rmdir = (fun name -> dir_rmdir t path name);
-    rename = (fun sname dst dname -> dir_rename t path sname dst dname);
-    link = (fun target name -> dir_link t path target name);
-    readdir = (fun () -> dir_readdir t path);
-    openv =
-      (fun _ ->
-        Counters.incr t.counters "phys.open.vnode";
-        t.open_count <- t.open_count + 1;
-        Ok ());
-    closev =
-      (fun () ->
-        Counters.incr t.counters "phys.close.vnode";
-        t.open_count <- t.open_count - 1;
-        Ok ());
-    fsync = (fun () -> Ok ());
-    inactive = (fun () -> Ok ());
-    setattr = (fun sa -> dir_setattr t path sa);
-  }
-
-(* chmod/chown of a Ficus directory: applied to its DIR file, whose
-   attributes dir_getattr presents.  Resizing a directory is senseless. *)
-and dir_setattr t path sa =
-  if sa.Vnode.set_size <> None then Error Errno.EISDIR
-  else
-    let* ufs_dir = resolve_dir t path in
-    let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
-    dirfile.Vnode.setattr sa
-
-and reg_vnode t path : Vnode.t =
-  {
-    (Vnode.not_supported (Phys_reg (t, path))) with
-    getattr = (fun () -> reg_getattr t path);
-    setattr = (fun sa -> reg_setattr t path sa);
-    read = (fun ~off ~len -> reg_read t path ~off ~len);
-    write = (fun ~off data -> reg_write t path ~off data);
-    openv =
-      (fun _ ->
-        Counters.incr t.counters "phys.open.vnode";
-        t.open_count <- t.open_count + 1;
-        Ok ());
-    closev =
-      (fun () ->
-        Counters.incr t.counters "phys.close.vnode";
-        t.open_count <- t.open_count - 1;
-        Ok ());
-    fsync = (fun () -> Ok ());
-    inactive = (fun () -> Ok ());
-  }
-
-and dir_getattr t path kind =
-  let* ufs_dir = resolve_dir t path in
-  let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
-  let* attrs = dirfile.Vnode.getattr () in
-  Ok { attrs with Vnode.kind = vtype_of_fkind kind; nlink = 1 }
-
-and dir_lookup t path name =
-  Counters.incr t.counters "phys.lookup";
-  if Ctl_name.is_ctl name then ctl_lookup t path name
-  else
-    let* ufs_dir = resolve_dir t path in
-    let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-    let* entry =
-      if String.length name > 0 && name.[0] = '@' then
-        match Ids.fid_of_at_name name with
-        | None -> Error Errno.EINVAL
-        | Some fid ->
-          (match Fdir.find_by_fid fdir fid with
-           | Some e -> Ok e
-           | None -> Error Errno.ENOENT)
-      else
-        match Fdir.find_live fdir name with
-        | Some e -> Ok e
-        | None -> Error Errno.ENOENT
-    in
-    let child_path = path @ [ entry.Fdir.fid ] in
-    (match entry.Fdir.kind with
-     | Aux_attrs.Freg -> Ok (reg_vnode t child_path)
-     | Aux_attrs.Fdir -> Ok (dir_vnode t child_path Aux_attrs.Fdir)
-     | Aux_attrs.Fgraft -> Ok (dir_vnode t child_path Aux_attrs.Fgraft))
-
-and dir_create t path name =
-  let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-  let* uniq = alloc_uniq t in
-  let fid = { Ids.issuer = t.rid; uniq } in
-  let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
-  let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Freg ~birth in
-  let* _data = ufs_dir.Vnode.create (Ids.fid_to_hex fid) in
-  let aux =
-    { (Aux_attrs.make Aux_attrs.Freg) with Aux_attrs.vv = Vv.singleton t.rid 1 }
-  in
-  let* () = Aux_attrs.store ~dir:ufs_dir fid aux in
-  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
-  note_summary_event t path;
-  dir_event t path;
-  Ok (reg_vnode t (path @ [ fid ]))
-
-and dir_mkdir t path name =
-  let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-  let* uniq = alloc_uniq t in
-  let fid = { Ids.issuer = t.rid; uniq } in
-  let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
-  let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Fdir ~birth in
-  let* _child = make_dir_storage t ufs_dir fid (Aux_attrs.make Aux_attrs.Fdir) in
-  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
-  note_summary_event t path;
-  dir_event t path;
-  Ok (dir_vnode t (path @ [ fid ]) Aux_attrs.Fdir)
-
 (* Drop a file's UFS storage from this directory unless another live
    entry (a second name in the same directory) still references the fid. *)
-and drop_file_storage fdir ufs_dir fid =
+let drop_file_storage fdir ufs_dir fid =
   if Fdir.find_by_fid fdir fid <> None then Ok ()
   else
     let* () = ignore_enoent (ufs_dir.Vnode.remove (Ids.fid_to_hex fid)) in
     ignore_enoent (ufs_dir.Vnode.remove (Ids.aux_name fid))
 
-and dir_remove t path name =
-  let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-  match Fdir.find_live fdir name with
-  | None -> Error Errno.ENOENT
-  | Some e ->
-    if e.Fdir.kind <> Aux_attrs.Freg then Error Errno.EISDIR
-    else
-      let* fdir = Fdir.kill fdir ~rid:t.rid e.Fdir.birth in
-      let* () = drop_file_storage fdir ufs_dir e.Fdir.fid in
-      let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
-      note_summary_event t path;
-      dir_event t path;
-      Ok ()
-
-and dir_rmdir t path name =
-  let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-  match Fdir.find_live fdir name with
-  | None -> Error Errno.ENOENT
-  | Some e ->
-    if e.Fdir.kind = Aux_attrs.Freg then Error Errno.ENOTDIR
-    else
-      let* child_ufs = ufs_dir.Vnode.lookup (Ids.fid_to_hex e.Fdir.fid) in
-      let* child_fdir = load_fdir t ~fid:e.Fdir.fid child_ufs in
-      if Fdir.live_count child_fdir > 0 then Error Errno.ENOTEMPTY
-      else
-        let* fdir = Fdir.kill fdir ~rid:t.rid e.Fdir.birth in
-        let* () = rm_tree ufs_dir (Ids.fid_to_hex e.Fdir.fid) in
-        let* () = ignore_enoent (ufs_dir.Vnode.remove (Ids.aux_name e.Fdir.fid)) in
-        let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
-        note_summary_event t path;
-        dir_event t path;
-        Ok ()
-
 (* Move the UFS storage of [e] from [src_ufs] to [dst_ufs] (no-op when
    the destination already stores the fid, e.g. an extra hard link). *)
-and move_storage e src_ufs dst_ufs =
+let move_storage e src_ufs dst_ufs =
   let hex = Ids.fid_to_hex e.Fdir.fid in
   let aux = Ids.aux_name e.Fdir.fid in
   match dst_ufs.Vnode.lookup hex with
@@ -787,134 +568,15 @@ and move_storage e src_ufs dst_ufs =
     let* () = ignore_enoent (src_ufs.Vnode.remove hex) in
     ignore_enoent (src_ufs.Vnode.remove aux)
   | Error Errno.ENOENT ->
-    let* () =
-      match src_ufs.Vnode.lookup hex with
-      | Ok _ ->
-        let* () = src_ufs.Vnode.rename hex dst_ufs hex in
-        src_ufs.Vnode.rename aux dst_ufs aux
-      | Error Errno.ENOENT -> Ok () (* not stored locally: nothing to move *)
-      | Error _ as err -> err
-    in
-    Ok ()
+    (match src_ufs.Vnode.lookup hex with
+     | Ok _ ->
+       let* () = src_ufs.Vnode.rename hex dst_ufs hex in
+       src_ufs.Vnode.rename aux dst_ufs aux
+     | Error Errno.ENOENT -> Ok () (* not stored locally: nothing to move *)
+     | Error _ as err -> err)
   | Error _ as err -> err
 
-and dir_rename t path sname dst dname =
-  let* dst_path =
-    match dst.Vnode.data with
-    | Phys_dir (t', q, _) when t' == t -> Ok q
-    | _ -> Error Errno.EXDEV
-  in
-  let same_dir = List.length path = List.length dst_path
-                 && List.for_all2 Ids.fid_equal path dst_path in
-  let* src_ufs = resolve_dir t path in
-  let* dst_ufs = if same_dir then Ok src_ufs else resolve_dir t dst_path in
-  let* src_fdir = load_fdir t ~fid:(dir_fid path) src_ufs in
-  let* entry =
-    match Fdir.find_live src_fdir sname with
-    | Some e -> Ok e
-    | None -> Error Errno.ENOENT
-  in
-  let* dst_fdir = if same_dir then Ok src_fdir else load_fdir t ~fid:(dir_fid dst_path) dst_ufs in
-  (* Destination name handling: replace a plain file, refuse a directory. *)
-  let* dst_fdir =
-    match Fdir.find_live dst_fdir dname with
-    | None -> Ok dst_fdir
-    | Some de when same_dir && Fdir.birth_compare de.Fdir.birth entry.Fdir.birth = 0 ->
-      Ok dst_fdir (* renaming onto itself *)
-    | Some de ->
-      if de.Fdir.kind <> Aux_attrs.Freg then Error Errno.EEXIST
-      else
-        let* d = Fdir.kill dst_fdir ~rid:t.rid de.Fdir.birth in
-        let* () = drop_file_storage d dst_ufs de.Fdir.fid in
-        Ok d
-  in
-  let* uniq = alloc_uniq t in
-  let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
-  if same_dir then begin
-    let* fdir = Fdir.kill dst_fdir ~rid:t.rid entry.Fdir.birth in
-    let* fdir =
-      Fdir.add fdir ~rid:t.rid ~name:dname ~fid:entry.Fdir.fid ~kind:entry.Fdir.kind ~birth
-    in
-    let* () = store_fdir t ~fid:(dir_fid path) src_ufs fdir in
-    note_summary_event t path;
-    dir_event t path;
-    Ok ()
-  end
-  else begin
-    (* Moving a directory relocates its subtree's aux files.  Flush
-       pending summary events first, while their recorded fidpaths
-       still resolve — flushed later they would miss the moved aux and
-       the subtree's own summary would lose them, letting peers prune
-       it as already incorporated. *)
-    let* _ =
-      if entry.Fdir.kind = Aux_attrs.Freg then Ok 0 else flush_summaries t
-    in
-    let* src_fdir = Fdir.kill src_fdir ~rid:t.rid entry.Fdir.birth in
-    let* dst_fdir =
-      Fdir.add dst_fdir ~rid:t.rid ~name:dname ~fid:entry.Fdir.fid ~kind:entry.Fdir.kind ~birth
-    in
-    let* () = move_storage entry src_ufs dst_ufs in
-    let* () = store_fdir t ~fid:(dir_fid path) src_ufs src_fdir in
-    let* () = store_fdir t ~fid:(dir_fid dst_path) dst_ufs dst_fdir in
-    note_summary_event t path;
-    note_summary_event t dst_path;
-    dir_event t path;
-    dir_event t dst_path;
-    Ok ()
-  end
-
-and dir_link t path target name =
-  let* target_path =
-    match target.Vnode.data with
-    | Phys_reg (t', p) when t' == t -> Ok p
-    | _ -> Error Errno.EXDEV
-  in
-  let* tparent, tfid = split_file_path target_path in
-  let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-  let* uniq = alloc_uniq t in
-  let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
-  let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid:tfid ~kind:Aux_attrs.Freg ~birth in
-  let hex = Ids.fid_to_hex tfid in
-  let* () =
-    match ufs_dir.Vnode.lookup hex with
-    | Ok _ -> Ok () (* this directory already stores the file *)
-    | Error Errno.ENOENT ->
-      let* tparent_ufs = resolve_dir t tparent in
-      (match tparent_ufs.Vnode.lookup hex with
-       | Ok data ->
-         let* () = ufs_dir.Vnode.link data hex in
-         let* aux = tparent_ufs.Vnode.lookup (Ids.aux_name tfid) in
-         ufs_dir.Vnode.link aux (Ids.aux_name tfid)
-       | Error Errno.ENOENT -> Ok () (* sparse replica: entry only *)
-       | Error _ as e -> e)
-    | Error _ as e -> e
-  in
-  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
-  note_summary_event t path;
-  dir_event t path;
-  Ok ()
-
-and dir_readdir t path =
-  let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-  Ok
-    (List.map
-       (fun (name, e) ->
-         { Vnode.entry_name = name; entry_kind = vtype_of_fkind e.Fdir.kind })
-       (Fdir.live fdir))
-
-(* ---------------- regular files ---------------- *)
-
-and data_vnode t path =
-  let* parent, fid = split_file_path path in
-  let* parent_ufs = resolve_dir t parent in
-  match parent_ufs.Vnode.lookup (Ids.fid_to_hex fid) with
-  | Ok v -> Ok (v, parent_ufs, fid)
-  | Error Errno.ENOENT -> Error Errno.EAGAIN (* entry exists, contents not stored here *)
-  | Error _ as e -> e
-
-and bump_file_version t parent_ufs fid =
+let bump_file_version t parent_ufs fid =
   let* aux = Aux_attrs.load ~dir:parent_ufs fid in
   (* Persist the ambient trace span alongside the version bump: a
      reconciling replica that later fetches this version learns which
@@ -931,110 +593,47 @@ and bump_file_version t parent_ufs fid =
   let* () = Aux_attrs.store ~dir:parent_ufs fid aux in
   Ok aux.Aux_attrs.vv
 
-and reg_getattr t path =
-  let* data, parent_ufs, fid = data_vnode t path in
-  let* attrs = data.Vnode.getattr () in
-  let* aux = Aux_attrs.load ~dir:parent_ufs fid in
-  Ok { attrs with Vnode.kind = Vnode.VREG; uid = aux.Aux_attrs.uid }
-
-and reg_setattr t path sa =
-  let* data, parent_ufs, fid = data_vnode t path in
-  let* () =
-    match sa.Vnode.set_uid with
-    | None -> Ok ()
-    | Some uid ->
-      let* aux = Aux_attrs.load ~dir:parent_ufs fid in
-      Aux_attrs.store ~dir:parent_ufs fid { aux with Aux_attrs.uid = uid }
-  in
-  let* () = data.Vnode.setattr sa in
-  if sa.Vnode.set_size <> None then begin
-    let* vv = bump_file_version t parent_ufs fid in
-    Counters.incr t.counters "phys.update";
-    Span.emit "phys:update";
-    (match split_file_path path with
-     | Ok (parent, fid) ->
-       note_summary_event t parent;
-       file_event ~vv t path fid
-     | Error _ -> ());
-    Ok ()
-  end
-  else Ok ()
-
-and reg_read t path ~off ~len =
-  let* data, _, _ = data_vnode t path in
-  data.Vnode.read ~off ~len
-
-and reg_write t path ~off payload =
-  let* data, parent_ufs, fid = data_vnode t path in
-  let* () = data.Vnode.write ~off payload in
-  let* vv = bump_file_version t parent_ufs fid in
-  Counters.incr t.counters "phys.update";
-  Span.emit "phys:update";
-  (match split_file_path path with
-   | Ok (parent, _) -> note_summary_event t parent
-   | Error _ -> ());
-  file_event ~vv t path fid;
-  Ok ()
-
 (* ---------------- control requests over lookup ---------------- *)
 
 (* Resolve a control-operation target: "." is the directory the lookup
-   arrived at; otherwise a child by "@hex" handle or by name. *)
-and ctl_target t path who =
+   arrived at; otherwise a child by "@hex" handle or by name.  Returns
+   the target's path, the UFS directory holding its storage, and its
+   version info. *)
+let ctl_target t path who =
   if who = "." then
-    let* vi = dir_version_info t path in
-    Ok (path, vi)
+    let* holder, _ = dir_aux_location t path in
+    let* vi = entry_info t holder path Aux_attrs.Fdir in
+    Ok (path, holder, vi)
   else
     let* ufs_dir = resolve_dir t path in
-    let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-    let* entry =
-      if String.length who > 0 && who.[0] = '@' then
-        match Ids.fid_of_at_name who with
-        | None -> Error Errno.EINVAL
-        | Some fid ->
-          (match Fdir.find_by_fid fdir fid with
-           | Some e -> Ok e
-           | None -> Error Errno.ENOENT)
-      else
-        match Fdir.find_live fdir who with
-        | Some e -> Ok e
-        | None -> Error Errno.ENOENT
-    in
-    let child = path @ [ entry.Fdir.fid ] in
-    let* vi = get_version t child in
-    Ok (child, vi)
+    let* fdir = load_fdir t ~fid:(path_fid path) ufs_dir in
+    let* e = find_entry fdir who in
+    let target = path @ [ e.Fdir.fid ] in
+    let* vi = entry_info t ufs_dir target e.Fdir.kind in
+    Ok (target, ufs_dir, vi)
 
-and encode_version_info vi =
-  Printf.sprintf "kind=%s\nvv=%s\nsize=%d\nuid=%d\nstored=%d\nspan=%d\n%s"
-    (Aux_attrs.kind_to_string vi.vi_kind)
-    (Vv.encode vi.vi_vv) vi.vi_size vi.vi_uid
-    (if vi.vi_stored then 1 else 0)
-    vi.vi_span
-    (match vi.vi_summary with
-     | None -> ""
-     | Some s -> Printf.sprintf "summary=%s\n" (Vv.encode s))
+(* A control-operation target that must be a regular file: its fid, the
+   directory holding it, its version info and its stored contents. *)
+let ctl_file t path who =
+  let* target, holder, vi = ctl_target t path who in
+  if vi.vi_kind <> Aux_attrs.Freg then Error Errno.EISDIR
+  else
+    let fid = path_fid target in
+    let* data = stored_contents holder fid vi in
+    Ok (fid, holder, vi, data)
 
 (* Whole-content digest for the chunk-map header: trust the aux record
    when present (the install path writes it, every local write clears
    it — a [Some] is never stale), else compute from the contents. *)
-and stored_digest t path data =
-  let from_aux =
-    match split_file_path path with
-    | Error _ -> None
-    | Ok (parent, fid) ->
-      (match resolve_dir t parent with
-       | Error _ -> None
-       | Ok parent_ufs ->
-         (match Aux_attrs.load ~dir:parent_ufs fid with
-          | Ok aux -> aux.Aux_attrs.digest
-          | Error _ -> None))
-  in
-  match from_aux with Some d -> d | None -> Chunking.digest_hex data
+let stored_digest holder fid data =
+  match Aux_attrs.load ~dir:holder fid with
+  | Ok { Aux_attrs.digest = Some d; _ } -> d
+  | Ok _ | Error _ -> Chunking.digest_hex data
 
 (* The `.#ficus#stats` body: the whole observability snapshot in the
    same line-oriented style as the other ctl responses — metrics first,
    then every span timeline as [span <id> <tick> <host> <label>]. *)
-and stats_body t =
+let stats_body t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Metrics.render (Metrics.snapshot t.obs.Obs.metrics));
   let spans = t.obs.Obs.spans in
@@ -1049,34 +648,30 @@ and stats_body t =
     (Span.ids spans);
   Buffer.contents buf
 
-and ctl_lookup t path name =
+(* Every reply is encoded by {!Ctl_wire}. *)
+let ctl_lookup t path name =
   Counters.incr t.counters "phys.ctl";
   match Ctl_name.decode name with
   | None -> Error Errno.EINVAL
   | Some (op, args) ->
     (match op, args with
      | "open", _ ->
-       Counters.incr t.counters "phys.open.ctl";
-       t.open_count <- t.open_count + 1;
+       track_open t "phys.open.ctl" 1;
        Ok (ctl_vnode "ok\n")
      | "close", _ ->
-       Counters.incr t.counters "phys.close.ctl";
-       t.open_count <- t.open_count - 1;
+       track_open t "phys.close.ctl" (-1);
        Ok (ctl_vnode "ok\n")
      | "getvv", who :: _ ->
-       let* _, vi = ctl_target t path who in
-       Ok (ctl_vnode (encode_version_info vi))
+       let* _, _, vi = ctl_target t path who in
+       Ok (ctl_vnode (Ctl_wire.encode_version_info vi))
      | "readfile", who :: _ ->
-       let* target, vi = ctl_target t path who in
-       if vi.vi_kind <> Aux_attrs.Freg then Error Errno.EISDIR
-       else
-         let* vi, data = fetch_file t target in
-         Ok (ctl_vnode (encode_version_info vi ^ "--\n" ^ data))
+       let* _, _, vi, data = ctl_file t path who in
+       Ok (ctl_vnode (Ctl_wire.encode_file vi data))
      | "getdir", who :: _ ->
-       let* target, vi = ctl_target t path who in
+       let* target, holder, vi = ctl_target t path who in
        if vi.vi_kind = Aux_attrs.Freg then Error Errno.ENOTDIR
        else
-         let* fdir = fetch_dir t target in
+         let* _, fdir = dir_at t holder target in
          Ok (ctl_vnode (Fdir.encode fdir))
      | "getdirvvs", who :: _ ->
        (* Batched: one directory's summary + fdir + version info for all
@@ -1084,43 +679,34 @@ and ctl_lookup t path name =
           bumps first so every claim we serve is durable. *)
        Counters.incr t.counters "phys.ctl.getdirvvs";
        let* (_ : int) = flush_summaries t in
-       let* target, vi = ctl_target t path who in
+       let* target, holder, vi = ctl_target t path who in
        if vi.vi_kind = Aux_attrs.Freg then Error Errno.ENOTDIR
        else
-         let* ufs_dir = resolve_dir t target in
-         let* fdir = load_fdir t ~fid:(dir_fid target) ufs_dir in
-         let buf = Buffer.create 1024 in
-         (match vi.vi_summary with
-          | Some s -> Buffer.add_string buf ("summary=" ^ Vv.encode s ^ "\n")
-          | None -> ());
-         Buffer.add_string buf "fdir:\n";
-         Buffer.add_string buf (Fdir.encode fdir);
-         Buffer.add_string buf "endfdir:\n";
-         List.iter
-           (fun e ->
-             match child_version_info t ufs_dir target e with
-             | Error _ -> () (* omitted child: the walker falls back for it *)
-             | Ok cvi ->
-               Buffer.add_string buf
-                 (Printf.sprintf "child=%s\n" (Ids.fid_to_hex e.Fdir.fid));
-               Buffer.add_string buf (encode_version_info cvi))
-           (Fdir.live_fids fdir);
-         Ok (ctl_vnode (Buffer.contents buf))
+         let* ufs_dir, fdir = dir_at t holder target in
+         (* A child whose info fails is left out; the reconciler takes
+            the per-child path for it. *)
+         let child e =
+           Result.to_option
+             (Result.map
+                (fun vi -> (e.Fdir.fid, vi))
+                (entry_info t ufs_dir (target @ [ e.Fdir.fid ]) e.Fdir.kind))
+         in
+         Ok
+           (ctl_vnode
+              (Ctl_wire.encode_dir_versions
+                 {
+                   Ctl_wire.dv_summary = vi.vi_summary;
+                   dv_fdir = fdir;
+                   dv_children = List.filter_map child (Fdir.live_fids fdir);
+                 }))
      | "getchunkmap", who :: _ ->
        (* Delta negotiation, step 1: the file's version info, whole-file
           digest and content-defined chunk map — a header-sized answer
           from which the puller works out which bodies it is missing. *)
        Counters.incr t.counters "phys.ctl.getchunkmap";
-       let* target, vi = ctl_target t path who in
-       if vi.vi_kind <> Aux_attrs.Freg then Error Errno.EISDIR
-       else
-         let* vi, data = fetch_file t target in
-         let digest = stored_digest t target data in
-         let chunks = chunks_of_content t data in
-         Ok
-           (ctl_vnode
-              (encode_version_info vi ^ "digest=" ^ digest ^ "\n--\n"
-               ^ Chunking.encode_map chunks))
+       let* fid, holder, vi, data = ctl_file t path who in
+       let digest = stored_digest holder fid data in
+       Ok (ctl_vnode (Ctl_wire.encode_chunk_map vi ~digest (chunks_of_content t data)))
      | "readchunks", who :: wanted :: _ ->
        (* Delta negotiation, step 2: the bodies of the comma-separated
           digests.  A digest we no longer hold means the file changed
@@ -1128,58 +714,303 @@ and ctl_lookup t path name =
           to fall back to a whole-file fetch rather than mix
           generations. *)
        Counters.incr t.counters "phys.ctl.readchunks";
-       let* target, vi = ctl_target t path who in
-       if vi.vi_kind <> Aux_attrs.Freg then Error Errno.EISDIR
-       else
-         let* _vi, data = fetch_file t target in
-         let chunks = chunks_of_content t data in
-         let by_digest = Hashtbl.create 16 in
-         List.iter
-           (fun c ->
-             if not (Hashtbl.mem by_digest c.Chunking.digest) then
-               Hashtbl.add by_digest c.Chunking.digest c)
-           chunks;
-         let buf = Buffer.create 4096 in
-         let rec serve = function
-           | [] -> Ok ()
-           | d :: rest ->
-             (match Hashtbl.find_opt by_digest d with
-              | None -> Error Errno.EAGAIN
-              | Some c ->
-                Buffer.add_string buf
-                  (Printf.sprintf "chunk=%s %d\n" c.Chunking.digest c.Chunking.len);
-                Buffer.add_string buf (Chunking.slice data c);
-                Buffer.add_char buf '\n';
-                serve rest)
-         in
-         let* () = serve (String.split_on_char ',' wanted) in
-         Ok (ctl_vnode (Buffer.contents buf))
+       let* _, _, _, data = ctl_file t path who in
+       let by_digest = Hashtbl.create 16 in
+       List.iter
+         (fun c ->
+           if not (Hashtbl.mem by_digest c.Chunking.digest) then
+             Hashtbl.add by_digest c.Chunking.digest c)
+         (chunks_of_content t data);
+       let rec bodies acc = function
+         | [] -> Ok (List.rev acc)
+         | d :: rest ->
+           (match Hashtbl.find_opt by_digest d with
+            | None -> Error Errno.EAGAIN
+            | Some c -> bodies ((d, Chunking.slice data c) :: acc) rest)
+       in
+       let* bodies = bodies [] (String.split_on_char ',' wanted) in
+       Ok (ctl_vnode (Ctl_wire.encode_chunks bodies))
      | "stats", _ ->
        Counters.incr t.counters "phys.ctl.stats";
        Metrics.incr t.obs.Obs.metrics "phys.ctl.stats";
        Ok (ctl_vnode (stats_body t))
-     | "peers", _ ->
-       let body =
-         t.peers
-         |> List.map (fun (r, h) -> Printf.sprintf "%d@%s" r h)
-         |> String.concat ","
-       in
-       Ok (ctl_vnode (body ^ "\n"))
-     | "meta", _ ->
-       Ok
-         (ctl_vnode
-            (Printf.sprintf "vref=%d.%d\nrid=%d\n" t.vref.Ids.alloc t.vref.Ids.vol t.rid))
+     | "peers", _ -> Ok (ctl_vnode (Ctl_wire.encode_peers t.peers))
+     | "meta", _ -> Ok (ctl_vnode (Ctl_wire.encode_meta t.vref t.rid))
      | "resolve", who :: _ ->
        let* ufs_dir = resolve_dir t path in
-       let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
+       let* fdir = load_fdir t ~fid:(path_fid path) ufs_dir in
        (match Fdir.find_live fdir who with
         | None -> Error Errno.ENOENT
-        | Some e ->
-          Ok
-            (ctl_vnode
-               (Printf.sprintf "fid=%s\nkind=%s\n" (Ids.fid_to_hex e.Fdir.fid)
-                  (Aux_attrs.kind_to_string e.Fdir.kind))))
+        | Some e -> Ok (ctl_vnode (Ctl_wire.encode_resolve e.Fdir.fid e.Fdir.kind)))
      | _, _ -> Error Errno.EINVAL)
+
+(* ---------------- vnodes ---------------- *)
+
+let rec entry_vnode t path = function
+  | Aux_attrs.Freg -> reg_vnode t path
+  | (Aux_attrs.Fdir | Aux_attrs.Fgraft) as kind -> dir_vnode t path kind
+
+and dir_vnode t path kind : Vnode.t =
+  {
+    (Vnode.not_supported (Phys_dir (t, path, kind))) with
+    getattr = (fun () -> dir_getattr t path kind);
+    lookup = (fun name -> dir_lookup t path name);
+    create = (fun name -> dir_create t path name);
+    mkdir = (fun name -> dir_mkdir t path name);
+    remove = (fun name -> dir_remove t path name);
+    rmdir = (fun name -> dir_rmdir t path name);
+    rename = (fun sname dst dname -> dir_rename t path sname dst dname);
+    link = (fun target name -> dir_link t path target name);
+    readdir = (fun () -> dir_readdir t path);
+    openv =
+      (fun _ ->
+        track_open t "phys.open.vnode" 1;
+        Ok ());
+    closev =
+      (fun () ->
+        track_open t "phys.close.vnode" (-1);
+        Ok ());
+    fsync = (fun () -> Ok ());
+    inactive = (fun () -> Ok ());
+    setattr = (fun sa -> dir_setattr t path sa);
+  }
+
+and reg_vnode t path : Vnode.t =
+  {
+    (Vnode.not_supported (Phys_reg (t, path))) with
+    getattr = (fun () -> reg_getattr t path);
+    setattr = (fun sa -> reg_setattr t path sa);
+    read = (fun ~off ~len -> reg_read t path ~off ~len);
+    write = (fun ~off data -> reg_write t path ~off data);
+    openv =
+      (fun _ ->
+        track_open t "phys.open.vnode" 1;
+        Ok ());
+    closev =
+      (fun () ->
+        track_open t "phys.close.vnode" (-1);
+        Ok ());
+    fsync = (fun () -> Ok ());
+    inactive = (fun () -> Ok ());
+  }
+
+(* ---------------- directories ---------------- *)
+
+(* chmod/chown of a Ficus directory: applied to its DIR file, whose
+   attributes dir_getattr presents.  Resizing a directory is senseless. *)
+and dir_setattr t path sa =
+  if sa.Vnode.set_size <> None then Error Errno.EISDIR
+  else
+    let* ufs_dir = resolve_dir t path in
+    let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
+    dirfile.Vnode.setattr sa
+
+and dir_getattr t path kind =
+  let* ufs_dir = resolve_dir t path in
+  let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
+  let* attrs = dirfile.Vnode.getattr () in
+  Ok { attrs with Vnode.kind = vtype_of_fkind kind; nlink = 1 }
+
+and dir_lookup t path name =
+  Counters.incr t.counters "phys.lookup";
+  if Ctl_name.is_ctl name then ctl_lookup t path name
+  else
+    let* ufs_dir = resolve_dir t path in
+    let* fdir = load_fdir t ~fid:(path_fid path) ufs_dir in
+    let* e = find_entry fdir name in
+    Ok (entry_vnode t (path @ [ e.Fdir.fid ]) e.Fdir.kind)
+
+and dir_create t path name =
+  let* fid =
+    update_dir t path (fun ufs_dir fdir ->
+        let* fid, birth = fresh_id t in
+        let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Freg ~birth in
+        let* _data = ufs_dir.Vnode.create (Ids.fid_to_hex fid) in
+        let aux =
+          { (Aux_attrs.make Aux_attrs.Freg) with Aux_attrs.vv = Vv.singleton t.rid 1 }
+        in
+        let* () = Aux_attrs.store ~dir:ufs_dir fid aux in
+        Ok (fdir, fid))
+  in
+  Ok (reg_vnode t (path @ [ fid ]))
+
+and dir_mkdir t path name =
+  let* fid =
+    update_dir t path (fun ufs_dir fdir ->
+        let* fid, birth = fresh_id t in
+        let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Fdir ~birth in
+        let* _child = make_dir_storage t ufs_dir fid (Aux_attrs.make Aux_attrs.Fdir) in
+        Ok (fdir, fid))
+  in
+  Ok (dir_vnode t (path @ [ fid ]) Aux_attrs.Fdir)
+
+and dir_remove t path name =
+  update_dir t path (fun ufs_dir fdir ->
+      let* e = Option.to_result ~none:Errno.ENOENT (Fdir.find_live fdir name) in
+      if e.Fdir.kind <> Aux_attrs.Freg then Error Errno.EISDIR
+      else
+        let* fdir = Fdir.kill fdir ~rid:t.rid e.Fdir.birth in
+        let* () = drop_file_storage fdir ufs_dir e.Fdir.fid in
+        Ok (fdir, ()))
+
+and dir_rmdir t path name =
+  update_dir t path (fun ufs_dir fdir ->
+      let* e = Option.to_result ~none:Errno.ENOENT (Fdir.find_live fdir name) in
+      if e.Fdir.kind = Aux_attrs.Freg then Error Errno.ENOTDIR
+      else
+        let* child_ufs = ufs_dir.Vnode.lookup (Ids.fid_to_hex e.Fdir.fid) in
+        let* child_fdir = load_fdir t ~fid:e.Fdir.fid child_ufs in
+        if Fdir.live_count child_fdir > 0 then Error Errno.ENOTEMPTY
+        else
+          let* fdir = Fdir.kill fdir ~rid:t.rid e.Fdir.birth in
+          let* () = rm_tree ufs_dir (Ids.fid_to_hex e.Fdir.fid) in
+          let* () = ignore_enoent (ufs_dir.Vnode.remove (Ids.aux_name e.Fdir.fid)) in
+          Ok (fdir, ()))
+
+and dir_rename t path sname dst dname =
+  let* dst_path =
+    match dst.Vnode.data with
+    | Phys_dir (t', q, _) when t' == t -> Ok q
+    | _ -> Error Errno.EXDEV
+  in
+  let same_dir = List.length path = List.length dst_path
+                 && List.for_all2 Ids.fid_equal path dst_path in
+  (* The source entry, the destination directory with [dname] cleared —
+     a plain file there is replaced, a directory refused — and the birth
+     of the entry the rename adds. *)
+  let prepare src_fdir dst_ufs dst_fdir =
+    let* entry = Option.to_result ~none:Errno.ENOENT (Fdir.find_live src_fdir sname) in
+    let* dst_fdir =
+      match Fdir.find_live dst_fdir dname with
+      | None -> Ok dst_fdir
+      | Some de when same_dir && Fdir.birth_compare de.Fdir.birth entry.Fdir.birth = 0 ->
+        Ok dst_fdir (* renaming onto itself *)
+      | Some de ->
+        if de.Fdir.kind <> Aux_attrs.Freg then Error Errno.EEXIST
+        else
+          let* d = Fdir.kill dst_fdir ~rid:t.rid de.Fdir.birth in
+          let* () = drop_file_storage d dst_ufs de.Fdir.fid in
+          Ok d
+    in
+    let* _, birth = fresh_id t in
+    Ok (entry, dst_fdir, birth)
+  in
+  let add_entry fdir entry birth =
+    Fdir.add fdir ~rid:t.rid ~name:dname ~fid:entry.Fdir.fid ~kind:entry.Fdir.kind ~birth
+  in
+  if same_dir then
+    update_dir t path (fun ufs_dir fdir ->
+        let* entry, fdir, birth = prepare fdir ufs_dir fdir in
+        let* fdir = Fdir.kill fdir ~rid:t.rid entry.Fdir.birth in
+        let* fdir = add_entry fdir entry birth in
+        Ok (fdir, ()))
+  else begin
+    let* src_ufs = resolve_dir t path in
+    let* dst_ufs = resolve_dir t dst_path in
+    let* src_fdir = load_fdir t ~fid:(path_fid path) src_ufs in
+    let* dst_fdir = load_fdir t ~fid:(path_fid dst_path) dst_ufs in
+    let* entry, dst_fdir, birth = prepare src_fdir dst_ufs dst_fdir in
+    (* Moving a directory relocates its subtree's aux files.  Flush
+       pending summary events first, while their recorded fidpaths
+       still resolve — flushed later they would miss the moved aux and
+       the subtree's own summary would lose them, letting peers prune
+       it as already incorporated. *)
+    let* _ =
+      if entry.Fdir.kind = Aux_attrs.Freg then Ok 0 else flush_summaries t
+    in
+    let* src_fdir = Fdir.kill src_fdir ~rid:t.rid entry.Fdir.birth in
+    let* dst_fdir = add_entry dst_fdir entry birth in
+    let* () = move_storage entry src_ufs dst_ufs in
+    let* () = store_fdir t ~fid:(path_fid path) src_ufs src_fdir in
+    let* () = store_fdir t ~fid:(path_fid dst_path) dst_ufs dst_fdir in
+    note_summary_event t path;
+    note_summary_event t dst_path;
+    dir_event t path;
+    dir_event t dst_path;
+    Ok ()
+  end
+
+and dir_link t path target name =
+  let* target_path =
+    match target.Vnode.data with
+    | Phys_reg (t', p) when t' == t -> Ok p
+    | _ -> Error Errno.EXDEV
+  in
+  let* tparent, tfid = split_file_path target_path in
+  update_dir t path (fun ufs_dir fdir ->
+      let* _, birth = fresh_id t in
+      let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid:tfid ~kind:Aux_attrs.Freg ~birth in
+      let hex = Ids.fid_to_hex tfid in
+      let* () =
+        match ufs_dir.Vnode.lookup hex with
+        | Ok _ -> Ok () (* this directory already stores the file *)
+        | Error Errno.ENOENT ->
+          let* tparent_ufs = resolve_dir t tparent in
+          (match tparent_ufs.Vnode.lookup hex with
+           | Ok data ->
+             let* () = ufs_dir.Vnode.link data hex in
+             let* aux = tparent_ufs.Vnode.lookup (Ids.aux_name tfid) in
+             ufs_dir.Vnode.link aux (Ids.aux_name tfid)
+           | Error Errno.ENOENT -> Ok () (* sparse replica: entry only *)
+           | Error _ as e -> e)
+        | Error _ as e -> e
+      in
+      Ok (fdir, ()))
+
+and dir_readdir t path =
+  let* fdir = fetch_dir t path in
+  Ok
+    (List.map
+       (fun (name, e) ->
+         { Vnode.entry_name = name; entry_kind = vtype_of_fkind e.Fdir.kind })
+       (Fdir.live fdir))
+
+(* ---------------- regular files ---------------- *)
+
+and data_vnode t path =
+  let* parent, fid = split_file_path path in
+  let* parent_ufs = resolve_dir t parent in
+  match parent_ufs.Vnode.lookup (Ids.fid_to_hex fid) with
+  | Ok v -> Ok (v, parent, parent_ufs, fid)
+  | Error Errno.ENOENT -> Error Errno.EAGAIN (* entry exists, contents not stored here *)
+  | Error _ as e -> e
+
+(* The tail of every local file update: bump the version, record the
+   event against the containing directory and notify the peers. *)
+and file_updated t path parent parent_ufs fid =
+  let* vv = bump_file_version t parent_ufs fid in
+  Counters.incr t.counters "phys.update";
+  Span.emit "phys:update";
+  note_summary_event t parent;
+  file_event ~vv t path fid;
+  Ok ()
+
+and reg_getattr t path =
+  let* data, _, parent_ufs, fid = data_vnode t path in
+  let* attrs = data.Vnode.getattr () in
+  let* aux = Aux_attrs.load ~dir:parent_ufs fid in
+  Ok { attrs with Vnode.kind = Vnode.VREG; uid = aux.Aux_attrs.uid }
+
+and reg_setattr t path sa =
+  let* data, parent, parent_ufs, fid = data_vnode t path in
+  let* () =
+    match sa.Vnode.set_uid with
+    | None -> Ok ()
+    | Some uid ->
+      let* aux = Aux_attrs.load ~dir:parent_ufs fid in
+      Aux_attrs.store ~dir:parent_ufs fid { aux with Aux_attrs.uid = uid }
+  in
+  let* () = data.Vnode.setattr sa in
+  if sa.Vnode.set_size <> None then file_updated t path parent parent_ufs fid else Ok ()
+
+and reg_read t path ~off ~len =
+  let* data, _, _, _ = data_vnode t path in
+  data.Vnode.read ~off ~len
+
+and reg_write t path ~off payload =
+  let* data, parent, parent_ufs, fid = data_vnode t path in
+  let* () = data.Vnode.write ~off payload in
+  file_updated t path parent parent_ufs fid
 
 let root t = dir_vnode t [] Aux_attrs.Fdir
 
@@ -1375,7 +1206,7 @@ let apply_action t path ufs_dir merged action =
 
 let merge_dir t path ~remote_rid remote =
   let* ufs_dir = resolve_dir t path in
-  let* local = load_fdir t ~fid:(dir_fid path) ufs_dir in
+  let* local = load_fdir t ~fid:(path_fid path) ufs_dir in
   let peer_rids = List.map fst t.peers in
   (* CRDT mode keeps a tombstoned directory's storage in place for the
      repair pass — so its tombstone must stay discoverable too.  Defer
@@ -1410,7 +1241,7 @@ let merge_dir t path ~remote_rid remote =
       apply rest
   in
   let* () = apply result.Fdir.actions in
-  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir result.Fdir.merged in
+  let* () = store_fdir t ~fid:(path_fid path) ufs_dir result.Fdir.merged in
   (* Any observable change to the stored directory — entries, tombstone
      expiry, known-map gossip — is an incorporation event peers must not
      prune past. *)
@@ -1451,7 +1282,7 @@ let merge_dir t path ~remote_rid remote =
 let walk_stored_dirs t f =
   let visited = Hashtbl.create 32 in
   let rec go path ufs_dir =
-    match load_fdir t ~fid:(dir_fid path) ufs_dir with
+    match load_fdir t ~fid:(path_fid path) ufs_dir with
     | Error Errno.ENOENT -> Ok () (* half-built storage; skip *)
     | Error _ as e -> e
     | Ok fdir ->
@@ -1514,12 +1345,12 @@ let find_dir_storage t fid =
    an already-dead or expired entry is a no-op. *)
 let demote_entry t path birth =
   let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
+  let* fdir = load_fdir t ~fid:(path_fid path) ufs_dir in
   match Fdir.kill fdir ~rid:t.rid birth with
   | Error Errno.ENOENT -> Ok false
   | Error _ as e -> e
   | Ok fdir ->
-    let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
+    let* () = store_fdir t ~fid:(path_fid path) ufs_dir fdir in
     note_summary_event t path;
     dir_event t path;
     Counters.incr t.counters "phys.crdt.demote";
@@ -1622,25 +1453,21 @@ let attach_to_lost_found t ~fid ~kind =
 (* ------------------------------------------------------------------ *)
 (* Graft points (paper §4.3)                                           *)
 
-let volume_entry_name (vref : Ids.volume_ref) =
-  Printf.sprintf "volume.%d.%d" vref.Ids.alloc vref.Ids.vol
-
-let replica_entry_name r h = Printf.sprintf "replica.%d@%s" r h
+let volume_prefix = "volume."
+let replica_prefix = "replica."
+let volume_entry_name vref = volume_prefix ^ Ids.vref_to_string vref
+let replica_entry_name r h = replica_prefix ^ Ctl_wire.peers_to_string [ (r, h) ]
 
 let add_plain_entry t ufs_dir fdir name =
-  let* uniq = alloc_uniq t in
-  let fid = { Ids.issuer = t.rid; uniq } in
-  let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
+  let* fid, birth = fresh_id t in
   let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Freg ~birth in
   let* () = Aux_attrs.store ~dir:ufs_dir fid (Aux_attrs.make Aux_attrs.Freg) in
   Ok fdir
 
 let make_graft_point t ~parent ~name ~target ~replicas =
   let* ufs_dir = resolve_dir t parent in
-  let* fdir = load_fdir t ~fid:(dir_fid parent) ufs_dir in
-  let* uniq = alloc_uniq t in
-  let fid = { Ids.issuer = t.rid; uniq } in
-  let birth = { Fdir.b_rid = t.rid; b_seq = uniq } in
+  let* fdir = load_fdir t ~fid:(path_fid parent) ufs_dir in
+  let* fid, birth = fresh_id t in
   let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Fgraft ~birth in
   let aux =
     { (Aux_attrs.make Aux_attrs.Fgraft) with Aux_attrs.graft_target = Some target }
@@ -1656,79 +1483,65 @@ let make_graft_point t ~parent ~name ~target ~replicas =
   in
   let* child_fdir = add_replicas child_fdir replicas in
   let* () = store_fdir t ~fid:fid child_ufs child_fdir in
-  let* () = store_fdir t ~fid:(dir_fid parent) ufs_dir fdir in
+  let* () = store_fdir t ~fid:(path_fid parent) ufs_dir fdir in
   note_summary_event t (parent @ [ fid ]);
   dir_event t parent;
   Ok ()
 
-let parse_graft_entries fdir =
-  let parse (name, _) (target, replicas) =
-    if String.length name > 7 && String.sub name 0 7 = "volume." then
-      match String.split_on_char '.' name with
-      | [ _; a; v ] ->
-        (match int_of_string_opt a, int_of_string_opt v with
-         | Some alloc, Some vol -> (Some { Ids.alloc; vol }, replicas)
-         | _, _ -> (target, replicas))
-      | _ -> (target, replicas)
-    else if String.length name > 8 && String.sub name 0 8 = "replica." then
-      let body = String.sub name 8 (String.length name - 8) in
-      match String.index_opt body '@' with
-      | None -> (target, replicas)
-      | Some i ->
-        (match int_of_string_opt (String.sub body 0 i) with
-         | None -> (target, replicas)
-         | Some r ->
-           (target, (r, String.sub body (i + 1) (String.length body - i - 1)) :: replicas))
-    else (target, replicas)
-  in
-  let target, replicas = List.fold_right parse (Fdir.live fdir) (None, []) in
-  (target, replicas)
-
-let graft_point_info t path =
-  let* fdir = fetch_dir t path in
-  match parse_graft_entries fdir with
-  | Some target, replicas -> Ok (target, replicas)
-  | None, _ -> Error Errno.EIO
-
 let graft_entries_of_fdir fdir =
-  match parse_graft_entries fdir with
+  let suffix prefix name =
+    let n = String.length prefix in
+    if String.length name > n && String.sub name 0 n = prefix then
+      Some (String.sub name n (String.length name - n))
+    else None
+  in
+  let parse (name, _) (target, replicas) =
+    match Option.bind (suffix volume_prefix name) Ids.vref_of_string with
+    | Some vref -> (Some vref, replicas)
+    | None ->
+      (match Option.bind (suffix replica_prefix name) Ctl_wire.peer_of_string with
+       | Some replica -> (target, replica :: replicas)
+       | None -> (target, replicas))
+  in
+  match List.fold_right parse (Fdir.live fdir) (None, []) with
   | Some target, replicas -> Some (target, replicas)
   | None, _ -> None
 
+let graft_point_info t path =
+  let* fdir = fetch_dir t path in
+  Option.to_result ~none:Errno.EIO (graft_entries_of_fdir fdir)
+
 let add_graft_replica t path r h =
-  let* ufs_dir = resolve_dir t path in
-  let* fdir = load_fdir t ~fid:(dir_fid path) ufs_dir in
-  let* fdir = add_plain_entry t ufs_dir fdir (replica_entry_name r h) in
-  let* () = store_fdir t ~fid:(dir_fid path) ufs_dir fdir in
-  note_summary_event t path;
-  dir_event t path;
-  Ok ()
+  update_dir t path (fun ufs_dir fdir ->
+      let* fdir = add_plain_entry t ufs_dir fdir (replica_entry_name r h) in
+      Ok (fdir, ()))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
+let make ~obs ~container ~clock ~host ~vref ~rid ~peers =
+  {
+    container;
+    clock;
+    host;
+    vref;
+    rid;
+    next_uniq = 2; (* 1 is the root fid *)
+    peers;
+    notifier = None;
+    conflicts = Conflict_log.create ();
+    counters = Counters.create ();
+    obs;
+    open_count = 0;
+    dir_merge = `Legacy;
+    resolver = Resolver.Owner_report;
+    pending_summaries = Hashtbl.create 64;
+    fdir_slots = Hashtbl.create 64;
+    chunk_cache = Hashtbl.create 16;
+  }
+
 let create ?(obs = Obs.default) ~container ~clock ~host ~vref ~rid ~peers () =
-  let t =
-    {
-      container;
-      clock;
-      host;
-      vref;
-      rid;
-      next_uniq = 2; (* 1 is the root fid *)
-      peers;
-      notifier = None;
-      conflicts = Conflict_log.create ();
-      counters = Counters.create ();
-      obs;
-      open_count = 0;
-      dir_merge = `Legacy;
-      resolver = Resolver.Owner_report;
-      pending_summaries = Hashtbl.create 64;
-      fdir_slots = Hashtbl.create 64;
-      chunk_cache = Hashtbl.create 16;
-    }
-  in
+  let t = make ~obs ~container ~clock ~host ~vref ~rid ~peers in
   let* () = store_meta t in
   let root_aux =
     (* A summary-native image: the root claims the (empty) event history
@@ -1791,27 +1604,8 @@ let recompute_summaries t =
   go t.container Ids.root_fid
 
 let attach ?(obs = Obs.default) ~container ~clock ~host () =
-  let t =
-    {
-      container;
-      clock;
-      host;
-      vref = { Ids.alloc = 0; vol = 0 };
-      rid = 0;
-      next_uniq = 2;
-      peers = [];
-      notifier = None;
-      conflicts = Conflict_log.create ();
-      counters = Counters.create ();
-      obs;
-      open_count = 0;
-      dir_merge = `Legacy;
-      resolver = Resolver.Owner_report;
-      pending_summaries = Hashtbl.create 64;
-      fdir_slots = Hashtbl.create 64;
-      chunk_cache = Hashtbl.create 16;
-    }
-  in
+  (* Identity and peers come from META. *)
+  let t = make ~obs ~container ~clock ~host ~vref:{ Ids.alloc = 0; vol = 0 } ~rid:0 ~peers:[] in
   let* () = load_meta t in
   let* _count = recover t in
   let* () =

@@ -89,24 +89,17 @@ val root : t -> Vnode.t
 
 (** {1 Direct control interface (co-resident callers)} *)
 
-type version_info = {
+type version_info = Ctl_wire.version_info = {
   vi_kind : Aux_attrs.fkind;
   vi_vv : Version_vector.t;
   vi_size : int;
   vi_uid : int;
-  vi_stored : bool;  (** false: entry known but contents not stored here *)
+  vi_stored : bool;
   vi_span : int;
-      (** trace span of the last update applied to the replica (0 when
-          untraced); lets a reconciling peer continue the update's
-          timeline *)
   vi_summary : Version_vector.t option;
-      (** directories only: the subtree summary vector — a lower bound on
-          the update events this replica has incorporated anywhere under
-          the directory, keyed by originating replica.  [None] for
-          regular files and in responses from peers that predate
-          summaries.  A reconciler whose own summary dominates the
-          remote one may skip the whole subtree. *)
 }
+(** The fields are documented at {!Ctl_wire.version_info}, whose
+    encoder carries them as the replies of the control path. *)
 
 val get_version : t -> fidpath -> (version_info, Errno.t) result
 val fetch_file : t -> fidpath -> (version_info * string, Errno.t) result

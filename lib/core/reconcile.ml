@@ -73,7 +73,7 @@ let merge_stats_of_result (result : Fdir.merge_result) =
   }
 
 let reconcile_dir ~local ~remote_root ~remote_rid path =
-  let* remote_fdir = Remote.fetch_dir ~obs:(Physical.obs local) remote_root path in
+  let* remote_fdir, _wire = Remote.fetch_dir ~obs:(Physical.obs local) remote_root path in
   let* result = Physical.merge_dir local path ~remote_rid remote_fdir in
   Ok { (merge_stats_of_result result) with rpcs = 1 }
 
@@ -171,41 +171,56 @@ let reconcile_subtree ~local ~remote_root ~remote_rid path =
 
 let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
   let path = List.rev rev_path in
-  let* merge_result = Physical.merge_dir local path ~remote_rid dv.Remote.dv_fdir in
+  let* merge_result = Physical.merge_dir local path ~remote_rid dv.Ctl_wire.dv_fdir in
   let stats = ref (merge_stats_of_result merge_result) in
   let complete = ref true in
   let count s = stats := add_stats !stats s in
   let* fdir = Physical.fetch_dir local path in
   (* The peer's child versions by fid, first listing winning. *)
-  let remote_children = Hashtbl.create (List.length dv.Remote.dv_children) in
+  let remote_children = Hashtbl.create (List.length dv.Ctl_wire.dv_children) in
   List.iter
     (fun (f, vi) ->
       if not (Hashtbl.mem remote_children f) then Hashtbl.replace remote_children f vi)
-    dv.Remote.dv_children;
+    dv.Ctl_wire.dv_children;
+  let failed ?(rpcs = 0) () =
+    complete := false;
+    count { empty_stats with errors = 1; rpcs }
+  in
+  let descend child_rev =
+    match
+      Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root (List.rev child_rev)
+    with
+    | Error Errno.ENOENT ->
+      (* Raced with a remote removal; the tombstone arrives later. *)
+      count { empty_stats with rpcs = 1 }
+    | Error _ -> failed ~rpcs:1 ()
+    | Ok child_dv ->
+      (match reconcile_subtree_incr ~local ~remote_root ~remote_rid child_rev child_dv with
+       | Ok (s, child_complete) ->
+         count (add_stats s { empty_stats with rpcs = 1 });
+         if not child_complete then complete := false
+       | Error _ -> failed ~rpcs:1 ())
+  in
+  (* A child live in the peer's directory but without a version block
+     (its version info failed there) takes the per-child path, so the
+     walk never claims coverage of what it did not see. *)
+  let omitted fid = Fdir.find_by_fid dv.Ctl_wire.dv_fdir fid <> None in
   List.iter
     (fun e ->
       let fid = e.Fdir.fid in
-      let remote_vi = Hashtbl.find_opt remote_children fid in
-      match e.Fdir.kind, remote_vi with
-      | Aux_attrs.Freg, None ->
-        (* Not live remotely (tombstone already merged) — nothing to pull. *)
-        ()
+      let child_rev = fid :: rev_path in
+      match e.Fdir.kind, Hashtbl.find_opt remote_children fid with
       | Aux_attrs.Freg, Some rvi ->
-        (match
-           pull_file ~local ~remote_root ~remote_rid (List.rev (fid :: rev_path)) rvi
-         with
+        (match pull_file ~local ~remote_root ~remote_rid (List.rev child_rev) rvi with
          | Ok s -> count s
-         | Error _ ->
-           complete := false;
-           count { empty_stats with errors = 1 })
-      | (Aux_attrs.Fdir | Aux_attrs.Fgraft), None ->
-        (* Local-only subtree: the peer stores nothing to incorporate. *)
-        ()
+         | Error _ -> failed ())
+      | Aux_attrs.Freg, None when omitted fid ->
+        (match reconcile_file ~local ~remote_root ~remote_rid (List.rev child_rev) with
+         | Ok s -> count s
+         | Error _ -> failed ())
       | (Aux_attrs.Fdir | Aux_attrs.Fgraft), Some rvi ->
-        let child_rev = fid :: rev_path in
-        let child_path = List.rev child_rev in
         let local_summary =
-          match Physical.get_version local child_path with
+          match Physical.get_version local (List.rev child_rev) with
           | Ok vi -> vi.Physical.vi_summary
           | Error _ -> None
         in
@@ -214,30 +229,15 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
           | Some ls, Some rs -> Version_vector.dominates ls rs
           | _, _ -> false
         in
-        if prune then count { empty_stats with subtrees_pruned = 1 }
-        else (
-          match
-            Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root child_path
-          with
-          | Error Errno.ENOENT ->
-            (* Raced with a remote removal; the tombstone arrives later. *)
-            count { empty_stats with rpcs = 1 }
-          | Error _ ->
-            complete := false;
-            count { empty_stats with errors = 1; rpcs = 1 }
-          | Ok child_dv ->
-            (match
-               reconcile_subtree_incr ~local ~remote_root ~remote_rid child_rev child_dv
-             with
-             | Ok (s, child_complete) ->
-               count (add_stats s { empty_stats with rpcs = 1 });
-               if not child_complete then complete := false
-             | Error _ ->
-               complete := false;
-               count { empty_stats with errors = 1; rpcs = 1 })))
+        if prune then count { empty_stats with subtrees_pruned = 1 } else descend child_rev
+      | (Aux_attrs.Fdir | Aux_attrs.Fgraft), None when omitted fid -> descend child_rev
+      | _, None ->
+        (* Not live remotely: a tombstone already merged, or a local-only
+           subtree — the peer stores nothing to incorporate. *)
+        ())
     (Fdir.live_fids fdir);
   (if !complete then
-     match dv.Remote.dv_summary with
+     match dv.Ctl_wire.dv_summary with
      | Some rs ->
        (match Physical.join_summary local path rs with
         | Ok () -> ()
@@ -267,7 +267,7 @@ let reconcile_volume ~local ~remote_root ~remote_rid () =
         | Error _ -> None
       in
       let prune =
-        match local_summary, dv.Remote.dv_summary with
+        match local_summary, dv.Ctl_wire.dv_summary with
         | Some ls, Some rs -> Version_vector.dominates ls rs
         | _, _ -> false
       in

@@ -6,7 +6,8 @@
     only a root vnode, which may be the physical layer directly
     (co-resident) or an NFS client mount of it (paper Figure 2).  All the
     services the vnode interface lacks travel as {!Ctl_name}-encoded
-    [lookup] names; this module does the encoding and response parsing.
+    [lookup] names; this module issues the calls, and {!Ctl_wire} holds
+    the reply formats.
 
     Every control call takes the caller's [~obs], whose [ctl_serial]
     numbers the request names, so each cluster counts its own (see
@@ -24,19 +25,15 @@ val walk : Vnode.t -> Physical.fidpath -> (Vnode.t, Errno.t) result
 
 val get_version :
   obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Physical.version_info, Errno.t) result
+
+(** The fetches below also return the bytes the exchange put on the wire
+    (request name + response body), for honest transfer accounting. *)
+
 val fetch_file :
   obs:Obs.t -> Vnode.t -> Physical.fidpath ->
-  (Physical.version_info * string, Errno.t) result
-val fetch_dir : obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Fdir.t, Errno.t) result
-
-val fetch_file_sized :
-  obs:Obs.t -> Vnode.t -> Physical.fidpath ->
   (Physical.version_info * string * int, Errno.t) result
-(** {!fetch_file} plus the bytes the exchange put on the wire (request
-    name + response body), for honest transfer accounting. *)
 
-val fetch_dir_sized :
-  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Fdir.t * int, Errno.t) result
+val fetch_dir : obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Fdir.t * int, Errno.t) result
 
 (** {1 Delta negotiation}
 
@@ -46,20 +43,14 @@ val fetch_dir_sized :
     map, diffs it against its own locally computed map, and batch-fetches
     only the missing bodies a handful of digests per request. *)
 
-type chunk_map = {
-  cm_vi : Physical.version_info;
-  cm_digest : string option;
-      (** whole-content MD5 from the header — the puller's end-to-end
-          check after reassembly; [None] from peers that predate it *)
-  cm_chunks : Chunking.chunk list;
-}
-
 val fetch_chunk_map :
-  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (chunk_map * int, Errno.t) result
-(** The ["getchunkmap"] ctl op: version info + whole-file digest +
-    content-defined chunk map, plus wire bytes.  Peers that predate
-    chunking answer [EINVAL]; callers fall back to {!fetch_file}
-    (mirroring the [getdirvvs] fallback). *)
+  obs:Obs.t -> Vnode.t -> Physical.fidpath ->
+  (Physical.version_info * string * Chunking.chunk list * int, Errno.t) result
+(** The ["getchunkmap"] ctl op: version info, whole-content MD5 (the
+    puller's end-to-end check after reassembly) and content-defined chunk
+    map, plus wire bytes.  Peers that predate chunking answer [EINVAL];
+    callers fall back to {!fetch_file} (mirroring the [getdirvvs]
+    fallback). *)
 
 val fetch_chunks :
   obs:Obs.t -> Vnode.t -> Physical.fidpath -> string list ->
@@ -70,17 +61,8 @@ val fetch_chunks :
     mismatch); [EAGAIN] means the origin's contents changed since the
     map was served — fall back to a whole-file fetch. *)
 
-type dir_versions = {
-  dv_summary : Version_vector.t option;
-      (** the directory's subtree summary; [None] from pre-summary peers *)
-  dv_fdir : Fdir.t;
-  dv_children : (Ids.file_id * Physical.version_info) list;
-      (** version info for every live child, one batched RPC instead of a
-          [get_version] per file *)
-}
-
 val fetch_dir_versions :
-  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (dir_versions, Errno.t) result
+  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Ctl_wire.dir_versions, Errno.t) result
 (** Batched ["getdirvvs"] fetch: a directory's summary, fdir and all
     child version infos in a single round trip.  Servers that predate the
     op answer [EINVAL]; callers fall back to the per-file walk. *)

@@ -203,9 +203,9 @@ let test_ctl_getvv_readfile_getdir () =
   (* Exercise the full remote path over the local vnode stack. *)
   let vi = ok (Remote.get_version ~obs:(Physical.obs phys) root []) in
   Alcotest.(check bool) "root is dir" true (vi.Physical.vi_kind = Aux_attrs.Fdir);
-  let fdir = ok (Remote.fetch_dir ~obs:(Physical.obs phys) root []) in
+  let fdir, _ = ok (Remote.fetch_dir ~obs:(Physical.obs phys) root []) in
   let e = Option.get (Fdir.find_live fdir "f") in
-  let vi, data = ok (Remote.fetch_file ~obs:(Physical.obs phys) root [ e.Fdir.fid ]) in
+  let vi, data, _ = ok (Remote.fetch_file ~obs:(Physical.obs phys) root [ e.Fdir.fid ]) in
   Alcotest.(check string) "contents" "payload" data;
   Alcotest.(check int) "vv" 2 (Vv.get vi.Physical.vi_vv 1);
   let fid, kind = ok (Remote.resolve ~obs:(Physical.obs phys) root "f") in

@@ -159,8 +159,145 @@ let test_conflict_superseded_everywhere_after_resolution () =
   Alcotest.(check int) "host1 superseded" 0 (pending 1);
   Alcotest.(check string) "content everywhere" "AB" (read_file root1 "doc")
 
+(* ---------------- peers whose replies are rewritten ---------------- *)
+
+let ( let* ) = Result.bind
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let reply_vnode body =
+  {
+    (Vnode.not_supported Vnode.No_data) with
+    Vnode.getattr =
+      (fun () ->
+        Ok
+          {
+            Vnode.kind = Vnode.VCTL;
+            size = String.length body;
+            nlink = 1;
+            mtime = 0;
+            mode = 0o400;
+            uid = 0;
+            gen = 0;
+          });
+    read = (fun ~off ~len -> Ok (String.sub body off (min len (String.length body - off))));
+  }
+
+(* [real] with the replies to control ops named [op] rewritten by [f]. *)
+let rewriting_root real op f =
+  {
+    real with
+    Vnode.lookup =
+      (fun name ->
+        let* v = real.Vnode.lookup name in
+        if not (contains name op) then Ok v
+        else
+          let* body = Vnode.read_all v in
+          let* body = f body in
+          Ok (reply_vnode body));
+  }
+
+(* A converged file "f" then updated at host0 below the daemons: no
+   notification reaches host1, so only reconciliation can carry it. *)
+let stale_file_at_host1 () =
+  let cluster = Cluster.create ~nhosts:2 () in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  create_file (ok (Cluster.logical_root cluster 0 vref)) "f" "first";
+  let (_ : int) = ok (Cluster.converge cluster vref ()) in
+  let phys i = Option.get (Cluster.replica (Cluster.host cluster i) vref) in
+  ok (Vnode.write_all (ok ((Physical.root (phys 0)).Vnode.lookup "f")) "second");
+  let remote_root = ok ((Cluster.connect_from cluster 1) ~host:"host0" ~vref ~rid:1) in
+  let fid = (Option.get (Fdir.find_live (ok (Physical.fetch_dir (phys 0) [])) "f")).Fdir.fid in
+  (phys 0, phys 1, remote_root, fid)
+
+(* A getdirvvs reply without [fid]'s child block, as a server sends when
+   that child's version info fails. *)
+let omit_child fid body =
+  let* dv = Ctl_wire.decode_dir_versions body in
+  Ok
+    (Ctl_wire.encode_dir_versions
+       {
+         dv with
+         Ctl_wire.dv_children =
+           List.filter (fun (g, _) -> not (Ids.fid_equal g fid)) dv.Ctl_wire.dv_children;
+       })
+
+let check_converged phys0 phys1 fid =
+  let vi p = ok (Physical.get_version p [ fid ]) in
+  Alcotest.check vv_testable "host1 holds host0's version" (vi phys0).Physical.vi_vv
+    (vi phys1).Physical.vi_vv;
+  Alcotest.(check string) "same tree" (ok (Crdt_merge.digest phys0)) (ok (Crdt_merge.digest phys1))
+
+let test_omitted_child_takes_per_child_path () =
+  let phys0, phys1, remote_root, fid = stale_file_at_host1 () in
+  let pass root =
+    let (_ : Reconcile.stats) =
+      ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root:root ~remote_rid:1 ())
+    in
+    ()
+  in
+  pass (rewriting_root remote_root "getdirvvs" (omit_child fid));
+  for _ = 1 to 3 do pass remote_root done;
+  check_converged phys0 phys1 fid
+
+let test_failed_omitted_child_leaves_walk_incomplete () =
+  (* The per-child fetch fails too: the pass must not join the peer's
+     summary, so the next pass walks to the file instead of pruning. *)
+  let phys0, phys1, remote_root, fid = stale_file_at_host1 () in
+  let broken =
+    rewriting_root
+      (rewriting_root remote_root "getdirvvs" (omit_child fid))
+      "getvv"
+      (fun _ -> Error Errno.EIO)
+  in
+  let s = ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root:broken ~remote_rid:1 ()) in
+  Alcotest.(check int) "the failure is counted" 1 s.Reconcile.errors;
+  let s = ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root ~remote_rid:1 ()) in
+  Alcotest.(check int) "the next pass does not prune" 0 s.Reconcile.subtrees_pruned;
+  check_converged phys0 phys1 fid
+
+let test_getdirvvs_einval_falls_back_to_full_walk () =
+  (* DESIGN's mixed-version promise: a peer that predates getdirvvs
+     answers EINVAL, and the pass degrades to the per-entry walk at the
+     per-entry walk's RPC cost. *)
+  let diverged () =
+    let cluster = Cluster.create ~nhosts:2 () in
+    Cluster.set_faults cluster { Sim_net.no_faults with loss = 1.0 };
+    let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+    let root0 = ok (Cluster.logical_root cluster 0 vref) in
+    let _ = ok (Namei.mkdir_p ~root:root0 "a/b") in
+    create_file root0 "a/b/deep" "nested";
+    create_file root0 "top" "shallow";
+    let phys i = Option.get (Cluster.replica (Cluster.host cluster i) vref) in
+    (phys 0, phys 1, ok ((Cluster.connect_from cluster 1) ~host:"host0" ~vref ~rid:1))
+  in
+  let phys0, phys1, remote_root = diverged () in
+  let old_root =
+    {
+      remote_root with
+      Vnode.lookup =
+        (fun name ->
+          if contains name "getdirvvs" then Error Errno.EINVAL else remote_root.Vnode.lookup name);
+    }
+  in
+  let incr = ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root:old_root ~remote_rid:1 ()) in
+  Alcotest.(check string) "converged" (ok (Crdt_merge.digest phys0)) (ok (Crdt_merge.digest phys1));
+  let _, phys1', remote_root' = diverged () in
+  let full = ok (Reconcile.reconcile_subtree ~local:phys1' ~remote_root:remote_root' ~remote_rid:1 []) in
+  Alcotest.(check bool) "work was done" true (full.Reconcile.rpcs > 0);
+  Alcotest.(check int) "the per-entry walk's RPCs" full.Reconcile.rpcs incr.Reconcile.rpcs
+
 let suite =
   [
+    case "omitted getdirvvs child takes the per-child path"
+      test_omitted_child_takes_per_child_path;
+    case "failed omitted child leaves the walk incomplete"
+      test_failed_omitted_child_leaves_walk_incomplete;
+    case "getdirvvs EINVAL falls back to the full walk"
+      test_getdirvvs_einval_falls_back_to_full_walk;
     case "subtree reconciles nested changes" test_subtree_reconciles_nested_changes;
     case "conflict superseded everywhere after resolution"
       test_conflict_superseded_everywhere_after_resolution;

@@ -19,9 +19,9 @@ let test_fetch_file_with_embedded_separator () =
   create_file root0 "tricky" tricky;
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  let fdir = ok (Remote.fetch_dir ~obs remote_root []) in
+  let fdir, _ = ok (Remote.fetch_dir ~obs remote_root []) in
   let e = Option.get (Fdir.find_live fdir "tricky") in
-  let _, data = ok (Remote.fetch_file ~obs remote_root [ e.Fdir.fid ]) in
+  let _, data, _ = ok (Remote.fetch_file ~obs remote_root [ e.Fdir.fid ]) in
   Alcotest.(check string) "contents intact" tricky data
 
 let test_ctl_defeats_nfs_name_cache () =
@@ -33,7 +33,7 @@ let test_ctl_defeats_nfs_name_cache () =
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
   let live_count () =
-    List.length (Fdir.live (ok (Remote.fetch_dir ~obs remote_root [])))
+    List.length (Fdir.live (fst (ok (Remote.fetch_dir ~obs remote_root []))))
   in
   Alcotest.(check int) "initially empty" 0 (live_count ());
   create_file root0 "new-file" "x";
@@ -49,12 +49,12 @@ let test_remote_walk_and_errors () =
   create_file root0 "a/b/leaf" "deep";
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  let fdir = ok (Remote.fetch_dir ~obs remote_root []) in
+  let fdir, _ = ok (Remote.fetch_dir ~obs remote_root []) in
   let a = Option.get (Fdir.find_live fdir "a") in
-  let sub = ok (Remote.fetch_dir ~obs remote_root [ a.Fdir.fid ]) in
+  let sub, _ = ok (Remote.fetch_dir ~obs remote_root [ a.Fdir.fid ]) in
   let b = Option.get (Fdir.find_live sub "b") in
   let leaf_fid, kind =
-    let subsub = ok (Remote.fetch_dir ~obs remote_root [ a.Fdir.fid; b.Fdir.fid ]) in
+    let subsub, _ = ok (Remote.fetch_dir ~obs remote_root [ a.Fdir.fid; b.Fdir.fid ]) in
     let leaf = Option.get (Fdir.find_live subsub "leaf") in
     (leaf.Fdir.fid, leaf.Fdir.kind)
   in
@@ -97,13 +97,13 @@ let test_fetch_dir_versions () =
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
   let dv = ok (Remote.fetch_dir_versions ~obs remote_root []) in
-  Alcotest.(check bool) "summary present" true (dv.Remote.dv_summary <> None);
-  let live = Fdir.live dv.Remote.dv_fdir in
+  Alcotest.(check bool) "summary present" true (dv.Ctl_wire.dv_summary <> None);
+  let live = Fdir.live dv.Ctl_wire.dv_fdir in
   Alcotest.(check int) "three live entries" 3 (List.length live);
-  Alcotest.(check int) "three child infos" 3 (List.length dv.Remote.dv_children);
+  Alcotest.(check int) "three child infos" 3 (List.length dv.Ctl_wire.dv_children);
   let vi_of name =
-    let e = Option.get (Fdir.find_live dv.Remote.dv_fdir name) in
-    List.assoc e.Fdir.fid dv.Remote.dv_children
+    let e = Option.get (Fdir.find_live dv.Ctl_wire.dv_fdir name) in
+    List.assoc e.Fdir.fid dv.Ctl_wire.dv_children
   in
   let plain = vi_of "plain" in
   Alcotest.(check int) "file size over the wire" 17 plain.Physical.vi_size;
