@@ -19,18 +19,17 @@ let demo () =
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
   Printf.printf "three hosts, volume %s replicated on all of them\n"
     (Fmt.str "%a" Ids.pp_vref vref);
-  let root0 = get (Cluster.logical_root cluster 0 vref) in
-  let f = get (root0.Vnode.create "demo.txt") in
-  get (Vnode.write_all f "written on host0");
-  let (_ : int) = Cluster.run_propagation cluster in
+  let s = Schedule.start cluster vref in
+  get (Schedule.run s [ Create (0, "demo.txt", "written on host0"); Propagate ]);
   Printf.printf "wrote demo.txt on host0; propagated to the other replicas\n";
-  Cluster.partition cluster [ [ 0 ]; [ 1; 2 ] ];
+  get (Schedule.apply s (Partition [ [ 0 ]; [ 1; 2 ] ]));
   Printf.printf "partition: {host0} | {host1,host2}\n";
-  let root1 = get (Cluster.logical_root cluster 1 vref) in
-  get (Vnode.write_all (get (root0.Vnode.lookup "demo.txt")) "edited on host0, offline");
-  get (Vnode.write_all (get (root1.Vnode.lookup "demo.txt")) "edited on host1, offline");
+  get
+    (Schedule.run s
+       [ Write (0, "demo.txt", "edited on host0, offline");
+         Write (1, "demo.txt", "edited on host1, offline") ]);
   Printf.printf "both sides updated demo.txt under one-copy availability\n";
-  Cluster.heal cluster;
+  get (Schedule.apply s Heal);
   let rounds = get (Cluster.converge cluster vref ~max_rounds:20 ()) in
   Printf.printf "healed; reconciliation converged in %d round(s)\n" rounds;
   List.iter
@@ -405,21 +404,19 @@ let conflict_scenario () =
     Cluster.create ~nhosts:2 ~dir_merge:`Crdt ~resolver:Resolver.Owner_report ()
   in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = get (Cluster.logical_root cluster 0 vref) in
-  ignore (get (root0.Vnode.mkdir "a"));
-  ignore (get (root0.Vnode.mkdir "b"));
-  let f = get (root0.Vnode.create "report.txt") in
-  get (Vnode.write_all f "base revision");
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = get (Cluster.converge cluster vref ()) in
-  let root1 = get (Cluster.logical_root cluster 1 vref) in
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  get (Vnode.write_all (get (root0.Vnode.lookup "report.txt")) "edited on host0, offline");
-  get (Vnode.write_all (get (root1.Vnode.lookup "report.txt")) "edited on host1, offline");
-  get (root0.Vnode.rename "a" (get (root0.Vnode.lookup "b")) "x");
-  get (root1.Vnode.rename "b" (get (root1.Vnode.lookup "a")) "y");
-  Cluster.heal cluster;
-  (match Cluster.converge cluster vref ~max_rounds:60 () with Ok _ | Error _ -> ());
+  let s = Schedule.start cluster vref in
+  get
+    (Schedule.run s
+       [
+         Mkdir (0, "a"); Mkdir (0, "b"); Create (0, "report.txt", "base revision");
+         Propagate; Converge 10;
+         Partition [ [ 0 ]; [ 1 ] ];
+         Write (0, "report.txt", "edited on host0, offline");
+         Write (1, "report.txt", "edited on host1, offline");
+         Rename (0, "a", "b/x"); Rename (1, "b", "a/y");
+         Heal;
+       ]);
+  ignore (Schedule.apply s (Converge 60));
   (cluster, vref)
 
 let preview s =

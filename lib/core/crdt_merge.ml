@@ -136,44 +136,54 @@ module NodeSet = Set.Make (struct
   let compare = compare
 end)
 
-(* Walk the live tree from the root, tolerating (and counting) cycles. *)
+(* Walk the live tree depth-first from the root in effective-name order,
+   tolerating (and counting) cycles.  [visit fids path e dir] sees every
+   live entry [e] with its fidpath and effective-name path, [dir] being
+   the entry's own decoded directory when it is a directory whose storage
+   is present.  A directory met again — a cycle's back edge, or a second
+   live name — is visited but not descended. *)
 let live_walk t visit =
   let cycles = ref 0 in
   let seen = ref NodeSet.empty in
-  let rec go path fid on_path =
-    let n = node_of fid in
-    if NodeSet.mem n on_path then begin
-      incr cycles;
-      Ok ()
-    end
-    else if NodeSet.mem n !seen then Ok ()
-    else begin
-      seen := NodeSet.add n !seen;
-      let on_path = NodeSet.add n on_path in
-      match Physical.fetch_dir t path with
-      | Error Errno.ENOENT -> Ok () (* entry live, storage not materialized *)
-      | Error _ as e -> e
-      | Ok fdir ->
-        let rec each = function
-          | [] -> Ok ()
-          | (name, (e : Fdir.entry)) :: rest ->
-            let* () = visit path name e in
-            let* () =
-              match e.Fdir.kind with
-              | Aux_attrs.Freg -> Ok ()
-              | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
-                go (path @ [ e.Fdir.fid ]) e.Fdir.fid on_path
-            in
-            each rest
-        in
-        each (Fdir.live fdir)
-    end
+  let fetch path =
+    match Physical.fetch_dir t path with
+    | Ok fdir -> Ok (Some fdir)
+    | Error Errno.ENOENT -> Ok None (* entry live, storage not materialized *)
+    | Error _ as e -> e
   in
-  let* () = go [] Ids.root_fid NodeSet.empty in
-  Ok (!seen, !cycles)
+  let rec descend fids dpath fid on_path fdir =
+    let n = node_of fid in
+    seen := NodeSet.add n !seen;
+    let on_path = NodeSet.add n on_path in
+    let rec each = function
+      | [] -> Ok ()
+      | (name, (e : Fdir.entry)) :: rest ->
+        let child = fids @ [ e.Fdir.fid ] in
+        let path = if dpath = "" then name else dpath ^ "/" ^ name in
+        let* () =
+          match e.Fdir.kind with
+          | Aux_attrs.Freg -> visit child path e None
+          | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
+            let* dir = fetch child in
+            let* () = visit child path e dir in
+            let c = node_of e.Fdir.fid in
+            if NodeSet.mem c on_path then begin
+              incr cycles;
+              Ok ()
+            end
+            else if NodeSet.mem c !seen then Ok ()
+            else (match dir with None -> Ok () | Some d -> descend child path e.Fdir.fid on_path d)
+        in
+        each rest
+    in
+    each (Fdir.live fdir)
+  in
+  let* root = Physical.fetch_dir t [] in
+  let* () = descend [] "" Ids.root_fid NodeSet.empty root in
+  Ok (root, !seen, !cycles)
 
 let tree_stats t =
-  let* reachable, cycles = live_walk t (fun _ _ _ -> Ok ()) in
+  let* _, reachable, cycles = live_walk t (fun _ _ _ _ -> Ok ()) in
   let unreachable = ref 0 in
   let* () =
     Physical.walk_stored_dirs t (fun path fdir ->
@@ -188,31 +198,64 @@ let tree_stats t =
       ts_cycles = cycles;
     }
 
-let digest t =
-  let buf = Buffer.create 256 in
-  let* _reach, _cycles =
-    live_walk t (fun path name e ->
-        let p =
-          String.concat "/" (List.map Ids.fid_to_hex path) ^ "/" ^ name
-        in
+type entry = {
+  e_path : string;
+  e_fids : Physical.fidpath;
+  e_kind : Aux_attrs.fkind;
+  e_vv : string;
+  e_stored : bool;
+  e_digest : string;
+}
+
+let state t =
+  let acc = ref [] in
+  let emit e_path e_fids e_kind ~vv e_stored e_digest =
+    let e_vv = match vv with Some v -> Version_vector.to_string v | None -> "?" in
+    acc := { e_path; e_fids; e_kind; e_vv; e_stored; e_digest } :: !acc
+  in
+  let* root, _, _ =
+    live_walk t (fun fids path e dir ->
         match e.Fdir.kind with
         | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
-          Buffer.add_string buf (Printf.sprintf "D %s %s\n" p (Ids.fid_to_hex e.Fdir.fid));
+          emit path fids e.Fdir.kind ~vv:(Option.map Fdir.vv dir) (dir <> None) "";
           Ok ()
         | Aux_attrs.Freg ->
-          let fpath = path @ [ e.Fdir.fid ] in
-          (match Physical.fetch_file t fpath with
+          (match Physical.fetch_file t fids with
            | Ok (vi, data) ->
-             Buffer.add_string buf
-               (Printf.sprintf "F %s %s %s\n" p
-                  (Version_vector.to_string vi.Physical.vi_vv)
-                  (Chunking.digest_hex data));
-             Ok ()
+             emit path fids Aux_attrs.Freg ~vv:(Some vi.Physical.vi_vv) true
+               (Chunking.digest_hex data)
            | Error _ ->
              (* Entry known, contents not stored here yet. *)
-             Buffer.add_string buf (Printf.sprintf "F %s ? ?\n" p);
-             Ok ()))
+             let vv =
+               Result.to_option
+                 (Result.map (fun vi -> vi.Physical.vi_vv) (Physical.get_version t fids))
+             in
+             emit path fids Aux_attrs.Freg ~vv false "");
+          Ok ())
   in
+  Ok
+    ({ e_path = ""; e_fids = []; e_kind = Aux_attrs.Fdir;
+       e_vv = Version_vector.to_string (Fdir.vv root); e_stored = true; e_digest = "" }
+     :: List.rev !acc)
+
+let digest t =
+  let* entries = state t in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun e ->
+      match List.rev e.e_fids with
+      | [] -> () (* the root *)
+      | fid :: rev_parent ->
+        let p =
+          String.concat "/" (List.map Ids.fid_to_hex (List.rev rev_parent))
+          ^ "/" ^ Filename.basename e.e_path
+        in
+        Buffer.add_string buf
+          (match e.e_kind with
+           | Aux_attrs.Fdir | Aux_attrs.Fgraft -> Printf.sprintf "D %s %s\n" p (Ids.fid_to_hex fid)
+           | Aux_attrs.Freg when e.e_stored -> Printf.sprintf "F %s %s %s\n" p e.e_vv e.e_digest
+           | Aux_attrs.Freg -> Printf.sprintf "F %s ? ?\n" p))
+    entries;
   Ok (Chunking.digest_hex (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)

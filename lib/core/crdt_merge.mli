@@ -51,11 +51,29 @@ type tree_stats = {
 
 val tree_stats : Physical.t -> (tree_stats, Errno.t) result
 
+(** One node of a replica's live tree. *)
+type entry = {
+  e_path : string;  (** effective names from the root, joined by ['/']; [""] is the root *)
+  e_fids : Physical.fidpath;  (** the node's fidpath; [[]] is the root *)
+  e_kind : Aux_attrs.fkind;
+  e_vv : string;
+      (** canonical {!Version_vector.to_string}, so entries compare with
+          [=]; ["?"] when no version is known here *)
+  e_stored : bool;  (** contents (or directory storage) present on this replica *)
+  e_digest : string;  (** {!Chunking.digest_hex} of a stored file's contents; [""] otherwise *)
+}
+
+val state : Physical.t -> (entry list, Errno.t) result
+(** The replica's live tree, root first, depth-first in effective-name
+    order — the one replica-state view experiments and tests compare.
+    Cycle-safe: a stored cycle (which the [`Legacy] merge can leave
+    behind) is listed once, not followed forever. *)
+
 val digest : Physical.t -> (string, Errno.t) result
-(** Canonical digest of the live tree: a depth-first walk in effective-
-    name order emitting one line per entry (directories recurse; files
-    contribute their version vector and content digest), hashed.  Two
-    replicas hold the same resolved tree iff their digests are equal. *)
+(** Canonical digest of {!state}: one line per non-root entry
+    (directories contribute their fid; files their version vector and
+    content digest), hashed.  Two replicas hold the same resolved tree
+    iff their digests are equal. *)
 
 type pending = {
   p_entry_ids : int list;       (** conflict-log entries backing this register *)

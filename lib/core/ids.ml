@@ -62,5 +62,3 @@ let aux_name fid = fid_to_hex fid ^ ".aux"
 
 let pp_fid ppf fid = Fmt.pf ppf "%s" (fid_to_hex fid)
 let pp_vref ppf v = Fmt.pf ppf "vol<%d.%d>" v.alloc v.vol
-let pp_handle ppf h =
-  Fmt.pf ppf "<%d.%d.%s.%d>" h.volume.alloc h.volume.vol (fid_to_hex h.file) h.replica

@@ -63,4 +63,3 @@ val aux_name : file_id -> string
 
 val pp_fid : Format.formatter -> file_id -> unit
 val pp_vref : Format.formatter -> volume_ref -> unit
-val pp_handle : Format.formatter -> handle -> unit

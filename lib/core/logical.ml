@@ -84,8 +84,6 @@ let autograft_volume t vref ~replicas =
       }
   end
 
-let ungraft t vref = Hashtbl.remove t.grafts (vkey vref)
-
 let grafted t =
   Hashtbl.fold
     (fun _ g acc -> (g.g_vref, List.map (fun rc -> (rc.rc_rid, rc.rc_host)) g.g_replicas) :: acc)

@@ -58,8 +58,6 @@ val graft_volume :
 (** Explicitly graft (mount) a volume — normally only the super-volume;
     everything below arrives by autografting. *)
 
-val ungraft : t -> Ids.volume_ref -> unit
-
 val grafted : t -> (Ids.volume_ref * (Ids.replica_id * string) list) list
 
 val prune_grafts : t -> idle:int -> int

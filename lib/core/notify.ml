@@ -10,9 +10,3 @@ type event = {
 }
 
 type Sim_net.payload += Ficus_notify of event
-
-let pp ppf e =
-  Fmt.pf ppf "notify{%a /%s %s from r%d@%s}" Ids.pp_vref e.vref
-    (Ids.fidpath_to_string e.fidpath)
-    (Aux_attrs.kind_to_string e.kind)
-    e.origin_rid e.origin_host

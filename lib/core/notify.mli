@@ -36,5 +36,3 @@ type event = {
 }
 
 type Sim_net.payload += Ficus_notify of event
-
-val pp : Format.formatter -> event -> unit

@@ -101,10 +101,6 @@ let lseek t fd pos =
     Ok ()
   end
 
-let fstat t fd =
-  let* d = descriptor t fd in
-  d.vnode.Vnode.getattr ()
-
 let stat t path =
   let* v = Namei.walk ~root:t.root path in
   v.Vnode.getattr ()
@@ -136,10 +132,6 @@ let readdir t path =
   let* v = Namei.walk ~root:t.root path in
   let* entries = v.Vnode.readdir () in
   Ok (List.map (fun e -> e.Vnode.entry_name) entries)
-
-let truncate t path len =
-  let* v = Namei.walk ~root:t.root path in
-  v.Vnode.setattr { Vnode.setattr_none with set_size = Some len }
 
 let read_file t path =
   let* v = Namei.walk ~root:t.root path in

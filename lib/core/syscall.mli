@@ -34,7 +34,6 @@ val write : t -> fd -> string -> (unit, Errno.t) result
 val pread : t -> fd -> off:int -> len:int -> (string, Errno.t) result
 val pwrite : t -> fd -> off:int -> string -> (unit, Errno.t) result
 val lseek : t -> fd -> int -> (unit, Errno.t) result
-val fstat : t -> fd -> (Vnode.attrs, Errno.t) result
 
 val stat : t -> string -> (Vnode.attrs, Errno.t) result
 val mkdir : t -> string -> (unit, Errno.t) result
@@ -45,7 +44,6 @@ val link : t -> string -> string -> (unit, Errno.t) result
 (** [link existing new_path]. *)
 
 val readdir : t -> string -> (string list, Errno.t) result
-val truncate : t -> string -> int -> (unit, Errno.t) result
 
 val read_file : t -> string -> (string, Errno.t) result
 (** Whole-file convenience read. *)

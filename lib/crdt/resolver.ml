@@ -2,8 +2,3 @@ type t =
   | Lww
   | Owner_report
   | App_merge of (string -> string -> string)
-
-let name = function
-  | Lww -> "lww"
-  | Owner_report -> "owner-report"
-  | App_merge _ -> "app-merge"

@@ -17,6 +17,3 @@ type t =
   | Lww
   | Owner_report
   | App_merge of (string -> string -> string)
-
-val name : t -> string
-(** ["lww"], ["owner-report"], ["app-merge"] — for counters and spans. *)

@@ -15,8 +15,6 @@ let liveness_to_string = function
   | Suspect -> "suspect"
   | Dead -> "dead"
 
-let pp_liveness fmt l = Format.pp_print_string fmt (liveness_to_string l)
-
 type status = Member | Left
 
 type entry = {
@@ -445,11 +443,6 @@ let liveness t name =
     match Hashtbl.find_opt t.g_table name with
     | None -> Alive
     | Some ps -> verdict t ps
-
-let last_heard t name =
-  match Hashtbl.find_opt t.g_table name with
-  | Some ps when not (String.equal name t.g_host) -> Some ps.p_last_heard
-  | _ -> None
 
 let membership t =
   Hashtbl.fold (fun _ ps acc -> ps.p_entry :: acc) t.g_table []

@@ -33,7 +33,6 @@
 type liveness = Alive | Suspect | Dead
 
 val liveness_to_string : liveness -> string
-val pp_liveness : Format.formatter -> liveness -> unit
 
 (** {1 Membership entries} *)
 
@@ -148,8 +147,6 @@ val peers_version : t -> int
 val liveness : t -> string -> liveness
 (** Current verdict for a host name.  Unknown hosts — and the local host
     itself — are [Alive]: suspicion requires evidence. *)
-
-val last_heard : t -> string -> int option
 
 val membership : t -> entry list
 (** The local table, sorted by host name (self included). *)

@@ -263,7 +263,6 @@ let checkpoint t =
 (* Transactions                                                        *)
 
 let begin_txn t = t.txn_depth <- t.txn_depth + 1
-let in_txn t = t.txn_depth > 0
 
 let abort_txn t =
   t.txn_depth <- 0;
@@ -421,8 +420,6 @@ let recover t =
   end
 
 (* ------------------------------------------------------------------ *)
-
-let durable_txns t = t.n_durable
 
 let stats t =
   List.sort compare

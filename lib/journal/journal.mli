@@ -86,8 +86,6 @@ val abort_txn : t -> unit
 (** Discard the open transaction's dirty set — a clean rollback, since
     none of its writes have reached cache or device. *)
 
-val in_txn : t -> bool
-
 (** {1 Block I/O through the journal} *)
 
 val read : t -> int -> bytes io
@@ -129,7 +127,3 @@ val stats : t -> (string * int) list
     transactions sealed, [flushes], [records] written, [checkpoints],
     [replayed] records at recovery, [bypasses] (oversized batches
     written straight home), [staged] / [logged] current block counts. *)
-
-val durable_txns : t -> int
-(** Number of committed transactions whose record group has been sealed
-    on the device (the durability horizon). *)

@@ -217,5 +217,3 @@ let decode s =
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   let decoded = List.map decode_event lines in
   if List.exists Option.is_none decoded then None else Some (List.filter_map Fun.id decoded)
-
-let pp_event ppf ev = Fmt.string ppf (encode_event ev)

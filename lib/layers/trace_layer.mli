@@ -53,5 +53,3 @@ val replay : Vnode.t -> event list -> replay_stats
 val encode : event list -> string
 val decode : string -> event list option
 (** Line-oriented persistence, names percent-escaped. *)
-
-val pp_event : Format.formatter -> event -> unit

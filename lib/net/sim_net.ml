@@ -30,19 +30,6 @@ let check_faults f =
        && f.latency_max >= 0)
   then invalid_arg "Sim_net: bad fault spec"
 
-(* Fault scopes compose pessimistically: wherever several scopes apply
-   to a packet (global, either endpoint host, the directed link), each
-   knob takes the worst applicable value. *)
-let worst a b =
-  {
-    loss = Float.max a.loss b.loss;
-    rpc_failure_prob = Float.max a.rpc_failure_prob b.rpc_failure_prob;
-    latency_min = max a.latency_min b.latency_min;
-    latency_max = max a.latency_max b.latency_max;
-    duplication_prob = Float.max a.duplication_prob b.duplication_prob;
-    reorder_prob = Float.max a.reorder_prob b.reorder_prob;
-  }
-
 type host = {
   name : string;
   mutable group : int;
@@ -78,8 +65,6 @@ type t = {
   clock : Clock.t;
   rng : Random.State.t;
   mutable faults : faults;
-  host_faults : (host_id, faults) Hashtbl.t;
-  link_faults : (host_id * host_id, faults) Hashtbl.t;
   severed : (host_id * host_id, unit) Hashtbl.t;
   mutable host_table : host array;
   mutable queue : queue;
@@ -95,8 +80,6 @@ let create ?(seed = 42) ?(faults = no_faults) ?(indexed = true) clock =
     clock;
     rng = Random.State.make [| seed |];
     faults;
-    host_faults = Hashtbl.create 8;
-    link_faults = Hashtbl.create 8;
     severed = Hashtbl.create 8;
     host_table = [||];
     queue = (if indexed then Indexed Imap.empty else Linear []);
@@ -136,27 +119,7 @@ let set_faults t f =
   check_faults f;
   t.faults <- f
 
-let set_host_faults t id f =
-  check_faults f;
-  ignore (host t id);
-  Hashtbl.replace t.host_faults id f
-
-let set_link_faults t ~src ~dst f =
-  check_faults f;
-  ignore (host t src);
-  ignore (host t dst);
-  Hashtbl.replace t.link_faults (src, dst) f
-
-let clear_faults t =
-  t.faults <- no_faults;
-  Hashtbl.reset t.host_faults;
-  Hashtbl.reset t.link_faults
-
-let effective t src dst =
-  let f = t.faults in
-  let f = match Hashtbl.find_opt t.host_faults src with Some g -> worst f g | None -> f in
-  let f = match Hashtbl.find_opt t.host_faults dst with Some g -> worst f g | None -> f in
-  match Hashtbl.find_opt t.link_faults (src, dst) with Some g -> worst f g | None -> f
+let clear_faults t = t.faults <- no_faults
 
 let set_flaky t id ~until = (host t id).flaky_until <- until
 
@@ -237,7 +200,7 @@ let enqueue t ~src ~dst p ~due =
 
 let send t ~src ~dst p =
   Counters.incr t.counters "net.datagrams.sent";
-  let f = effective t src dst in
+  let f = t.faults in
   let now = Clock.now t.clock in
   enqueue t ~src ~dst p ~due:(now + draw_latency t f);
   if f.duplication_prob > 0.0 && Random.State.float t.rng 1.0 < f.duplication_prob
@@ -280,7 +243,7 @@ let take_ready t now =
    behind its successor with the link's reorder probability. *)
 let rec reorder_pass t = function
   | a :: b :: rest ->
-    let f = effective t a.p_src a.p_dst in
+    let f = t.faults in
     if f.reorder_prob > 0.0 && Random.State.float t.rng 1.0 < f.reorder_prob then begin
       Counters.incr t.counters "net.datagrams.reordered";
       b :: reorder_pass t (a :: rest)
@@ -295,7 +258,7 @@ let pump t =
   let ready = reorder_pass t ready in
   let delivered = ref 0 in
   let deliver p =
-    let f = effective t p.p_src p.p_dst in
+    let f = t.faults in
     let lost = f.loss > 0.0 && Random.State.float t.rng 1.0 < f.loss in
     if lost || not (reachable t p.p_src p.p_dst) then
       Counters.incr t.counters "net.datagrams.dropped"
@@ -323,7 +286,7 @@ let call t ~src ~dst p =
     Error Errno.EUNREACHABLE
   end
   else
-    let f = effective t src dst in
+    let f = t.faults in
     if f.rpc_failure_prob > 0.0 && Random.State.float t.rng 1.0 < f.rpc_failure_prob
     then begin
       Counters.incr t.counters "net.rpc.failed";

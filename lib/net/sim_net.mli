@@ -16,8 +16,8 @@
 
     On top of partitions sits a {b fault-injection layer} ({!faults}):
     datagram latency (delivery scheduled on clock ticks), duplication,
-    reordering, extra loss, and probabilistic RPC failure, configurable
-    globally, per host, or per directed link; plus transient "flaky host"
+    reordering, extra loss, and probabilistic RPC failure, one spec for
+    the whole network; plus transient "flaky host"
     windows ({!set_flaky}) and one-way severed links ({!sever}).  All
     randomness flows through the seeded PRNG, so a given (seed, schedule)
     is fully deterministic.
@@ -73,16 +73,8 @@ val set_faults : t -> faults -> unit
 (** Replace the global fault spec.  Raises [Invalid_argument] on
     probabilities outside [0,1] or negative latencies. *)
 
-val set_host_faults : t -> host_id -> faults -> unit
-(** Faults applying to every packet and RPC touching this host (either
-    direction). *)
-
-val set_link_faults : t -> src:host_id -> dst:host_id -> faults -> unit
-(** Faults for the directed link [src → dst] only. *)
-
 val clear_faults : t -> unit
-(** Drop the global, per-host and per-link fault specs (back to
-    {!no_faults}).  Does not heal partitions, severed links or flaky
+(** Drop the fault spec (back to {!no_faults}).  Does not heal partitions, severed links or flaky
     windows; see {!heal}. *)
 
 val set_flaky : t -> host_id -> until:int -> unit
@@ -135,7 +127,7 @@ val reachable : t -> host_id -> host_id -> bool
 
 val send : t -> src:host_id -> dst:host_id -> payload -> unit
 (** Queue a datagram.  Its delivery tick is [now + latency] drawn from
-    the effective fault spec (zero by default).  Reachability is checked
+    the fault spec (zero by default).  Reachability is checked
     at {e delivery} time, so a partition that forms after [send] still
     loses the message.  May enqueue a duplicate per [duplication_prob]. *)
 

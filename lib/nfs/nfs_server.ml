@@ -140,5 +140,3 @@ let restart t =
   Hashtbl.reset t.table;
   t.epoch <- t.epoch + 1;
   t.next_slot <- 0
-
-let issued_handles t = Hashtbl.length t.table

@@ -28,5 +28,3 @@ val restart : t -> unit
 val handle : t -> Nfs_proto.request -> Nfs_proto.response
 (** The request dispatcher (exposed for direct-call tests; the network
     path goes through the registered RPC handler). *)
-
-val issued_handles : t -> int

@@ -52,7 +52,3 @@ let reporter ?(out = Format.err_formatter) ~now () =
       (now ()) Logs.pp_level level (Logs.Src.name src) host
   in
   { Logs.report }
-
-let install_reporter ?out ?(level = Logs.Info) ~now () =
-  Logs.set_reporter (reporter ?out ~now ());
-  Logs.set_level ~all:true (Some level)

@@ -26,6 +26,3 @@ val host_tag : string Logs.Tag.def
 val reporter : ?out:Format.formatter -> now:(unit -> int) -> unit -> Logs.reporter
 (** Formats every line as [[tick] LEVEL src host: msg] using the
     simulated clock. *)
-
-val install_reporter :
-  ?out:Format.formatter -> ?level:Logs.level -> now:(unit -> int) -> unit -> unit

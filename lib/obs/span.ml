@@ -155,18 +155,10 @@ let timeline t id =
 let start_tick t id =
   match Hashtbl.find_opt t.spans id with None -> None | Some sp -> Some sp.sp_start
 
-let origin t id =
-  match Hashtbl.find_opt t.spans id with None -> None | Some sp -> Some sp.sp_origin
-
 let label t id =
   match Hashtbl.find_opt t.spans id with None -> None | Some sp -> Some sp.sp_label
 
 let ids t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.spans [])
-
-let pp_timeline ppf events =
-  List.iter
-    (fun e -> Format.fprintf ppf "[%6d] %-8s %s@." e.e_tick e.e_host e.e_label)
-    events
 
 (* ------------------------------------------------------------------ *)
 (* Ambient context                                                     *)
@@ -189,9 +181,4 @@ let emit ?host label = match !current with None -> () | Some c -> emit_in c ?hos
 let with_ctx c f =
   let saved = !current in
   current := Some c;
-  Fun.protect ~finally:(fun () -> current := saved) f
-
-let without_ctx f =
-  let saved = !current in
-  current := None;
   Fun.protect ~finally:(fun () -> current := saved) f

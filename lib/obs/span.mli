@@ -76,10 +76,8 @@ val timeline : t -> int -> event list
 (** All events of a span, sorted by (tick, admission order). *)
 
 val start_tick : t -> int -> int option
-val origin : t -> int -> string option
 val label : t -> int -> string option
 val ids : t -> int list
-val pp_timeline : Format.formatter -> event list -> unit
 
 (** {2 Ambient context}
 
@@ -91,7 +89,6 @@ type ctx
 
 val make_ctx : spans:t -> id:int -> host:string -> now:(unit -> int) -> ctx
 val with_ctx : ctx -> (unit -> 'a) -> 'a
-val without_ctx : (unit -> 'a) -> 'a
 val capture : unit -> ctx option
 (** Grab the ambient context for deferred attribution (e.g. a group
     commit that seals later than the write it covers). *)

@@ -181,14 +181,6 @@ let volume t ~alloc ~vol =
     (fun vs -> (vs.vs_replicas, vs.vs_cindex))
     (Hashtbl.find_opt t.cp_vols (alloc, vol))
 
-let volumes t =
-  Hashtbl.fold
-    (fun key vs acc -> (key, vs.vs_label, vs.vs_replicas) :: acc)
-    t.cp_vols []
-  |> List.sort compare
-
-let graft_target t path = Hashtbl.find_opt t.cp_grafts path
-
 let grafts t =
   Hashtbl.fold (fun path (vref, _) acc -> (path, vref) :: acc) t.cp_grafts []
   |> List.sort compare

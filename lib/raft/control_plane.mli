@@ -55,10 +55,4 @@ val volume : t -> alloc:int -> vol:int -> ((int * string) list * int) option
 (** Committed replica set and the log index of the command that last
     touched this volume. *)
 
-val volumes : t -> ((int * int) * string * (int * string) list) list
-(** Every registered volume: [(alloc, vol), label, replicas], sorted. *)
-
-val graft_target : t -> string -> ((int * int) * int) option
-(** Volume bound at a graft point, with the binding's log index. *)
-
 val grafts : t -> (string * (int * int)) list

@@ -12,11 +12,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type role = Follower | Candidate | Leader
 
-let role_to_string = function
-  | Follower -> "follower"
-  | Candidate -> "candidate"
-  | Leader -> "leader"
-
 type entry = { e_term : int; e_index : int; e_cmd : string; e_span : int }
 
 type config = {
@@ -112,9 +107,7 @@ let role t = t.r_role
 let term t = t.r_term
 let leader_hint t = t.r_leader
 let commit_index t = t.r_commit
-let last_applied t = t.r_applied
 let snapshot_index t = t.r_snap_index
-let stopped t = t.r_stopped
 
 let majority t = (List.length t.r_peers / 2) + 1
 let others t = List.filter (fun p -> not (String.equal p t.r_host)) t.r_peers

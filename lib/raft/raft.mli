@@ -39,8 +39,6 @@
 
 type role = Follower | Candidate | Leader
 
-val role_to_string : role -> string
-
 type entry = {
   e_term : int;
   e_index : int;
@@ -100,7 +98,6 @@ val leader_hint : t -> string option
 (** Who this member currently believes leads (itself when leader). *)
 
 val commit_index : t -> int
-val last_applied : t -> int
 val last_index : t -> int
 val snapshot_index : t -> int
 
@@ -138,5 +135,3 @@ val crash_recover : t -> unit
 val stop : t -> unit
 (** Permanently silence the member (handlers drop everything, tick
     no-ops) — a host that left for good. *)
-
-val stopped : t -> bool

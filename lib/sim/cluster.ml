@@ -73,15 +73,12 @@ let profile t = t.profile
 let nhosts t = Array.length t.hosts
 let host t i = t.hosts.(i)
 let host_name h = h.h_name
-let host_id h = h.h_id
 let ufs h = h.h_ufs
 let disk h = h.h_disk
 let logical h = h.h_logical
 let propagation h = h.h_prop
 let reconciler h = h.h_recon
-let nfs_server h = h.h_server
 let gossip h = h.h_gossip
-let raft_node h = Option.map fst h.h_control
 let control_plane h = Option.map snd h.h_control
 let replicas h = h.h_replicas
 
@@ -1242,8 +1239,6 @@ let set_faults t f = Sim_net.set_faults t.net f
 
 let sever t i j = Sim_net.sever t.net ~src:t.hosts.(i).h_id ~dst:t.hosts.(j).h_id
 
-let unsever t i j = Sim_net.unsever t.net ~src:t.hosts.(i).h_id ~dst:t.hosts.(j).h_id
-
 let set_flaky t i ~until = Sim_net.set_flaky t.net t.hosts.(i).h_id ~until
 
 let advance t n = Clock.advance t.clock n
@@ -1401,6 +1396,21 @@ let membership_converged t =
   match views with
   | [] -> true
   | v :: rest -> List.for_all (fun v' -> v' = v) rest
+
+let await_membership t ~max_rounds =
+  let period =
+    match Array.find_map (fun h -> h.h_gossip) t.hosts with
+    | Some g -> (Gossip.config g).Gossip.period
+    | None -> 1
+  in
+  let rec go n =
+    if n >= max_rounds || membership_converged t then n
+    else begin
+      ignore (tick_daemons t period);
+      go (n + 1)
+    end
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)

@@ -130,15 +130,12 @@ val nhosts : t -> int
 
 val host : t -> int -> host
 val host_name : host -> string
-val host_id : host -> Sim_net.host_id
 val ufs : host -> Ufs.t
 val disk : host -> Disk.t
 val logical : host -> Logical.t
 val propagation : host -> Propagation.t
 val reconciler : host -> Recon_daemon.t
-val nfs_server : host -> Nfs_server.t
 val gossip : host -> Gossip.t option
-val raft_node : host -> Raft.t option
 val control_plane : host -> Control_plane.t option
 (** The consensus member / replicated registry on coordinator-group
     hosts; [None] elsewhere. *)
@@ -157,6 +154,11 @@ val replica : host -> Ids.volume_ref -> Physical.t option
 val membership_converged : t -> bool
 (** Do all gossip-enabled hosts hold the same membership view
     (heartbeats excluded)?  Vacuously true without [?gossip]. *)
+
+val await_membership : t -> max_rounds:int -> int
+(** Tick the cluster's gossip period ({!tick_daemons}) until
+    {!membership_converged} or [max_rounds] periods have passed; returns
+    the periods ticked (0 when already converged). *)
 
 (** {1 Volumes} *)
 
@@ -225,13 +227,11 @@ val heal : t -> unit
 val set_faults : t -> Sim_net.faults -> unit
 (** Replace the network's global fault spec (loss, latency, duplication,
     reordering, RPC failure injection); pass {!Sim_net.no_faults} to
-    quiesce.  Per-host/per-link specs are reachable via {!net}. *)
+    quiesce. *)
 
 val sever : t -> int -> int -> unit
 (** [sever t i j]: cut the one-way link host [i] → host [j] (asymmetric
     partition), by host index. *)
-
-val unsever : t -> int -> int -> unit
 
 val set_flaky : t -> int -> until:int -> unit
 (** Make a host (by index) drop all traffic until the given clock tick. *)

@@ -293,30 +293,23 @@ let e5_propagation () =
 let e6_reconciliation () =
   let cluster = Cluster.create ~nhosts:2 () in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = get (Cluster.logical_root cluster 0 vref) in
-  let mk root name data =
-    let f = get (root.Vnode.create name) in
-    get (Vnode.write_all f data)
-  in
-  mk root0 "shared" "base";
-  let _ = get (root0.Vnode.mkdir "dir") in
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = get (Cluster.converge cluster vref ()) in
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  let root1 = get (Cluster.logical_root cluster 1 vref) in
-  (* Divergent activity: disjoint creates, a file conflict, a name
-     collision, a rename/rename of the directory. *)
-  mk root0 "only-at-0" "zero";
-  mk root1 "only-at-1" "one";
-  get (Vnode.write_all (get (root0.Vnode.lookup "shared")) "from 0");
-  get (Vnode.write_all (get (root1.Vnode.lookup "shared")) "from 1");
-  mk root0 "clash" "c0";
-  mk root1 "clash" "c1";
-  get (root0.Vnode.rename "dir" root0 "dir-as-0");
-  get (root1.Vnode.rename "dir" root1 "dir-as-1");
-  Cluster.heal cluster;
+  let s = Schedule.start cluster vref in
+  get
+    (Schedule.run s
+       [
+         Create (0, "shared", "base"); Mkdir (0, "dir"); Propagate; Converge 10;
+         Partition [ [ 0 ]; [ 1 ] ];
+         (* Divergent activity: disjoint creates, a file conflict, a name
+            collision, a rename/rename of the directory. *)
+         Create (0, "only-at-0", "zero"); Create (1, "only-at-1", "one");
+         Write (0, "shared", "from 0"); Write (1, "shared", "from 1");
+         Create (0, "clash", "c0"); Create (1, "clash", "c1");
+         Rename (0, "dir", "dir-as-0"); Rename (1, "dir", "dir-as-1");
+         Heal;
+       ]);
   let stats = get (Cluster.reconcile_ring cluster vref) in
   let (_ : int) = get (Cluster.converge cluster vref ~max_rounds:20 ()) in
+  let root0 = get (Schedule.root s 0) and root1 = get (Schedule.root s 1) in
   let names root =
     get (root.Vnode.readdir ()) |> List.map (fun d -> d.Vnode.entry_name) |> List.sort compare
   in
@@ -600,15 +593,14 @@ let a1_reconciliation_topology () =
   let n = 5 in
   let diverged () =
     let cluster = Cluster.create ~nhosts:n () in
-    let vref = get (Cluster.create_volume cluster ~on:(List.init n Fun.id)) in
-    let roots = List.init n (fun i -> get (Cluster.logical_root cluster i vref)) in
-    Cluster.partition cluster (List.init n (fun i -> [ i ]));
-    List.iteri
-      (fun i root ->
-        let f = get (root.Vnode.create (Printf.sprintf "from%d" i)) in
-        get (Vnode.write_all f (string_of_int i)))
-      roots;
-    Cluster.heal cluster;
+    let hosts = List.init n Fun.id in
+    let vref = get (Cluster.create_volume cluster ~on:hosts) in
+    let s = Schedule.start cluster vref in
+    let create i = Schedule.Create (i, Printf.sprintf "from%d" i, string_of_int i) in
+    get
+      (Schedule.run s
+         ((Schedule.Partition (List.map (fun i -> [ i ]) hosts) :: List.map create hosts)
+         @ [ Heal ]));
     (cluster, vref)
   in
   let converged cluster vref =
@@ -663,19 +655,16 @@ let a1_reconciliation_topology () =
    reconciling and (b) one silent peer; compare how much dead state the
    directory file retains. *)
 let a2_tombstone_gc () =
-  let churn ~silent_peer =
-    let cluster = Cluster.create ~nhosts:3 () in
-    let on = [ 0; 1; 2 ] in
-    let vref = get (Cluster.create_volume cluster ~on) in
-    let root0 = get (Cluster.logical_root cluster 0 vref) in
-    if silent_peer then Cluster.partition cluster [ [ 0; 1 ]; [ 2 ] ];
+  (* 20 create+delete cycles at host0, each step followed by a
+     best-effort converge; returns the tombstones and DIR bytes left. *)
+  let churn_and_measure cluster vref =
+    let s = Schedule.start cluster vref in
     for i = 1 to 20 do
       let name = Printf.sprintf "churn%d" i in
-      let f = get (root0.Vnode.create name) in
-      get (Vnode.write_all f "transient");
-      (match Cluster.converge cluster vref ~max_rounds:10 () with Ok _ | Error _ -> ());
-      get (root0.Vnode.remove name);
-      (match Cluster.converge cluster vref ~max_rounds:10 () with Ok _ | Error _ -> ())
+      get (Schedule.apply s (Create (0, name, "transient")));
+      ignore (Schedule.apply s (Converge 10));
+      get (Schedule.apply s (Remove (0, name)));
+      ignore (Schedule.apply s (Converge 10))
     done;
     let phys0 = Option.get (Cluster.replica (Cluster.host cluster 0) vref) in
     let fdir = get (Physical.fetch_dir phys0 []) in
@@ -687,6 +676,12 @@ let a2_tombstone_gc () =
     in
     (tombstones, String.length (Fdir.encode fdir))
   in
+  let churn ~silent_peer =
+    let cluster = Cluster.create ~nhosts:3 () in
+    let vref = get (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
+    if silent_peer then Cluster.partition cluster [ [ 0; 1 ]; [ 2 ] ];
+    churn_and_measure cluster vref
+  in
   (* (c) the silent peer has properly retired: its [Left] tombstone and
      replica withdrawal spread epidemically before it goes dark, the
      survivors' peer lists shrink, and the GC dominance check stops
@@ -695,12 +690,7 @@ let a2_tombstone_gc () =
     let cfg = Gossip.default_config in
     let cluster = Cluster.create ~nhosts:3 ~gossip:cfg () in
     let vref = get (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
-    let round () = ignore (Cluster.tick_daemons cluster cfg.Gossip.period) in
-    let n = ref 0 in
-    while (not (Cluster.membership_converged cluster)) && !n < 64 do
-      round ();
-      incr n
-    done;
+    let (_ : int) = Cluster.await_membership cluster ~max_rounds:64 in
     Cluster.leave_host cluster 2;
     (* Wait until host0's physical layer has re-derived its peer list
        without the departed replica, then cut the leaver off for good. *)
@@ -711,29 +701,12 @@ let a2_tombstone_gc () =
     in
     let m = ref 0 in
     while (not (dropped ())) && !m < 64 do
-      round ();
+      ignore (Cluster.tick_daemons cluster cfg.Gossip.period);
       incr m
     done;
     if not (dropped ()) then failwith "a2: Left tombstone never unpinned peers";
     Cluster.partition cluster [ [ 0; 1 ]; [ 2 ] ];
-    let root0 = get (Cluster.logical_root cluster 0 vref) in
-    for i = 1 to 20 do
-      let name = Printf.sprintf "churn%d" i in
-      let f = get (root0.Vnode.create name) in
-      get (Vnode.write_all f "transient");
-      (match Cluster.converge cluster vref ~max_rounds:10 () with Ok _ | Error _ -> ());
-      get (root0.Vnode.remove name);
-      (match Cluster.converge cluster vref ~max_rounds:10 () with Ok _ | Error _ -> ())
-    done;
-    let phys0 = Option.get (Cluster.replica (Cluster.host cluster 0) vref) in
-    let fdir = get (Physical.fetch_dir phys0 []) in
-    let tombstones =
-      List.length
-        (List.filter
-           (fun e -> match e.Fdir.status with Fdir.Dead _ -> true | Fdir.Live -> false)
-           (Fdir.entries fdir))
-    in
-    (tombstones, String.length (Fdir.encode fdir))
+    churn_and_measure cluster vref
   in
   let gc_tombs, gc_bytes = churn ~silent_peer:false in
   let pin_tombs, pin_bytes = churn ~silent_peer:true in
@@ -880,12 +853,14 @@ let chaos_convergence () =
     Cluster.create ~seed:1009 ~nhosts ~reconcile_period:40 ~journal_blocks:256 ()
   in
   let net = Cluster.net cluster in
-  let vref = get (Cluster.create_volume cluster ~on:(List.init nhosts Fun.id)) in
-  let roots = List.init nhosts (fun i -> get (Cluster.logical_root cluster i vref)) in
+  let hosts = List.init nhosts Fun.id in
+  let vref = get (Cluster.create_volume cluster ~on:hosts) in
+  let s = Schedule.start cluster vref in
   (* Quiet setup: one directory per host, fully propagated. *)
-  List.iteri (fun i root -> ignore (get (root.Vnode.mkdir (Printf.sprintf "h%d" i)))) roots;
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = get (Cluster.converge cluster vref ()) in
+  get
+    (Schedule.run s
+       (List.map (fun i -> Schedule.Mkdir (i, Printf.sprintf "h%d" i)) hosts
+       @ [ Propagate; Converge 10 ]));
   (* Now the weather turns. *)
   Cluster.set_faults cluster
     {
@@ -900,14 +875,12 @@ let chaos_convergence () =
   let partitions = ref 0 and severs = ref 0 and flaky = ref 0 and heals = ref 0 in
   let ok_writes = ref 0 and failed_writes = ref 0 in
   let write i epoch =
-    let root = List.nth roots i in
-    let attempt =
-      let* d = root.Vnode.lookup (Printf.sprintf "h%d" i) in
-      let* f = d.Vnode.create (Printf.sprintf "e%d" epoch) in
-      let* () = Vnode.write_all f (Printf.sprintf "host %d epoch %d" i epoch) in
-      Ok ()
-    in
-    match attempt with Ok () -> incr ok_writes | Error _ -> incr failed_writes
+    match
+      Schedule.apply s
+        (Create (i, Printf.sprintf "h%d/e%d" i epoch, Printf.sprintf "host %d epoch %d" i epoch))
+    with
+    | Ok () -> incr ok_writes
+    | Error _ -> incr failed_writes
   in
   for epoch = 1 to epochs do
     (* Two forced events guarantee a full partition/heal cycle; the rest
@@ -940,10 +913,8 @@ let chaos_convergence () =
          incr heals;
          Cluster.heal cluster
        | _ -> ());
-    List.iter (fun i -> write i epoch) (List.init nhosts Fun.id);
-    for _ = 1 to 4 do
-      ignore (Cluster.tick_daemons cluster 2)
-    done
+    List.iter (fun i -> write i epoch) hosts;
+    ignore (Schedule.run s [ Tick 2; Tick 2; Tick 2; Tick 2 ])
   done;
   let injected = Counters.get (Sim_net.counters net) "net.rpc.injected" in
   let dropped = Counters.get (Sim_net.counters net) "net.datagrams.dropped" in
@@ -961,28 +932,9 @@ let chaos_convergence () =
   (* Every replica must now present the identical namespace with
      identical version vectors, recursively. *)
   let snapshot i =
-    let phys = Option.get (Cluster.replica (Cluster.host cluster i) vref) in
-    let rec walk prefix path =
-      let fdir = get (Physical.fetch_dir phys path) in
-      List.concat_map
-        (fun (name, (e : Fdir.entry)) ->
-          let p = path @ [ e.Fdir.fid ] in
-          let vi = get (Physical.get_version phys p) in
-          let line =
-            Printf.sprintf "%s%s vv=%s stored=%b" prefix name
-              (Version_vector.to_string vi.Physical.vi_vv)
-              vi.Physical.vi_stored
-          in
-          match e.Fdir.kind with
-          | Aux_attrs.Fdir | Aux_attrs.Fgraft -> line :: walk (prefix ^ name ^ "/") p
-          | Aux_attrs.Freg -> [ line ])
-        (List.sort compare (Fdir.live fdir))
-    in
-    let root_vi = get (Physical.get_version phys []) in
-    Printf.sprintf "/ vv=%s" (Version_vector.to_string root_vi.Physical.vi_vv)
-    :: walk "" []
+    get (Schedule.state (Option.get (Cluster.replica (Cluster.host cluster i) vref)))
   in
-  let snaps = List.init nhosts snapshot in
+  let snaps = List.map snapshot hosts in
   let s0 = List.hd snaps in
   let all_equal = List.for_all (fun s -> s = s0) snaps in
   let expected_lines = 1 + nhosts + (nhosts * epochs) in
@@ -998,7 +950,7 @@ let chaos_convergence () =
         | Error msg ->
           Printf.printf "  !! CHAOS: fsck found corruption on host%d: %s\n%!" i msg;
           false)
-      (List.init nhosts Fun.id)
+      hosts
   in
   Table.print ~title:"CHAOS: randomized fault schedule, then heal + quiesce (4 replicas)"
     ~headers:[ "metric"; "value" ]
@@ -1289,20 +1241,21 @@ let obslag_propagation_lag () =
       ~nhosts:3 ()
   in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
-  let root0 = get (Cluster.logical_root cluster 0 vref) in
   (* host2 disconnects; host0 keeps writing.  host1 converges through
      the notify/pull path within ticks; host2 can only catch up at
      reconciliation after the heal — so its measured lag includes the
      whole disconnection. *)
-  Cluster.partition cluster [ [ 0; 1 ]; [ 2 ] ];
   let files = 8 in
-  for i = 1 to files do
-    let f = get (root0.Vnode.create (Printf.sprintf "f%d" i)) in
-    get (Vnode.write_all f (Printf.sprintf "update %d payload" i));
-    ignore (Cluster.tick_daemons cluster 3)
-  done;
-  ignore (Cluster.tick_daemons cluster 10);
-  Cluster.heal cluster;
+  let writes =
+    List.concat_map
+      (fun i ->
+        [ Schedule.Create (0, Printf.sprintf "f%d" i, Printf.sprintf "update %d payload" i);
+          Tick 3 ])
+      (List.init files succ)
+  in
+  get
+    (Schedule.run (Schedule.start cluster vref)
+       ((Schedule.Partition [ [ 0; 1 ]; [ 2 ] ] :: writes) @ [ Tick 10; Heal ]));
   let rounds = get (Cluster.converge cluster vref ~max_rounds:20 ()) in
   (* Age out the final group commits so every seal is attributed. *)
   for _ = 1 to 10 do
@@ -1495,12 +1448,7 @@ let reconscale_incremental_recon () =
 
 let member_gossip () =
   let cfg = Gossip.default_config in
-  let snapshot_counter cluster name =
-    let snap = Cluster.metrics_snapshot cluster in
-    match List.assoc_opt name snap.Cluster.ms_metrics.Metrics.snap_counters with
-    | Some v -> v
-    | None -> 0
-  in
+  let counter cluster = Metrics.counter (Cluster.obs cluster).Obs.metrics in
   (* -------- arm 1: convergence after a partitioned add_replica ------ *)
   (* 16 hosts, volume on three of them.  A replica is added on a host
      that can only see one side of a partition; the membership delta is
@@ -1512,11 +1460,7 @@ let member_gossip () =
   let round c = ignore (Cluster.tick_daemons c cfg.Gossip.period) in
   (* Settle the bootstrap state (the volume placement itself spreads
      epidemically) before measuring. *)
-  let settled = ref 0 in
-  while (not (Cluster.membership_converged cluster)) && !settled < 64 do
-    round cluster;
-    incr settled
-  done;
+  let settled = Cluster.await_membership cluster ~max_rounds:64 in
   if not (Cluster.membership_converged cluster) then
     failwith "member: bootstrap membership never converged";
   Cluster.partition cluster [ List.init 8 Fun.id; List.init 8 (fun i -> 8 + i) ];
@@ -1535,11 +1479,7 @@ let member_gossip () =
   let spread_in_b = knows 8 && knows 15 in
   let dark_in_a = (not (knows 0)) && not (Cluster.membership_converged cluster) in
   Cluster.heal cluster;
-  let rounds = ref 0 in
-  while (not (Cluster.membership_converged cluster)) && !rounds < 64 do
-    round cluster;
-    incr rounds
-  done;
+  let rounds = Cluster.await_membership cluster ~max_rounds:64 in
   let converged = Cluster.membership_converged cluster in
   (* Once views agree, every replica's peer list must have been re-derived
      from gossip: host0's physical layer now notifies the newcomer. *)
@@ -1548,7 +1488,7 @@ let member_gossip () =
     | Some phys -> List.mem_assoc new_rid (Physical.peers phys)
     | None -> false
   in
-  let eager_pushes = snapshot_counter cluster "membership.eager_pushes" in
+  let eager_pushes = counter cluster "membership.eager_pushes" in
   (* 4·log2(16) = 16: the epidemic bound with plenty of slack. *)
   let log2n =
     int_of_float (ceil (log (float_of_int nhosts) /. log 2.0))
@@ -1604,8 +1544,8 @@ let member_gossip () =
         [ 0; 1; 2 ]
     in
     ( failed,
-      snapshot_counter cluster "gossip.suspect_events",
-      snapshot_counter cluster "prop.rpcs_skipped_dead",
+      counter cluster "gossip.suspect_events",
+      counter cluster "prop.rpcs_skipped_dead",
       ok )
   in
   let seed_failed, _, _, seed_ok = flaky_arm ~gossip:None () in
@@ -1615,7 +1555,7 @@ let member_gossip () =
   let metrics =
     [ ( "membership",
         Obj
-          [ ("gossip.rounds_to_converge", Int !rounds);
+          [ ("gossip.rounds_to_converge", Int rounds);
             ("gossip.suspect_events", Int suspects);
             ("prop.rpcs_skipped_dead", Int skipped);
             ("membership.eager_pushes", Int eager_pushes);
@@ -1626,11 +1566,11 @@ let member_gossip () =
     ~title:"MEMBER: epidemic membership (16 hosts) + flaky-host economics (4 hosts)"
     ~headers:[ "metric"; "value" ]
     [
-      [ "bootstrap settle rounds"; string_of_int !settled ];
+      [ "bootstrap settle rounds"; string_of_int settled ];
       [ "newcomer spread in partition B"; string_of_bool spread_in_b ];
       [ "partition A still dark"; string_of_bool dark_in_a ];
       [ "rounds to converge after heal";
-        Printf.sprintf "%d (bound %d)" !rounds rounds_bound ];
+        Printf.sprintf "%d (bound %d)" rounds rounds_bound ];
       [ "eager peer-list pushes"; string_of_int eager_pushes ];
       [ "failed RPCs during outage, no gossip"; string_of_int seed_failed ];
       [ "failed RPCs during outage, gossip"; string_of_int gossip_failed ];
@@ -1639,7 +1579,7 @@ let member_gossip () =
     ];
   let holds =
     spread_in_b && dark_in_a && converged && peers_synced
-    && !rounds >= 1 && !rounds <= rounds_bound
+    && rounds >= 1 && rounds <= rounds_bound
     && eager_pushes = 0
     && suspects > 0 && skipped > 0
     && gossip_failed < seed_failed
@@ -1650,7 +1590,7 @@ let member_gossip () =
     holds
     (Printf.sprintf
        "converged in %d rounds (bound %d), eager pushes=%d; outage RPC failures %d -> %d with %d pulls parked, %d suspect events"
-       !rounds rounds_bound eager_pushes seed_failed gossip_failed skipped
+       rounds rounds_bound eager_pushes seed_failed gossip_failed skipped
        suspects)
 
 (* ------------------------------------------------------------------ *)
@@ -1690,24 +1630,13 @@ let consensus_arm ~raft () =
     Cluster.create ~seed:90210 ~nhosts:8 ~gossip:cfg ~control ~journal_blocks:32 ()
   in
   let clock = Cluster.clock cluster in
-  let snapshot_counter name =
-    let snap = Cluster.metrics_snapshot cluster in
-    match List.assoc_opt name snap.Cluster.ms_metrics.Metrics.snap_counters with
-    | Some v -> v
-    | None -> 0
-  in
+  let counter = Metrics.counter (Cluster.obs cluster).Obs.metrics in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
-  let root0 = get (Cluster.logical_root cluster 0 vref) in
-  let f = get (root0.Vnode.create "base") in
-  get (Vnode.write_all f "baseline");
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = get (Cluster.converge cluster vref ()) in
+  get
+    (Schedule.run (Schedule.start cluster vref)
+       [ Create (0, "base", "baseline"); Propagate; Converge 10 ]);
   let round () = ignore (Cluster.tick_daemons cluster cfg.Gossip.period) in
-  let settled = ref 0 in
-  while (not (Cluster.membership_converged cluster)) && !settled < 64 do
-    round ();
-    incr settled
-  done;
+  let (_ : int) = Cluster.await_membership cluster ~max_rounds:64 in
   if not (Cluster.membership_converged cluster) then
     failwith "consensus: bootstrap membership never converged";
   let view i = List.sort compare (Cluster.replica_view cluster i vref) in
@@ -1796,10 +1725,10 @@ let consensus_arm ~raft () =
     ca_agreed = !stable >= 3;
     ca_final_hosts = final_hosts;
     ca_data_ok = data_ok;
-    ca_leader_changes = snapshot_counter "raft.leader_changes";
-    ca_unavailable = snapshot_counter "control.unavailable_ticks";
-    ca_ops = snapshot_counter "control.ops";
-    ca_failed = snapshot_counter "control.failed_ops";
+    ca_leader_changes = counter "raft.leader_changes";
+    ca_unavailable = counter "control.unavailable_ticks";
+    ca_ops = counter "control.ops";
+    ca_failed = counter "control.failed_ops";
   }
 
 let consensus_control () =
@@ -1894,11 +1823,7 @@ let health_setup () =
   let root0 = get (Cluster.logical_root cluster 0 vref) in
   let f = get (root0.Vnode.create "doc") in
   get (Vnode.write_all f "v0");
-  let settled = ref 0 in
-  while (not (Cluster.membership_converged cluster)) && !settled < 256 do
-    ignore (Cluster.tick_daemons cluster Gossip.default_config.Gossip.period);
-    incr settled
-  done;
+  let (_ : int) = Cluster.await_membership cluster ~max_rounds:256 in
   let (_ : int) = Cluster.run_propagation cluster in
   let (_ : int) = get (Cluster.converge cluster vref ~max_rounds:100 ()) in
   (cluster, vref, f)
@@ -2039,30 +1964,6 @@ type scale_trace_report = {
   st_file_spans : int; (* "ph":"b" lines actually present in the file *)
 }
 
-(* The chaos-style recursive state snapshot: names, version vectors and
-   stored bits of everything a replica presents, as comparable lines. *)
-let scale_snapshot cluster vref i =
-  let phys = Option.get (Cluster.replica (Cluster.host cluster i) vref) in
-  let rec walk prefix path =
-    let fdir = get (Physical.fetch_dir phys path) in
-    List.concat_map
-      (fun (name, (e : Fdir.entry)) ->
-        let p = path @ [ e.Fdir.fid ] in
-        let vi = get (Physical.get_version phys p) in
-        let line =
-          Printf.sprintf "%s%s vv=%s stored=%b" prefix name
-            (Version_vector.to_string vi.Physical.vi_vv)
-            vi.Physical.vi_stored
-        in
-        match e.Fdir.kind with
-        | Aux_attrs.Fdir | Aux_attrs.Fgraft -> line :: walk (prefix ^ name ^ "/") p
-        | Aux_attrs.Freg -> [ line ])
-      (List.sort compare (Fdir.live fdir))
-  in
-  let root_vi = get (Physical.get_version phys []) in
-  Printf.sprintf "/ vv=%s" (Version_vector.to_string root_vi.Physical.vi_vv)
-  :: walk "" []
-
 (* One full trace replay: an [nhosts]-host gossip cluster, a 4-replica
    volume, users spread round-robin over the replica hosts, the trace
    streamed in 2000-op batches with 50 simulated ticks between batches
@@ -2096,11 +1997,7 @@ let scale_replay ?trace_out ~ops ~nhosts () =
   let exporter = Option.map Trace_export.create trace_out in
   Option.iter (fun x -> Trace_export.attach x span_store) exporter;
   let vref = get (Cluster.create_volume cluster ~on:(List.init nreplicas Fun.id)) in
-  let settled = ref 0 in
-  while (not (Cluster.membership_converged cluster)) && !settled < 256 do
-    ignore (Cluster.tick_daemons cluster Gossip.default_config.Gossip.period);
-    incr settled
-  done;
+  let (_ : int) = Cluster.await_membership cluster ~max_rounds:256 in
   if not (Cluster.membership_converged cluster) then
     failwith "scale: bootstrap membership never converged";
   let tcfg = { Workload.default_trace with Workload.t_seed = 90210 } in
@@ -2143,17 +2040,15 @@ let scale_replay ?trace_out ~ops ~nhosts () =
     if idle then incr quiet else quiet := 0
   done;
   let (_ : int) = get (Cluster.converge cluster vref ~max_rounds:100 ()) in
-  let snaps = List.init nreplicas (scale_snapshot cluster vref) in
+  let snaps =
+    List.init nreplicas (fun i ->
+        get (Schedule.state (Option.get (Cluster.replica (Cluster.host cluster i) vref))))
+  in
   let s0 = List.hd snaps in
   let converged = List.for_all (fun s -> s = s0) snaps in
   let digest =
     Digest.to_hex
-      (Digest.string
-         (String.concat "\n" (List.concat snaps)
-         ^ Printf.sprintf "|r%d w%d n%d m%d e%d tick%d" stats.Workload.tr_reads
-             stats.Workload.tr_writes stats.Workload.tr_renames
-             stats.Workload.tr_mkdirs stats.Workload.tr_errors
-             (Clock.now (Cluster.clock cluster))))
+      (Digest.string (Marshal.to_string (snaps, stats, Clock.now (Cluster.clock cluster)) []))
   in
   let trace_report =
     Option.map
@@ -2361,12 +2256,7 @@ let delta_arm ~delta ~size =
   let fv = get (root0.Vnode.create "big") in
   get (Vnode.write_all fv (delta_synth size));
   let (_ : int) = Cluster.run_propagation cluster in
-  let counter name =
-    let snap = Cluster.metrics_snapshot cluster in
-    match List.assoc_opt name snap.Cluster.ms_metrics.Metrics.snap_counters with
-    | Some v -> v
-    | None -> 0
-  in
+  let counter = Metrics.counter (Cluster.obs cluster).Obs.metrics in
   let before = counter "prop.bytes" in
   (* The one-block edit: overwrite 100 bytes in the middle; everything
      else is bit-identical to what host1 already stores. *)
@@ -2459,66 +2349,38 @@ let delta_propagation () =
 let merge_arm ~dir_merge =
   let cluster = Cluster.create ~nhosts:2 ~dir_merge ~resolver:Resolver.Lww () in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = get (Cluster.logical_root cluster 0 vref) in
-  List.iter
-    (fun n -> ignore (get (root0.Vnode.mkdir n)))
-    [ "a"; "b"; "c"; "m"; "p"; "q" ];
-  let inner = get ((get (root0.Vnode.lookup "a")).Vnode.mkdir "inner") in
-  let keep = get (inner.Vnode.create "keep") in
-  get (Vnode.write_all keep "precious payload");
-  let cf = get ((get (root0.Vnode.lookup "c")).Vnode.create "f") in
-  get (Vnode.write_all cf "base");
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = get (Cluster.converge cluster vref ()) in
-  let root1 = get (Cluster.logical_root cluster 1 vref) in
-  (* Epoch 1: the rename/rename cycle.  Merging the two directory files
-     tombstones every root path to both subtrees; the live parent links
-     that remain point at each other. *)
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  get (root0.Vnode.rename "a" (get (root0.Vnode.lookup "b")) "x");
-  get (root1.Vnode.rename "b" (get (root1.Vnode.lookup "a")) "y");
-  Cluster.heal cluster;
-  (match Cluster.converge cluster vref ~max_rounds:60 () with Ok _ | Error _ -> ());
-  (* Epoch 2: a remove racing an update on c/f, and the same directory
-     m renamed into two different parents. *)
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  get ((get (root0.Vnode.lookup "c")).Vnode.remove "f");
+  let s = Schedule.start cluster vref in
   get
-    (Vnode.write_all
-       (get ((get (root1.Vnode.lookup "c")).Vnode.lookup "f"))
-       "updated during remove");
-  get (root0.Vnode.rename "m" (get (root0.Vnode.lookup "p")) "m-as-0");
-  get (root1.Vnode.rename "m" (get (root1.Vnode.lookup "q")) "m-as-1");
-  Cluster.heal cluster;
-  let converged =
-    match Cluster.converge cluster vref ~max_rounds:60 () with
-    | Ok _ -> true
-    | Error _ -> false
-  in
+    (Schedule.run s
+       (List.map (fun n -> Schedule.Mkdir (0, n)) [ "a"; "b"; "c"; "m"; "p"; "q" ]
+       @ [
+           Mkdir (0, "a/inner"); Create (0, "a/inner/keep", "precious payload");
+           Create (0, "c/f", "base"); Propagate; Converge 10;
+           (* Epoch 1: the rename/rename cycle.  Merging the two directory
+              files tombstones every root path to both subtrees; the live
+              parent links that remain point at each other. *)
+           Partition [ [ 0 ]; [ 1 ] ]; Rename (0, "a", "b/x"); Rename (1, "b", "a/y");
+           Heal;
+         ]));
+  ignore (Schedule.apply s (Converge 60));
+  (* Epoch 2: a remove racing an update on c/f, and the same directory m
+     renamed into two different parents. *)
+  get
+    (Schedule.run s
+       [
+         Partition [ [ 0 ]; [ 1 ] ]; Remove (0, "c/f"); Write (1, "c/f", "updated during remove");
+         Rename (0, "m", "p/m-as-0"); Rename (1, "m", "q/m-as-1"); Heal;
+       ]);
+  let converged = Result.is_ok (Schedule.apply s (Converge 60)) in
   let phys i = Option.get (Cluster.replica (Cluster.host cluster i) vref) in
   let digests = List.map (fun i -> get (Crdt_merge.digest (phys i))) [ 0; 1 ] in
   let stats = List.map (fun i -> get (Crdt_merge.tree_stats (phys i))) [ 0; 1 ] in
-  let contents i =
-    let p = phys i in
-    let rec walk path acc =
-      match Physical.fetch_dir p path with
-      | Error _ -> acc
-      | Ok fdir ->
-        List.fold_left
-          (fun acc (_, (e : Fdir.entry)) ->
-            let child = path @ [ e.Fdir.fid ] in
-            match e.Fdir.kind with
-            | Aux_attrs.Freg ->
-              (match Physical.fetch_file p child with
-               | Ok (_, data) -> data :: acc
-               | Error _ -> acc)
-            | Aux_attrs.Fdir | Aux_attrs.Fgraft -> walk child acc)
-          acc (Fdir.live fdir)
-    in
-    walk [] []
-  in
+  let payload = Chunking.digest_hex "precious payload" in
   let payload_kept =
-    List.for_all (fun i -> List.mem "precious payload" (contents i)) [ 0; 1 ]
+    List.for_all
+      (fun i ->
+        List.exists (fun e -> e.Crdt_merge.e_digest = payload) (get (Schedule.state (phys i))))
+      [ 0; 1 ]
   in
   let conflicts =
     List.fold_left
@@ -2526,12 +2388,7 @@ let merge_arm ~dir_merge =
         acc + List.length (Conflict_log.all (Physical.conflicts (phys i))))
       0 [ 0; 1 ]
   in
-  let counter name =
-    let snap = Cluster.metrics_snapshot cluster in
-    match List.assoc_opt name snap.Cluster.ms_metrics.Metrics.snap_counters with
-    | Some v -> v
-    | None -> 0
-  in
+  let counter = Metrics.counter (Cluster.obs cluster).Obs.metrics in
   (converged, digests, stats, payload_kept, conflicts, counter)
 
 let merge_repair () =

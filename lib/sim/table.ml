@@ -24,6 +24,4 @@ let print ?(out = Format.std_formatter) ~title ~headers rows =
   List.iter render rows;
   Format.fprintf out "  %s@." (String.make total '-')
 
-let fmt_f x = Printf.sprintf "%.4f" x
-
 let fmt_pct x = Printf.sprintf "%.2f%%" (100.0 *. x)

@@ -5,8 +5,5 @@ val print :
   ?out:Format.formatter -> title:string -> headers:string list -> string list list -> unit
 (** Render with aligned columns, a title line and a rule. *)
 
-val fmt_f : float -> string
-(** Fixed 4-decimal float. *)
-
 val fmt_pct : float -> string
 (** A [0,1] fraction as a percentage with 2 decimals. *)

@@ -6,6 +6,3 @@ let set_u16 b off v = Bytes.set_uint16_le b off (v land 0xffff)
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
-
-let get_string b off len = Bytes.sub_string b off len
-let set_string b off s = Bytes.blit_string s 0 b off (String.length s)

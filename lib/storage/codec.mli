@@ -10,6 +10,3 @@ val get_u32 : bytes -> int -> int
 
 val set_u32 : bytes -> int -> int -> unit
 (** Write the low 32 bits of a non-negative int. *)
-
-val get_string : bytes -> int -> int -> string
-val set_string : bytes -> int -> string -> unit

@@ -50,7 +50,6 @@ let write t i buf =
 
 let reads t = t.reads
 let writes t = t.writes
-let io_total t = t.reads + t.writes
 
 let reset_stats t =
   t.reads <- 0;

@@ -31,7 +31,6 @@ val write : t -> int -> bytes -> (unit, Errno.t) result
 
 val reads : t -> int
 val writes : t -> int
-val io_total : t -> int
 val reset_stats : t -> unit
 
 val fail_writes_after : t -> int -> unit

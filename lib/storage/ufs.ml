@@ -433,10 +433,6 @@ let nfree_blocks t =
   count_clear_bits t ~start:t.sb.bbitmap_start ~nbitmap_blocks:t.sb.bbitmap_blocks
     ~limit:t.sb.nblocks
 
-let nfree_inodes t =
-  count_clear_bits t ~start:t.sb.ibitmap_start ~nbitmap_blocks:t.sb.ibitmap_blocks
-    ~limit:(t.sb.ninodes + 1)
-
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 

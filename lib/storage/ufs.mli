@@ -75,7 +75,6 @@ val cache : t -> Block_cache.t
 val disk : t -> Disk.t
 
 val nfree_blocks : t -> int io
-val nfree_inodes : t -> int io
 
 (** {1 Inode operations} *)
 

@@ -13,9 +13,6 @@ let to_vattrs (a : Ufs.attrs) : Vnode.attrs =
     gen = a.gen;
   }
 
-let inum_of (v : Vnode.t) =
-  match v.Vnode.data with Ufs_vnode (_, inum) -> Some inum | _ -> None
-
 let rec of_inum fs inum : Vnode.t =
   let wrap = function Ok i -> Ok (of_inum fs i) | Error _ as e -> e in
   let sibling (v : Vnode.t) =

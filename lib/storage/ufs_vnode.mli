@@ -9,6 +9,3 @@ val of_inum : Ufs.t -> Ufs.inum -> Vnode.t
 
 val root : Ufs.t -> Vnode.t
 (** The vnode for the UFS root directory. *)
-
-val inum_of : Vnode.t -> Ufs.inum option
-(** [Some inum] when the vnode belongs to this layer. *)

@@ -30,7 +30,3 @@ let diff ~before ~after =
       let d = lookup name after - lookup name before in
       if d = 0 then None else Some (name, d))
     names
-
-let pp ppf t =
-  let pp_one ppf (name, n) = Fmt.pf ppf "%s=%d" name n in
-  Fmt.pf ppf "%a" Fmt.(list ~sep:(any ", ") pp_one) (snapshot t)

@@ -21,5 +21,3 @@ val snapshot : t -> (string * int) list
 
 val diff : before:(string * int) list -> after:(string * int) list -> (string * int) list
 (** Per-name difference [after - before], dropping zero entries. *)
-
-val pp : Format.formatter -> t -> unit

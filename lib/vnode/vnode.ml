@@ -77,13 +77,6 @@ let kind_to_string = function
   | VGRAFT -> "VGRAFT"
   | VCTL -> "VCTL"
 
-let pp_attrs ppf a =
-  Fmt.pf ppf "{%s size=%d nlink=%d mtime=%d mode=%o uid=%d gen=%d}"
-    (kind_to_string a.kind) a.size a.nlink a.mtime a.mode a.uid a.gen
-
-let pp_dirent ppf d =
-  Fmt.pf ppf "%s(%s)" d.entry_name (kind_to_string d.entry_kind)
-
 let is_dir v =
   match v.getattr () with
   | Error _ as e -> e

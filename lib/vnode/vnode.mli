@@ -94,8 +94,6 @@ val not_supported : vdata -> t
     cleanly rather than being forgotten. *)
 
 val kind_to_string : vtype -> string
-val pp_attrs : Format.formatter -> attrs -> unit
-val pp_dirent : Format.formatter -> dirent -> unit
 
 val is_dir : t -> bool io
 (** Convenience: [getattr] and test for [VDIR] or [VGRAFT]. *)

@@ -1,6 +1,9 @@
 (* Version vectors (Parker et al. 1983).  Represented as an int-keyed map
-   holding only strictly-positive counts, so that structural equality of the
-   map coincides with vector equality and absent replicas cost nothing. *)
+   holding only strictly-positive counts, so absent replicas cost nothing.
+   Structural equality of the map does NOT coincide with vector equality:
+   the balanced tree's shape depends on insertion order, so two maps with
+   the same bindings can differ under [=].  Compare with [equal], or
+   compare the canonical [to_string]. *)
 
 module Imap = Map.Make (Int)
 

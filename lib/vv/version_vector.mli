@@ -57,6 +57,10 @@ val concurrent : t -> t -> bool
 (** [concurrent a b] iff neither vector dominates the other. *)
 
 val equal : t -> t -> bool
+(** Vector equality.  Callers must use this (or compare {!to_string}),
+    never polymorphic [=]: the representation's shape depends on the
+    order the bindings were inserted, so equal vectors can differ
+    structurally. *)
 
 val pp : Format.formatter -> t -> unit
 (** Renders as [<r0:3 r2:1>]. *)

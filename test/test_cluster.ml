@@ -64,15 +64,14 @@ let test_tombstone_gc_after_membership_change () =
      it (the GC quantifies over the *current* peer list). *)
   let cluster = Cluster.create ~nhosts:3 () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  create_file root0 "doomed" "x";
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
-  (* host2 vanishes for good; then the file is deleted. *)
-  Cluster.partition cluster [ [ 0; 1 ]; [ 2 ] ];
-  ok (root0.Vnode.remove "doomed");
-  (* With host2 still a peer, the tombstone cannot be collected... *)
-  let (_ : int) = ok (Cluster.converge cluster vref ~max_rounds:20 ()) in
+  (* host2 vanishes for good; then the file is deleted.  With host2
+     still a peer, the tombstone cannot be collected... *)
+  ok
+    (Schedule.run (Schedule.start cluster vref)
+       [
+         Create (0, "doomed", "x"); Propagate; Converge 10;
+         Partition [ [ 0; 1 ]; [ 2 ] ]; Remove (0, "doomed"); Converge 20;
+       ]);
   let phys0 = Option.get (Cluster.replica (Cluster.host cluster 0) vref) in
   Alcotest.(check bool) "tombstone pinned by absent peer" true
     (List.length (Fdir.entries (ok (Physical.fetch_dir phys0 []))) = 1);
@@ -85,17 +84,17 @@ let test_tombstone_gc_after_membership_change () =
 let test_reboot_under_load () =
   let cluster = Cluster.create ~nhosts:2 () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  create_file root0 "before" "durable";
-  let (_ : int) = Cluster.run_propagation cluster in
-  (* host1 crashes with a notification still queued (not yet pumped). *)
-  write_file root0 "before" "updated";
-  ok (Cluster.reboot cluster 1);
-  (* The datagram was queued before the crash; after reboot it is
+  let s = Schedule.start cluster vref in
+  (* host1 crashes with a notification still queued (not yet pumped).
+     The datagram was queued before the crash; after reboot it is
      delivered and acted on (or reconciliation covers it). *)
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
-  let root1 = ok (Cluster.logical_root cluster 1 vref) in
+  ok
+    (Schedule.run s
+       [
+         Create (0, "before", "durable"); Propagate; Write (0, "before", "updated"); Reboot 1;
+         Propagate; Converge 10;
+       ]);
+  let root1 = ok (Schedule.root s 1) in
   Alcotest.(check string) "converged after reboot" "updated" (read_file root1 "before");
   (* And the rebooted host keeps serving its own clients. *)
   write_file root1 "before" "from host1";
@@ -146,9 +145,7 @@ let test_reboot_preserves_uniq_allocator () =
 let test_converge_reports_partitioned_failure () =
   let cluster = Cluster.create ~nhosts:2 () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  create_file root0 "f" "x";
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
+  ok (Schedule.run (Schedule.start cluster vref) [ Create (0, "f", "x"); Partition [ [ 0 ]; [ 1 ] ] ]);
   (* Reconciliation cannot run across the cut; the ring round reports
      errors rather than pretending to converge. *)
   let stats = ok (Cluster.reconcile_ring cluster vref) in

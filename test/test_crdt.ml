@@ -187,44 +187,24 @@ let check_clean_tree cluster vref i =
     0 s.Crdt_merge.ts_unreachable_dirs;
   Alcotest.(check int) (Printf.sprintf "host%d: no cycles" i) 0 s.Crdt_merge.ts_cycles
 
-(* Every regular file's contents, live tree only. *)
-let replica_contents p =
-  let rec walk path acc =
-    match Physical.fetch_dir p path with
-    | Error _ -> acc
-    | Ok fdir ->
-      List.fold_left
-        (fun acc (_, (e : Fdir.entry)) ->
-          let child = path @ [ e.Fdir.fid ] in
-          match e.Fdir.kind with
-          | Aux_attrs.Freg ->
-            (match Physical.fetch_file p child with
-             | Ok (_, d) -> d :: acc
-             | Error _ -> acc)
-          | Aux_attrs.Fdir | Aux_attrs.Fgraft -> walk child acc)
-        acc (Fdir.live fdir)
-  in
-  List.sort compare (walk [] [])
+(* Does some live file hold exactly [data]? *)
+let holds p data =
+  let d = Chunking.digest_hex data in
+  List.exists (fun e -> e.Crdt_merge.e_digest = d) (ok (Schedule.state p))
 
 (* The concurrent cross-rename that makes a cycle: a -> b/x while
    b -> a/y in the other partition. *)
 let run_cross_rename ~dir_merge =
   let cluster = Cluster.create ~nhosts:2 ~dir_merge () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  let _ = ok (Namei.mkdir_p ~root:root0 "a/inner") in
-  let _ = ok (Namei.mkdir_p ~root:root0 "b") in
-  create_file root0 "a/inner/keep" "payload";
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  let root1 = ok (Cluster.logical_root cluster 1 vref) in
-  let b0 = ok (root0.Vnode.lookup "b") in
-  ok (root0.Vnode.rename "a" b0 "x");
-  let a1 = ok (root1.Vnode.lookup "a") in
-  ok (root1.Vnode.rename "b" a1 "y");
-  Cluster.heal cluster;
-  let (_ : int) = ok (Cluster.converge cluster vref ~max_rounds:40 ()) in
+  ok
+    (Schedule.run (Schedule.start cluster vref)
+       [
+         Mkdir (0, "a"); Mkdir (0, "a/inner"); Mkdir (0, "b");
+         Create (0, "a/inner/keep", "payload"); Propagate; Converge 10;
+         Partition [ [ 0 ]; [ 1 ] ]; Rename (0, "a", "b/x"); Rename (1, "b", "a/y");
+         Heal; Converge 40;
+       ]);
   (cluster, vref)
 
 let test_cycle_repair_crdt () =
@@ -239,7 +219,7 @@ let test_cycle_repair_crdt () =
       Alcotest.(check bool)
         (Printf.sprintf "host%d: payload reachable" i)
         true
-        (List.mem "payload" (replica_contents (phys cluster vref i))))
+        (holds (phys cluster vref i) "payload"))
     [ 0; 1 ];
   (* lost+found is where the cycle's cut node landed — a live root
      entry, same name everywhere. *)
@@ -273,18 +253,12 @@ let test_cycle_not_silent_legacy () =
 let concurrent_write_cluster ?(reboot = false) ~resolver () =
   let cluster = Cluster.create ~nhosts:2 ~dir_merge:`Crdt ~resolver () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  create_file root0 "f" "base";
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  if reboot then List.iter (fun i -> ok (Cluster.reboot cluster i)) [ 0; 1 ];
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  let root1 = ok (Cluster.logical_root cluster 1 vref) in
-  write_file root0 "f" "from-zero";
-  write_file root1 "f" "from-one";
-  Cluster.heal cluster;
-  let (_ : int) = ok (Cluster.converge cluster vref ~max_rounds:40 ()) in
+  ok
+    (Schedule.run (Schedule.start cluster vref)
+       Schedule.(
+         [ Create (0, "f", "base"); Propagate; Converge 10; Partition [ [ 0 ]; [ 1 ] ] ]
+         @ (if reboot then [ Reboot 0; Reboot 1 ] else [])
+         @ [ Write (0, "f", "from-zero"); Write (1, "f", "from-one"); Heal; Converge 40 ]));
   (cluster, vref)
 
 let pending_count p = List.length (Conflict_log.pending (Physical.conflicts p))
@@ -355,22 +329,16 @@ let test_resolver_owner_report_round_trip () =
 let test_crash_mid_merge () =
   let cluster = Cluster.create ~nhosts:2 ~dir_merge:`Crdt ~resolver:Resolver.Lww () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  let _ = ok (Namei.mkdir_p ~root:root0 "a/inner") in
-  let _ = ok (Namei.mkdir_p ~root:root0 "b") in
-  create_file root0 "a/inner/keep" "payload";
-  create_file root0 "f" "base";
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  let root1 = ok (Cluster.logical_root cluster 1 vref) in
-  let b0 = ok (root0.Vnode.lookup "b") in
-  ok (root0.Vnode.rename "a" b0 "x");
-  write_file root0 "f" "from-zero";
-  let a1 = ok (root1.Vnode.lookup "a") in
-  ok (root1.Vnode.rename "b" a1 "y");
-  write_file root1 "f" "from-one";
-  Cluster.heal cluster;
+  ok
+    (Schedule.run (Schedule.start cluster vref)
+       [
+         Mkdir (0, "a"); Mkdir (0, "a/inner"); Mkdir (0, "b");
+         Create (0, "a/inner/keep", "payload"); Create (0, "f", "base"); Propagate; Converge 10;
+         Partition [ [ 0 ]; [ 1 ] ];
+         Rename (0, "a", "b/x"); Write (0, "f", "from-zero");
+         Rename (1, "b", "a/y"); Write (1, "f", "from-one");
+         Heal;
+       ]);
   (* One direction only: host0 pulls from host1 and repairs, host1 has
      seen nothing yet — mid-merge. *)
   let remote_root =
@@ -393,7 +361,7 @@ let test_crash_mid_merge () =
   List.iter
     (fun i ->
       Alcotest.(check bool) "payload survived" true
-        (List.mem "payload" (replica_contents (phys cluster vref i))))
+        (holds (phys cluster vref i) "payload"))
     [ 0; 1 ];
   (* The concurrent writes to "f" were settled by the cluster's Lww
      resolver, which the reboot must have re-applied to host0's fresh
@@ -428,49 +396,22 @@ let cop_gen =
         (4, map2 (fun a b -> Move (a, b)) (int_bound 2) (int_bound 2));
       ])
 
-let print_cop = function
-  | Mkdir d -> Printf.sprintf "mkdir d%d" d
-  | Write (f, p) -> Printf.sprintf "w f%d %d" f p
-  | Nested (d, f, p) -> Printf.sprintf "w d%d/n%d %d" d f p
-  | Remove f -> Printf.sprintf "rm f%d" f
-  | Move (a, b) -> Printf.sprintf "mv d%d d%d" a b
-
-(* Ops are best-effort: a schedule may ask for a rename of a directory
-   the previous epoch removed — that simply fails at the vnode layer. *)
-let apply_cop ?(prefix = "") root op =
+(* The compact form as schedule steps at [host], names under [prefix].
+   Steps are run best-effort: a schedule may ask for a rename of a
+   directory the previous epoch removed — that simply fails at the
+   vnode layer. *)
+let cop_steps ?(prefix = "") host op =
   let dname d = Printf.sprintf "%sd%d" prefix d in
   let fname f = Printf.sprintf "%sf%d" prefix f in
-  let ignore_err : 'a. ('a, Errno.t) result -> unit = fun _ -> () in
   match op with
-  | Mkdir d -> ignore_err (root.Vnode.mkdir (dname d))
-  | Write (f, p) ->
-    let data = Printf.sprintf "%s:%d" (fname f) p in
-    (match root.Vnode.lookup (fname f) with
-     | Ok v -> ignore_err (Vnode.write_all v data)
-     | Error Errno.ENOENT ->
-       (match root.Vnode.create (fname f) with
-        | Ok v -> ignore_err (Vnode.write_all v data)
-        | Error _ -> ())
-     | Error _ -> ())
+  | Mkdir d -> [ Schedule.Mkdir (host, dname d) ]
+  | Write (f, p) -> [ Schedule.Write (host, fname f, Printf.sprintf "%s:%d" (fname f) p) ]
   | Nested (d, f, p) ->
-    (match root.Vnode.lookup (dname d) with
-     | Ok dir ->
-       let n = Printf.sprintf "n%d" f in
-       (match dir.Vnode.lookup n with
-        | Ok v -> ignore_err (Vnode.write_all v (Printf.sprintf "%d" p))
-        | Error Errno.ENOENT ->
-          (match dir.Vnode.create n with
-           | Ok v -> ignore_err (Vnode.write_all v (Printf.sprintf "%d" p))
-           | Error _ -> ())
-        | Error _ -> ())
-     | Error _ -> ())
-  | Remove f -> ignore_err (root.Vnode.remove (fname f))
+    [ Schedule.Write (host, Printf.sprintf "%s/n%d" (dname d) f, string_of_int p) ]
+  | Remove f -> [ Schedule.Remove (host, fname f) ]
   | Move (a, b) ->
-    if a <> b then
-      match root.Vnode.lookup (dname b) with
-      | Ok target ->
-        ignore_err (root.Vnode.rename (dname a) target (Printf.sprintf "%sm%d" prefix a))
-      | Error _ -> ()
+    if a = b then []
+    else [ Schedule.Rename (host, dname a, Printf.sprintf "%s/%sm%d" (dname b) prefix a) ]
 
 let crdt_arb =
   QCheck.make
@@ -478,62 +419,50 @@ let crdt_arb =
       String.concat " | "
         (List.map
            (fun (h0, h1) ->
-             Printf.sprintf "h0[%s] h1[%s]"
-               (String.concat ";" (List.map print_cop h0))
-               (String.concat ";" (List.map print_cop h1)))
+             Schedule.to_string
+               (List.concat_map (cop_steps 0) h0 @ List.concat_map (cop_steps 1) h1))
            epochs))
     QCheck.Gen.(
       list_size (1 -- 2)
         (pair (list_size (int_bound 4) cop_gen) (list_size (int_bound 4) cop_gen)))
 
+(* Seed d0..d2 at host0 (and, on oracle runs, host1's prefixed
+   namespace too), converge, then run each epoch partitioned — host0's
+   ops, then host1's — and converge after the heal.  [None] when a
+   converge fails. *)
 let run_epochs ~dir_merge ~resolver ?prefix epochs =
   let cluster = Cluster.create ~nhosts:2 ~dir_merge ~resolver () in
   match Cluster.create_volume cluster ~on:[ 0; 1 ] with
   | Error _ -> None
   | Ok vref ->
-    (* Seed the directories so first-epoch moves have targets. *)
-    (match Cluster.logical_root cluster 0 vref with
-     | Error _ -> ()
-     | Ok root0 ->
-       List.iter (fun op -> apply_cop ?prefix root0 op) [ Mkdir 0; Mkdir 1; Mkdir 2 ];
-       (match prefix with
-        | None -> ()
-        | Some _ ->
-          (* Oracle runs: host1's namespace is seeded too. *)
-          List.iter
-            (fun op -> apply_cop ~prefix:"h1" root0 op)
-            [ Mkdir 0; Mkdir 1; Mkdir 2 ]));
-    let (_ : int) = Cluster.run_propagation cluster in
-    (match Cluster.converge cluster vref () with
-     | Error _ -> None
-     | Ok _ ->
-       let converged =
-         List.for_all
-           (fun (h0, h1) ->
-             Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-             (match Cluster.logical_root cluster 0 vref with
-              | Ok r -> List.iter (fun op -> apply_cop ?prefix r op) h0
-              | Error _ -> ());
-             (match Cluster.logical_root cluster 1 vref with
-              | Ok r ->
-                let prefix = Option.map (fun _ -> "h1") prefix in
-                List.iter (fun op -> apply_cop ?prefix r op) h1
-              | Error _ -> ());
-             Cluster.heal cluster;
-             match Cluster.converge cluster vref ~max_rounds:60 () with
-             | Ok _ -> true
-             | Error e ->
-               Printf.eprintf "[crdt-prop] converge failed: %s\n%!" (Errno.to_string e);
-               false)
-           epochs
-       in
-       if not converged then None
-       else
-         Some
-           ( digest_of cluster vref 0,
-             digest_of cluster vref 1,
-             stats_of cluster vref 0,
-             stats_of cluster vref 1 ))
+    let s = Schedule.start cluster vref in
+    let h1_prefix = Option.map (fun _ -> "h1") prefix in
+    let seed = [ Mkdir 0; Mkdir 1; Mkdir 2 ] in
+    let at ?prefix host ops = List.concat_map (cop_steps ?prefix host) ops in
+    ignore
+      (Schedule.run_all s
+         (at ?prefix 0 seed
+         @ (if prefix = None then [] else at ?prefix:h1_prefix 0 seed)
+         @ [ Propagate ]));
+    let converge () =
+      match Schedule.apply s (Converge 60) with
+      | Ok () -> true
+      | Error e ->
+        Printf.eprintf "[crdt-prop] converge failed: %s\n%!" (Errno.to_string e);
+        false
+    in
+    if Result.is_error (Schedule.apply s (Converge 10)) then None
+    else if
+      List.for_all
+        (fun (h0, h1) ->
+          ignore
+            (Schedule.run_all s
+               ((Schedule.Partition [ [ 0 ]; [ 1 ] ] :: at ?prefix 0 h0)
+               @ at ?prefix:h1_prefix 1 h1 @ [ Schedule.Heal ]));
+          converge ())
+        epochs
+    then Some (cluster, vref)
+    else None
 
 (* Once a qcheck counterexample: both hosts concurrently rename d1 into
    d2 (same target name, same fid, different births), while a file lands
@@ -549,33 +478,17 @@ let test_concurrent_identical_moves () =
         [ Write (0, 9); Write (1, 0) ] );
     ]
   in
-  let cluster = Cluster.create ~nhosts:2 ~dir_merge:`Crdt ~resolver:Resolver.Lww () in
-  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  List.iter (fun op -> apply_cop root0 op) [ Mkdir 0; Mkdir 1; Mkdir 2 ];
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
-  List.iter
-    (fun (h0, h1) ->
-      Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-      let r0 = ok (Cluster.logical_root cluster 0 vref) in
-      List.iter (fun op -> apply_cop r0 op) h0;
-      let r1 = ok (Cluster.logical_root cluster 1 vref) in
-      List.iter (fun op -> apply_cop r1 op) h1;
-      Cluster.heal cluster;
-      let (_ : int) = ok ~msg:"converge" (Cluster.converge cluster vref ~max_rounds:60 ()) in
-      ())
-    epochs;
-  check_clean_tree cluster vref 0;
-  check_clean_tree cluster vref 1;
-  Alcotest.(check string) "digests" (digest_of cluster vref 0) (digest_of cluster vref 1);
-  (* The file written into d1 right before the move survived the
-     concurrent double-rename on both replicas. *)
-  List.iter
-    (fun i ->
-      Alcotest.(check bool) "n0 content present" true
-        (List.mem "3" (replica_contents (phys cluster vref i))))
-    [ 0; 1 ]
+  match run_epochs ~dir_merge:`Crdt ~resolver:Resolver.Lww epochs with
+  | None -> Alcotest.fail "converge failed"
+  | Some (cluster, vref) ->
+    check_clean_tree cluster vref 0;
+    check_clean_tree cluster vref 1;
+    Alcotest.(check string) "digests" (digest_of cluster vref 0) (digest_of cluster vref 1);
+    (* The file written into d1 right before the move survived the
+       concurrent double-rename on both replicas. *)
+    List.iter
+      (fun i -> Alcotest.(check bool) "n0 content present" true (holds (phys cluster vref i) "3"))
+      [ 0; 1 ]
 
 let prop name ?(count = 20) arb f = QCheck.Test.make ~name ~count arb f
 
@@ -585,8 +498,9 @@ let convergence_props =
       (fun epochs ->
         match run_epochs ~dir_merge:`Crdt ~resolver:Resolver.Lww epochs with
         | None -> false
-        | Some (d0, d1, s0, s1) ->
-          d0 = d1
+        | Some (cluster, vref) ->
+          let s0 = stats_of cluster vref 0 and s1 = stats_of cluster vref 1 in
+          digest_of cluster vref 0 = digest_of cluster vref 1
           && s0.Crdt_merge.ts_unreachable_dirs = 0
           && s1.Crdt_merge.ts_unreachable_dirs = 0
           && s0.Crdt_merge.ts_cycles = 0
@@ -596,10 +510,13 @@ let convergence_props =
         (* Hosts work in disjoint namespaces ("h0"/"h1" prefixes), so
            the schedule is conflict-free and the legacy merge is an
            exact oracle for the CRDT one. *)
-        let run dm = run_epochs ~dir_merge:dm ~resolver:Resolver.Owner_report ~prefix:"h0" epochs in
+        let run dm =
+          Option.map
+            (fun (cluster, vref) -> (digest_of cluster vref 0, digest_of cluster vref 1))
+            (run_epochs ~dir_merge:dm ~resolver:Resolver.Owner_report ~prefix:"h0" epochs)
+        in
         match (run `Legacy, run `Crdt) with
-        | Some (l0, l1, _, _), Some (c0, c1, _, _) ->
-          l0 = l1 && c0 = c1 && l0 = c0
+        | Some (l0, l1), Some (c0, c1) -> l0 = l1 && c0 = c1 && l0 = c0
         | _ -> false);
   ]
 

@@ -31,11 +31,7 @@ let big_cluster ?(delta = true) ?(size = 256 * 1024) () =
   let (_ : int) = Cluster.run_propagation cluster in
   (cluster, vref, fv, size)
 
-let counter cluster name =
-  let snap = Cluster.metrics_snapshot cluster in
-  match List.assoc_opt name snap.Cluster.ms_metrics.Metrics.snap_counters with
-  | Some v -> v
-  | None -> 0
+let counter cluster = Metrics.counter (Cluster.obs cluster).Obs.metrics
 
 let content cluster i vref =
   let root = ok (Cluster.logical_root cluster i vref) in

@@ -60,28 +60,25 @@ let all_dominate physes =
 (* ------------------------------------------------------------------ *)
 (* qcheck: gauge = 0  <=>  converged, under random schedules            *)
 
-type step = Write of int * int * int | Tick of int | Split of int | Heal
-
 let step_gen =
   QCheck.Gen.(
     frequency
       [
-        (5, map3 (fun h f tag -> Write (h, f, tag)) (int_bound 2) (int_bound 3) (int_bound 99));
-        (4, map (fun n -> Tick (1 + (9 * n))) (int_bound 8));
-        (2, map (fun cut -> Split cut) (int_bound 2));
-        (3, return Heal);
+        ( 5,
+          map3
+            (fun h f tag ->
+              Schedule.Write (h, Printf.sprintf "f%d" f, Printf.sprintf "h%d:%d" h tag))
+            (int_bound 2) (int_bound 3) (int_bound 99) );
+        (4, map (fun n -> Schedule.Tick (1 + (9 * n))) (int_bound 8));
+        ( 2,
+          map
+            (fun cut -> Schedule.Partition [ [ cut ]; List.filter (( <> ) cut) [ 0; 1; 2 ] ])
+            (int_bound 2) );
+        (3, return Schedule.Heal);
       ])
 
-let print_step = function
-  | Write (h, f, tag) -> Printf.sprintf "w h%d f%d #%d" h f tag
-  | Tick n -> Printf.sprintf "tick %d" n
-  | Split cut -> Printf.sprintf "split@%d" cut
-  | Heal -> "heal"
-
 let schedule_arb =
-  QCheck.make
-    ~print:(fun l -> String.concat "; " (List.map print_step l))
-    QCheck.Gen.(list_size (int_bound 20) step_gen)
+  QCheck.make ~print:Schedule.to_string QCheck.Gen.(list_size (int_bound 20) step_gen)
 
 (* Run one schedule on a health-enabled 3-host cluster, forcing a
    watchdog sample after every step and checking the gauge's iff
@@ -91,54 +88,32 @@ let gauge_matches_ground_truth schedule =
     Cluster.create ~seed:11 ~nhosts:3 ~propagation_delay:10 ~reconcile_period:30
       ~health:Health.default_config ()
   in
-  match Cluster.create_volume cluster ~on:[ 0; 1; 2 ] with
+  let hosts = [ 0; 1; 2 ] in
+  match Cluster.create_volume cluster ~on:hosts with
   | Error _ -> false
   | Ok vref ->
-    let roots =
-      List.filter_map
-        (fun i -> Result.to_option (Cluster.logical_root cluster i vref))
-        [ 0; 1; 2 ]
-    in
+    let s = Schedule.start cluster vref in
     let m = (Cluster.obs cluster).Obs.metrics in
     let physes () =
-      List.filter_map
-        (fun i -> Cluster.replica (Cluster.host cluster i) vref)
-        [ 0; 1; 2 ]
+      List.filter_map (fun i -> Cluster.replica (Cluster.host cluster i) vref) hosts
     in
     let check () =
       Cluster.health_sample_now cluster;
       let gauge = Metrics.gauge m "health.divergence_age" in
       gauge = 0 = all_dominate (physes ())
     in
-    List.length roots = 3
+    List.for_all (fun i -> Result.is_ok (Schedule.root s i)) hosts
     && List.for_all
-         (fun s ->
-           (match s with
-           | Write (h, f, tag) ->
-             let root = List.nth roots h in
-             let name = Printf.sprintf "f%d" f in
-             let file =
-               match root.Vnode.lookup name with
-               | Ok v -> Some v
-               | Error Errno.ENOENT -> Result.to_option (root.Vnode.create name)
-               | Error _ -> None
-             in
-             (match file with
-             | Some v -> ignore (Vnode.write_all v (Printf.sprintf "h%d:%d" h tag))
-             | None -> ())
-           | Tick n -> ignore (Cluster.tick_daemons cluster n)
-           | Split cut -> Cluster.partition cluster [ [ cut ]; List.filter (( <> ) cut) [ 0; 1; 2 ] ]
-           | Heal -> Cluster.heal cluster);
+         (fun step ->
+           ignore (Schedule.apply s step);
            check ())
          schedule
     && begin
          (* Heal and settle: the gauge must come back to zero once the
             schedule's damage is actually repaired. *)
-         Cluster.heal cluster;
-         for _ = 1 to 12 do
-           ignore (Cluster.tick_daemons cluster 30)
-         done;
-         (match Cluster.converge cluster vref ~max_rounds:30 () with Ok _ | Error _ -> ());
+         ignore
+           (Schedule.run_all s
+              Schedule.((Heal :: List.init 12 (fun _ -> Tick 30)) @ [ Converge 30 ]));
          check ()
        end
 

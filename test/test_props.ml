@@ -43,6 +43,19 @@ let vv_props =
         match Vv.decode (Vv.encode a) with Some a' -> Vv.equal a a' | None -> false);
     prop "equal iff compare Equal" (QCheck.pair arb_vv arb_vv) (fun (a, b) ->
         Vv.equal a b = (Vv.compare_vv a b = Vv.Equal));
+    prop "equal and to_string ignore insertion order"
+      (QCheck.make
+         ~print:QCheck.Print.(pair (list (pair int int)) (list (pair int int)))
+         QCheck.Gen.(
+           (* Distinct ids with positive counts, and a random permutation. *)
+           let* ids = map (List.sort_uniq compare) (list_size (int_bound 8) (int_bound 20)) in
+           let* counts = flatten_l (List.map (fun _ -> int_range 1 6) ids) in
+           let bindings = List.combine ids counts in
+           let* perm = shuffle_l bindings in
+           return (bindings, perm)))
+      (fun (bindings, perm) ->
+        let a = Vv.of_list bindings and b = Vv.of_list perm in
+        Vv.equal a b && Vv.to_string a = Vv.to_string b);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -341,145 +354,93 @@ let ufs_props =
 (* ------------------------------------------------------------------ *)
 (* Whole-cluster convergence under random partitioned workloads        *)
 
-type cl_action =
-  | Cwrite of int * int     (* file index, payload tag *)
-  | Cmkdir of int           (* directory index *)
-  | Cnested of int * int    (* dir index, file index: write inside a dir *)
-  | Cremove of int          (* file index *)
-
-type cl_op = { host : int; action : cl_action }
-
-let cl_action_gen =
+(* One random op at a host (drawn from 0..2, folded onto [hosts]): a
+   top-level write, a mkdir, a write inside a directory created on
+   demand, or a remove. *)
+let cl_op_gen ~hosts =
   QCheck.Gen.(
-    frequency
-      [
-        (5, map2 (fun f d -> Cwrite (f, d)) (int_bound 3) (int_bound 99));
-        (2, map (fun d -> Cmkdir d) (int_bound 2));
-        (3, map2 (fun d f -> Cnested (d, f)) (int_bound 2) (int_bound 2));
-        (2, map (fun f -> Cremove f) (int_bound 3));
-      ])
+    map2
+      (fun host op -> op (host mod hosts))
+      (int_bound 2)
+      (frequency
+         [
+           ( 5,
+             map2
+               (fun f d h ->
+                 [ Schedule.Write (h, Printf.sprintf "f%d" f, Printf.sprintf "h%d:%d" h d) ])
+               (int_bound 3) (int_bound 99) );
+           (2, map (fun d h -> [ Schedule.Mkdir (h, Printf.sprintf "d%d" d) ]) (int_bound 2));
+           ( 3,
+             map2
+               (fun d f h ->
+                 let dir = Printf.sprintf "d%d" d in
+                 [ Schedule.Mkdir (h, dir);
+                   Write (h, Printf.sprintf "%s/n%d" dir f, Printf.sprintf "h%d" h) ])
+               (int_bound 2) (int_bound 2) );
+           (2, map (fun f h -> [ Schedule.Remove (h, Printf.sprintf "f%d" f) ]) (int_bound 3));
+         ]))
 
-let print_cl_action = function
-  | Cwrite (f, d) -> Printf.sprintf "w f%d %d" f d
-  | Cmkdir d -> Printf.sprintf "mkdir d%d" d
-  | Cnested (d, f) -> Printf.sprintf "w d%d/n%d" d f
-  | Cremove f -> Printf.sprintf "rm f%d" f
-
-let cl_arb =
+(* 1-3 epochs of up to 7 ops each. *)
+let cl_arb ~hosts =
   QCheck.make
-    ~print:(fun (epochs : cl_op list list) ->
-      String.concat " | "
-        (List.map
-           (fun ops ->
-             String.concat ";"
-               (List.map (fun o -> Printf.sprintf "h%d:%s" o.host (print_cl_action o.action)) ops))
-           epochs))
-    QCheck.Gen.(
-      list_size (1 -- 3)
-        (list_size (int_bound 7)
-           (map2 (fun host action -> { host; action }) (int_bound 2) cl_action_gen)))
+    ~print:(fun epochs -> String.concat " | " (List.map Schedule.to_string epochs))
+    QCheck.Gen.(list_size (1 -- 3) (map List.concat (list_size (int_bound 7) (cl_op_gen ~hosts))))
 
-(* Dump a replica's full namespace as (path, contents) pairs. *)
-let dump_replica phys =
-  let rec walk path acc =
-    match Physical.fetch_dir phys path with
-    | Error _ -> acc
-    | Ok fdir ->
-      List.fold_left
-        (fun acc (name, e) ->
-          let child = path @ [ e.Fdir.fid ] in
-          match e.Fdir.kind with
-          | Aux_attrs.Freg ->
-            (match Physical.fetch_file phys child with
-             | Ok (_, data) -> (name, data) :: acc
-             | Error _ -> (name, "<unstored>") :: acc)
-          | Aux_attrs.Fdir | Aux_attrs.Fgraft -> walk child ((name, "<dir>") :: acc))
-        acc (Fdir.live fdir)
-  in
-  List.sort compare (walk [] [])
+(* A replica's live tree as (path, kind, content digest) triples. *)
+let tree cluster vref i =
+  Option.map
+    (fun phys ->
+      match Schedule.state phys with
+      | Ok entries ->
+        List.map (fun e -> Crdt_merge.(e.e_path, e.e_kind, e.e_digest)) entries
+      | Error _ -> [])
+    (Cluster.replica (Cluster.host cluster i) vref)
+
+(* A cluster whose [hosts] each hold a replica and a resolved root. *)
+let cl_start hosts =
+  let cluster = Cluster.create ~nhosts:(List.length hosts) () in
+  match Cluster.create_volume cluster ~on:hosts with
+  | Error _ -> None
+  | Ok vref ->
+    let s = Schedule.start cluster vref in
+    if List.for_all (fun i -> Result.is_ok (Schedule.root s i)) hosts then Some (cluster, vref, s)
+    else None
 
 let cluster_props =
   [
-    prop "replicas converge after partitioned churn" ~count:25 cl_arb (fun epochs ->
-        let cluster = Cluster.create ~nhosts:3 () in
-        match Cluster.create_volume cluster ~on:[ 0; 1; 2 ] with
-        | Error _ -> false
-        | Ok vref ->
-          let roots =
-            List.filter_map
-              (fun i -> Result.to_option (Cluster.logical_root cluster i vref))
+    prop "replicas converge after partitioned churn" ~count:25 (cl_arb ~hosts:3) (fun epochs ->
+        match cl_start [ 0; 1; 2 ] with
+        | None -> false
+        | Some (cluster, vref, s) ->
+          (* Each epoch: partition into singletons, apply updates at
+             each host against its own replica, heal, reconcile. *)
+          List.iter
+            (fun ops ->
+              ignore
+                (Schedule.run_all s
+                   ((Schedule.Partition [ [ 0 ]; [ 1 ]; [ 2 ] ] :: ops)
+                   @ [ Heal; Propagate; Converge 12 ])))
+            epochs;
+          (* All three replicas must hold identical trees (modulo
+             unresolved file conflicts, which keep replicas on their
+             own version — exclude conflicted files). *)
+          let trees = List.filter_map (tree cluster vref) [ 0; 1; 2 ] in
+          let conflicted =
+            List.exists
+              (fun i ->
+                match Cluster.replica (Cluster.host cluster i) vref with
+                | Some phys -> Conflict_log.pending (Physical.conflicts phys) <> []
+                | None -> false)
               [ 0; 1; 2 ]
           in
-          if List.length roots <> 3 then false
-          else begin
-            (* Each epoch: partition into singletons, apply updates at
-               each host against its own replica, heal, reconcile. *)
-            List.iter
-              (fun ops ->
-                Cluster.partition cluster [ [ 0 ]; [ 1 ]; [ 2 ] ];
-                let lookup_or_create (dir : Vnode.t) name =
-                  match dir.Vnode.lookup name with
-                  | Ok v -> Some v
-                  | Error Errno.ENOENT ->
-                    (match dir.Vnode.create name with Ok v -> Some v | Error _ -> None)
-                  | Error _ -> None
-                in
-                let write_in dir name payload =
-                  match lookup_or_create dir name with
-                  | Some v -> ignore (Vnode.write_all v payload)
-                  | None -> ()
-                in
-                List.iter
-                  (fun { host; action } ->
-                    let root = List.nth roots host in
-                    match action with
-                    | Cwrite (f, data) ->
-                      write_in root (Printf.sprintf "f%d" f) (Printf.sprintf "h%d:%d" host data)
-                    | Cmkdir d -> ignore (root.Vnode.mkdir (Printf.sprintf "d%d" d))
-                    | Cnested (d, f) ->
-                      let dname = Printf.sprintf "d%d" d in
-                      let dir =
-                        match root.Vnode.lookup dname with
-                        | Ok v -> Some v
-                        | Error Errno.ENOENT ->
-                          (match root.Vnode.mkdir dname with Ok v -> Some v | Error _ -> None)
-                        | Error _ -> None
-                      in
-                      (match dir with
-                       | Some dir ->
-                         write_in dir (Printf.sprintf "n%d" f) (Printf.sprintf "h%d" host)
-                       | None -> ())
-                    | Cremove f -> ignore (root.Vnode.remove (Printf.sprintf "f%d" f)))
-                  ops;
-                Cluster.heal cluster;
-                ignore (Cluster.run_propagation cluster);
-                ignore (Cluster.converge cluster vref ~max_rounds:12 ()))
-              epochs;
-            (* All three replicas must hold identical trees (modulo
-               unresolved file conflicts, which keep replicas on their
-               own version — exclude conflicted files). *)
-            let dumps =
-              List.filter_map
-                (fun i -> Option.map dump_replica (Cluster.replica (Cluster.host cluster i) vref))
-                [ 0; 1; 2 ]
-            in
-            let conflicted =
-              List.exists
-                (fun i ->
-                  match Cluster.replica (Cluster.host cluster i) vref with
-                  | Some phys -> Conflict_log.pending (Physical.conflicts phys) <> []
-                  | None -> false)
-                [ 0; 1; 2 ]
-            in
-            let names_of dump = List.map fst dump in
-            match dumps with
-            | [ a; b; c ] ->
-              if conflicted then
-                (* Name spaces still converge even when contents differ. *)
-                names_of a = names_of b && names_of b = names_of c
-              else a = b && b = c
-            | _ -> false
-          end);
+          let paths_of t = List.map (fun (p, _, _) -> p) t in
+          match trees with
+          | [ a; b; c ] ->
+            if conflicted then
+              (* Name spaces still converge even when contents differ. *)
+              paths_of a = paths_of b && paths_of b = paths_of c
+            else a = b && b = c
+          | _ -> false);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -578,42 +539,6 @@ let ctl_name_props =
    pass must land every replica in exactly the state the original
    full-walk pass produces. *)
 let recon_equiv_props =
-  let apply_ops roots ops =
-    let lookup_or_create (dir : Vnode.t) name =
-      match dir.Vnode.lookup name with
-      | Ok v -> Some v
-      | Error Errno.ENOENT ->
-        (match dir.Vnode.create name with Ok v -> Some v | Error _ -> None)
-      | Error _ -> None
-    in
-    let write_in dir name payload =
-      match lookup_or_create dir name with
-      | Some v -> ignore (Vnode.write_all v payload)
-      | None -> ()
-    in
-    List.iter
-      (fun { host; action } ->
-        let host = host mod 2 in
-        let root = List.nth roots host in
-        match action with
-        | Cwrite (f, data) ->
-          write_in root (Printf.sprintf "f%d" f) (Printf.sprintf "h%d:%d" host data)
-        | Cmkdir d -> ignore (root.Vnode.mkdir (Printf.sprintf "d%d" d))
-        | Cnested (d, f) ->
-          let dname = Printf.sprintf "d%d" d in
-          let dir =
-            match root.Vnode.lookup dname with
-            | Ok v -> Some v
-            | Error Errno.ENOENT ->
-              (match root.Vnode.mkdir dname with Ok v -> Some v | Error _ -> None)
-            | Error _ -> None
-          in
-          (match dir with
-           | Some dir -> write_in dir (Printf.sprintf "n%d" f) (Printf.sprintf "h%d" host)
-           | None -> ())
-        | Cremove f -> ignore (root.Vnode.remove (Printf.sprintf "f%d" f)))
-      ops
-  in
   let ring_reconcile cluster vref ~full =
     let step me peer =
       match Cluster.replica (Cluster.host cluster me) vref with
@@ -636,50 +561,34 @@ let recon_equiv_props =
     done
   in
   let run_scenario epochs ~full =
-    let cluster = Cluster.create ~nhosts:2 () in
-    match Cluster.create_volume cluster ~on:[ 0; 1 ] with
-    | Error _ -> None
-    | Ok vref ->
-      let roots =
-        List.filter_map
-          (fun i -> Result.to_option (Cluster.logical_root cluster i vref))
-          [ 0; 1 ]
-      in
-      if List.length roots <> 2 then None
-      else begin
-        List.iter
-          (fun ops ->
-            Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-            apply_ops roots ops;
-            Cluster.heal cluster;
-            ring_reconcile cluster vref ~full)
-          epochs;
-        let dump i =
-          Option.map dump_replica (Cluster.replica (Cluster.host cluster i) vref)
-        in
-        (match (dump 0, dump 1) with
-         | Some a, Some b -> Some (a, b)
-         | _ -> None)
-      end
+    match cl_start [ 0; 1 ] with
+    | None -> None
+    | Some (cluster, vref, s) ->
+      List.iter
+        (fun ops ->
+          ignore (Schedule.run_all s ((Schedule.Partition [ [ 0 ]; [ 1 ] ] :: ops) @ [ Heal ]));
+          ring_reconcile cluster vref ~full)
+        epochs;
+      (match (tree cluster vref 0, tree cluster vref 1) with
+       | Some a, Some b -> Some (a, b)
+       | _ -> None)
   in
   (* Collision-repair suffixes ("name#rid.seq") embed the fid sequence
      number, and the incremental pass legitimately allocates fewer
      summary events than the full walk, shifting later seqs — so compare
      the entry multiset with suffixes stripped, not raw names. *)
-  let normalize dump =
+  let normalize t =
+    let base name =
+      match String.index_opt name '#' with Some i -> String.sub name 0 i | None -> name
+    in
     List.sort compare
       (List.map
-         (fun (name, contents) ->
-           let base =
-             match String.index_opt name '#' with
-             | Some i -> String.sub name 0 i
-             | None -> name
-           in
-           (base, contents))
-         dump)
+         (fun (path, kind, digest) ->
+           (String.concat "/" (List.map base (String.split_on_char '/' path)), kind, digest))
+         t)
   in
   [
-    prop "incremental reconciliation equals the full walk" ~count:25 cl_arb
+    prop "incremental reconciliation equals the full walk" ~count:25 (cl_arb ~hosts:2)
       (fun epochs ->
         match (run_scenario epochs ~full:true, run_scenario epochs ~full:false) with
         | Some (f0, f1), Some (i0, i1) ->

@@ -52,18 +52,16 @@ let test_rename_rename_conflict_keeps_both_names () =
      reconciliation the directory has both names (paper §2.5 fn.3). *)
   let cluster = Cluster.create ~nhosts:2 () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  let d = ok (root0.Vnode.mkdir "original") in
-  ignore d;
-  create_file root0 "original/inside" "kept";
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  let root1 = ok (Cluster.logical_root cluster 1 vref) in
-  ok (root0.Vnode.rename "original" root0 "name-at-0");
-  ok (root1.Vnode.rename "original" root1 "name-at-1");
-  Cluster.heal cluster;
-  let (_ : int) = ok (Cluster.converge cluster vref ~max_rounds:20 ()) in
+  let s = Schedule.start cluster vref in
+  ok
+    (Schedule.run s
+       [
+         Mkdir (0, "original"); Create (0, "original/inside", "kept"); Propagate; Converge 10;
+         Partition [ [ 0 ]; [ 1 ] ];
+         Rename (0, "original", "name-at-0"); Rename (1, "original", "name-at-1");
+         Heal; Converge 20;
+       ]);
+  let root0 = ok (Schedule.root s 0) and root1 = ok (Schedule.root s 1) in
   let names root =
     ok (root.Vnode.readdir ()) |> List.map (fun e -> e.Vnode.entry_name) |> List.sort compare
   in
@@ -77,12 +75,9 @@ let test_rename_rename_conflict_keeps_both_names () =
 let test_tombstones_gced_after_full_rounds () =
   let cluster = Cluster.create ~nhosts:2 () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  create_file root0 "doomed" "x";
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
-  ok (root0.Vnode.remove "doomed");
-  let (_ : int) = ok (Cluster.converge cluster vref ~max_rounds:20 ()) in
+  ok
+    (Schedule.run (Schedule.start cluster vref)
+       [ Create (0, "doomed", "x"); Propagate; Converge 10; Remove (0, "doomed"); Converge 20 ]);
   (* After enough rounds, no tombstone remains on either replica. *)
   List.iter
     (fun i ->
@@ -99,18 +94,20 @@ let test_no_lost_updates_under_churn () =
      surviving file's latest write must be present somewhere and, after
      convergence, everywhere. *)
   let cluster = Cluster.create ~nhosts:3 () in
-  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
-  let roots = List.map (fun i -> ok (Cluster.logical_root cluster i vref)) [ 0; 1; 2 ] in
-  let root0 = List.nth roots 0 in
-  List.iteri (fun i _ -> create_file root0 (Printf.sprintf "file%d" i) "init") roots;
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = ok (Cluster.converge cluster vref ()) in
+  let hosts = [ 0; 1; 2 ] in
+  let vref = ok (Cluster.create_volume cluster ~on:hosts) in
+  let s = Schedule.start cluster vref in
+  let file i = Printf.sprintf "file%d" i in
   (* Disjoint updates in a 3-way partition (different files per host, so
      no conflicts). *)
-  Cluster.partition cluster [ [ 0 ]; [ 1 ]; [ 2 ] ];
-  List.iteri (fun i root -> write_file root (Printf.sprintf "file%d" i) (Printf.sprintf "by%d" i)) roots;
-  Cluster.heal cluster;
-  let (_ : int) = ok (Cluster.converge cluster vref ~max_rounds:20 ()) in
+  ok
+    (Schedule.run s
+       Schedule.(
+         List.map (fun i -> Create (0, file i, "init")) hosts
+         @ [ Propagate; Converge 10; Partition [ [ 0 ]; [ 1 ]; [ 2 ] ] ]
+         @ List.map (fun i -> Write (i, file i, Printf.sprintf "by%d" i)) hosts
+         @ [ Heal; Converge 20 ]));
+  let roots = List.map (fun i -> ok (Schedule.root s i)) hosts in
   List.iteri
     (fun reader root ->
       List.iteri
@@ -138,14 +135,14 @@ let test_conflict_superseded_everywhere_after_resolution () =
      the other replica too, once the dominating resolution propagates. *)
   let cluster = Cluster.create ~nhosts:2 () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-  let root0 = ok (Cluster.logical_root cluster 0 vref) in
-  create_file root0 "doc" "base";
-  let (_ : int) = Cluster.run_propagation cluster in
-  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
-  let root1 = ok (Cluster.logical_root cluster 1 vref) in
-  write_file root0 "doc" "A";
-  write_file root1 "doc" "B";
-  Cluster.heal cluster;
+  let s = Schedule.start cluster vref in
+  ok
+    (Schedule.run s
+       [
+         Create (0, "doc", "base"); Propagate; Partition [ [ 0 ]; [ 1 ] ];
+         Write (0, "doc", "A"); Write (1, "doc", "B"); Heal;
+       ]);
+  let root1 = ok (Schedule.root s 1) in
   let (_ : Reconcile.stats) = ok (Cluster.reconcile_ring cluster vref) in
   let phys i = Option.get (Cluster.replica (Cluster.host cluster i) vref) in
   let pending i = List.length (Conflict_log.pending (Physical.conflicts (phys i))) in

@@ -87,113 +87,51 @@ let net_props =
 (* A random cluster schedule: writes at random hosts, clock ticks of
    random sizes (some long enough to cross reconcile/gossip periods),
    and partition/heal events. *)
-type cl_step =
-  | Write of int * int * int  (* host, file index, payload tag *)
-  | Tick of int
-  | Split
-  | Heal
-
 let cl_step_gen =
   QCheck.Gen.(
     frequency
       [
-        (5, map3 (fun h f tag -> Write (h, f, tag)) (int_bound 3) (int_bound 3) (int_bound 99));
-        (4, map (fun n -> Tick (1 + (7 * n))) (int_bound 8));
-        (1, return Split);
-        (2, return Heal);
+        ( 5,
+          map3
+            (fun h f tag ->
+              Schedule.Write (h, Printf.sprintf "f%d" f, Printf.sprintf "h%d:%d" h tag))
+            (int_bound 3) (int_bound 3) (int_bound 99) );
+        (4, map (fun n -> Schedule.Tick (1 + (7 * n))) (int_bound 8));
+        (1, return (Schedule.Partition [ [ 0; 1 ]; [ 2; 3 ] ]));
+        (2, return Schedule.Heal);
       ])
 
-let print_cl_step = function
-  | Write (h, f, tag) -> Printf.sprintf "w h%d f%d #%d" h f tag
-  | Tick n -> Printf.sprintf "tick %d" n
-  | Split -> "split"
-  | Heal -> "heal"
-
 let cl_schedule_arb =
-  QCheck.make
-    ~print:(fun l -> String.concat "; " (List.map print_cl_step l))
-    QCheck.Gen.(list_size (int_bound 25) cl_step_gen)
-
-(* Dump a replica's live namespace with version vectors — the state the
-   two modes must agree on exactly. *)
-let dump phys =
-  let rec walk prefix path acc =
-    match Physical.fetch_dir phys path with
-    | Error _ -> acc
-    | Ok fdir ->
-      List.fold_left
-        (fun acc (name, e) ->
-          let child = path @ [ e.Fdir.fid ] in
-          let vv =
-            match Physical.get_version phys child with
-            | Ok vi -> Version_vector.to_string vi.Physical.vi_vv
-            | Error _ -> "?"
-          in
-          let line = Printf.sprintf "%s%s vv=%s" prefix name vv in
-          match e.Fdir.kind with
-          | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
-            walk (prefix ^ name ^ "/") child (line :: acc)
-          | Aux_attrs.Freg -> line :: acc)
-        acc (Fdir.live fdir)
-  in
-  List.sort compare (walk "" [] [])
+  QCheck.make ~print:Schedule.to_string QCheck.Gen.(list_size (int_bound 25) cl_step_gen)
 
 let run_cl_schedule ?control ?journal_blocks ~indexed schedule =
   let cluster =
     Cluster.create ~seed:7 ~nhosts:4 ~propagation_delay:20 ~reconcile_period:30
       ~gossip:Gossip.default_config ?control ?journal_blocks ~indexed ()
   in
-  match Cluster.create_volume cluster ~on:[ 0; 1; 2; 3 ] with
+  let hosts = [ 0; 1; 2; 3 ] in
+  match Cluster.create_volume cluster ~on:hosts with
   | Error _ -> None
   | Ok vref ->
-    let roots =
-      List.filter_map
-        (fun i -> Result.to_option (Cluster.logical_root cluster i vref))
-        [ 0; 1; 2; 3 ]
-    in
-    if List.length roots <> 4 then None
+    let s = Schedule.start cluster vref in
+    if not (List.for_all (fun i -> Result.is_ok (Schedule.root s i)) hosts) then None
     else begin
-      let pulls = ref 0 and recon_errors = ref 0 in
-      let tick n =
-        let p, stats = Cluster.tick_daemons cluster n in
-        pulls := !pulls + p;
-        recon_errors := !recon_errors + stats.Reconcile.errors
-      in
-      List.iter
-        (fun step ->
-          match step with
-          | Write (h, f, tag) ->
-            let root = List.nth roots h in
-            let name = Printf.sprintf "f%d" f in
-            let file =
-              match root.Vnode.lookup name with
-              | Ok v -> Some v
-              | Error Errno.ENOENT -> Result.to_option (root.Vnode.create name)
-              | Error _ -> None
-            in
-            (match file with
-             | Some v -> ignore (Vnode.write_all v (Printf.sprintf "h%d:%d" h tag))
-             | None -> ())
-          | Tick n -> tick n
-          | Split -> Cluster.partition cluster [ [ 0; 1 ]; [ 2; 3 ] ]
-          | Heal -> Cluster.heal cluster)
-        schedule;
       (* Heal and settle so the final state is partition-independent
          enough to compare deeply (both modes see the same schedule, so
          even transient states must match — the settle just makes the
          dumps meaningful). *)
-      Cluster.heal cluster;
-      for _ = 1 to 12 do
-        tick 30
-      done;
-      let dumps =
-        List.filter_map
-          (fun i ->
-            Option.map dump (Cluster.replica (Cluster.host cluster i) vref))
-          [ 0; 1; 2; 3 ]
+      let failed =
+        Schedule.run_all s (schedule @ Schedule.Heal :: List.init 12 (fun _ -> Schedule.Tick 30))
+      in
+      let states =
+        List.map
+          (fun i -> Option.map Schedule.state (Cluster.replica (Cluster.host cluster i) vref))
+          hosts
       in
       let metrics = (Cluster.metrics_snapshot cluster).Cluster.ms_metrics in
-      Some (dumps, metrics, !pulls, !recon_errors, Clock.now (Cluster.clock cluster))
+      Some
+        ( states, metrics, failed, Schedule.pulls s, Schedule.recon_errors s,
+          Clock.now (Cluster.clock cluster) )
     end
 
 (* Both modes must agree on replica state and on every counter, gauge
