@@ -1017,6 +1017,20 @@ let root t = dir_vnode t [] Aux_attrs.Fdir
 (* ------------------------------------------------------------------ *)
 (* Installation (pull side of propagation and reconciliation)          *)
 
+(* The one install commit: shadow-swap [data] in as [fid]'s contents,
+   store [aux] (stamped with the contents' digest), write the chunk map
+   through — the next chunk-map request for these contents (a peer
+   pulling them onward) is a cache probe, not a re-chunk — and record
+   the local state change, so peers that summarized us before must walk
+   us again. *)
+let commit_file t ~parent ~parent_ufs fid ~aux ~data =
+  let* () = Shadow.install ~dir:parent_ufs fid ~data in
+  let aux = { aux with Aux_attrs.digest = Some (Chunking.digest_hex data) } in
+  let* () = Aux_attrs.store ~dir:parent_ufs fid aux in
+  chunk_cache_put t data (Chunking.split data);
+  note_summary_event t parent;
+  Ok ()
+
 let install_file ?(span = 0) ?(via = "prop") t path ~vv ~uid ~data ~origin_rid =
   let* parent, fid = split_file_path path in
   let* parent_ufs = resolve_dir t parent in
@@ -1027,27 +1041,15 @@ let install_file ?(span = 0) ?(via = "prop") t path ~vv ~uid ~data ~origin_rid =
     | Error _ as e -> e
   in
   let adopt () =
-    let* () = Shadow.install ~dir:parent_ufs fid ~data in
-    let now = Clock.now t.clock in
-    Span.event t.obs.Obs.spans span ~host:t.host ~tick:now "shadow:swap";
     let merged_vv =
       match local with
       | None -> vv
       | Some aux -> Vv.merge aux.Aux_attrs.vv vv
     in
-    let aux =
-      {
-        (Aux_attrs.make Aux_attrs.Freg) with
-        Aux_attrs.vv = merged_vv;
-        uid;
-        span;
-        digest = Some (Chunking.digest_hex data);
-      }
-    in
-    let* () = Aux_attrs.store ~dir:parent_ufs fid aux in
-    (* Write-through: the next chunk-map request for these contents (a
-       peer pulling them onward) is a cache probe, not a re-chunk. *)
-    chunk_cache_put t data (Chunking.split data);
+    let aux = { (Aux_attrs.make Aux_attrs.Freg) with Aux_attrs.vv = merged_vv; uid; span } in
+    let* () = commit_file t ~parent ~parent_ufs fid ~aux ~data in
+    let now = Clock.now t.clock in
+    Span.event t.obs.Obs.spans span ~host:t.host ~tick:now "shadow:swap";
     Span.event t.obs.Obs.spans span ~host:t.host ~tick:now ("install:" ^ via);
     (* The convergence measurement: ticks from the originating write
        (the span's first event) to this replica holding the version. *)
@@ -1065,9 +1067,6 @@ let install_file ?(span = 0) ?(via = "prop") t path ~vv ~uid ~data ~origin_rid =
             (Ids.fidpath_to_string path));
     Counters.incr t.counters "phys.install";
     Counters.add t.counters "phys.install.bytes" (String.length data);
-    (* Adopting a remote version is a local state change: peers that
-       summarized us before this install must walk us again. *)
-    note_summary_event t parent;
     Ok Installed
   in
   match local with
@@ -1117,19 +1116,8 @@ let install_file ?(span = 0) ?(via = "prop") t path ~vv ~uid ~data ~origin_rid =
 let force_install t path ~vv ~uid ~data =
   let* parent, fid = split_file_path path in
   let* parent_ufs = resolve_dir t parent in
-  let* () = Shadow.install ~dir:parent_ufs fid ~data in
-  let aux =
-    {
-      (Aux_attrs.make Aux_attrs.Freg) with
-      Aux_attrs.vv = vv;
-      uid;
-      conflict = false;
-      digest = Some (Chunking.digest_hex data);
-    }
-  in
-  let* () = Aux_attrs.store ~dir:parent_ufs fid aux in
-  chunk_cache_put t data (Chunking.split data);
-  note_summary_event t parent;
+  let aux = { (Aux_attrs.make Aux_attrs.Freg) with Aux_attrs.vv = vv; uid } in
+  let* () = commit_file t ~parent ~parent_ufs fid ~aux ~data in
   file_event ~vv t path fid;
   Ok ()
 

@@ -94,74 +94,50 @@ let count_fetch t (stats : Delta.stats) =
   | Delta.Whole -> ()
 
 let pull t phys (e : New_version_cache.entry) =
-  match e.New_version_cache.kind with
-  | Aux_attrs.Freg
-    when (not (Version_vector.equal e.New_version_cache.vv Version_vector.empty))
-         && (match Physical.get_version phys e.New_version_cache.fidpath with
-             | Ok lvi ->
-               lvi.Physical.vi_stored
-               && Version_vector.dominates lvi.Physical.vi_vv e.New_version_cache.vv
-             | Error _ -> false) ->
-    (* The notification carried the origin's version vector and our local
-       history already dominates it: the pull is provably redundant —
-       drop it without an RPC. *)
-    count t "prop.skipped_dominated";
-    Span.event t.obs.Obs.spans e.New_version_cache.span ~host:t.host
-      ~tick:(Clock.now t.clock) "prop:skip-dominated";
-    Ok []
-  | _ ->
-  let* remote_root =
+  let connect () =
     t.connect ~host:e.New_version_cache.origin_host ~vref:e.New_version_cache.vref
       ~rid:e.New_version_cache.origin_rid
   in
   match e.New_version_cache.kind with
   | Aux_attrs.Freg ->
-    let* outcome, stats =
-      if t.delta then
-        Delta.fetch_file ~local:phys ~remote_root e.New_version_cache.fidpath
-      else
-        (* Whole-copy mode: the measurement baseline for the DELTA
-           experiment, and an escape hatch if chunking misbehaves. *)
-        Delta.fetch_whole ~obs:t.obs remote_root e.New_version_cache.fidpath
+    (* An empty vector is a materialization follow-up: nothing to
+       compare against, so the pull always travels. *)
+    let remote_vv =
+      if Version_vector.equal e.New_version_cache.vv Version_vector.empty then None
+      else Some e.New_version_cache.vv
     in
-    count_fetch t stats;
-    (match outcome with
-     | Delta.Up_to_date _ ->
-       (* A header-sized answer: the advertised version was already ours
-          (stale notification, or raced with reconciliation). *)
-       count t "prop.uptodate_header";
+    let* pull =
+      Delta.pull_file ~whole:(not t.delta) ~span:e.New_version_cache.span ~detail:true
+        ~via:"prop" ~local:phys ~connect ~origin_rid:e.New_version_cache.origin_rid
+        ?remote_vv e.New_version_cache.fidpath
+    in
+    (match pull with
+     | Delta.Current ->
+       (* The notification's version is provably ours already: dropped
+          without an RPC. *)
+       count t "prop.skipped_dominated";
+       Span.event t.obs.Obs.spans e.New_version_cache.span ~host:t.host
+         ~tick:(Clock.now t.clock) "prop:skip-dominated";
        Ok []
-     | Delta.Data (vi, data) ->
-       (* Prefer the span carried by the notification; fall back to the
-          one stored in the origin's aux attributes (a reconciled hint). *)
-       let span =
-         if e.New_version_cache.span <> 0 then e.New_version_cache.span
-         else vi.Physical.vi_span
-       in
-       Span.event t.obs.Obs.spans span ~host:t.host ~tick:(Clock.now t.clock)
-         (if stats.Delta.mode = Delta.Delta then "prop:pull-delta" else "prop:pull");
-       let ctx =
-         Span.make_ctx ~spans:t.obs.Obs.spans ~id:span ~host:t.host
-           ~now:(fun () -> Clock.now t.clock)
-       in
-       let* outcome =
-         Span.with_ctx ctx @@ fun () ->
-         Physical.install_file ~span ~via:"prop" phys e.New_version_cache.fidpath
-           ~vv:vi.Physical.vi_vv ~uid:vi.Physical.vi_uid ~data
-           ~origin_rid:e.New_version_cache.origin_rid
-       in
-       count t "prop.pull.file";
-       (match outcome with
-        | Physical.Conflict _ -> count t "prop.conflicts"
-        | Physical.Installed | Physical.Up_to_date -> ());
+     | Delta.Fetched (stats, installed) ->
+       count_fetch t stats;
+       let* installed = installed in
+       (match installed with
+        | None ->
+          (* A header-sized answer: the advertised version was already
+             ours (stale notification, or raced with reconciliation). *)
+          count t "prop.uptodate_header"
+        | Some outcome ->
+          count t "prop.pull.file";
+          (match outcome with
+           | Physical.Conflict _ -> count t "prop.conflicts"
+           | Physical.Installed | Physical.Up_to_date -> ()));
        Ok [])
   | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
-    let* remote_fdir, dir_wire =
-      Remote.fetch_dir ~obs:t.obs remote_root e.New_version_cache.fidpath
-    in
-    let* result =
-      Physical.merge_dir phys e.New_version_cache.fidpath
-        ~remote_rid:e.New_version_cache.origin_rid remote_fdir
+    let* remote_root = connect () in
+    let* result, dir_wire =
+      Delta.pull_dir ~local:phys ~remote_root ~remote_rid:e.New_version_cache.origin_rid
+        e.New_version_cache.fidpath
     in
     count t "prop.pull.dir";
     count_n t "prop.bytes" dir_wire;

@@ -4,13 +4,14 @@
     replicas the host stores, parks them in the {!New_version_cache}, and
     on each {!run_once} pulls the new versions in:
 
-    - regular files: fetch contents + version vector from the origin
-      replica and adopt them via the shadow-file atomic commit
+    - regular files: the pull step shared with reconciliation
+      ({!Delta.pull_file}) fetches contents + version vector from the
+      origin replica and adopts them via the shadow-file atomic commit
       ({!Physical.install_file}); a concurrent local history is reported,
       never overwritten;
     - directories: fetch the origin's directory state and reconcile with
-      {!Physical.merge_dir}; entries materialized by the merge are queued
-      for their own pulls.
+      {!Physical.merge_dir} ({!Delta.pull_dir}); entries materialized by
+      the merge are queued for their own pulls.
 
     Propagation is an optimization, not a correctness mechanism: if the
     origin is unreachable, the entry is retried with exponential backoff
@@ -77,7 +78,7 @@ val counters : t -> Counters.t
     delta path did {e not} ship), ["prop.chunks_hit"] /
     ["prop.chunks_miss"] (map chunks resolved locally vs fetched),
     ["prop.delta_fallback"] (delta path degraded to a whole-file fetch:
-    pre-chunking peer, raced contents or failed verification),
+    raced contents or failed verification),
     ["prop.skipped_dominated"] (pulls dropped with no RPC because the
     notification's version vector was already dominated locally),
     ["prop.uptodate_header"] (pulls answered by the chunk-map header

@@ -72,58 +72,32 @@ let merge_stats_of_result (result : Fdir.merge_result) =
     name_collisions = List.length result.Fdir.new_collisions;
   }
 
-let reconcile_dir ~local ~remote_root ~remote_rid path =
-  let* remote_fdir, _wire = Remote.fetch_dir ~obs:(Physical.obs local) remote_root path in
-  let* result = Physical.merge_dir local path ~remote_rid remote_fdir in
-  Ok { (merge_stats_of_result result) with rpcs = 1 }
-
-(* The decide-and-pull half of per-file reconciliation, shared by the
-   per-file protocol and the batched walk (which already holds the remote
-   version info). *)
-let pull_file ~local ~remote_root ~remote_rid path remote_vi =
-  let* local_vi = Physical.get_version local path in
+(* A regular file the peer describes by [remote_vi], through the shared
+   pull step, billed to reconciliation. *)
+let pull_known_file ~local ~remote_root ~remote_rid path remote_vi =
   if not remote_vi.Physical.vi_stored then Ok empty_stats
   else
-    let local_vv = local_vi.Physical.vi_vv in
-    let remote_vv = remote_vi.Physical.vi_vv in
-    let needs_pull =
-      (not local_vi.Physical.vi_stored)
-      || (match Version_vector.compare_vv remote_vv local_vv with
-          | Version_vector.Dominates | Version_vector.Concurrent -> true
-          | Version_vector.Equal | Version_vector.Dominated -> false)
+    let* pull =
+      Delta.pull_file ~via:"recon" ~local ~connect:(fun () -> Ok remote_root)
+        ~origin_rid:remote_rid ~remote_vv:remote_vi.Physical.vi_vv path
     in
-    if not needs_pull then Ok empty_stats
-    else
-      (* Same delta negotiation as the propagation daemon: a replica
-         that already stores most of the file's chunks ships only the
-         missing ones. *)
-      let* fetched, dstats = Delta.fetch_file ~local ~remote_root path in
-      let obs = Physical.obs local in
-      Metrics.add obs.Obs.metrics "recon.bytes" dstats.Delta.wire_bytes;
+    match pull with
+    | Delta.Current -> Ok empty_stats
+    | Delta.Fetched (dstats, installed) ->
+      let metrics = (Physical.obs local).Obs.metrics in
+      Metrics.add metrics "recon.bytes" dstats.Delta.wire_bytes;
       if dstats.Delta.saved_bytes > 0 then
-        Metrics.add obs.Obs.metrics "recon.bytes_saved" dstats.Delta.saved_bytes;
-      match fetched with
-      | Delta.Up_to_date _ ->
-        (* The chunk-map header showed we raced ahead of [remote_vi]. *)
-        Ok { empty_stats with rpcs = 1 }
-      | Delta.Data (vi, data) ->
-      let span = vi.Physical.vi_span in
-      Span.event obs.Obs.spans span
-        ~host:(Physical.host local)
-        ~tick:(Clock.now (Physical.clock local))
-        "recon:pull";
-      let* outcome =
-        Physical.install_file ~span ~via:"recon" local path ~vv:vi.Physical.vi_vv
-          ~uid:vi.Physical.vi_uid ~data ~origin_rid:remote_rid
-      in
-      (match outcome with
-       | Physical.Installed ->
+        Metrics.add metrics "recon.bytes_saved" dstats.Delta.saved_bytes;
+      let* installed = installed in
+      (match installed with
+       | Some Physical.Installed ->
          Log.debug (fun m ->
-             m ~tags:(log_tags (Physical.host local)) "%s pulled %s during reconciliation with r%d" (Physical.host local)
+             m ~tags:(log_tags (Physical.host local))
+               "%s pulled %s during reconciliation with r%d" (Physical.host local)
                (Ids.fidpath_to_string path) remote_rid);
          Ok { empty_stats with files_pulled = 1; rpcs = 1 }
-       | Physical.Up_to_date -> Ok { empty_stats with rpcs = 1 }
-       | Physical.Conflict _ -> Ok { empty_stats with files_conflicted = 1; rpcs = 1 })
+       | Some (Physical.Conflict _) -> Ok { empty_stats with files_conflicted = 1; rpcs = 1 }
+       | None | Some Physical.Up_to_date -> Ok { empty_stats with rpcs = 1 })
 
 (* Pull one regular file if the remote history is ahead of ours; report a
    conflict if the histories are concurrent. *)
@@ -135,13 +109,14 @@ let reconcile_file ~local ~remote_root ~remote_rid path =
     Ok { empty_stats with rpcs = 1 }
   | Error _ as e -> e
   | Ok remote_vi ->
-    let* s = pull_file ~local ~remote_root ~remote_rid path remote_vi in
+    let* s = pull_known_file ~local ~remote_root ~remote_rid path remote_vi in
     Ok (add_stats s { empty_stats with rpcs = 1 })
 
 let reconcile_subtree ~local ~remote_root ~remote_rid path =
   let rec go rev_path =
     let path = List.rev rev_path in
-    let* stats = reconcile_dir ~local ~remote_root ~remote_rid path in
+    let* merged, _wire = Delta.pull_dir ~local ~remote_root ~remote_rid path in
+    let stats = { (merge_stats_of_result merged) with rpcs = 1 } in
     (* Walk the merged local view: every child now has an entry locally.
        A file can be reached twice through multiple names; visit each fid
        once. *)
@@ -161,6 +136,14 @@ let reconcile_subtree ~local ~remote_root ~remote_rid path =
     Ok (List.fold_left visit stats (Fdir.live_fids fdir))
   in
   go (List.rev path)
+
+(* The prune test: the local directory at [path] has a summary that
+   dominates the peer's [remote_summary], so everything below it there is
+   already incorporated here. *)
+let summarized local path remote_summary =
+  match Physical.get_version local path, remote_summary with
+  | Ok { Physical.vi_summary = Some ls; _ }, Some rs -> Version_vector.dominates ls rs
+  | _, _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Incremental walk: one batched getdirvvs per directory instead of a
@@ -211,7 +194,7 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
       let child_rev = fid :: rev_path in
       match e.Fdir.kind, Hashtbl.find_opt remote_children fid with
       | Aux_attrs.Freg, Some rvi ->
-        (match pull_file ~local ~remote_root ~remote_rid (List.rev child_rev) rvi with
+        (match pull_known_file ~local ~remote_root ~remote_rid (List.rev child_rev) rvi with
          | Ok s -> count s
          | Error _ -> failed ())
       | Aux_attrs.Freg, None when omitted fid ->
@@ -219,17 +202,9 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
          | Ok s -> count s
          | Error _ -> failed ())
       | (Aux_attrs.Fdir | Aux_attrs.Fgraft), Some rvi ->
-        let local_summary =
-          match Physical.get_version local (List.rev child_rev) with
-          | Ok vi -> vi.Physical.vi_summary
-          | Error _ -> None
-        in
-        let prune =
-          match local_summary, rvi.Physical.vi_summary with
-          | Some ls, Some rs -> Version_vector.dominates ls rs
-          | _, _ -> false
-        in
-        if prune then count { empty_stats with subtrees_pruned = 1 } else descend child_rev
+        if summarized local (List.rev child_rev) rvi.Physical.vi_summary then
+          count { empty_stats with subtrees_pruned = 1 }
+        else descend child_rev
       | (Aux_attrs.Fdir | Aux_attrs.Fgraft), None when omitted fid -> descend child_rev
       | _, None ->
         (* Not live remotely: a tombstone already merged, or a local-only
@@ -252,30 +227,15 @@ let note_metrics local s =
 
 let reconcile_volume ~local ~remote_root ~remote_rid () =
   let result =
-    match Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root [] with
-    | Error Errno.EINVAL ->
-      (* The peer predates the batched op: full per-file walk. *)
-      reconcile_subtree ~local ~remote_root ~remote_rid []
-    | Error e -> Error e
-    | Ok dv ->
-      (* Root fast path: when our root summary dominates the peer's, the
-         whole volume is already incorporated — a quiescent pass costs
-         one RPC. *)
-      let local_summary =
-        match Physical.get_version local [] with
-        | Ok vi -> vi.Physical.vi_summary
-        | Error _ -> None
-      in
-      let prune =
-        match local_summary, dv.Ctl_wire.dv_summary with
-        | Some ls, Some rs -> Version_vector.dominates ls rs
-        | _, _ -> false
-      in
-      if prune then Ok { empty_stats with rpcs = 1; subtrees_pruned = 1 }
-      else (
-        match reconcile_subtree_incr ~local ~remote_root ~remote_rid [] dv with
-        | Ok (s, _complete) -> Ok (add_stats s { empty_stats with rpcs = 1 })
-        | Error e -> Error e)
+    let* dv = Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root [] in
+    (* Root fast path: when our root summary dominates the peer's, the
+       whole volume is already incorporated — a quiescent pass costs one
+       RPC. *)
+    if summarized local [] dv.Ctl_wire.dv_summary then
+      Ok { empty_stats with rpcs = 1; subtrees_pruned = 1 }
+    else
+      let* s, _complete = reconcile_subtree_incr ~local ~remote_root ~remote_rid [] dv in
+      Ok (add_stats s { empty_stats with rpcs = 1 })
   in
   (match result with
   | Ok s ->

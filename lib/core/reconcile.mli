@@ -18,9 +18,10 @@
     [getdirvvs] RPC per directory (instead of a [getvv] per file), and
     whole subtrees are skipped when the local subtree summary vector
     dominates the remote one — a quiescent pass over any volume costs a
-    single RPC.  Peers that predate summaries answer the batched op with
-    [EINVAL] and are served by the original full walk
-    ({!reconcile_subtree}). *)
+    single RPC.
+
+    Per regular file, both walks take the pull step they share with the
+    propagation daemon ({!Delta.pull_file}). *)
 
 type stats = {
   dirs_merged : int;
@@ -44,11 +45,6 @@ val empty_stats : stats
 val add_stats : stats -> stats -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-val reconcile_dir :
-  local:Physical.t -> remote_root:Vnode.t -> remote_rid:Ids.replica_id ->
-  Physical.fidpath -> (stats, Errno.t) result
-(** Reconcile a single directory (no recursion). *)
-
 val reconcile_subtree :
   local:Physical.t -> remote_root:Vnode.t -> remote_rid:Ids.replica_id ->
   Physical.fidpath -> (stats, Errno.t) result
@@ -56,15 +52,15 @@ val reconcile_subtree :
     (the whole volume when [[]]), depth-first, one [getvv] RPC per file.
     Individual file or subdirectory failures are counted in [errors] and
     skipped; the error return is reserved for the root being
-    unreachable.  Kept as the fallback for pre-summary peers and as the
-    baseline the [reconscale] experiment measures against. *)
+    unreachable.  {!reconcile_volume} never takes it: it is kept only as
+    the baseline the [reconscale] experiment measures against and as the
+    oracle the incremental walk is property-tested against. *)
 
 val reconcile_volume :
   local:Physical.t -> remote_root:Vnode.t -> remote_rid:Ids.replica_id ->
   unit -> (stats, Errno.t) result
 (** Incremental reconciliation from the volume root: batched version
-    fetches, summary-vector pruning, full-walk fallback when the peer
-    answers [EINVAL].  Also feeds the [recon.rpcs] and
+    fetches and summary-vector pruning.  Also feeds the [recon.rpcs] and
     [recon.pruned_subtrees] counters of the local replica's metrics
     registry.
 

@@ -48,9 +48,7 @@ val fetch_chunk_map :
   (Physical.version_info * string * Chunking.chunk list * int, Errno.t) result
 (** The ["getchunkmap"] ctl op: version info, whole-content MD5 (the
     puller's end-to-end check after reassembly) and content-defined chunk
-    map, plus wire bytes.  Peers that predate chunking answer [EINVAL];
-    callers fall back to {!fetch_file} (mirroring the [getdirvvs]
-    fallback). *)
+    map, plus wire bytes. *)
 
 val fetch_chunks :
   obs:Obs.t -> Vnode.t -> Physical.fidpath -> string list ->
@@ -64,8 +62,7 @@ val fetch_chunks :
 val fetch_dir_versions :
   obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Ctl_wire.dir_versions, Errno.t) result
 (** Batched ["getdirvvs"] fetch: a directory's summary, fdir and all
-    child version infos in a single round trip.  Servers that predate the
-    op answer [EINVAL]; callers fall back to the per-file walk. *)
+    child version infos in a single round trip. *)
 
 val resolve :
   obs:Obs.t -> Vnode.t -> string -> (Ids.file_id * Aux_attrs.fkind, Errno.t) result

@@ -1349,24 +1349,16 @@ let reconcile_all_pairs t vref =
 
 let reconcile_star t vref ~hub =
   let* reps = volume_replicas_in_order t vref in
-  let arr = Array.of_list reps in
-  let hub_entry =
-    match Array.to_list arr |> List.find_opt (fun (i, _, _) -> i = hub) with
-    | Some e -> e
-    | None -> arr.(0)
-  in
-  let stats = ref Reconcile.empty_stats in
-  Array.iter
-    (fun spoke ->
-      let i, _, _ = spoke and h, _, _ = hub_entry in
-      if i <> h then stats := reconcile_pair t vref !stats hub_entry spoke)
-    arr;
-  Array.iter
-    (fun spoke ->
-      let i, _, _ = spoke and h, _, _ = hub_entry in
-      if i <> h then stats := reconcile_pair t vref !stats spoke hub_entry)
-    arr;
-  Ok !stats
+  match List.find_opt (fun (i, _, _) -> i = hub) reps, reps with
+  | None, [] -> Ok Reconcile.empty_stats
+  | Some hub_entry, _ | None, hub_entry :: _ ->
+    let h, _, _ = hub_entry in
+    let spokes = List.filter (fun (i, _, _) -> i <> h) reps in
+    let stats =
+      List.fold_left (fun s spoke -> reconcile_pair t vref s hub_entry spoke)
+        Reconcile.empty_stats spokes
+    in
+    Ok (List.fold_left (fun s spoke -> reconcile_pair t vref s spoke hub_entry) stats spokes)
 
 let quiet (s : Reconcile.stats) =
   s.Reconcile.files_pulled = 0

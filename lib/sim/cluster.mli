@@ -283,7 +283,9 @@ val reconcile_all_pairs : t -> Ids.volume_ref -> (Reconcile.stats, Errno.t) resu
 
 val reconcile_star : t -> Ids.volume_ref -> hub:int -> (Reconcile.stats, Errno.t) result
 (** One round through a hub replica: the hub pulls from everyone, then
-    everyone pulls from the hub — 2(n-1) pair reconciliations. *)
+    everyone pulls from the hub — 2(n-1) pair reconciliations.  A [hub]
+    storing no replica hands the role to the first one; a volume with no
+    stored replica has an empty round. *)
 
 val converge : t -> Ids.volume_ref -> ?max_rounds:int -> unit -> (int, Errno.t) result
 (** Run reconciliation rounds until a full quiet round (nothing pulled,

@@ -151,6 +151,23 @@ let test_converge_reports_partitioned_failure () =
   let stats = ok (Cluster.reconcile_ring cluster vref) in
   Alcotest.(check int) "both directions failed" 2 stats.Reconcile.errors
 
+let test_reconcile_with_no_stored_replica () =
+  (* Every replica retired: each topology has nobody to pair, so each
+     returns an empty round instead of raising. *)
+  let cluster = Cluster.create ~nhosts:2 () in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  ok (Cluster.remove_replica cluster ~host:0 vref);
+  ok (Cluster.remove_replica cluster ~host:1 vref);
+  List.iter
+    (fun (topology, round) ->
+      let stats = ok (round cluster vref) in
+      Alcotest.(check int) (topology ^ ": nothing reconciled") 0 stats.Reconcile.rpcs)
+    [
+      ("star", fun c v -> Cluster.reconcile_star c v ~hub:0);
+      ("ring", Cluster.reconcile_ring);
+      ("all pairs", Cluster.reconcile_all_pairs);
+    ]
+
 let suite =
   [
     case "add_replica populates the newcomer" test_add_replica_populates;
@@ -161,4 +178,5 @@ let suite =
     case "reboot preserves the fid allocator" test_reboot_preserves_uniq_allocator;
     case "summaries survive a crash reboot" test_summaries_survive_reboot;
     case "reconcile reports partition errors" test_converge_reports_partitioned_failure;
+    case "reconcile with no stored replica" test_reconcile_with_no_stored_replica;
   ]

@@ -1,5 +1,5 @@
 (* Delta propagation: chunk negotiation on the pull path, the fallback
-   contract against pre-chunking peers, dominated-notification skips,
+   when contents race ahead of the served map, dominated-notification skips,
    and chunk-map serving across a reboot. *)
 
 open Util
@@ -81,44 +81,35 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let test_prechunking_peer_falls_back () =
+let test_raced_contents_fall_back () =
   let cluster, vref, fv, _size = big_cluster () in
-  ok (fv.Vnode.write ~off:1000 "edit a stale peer must still receive");
+  ok (fv.Vnode.write ~off:1000 "edit whose chunks race away");
   let phys1 = Option.get (Cluster.replica (Cluster.host cluster 1) vref) in
   let host0 = Cluster.host_name (Cluster.host cluster 0) in
   let remote_root = ok ((Cluster.connect_from cluster 1) ~host:host0 ~vref ~rid:1) in
-  (* A peer that predates chunking: the delta ctl ops don't exist, so
-     their encoded lookups come back EINVAL — exactly what an old
-     ctl_lookup does with an unknown op. *)
-  let old_root =
+  (* The origin's contents change between serving the map and serving
+     the bodies: a digest in the map is gone, and readchunks answers
+     EAGAIN — exactly what its ctl_lookup does then. *)
+  let raced_root =
     {
       remote_root with
       Vnode.lookup =
         (fun name ->
-          if contains name "getchunkmap" || contains name "readchunks" then
-            Error Errno.EINVAL
+          if contains name "readchunks" then Error Errno.EAGAIN
           else remote_root.Vnode.lookup name);
     }
   in
   let path = big_fidpath phys1 in
-  let outcome, stats = ok (Delta.fetch_file ~local:phys1 ~remote_root:old_root path) in
+  let outcome, stats = ok (Delta.fetch_file ~local:phys1 ~remote_root:raced_root path) in
   Alcotest.(check bool) "degraded to a whole-file fetch" true
     (stats.Delta.mode = Delta.Fallback);
-  let origin_data = content cluster 0 vref in
   (match outcome with
    | Delta.Data (_, data) ->
-     Alcotest.(check string) "fallback data is the origin's" origin_data data
+     Alcotest.(check string) "fallback data is the origin's" (content cluster 0 vref) data
    | Delta.Up_to_date _ -> Alcotest.fail "expected data from the fallback fetch");
-  (* Against the real (chunk-aware) peer the same fetch negotiates. *)
-  let outcome2, stats2 = ok (Delta.fetch_file ~local:phys1 ~remote_root path) in
-  Alcotest.(check bool) "negotiated against a chunking peer" true
-    (stats2.Delta.mode = Delta.Delta);
-  Alcotest.(check bool) "delta is cheaper than the fallback" true
-    (stats2.Delta.wire_bytes < stats.Delta.wire_bytes);
-  (match outcome2 with
-   | Delta.Data (_, data) ->
-     Alcotest.(check string) "delta data is the origin's" origin_data data
-   | Delta.Up_to_date _ -> Alcotest.fail "expected data from the delta fetch")
+  let _, plain = ok (Delta.fetch_whole ~obs:(Physical.obs phys1) remote_root path) in
+  Alcotest.(check bool) "the chunk map stays on the bill" true
+    (stats.Delta.wire_bytes > plain.Delta.wire_bytes)
 
 let test_dominated_notification_skipped () =
   (* A notification whose version vector the local copy already
@@ -202,7 +193,7 @@ let suite =
   [
     case "delta pull ships chunks, not the file" test_delta_pull_ships_chunks;
     case "whole-copy baseline reships the file" test_whole_copy_baseline_reships;
-    case "pre-chunking peer falls back to whole-file" test_prechunking_peer_falls_back;
+    case "raced contents fall back to whole-file" test_raced_contents_fall_back;
     case "dominated notification skipped without RPC" test_dominated_notification_skipped;
     case "chunk serving survives reboot" test_chunk_serving_survives_reboot;
     case "small files skip negotiation" test_small_files_skip_negotiation;

@@ -256,45 +256,12 @@ let test_failed_omitted_child_leaves_walk_incomplete () =
   Alcotest.(check int) "the next pass does not prune" 0 s.Reconcile.subtrees_pruned;
   check_converged phys0 phys1 fid
 
-let test_getdirvvs_einval_falls_back_to_full_walk () =
-  (* DESIGN's mixed-version promise: a peer that predates getdirvvs
-     answers EINVAL, and the pass degrades to the per-entry walk at the
-     per-entry walk's RPC cost. *)
-  let diverged () =
-    let cluster = Cluster.create ~nhosts:2 () in
-    Cluster.set_faults cluster { Sim_net.no_faults with loss = 1.0 };
-    let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-    let root0 = ok (Cluster.logical_root cluster 0 vref) in
-    let _ = ok (Namei.mkdir_p ~root:root0 "a/b") in
-    create_file root0 "a/b/deep" "nested";
-    create_file root0 "top" "shallow";
-    let phys i = Option.get (Cluster.replica (Cluster.host cluster i) vref) in
-    (phys 0, phys 1, ok ((Cluster.connect_from cluster 1) ~host:"host0" ~vref ~rid:1))
-  in
-  let phys0, phys1, remote_root = diverged () in
-  let old_root =
-    {
-      remote_root with
-      Vnode.lookup =
-        (fun name ->
-          if contains name "getdirvvs" then Error Errno.EINVAL else remote_root.Vnode.lookup name);
-    }
-  in
-  let incr = ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root:old_root ~remote_rid:1 ()) in
-  Alcotest.(check string) "converged" (ok (Crdt_merge.digest phys0)) (ok (Crdt_merge.digest phys1));
-  let _, phys1', remote_root' = diverged () in
-  let full = ok (Reconcile.reconcile_subtree ~local:phys1' ~remote_root:remote_root' ~remote_rid:1 []) in
-  Alcotest.(check bool) "work was done" true (full.Reconcile.rpcs > 0);
-  Alcotest.(check int) "the per-entry walk's RPCs" full.Reconcile.rpcs incr.Reconcile.rpcs
-
 let suite =
   [
     case "omitted getdirvvs child takes the per-child path"
       test_omitted_child_takes_per_child_path;
     case "failed omitted child leaves the walk incomplete"
       test_failed_omitted_child_leaves_walk_incomplete;
-    case "getdirvvs EINVAL falls back to the full walk"
-      test_getdirvvs_einval_falls_back_to_full_walk;
     case "subtree reconciles nested changes" test_subtree_reconciles_nested_changes;
     case "conflict superseded everywhere after resolution"
       test_conflict_superseded_everywhere_after_resolution;
