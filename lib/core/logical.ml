@@ -6,6 +6,7 @@ type replica_conn = {
   rc_rid : Ids.replica_id;
   rc_host : string;
   mutable rc_root : Vnode.t option;  (* connected lazily, dropped on failure *)
+  mutable rc_unreachable_at : int option;  (* tick of its last EUNREACHABLE *)
 }
 
 type graft = {
@@ -62,12 +63,15 @@ let traced t label f =
 
 let vkey (v : Ids.volume_ref) = (v.Ids.alloc, v.Ids.vol)
 
+let replica_conn rid host =
+  { rc_rid = rid; rc_host = host; rc_root = None; rc_unreachable_at = None }
+
 let graft_volume t vref ~replicas =
   if not (Hashtbl.mem t.grafts (vkey vref)) then
     Hashtbl.replace t.grafts (vkey vref)
       {
         g_vref = vref;
-        g_replicas = List.map (fun (r, h) -> { rc_rid = r; rc_host = h; rc_root = None }) replicas;
+        g_replicas = List.map (fun (r, h) -> replica_conn r h) replicas;
         g_last_used = Clock.now t.clock;
         g_auto = false;
       }
@@ -78,7 +82,7 @@ let autograft_volume t vref ~replicas =
     Hashtbl.replace t.grafts (vkey vref)
       {
         g_vref = vref;
-        g_replicas = List.map (fun (r, h) -> { rc_rid = r; rc_host = h; rc_root = None }) replicas;
+        g_replicas = List.map (fun (r, h) -> replica_conn r h) replicas;
         g_last_used = Clock.now t.clock;
         g_auto = true;
       }
@@ -102,7 +106,12 @@ let prune_grafts t ~idle =
 
 let reset_connections t =
   Hashtbl.iter
-    (fun _ g -> List.iter (fun rc -> rc.rc_root <- None) g.g_replicas)
+    (fun _ g ->
+      List.iter
+        (fun rc ->
+          rc.rc_root <- None;
+          rc.rc_unreachable_at <- None)
+        g.g_replicas)
     t.grafts
 
 let find_graft t vref =
@@ -112,12 +121,28 @@ let find_graft t vref =
 
 let ( let* ) = Result.bind
 
+(* The negative entry: a replica that answered EUNREACHABLE is marked
+   with the current tick, and any other answer clears the mark.  In the
+   simulator a partition, sever or flaky window only changes when the
+   clock moves, so a call that failed this tick would fail again. *)
+let note t rc r =
+  (match r with
+   | Error Errno.EUNREACHABLE -> rc.rc_unreachable_at <- Some (Clock.now t.clock)
+   | _ -> rc.rc_unreachable_at <- None);
+  r
+
+let count t name n =
+  if n > 0 then begin
+    Counters.add t.counters name n;
+    Metrics.add t.obs.Obs.metrics name n
+  end
+
 (* Connect (or reuse) the physical root of one replica. *)
 let replica_root t g rc =
   match rc.rc_root with
   | Some root -> Ok root
   | None ->
-    (match t.connect ~host:rc.rc_host ~vref:g.g_vref ~rid:rc.rc_rid with
+    (match note t rc (t.connect ~host:rc.rc_host ~vref:g.g_vref ~rid:rc.rc_rid) with
      | Ok root ->
        rc.rc_root <- Some root;
        Ok root
@@ -125,28 +150,30 @@ let replica_root t g rc =
 
 (* Candidate replicas in policy order for an operation on [path].
 
-   With a gossip failure detector wired in, the first pass ([all =
-   false]) does not even attempt to connect replicas whose host is
-   suspect or dead — under [Most_recent] that also saves the per-replica
-   version poll.  The verdict is advisory: if every replica is doubtful
-   the full list is used anyway, and the caller's retry pass always
-   considers everyone, so a false suspicion costs one extra pass, never
-   availability. *)
+   The first pass ([all = false]) does not even attempt to connect
+   replicas whose host gossip judges suspect or dead, nor replicas
+   marked unreachable this tick — under [Most_recent] that also saves
+   the per-replica version poll.  Both are advisory: gossip's verdict is
+   ignored when every replica is doubtful, and the caller's retry pass
+   always considers everyone, so a false suspicion or a heal within the
+   tick costs one extra pass, never availability. *)
 let candidates t ~all g path =
   let considered =
     if all then g.g_replicas
     else
-      match
-        List.filter (fun rc -> t.liveness rc.rc_host = Gossip.Alive) g.g_replicas
-      with
-      | [] -> g.g_replicas
-      | live ->
-        let skipped = List.length g.g_replicas - List.length live in
-        if skipped > 0 then begin
-          Counters.add t.counters "logical.skipped_doubtful" skipped;
-          Metrics.add t.obs.Obs.metrics "logical.skipped_doubtful" skipped
-        end;
-        live
+      let live =
+        match
+          List.filter (fun rc -> t.liveness rc.rc_host = Gossip.Alive) g.g_replicas
+        with
+        | [] -> g.g_replicas
+        | live ->
+          count t "logical.skipped_doubtful" (List.length g.g_replicas - List.length live);
+          live
+      in
+      let now = Some (Clock.now t.clock) in
+      let answering = List.filter (fun rc -> rc.rc_unreachable_at <> now) live in
+      count t "logical.skipped_unreachable" (List.length live - List.length answering);
+      answering
   in
   let reachable =
     List.filter_map
@@ -166,7 +193,7 @@ let candidates t ~all g path =
     let scored =
       List.map
         (fun (rc, root) ->
-          match Remote.get_version ~obs:t.obs root path with
+          match note t rc (Remote.get_version ~obs:t.obs root path) with
           | Ok vi ->
             let score =
               (if vi.Physical.vi_stored then 1_000_000 else 0) + Vv.sum vi.Physical.vi_vv
@@ -187,7 +214,7 @@ let with_replica t vref path f =
   let rec attempt first enoent = function
     | [] -> Error (if enoent then Errno.ENOENT else Errno.EUNREACHABLE)
     | (rc, root) :: rest ->
-      (match f root with
+      (match note t rc (f root) with
        | Ok v ->
          if not first then Counters.incr t.counters "logical.fallback";
          Ok v

@@ -40,16 +40,29 @@ val create :
     [liveness] (default: everyone [Alive]) lets the gossip failure
     detector steer replica selection: the first pass over a graft's
     replicas skips hosts judged [Suspect] or [Dead] (counted in
-    ["logical.skipped_doubtful"]), but the retry pass always considers
-    the full list — one-copy availability is never forfeited to a
-    suspicion. *)
+    ["logical.skipped_doubtful"]).
+
+    Each replica also carries a negative entry: the clock tick at which
+    it last answered [EUNREACHABLE] (to a connect, a [Most_recent]
+    version poll or the operation itself); any other answer, or
+    {!reset_connections}, clears it.  While the clock still shows that
+    tick the first pass skips the replica (counted in
+    ["logical.skipped_unreachable"]), so a partition costs one failed
+    call per peer per tick rather than one per operation.
+
+    Neither skip is binding: when the first pass fails with some replica
+    unconsulted, the retry pass tries the full list, entries and
+    liveness ignored — one-copy availability is never forfeited to a
+    suspicion or to a heal within the tick. *)
 
 val host : t -> string
 val obs : t -> Obs.t
 val counters : t -> Counters.t
 (** ["logical.ops"], ["logical.fallback"] (ops served by a non-preferred
-    replica), ["logical.autograft"], ["logical.lock_denied"],
-    ["logical.prune"], ["logical.skipped_doubtful"]. *)
+    replica), ["logical.retry_pass"] (ops that needed the full-list
+    retry pass), ["logical.autograft"], ["logical.lock_denied"],
+    ["logical.prune"], ["logical.skipped_doubtful"],
+    ["logical.skipped_unreachable"]. *)
 
 (** {1 Volumes and grafting} *)
 

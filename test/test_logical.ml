@@ -53,7 +53,68 @@ let test_most_recent_selection () =
   let root1 = ok (Cluster.logical_root cluster 1 vref) in
   write_file root1 "f" "newest";
   let root2 = ok (Cluster.logical_root cluster 2 vref) in
-  Alcotest.(check string) "reads the newest accessible copy" "newest" (read_file root2 "f")
+  Alcotest.(check string) "reads the newest accessible copy" "newest" (read_file root2 "f");
+  (* host0 reads its own copy and marks host1's replica unreachable.
+     One tick after the heal the mark has lapsed, so the version poll
+     sees the far side's newer write again. *)
+  Alcotest.(check string) "cut off: own copy" "old" (read_file root0 "f");
+  Cluster.heal cluster;
+  Cluster.advance cluster 1;
+  Alcotest.(check string) "healed: newest copy" "newest" (read_file root0 "f")
+
+(* Retransmissions [Nfs_client.mount] makes by default after a failed
+   idempotent call. *)
+let nfs_max_retries = 3
+
+let failed_rpcs cluster =
+  Counters.get (Sim_net.counters (Cluster.net cluster)) "net.rpc.failed"
+
+(* Failed RPCs spent by [k] reads at host0 within one tick of a 2|2
+   partition of a volume stored on all four hosts. *)
+let partitioned_read_cost k =
+  let cluster = Cluster.create ~nhosts:4 ~selection:Logical.Most_recent () in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1; 2; 3 ]) in
+  let root0 = ok (Cluster.logical_root cluster 0 vref) in
+  create_file root0 "f" "v";
+  let (_ : int) = Cluster.run_propagation cluster in
+  Cluster.partition cluster [ [ 0; 1 ]; [ 2; 3 ] ];
+  let before = failed_rpcs cluster in
+  for _ = 1 to k do
+    Alcotest.(check string) "read" "v" (read_file root0 "f")
+  done;
+  failed_rpcs cluster - before
+
+let test_partition_cost_flat_in_op_count () =
+  (* Each cut-off replica fails once (with the NFS client's in-tick
+     retransmissions) and is then skipped for the rest of the tick, so
+     the cost of a partition does not grow with the number of ops. *)
+  let one = partitioned_read_cost 1 and twenty = partitioned_read_cost 20 in
+  Alcotest.(check bool) "the far side was tried" true (one > 0);
+  Alcotest.(check int) "20 reads cost what 1 costs" one twenty;
+  Alcotest.(check bool) "at most one failed call per cut-off peer" true
+    (twenty <= 2 * (1 + nfs_max_retries))
+
+let test_marked_replica_still_serves_after_heal () =
+  (* A replica marked unreachable is skipped by the first pass only: an
+     object that exists nowhere else is still found, in the same tick
+     as the heal, by the retry pass. *)
+  let cluster = Cluster.create ~nhosts:2 ~selection:Logical.Most_recent () in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  let root0 = ok (Cluster.logical_root cluster 0 vref) in
+  let root1 = ok (Cluster.logical_root cluster 1 vref) in
+  create_file root0 "f" "v";
+  let (_ : int) = Cluster.run_propagation cluster in
+  Cluster.partition cluster [ [ 0 ]; [ 1 ] ];
+  create_file root1 "only-on-1" "far";
+  Alcotest.(check string) "cut off: own copy" "v" (read_file root0 "f");
+  let counters = Logical.counters (Cluster.logical (Cluster.host cluster 0)) in
+  let get = Counters.get counters in
+  let retries = get "logical.retry_pass" and skips = get "logical.skipped_unreachable" in
+  Cluster.heal cluster;
+  Alcotest.(check string) "served by the marked replica" "far" (read_file root0 "only-on-1");
+  Alcotest.(check bool) "the first pass skipped it" true
+    (get "logical.skipped_unreachable" > skips);
+  Alcotest.(check int) "found by the retry pass" (retries + 1) (get "logical.retry_pass")
 
 let test_open_close_lock_bookkeeping () =
   let cluster, vref = cluster3 () in
@@ -204,6 +265,9 @@ let suite =
       test_total_isolation_still_serves_local_replica;
     case "client without local replica" test_client_without_local_replica;
     case "most-recent selection" test_most_recent_selection;
+    case "partition cost flat in op count" test_partition_cost_flat_in_op_count;
+    case "marked replica still serves after heal"
+      test_marked_replica_still_serves_after_heal;
     case "open/close lock bookkeeping" test_open_close_lock_bookkeeping;
     case "open reaches physical layer through NFS"
       test_open_reaches_physical_layer_through_nfs;
