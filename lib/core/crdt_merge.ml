@@ -10,10 +10,6 @@ type repair_stats = {
 let node_of (fid : Ids.file_id) = (fid.Ids.issuer, fid.Ids.uniq)
 let fid_of (issuer, uniq) = { Ids.issuer; uniq }
 
-(* Mirror a repair counter into both the replica's private counters and
-   the cluster-wide registry. *)
-let count ?n t key = Obs.count ?n (Physical.obs t) (Physical.counters t) key
-
 (* ------------------------------------------------------------------ *)
 (* Discovery: the stored parent graph
 
@@ -100,11 +96,11 @@ let repair t =
   in
   let* () = do_demotes demotes in
   let* () = do_attaches attaches in
-  count t "crdt.merges";
-  if !demoted > 0 then count ~n:!demoted t "crdt.losers_demoted";
-  if !attached > 0 then count ~n:!attached t "crdt.orphans_attached";
-  if res.Crdt_tree.cycles_broken > 0 then
-    count ~n:res.Crdt_tree.cycles_broken t "crdt.cycles_broken";
+  let counters = Physical.counters t in
+  Counters.incr counters "crdt.merges";
+  Counters.add counters "crdt.losers_demoted" !demoted;
+  Counters.add counters "crdt.orphans_attached" !attached;
+  Counters.add counters "crdt.cycles_broken" res.Crdt_tree.cycles_broken;
   if !demoted + !attached > 0 then begin
     let obs = Physical.obs t in
     let tick = Clock.now (Physical.clock t) in
@@ -324,7 +320,7 @@ let resolve_pending local =
     let t = local in
     List.fold_left
       (fun n p ->
-        count t "crdt.mv_registers";
+        Counters.incr (Physical.counters t) "crdt.mv_registers";
         let chosen =
           match resolver with
           | Resolver.Owner_report -> None
@@ -358,6 +354,6 @@ let resolve_pending local =
              let (_ : int) =
                Conflict_log.resolve_matching (Physical.conflicts t) ~fidpath:p.p_fidpath
              in
-             count t "crdt.resolver_invocations";
+             Counters.incr (Physical.counters t) "crdt.resolver_invocations";
              n + 1))
       0 (pending_registers t)

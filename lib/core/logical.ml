@@ -40,7 +40,7 @@ let create ?(selection = Most_recent) ?(obs = Obs.default)
     liveness;
     grafts = Hashtbl.create 8;
     locks = Hashtbl.create 16;
-    counters = Counters.create ();
+    counters = Obs.counters obs;
     obs;
   }
 
@@ -55,7 +55,7 @@ let obs t = t.obs
 let traced t label f =
   let spans = t.obs.Obs.spans in
   let id = Span.start spans ~host:t.host ~tick:(Clock.now t.clock) label in
-  Metrics.incr t.obs.Obs.metrics "logical.updates";
+  Counters.incr t.counters "logical.updates";
   let ctx =
     Span.make_ctx ~spans ~id ~host:t.host ~now:(fun () -> Clock.now t.clock)
   in
@@ -131,12 +131,6 @@ let note t rc r =
    | _ -> rc.rc_unreachable_at <- None);
   r
 
-let count t name n =
-  if n > 0 then begin
-    Counters.add t.counters name n;
-    Metrics.add t.obs.Obs.metrics name n
-  end
-
 (* Connect (or reuse) the physical root of one replica. *)
 let replica_root t g rc =
   match rc.rc_root with
@@ -167,12 +161,14 @@ let candidates t ~all g path =
         with
         | [] -> g.g_replicas
         | live ->
-          count t "logical.skipped_doubtful" (List.length g.g_replicas - List.length live);
+          Counters.add t.counters "logical.skipped_doubtful"
+            (List.length g.g_replicas - List.length live);
           live
       in
       let now = Some (Clock.now t.clock) in
       let answering = List.filter (fun rc -> rc.rc_unreachable_at <> now) live in
-      count t "logical.skipped_unreachable" (List.length live - List.length answering);
+      Counters.add t.counters "logical.skipped_unreachable"
+        (List.length live - List.length answering);
       answering
   in
   let reachable =

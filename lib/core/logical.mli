@@ -58,7 +58,9 @@ val create :
 val host : t -> string
 val obs : t -> Obs.t
 val counters : t -> Counters.t
-(** ["logical.ops"], ["logical.fallback"] (ops served by a non-preferred
+(** A view of [obs]'s registry ({!Obs.counters}): ["logical.ops"],
+    ["logical.updates"] (mutating ops, each stamped with a fresh span),
+    ["logical.fallback"] (ops served by a non-preferred
     replica), ["logical.retry_pass"] (ops that needed the full-list
     retry pass), ["logical.autograft"], ["logical.lock_denied"],
     ["logical.prune"], ["logical.skipped_doubtful"],

@@ -4,7 +4,7 @@ let log_src = Logs.Src.create "ficus.physical" ~doc:"Ficus physical layer"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Tag every message with the host so the shared {!Obs.reporter} can
+(* Tag every message with the host so a reporter can
    attribute interleaved multi-host logs. *)
 let log_tags host = Logs.Tag.add Obs.host_tag host Logs.Tag.empty
 
@@ -732,7 +732,6 @@ let ctl_lookup t path name =
        Ok (ctl_vnode (Ctl_wire.encode_chunks bodies))
      | "stats", _ ->
        Counters.incr t.counters "phys.ctl.stats";
-       Metrics.incr t.obs.Obs.metrics "phys.ctl.stats";
        Ok (ctl_vnode (stats_body t))
      | "peers", _ -> Ok (ctl_vnode (Ctl_wire.encode_peers t.peers))
      | "meta", _ -> Ok (ctl_vnode (Ctl_wire.encode_meta t.vref t.rid))
@@ -1518,7 +1517,7 @@ let make ~obs ~container ~clock ~host ~vref ~rid ~peers =
     peers;
     notifier = None;
     conflicts = Conflict_log.create ();
-    counters = Counters.create ();
+    counters = Obs.counters obs;
     obs;
     open_count = 0;
     dir_merge = `Legacy;

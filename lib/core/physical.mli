@@ -54,6 +54,10 @@ val peers : t -> (Ids.replica_id * string) list
 
 val set_peers : t -> (Ids.replica_id * string) list -> (unit, Errno.t) result
 val counters : t -> Counters.t
+(** The replica's [phys.*] counts, plus the [recon.*] bytes and RPCs
+    {!Reconcile} and the [crdt.*] repairs {!Crdt_merge} charge to it.
+    A view of [obs]'s registry ({!Obs.counters}). *)
+
 val obs : t -> Obs.t
 val clock : t -> Clock.t
 val conflicts : t -> Conflict_log.t

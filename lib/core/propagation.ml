@@ -2,7 +2,7 @@ let log_src = Logs.Src.create "ficus.propagation" ~doc:"Ficus update propagation
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Tag every message with the host so the shared {!Obs.reporter} can
+(* Tag every message with the host so a reporter can
    attribute interleaved multi-host logs. *)
 let log_tags host = Logs.Tag.add Obs.host_tag host Logs.Tag.empty
 
@@ -16,21 +16,18 @@ type t = {
   liveness : string -> Gossip.liveness;
   delta : bool;
   delay : int;
-  max_attempts : int;
-  backoff_base : int;
-  backoff_max : int;
-  deadline : int;
   rng : Random.State.t;
   counters : Counters.t;
   obs : Obs.t;
 }
 
-let create ?(delay = 0) ?(max_attempts = 5) ?(backoff_base = 2) ?(backoff_max = 64)
-    ?(deadline = 500) ?seed ?(obs = Obs.default) ?(delta = true)
+(* The retry budget of one pull: at most [max_attempts] tries, none
+   after the entry is [deadline] ticks old. *)
+let max_attempts = 5
+let deadline = 500
+
+let create ?(delay = 0) ?(obs = Obs.default) ?(delta = true)
     ?(liveness = fun _ -> Gossip.Alive) ~clock ~host ~connect ~local_replica () =
-  if backoff_base < 0 || backoff_max < 0 || deadline < 0 then
-    invalid_arg "Propagation.create";
-  let seed = match seed with Some s -> s | None -> Hashtbl.hash host in
   {
     nvc = New_version_cache.create ();
     clock;
@@ -40,31 +37,22 @@ let create ?(delay = 0) ?(max_attempts = 5) ?(backoff_base = 2) ?(backoff_max = 
     liveness;
     delta;
     delay;
-    max_attempts;
-    backoff_base;
-    backoff_max;
-    deadline;
-    rng = Random.State.make [| seed |];
-    counters = Counters.create ();
+    rng = Random.State.make [| Hashtbl.hash host |];
+    counters = Obs.counters obs;
     obs;
   }
 
 (* Exponential backoff with jitter: after the [n]th failure wait
-   [base * 2^(n-1)] ticks (capped) plus up to that much again of
-   jitter, so retries from many hosts decorrelate instead of hammering
-   a recovering origin in lockstep. *)
+   [2^n] ticks (capped at 64) plus up to that much again of jitter, so
+   retries from many hosts decorrelate instead of hammering a
+   recovering origin in lockstep. *)
 let backoff t attempts =
   let shift = min (max 0 (attempts - 1)) 16 in
-  let base = min t.backoff_max (t.backoff_base * (1 lsl shift)) in
+  let base = min 64 (2 lsl shift) in
   let jitter = if base > 1 then Random.State.int t.rng base else 0 in
   base + jitter
 
 let ( let* ) = Result.bind
-
-(* Per-daemon private counter plus the shared cluster-wide registry, so
-   propagation activity shows up in Cluster.metrics_snapshot. *)
-let count t key = Obs.count t.obs t.counters key
-let count_n t key n = Obs.count ~n t.obs t.counters key
 
 let on_notify t (e : Notify.event) =
   match t.local_replica e.Notify.vref with
@@ -75,22 +63,22 @@ let on_notify t (e : Notify.event) =
       let now = Clock.now t.clock in
       Span.event t.obs.Obs.spans e.Notify.span ~host:t.host ~tick:now "nvc:note";
       Metrics.incr t.obs.Obs.metrics "notify.received";
-      if New_version_cache.note t.nvc e ~now then count t "prop.nvc_deduped"
+      if New_version_cache.note t.nvc e ~now then
+        Counters.incr t.counters "prop.nvc_deduped"
     end
 
 (* Record one delta-fetch outcome in the counters ("prop.bytes" now
    covers every byte the pull put on the wire: file bodies, directory
    fetches, chunk maps and negotiation requests alike). *)
 let count_fetch t (stats : Delta.stats) =
-  count_n t "prop.bytes" stats.Delta.wire_bytes;
-  if stats.Delta.saved_bytes > 0 then
-    count_n t "prop.bytes_saved" stats.Delta.saved_bytes;
-  if stats.Delta.chunks_hit > 0 then count_n t "prop.chunks_hit" stats.Delta.chunks_hit;
-  if stats.Delta.chunks_miss > 0 then
-    count_n t "prop.chunks_miss" stats.Delta.chunks_miss;
+  let add = Counters.add t.counters in
+  add "prop.bytes" stats.Delta.wire_bytes;
+  add "prop.bytes_saved" stats.Delta.saved_bytes;
+  add "prop.chunks_hit" stats.Delta.chunks_hit;
+  add "prop.chunks_miss" stats.Delta.chunks_miss;
   match stats.Delta.mode with
-  | Delta.Delta -> count t "prop.pull.delta"
-  | Delta.Fallback -> count t "prop.delta_fallback"
+  | Delta.Delta -> Counters.incr t.counters "prop.pull.delta"
+  | Delta.Fallback -> Counters.incr t.counters "prop.delta_fallback"
   | Delta.Whole -> ()
 
 let pull t phys (e : New_version_cache.entry) =
@@ -115,7 +103,7 @@ let pull t phys (e : New_version_cache.entry) =
      | Delta.Current ->
        (* The notification's version is provably ours already: dropped
           without an RPC. *)
-       count t "prop.skipped_dominated";
+       Counters.incr t.counters "prop.skipped_dominated";
        Span.event t.obs.Obs.spans e.New_version_cache.span ~host:t.host
          ~tick:(Clock.now t.clock) "prop:skip-dominated";
        Ok []
@@ -126,11 +114,11 @@ let pull t phys (e : New_version_cache.entry) =
         | None ->
           (* A header-sized answer: the advertised version was already
              ours (stale notification, or raced with reconciliation). *)
-          count t "prop.uptodate_header"
+          Counters.incr t.counters "prop.uptodate_header"
         | Some outcome ->
-          count t "prop.pull.file";
+          Counters.incr t.counters "prop.pull.file";
           (match outcome with
-           | Physical.Conflict _ -> count t "prop.conflicts"
+           | Physical.Conflict _ -> Counters.incr t.counters "prop.conflicts"
            | Physical.Installed | Physical.Up_to_date -> ()));
        Ok [])
   | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
@@ -139,8 +127,8 @@ let pull t phys (e : New_version_cache.entry) =
       Delta.pull_dir ~local:phys ~remote_root ~remote_rid:e.New_version_cache.origin_rid
         e.New_version_cache.fidpath
     in
-    count t "prop.pull.dir";
-    count_n t "prop.bytes" dir_wire;
+    Counters.incr t.counters "prop.pull.dir";
+    Counters.add t.counters "prop.bytes" dir_wire;
     (* Entries the merge materialized need their own contents pulled. *)
     let followups =
       List.filter_map
@@ -178,11 +166,9 @@ let run_once t =
          the deadline below abandons the pull to reconciliation — the
          detector is an optimization, never a correctness gate. *)
       let now = Clock.now t.clock in
-      let expired =
-        t.deadline > 0 && now - e.New_version_cache.queued_at >= t.deadline
-      in
+      let expired = now - e.New_version_cache.queued_at >= deadline in
       if expired then begin
-        count t "prop.abandoned";
+        Counters.incr t.counters "prop.abandoned";
         Log.info (fun m ->
             m ~tags:(log_tags t.host)
               "%s abandoning pull of %s: origin %s still %s at deadline"
@@ -193,7 +179,7 @@ let run_once t =
                  (t.liveness e.New_version_cache.origin_host)))
       end
       else begin
-        count t "prop.rpcs_skipped_dead";
+        Counters.incr t.counters "prop.rpcs_skipped_dead";
         e.New_version_cache.not_before <-
           now + backoff t (e.New_version_cache.attempts + 1);
         New_version_cache.requeue t.nvc e
@@ -208,15 +194,14 @@ let run_once t =
                e.New_version_cache.origin_host);
          List.iter
            (fun ev ->
-             if New_version_cache.note t.nvc ev ~now then count t "prop.nvc_deduped")
+             if New_version_cache.note t.nvc ev ~now then
+               Counters.incr t.counters "prop.nvc_deduped")
            followups
        | Error err ->
          e.New_version_cache.attempts <- e.New_version_cache.attempts + 1;
          let now = Clock.now t.clock in
-         let expired =
-           t.deadline > 0 && now - e.New_version_cache.queued_at >= t.deadline
-         in
-         if e.New_version_cache.attempts < t.max_attempts && not expired then begin
+         let expired = now - e.New_version_cache.queued_at >= deadline in
+         if e.New_version_cache.attempts < max_attempts && not expired then begin
            (* Back off only on network failure; other errors are usually
               ordering (a parent directory still being pulled) and want
               an immediate retry in the same propagation pass. *)
@@ -226,8 +211,8 @@ let run_once t =
              | _ -> 0
            in
            e.New_version_cache.not_before <- now + wait;
-           count t "prop.retries";
-           count_n t "prop.backoff_ticks" wait;
+           Counters.incr t.counters "prop.retries";
+           Counters.add t.counters "prop.backoff_ticks" wait;
            New_version_cache.requeue t.nvc e
          end
          else begin
@@ -238,7 +223,7 @@ let run_once t =
                  e.New_version_cache.origin_host e.New_version_cache.attempts
                  (Errno.to_string err)
                  (if expired then ", deadline passed" else ""));
-           count t "prop.abandoned"
+           Counters.incr t.counters "prop.abandoned"
          end)
   in
   List.iter handle ready;

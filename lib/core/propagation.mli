@@ -21,11 +21,6 @@ type t
 
 val create :
   ?delay:int ->
-  ?max_attempts:int ->
-  ?backoff_base:int ->
-  ?backoff_max:int ->
-  ?deadline:int ->
-  ?seed:int ->
   ?obs:Obs.t ->
   ?delta:bool ->
   ?liveness:(string -> Gossip.liveness) ->
@@ -36,7 +31,7 @@ val create :
   unit -> t
 (** [delay] (default 0) is the minimum age before a cache entry is acted
     on — the "later, more convenient time"; larger delays batch bursty
-    updates.  [max_attempts] (default 5) bounds retries per entry.
+    updates.  An entry gets at most 5 attempts.
 
     [delta] (default [true]) selects the chunk-negotiation fetch path
     ({!Delta.fetch_file}) for regular files; [false] forces plain
@@ -46,12 +41,11 @@ val create :
     A pull that fails with [EUNREACHABLE] is requeued with exponential
     backoff plus jitter (other failures — typically ordering, a parent
     directory still in flight — retry immediately): after
-    the [n]th failure the entry sleeps [backoff_base * 2^(n-1)] ticks
-    (capped at [backoff_max], defaults 2 and 64) plus up to that much
-    jitter again, drawn from a PRNG seeded by [seed] (default: a hash of
-    [host], so every daemon jitters differently but deterministically).
-    An entry older than [deadline] ticks (default 500; 0 disables) is
-    abandoned at its next failure regardless of attempts left.
+    the [n]th failure the entry sleeps [2^n] ticks (capped at 64) plus
+    up to that much jitter again, drawn from a PRNG seeded by a hash of
+    [host], so every daemon jitters differently but deterministically.
+    An entry older than 500 ticks is abandoned at its next failure
+    regardless of attempts left.
 
     [liveness] (default: everyone [Alive]) is the gossip failure
     detector's verdict on a host name.  Pulls whose origin is [Suspect]
@@ -71,7 +65,7 @@ val run_once : t -> int
 val pending : t -> int
 val cache : t -> New_version_cache.t
 val counters : t -> Counters.t
-(** ["prop.pull.file"], ["prop.pull.dir"], ["prop.pull.delta"] (file
+(** A view of [obs]'s registry ({!Obs.counters}): ["prop.pull.file"], ["prop.pull.dir"], ["prop.pull.delta"] (file
     pulls that travelled as chunk deltas), ["prop.bytes"] (every byte a
     pull put on the wire: file bodies, directory fetches, chunk maps and
     negotiation requests), ["prop.bytes_saved"] (remote file size the

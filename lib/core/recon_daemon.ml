@@ -7,7 +7,6 @@ type t = {
   liveness : string -> Gossip.liveness;
   rotation : (int * int, int) Hashtbl.t;  (* volume -> peer cursor *)
   counters : Counters.t;
-  obs : Obs.t;
   mutable next_due : int;
 }
 
@@ -21,18 +20,12 @@ let create ?(period = 100) ?(obs = Obs.default)
     replicas;
     liveness;
     rotation = Hashtbl.create 8;
-    counters = Counters.create ();
-    obs;
+    counters = Obs.counters obs;
     next_due = Clock.now clock + period;
   }
 
 let counters t = t.counters
 let next_due t = t.next_due
-
-(* Per-daemon private counter plus the shared cluster-wide registry, so
-   recon activity shows up in Cluster.metrics_snapshot. *)
-let count t key = Obs.count t.obs t.counters key
-let count_n t key n = Obs.count ~n t.obs t.counters key
 
 (* Reconcile one local replica against its next rotation peer.  An
    unreachable peer is skipped — the daemon fails over to the following
@@ -73,21 +66,21 @@ let reconcile_one t (vref, phys) =
       if k >= npeers then begin
         (* Every peer unreachable this pass; reconciliation will catch
            up when somebody returns. *)
-        count t "recon.errors";
+        Counters.incr t.counters "recon.errors";
         { Reconcile.empty_stats with errors = 1 }
       end
       else begin
         let remote_rid, remote_host = ordered.(k) in
-        count t "recon.pairs";
+        Counters.incr t.counters "recon.pairs";
         match t.connect ~host:remote_host ~vref ~rid:remote_rid with
         | Error _ ->
-          count t "recon.skipped";
+          Counters.incr t.counters "recon.skipped";
           try_peer (k + 1)
         | Ok remote_root ->
           if doubtful > 0 && rank ordered.(k) = 0 then
             (* A healthy peer took the pass; every doubtful peer behind
                it was spared a connect this period. *)
-            count_n t "recon.skipped_doubtful" doubtful;
+            Counters.add t.counters "recon.skipped_doubtful" doubtful;
           (match
              Reconcile.reconcile_volume ~local:phys ~remote_root ~remote_rid ()
            with
@@ -96,7 +89,7 @@ let reconcile_one t (vref, phys) =
              (* Mid-reconcile failure (e.g. the link died): no failover —
                 partial progress is already durable and the next period
                 resumes. *)
-             count t "recon.errors";
+             Counters.incr t.counters "recon.errors";
              { Reconcile.empty_stats with errors = 1 })
       end
     in
@@ -104,7 +97,7 @@ let reconcile_one t (vref, phys) =
   end
 
 let force t =
-  count t "recon.passes";
+  Counters.incr t.counters "recon.passes";
   t.next_due <- Clock.now t.clock + t.period;
   List.fold_left
     (fun acc replica -> Reconcile.add_stats acc (reconcile_one t replica))

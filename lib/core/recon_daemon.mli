@@ -25,8 +25,9 @@ val create :
 (** [period] (default 100 ticks) is the interval between passes;
     [replicas] lists the volume replicas this host currently stores
     (re-read each pass, so dynamically added replicas join the
-    rotation).  Counters are mirrored into [obs]'s metrics registry so
-    they appear in cluster-wide snapshots.
+    rotation).  The daemon's {!counters} are a view of [obs]'s metrics
+    registry ({!Obs.counters}), so they appear in cluster-wide
+    snapshots.
 
     [liveness] (default: everyone [Alive]) reorders each pass so peers
     the gossip failure detector calls [Suspect] or [Dead] are tried

@@ -2,7 +2,7 @@ let log_src = Logs.Src.create "ficus.reconcile" ~doc:"Ficus reconciliation proto
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Tag every message with the host so the shared {!Obs.reporter} can
+(* Tag every message with the host so a reporter can
    attribute interleaved multi-host logs. *)
 let log_tags host = Logs.Tag.add Obs.host_tag host Logs.Tag.empty
 
@@ -84,10 +84,9 @@ let pull_known_file ~local ~remote_root ~remote_rid path remote_vi =
     match pull with
     | Delta.Current -> Ok empty_stats
     | Delta.Fetched (dstats, installed) ->
-      let metrics = (Physical.obs local).Obs.metrics in
-      Metrics.add metrics "recon.bytes" dstats.Delta.wire_bytes;
-      if dstats.Delta.saved_bytes > 0 then
-        Metrics.add metrics "recon.bytes_saved" dstats.Delta.saved_bytes;
+      let counters = Physical.counters local in
+      Counters.add counters "recon.bytes" dstats.Delta.wire_bytes;
+      Counters.add counters "recon.bytes_saved" dstats.Delta.saved_bytes;
       let* installed = installed in
       (match installed with
        | Some Physical.Installed ->
@@ -220,10 +219,10 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
      | None -> ());
   Ok (!stats, !complete)
 
-let note_metrics local s =
-  let m = (Physical.obs local).Obs.metrics in
-  if s.rpcs > 0 then Metrics.add m "recon.rpcs" s.rpcs;
-  if s.subtrees_pruned > 0 then Metrics.add m "recon.pruned_subtrees" s.subtrees_pruned
+let count_pass local s =
+  let counters = Physical.counters local in
+  Counters.add counters "recon.rpcs" s.rpcs;
+  Counters.add counters "recon.pruned_subtrees" s.subtrees_pruned
 
 let reconcile_volume ~local ~remote_root ~remote_rid () =
   let result =
@@ -239,7 +238,7 @@ let reconcile_volume ~local ~remote_root ~remote_rid () =
   in
   (match result with
   | Ok s ->
-    note_metrics local s;
+    count_pass local s;
     if s.dirs_merged + s.files_pulled + s.files_conflicted > 0 then
       Log.info (fun m ->
           m ~tags:(log_tags (Physical.host local)) "%s reconciled with r%d: %a" (Physical.host local) remote_rid pp_stats s)

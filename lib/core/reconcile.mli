@@ -61,8 +61,8 @@ val reconcile_volume :
   unit -> (stats, Errno.t) result
 (** Incremental reconciliation from the volume root: batched version
     fetches and summary-vector pruning.  Also feeds the [recon.rpcs] and
-    [recon.pruned_subtrees] counters of the local replica's metrics
-    registry.
+    [recon.pruned_subtrees] counters of the local replica
+    ({!Physical.counters}).
 
     The local replica's merge policy ({!Physical.set_merge_policy})
     selects the directory-merge discipline.  Under [`Crdt], every

@@ -74,19 +74,18 @@ type t = {
   counters : Counters.t;
 }
 
-let create ?(seed = 42) ?(faults = no_faults) ?(indexed = true) clock =
-  check_faults faults;
+let create ?(seed = 42) ?(obs = Obs.default) ?(indexed = true) clock =
   {
     clock;
     rng = Random.State.make [| seed |];
-    faults;
+    faults = no_faults;
     severed = Hashtbl.create 8;
     host_table = [||];
     queue = (if indexed then Indexed Imap.empty else Linear []);
     npending = 0;
     seq = 0;
     deliver_hook = None;
-    counters = Counters.create ();
+    counters = Obs.counters obs;
   }
 
 let indexed t = match t.queue with Indexed _ -> true | Linear _ -> false

@@ -46,11 +46,14 @@ type faults = {
 val no_faults : faults
 (** All zeros: the pre-fault-injection behavior. *)
 
-val create : ?seed:int -> ?faults:faults -> ?indexed:bool -> Clock.t -> t
-(** [faults] (default {!no_faults}) is the initial global fault spec;
-    see {!set_faults}.  Its [loss] is the probability, from the seeded
-    PRNG, that a datagram is silently dropped even without a
-    partition.
+val create : ?seed:int -> ?obs:Obs.t -> ?indexed:bool -> Clock.t -> t
+(** A network with no hosts and no faults: {!set_faults} is the one way
+    to inject them.  [seed] (default 42) seeds the PRNG every fault draw
+    uses.
+
+    The network's counters ({!counters}) are a view of [obs]'s metrics
+    registry (default {!Obs.default}), so they also appear in its
+    snapshot.
 
     [indexed] (default [true]) selects the queue representation: an
     event queue keyed by delivery tick, so {!pump} touches only ripe

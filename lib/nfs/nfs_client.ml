@@ -5,11 +5,9 @@ type m = {
   client : Sim_net.host_id;
   server : Sim_net.host_id;
   export : string;
-  max_retries : int;
   attr_ttl : int;
   name_ttl : int;
   data_ttl : int;
-  readdir_ttl : int;
   attr_cache : (fh, Vnode.attrs * int) Hashtbl.t;          (* fh -> attrs, expiry *)
   name_cache : (fh * string, fh * int) Hashtbl.t;          (* dir fh, name -> fh, expiry *)
   data_cache : (fh * int * int, string * int) Hashtbl.t;   (* fh, off, len -> data, expiry *)
@@ -21,13 +19,17 @@ type m = {
          client never re-reads its own mutations stale (the same
          discipline the name cache gets from targeted removals) *)
   counters : Counters.t;
-  obs : Obs.t;
   mutable root_fh : fh;
 }
 
 type Vnode.vdata += Nfs_vnode of m * fh
 
 let now m = Clock.now (Sim_net.clock m.net)
+
+(* Retransmissions of one idempotent request after EUNREACHABLE, and
+   how long a directory listing stays cached. *)
+let max_retries = 3
+let readdir_ttl = 30
 
 (* A retransmission is only safe when replaying the request cannot
    corrupt state.  This is the classical NFS idempotency split: reads
@@ -58,7 +60,7 @@ let rpc m req =
     Counters.incr m.counters "nfs.client.calls";
     Counters.add m.counters "nfs.client.bytes_out" (wire_size_request req);
     match Sim_net.call m.net ~src:m.client ~dst:m.server (Nfs_request req) with
-    | Error Errno.EUNREACHABLE when idempotent req && tries < m.max_retries ->
+    | Error Errno.EUNREACHABLE when idempotent req && tries < max_retries ->
       Counters.incr m.counters "nfs.client.retries";
       Counters.add m.counters "nfs.client.backoff_ticks" (1 lsl tries);
       go (tries + 1)
@@ -151,16 +153,13 @@ let cached_attrs m fh =
   | None -> None
 
 let cache_readdir m fh entries =
-  if m.readdir_ttl > 0 then
-    Hashtbl.replace m.readdir_cache fh
-      (entries, m.mutation_serial, now m + m.readdir_ttl)
+  Hashtbl.replace m.readdir_cache fh (entries, m.mutation_serial, now m + readdir_ttl)
 
 let cached_readdir m fh =
   match Hashtbl.find_opt m.readdir_cache fh with
   | Some (entries, serial, expiry)
     when now m < expiry && serial = m.mutation_serial ->
     Counters.incr m.counters "nfs.client.readdir_hits";
-    Metrics.incr m.obs.Obs.metrics "nfs.client.readdir_hits";
     Some entries
   | Some _ ->
     Hashtbl.remove m.readdir_cache fh;
@@ -307,27 +306,23 @@ let rec make m fh : Vnode.t =
     inactive = (fun () -> Ok ());
   }
 
-let mount ?(attr_ttl = 30) ?(name_ttl = 30) ?(data_ttl = 0) ?(readdir_ttl = 30)
-    ?(max_retries = 3) ?(obs = Obs.default) net ~client ~server ~export =
-  if max_retries < 0 then invalid_arg "Nfs_client.mount";
+let mount ?(attr_ttl = 30) ?(name_ttl = 30) ?(data_ttl = 0) ?(obs = Obs.default) net
+    ~client ~server ~export =
   let m =
     {
       net;
       client;
       server;
       export;
-      max_retries;
       attr_ttl;
       name_ttl;
       data_ttl;
-      readdir_ttl;
       attr_cache = Hashtbl.create 64;
       name_cache = Hashtbl.create 64;
       data_cache = Hashtbl.create 64;
       readdir_cache = Hashtbl.create 16;
       mutation_serial = 0;
-      counters = Counters.create ();
-      obs;
+      counters = Obs.counters obs;
       root_fh = "";
     }
   in

@@ -21,19 +21,18 @@ val mount :
   ?attr_ttl:int ->
   ?name_ttl:int ->
   ?data_ttl:int ->
-  ?readdir_ttl:int ->
-  ?max_retries:int ->
   ?obs:Obs.t ->
   Sim_net.t ->
   client:Sim_net.host_id ->
   server:Sim_net.host_id ->
   export:string ->
   (m, Errno.t) result
-(** TTLs are in simulated clock ticks (attribute, name and readdir
-    caches default to 30, matching SunOS's 3-second attribute cache at
-    10 ticks/s; the file-block cache [data_ttl] defaults to 0 =
-    disabled, so replication experiments see every read — enable it to
-    study the §2.2 staleness).  Fails with [EUNREACHABLE] if the server
+(** TTLs are in simulated clock ticks (attribute and name caches
+    default to 30, and the readdir cache's is fixed at 30, matching
+    SunOS's 3-second attribute cache at 10 ticks/s; the file-block
+    cache [data_ttl] defaults to 0 = disabled, so replication
+    experiments see every read — enable it to study the §2.2
+    staleness).  Fails with [EUNREACHABLE] if the server
     cannot be reached, [ENOENT] for an unknown export.
 
     The readdir cache follows the name cache's discipline plus a
@@ -43,14 +42,12 @@ val mount :
     its TTL and its fill-time serial are current — so a client always
     re-reads its own mutations, while cross-host staleness is bounded
     by the TTL exactly as for attributes and names.  Hits are counted
-    in ["nfs.client.readdir_hits"] and mirrored into [obs]'s metrics
-    registry (default {!Obs.default}).
+    in ["nfs.client.readdir_hits"].
 
-    [max_retries] (default 3) bounds retransmissions of {e idempotent}
-    requests (reads, lookups, absolute-offset writes) after an
-    [EUNREACHABLE] RPC failure — the real client's timeout/retransmit
-    loop.  Namespace mutations (create, remove, rename…) are never
-    retransmitted.  On [ESTALE] or a still-unreachable server, every
+    Up to 3 retransmissions follow an [EUNREACHABLE] RPC failure of an
+    {e idempotent} request (reads, lookups, absolute-offset writes) —
+    the real client's timeout/retransmit loop.  Namespace mutations
+    (create, remove, rename…) are never retransmitted.  On [ESTALE] or a still-unreachable server, every
     cached attribute, name and data block for the file handle involved
     is invalidated. *)
 
@@ -61,7 +58,9 @@ val flush_caches : m -> unit
     explicit purge). *)
 
 val counters : m -> Counters.t
-(** ["nfs.client.calls"], ["nfs.client.attr_hits"],
+(** A view of [obs]'s registry (default {!Obs.default}; see
+    {!Obs.counters}): ["nfs.client.calls"], ["nfs.client.bytes_out"],
+    ["nfs.client.bytes_in"], ["nfs.client.attr_hits"],
     ["nfs.client.name_hits"], ["nfs.client.readdir_hits"],
     ["nfs.client.openclose_dropped"],
     ["nfs.client.retries"], ["nfs.client.backoff_ticks"] (modeled

@@ -74,30 +74,24 @@ type gstate = {
 
 type t = {
   config : config;
-  metrics : Metrics.t option;
+  counters : Counters.t;
   state : (string, gstate) Hashtbl.t;
   mutable events : event list; (* newest first *)
-  mutable n_degraded : int;
-  mutable n_stuck : int;
-  mutable n_recoveries : int;
 }
 
 let create ?metrics config =
-  {
-    config;
-    metrics;
-    state = Hashtbl.create 8;
-    events = [];
-    n_degraded = 0;
-    n_stuck = 0;
-    n_recoveries = 0;
-  }
+  let counters =
+    match metrics with
+    | Some m -> Counters.child (Metrics.counters m)
+    | None -> Counters.create ()
+  in
+  { config; counters; state = Hashtbl.create 8; events = [] }
 
 let config t = t.config
 let events t = List.rev t.events
-let events_degraded t = t.n_degraded
-let events_stuck t = t.n_stuck
-let recoveries t = t.n_recoveries
+let events_degraded t = Counters.get t.counters "health.events_degraded"
+let events_stuck t = Counters.get t.counters "health.events_stuck"
+let recoveries t = Counters.get t.counters "health.recoveries"
 
 let gstate t gauge =
   match Hashtbl.find_opt t.state gauge with
@@ -109,14 +103,6 @@ let gstate t gauge =
 
 let current_level t gauge =
   Option.bind (Hashtbl.find_opt t.state gauge) (fun g -> g.g_confirmed)
-
-let count t = function
-  | Degraded ->
-    t.n_degraded <- t.n_degraded + 1;
-    Option.iter (fun m -> Metrics.incr m "health.events_degraded") t.metrics
-  | Stuck ->
-    t.n_stuck <- t.n_stuck + 1;
-    Option.iter (fun m -> Metrics.incr m "health.events_stuck") t.metrics
 
 let rank = function None -> 0 | Some l -> level_rank l
 
@@ -136,7 +122,7 @@ let observe t ~tick ~gauge ~value ~span ~detail =
       let lv = Option.get target in
       let limit = match lv with Degraded -> slo.degraded | Stuck -> slo.stuck in
       g.g_confirmed <- target;
-      count t lv;
+      Counters.incr t.counters ("health.events_" ^ level_name lv);
       t.events <-
         {
           hv_tick = tick;
@@ -152,10 +138,7 @@ let observe t ~tick ~gauge ~value ~span ~detail =
     else if rank target < rank g.g_confirmed then begin
       (* Silent downgrade: a later re-escalation must re-fire, and a
          full return to healthy counts as a recovery. *)
-      if target = None then begin
-        t.n_recoveries <- t.n_recoveries + 1;
-        Option.iter (fun m -> Metrics.incr m "health.recoveries") t.metrics
-      end;
+      if target = None then Counters.incr t.counters "health.recoveries";
       g.g_confirmed <- target
     end
 

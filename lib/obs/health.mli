@@ -46,9 +46,10 @@ type event = {
 type t
 
 val create : ?metrics:Metrics.t -> config -> t
-(** With [?metrics], event counts surface live in the registry as
-    [health.events_degraded] / [health.events_stuck] /
-    [health.recoveries]. *)
+(** Event counts are kept as [health.events_degraded] /
+    [health.events_stuck] / [health.recoveries] in a counter set that,
+    with [?metrics], is a view of that registry ({!Counters.child}), so
+    they surface there live. *)
 
 val config : t -> config
 

@@ -7,7 +7,9 @@
    the percentile export is the true nearest-rank percentile, not an
    interpolation.  (The paper's §1 forecasts a "performance monitoring"
    layer as the first use of stacking; this registry is the sink every
-   instrumented layer reports into.) *)
+   instrumented layer reports into.)  The counter section is a plain
+   {!Counters.t}: components count into views of it, so every count
+   they keep also lands here. *)
 
 type hist = {
   buckets : (int, int ref) Hashtbl.t; (* observed value -> occurrences *)
@@ -17,28 +19,21 @@ type hist = {
 }
 
 type t = {
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, int ref) Hashtbl.t;
+  counters : Counters.t;
+  gauges : (string, int) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
 }
 
 let create () =
-  { counters = Hashtbl.create 64; gauges = Hashtbl.create 16; hists = Hashtbl.create 16 }
+  { counters = Counters.create (); gauges = Hashtbl.create 16; hists = Hashtbl.create 16 }
 
-let cell tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.replace tbl name r;
-    r
+let counters t = t.counters
+let add t name n = Counters.add t.counters name n
+let incr t name = Counters.incr t.counters name
+let counter t name = Counters.get t.counters name
 
-let add t name n = cell t.counters name := !(cell t.counters name) + n
-let incr t name = add t name 1
-let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let gauge_set t name v = cell t.gauges name := v
-let gauge t name = match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0
+let gauge_set t name v = Hashtbl.replace t.gauges name v
+let gauge t name = Option.value ~default:0 (Hashtbl.find_opt t.gauges name)
 
 let hist t name =
   match Hashtbl.find_opt t.hists name with
@@ -115,9 +110,6 @@ type snapshot = {
   snap_hists : hist_summary list;
 }
 
-let sorted_bindings tbl =
-  List.sort compare (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl [])
-
 let snapshot t =
   let hists =
     Hashtbl.fold
@@ -138,8 +130,8 @@ let snapshot t =
       t.hists []
   in
   {
-    snap_counters = sorted_bindings t.counters;
-    snap_gauges = sorted_bindings t.gauges;
+    snap_counters = Counters.snapshot t.counters;
+    snap_gauges = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.gauges []);
     snap_hists = List.sort (fun a b -> compare a.hs_name b.hs_name) hists;
   }
 
@@ -163,6 +155,6 @@ let render snap =
   Buffer.contents buf
 
 let reset t =
-  Hashtbl.reset t.counters;
+  Counters.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.hists

@@ -7,6 +7,11 @@ val create : unit -> t
 
 (** {2 Counters} *)
 
+val counters : t -> Counters.t
+(** The counter section itself.  Components count into
+    {!Counters.child} views of it ({!Obs.counters}), so each of their
+    counts also lands here. *)
+
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 val counter : t -> string -> int
@@ -45,7 +50,7 @@ type hist_summary = {
 }
 
 type snapshot = {
-  snap_counters : (string * int) list;
+  snap_counters : (string * int) list;  (** non-zero counters, sorted by name *)
   snap_gauges : (string * int) list;
   snap_hists : hist_summary list;
 }
@@ -57,3 +62,5 @@ val render : snapshot -> string
     [hist k count= sum= max= p50= p95= p99=] records, one per line. *)
 
 val reset : t -> unit
+(** Zero the counters in place (views stay linked; their own counts are
+    kept) and drop every gauge and histogram. *)

@@ -1,6 +1,6 @@
 (* The observability bundle a cluster (or a standalone stack) carries:
-   one metrics registry plus one span table, and the shared Logs
-   reporter that tags every line with host name and simulated time. *)
+   one metrics registry plus one span table, and the Logs tag that
+   names the emitting host. *)
 
 type t = { metrics : Metrics.t; spans : Span.t; mutable ctl_serial : int }
 
@@ -18,37 +18,10 @@ let create () =
    metrics into each other. *)
 let default = create ()
 
-(* Count once into a component's private counter set and the shared
-   cluster-wide registry together — daemons keep isolated counters for
-   inspection while metrics_snapshot sees the same key.  Shared here so
-   every daemon doesn't re-grow its own copy of the mirroring helper. *)
-let count ?(n = 1) t counters key =
-  Counters.add counters key n;
-  Metrics.add t.metrics key n
-
-(* ------------------------------------------------------------------ *)
-(* Shared Logs reporter                                                *)
+let counters t = Counters.child (Metrics.counters t.metrics)
 
 (* Log lines are tagged with the emitting host so a multi-host
-   simulation interleaved in one process stays readable. *)
+   simulation interleaved in one process stays readable under any
+   Logs reporter that prints tags. *)
 let host_tag : string Logs.Tag.def =
   Logs.Tag.def "host" ~doc:"emitting replica host name" Format.pp_print_string
-
-let reporter ?(out = Format.err_formatter) ~now () =
-  let report src level ~over k msgf =
-    let k _ =
-      over ();
-      k ()
-    in
-    msgf @@ fun ?header ?tags fmt ->
-    ignore header;
-    let host =
-      match Option.bind tags (Logs.Tag.find host_tag) with
-      | Some h -> h
-      | None -> "-"
-    in
-    Format.kfprintf k out
-      ("[%6d] %a %s %s: " ^^ fmt ^^ "@.")
-      (now ()) Logs.pp_level level (Logs.Src.name src) host
-  in
-  { Logs.report }

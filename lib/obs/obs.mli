@@ -1,5 +1,5 @@
 (** The observability bundle: one metrics registry + one span table,
-    plus the shared [Logs] reporter tagging host and simulated time. *)
+    plus the [Logs] tag naming the emitting host. *)
 
 type t = { metrics : Metrics.t; spans : Span.t; mutable ctl_serial : int }
 (** [ctl_serial] numbers the control requests ({!Remote}) issued under
@@ -14,15 +14,13 @@ val default : t
 (** Fallback bundle for components built without an explicit [?obs].
     Clusters create their own so simulations stay isolated. *)
 
-val count : ?n:int -> t -> Counters.t -> string -> unit
-(** Add [n] (default 1) to [key] in both the given private counter set
-    and the bundle's metrics registry — the single mirroring helper the
-    daemons share instead of each keeping its own copy. *)
+val counters : t -> Counters.t
+(** A new private counter set for one component, made as a
+    {!Counters.child} view of the bundle's registry: the component reads
+    its own counts from it, and every count also lands in the registry
+    and so in its snapshot. *)
 
 val host_tag : string Logs.Tag.def
-(** Attach with [Logs.Tag.add host_tag name Logs.Tag.empty] so the
-    reporter prefixes the line with the emitting replica. *)
-
-val reporter : ?out:Format.formatter -> now:(unit -> int) -> unit -> Logs.reporter
-(** Formats every line as [[tick] LEVEL src host: msg] using the
-    simulated clock. *)
+(** Attach with [Logs.Tag.add host_tag name Logs.Tag.empty] so a
+    reporter that prints tags can attribute interleaved multi-host
+    logs. *)

@@ -232,8 +232,8 @@ let create ?(seed = 11) ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes
       members
   in
   let clock = Clock.create () in
-  let net = Sim_net.create ~seed ~indexed clock in
   let obs = Obs.create () in
+  let net = Sim_net.create ~seed ~obs ~indexed clock in
   let name_to_id = Hashtbl.create 8 in
   let name_to_index = Hashtbl.create 8 in
   let t =

@@ -1,4 +1,4 @@
-let print ?(out = Format.std_formatter) ~title ~headers rows =
+let print ~title ~headers rows =
   let all = headers :: rows in
   let ncols = List.fold_left (fun acc row -> max acc (List.length row)) 0 all in
   let width col =
@@ -14,14 +14,14 @@ let print ?(out = Format.std_formatter) ~title ~headers rows =
     List.mapi (fun i w -> pad (Option.value ~default:"" (List.nth_opt row i)) w) widths
     |> String.concat "  "
     |> String.trim
-    |> fun line -> Format.fprintf out "  %s@." line
+    |> fun line -> Format.printf "  %s@." line
   in
   let total = List.fold_left ( + ) 0 widths + (2 * (ncols - 1)) in
-  Format.fprintf out "@.%s@." title;
-  Format.fprintf out "  %s@." (String.make total '-');
+  Format.printf "@.%s@." title;
+  Format.printf "  %s@." (String.make total '-');
   render headers;
-  Format.fprintf out "  %s@." (String.make total '-');
+  Format.printf "  %s@." (String.make total '-');
   List.iter render rows;
-  Format.fprintf out "  %s@." (String.make total '-')
+  Format.printf "  %s@." (String.make total '-')
 
 let fmt_pct x = Printf.sprintf "%.2f%%" (100.0 *. x)

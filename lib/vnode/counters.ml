@@ -1,25 +1,38 @@
-type t = (string, int ref) Hashtbl.t
+(* A view's cell points at the same-named cell of its parent set, so one
+   increment lands in the view and in every set above it: the parent
+   sees the sum of its views for one more integer add per level, with
+   no second lookup. *)
+type cell = { mutable n : int; up : cell option }
 
-let create () : t = Hashtbl.create 16
+type t = { cells : (string, cell) Hashtbl.t; parent : t option }
 
-let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
+let create () = { cells = Hashtbl.create 16; parent = None }
+
+let child parent = { cells = Hashtbl.create 16; parent = Some parent }
+
+let rec cell t name =
+  match Hashtbl.find_opt t.cells name with
+  | Some c -> c
   | None ->
-    let r = ref 0 in
-    Hashtbl.add t name r;
-    r
+    let c = { n = 0; up = Option.map (fun p -> cell p name) t.parent } in
+    Hashtbl.add t.cells name c;
+    c
 
-let add t name n = cell t name := !(cell t name) + n
+let rec bump c n =
+  c.n <- c.n + n;
+  match c.up with Some u -> bump u n | None -> ()
+
+let add t name n = bump (cell t name) n
 
 let incr t name = add t name 1
 
-let get t name = match Hashtbl.find_opt t name with None -> 0 | Some r -> !r
+let get t name = match Hashtbl.find_opt t.cells name with None -> 0 | Some c -> c.n
 
-let reset t = Hashtbl.iter (fun _ r -> r := 0) t
+(* In place, so every link into these cells survives. *)
+let reset t = Hashtbl.iter (fun _ c -> c.n <- 0) t.cells
 
 let snapshot t =
-  Hashtbl.fold (fun name r acc -> if !r = 0 then acc else (name, !r) :: acc) t []
+  Hashtbl.fold (fun name c acc -> if c.n = 0 then acc else (name, c.n) :: acc) t.cells []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let diff ~before ~after =

@@ -54,7 +54,8 @@ let test_partition_drops_datagrams () =
 
 let test_datagram_loss () =
   let clock = Clock.create () in
-  let net = Sim_net.create ~seed:3 ~faults:{ Sim_net.no_faults with loss = 1.0 } clock in
+  let net = Sim_net.create ~seed:3 clock in
+  Sim_net.set_faults net { Sim_net.no_faults with loss = 1.0 };
   let a = Sim_net.add_host net "a" in
   let b = Sim_net.add_host net "b" in
   let hits = ref 0 in

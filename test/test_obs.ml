@@ -248,6 +248,97 @@ let test_evictions_counted_in_registry () =
     (Metrics.counter obs.Obs.metrics "spans.evicted");
   Alcotest.(check int) "store agrees" 7 (Span.evicted obs.Obs.spans)
 
+(* ---------------- one counter store ---------------- *)
+
+let step_gen =
+  QCheck.Gen.(
+    let host = int_bound 2 and file = map (Printf.sprintf "f%d") (int_bound 3) in
+    frequency
+      [
+        ( 4,
+          map3
+            (fun h f d -> Schedule.Write (h, f, Printf.sprintf "h%d:%d" h d))
+            host file (int_bound 99) );
+        (2, map2 (fun h d -> Schedule.Mkdir (h, Printf.sprintf "d%d" d)) host (int_bound 1));
+        (2, map2 (fun h f -> Schedule.Remove (h, f)) host file);
+        (1, map3 (fun h a b -> Schedule.Rename (h, a, b)) host file file);
+        (2, map (fun n -> Schedule.Tick (1 + (20 * n))) (int_bound 5));
+        (1, return Schedule.Propagate);
+      ])
+
+(* Some steps, a partition, more steps, a heal, then a settle.  No
+   reboots: a rebooted replica's counts stay in the registry while its
+   fresh set starts from zero. *)
+let schedule_gen =
+  QCheck.Gen.(
+    let steps n = list_size (int_bound n) step_gen in
+    let cut =
+      map
+        (fun c -> Schedule.Partition [ [ c ]; List.filter (( <> ) c) [ 0; 1; 2 ] ])
+        (int_bound 2)
+    in
+    map4
+      (fun before cut during after ->
+        before @ (cut :: during) @ (Schedule.Heal :: after) @ [ Schedule.Converge 10 ])
+      (steps 6) cut (steps 6) (steps 4))
+
+let counted_by_components key =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix key)
+    [ "phys."; "logical."; "prop."; "recon."; "crdt."; "net." ]
+
+(* The volume lives on hosts 0 and 1, so host 2 reaches it over NFS.
+   Every component count must reach the cluster registry exactly once:
+   the registry equals the sum of every replica's, host's and the
+   network's own set. *)
+let registry_is_sum_of_views (crdt, steps) =
+  let cluster =
+    Cluster.create ~nhosts:3 ~dir_merge:(if crdt then `Crdt else `Legacy) ()
+  in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  let s = Schedule.start cluster vref in
+  List.iter (fun i -> ignore (ok (Schedule.root s i))) [ 0; 1; 2 ];
+  ignore (Schedule.run_all s steps);
+  let sets =
+    Sim_net.counters (Cluster.net cluster)
+    :: List.concat_map
+         (fun i ->
+           let h = Cluster.host cluster i in
+           Logical.counters (Cluster.logical h)
+           :: Propagation.counters (Cluster.propagation h)
+           :: Recon_daemon.counters (Cluster.reconciler h)
+           :: List.map (fun (_, p) -> Physical.counters p) (Cluster.replicas h))
+         [ 0; 1; 2 ]
+  in
+  let m = (Cluster.obs cluster).Obs.metrics in
+  let keys =
+    List.map fst (Metrics.snapshot m).Metrics.snap_counters
+    @ List.concat_map (fun c -> List.map fst (Counters.snapshot c)) sets
+    |> List.filter counted_by_components
+    |> List.sort_uniq String.compare
+  in
+  List.iter
+    (fun key ->
+      let sum = List.fold_left (fun acc c -> acc + Counters.get c key) 0 sets in
+      if Metrics.counter m key <> sum then
+        QCheck.Test.fail_reportf "%s: registry %d, sets %d" key (Metrics.counter m key) sum)
+    keys;
+  let calls = Metrics.counter m "nfs.client.calls" in
+  if calls <> Metrics.counter m "net.rpc.calls" then
+    QCheck.Test.fail_reportf "nfs.client.calls %d, net.rpc.calls %d" calls
+      (Metrics.counter m "net.rpc.calls");
+  Metrics.counter m "phys.lookup" > 0 && calls > 0
+
+let counter_store_props =
+  [
+    QCheck.Test.make ~name:"registry = sum of component views" ~count:50
+      (QCheck.make
+         ~print:(fun (crdt, steps) ->
+           Printf.sprintf "%s: %s" (if crdt then "crdt" else "legacy") (Schedule.to_string steps))
+         QCheck.Gen.(pair bool schedule_gen))
+      registry_is_sum_of_views;
+  ]
+
 let suite =
   [
     case "histogram: exact nearest-rank quantiles" test_hist_known_distribution;
@@ -259,3 +350,4 @@ let suite =
     case "export hook: full record before eviction" test_export_hook_sees_full_record;
     case "spans.evicted surfaces in the metrics registry" test_evictions_counted_in_registry;
   ]
+  @ List.map QCheck_alcotest.to_alcotest counter_store_props

@@ -89,6 +89,31 @@ let test_counters () =
   Counters.reset c;
   Alcotest.(check int) "reset" 0 (Counters.get c "a")
 
+(* Views: each child counts for itself and, through its cell's link,
+   into its parent; a reset on either side zeroes only that side and
+   leaves every link working. *)
+let test_counter_views () =
+  let parent = Counters.create () in
+  let a = Counters.child parent and b = Counters.child parent in
+  Counters.incr a "x";
+  Counters.add b "x" 2;
+  Counters.incr parent "y";
+  Alcotest.(check (list int)) "own counts" [ 1; 2; 0 ]
+    [ Counters.get a "x"; Counters.get b "x"; Counters.get a "y" ];
+  Alcotest.(check (list (pair string int))) "parent sums its views"
+    [ ("x", 3); ("y", 1) ] (Counters.snapshot parent);
+  Counters.reset parent;
+  Alcotest.(check int) "parent reset" 0 (Counters.get parent "x");
+  Alcotest.(check int) "view keeps its count" 1 (Counters.get a "x");
+  Counters.incr a "x";
+  Alcotest.(check int) "next increment reaches the reset parent" 1 (Counters.get parent "x");
+  Counters.reset a;
+  Alcotest.(check int) "view reset leaves the parent" 1 (Counters.get parent "x");
+  let grandchild = Counters.child a in
+  Counters.add grandchild "z" 4;
+  Alcotest.(check (list int)) "a chain links every level" [ 4; 4; 4 ]
+    [ Counters.get grandchild "z"; Counters.get a "z"; Counters.get parent "z" ]
+
 let suite =
   [
     case "not_supported defaults" test_not_supported_defaults;
@@ -100,4 +125,5 @@ let suite =
     case "namei walk" test_namei_walk;
     case "namei mkdir_p idempotent" test_namei_mkdir_p_idempotent;
     case "counters" test_counters;
+    case "counter views link to their parent" test_counter_views;
   ]
