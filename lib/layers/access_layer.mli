@@ -6,11 +6,15 @@
     bits of the objects below are enforced — read bits gate [read] and
     [readdir]; execute bits gate directory traversal ([lookup]); write
     bits gate [write], [setattr], [create], [remove], [mkdir], [rmdir],
-    [rename] and [link].  Denied operations fail with [EACCES].  The
-    superuser (uid 0) bypasses all checks, as tradition demands.
+    [rename] (on both the source and the destination directory) and
+    [link].  Denied operations fail with [EACCES].  The superuser
+    (uid 0) bypasses all checks, as tradition demands.  Objects made by
+    [create] and [mkdir] are owned by the credential.
 
     Like every layer here it is purely interposed: the layers below
     store ordinary mode bits and know nothing about enforcement, and
-    the layers above need not know a credential check is happening. *)
+    the layers above need not know a credential check is happening.
+    It is {!Vnode.forward} with the lower layer's [data], overriding
+    only the checked operations. *)
 
 val wrap : uid:int -> Vnode.t -> Vnode.t

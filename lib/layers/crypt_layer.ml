@@ -8,16 +8,14 @@ let transform ~key ~off data =
 let wrap ~key lower =
   if key = "" then invalid_arg "Crypt_layer.wrap: empty key";
   let rec make (lower : Vnode.t) : Vnode.t =
-    let wrap_child = Result.map make in
+    let v =
+      Vnode.forward ~hook:Vnode.transparent ~data:lower.Vnode.data ~wrap:make
+        ~unwrap:Result.ok lower
+    in
     {
-      lower with
-      Vnode.lookup = (fun name -> wrap_child (lower.Vnode.lookup name));
-      create = (fun name -> wrap_child (lower.Vnode.create name));
-      mkdir = (fun name -> wrap_child (lower.Vnode.mkdir name));
-      read =
-        (fun ~off ~len ->
-          Result.map (fun data -> transform ~key ~off data) (lower.Vnode.read ~off ~len));
-      write = (fun ~off data -> lower.Vnode.write ~off (transform ~key ~off data));
+      v with
+      Vnode.read = (fun ~off ~len -> Result.map (transform ~key ~off) (v.Vnode.read ~off ~len));
+      write = (fun ~off data -> v.Vnode.write ~off (transform ~key ~off data));
     }
   in
   make lower

@@ -15,80 +15,20 @@ let wrap ?clock ~metrics lower =
       Metrics.observe metrics ("measure." ^ op ^ ".ticks") (Clock.now clock - t0);
       observe op result
   in
-  let rec make (lower : Vnode.t) : Vnode.t =
-    let wrap_child = Result.map make in
-    {
-      Vnode.data = lower.Vnode.data;
-      getattr = (fun () -> timed "getattr" lower.getattr);
-      setattr = (fun sa -> timed "setattr" (fun () -> lower.setattr sa));
-      lookup = (fun name -> wrap_child (timed "lookup" (fun () -> lower.lookup name)));
-      create = (fun name -> wrap_child (timed "create" (fun () -> lower.create name)));
-      mkdir = (fun name -> wrap_child (timed "mkdir" (fun () -> lower.mkdir name)));
-      remove = (fun name -> timed "remove" (fun () -> lower.remove name));
-      rmdir = (fun name -> timed "rmdir" (fun () -> lower.rmdir name));
-      rename =
-        (fun src dst dname -> timed "rename" (fun () -> lower.rename src dst dname));
-      link = (fun target name -> timed "link" (fun () -> lower.link target name));
-      readdir = (fun () -> timed "readdir" lower.readdir);
-      read = (fun ~off ~len -> timed "read" (fun () -> lower.read ~off ~len));
-      write = (fun ~off data -> timed "write" (fun () -> lower.write ~off data));
-      openv = (fun flag -> timed "open" (fun () -> lower.openv flag));
-      closev = (fun () -> timed "close" lower.closev);
-      fsync = (fun () -> timed "fsync" lower.fsync);
-      inactive = (fun () -> lower.inactive ());
-    }
+  (* The measured vnode exposes the lower layer's [data] unchanged, so
+     sibling-vnode operations (rename, link) keep working: the lower
+     layer recognizes its own vnodes through the measurement skin. *)
+  let rec make (lower : Vnode.t) =
+    Vnode.forward ~hook:{ Vnode.around = timed } ~data:lower.Vnode.data ~wrap:make
+      ~unwrap:Result.ok lower
   in
   make lower
 
-(* The measured vnode exposes the lower layer's [data] unchanged, so
-   sibling-vnode operations (rename, link) keep working: the lower layer
-   recognizes its own vnodes through the measurement skin.  That is why
-   [wrap] interposes no private state of its own. *)
-
-let prefix = "measure."
-
-let suffix_is s suffix =
-  String.length s > String.length suffix
-  && String.sub s (String.length s - String.length suffix) (String.length suffix) = suffix
-
-let sum metrics suffix =
-  (Metrics.snapshot metrics).Metrics.snap_counters
-  |> List.filter (fun (name, _) ->
-         String.length name > String.length prefix
-         && String.sub name 0 (String.length prefix) = prefix
-         && suffix_is name suffix)
-  |> List.fold_left (fun acc (_, n) -> acc + n) 0
-
-let ops_total metrics = sum metrics ".calls"
-let errors_total metrics = sum metrics ".errors"
-
-let ticks_total metrics op = Metrics.hist_sum metrics (prefix ^ op ^ ".ticks")
-
-let percentiles metrics op = Metrics.percentiles metrics (prefix ^ op ^ ".ticks")
-
 let report metrics =
-  let snapshot = (Metrics.snapshot metrics).Metrics.snap_counters in
-  let calls =
-    List.filter_map
-      (fun (name, n) ->
-        if String.length name > String.length prefix
-           && String.sub name 0 (String.length prefix) = prefix
-           && suffix_is name ".calls"
-        then
-          let op =
-            String.sub name (String.length prefix)
-              (String.length name - String.length prefix - String.length ".calls")
-          in
-          Some (op, n)
-        else None)
-      snapshot
-  in
-  List.map
-    (fun (op, n) ->
-      let errors =
-        match List.assoc_opt (prefix ^ op ^ ".errors") snapshot with
-        | Some e -> e
-        | None -> 0
-      in
-      (op, n, errors))
-    (List.sort compare calls)
+  Counters.snapshot (Metrics.counters metrics)
+  |> List.filter_map (fun (name, calls) ->
+         match String.split_on_char '.' name with
+         | [ "measure"; op; "calls" ] ->
+           Some (op, calls, Metrics.counter metrics ("measure." ^ op ^ ".errors"))
+         | _ -> None)
+  |> List.sort compare

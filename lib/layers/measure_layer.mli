@@ -5,27 +5,18 @@
     encryption".  This is the first of those three: a transparent layer
     that counts every operation crossing it, its failures, and the
     simulated time it consumed — without the layers above or below
-    changing in any way.
+    changing in any way.  It is {!Vnode.forward} with a timing hook and
+    the lower layer's [data], so the layer below still recognizes its
+    own vnodes in [rename] and [link].
 
     Reports into a {!Metrics} registry: counters
     [measure.<op>.calls] and [measure.<op>.errors], and a latency
     histogram [measure.<op>.ticks] per operation (simulated-clock time
     observed below this layer, when a clock is supplied) from which
-    percentiles are available. *)
+    {!Metrics.percentiles} reads quantiles.  [<op>] is the name
+    {!Vnode.around} receives. *)
 
 val wrap : ?clock:Clock.t -> metrics:Metrics.t -> Vnode.t -> Vnode.t
-
-val ops_total : Metrics.t -> int
-(** Sum of all [measure.*.calls]. *)
-
-val errors_total : Metrics.t -> int
-
-val ticks_total : Metrics.t -> string -> int
-(** Total ticks observed below the layer for one op (histogram sum). *)
-
-val percentiles : Metrics.t -> string -> (int * int * int) option
-(** [(p50, p95, p99)] of an op's latency histogram, or [None] when it
-    was never timed. *)
 
 val report : Metrics.t -> (string * int * int) list
 (** [(op, calls, errors)] rows, sorted by op name — a ready-made table. *)

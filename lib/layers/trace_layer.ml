@@ -7,6 +7,7 @@ type event =
   | Rename of int * string * int * string
   | Link of int * int * string   (* dir, target, name *)
   | Getattr of int
+  | Setattr of int * Vnode.setattr
   | Readdir of int
   | Read of int * int * int
   | Write of int * int * int
@@ -48,9 +49,9 @@ let rec make t id (lower : Vnode.t) : Vnode.t =
     result
   in
   {
-    (Vnode.not_supported (Traced (t, id, lower))) with
+    Vnode.data = Traced (t, id, lower);
     getattr = (fun () -> logged (Getattr id) (lower.Vnode.getattr ()));
-    setattr = (fun sa -> lower.Vnode.setattr sa);
+    setattr = (fun sa -> logged (Setattr (id, sa)) (lower.Vnode.setattr sa));
     lookup =
       (fun name -> child_result id name (fun p n c -> Lookup (p, n, c)) (lower.Vnode.lookup name));
     create =
@@ -129,6 +130,7 @@ let replay root trace =
          | Some dv, Some tv -> outcome (Some (dv.Vnode.link tv n))
          | _, _ -> incr failed)
       | Getattr id -> with_vnode id (fun v -> Result.map ignore (v.Vnode.getattr ()))
+      | Setattr (id, sa) -> with_vnode id (fun v -> v.Vnode.setattr sa)
       | Readdir id -> with_vnode id (fun v -> Result.map ignore (v.Vnode.readdir ()))
       | Read (id, off, len) ->
         with_vnode id (fun v -> Result.map ignore (v.Vnode.read ~off ~len))
@@ -137,83 +139,3 @@ let replay root trace =
       | Close id -> with_vnode id (fun v -> v.Vnode.closev ()))
     trace;
   { applied = !applied; failed = !failed }
-
-(* ------------------------------------------------------------------ *)
-(* Persistence                                                         *)
-
-(* Percent-escape the field separators (space, newline) as well as '%'
-   itself; Ctl_name.unescape inverts any percent-escaping. *)
-let esc s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '%' | '\n' | '\t' -> Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unesc = Ctl_name.unescape
-
-let encode_event = function
-  | Lookup (p, n, c) -> Printf.sprintf "lookup %d %s %d" p (esc n) c
-  | Create (p, n, c) -> Printf.sprintf "create %d %s %d" p (esc n) c
-  | Mkdir (p, n, c) -> Printf.sprintf "mkdir %d %s %d" p (esc n) c
-  | Remove (id, n) -> Printf.sprintf "remove %d %s" id (esc n)
-  | Rmdir (id, n) -> Printf.sprintf "rmdir %d %s" id (esc n)
-  | Rename (s, sn, d, dn) -> Printf.sprintf "rename %d %s %d %s" s (esc sn) d (esc dn)
-  | Link (d, tgt, n) -> Printf.sprintf "link %d %d %s" d tgt (esc n)
-  | Getattr id -> Printf.sprintf "getattr %d" id
-  | Readdir id -> Printf.sprintf "readdir %d" id
-  | Read (id, off, len) -> Printf.sprintf "read %d %d %d" id off len
-  | Write (id, off, len) -> Printf.sprintf "write %d %d %d" id off len
-  | Open id -> Printf.sprintf "open %d" id
-  | Close id -> Printf.sprintf "close %d" id
-
-let encode trace = String.concat "\n" (List.map encode_event trace) ^ "\n"
-
-let decode_event line =
-  let int = int_of_string_opt in
-  match String.split_on_char ' ' line with
-  | [ "lookup"; p; n; c ] ->
-    (match int p, unesc n, int c with
-     | Some p, Some n, Some c -> Some (Lookup (p, n, c))
-     | _, _, _ -> None)
-  | [ "create"; p; n; c ] ->
-    (match int p, unesc n, int c with
-     | Some p, Some n, Some c -> Some (Create (p, n, c))
-     | _, _, _ -> None)
-  | [ "mkdir"; p; n; c ] ->
-    (match int p, unesc n, int c with
-     | Some p, Some n, Some c -> Some (Mkdir (p, n, c))
-     | _, _, _ -> None)
-  | [ "remove"; id; n ] ->
-    (match int id, unesc n with Some id, Some n -> Some (Remove (id, n)) | _, _ -> None)
-  | [ "rmdir"; id; n ] ->
-    (match int id, unesc n with Some id, Some n -> Some (Rmdir (id, n)) | _, _ -> None)
-  | [ "rename"; s; sn; d; dn ] ->
-    (match int s, unesc sn, int d, unesc dn with
-     | Some s, Some sn, Some d, Some dn -> Some (Rename (s, sn, d, dn))
-     | _, _, _, _ -> None)
-  | [ "link"; d; tgt; n ] ->
-    (match int d, int tgt, unesc n with
-     | Some d, Some tgt, Some n -> Some (Link (d, tgt, n))
-     | _, _, _ -> None)
-  | [ "getattr"; id ] -> Option.map (fun id -> Getattr id) (int id)
-  | [ "readdir"; id ] -> Option.map (fun id -> Readdir id) (int id)
-  | [ "read"; id; off; len ] ->
-    (match int id, int off, int len with
-     | Some id, Some off, Some len -> Some (Read (id, off, len))
-     | _, _, _ -> None)
-  | [ "write"; id; off; len ] ->
-    (match int id, int off, int len with
-     | Some id, Some off, Some len -> Some (Write (id, off, len))
-     | _, _, _ -> None)
-  | [ "open"; id ] -> Option.map (fun id -> Open id) (int id)
-  | [ "close"; id ] -> Option.map (fun id -> Close id) (int id)
-  | _ -> None
-
-let decode s =
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  let decoded = List.map decode_event lines in
-  if List.exists Option.is_none decoded then None else Some (List.filter_map Fun.id decoded)

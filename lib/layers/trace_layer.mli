@@ -11,7 +11,14 @@
     Vnodes are identified by small integers assigned at first sight
     (the wrapped root is 0); lookup/create/mkdir events record the
     parent id, the name and the id assigned to the result, which is
-    what makes the trace self-contained and replayable. *)
+    what makes the trace self-contained and replayable.  Every state
+    change is recorded, [setattr] included, so a replay ends in the
+    captured state; [fsync] and [inactive] are not.
+
+    Unlike the other interposed layers this one is not built on
+    {!Vnode.forward}: each event needs the operation's arguments and,
+    for lookup/create/mkdir, a fresh id for the child.  A trace lives
+    in memory only. *)
 
 type event =
   | Lookup of int * string * int      (** parent, name, result id *)
@@ -22,6 +29,8 @@ type event =
   | Rename of int * string * int * string
   | Link of int * int * string        (** directory, target, new name *)
   | Getattr of int
+  | Setattr of int * Vnode.setattr     (** e.g. the truncation in
+                                          {!Vnode.write_all} *)
   | Readdir of int
   | Read of int * int * int           (** vnode, offset, length *)
   | Write of int * int * int          (** vnode, offset, length; payload is
@@ -49,7 +58,3 @@ val replay : Vnode.t -> event list -> replay_stats
 (** Re-apply a trace against a fresh stack.  Events whose ids cannot be
     resolved (because an earlier event failed on this stack) count as
     [failed]; replay always runs to the end. *)
-
-val encode : event list -> string
-val decode : string -> event list option
-(** Line-oriented persistence, names percent-escaped. *)

@@ -7,10 +7,8 @@ type m = {
   export : string;
   attr_ttl : int;
   name_ttl : int;
-  data_ttl : int;
   attr_cache : (fh, Vnode.attrs * int) Hashtbl.t;          (* fh -> attrs, expiry *)
   name_cache : (fh * string, fh * int) Hashtbl.t;          (* dir fh, name -> fh, expiry *)
-  data_cache : (fh * int * int, string * int) Hashtbl.t;   (* fh, off, len -> data, expiry *)
   readdir_cache : (fh, Vnode.dirent list * int * int) Hashtbl.t;
       (* dir fh -> entries, mutation serial at fill, expiry *)
   mutable mutation_serial : int;
@@ -83,21 +81,12 @@ let dirty_dir m fh =
   m.mutation_serial <- m.mutation_serial + 1;
   Hashtbl.remove m.readdir_cache fh
 
-let forget_data m fh =
-  let stale =
-    Hashtbl.fold
-      (fun ((fh', _, _) as key) _ acc -> if fh' = fh then key :: acc else acc)
-      m.data_cache []
-  in
-  List.iter (Hashtbl.remove m.data_cache) stale
-
 (* Every cached fact about [fh], including name-cache entries resolving
    to it, is suspect once the server said ESTALE (its epoch moved — the
    handle is from before a restart) or stopped being reachable (we may
    reconnect to a restarted server). *)
 let invalidate_fh m fh =
   forget_attrs m fh;
-  forget_data m fh;
   Hashtbl.remove m.readdir_cache fh;
   let stale =
     Hashtbl.fold
@@ -121,20 +110,6 @@ let expect_ok m fh req =
   | Ok R_ok -> Ok ()
   | Ok (R_error e) -> on_error m fh e
   | Ok _ -> Error Errno.EINVAL
-
-let cache_data m fh ~off ~len data =
-  if m.data_ttl > 0 then
-    Hashtbl.replace m.data_cache (fh, off, len) (data, now m + m.data_ttl)
-
-let cached_data m fh ~off ~len =
-  match Hashtbl.find_opt m.data_cache (fh, off, len) with
-  | Some (data, expiry) when now m < expiry ->
-    Counters.incr m.counters "nfs.client.data_hits";
-    Some data
-  | Some _ ->
-    Hashtbl.remove m.data_cache (fh, off, len);
-    None
-  | None -> None
 
 let cache_attrs m fh attrs =
   if m.attr_ttl > 0 then Hashtbl.replace m.attr_cache fh (attrs, now m + m.attr_ttl)
@@ -277,20 +252,14 @@ let rec make m fh : Vnode.t =
            | _ -> Error Errno.EINVAL));
     read =
       (fun ~off ~len ->
-        match cached_data m fh ~off ~len with
-        | Some data -> Ok data
-        | None ->
-          let* resp = rpc m (Read (fh, off, len)) in
-          (match resp with
-           | R_data data ->
-             cache_data m fh ~off ~len data;
-             Ok data
-           | R_error e -> on_error m fh e
-           | _ -> Error Errno.EINVAL));
+        let* resp = rpc m (Read (fh, off, len)) in
+        match resp with
+        | R_data data -> Ok data
+        | R_error e -> on_error m fh e
+        | _ -> Error Errno.EINVAL);
     write =
       (fun ~off data ->
         forget_attrs m fh;
-        forget_data m fh;
         expect_ok m fh (Write (fh, off, data)));
     (* The stateless protocol has no open or close: both succeed locally
        and nothing reaches the server (paper §2.2). *)
@@ -306,7 +275,7 @@ let rec make m fh : Vnode.t =
     inactive = (fun () -> Ok ());
   }
 
-let mount ?(attr_ttl = 30) ?(name_ttl = 30) ?(data_ttl = 0) ?(obs = Obs.default) net
+let mount ?(attr_ttl = 30) ?(name_ttl = 30) ?(obs = Obs.default) net
     ~client ~server ~export =
   let m =
     {
@@ -316,10 +285,8 @@ let mount ?(attr_ttl = 30) ?(name_ttl = 30) ?(data_ttl = 0) ?(obs = Obs.default)
       export;
       attr_ttl;
       name_ttl;
-      data_ttl;
       attr_cache = Hashtbl.create 64;
       name_cache = Hashtbl.create 64;
-      data_cache = Hashtbl.create 64;
       readdir_cache = Hashtbl.create 16;
       mutation_serial = 0;
       counters = Obs.counters obs;
@@ -340,7 +307,6 @@ let root m = make m m.root_fh
 let flush_caches m =
   Hashtbl.reset m.attr_cache;
   Hashtbl.reset m.name_cache;
-  Hashtbl.reset m.data_cache;
   Hashtbl.reset m.readdir_cache
 
 let counters m = m.counters

@@ -20,7 +20,6 @@ type m
 val mount :
   ?attr_ttl:int ->
   ?name_ttl:int ->
-  ?data_ttl:int ->
   ?obs:Obs.t ->
   Sim_net.t ->
   client:Sim_net.host_id ->
@@ -29,11 +28,10 @@ val mount :
   (m, Errno.t) result
 (** TTLs are in simulated clock ticks (attribute and name caches
     default to 30, and the readdir cache's is fixed at 30, matching
-    SunOS's 3-second attribute cache at 10 ticks/s; the file-block
-    cache [data_ttl] defaults to 0 = disabled, so replication
-    experiments see every read — enable it to study the §2.2
-    staleness).  Fails with [EUNREACHABLE] if the server
-    cannot be reached, [ENOENT] for an unknown export.
+    SunOS's 3-second attribute cache at 10 ticks/s).  File blocks are
+    never cached: every [read] is an RPC, so replication experiments
+    see every read.  Fails with [EUNREACHABLE] if the server cannot be
+    reached, [ENOENT] for an unknown export.
 
     The readdir cache follows the name cache's discipline plus a
     mount-wide {e invalidation serial}: every namespace mutation made
@@ -47,14 +45,14 @@ val mount :
     Up to 3 retransmissions follow an [EUNREACHABLE] RPC failure of an
     {e idempotent} request (reads, lookups, absolute-offset writes) —
     the real client's timeout/retransmit loop.  Namespace mutations
-    (create, remove, rename…) are never retransmitted.  On [ESTALE] or a still-unreachable server, every
-    cached attribute, name and data block for the file handle involved
-    is invalidated. *)
+    (create, remove, rename…) are never retransmitted.  On [ESTALE] or
+    a still-unreachable server, every cached attribute, name and
+    listing for the file handle involved is invalidated. *)
 
 val root : m -> Vnode.t
 
 val flush_caches : m -> unit
-(** Drop the attribute, name, data and readdir caches (client reboot /
+(** Drop the attribute, name and readdir caches (client reboot /
     explicit purge). *)
 
 val counters : m -> Counters.t

@@ -1,53 +1,21 @@
 type Vnode.vdata += Null of Vnode.t
 
-(* Unwrap a sibling vnode passed as an argument (rename destination, link
-   target).  A vnode from a different layer is a caller error. *)
-let lower_of (v : Vnode.t) =
+(* A sibling vnode passed as an argument (rename destination, link
+   target) must be one of ours; a vnode from a different layer is a
+   caller error. *)
+let unwrap (v : Vnode.t) =
   match v.Vnode.data with
   | Null lower -> Ok lower
   | _ -> Error Errno.EXDEV
 
 let wrap ?counters lower =
-  let tick () =
+  let hook =
     match counters with
-    | None -> ()
-    | Some c -> Counters.incr c "layer.crossings"
+    | None -> Vnode.transparent
+    | Some c ->
+      { Vnode.around = (fun _ op -> Counters.incr c "layer.crossings"; op ()) }
   in
-  let rec make (lower : Vnode.t) : Vnode.t =
-    let wrap_result = function
-      | Ok v -> Ok (make v)
-      | Error _ as e -> e
-    in
-    {
-      Vnode.data = Null lower;
-      getattr = (fun () -> tick (); lower.getattr ());
-      setattr = (fun sa -> tick (); lower.setattr sa);
-      lookup = (fun name -> tick (); wrap_result (lower.lookup name));
-      create = (fun name -> tick (); wrap_result (lower.create name));
-      mkdir = (fun name -> tick (); wrap_result (lower.mkdir name));
-      remove = (fun name -> tick (); lower.remove name);
-      rmdir = (fun name -> tick (); lower.rmdir name);
-      rename =
-        (fun src dst_dir dst ->
-          tick ();
-          match lower_of dst_dir with
-          | Error _ as e -> e
-          | Ok dst_lower -> lower.rename src dst_lower dst);
-      link =
-        (fun target name ->
-          tick ();
-          match lower_of target with
-          | Error _ as e -> e
-          | Ok target_lower -> lower.link target_lower name);
-      readdir = (fun () -> tick (); lower.readdir ());
-      read = (fun ~off ~len -> tick (); lower.read ~off ~len);
-      write = (fun ~off data -> tick (); lower.write ~off data);
-      openv = (fun flag -> tick (); lower.openv flag);
-      closev = (fun () -> tick (); lower.closev ());
-      fsync = (fun () -> tick (); lower.fsync ());
-      inactive = (fun () -> tick (); lower.inactive ());
-    }
-  in
+  let rec make lower = Vnode.forward ~hook ~data:(Null lower) ~wrap:make ~unwrap lower in
   make lower
 
 let wrap_depth ?counters n lower =

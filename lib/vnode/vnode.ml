@@ -71,6 +71,37 @@ let not_supported data =
     inactive = e;
   }
 
+type around = { around : 'a. string -> (unit -> 'a io) -> 'a io }
+
+let transparent = { around = (fun _ op -> op ()) }
+
+let forward ~hook ~data ~wrap ~unwrap lower =
+  let up = Result.map wrap in
+  let down sibling k = match unwrap sibling with Ok v -> k v | Error e -> Error e in
+  {
+    data;
+    getattr = (fun () -> hook.around "getattr" lower.getattr);
+    setattr = (fun sa -> hook.around "setattr" (fun () -> lower.setattr sa));
+    lookup = (fun name -> up (hook.around "lookup" (fun () -> lower.lookup name)));
+    create = (fun name -> up (hook.around "create" (fun () -> lower.create name)));
+    mkdir = (fun name -> up (hook.around "mkdir" (fun () -> lower.mkdir name)));
+    remove = (fun name -> hook.around "remove" (fun () -> lower.remove name));
+    rmdir = (fun name -> hook.around "rmdir" (fun () -> lower.rmdir name));
+    rename =
+      (fun src dst_dir dst ->
+        hook.around "rename" (fun () -> down dst_dir (fun d -> lower.rename src d dst)));
+    link =
+      (fun target name ->
+        hook.around "link" (fun () -> down target (fun t -> lower.link t name)));
+    readdir = (fun () -> hook.around "readdir" lower.readdir);
+    read = (fun ~off ~len -> hook.around "read" (fun () -> lower.read ~off ~len));
+    write = (fun ~off data -> hook.around "write" (fun () -> lower.write ~off data));
+    openv = (fun flag -> hook.around "open" (fun () -> lower.openv flag));
+    closev = (fun () -> hook.around "close" lower.closev);
+    fsync = (fun () -> hook.around "fsync" lower.fsync);
+    inactive = (fun () -> hook.around "inactive" lower.inactive);
+  }
+
 let kind_to_string = function
   | VREG -> "VREG"
   | VDIR -> "VDIR"

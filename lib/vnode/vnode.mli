@@ -93,6 +93,30 @@ val not_supported : vdata -> t
     by functional update of this record so unimplemented operations fail
     cleanly rather than being forgotten. *)
 
+(** {1 Interposing a layer} *)
+
+type around = { around : 'a. string -> (unit -> 'a io) -> 'a io }
+(** What an interposed layer does around each forwarded operation:
+    [around name op] must run [op] (the call into the layer below) at
+    most once and may observe, time or refuse it.  [name] is the
+    operation's name: the field name, except ["open"] and ["close"] for
+    [openv] and [closev]. *)
+
+val transparent : around
+(** Runs every operation unchanged. *)
+
+val forward :
+  hook:around -> data:vdata -> wrap:(t -> t) -> unwrap:(t -> t io) -> t -> t
+(** [forward ~hook ~data ~wrap ~unwrap lower] is a vnode carrying [data]
+    whose every operation runs the same operation of [lower] through
+    [hook] — the whole interface an interposed layer imports, exported
+    again (paper §2.1).  A vnode [lookup], [create] or [mkdir] returns
+    comes back up through [wrap] (normally the layer's own constructor,
+    so the subtree stays inside the layer); the sibling vnode [rename]
+    and [link] receive goes down through [unwrap], inside [hook], and an
+    [Error] from it fails the operation.  A layer that changes some
+    operations overrides them by functional update of the result. *)
+
 val kind_to_string : vtype -> string
 
 val is_dir : t -> bool io

@@ -22,9 +22,10 @@ let test_measure_counts_ops () =
   (* read_all = getattr + read *)
   Alcotest.(check int) "reads" 1 (Metrics.counter metrics "measure.read.calls");
   Alcotest.(check int) "lookup errors" 1 (Metrics.counter metrics "measure.lookup.errors");
-  Alcotest.(check bool) "totals" true (Measure_layer.ops_total metrics >= 4);
-  Alcotest.(check int) "errors total" 1 (Measure_layer.errors_total metrics);
   let report = Measure_layer.report metrics in
+  let total column = List.fold_left (fun acc row -> acc + column row) 0 report in
+  Alcotest.(check bool) "totals" true (total (fun (_, calls, _) -> calls) >= 4);
+  Alcotest.(check int) "errors total" 1 (total (fun (_, _, errors) -> errors));
   Alcotest.(check bool) "report row" true (List.mem ("lookup", 1, 1) report)
 
 let test_measure_timing () =
@@ -45,10 +46,10 @@ let test_measure_timing () =
   let measured = Measure_layer.wrap ~clock ~metrics slow in
   let _ = ok (measured.Vnode.read ~off:0 ~len:3) in
   let _ = ok (measured.Vnode.read ~off:0 ~len:3) in
-  Alcotest.(check int) "ticks attributed" 10 (Measure_layer.ticks_total metrics "read");
+  Alcotest.(check int) "ticks attributed" 10 (Metrics.hist_sum metrics "measure.read.ticks");
   Alcotest.(check (option (triple int int int)))
     "read latency percentiles" (Some (5, 5, 5))
-    (Measure_layer.percentiles metrics "read")
+    (Metrics.percentiles metrics "measure.read.ticks")
 
 let test_measure_transparent_rename () =
   let metrics = Metrics.create () in
@@ -169,6 +170,22 @@ let test_directory_write_gated () =
   let _ = ok (bd.Vnode.readdir ()) in
   ()
 
+let test_rename_into_locked_dir () =
+  let base = ufs_root () in
+  let su = Access_layer.wrap ~uid:0 base in
+  ok (su.Vnode.setattr { Vnode.setattr_none with set_mode = Some 0o777 });
+  let locked = ok (su.Vnode.mkdir "locked") in
+  ok (locked.Vnode.setattr { Vnode.setattr_none with set_mode = Some 0o555 });
+  let bob = Access_layer.wrap ~uid:2 base in
+  let _ = ok (bob.Vnode.create "mine") in
+  let bob_locked = ok (bob.Vnode.lookup "locked") in
+  (* Writable source directory, read-only destination: refused. *)
+  expect_err Errno.EACCES (bob.Vnode.rename "mine" bob_locked "moved");
+  let raw_locked = ok (base.Vnode.lookup "locked") in
+  expect_err Errno.ENOENT (Result.map ignore (raw_locked.Vnode.lookup "moved"));
+  let _ = ok (base.Vnode.lookup "mine") in
+  ()
+
 let test_chmod_own_file_without_write_bit () =
   let base = setup_owned () in
   let alice = Access_layer.wrap ~uid:1 base in
@@ -191,7 +208,7 @@ let test_stacked_all_three () =
   let f = ok (stack.Vnode.create "f") in
   ok (Vnode.write_all f "through three layers");
   Alcotest.(check string) "roundtrip" "through three layers" (ok (Vnode.read_all f));
-  Alcotest.(check bool) "measured" true (Measure_layer.ops_total metrics > 0);
+  Alcotest.(check bool) "measured" true (Measure_layer.report metrics <> []);
   let raw = ok (Vnode.read_all (ok (base.Vnode.lookup "f"))) in
   Alcotest.(check bool) "still encrypted below" true (raw <> "through three layers")
 
@@ -208,6 +225,7 @@ let suite =
     case "access: others denied" test_other_denied_private;
     case "access: superuser bypasses" test_superuser_bypasses;
     case "access: directory writes gated" test_directory_write_gated;
+    case "access: rename into a read-only directory denied" test_rename_into_locked_dir;
     case "access: chmod own file" test_chmod_own_file_without_write_bit;
     case "all three layers stacked" test_stacked_all_three;
   ]

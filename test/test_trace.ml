@@ -70,19 +70,21 @@ let test_replay_against_ficus_stack () =
   let root1 = ok (Cluster.logical_root cluster 1 vref) in
   Alcotest.(check int) "replicated" 32 (String.length (read_file root1 "proj/src3"))
 
-let test_codec_roundtrip () =
+let test_replay_truncation () =
+  (* [write_all] truncates with setattr before writing; a replay that
+     missed the setattr would keep the longer first version's tail. *)
   let trace = Trace_layer.create () in
   let root = Trace_layer.wrap trace (ufs_root ()) in
-  let d = ok (root.Vnode.mkdir "dir with space") in
-  let f = ok (d.Vnode.create "file%weird") in
-  ok (f.Vnode.write ~off:3 "abc");
-  ok (root.Vnode.link f "hard link");
-  let events = Trace_layer.events trace in
-  match Trace_layer.decode (Trace_layer.encode events) with
-  | None -> Alcotest.fail "decode failed"
-  | Some events' ->
-    Alcotest.(check int) "same length" (List.length events) (List.length events');
-    Alcotest.(check bool) "identical" true (events = events')
+  let f = ok (root.Vnode.create "f") in
+  ok (Vnode.write_all f "a long original");
+  ok (Vnode.write_all f "x");
+  let captured = (ok (f.Vnode.getattr ())).Vnode.size in
+  Alcotest.(check int) "captured size" 1 captured;
+  let fresh = ufs_root () in
+  let stats = Trace_layer.replay fresh (Trace_layer.events trace) in
+  Alcotest.(check int) "no failures" 0 stats.Trace_layer.failed;
+  let replayed = ok (fresh.Vnode.lookup "f") in
+  Alcotest.(check int) "replayed size" captured (ok (replayed.Vnode.getattr ())).Vnode.size
 
 let test_replay_failures_counted () =
   let trace = Trace_layer.create () in
@@ -101,6 +103,6 @@ let suite =
     case "failed ops not recorded" test_failed_ops_not_recorded;
     case "replay reproduces structure" test_replay_reproduces_structure;
     case "UFS trace replays over Ficus" test_replay_against_ficus_stack;
-    case "codec roundtrip" test_codec_roundtrip;
+    case "replay reproduces truncation" test_replay_truncation;
     case "replay failures counted" test_replay_failures_counted;
   ]

@@ -1,5 +1,5 @@
-(* The stackable vnode framework: null layers, pathname walking,
-   counters, and the UFS vnode export. *)
+(* The stackable vnode framework: the forwarding skeleton, null layers,
+   pathname walking, counters, and the UFS vnode export. *)
 
 open Util
 
@@ -55,6 +55,36 @@ let test_null_layer_rename_unwraps_sibling () =
   Alcotest.(check string) "moved" "" (read_file root "d2/g");
   (* A sibling from a different layer is rejected, not misinterpreted. *)
   expect_err Errno.EXDEV (d1.Vnode.rename "x" root "y")
+
+(* Every operation of a forwarded vnode, and of the vnodes its lookup
+   returns, runs through the hook exactly once. *)
+let test_forward_hooks_every_op () =
+  let seen = ref [] in
+  let hook = { Vnode.around = (fun name op -> seen := name :: !seen; op ()) } in
+  let rec make lower =
+    Vnode.forward ~hook ~data:lower.Vnode.data ~wrap:make ~unwrap:Result.ok lower
+  in
+  let root = make (ufs_root ()) in
+  let d = ok (root.Vnode.mkdir "d") in
+  let _ = ok (root.Vnode.create "f") in
+  let f = ok (root.Vnode.lookup "f") in
+  ok (f.Vnode.write ~off:0 "abc");
+  Alcotest.(check string) "read" "abc" (ok (f.Vnode.read ~off:0 ~len:3));
+  let _ = ok (f.Vnode.getattr ()) in
+  ok (f.Vnode.setattr { Vnode.setattr_none with set_mode = Some 0o600 });
+  ok (f.Vnode.openv Vnode.Read_only);
+  ok (f.Vnode.closev ());
+  let _ = f.Vnode.fsync () in
+  let _ = f.Vnode.inactive () in
+  ok (root.Vnode.link f "g");
+  ok (root.Vnode.rename "g" root "h");
+  ok (root.Vnode.remove "h");
+  let _ = ok (d.Vnode.readdir ()) in
+  ok (root.Vnode.rmdir "d");
+  Alcotest.(check (list string)) "each operation once"
+    [ "close"; "create"; "fsync"; "getattr"; "inactive"; "link"; "lookup"; "mkdir"; "open";
+      "read"; "readdir"; "remove"; "rename"; "rmdir"; "setattr"; "write" ]
+    (List.sort compare !seen)
 
 let test_namei_walk () =
   let root = ufs_root () in
@@ -122,6 +152,7 @@ let suite =
     case "null layer is transparent" test_null_layer_transparent;
     case "null layer counts crossings" test_null_layer_counts_crossings;
     case "null layer rename unwraps siblings" test_null_layer_rename_unwraps_sibling;
+    case "forward hooks every operation" test_forward_hooks_every_op;
     case "namei walk" test_namei_walk;
     case "namei mkdir_p idempotent" test_namei_mkdir_p_idempotent;
     case "counters" test_counters;
