@@ -1,6 +1,7 @@
 type t = {
   label : string;
   block_size : int;
+  zero : bytes;  (* shared by every block not yet written; never written through *)
   blocks : bytes array;
   on_io : unit -> unit;
   mutable reads : int;
@@ -11,10 +12,12 @@ type t = {
 
 let create ?(label = "disk") ?(on_io = fun () -> ()) ~nblocks ~block_size () =
   if nblocks <= 0 || block_size <= 0 then invalid_arg "Disk.create";
+  let zero = Bytes.make block_size '\000' in
   {
     label;
     block_size;
-    blocks = Array.init nblocks (fun _ -> Bytes.make block_size '\000');
+    zero;
+    blocks = Array.make nblocks zero;
     on_io;
     reads = 0;
     writes = 0;
@@ -45,7 +48,9 @@ let write t i buf =
        | None -> ());
       t.writes <- t.writes + 1;
       t.on_io ();
-      Bytes.blit buf 0 t.blocks.(i) 0 t.block_size;
+      let b = t.blocks.(i) in
+      if b == t.zero then t.blocks.(i) <- Bytes.copy buf
+      else Bytes.blit buf 0 b 0 t.block_size;
       Ok ()
 
 let reads t = t.reads
@@ -61,8 +66,10 @@ let fail_writes_after t n =
 
 let clear_failures t = t.writes_before_failure <- None
 
-let snapshot t = Array.map Bytes.copy t.blocks
+let snapshot t = Array.map (fun b -> if b == t.zero then b else Bytes.copy b) t.blocks
 
 let restore t media =
-  if Array.length media <> Array.length t.blocks then invalid_arg "Disk.restore";
-  Array.iteri (fun i b -> Bytes.blit b 0 t.blocks.(i) 0 t.block_size) media
+  if Array.length media <> Array.length t.blocks
+     || Array.exists (fun b -> Bytes.length b <> t.block_size) media
+  then invalid_arg "Disk.restore";
+  Array.iteri (fun i b -> t.blocks.(i) <- (if b == t.zero then t.zero else Bytes.copy b)) media

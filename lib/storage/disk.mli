@@ -13,10 +13,13 @@ val create :
   ?label:string ->
   ?on_io:(unit -> unit) ->
   nblocks:int -> block_size:int -> unit -> t
-(** Fresh zeroed device.  [label] appears in error messages and stats.
-    [on_io], if given, is invoked once per device access — typically a
-    closure advancing the simulated clock by the device's access time,
-    which turns I/O counts into simulated latency. *)
+(** Fresh device that reads as zeros.  A block takes no memory of its
+    own until it is first written: every unwritten block shares one zero
+    block that is never written through, and the first {!write} to a
+    block installs a private copy.  [label] appears in error messages and
+    stats.  [on_io], if given, is invoked once per device access —
+    typically a closure advancing the simulated clock by the device's
+    access time, which turns I/O counts into simulated latency. *)
 
 val label : t -> string
 val nblocks : t -> int
@@ -41,8 +44,12 @@ val fail_writes_after : t -> int -> unit
 val clear_failures : t -> unit
 
 val snapshot : t -> bytes array
-(** Copy of the current media contents (not the stats). *)
+(** Copy of the current media contents (not the stats).  Unwritten blocks
+    stay shared with the device's zero block, so the snapshot must not be
+    mutated. *)
 
 val restore : t -> bytes array -> unit
 (** Reset media to a snapshot, as after a crash that lost nothing the
-    device had acknowledged. *)
+    device had acknowledged.  Copies every block the snapshot holds
+    except the device's own zero block.  [Invalid_argument] unless the
+    snapshot has [nblocks] blocks of [block_size] bytes. *)

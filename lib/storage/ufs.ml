@@ -62,11 +62,12 @@ type t = {
   bs : int;  (* block size *)
   now : unit -> int;
   journal : Journal.t option;
-  (* Parsed directories by inode.  Every directory read still fetches
-     the data through the buffer cache and reuses the view only when the
-     bytes are equal, so the view can never be stale — not after a
-     crash, a journal abort or a failed write — and nothing here changes
-     which blocks are read or written. *)
+  (* Parsed directories by inode.  Every directory read still reads each
+     data block through the buffer cache and compares it in place with
+     the view's bytes; the view is reused only when all of them are
+     equal, so it can never be stale — not after a crash, a journal abort
+     or a failed write — and nothing here changes which blocks are read
+     or written. *)
   dirs : (inum, dir_view) Hashtbl.t;
 }
 
@@ -522,32 +523,45 @@ let bmap_alloc t ino n =
 (* ------------------------------------------------------------------ *)
 (* File read / write / truncate                                        *)
 
+(* Visit the file bytes [off, off+len) block by block, in order, as
+   [f pos blk boff chunk]: [chunk] bytes at offset [pos] of the range are
+   [blk]'s bytes from [boff].  The chunks tile the range, so a buffer
+   they are copied into needs no initialising.  [blk] is the cached block
+   itself, shared, so [f] must not mutate it; a hole reads as a fresh
+   zero block.
+   Matches rather than [let*]: a bind's continuation would be a closure
+   allocated per block. *)
+let iter_blocks t ino ~off ~len f =
+  let rec go pos =
+    if pos >= len then Ok ()
+    else
+      let fpos = off + pos in
+      let fblk = fpos / t.bs in
+      let boff = fpos mod t.bs in
+      let chunk = min (t.bs - boff) (len - pos) in
+      match bmap t ino fblk with
+      | Error e -> Error e
+      | Ok phys ->
+        match if phys = 0 then Ok (Bytes.make t.bs '\000') else bread t phys with
+        | Error e -> Error e
+        | Ok blk ->
+          f pos blk boff chunk;
+          go (pos + chunk)
+  in
+  go 0
+
 let read_at t ino ~off ~len =
   if off < 0 || len < 0 then Error Errno.EINVAL
   else
     let len = min len (max 0 (ino.i_size - off)) in
     if len = 0 then Ok ""
     else begin
-      let out = Bytes.make len '\000' in
-      let rec copy pos =
-        if pos >= len then Ok ()
-        else
-          let fpos = off + pos in
-          let fblk = fpos / t.bs in
-          let boff = fpos mod t.bs in
-          let chunk = min (t.bs - boff) (len - pos) in
-          let* phys = bmap t ino fblk in
-          let* () =
-            if phys = 0 then Ok () (* sparse: zeros *)
-            else
-              let* b = bread t phys in
-              Bytes.blit b boff out pos chunk;
-              Ok ()
-          in
-          copy (pos + chunk)
+      let out = Bytes.create len in
+      let* () =
+        iter_blocks t ino ~off ~len (fun pos blk boff chunk -> Bytes.blit blk boff out pos chunk)
       in
-      let* () = copy 0 in
-      Ok (Bytes.to_string out)
+      (* [out] is private to this call. *)
+      Ok (Bytes.unsafe_to_string out)
     end
 
 let write_at t inum ino ~off data =
@@ -678,18 +692,19 @@ let parse_dir data =
   go 0 []
 
 let serialize_dir entries =
-  let buf = Buffer.create 256 in
-  let emit (name, inum, kind) =
-    Buffer.add_char buf (Char.chr (inum land 0xff));
-    Buffer.add_char buf (Char.chr ((inum lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr ((inum lsr 16) land 0xff));
-    Buffer.add_char buf (Char.chr ((inum lsr 24) land 0xff));
-    Buffer.add_char buf (Char.chr (match kind with Reg -> 1 | Dir -> 2));
-    Buffer.add_char buf (Char.chr (String.length name));
-    Buffer.add_string buf name
+  let size = List.fold_left (fun n (name, _, _) -> n + 6 + String.length name) 6 entries in
+  let b = Bytes.make size '\000' in
+  let emit pos (name, inum, kind) =
+    let len = String.length name in
+    Codec.set_u32 b pos inum;
+    Codec.set_u8 b (pos + 4) (match kind with Reg -> 1 | Dir -> 2);
+    Codec.set_u8 b (pos + 5) len;
+    Bytes.blit_string name 0 b (pos + 6) len;
+    pos + 6 + len
   in
-  List.iter emit entries;
-  Buffer.contents buf
+  (* The last 6 bytes stay zero: the terminator. *)
+  ignore (List.fold_left emit 0 entries : int);
+  Bytes.unsafe_to_string b
 
 let valid_name name =
   let len = String.length name in
@@ -714,14 +729,59 @@ let remember_dir t inum view =
   if Hashtbl.length t.dirs >= dirs_cap && not (Hashtbl.mem t.dirs inum) then Hashtbl.reset t.dirs;
   Hashtbl.replace t.dirs inum view
 
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* [s.[pos, pos+n)] equals [b.[boff, boff+n)], compared a word at a time
+   without allocating.  The range check up front is what makes the
+   unchecked loads safe. *)
+let equal_sub s pos b boff n =
+  n >= 0 && pos >= 0 && pos + n <= String.length s && boff >= 0 && boff + n <= Bytes.length b
+  &&
+  let rec tail i =
+    i >= n || (String.unsafe_get s (pos + i) = Bytes.unsafe_get b (boff + i) && tail (i + 1))
+  in
+  let rec words i =
+    if i + 8 > n then tail i
+    else (string_get64u s (pos + i) : int64) = bytes_get64u b (boff + i) && words (i + 8)
+  in
+  words 0
+
+(* [load_dir]'s progress: still equal to the cached view, or copying. *)
+type reading = Same of dir_view | Copy of bytes
+
+(* Reads the directory exactly as [read_at] would, block by block, but
+   checks each block against the cached view in place.  Only at the first
+   block that differs does it copy: the equal prefix from the view, then
+   that block and every later one, so a miss reads the same blocks as a
+   hit. *)
 let load_dir t inum =
   let* ino = read_live_ino t inum in
   if ino.i_kind <> 2 then Error Errno.ENOTDIR
   else
-    let* data = read_at t ino ~off:0 ~len:ino.i_size in
-    match Hashtbl.find_opt t.dirs inum with
-    | Some view when String.equal view.bytes data -> Ok (ino, view)
-    | Some _ | None ->
+    let len = ino.i_size in
+    let state =
+      ref
+        (match Hashtbl.find_opt t.dirs inum with
+         | Some view when String.length view.bytes = len -> Same view
+         | Some _ | None -> Copy (Bytes.create len))
+    in
+    let* () =
+      iter_blocks t ino ~off:0 ~len (fun pos blk boff chunk ->
+          (match !state with
+           | Same view when not (equal_sub view.bytes pos blk boff chunk) ->
+             let out = Bytes.create len in
+             Bytes.blit_string view.bytes 0 out 0 pos;
+             state := Copy out
+           | Same _ | Copy _ -> ());
+          match !state with
+          | Copy out -> Bytes.blit blk boff out pos chunk
+          | Same _ -> ())
+    in
+    match !state with
+    | Same view -> Ok (ino, view)
+    | Copy out ->
+      let data = Bytes.unsafe_to_string out in
       let view = dir_view data (parse_dir data) in
       remember_dir t inum view;
       Ok (ino, view)
@@ -732,12 +792,13 @@ let dir_find view name = Hashtbl.find_opt (Lazy.force view.names) name
    block this is a single data-block write followed by bookkeeping: a
    crash in between leaves either the old or the new entry set, never a
    mixture and never an empty directory (see the terminator note above).
-   The bytes written are exactly what the next read returns, so they
-   seed the parsed view. *)
+   The entries are encoded once, terminator included, and the bytes
+   written are exactly what the next read returns, so they seed the
+   parsed view. *)
 let store_dir t inum ino entries =
   if entries = [] then truncate_ino t inum ino 0
   else begin
-    let data = serialize_dir entries ^ String.make 6 '\000' in
+    let data = serialize_dir entries in
     let* () = write_at t inum ino ~off:0 data in
     let* ino = read_live_ino t inum in
     let* () =

@@ -158,6 +158,7 @@ val check : t -> (unit, string) result
 
     Exposed for property tests: the packed directory encoding (u32 inum,
     u8 kind, u8 namelen, name bytes per entry, zero-inum terminator).
+    [serialize_dir] emits the 6-byte terminator itself.
     [parse_dir] tolerates a torn suffix — a record cut off mid-append
     parses as exactly the preceding complete entries. *)
 

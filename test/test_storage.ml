@@ -103,6 +103,119 @@ let test_disk_latency_charging () =
   ok (Block_cache.write c 1 (Bytes.make 64 'x'));
   Alcotest.(check int) "write-through charged" 20 (Clock.now clock)
 
+(* ------------------------------------------------------------------ *)
+(* Law: the device, which allocates a block on its first write, behaves
+   like a dense array of zeroed blocks.                                *)
+
+type disk_op =
+  | D_write of int * int  (** block (out of range allowed), fill seed *)
+  | D_read of int
+  | D_read_mutate of int  (** read, then scribble over the returned buffer *)
+  | D_snapshot
+  | D_restore
+  | D_fail_writes_after of int
+  | D_clear_failures
+
+let print_disk_op = function
+  | D_write (i, c) -> Printf.sprintf "write %d/%d" i c
+  | D_read i -> Printf.sprintf "read %d" i
+  | D_read_mutate i -> Printf.sprintf "read-mutate %d" i
+  | D_snapshot -> "snapshot"
+  | D_restore -> "restore"
+  | D_fail_writes_after n -> Printf.sprintf "fail-writes-after %d" n
+  | D_clear_failures -> "clear-failures"
+
+let law_nblocks = 6
+let law_bs = 16
+
+let disk_ops_arb =
+  let blk = QCheck.Gen.int_range (-1) law_nblocks in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_disk_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(
+      list_size (int_range 1 40)
+        (frequency
+           [
+             (6, map2 (fun i c -> D_write (i, c)) blk (int_bound 255));
+             (4, map (fun i -> D_read i) blk);
+             (2, map (fun i -> D_read_mutate i) blk);
+             (1, return D_snapshot);
+             (1, return D_restore);
+             (1, map (fun n -> D_fail_writes_after n) (int_bound 4));
+             (1, return D_clear_failures);
+           ]))
+
+let run_disk_law ops =
+  let d = Disk.create ~nblocks:law_nblocks ~block_size:law_bs () in
+  let zero = Bytes.make law_bs '\000' in
+  let model = Array.init law_nblocks (fun _ -> Bytes.copy zero) in
+  let written = Array.make law_nblocks false in
+  let reads = ref 0 and writes = ref 0 and budget = ref None in
+  let snap = ref None in
+  let in_range i = i >= 0 && i < law_nblocks in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let read_checked step i =
+    match Disk.read d i with
+    | Ok b when in_range i ->
+      incr reads;
+      if not (Bytes.equal b model.(i)) then fail "step %d: block %d reads wrong" step i;
+      Some b
+    | Error Errno.EINVAL when not (in_range i) -> None
+    | Ok _ | Error _ -> fail "step %d: read %d answered wrongly" step i
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+       | D_write (i, c) ->
+         let buf = Bytes.init law_bs (fun k -> Char.chr ((c + k) land 0xff)) in
+         (match Disk.write d i buf with
+          | Error Errno.EINVAL when not (in_range i) -> ()
+          | Error Errno.EIO when !budget = Some 0 -> ()
+          | Ok () when in_range i && !budget <> Some 0 ->
+            budget := Option.map pred !budget;
+            incr writes;
+            written.(i) <- true;
+            Bytes.blit buf 0 model.(i) 0 law_bs;
+            (* The caller keeps its buffer: changing it changes nothing. *)
+            Bytes.fill buf 0 law_bs '!'
+          | _ -> fail "step %d: write %d answered wrongly" step i)
+       | D_read i -> ignore (read_checked step i)
+       | D_read_mutate i ->
+         Option.iter (fun b -> Bytes.fill b 0 law_bs 'M') (read_checked step i)
+       | D_snapshot ->
+         snap := Some (Disk.snapshot d, Array.map Bytes.copy model, Array.copy written)
+       | D_restore ->
+         Option.iter
+           (fun (media, m, w) ->
+             Disk.restore d media;
+             Array.iteri (fun i b -> Bytes.blit b 0 model.(i) 0 law_bs) m;
+             Array.blit w 0 written 0 law_nblocks)
+           !snap
+       | D_fail_writes_after n ->
+         Disk.fail_writes_after d n;
+         budget := Some n
+       | D_clear_failures ->
+         Disk.clear_failures d;
+         budget := None);
+      if Disk.reads d <> !reads || Disk.writes d <> !writes then
+        fail "step %d: counted %d reads, %d writes; the model %d, %d" step (Disk.reads d)
+          (Disk.writes d) !reads !writes;
+      Array.iteri
+        (fun i b ->
+          if not (Bytes.equal b model.(i)) then fail "step %d: media block %d differs" step i;
+          if (not written.(i)) && not (Bytes.equal b zero) then
+            fail "step %d: never-written block %d is not zero" step i)
+        (Disk.snapshot d))
+    ops;
+  true
+
+let disk_props =
+  [
+    QCheck.Test.make ~name:"sparse disk behaves like a dense one" ~count:500 disk_ops_arb
+      run_disk_law;
+  ]
+
 let suite =
   [
     case "disk read/write" test_disk_read_write;
@@ -117,3 +230,4 @@ let suite =
     case "cache invalidate" test_cache_invalidate;
     case "zero capacity disables caching" test_zero_capacity_disables_caching;
   ]
+  @ List.map QCheck_alcotest.to_alcotest disk_props

@@ -242,6 +242,82 @@ let test_directory_spanning_blocks () =
   Alcotest.(check int) "four left" 4 (List.length (ok (Ufs.dir_entries fs d)));
   fsck fs
 
+(* A directory at 512-byte blocks: 500 entries of 15 bytes fill 15
+   blocks, past the 12 direct ones into the indirect block. *)
+let big_dir_512 () =
+  let disk, fs = fresh_ufs ~blocks:4096 ~block_size:512 () in
+  let d = ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "big") in
+  for i = 0 to 499 do
+    ignore (ok (Ufs.create fs ~dir:d (Printf.sprintf "entry-%03d" i)))
+  done;
+  Alcotest.(check bool) "spans the indirect block" true ((ok (Ufs.stat fs d)).Ufs.size > 12 * 512);
+  (disk, fs, d)
+
+let words_of f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+
+(* A lookup that hits the cached view checks the directory's blocks in
+   place: it allocates a few words per block, never a copy of the
+   directory or of one block. *)
+let test_cached_lookup_allocation () =
+  let _, fs, d = big_dir_512 () in
+  let expected = ok (Ufs.dir_lookup fs d "entry-250") in
+  let found, words = words_of (fun () -> Ufs.dir_lookup fs d "entry-250") in
+  Alcotest.(check int) "hit" expected (ok found);
+  let bound = 512 / (Sys.word_size / 8) in
+  if words >= bound then
+    Alcotest.failf "cached lookup allocated %d words (bound %d, one block)" words bound
+
+(* The in-place check's miss path: a name changed on the media under a
+   cached view shows up, and the lookup that finds the change reads
+   exactly the blocks a cold lookup reads. *)
+let test_changed_block_under_cached_view () =
+  let disk, fs, d = big_dir_512 () in
+  let inum = ok (Ufs.dir_lookup fs d "entry-101") in
+  (* Entry 101's name sits at bytes 1521-1529 of the directory: the third
+     data block, its last byte in the block's last word. *)
+  let find b =
+    let rec go i =
+      if i + 9 > Bytes.length b then None
+      else if Bytes.sub_string b i 9 = "entry-101" then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let blk, b, at =
+    Option.get
+      (List.find_map
+         (fun i ->
+           let b = ok (Disk.read disk i) in
+           Option.map (fun at -> (i, b, at)) (find b))
+         (List.init (Disk.nblocks disk) Fun.id))
+  in
+  Bytes.set b (at + 8) 'X';
+  ok (Disk.write disk blk b);
+  Block_cache.invalidate (Ufs.cache fs);
+  let accesses fs f =
+    let c = Ufs.cache fs in
+    Block_cache.reset_stats c;
+    let r = f () in
+    (r, Block_cache.hits c + Block_cache.misses c)
+  in
+  let found, live = accesses fs (fun () -> Ufs.dir_lookup fs d "entry-10X") in
+  Alcotest.(check int) "new name found" inum (ok found);
+  expect_err Errno.ENOENT (Ufs.dir_lookup fs d "entry-101");
+  let names = List.map (fun (n, _, _) -> n) (ok (Ufs.dir_entries fs d)) in
+  Alcotest.(check bool) "entries show the new name" true
+    (List.mem "entry-10X" names && not (List.mem "entry-101" names));
+  Alcotest.(check int) "entry count" 500 (List.length names);
+  let copy = Disk.create ~nblocks:(Disk.nblocks disk) ~block_size:(Disk.block_size disk) () in
+  Disk.restore copy (Disk.snapshot disk);
+  let fresh = ok (Ufs.mount ~now:(fun () -> 0) copy) in
+  let found, cold = accesses fresh (fun () -> Ufs.dir_lookup fresh d "entry-10X") in
+  Alcotest.(check int) "fresh mount agrees" inum (ok found);
+  Alcotest.(check int) "block-cache accesses equal a fresh mount's" cold live
+
 let test_sparse_file_reads_zeros () =
   let _, fs = fresh_ufs () in
   let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "sparse") in
@@ -461,5 +537,7 @@ let suite =
     case "persistence across remount" test_persistence_across_mount;
     case "directory spanning blocks" test_directory_spanning_blocks;
     case "sparse files read zeros" test_sparse_file_reads_zeros;
+    case "cached lookup allocates less than a block" test_cached_lookup_allocation;
+    case "changed block under a cached view" test_changed_block_under_cached_view;
   ]
   @ List.map QCheck_alcotest.to_alcotest ufs_props
