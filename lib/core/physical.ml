@@ -37,8 +37,11 @@ type t = {
   mutable dir_merge : [ `Legacy | `Crdt ];
   mutable resolver : Resolver.t;
   (* Subtree-summary bumps not yet written to the aux files: path key ->
-     (path, pending vector).  Purely an I/O batching device — losing it
-     in a crash only under-claims, which is always safe. *)
+     (path, pending vector).  An I/O batching device, but not a safe one:
+     losing it in a crash under-claims this replica's own summary (a
+     wider walk when it pulls) and also the summary it serves, which a
+     puller trusts as covering every update here, so it can prune real
+     updates (ROADMAP "Crash-lost summary bumps"). *)
   pending_summaries : (string, fidpath * Vv.t ref) Hashtbl.t;
   (* Decoded directories, one slot per directory keyed by its fid: the
      DIR bytes last read or written there and their decoding.  A load
@@ -187,7 +190,11 @@ let load_fdir t ~fid ufs_dir =
   let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
   let* contents = Vnode.read_all dirfile in
   match Hashtbl.find_opt t.fdir_slots fid with
-  | Some (bytes, d) when String.equal bytes contents -> Ok d
+  | Some (bytes, d) when String.equal bytes contents ->
+    (* Keep the string just read: while the UFS returns it again, the
+       next compare is a physical-equality hit. *)
+    if bytes != contents then Hashtbl.replace t.fdir_slots fid (contents, d);
+    Ok d
   | Some _ | None ->
     (match Fdir.decode contents with
      | None -> Error Errno.EIO
@@ -247,9 +254,12 @@ let make_dir_storage t parent_ufs fid aux =
 
    Bumps are accumulated in memory and flushed lazily (serving a
    [getdirvvs] request flushes first), so local mutators pay no extra
-   I/O.  Losing pending bumps in a crash merely under-claims: the next
-   reconciliation pass walks more than strictly necessary, never less
-   than required. *)
+   I/O.  The vector plays two roles.  As the puller's own summary it is
+   a lower bound, and losing pending bumps in a crash only makes the next
+   pass walk more than necessary.  Served to a peer it is an upper
+   bound, taken as covering every update here, and the same loss lets
+   the peer's pass prune updates it has not seen (an open bug, ROADMAP
+   "Crash-lost summary bumps"). *)
 
 let summary_key path = String.concat "/" (List.map Ids.fid_to_hex path)
 
@@ -1568,7 +1578,9 @@ let recover t =
 (* fsck path for images written before summary vectors existed: claim,
    for every directory, exactly this replica's own event history (all of
    it is trivially incorporated locally; all other components stay zero,
-   which only under-claims). *)
+   which under-claims this replica's own summary but, once served, hides
+   other replicas' updates held here from a puller; ROADMAP "Crash-lost
+   summary bumps"). *)
 let recompute_summaries t =
   let claim = Vv.singleton t.rid (t.next_uniq - 1) in
   let rec go parent_ufs fid =

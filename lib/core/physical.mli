@@ -182,8 +182,11 @@ val join_summary : t -> fidpath -> Version_vector.t -> (unit, Errno.t) result
 val flush_summaries : t -> (int, Errno.t) result
 (** Write pending in-memory summary bumps to the aux files (done
     automatically when serving a [getdirvvs] request); returns how many
-    directories were updated.  Pending bumps lost in a crash only
-    under-claim, costing a wider walk, never correctness. *)
+    directories were updated.  Pending bumps lost in a crash are safe
+    only in the local summary's role as a lower bound (a wider walk when
+    this replica pulls); in a summary this replica serves they hide
+    updates from a puller that prunes on it — an open bug (ROADMAP
+    "Crash-lost summary bumps"). *)
 
 (** {1 CRDT tree-repair primitives}
 

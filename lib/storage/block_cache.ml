@@ -9,13 +9,15 @@ type t = {
   capacity : int;
   table : (int, entry) Hashtbl.t;
   mutable tick : int;
+  mutable version : int;  (* writes and invalidates so far *)
   mutable hits : int;
   mutable misses : int;
 }
 
 let create ?(capacity = 256) disk =
   if capacity < 0 then invalid_arg "Block_cache.create";
-  { disk; capacity; table = Hashtbl.create (max 16 capacity); tick = 0; hits = 0; misses = 0 }
+  { disk; capacity; table = Hashtbl.create (max 16 capacity); tick = 0; version = 0; hits = 0;
+    misses = 0 }
 
 let disk t = t.disk
 
@@ -63,6 +65,7 @@ let read_copy t i =
   match read t i with Error _ as e -> e | Ok buf -> Ok (Bytes.copy buf)
 
 let write t i buf =
+  t.version <- t.version + 1;
   match Disk.write t.disk i buf with
   | Error _ as e -> e
   | Ok () ->
@@ -73,7 +76,11 @@ let write t i buf =
      | None -> insert t i (Bytes.copy buf));
     Ok ()
 
-let invalidate t = Hashtbl.reset t.table
+let invalidate t =
+  t.version <- t.version + 1;
+  Hashtbl.reset t.table
+
+let version t = t.version
 
 let hits t = t.hits
 let misses t = t.misses

@@ -31,6 +31,12 @@ val invalidate : t -> unit
 (** Drop every cached block — simulates the cache lost in a host crash,
     and lets experiments create a deliberately cold cache. *)
 
+val version : t -> int
+(** How many {!write}s (failed ones included) and {!invalidate}s this
+    cache has seen.  While it stands, and nothing writes the {!Disk}
+    behind the cache's back, every block reads back as it did; {!Ufs}
+    keys its decoded-data caches on it. *)
+
 val hits : t -> int
 val misses : t -> int
 val reset_stats : t -> unit

@@ -49,26 +49,13 @@ type superblock = {
 
 (* A directory as last parsed: the data bytes it was parsed from, its
    entries in on-disk order, and a name index built on first lookup.  A
-   pure function of [bytes]. *)
+   pure function of [bytes]; [checked] is the write epoch (see [epoch])
+   at which [bytes] last equalled the directory's data. *)
 type dir_view = {
   bytes : string;
   entries : (string * inum * kind) list;
   names : (string, inum) Hashtbl.t Lazy.t;  (* first entry of each name *)
-}
-
-type t = {
-  cache : Block_cache.t;
-  sb : superblock;
-  bs : int;  (* block size *)
-  now : unit -> int;
-  journal : Journal.t option;
-  (* Parsed directories by inode.  Every directory read still reads each
-     data block through the buffer cache and compares it in place with
-     the view's bytes; the view is reused only when all of them are
-     equal, so it can never be stale — not after a crash, a journal abort
-     or a failed write — and nothing here changes which blocks are read
-     or written. *)
-  dirs : (inum, dir_view) Hashtbl.t;
+  mutable checked : int;
 }
 
 type ino = {
@@ -81,6 +68,39 @@ type ino = {
   i_gen : int;
   i_direct : int array;
   i_indirect : int;
+}
+
+type t = {
+  cache : Block_cache.t;
+  sb : superblock;
+  bs : int;  (* block size *)
+  now : unit -> int;
+  journal : Journal.t option;
+  (* Every [bwrite] (counted before the journal or device sees it, so a
+     failed write counts too) and every aborted transaction.  Together
+     with {!Block_cache.version} (every write through the cache, journal
+     checkpoints and recovery included, and every invalidation, a crash
+     reboot's included) it makes the write epoch ([epoch]): while the
+     epoch stands, every block reads back as it did. *)
+  mutable writes : int;
+  (* Decoded inodes and whole-file reads, valid for the epoch [cached_at]
+     and dropped as soon as it moves.  A hit still makes every block
+     access the uncached read makes, so the buffer cache, the journal
+     and the device see exactly the same traffic; only the decoding and
+     copying go.  The files' bytes are capped at what the buffer cache
+     itself can hold. *)
+  mutable cached_at : int;
+  inos : (inum, ino) Hashtbl.t;
+  files : (inum, string) Hashtbl.t;
+  mutable file_bytes : int;
+  file_budget : int;
+  (* Parsed directories by inode.  A view checked in the current epoch
+     is reused after replaying its block reads; otherwise every data
+     block read is compared in place with the view's bytes and the view
+     is reused only when all of them are equal, so it can never be stale
+     — not after a crash, a journal abort or a failed write — and
+     nothing here changes which blocks are read or written. *)
+  dirs : (inum, dir_view) Hashtbl.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -143,6 +163,7 @@ let bread_copy t blk =
   | None -> Block_cache.read_copy t.cache blk
 
 let bwrite t blk buf =
+  t.writes <- t.writes + 1;
   match t.journal with
   | Some j -> Journal.write j blk buf
   | None -> Block_cache.write t.cache blk buf
@@ -164,8 +185,23 @@ let with_txn t f =
              memory for a later retry, but this caller sees the error. *)
           e)
      | Error _ as e ->
+       t.writes <- t.writes + 1;
        Journal.abort_txn j;
        e)
+
+(* The write epoch: both counts only grow, so an unchanged sum means
+   neither moved. *)
+let epoch t = t.writes + Block_cache.version t.cache
+
+(* Drop the decoded inodes and whole-file reads once the epoch moves. *)
+let sync_epoch t =
+  let now = epoch t in
+  if t.cached_at <> now then begin
+    t.cached_at <- now;
+    Hashtbl.reset t.inos;
+    Hashtbl.reset t.files;
+    t.file_bytes <- 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Bitmaps                                                             *)
@@ -270,12 +306,22 @@ let encode_ino b off ino =
 
 let valid_inum t inum = inum >= 1 && inum <= t.sb.ninodes
 
+(* The inode block is read either way; only the decoding is cached. *)
 let read_ino t inum =
   if not (valid_inum t inum) then Error Errno.EINVAL
-  else
+  else begin
+    sync_epoch t;
     let blk, off = inode_loc t inum in
-    let* b = bread t blk in
-    Ok (decode_ino b off)
+    match bread t blk with
+    | Error _ as e -> e
+    | Ok b ->
+      match Hashtbl.find_opt t.inos inum with
+      | Some ino -> Ok ino
+      | None ->
+        let ino = decode_ino b off in
+        Hashtbl.replace t.inos inum ino;
+        Ok ino
+  end
 
 let read_live_ino t inum =
   let* ino = read_ino t inum in
@@ -349,6 +395,12 @@ let make_journal ~cache ~sb ~bs ~flush_blocks ~flush_age ~now =
     }
     ~start:sb.journal_start ~blocks:sb.journal_blocks ~flush_blocks ~flush_age ~now ()
 
+let make cache sb ~now ~cache_capacity journal =
+  let bs = Disk.block_size (Block_cache.disk cache) in
+  { cache; sb; bs; now; journal; writes = 0; cached_at = 0; inos = Hashtbl.create 64;
+    files = Hashtbl.create 16; file_bytes = 0; file_budget = cache_capacity * bs;
+    dirs = Hashtbl.create 64 }
+
 let mkfs ?(cache_capacity = 256) ?ninodes ?(inode_size = default_inode_size)
     ?(journal_blocks = 0) ?(journal_flush_blocks = 32) ?(journal_flush_age = 8) ~now disk =
   let bs = Disk.block_size disk in
@@ -365,7 +417,7 @@ let mkfs ?(cache_capacity = 256) ?ninodes ?(inode_size = default_inode_size)
       let cache = Block_cache.create ~capacity:cache_capacity disk in
       (* Format with direct write-through; the journal only starts
          intercepting once the image is complete. *)
-      let t = { cache; sb; bs; now; journal = None; dirs = Hashtbl.create 64 } in
+      let t = make cache sb ~now ~cache_capacity None in
       let* () = Block_cache.write cache 0 (encode_sb bs sb) in
       (* Zero both bitmaps and the inode table. *)
       let zero = Bytes.make bs '\000' in
@@ -417,8 +469,7 @@ let mount ?(cache_capacity = 256) ?(journal_flush_blocks = 32) ?(journal_flush_a
   let* b = Block_cache.read cache 0 in
   let* sb = decode_sb b in
   if sb.nblocks <> Disk.nblocks disk then Error Errno.EINVAL
-  else if sb.journal_blocks = 0 then
-    Ok { cache; sb; bs; now; journal = None; dirs = Hashtbl.create 64 }
+  else if sb.journal_blocks = 0 then Ok (make cache sb ~now ~cache_capacity None)
   else begin
     let j =
       make_journal ~cache ~sb ~bs ~flush_blocks:journal_flush_blocks
@@ -427,7 +478,7 @@ let mount ?(cache_capacity = 256) ?(journal_flush_blocks = 32) ?(journal_flush_a
     (* Crash recovery: re-apply every sealed record group, discard any
        torn tail, and start with an empty log. *)
     let* (_applied : int) = Journal.recover j in
-    Ok { cache; sb; bs; now; journal = Some j; dirs = Hashtbl.create 64 }
+    Ok (make cache sb ~now ~cache_capacity (Some j))
   end
 
 let nfree_blocks t =
@@ -549,6 +600,9 @@ let iter_blocks t ino ~off ~len f =
           go (pos + chunk)
   in
   go 0
+
+(* A replay: the block accesses of a read whose bytes are already known. *)
+let ignore_block _ _ _ _ = ()
 
 let read_at t ino ~off ~len =
   if off < 0 || len < 0 then Error Errno.EINVAL
@@ -710,7 +764,8 @@ let valid_name name =
   let len = String.length name in
   len > 0 && len <= max_name && not (String.contains name '/')
 
-let dir_view bytes entries =
+(* A view of [bytes], which the directory holds in the current epoch. *)
+let dir_view t bytes entries =
   let names =
     lazy
       (let tbl = Hashtbl.create (List.length entries) in
@@ -719,7 +774,7 @@ let dir_view bytes entries =
          entries;
        tbl)
   in
-  { bytes; entries; names }
+  { bytes; entries; names; checked = epoch t }
 
 (* Bounded: a full reset on overflow only costs re-parsing the
    directories in use. *)
@@ -747,11 +802,13 @@ let equal_sub s pos b boff n =
   in
   words 0
 
-(* [load_dir]'s progress: still equal to the cached view, or copying. *)
-type reading = Same of dir_view | Copy of bytes
+(* [load_dir]'s progress: a view checked in this epoch (nothing to
+   compare), still equal to the cached view, or copying. *)
+type reading = Known of dir_view | Same of dir_view | Copy of bytes
 
-(* Reads the directory exactly as [read_at] would, block by block, but
-   checks each block against the cached view in place.  Only at the first
+(* Reads the directory's blocks exactly as [read_at] would.  A view
+   checked in this epoch is the answer as it stands.  Otherwise each block
+   is checked against the cached view in place, and only at the first
    block that differs does it copy: the equal prefix from the view, then
    that block and every later one, so a miss reads the same blocks as a
    hit. *)
@@ -763,6 +820,7 @@ let load_dir t inum =
     let state =
       ref
         (match Hashtbl.find_opt t.dirs inum with
+         | Some view when view.checked = epoch t -> Known view
          | Some view when String.length view.bytes = len -> Same view
          | Some _ | None -> Copy (Bytes.create len))
     in
@@ -773,16 +831,19 @@ let load_dir t inum =
              let out = Bytes.create len in
              Bytes.blit_string view.bytes 0 out 0 pos;
              state := Copy out
-           | Same _ | Copy _ -> ());
+           | Known _ | Same _ | Copy _ -> ());
           match !state with
           | Copy out -> Bytes.blit blk boff out pos chunk
-          | Same _ -> ())
+          | Known _ | Same _ -> ())
     in
     match !state with
-    | Same view -> Ok (ino, view)
+    | Known view -> Ok (ino, view)
+    | Same view ->
+      view.checked <- epoch t;
+      Ok (ino, view)
     | Copy out ->
       let data = Bytes.unsafe_to_string out in
-      let view = dir_view data (parse_dir data) in
+      let view = dir_view t data (parse_dir data) in
       remember_dir t inum view;
       Ok (ino, view)
 
@@ -805,7 +866,7 @@ let store_dir t inum ino entries =
       if ino.i_size > String.length data then truncate_ino t inum ino (String.length data)
       else Ok ()
     in
-    remember_dir t inum (dir_view data entries);
+    remember_dir t inum (dir_view t data entries);
     Ok ()
   end
 
@@ -848,9 +909,35 @@ let set_mtime t inum mtime =
   let* ino = read_live_ino t inum in
   write_ino t inum { ino with i_mtime = mtime }
 
+(* Capped at what the buffer cache holds: a full reset when the next file
+   would not fit. *)
+let remember_file t inum data =
+  let n = String.length data in
+  if n <= t.file_budget then begin
+    if t.file_bytes + n > t.file_budget then begin
+      Hashtbl.reset t.files;
+      t.file_bytes <- 0
+    end;
+    Hashtbl.replace t.files inum data;
+    t.file_bytes <- t.file_bytes + n
+  end
+
+(* A whole-file read in an unchanged epoch returns the string the last
+   one returned, after making the same block accesses. *)
 let read t inum ~off ~len =
   let* ino = read_live_ino t inum in
-  if ino.i_kind = 2 then Error Errno.EISDIR else read_at t ino ~off ~len
+  if ino.i_kind = 2 then Error Errno.EISDIR
+  else if off <> 0 || len < ino.i_size then read_at t ino ~off ~len
+  else
+    match Hashtbl.find_opt t.files inum with
+    | Some data ->
+      (match iter_blocks t ino ~off:0 ~len:ino.i_size ignore_block with
+       | Error _ as e -> e
+       | Ok () -> Ok data)
+    | None ->
+      let* data = read_at t ino ~off ~len in
+      remember_file t inum data;
+      Ok data
 
 let write t inum ~off data =
   with_txn t @@ fun () ->
@@ -1024,7 +1111,8 @@ let crash_reboot t =
   (* Power-failure semantics: the buffer cache and every journal
      structure that lives in memory are lost; whatever reached the
      device survives.  Replay then restores the last sealed group
-     commit, exactly as a fresh [mount] would. *)
+     commit, exactly as a fresh [mount] would.  Dropping the cache moves
+     the write epoch. *)
   Block_cache.invalidate t.cache;
   match t.journal with
   | None -> Ok ()

@@ -19,7 +19,16 @@
     seals batches of transactions into the log (amortizing the paper's
     one-I/O-per-metadata-touch cost), a checkpoint later writes them
     home, and {!mount} replays sealed batches after a crash.  See
-    {!Journal} for the protocol and DESIGN.md for the on-disk format. *)
+    {!Journal} for the protocol and DESIGN.md for the on-disk format.
+
+    A write epoch lasts until the next block write, aborted transaction,
+    or block-cache write or invalidation ({!Block_cache.version}).
+    Decoded inodes and whole-file reads are kept for one epoch; a parsed
+    directory is reused as it stands within the epoch it was checked in,
+    and after a byte comparison in later ones.  A read answered from them
+    still makes every block access the decoding read makes, in the same
+    order, so cache hits, misses and device I/O counts do not depend on
+    them. *)
 
 type t
 
@@ -84,7 +93,9 @@ val set_uid : t -> inum -> int -> unit io
 val set_mtime : t -> inum -> int -> unit io
 
 val read : t -> inum -> off:int -> len:int -> string io
-(** Short read at EOF; [""] past EOF; [EISDIR] on directories. *)
+(** Short read at EOF; [""] past EOF; [EISDIR] on directories.  A
+    whole-file read ([off = 0], [len >= size]) in the write epoch of an
+    earlier one returns the very string that one returned. *)
 
 val write : t -> inum -> off:int -> string -> unit io
 (** Extends the file as needed; sparse gaps read back as zeros. *)

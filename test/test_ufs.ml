@@ -259,17 +259,62 @@ let words_of f =
   let minor1, promoted1, major1 = Gc.counters () in
   (r, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
 
-(* A lookup that hits the cached view checks the directory's blocks in
-   place: it allocates a few words per block, never a copy of the
-   directory or of one block. *)
+(* A lookup that hits the cached view in an unchanged write epoch only
+   replays the directory's block reads: it allocates a few words, never a
+   copy of the directory or of one block, nor a per-block compare. *)
 let test_cached_lookup_allocation () =
   let _, fs, d = big_dir_512 () in
   let expected = ok (Ufs.dir_lookup fs d "entry-250") in
   let found, words = words_of (fun () -> Ufs.dir_lookup fs d "entry-250") in
   Alcotest.(check int) "hit" expected (ok found);
+  let bound = 32 in
+  if words >= bound then
+    Alcotest.failf "cached lookup allocated %d words (bound %d, half a block)" words bound
+
+(* The cached reads of one write epoch make exactly the block accesses
+   of the reads that decode: at 512-byte blocks and a 16-block cache, a
+   lookup in the 15-block directory, a stat and a whole read of a
+   7,000-byte file (14 blocks, past the indirect block) touch 33 blocks,
+   and miss in the same places whether the epoch just moved or not. *)
+let test_cached_reads_replay_accesses () =
+  let disk = Disk.create ~nblocks:4096 ~block_size:512 () in
+  let fs = ok (Ufs.mkfs ~cache_capacity:16 ~now:(fun () -> 1) disk) in
+  let d = ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "big") in
+  for i = 0 to 499 do
+    ignore (ok (Ufs.create fs ~dir:d (Printf.sprintf "entry-%03d" i)))
+  done;
+  let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "file") in
+  let contents = String.init 7000 (fun i -> Char.chr (i mod 251)) in
+  ok (Ufs.write fs f ~off:0 contents);
+  let c = Ufs.cache fs in
+  let counted op =
+    Block_cache.reset_stats c;
+    Disk.reset_stats disk;
+    let r = op () in
+    (r, (Block_cache.hits c, Block_cache.misses c, Disk.reads disk))
+  in
+  let round () =
+    let found, lookup = counted (fun () -> ok (Ufs.dir_lookup fs d "entry-250")) in
+    let attrs, stat = counted (fun () -> ok (Ufs.stat fs f)) in
+    let data, read = counted (fun () -> ok (Ufs.read fs f ~off:0 ~len:max_int)) in
+    ((found, attrs, data), [ lookup; stat; read ])
+  in
+  let counts = Alcotest.(list (triple int int int)) in
+  (* Dropping the cache moves the epoch: this round decodes. *)
+  Block_cache.invalidate c;
+  let (found, attrs, first), decoded = round () in
+  let (found', attrs', again), cached = round () in
+  Alcotest.(check string) "contents" contents first;
+  Alcotest.(check bool) "same answers" true (found = found' && attrs = attrs');
+  Alcotest.(check bool) "the same string" true (first == again);
+  Alcotest.(check counts) "hits, misses and device reads" decoded cached;
+  Alcotest.(check bool) "the replay reaches the device" true
+    (List.for_all (fun (_, misses, _) -> misses > 0) cached);
+  let again, words = words_of (fun () -> Ufs.read fs f ~off:0 ~len:7000) in
+  Alcotest.(check bool) "still the same string" true (ok again == first);
   let bound = 512 / (Sys.word_size / 8) in
   if words >= bound then
-    Alcotest.failf "cached lookup allocated %d words (bound %d, one block)" words bound
+    Alcotest.failf "cached whole-file read allocated %d words (bound %d, one block)" words bound
 
 (* The in-place check's miss path: a name changed on the media under a
    cached view shows up, and the lookup that finds the change reads
@@ -318,6 +363,176 @@ let test_changed_block_under_cached_view () =
   Alcotest.(check int) "fresh mount agrees" inum (ok found);
   Alcotest.(check int) "block-cache accesses equal a fresh mount's" cold live
 
+(* ------------------------------------------------------------------ *)
+(* Every source of change moves the write epoch: after each one, the
+   live file system's stat, whole-file read and lookup answers (warmed
+   in the epoch before it) agree with a fresh mount of a copy of the
+   media. *)
+
+let show_io f = function Ok x -> f x | Error e -> Errno.to_string e
+
+let answers fs ~files ~names =
+  List.concat_map
+    (fun i ->
+      [
+        Printf.sprintf "stat %d: %s" i
+          (show_io
+             (fun (a : Ufs.attrs) ->
+               Printf.sprintf "size=%d nlink=%d mtime=%d mode=%o gen=%d" a.size a.nlink a.mtime
+                 a.mode a.gen)
+             (Ufs.stat fs i));
+        Printf.sprintf "read %d: %s" i
+          (show_io
+             (fun data -> Printf.sprintf "%d bytes %s" (String.length data) (Digest.to_hex (Digest.string data)))
+             (Ufs.read fs i ~off:0 ~len:max_int));
+      ])
+    files
+  @ List.map
+      (fun (d, n) -> Printf.sprintf "lookup %d/%s: %s" d n (show_io string_of_int (Ufs.dir_lookup fs d n)))
+      names
+
+let copy_of disk =
+  let copy = Disk.create ~nblocks:(Disk.nblocks disk) ~block_size:(Disk.block_size disk) () in
+  Disk.restore copy (Disk.snapshot disk);
+  copy
+
+(* Warm every cached read twice, so the next answers come from the
+   epoch's caches unless something moved it. *)
+let warm fs ~files ~names = ignore (answers fs ~files ~names, answers fs ~files ~names)
+
+(* [fs]'s answers now, against a fresh mount's once [fs] has synced. *)
+let agrees_with_fresh_mount ~msg disk fs ~files ~names =
+  let live = answers fs ~files ~names in
+  Disk.clear_failures disk;
+  ok ~msg:"sync" (Ufs.sync fs);
+  let fresh = ok (Ufs.mount ~now:(fun () -> 0) (copy_of disk)) in
+  Alcotest.(check (list string)) msg (answers fresh ~files ~names) live
+
+let padded i = Printf.sprintf "name-%02d-%s" i (String.make 40 'p')
+
+(* A directory of 20 54-byte entries: three 512-byte blocks. *)
+let populate fs dir = List.init 20 (fun i -> ok (Ufs.create fs ~dir (padded i)))
+
+let test_epoch_aborted_txn () =
+  let disk = Disk.create ~nblocks:256 ~block_size:512 () in
+  let fs = ok (Ufs.mkfs ~cache_capacity:64 ~journal_blocks:64 ~now:(fun () -> 1) disk) in
+  let root = Ufs.root fs in
+  let src = ok (Ufs.mkdir fs ~dir:root "src") in
+  let _ = populate fs src in
+  let dst = ok (Ufs.mkdir fs ~dir:root "dst") in
+  let f = ok (Ufs.create fs ~dir:root "file") in
+  ok (Ufs.write fs f ~off:0 (String.make 1500 'a'));
+  (* Fill the disk, so the next block allocation fails and aborts its
+     transaction. *)
+  let rec fill i =
+    let g = ok (Ufs.create fs ~dir:root (Printf.sprintf "fill-%d" i)) in
+    let rec grow k =
+      match Ufs.write fs g ~off:(k * 512) (String.make 512 'f') with
+      | Ok () -> grow (k + 1)
+      | Error Errno.ENOSPC -> ()
+      | Error Errno.EFBIG -> fill (i + 1)
+      | Error e -> Alcotest.failf "fill: %s" (Errno.to_string e)
+    in
+    grow 0
+  in
+  fill 0;
+  Alcotest.(check int) "disk full" 0 (ok (Ufs.nfree_blocks fs));
+  let files = [ root; src; dst; f ] in
+  let names = (dst, padded 3) :: List.init 20 (fun i -> (src, padded i)) in
+  warm fs ~files ~names;
+  (* The move rewrites [src] (same block count, so nothing is freed),
+     then finds no block for the empty [dst]: the transaction aborts
+     with [src]'s new view and inode already read back. *)
+  expect_err Errno.ENOSPC (Ufs.rename fs ~sdir:src ~sname:(padded 3) ~ddir:dst ~dname:(padded 3));
+  agrees_with_fresh_mount ~msg:"after an aborted directory rewrite" disk fs ~files ~names;
+  warm fs ~files ~names;
+  (* Three blocks rewritten, the fourth cannot be allocated. *)
+  expect_err Errno.ENOSPC (Ufs.write fs f ~off:0 (String.make 2000 'b'));
+  agrees_with_fresh_mount ~msg:"after an aborted file rewrite" disk fs ~files ~names
+
+let test_epoch_failed_device_write () =
+  let disk, fs = fresh_ufs ~blocks:1024 ~block_size:512 () in
+  let root = Ufs.root fs in
+  let d = ok (Ufs.mkdir fs ~dir:root "d") in
+  let _ = populate fs d in
+  let f = ok (Ufs.create fs ~dir:root "file") in
+  ok (Ufs.write fs f ~off:0 (String.make 1500 'a'));
+  let files = [ d; f ] in
+  let names = (d, "renamed") :: List.init 20 (fun i -> (d, padded i)) in
+  warm fs ~files ~names;
+  (* Unjournaled, the first block reaches the media and the second
+     fails: a torn file. *)
+  Disk.fail_writes_after disk 1;
+  expect_err Errno.EIO (Ufs.write fs f ~off:0 (String.make 1500 'b'));
+  agrees_with_fresh_mount ~msg:"after a write_at torn by the device" disk fs ~files ~names;
+  warm fs ~files ~names;
+  Disk.fail_writes_after disk 1;
+  expect_err Errno.EIO (Ufs.rename fs ~sdir:d ~sname:(padded 0) ~ddir:d ~dname:"renamed");
+  agrees_with_fresh_mount ~msg:"after a directory rewrite torn by the device" disk fs ~files ~names
+
+(* The media changes under the file system: a second mount of a copy
+   makes the change, and every block that differs is carried over by
+   [via]. *)
+let test_epoch_direct_writes () =
+  let disk, fs = fresh_ufs ~blocks:1024 ~block_size:512 () in
+  let root = Ufs.root fs in
+  let d = ok (Ufs.mkdir fs ~dir:root "d") in
+  let _ = populate fs d in
+  let f = ok (Ufs.create fs ~dir:root "file") in
+  ok (Ufs.write fs f ~off:0 (String.make 1500 'a'));
+  let files = [ d; f ] in
+  let names = List.init 20 (fun i -> (d, padded i)) @ [ (d, "first"); (d, "second") ] in
+  let patch ~via ~data ~mode ~sname ~dname =
+    let copy = copy_of disk in
+    let other = ok (Ufs.mount ~now:(fun () -> 500) copy) in
+    ok (Ufs.write other f ~off:0 data);
+    ok (Ufs.set_mode other f mode);
+    ok (Ufs.rename other ~sdir:d ~sname ~ddir:d ~dname);
+    for i = 0 to Disk.nblocks disk - 1 do
+      let b = ok (Disk.read copy i) in
+      if not (Bytes.equal b (ok (Disk.read disk i))) then via i b
+    done
+  in
+  warm fs ~files ~names;
+  patch ~data:"first" ~mode:0o600 ~sname:(padded 1) ~dname:"first" ~via:(fun i b ->
+      ok (Block_cache.write (Ufs.cache fs) i b));
+  agrees_with_fresh_mount ~msg:"after direct block-cache writes" disk fs ~files ~names;
+  warm fs ~files ~names;
+  patch ~data:"second" ~mode:0o640 ~sname:(padded 2) ~dname:"second" ~via:(fun i b ->
+      ok (Disk.write disk i b));
+  Block_cache.invalidate (Ufs.cache fs);
+  agrees_with_fresh_mount ~msg:"after device writes and an invalidate" disk fs ~files ~names
+
+let test_epoch_crash_reboot () =
+  let disk = Disk.create ~nblocks:1024 ~block_size:512 () in
+  let clock = ref 0 in
+  let fs =
+    ok
+      (Ufs.mkfs ~cache_capacity:64 ~journal_blocks:128 ~journal_flush_blocks:1000
+         ~journal_flush_age:1000 ~now:(fun () -> incr clock; !clock) disk)
+  in
+  let root = Ufs.root fs in
+  let d = ok (Ufs.mkdir fs ~dir:root "d") in
+  let _ = populate fs d in
+  let f = ok (Ufs.create fs ~dir:root "file") in
+  ok (Ufs.write fs f ~off:0 (String.make 1500 'a'));
+  ok (Ufs.sync fs);
+  let files = [ root; d; f ] in
+  let names = List.init 20 (fun i -> (d, padded i)) @ [ (d, "renamed"); (root, "new") ] in
+  (* Group commits staged, not yet in the log: a crash loses them. *)
+  ok (Ufs.write fs f ~off:0 (String.make 1500 'b'));
+  ok (Ufs.set_mode fs f 0o600);
+  ok (Ufs.rename fs ~sdir:d ~sname:(padded 0) ~ddir:d ~dname:"renamed");
+  ignore (ok (Ufs.create fs ~dir:root "new"));
+  Alcotest.(check bool) "commits staged" true (Ufs.journal_pending fs);
+  warm fs ~files ~names;
+  Alcotest.(check string) "staged write visible" (String.make 1500 'b')
+    (ok (Ufs.read fs f ~off:0 ~len:max_int));
+  ok (Ufs.crash_reboot fs);
+  agrees_with_fresh_mount ~msg:"after a crash reboot" disk fs ~files ~names;
+  Alcotest.(check string) "staged write lost" (String.make 1500 'a')
+    (ok (Ufs.read fs f ~off:0 ~len:max_int))
+
 let test_sparse_file_reads_zeros () =
   let _, fs = fresh_ufs () in
   let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "sparse") in
@@ -327,13 +542,14 @@ let test_sparse_file_reads_zeros () =
   fsck fs
 
 (* ------------------------------------------------------------------ *)
-(* The parsed-directory views are checked against the bytes every read
-   fetches, so no crash, journal abort or failed write can leave a stale
-   one behind.  Random namespace histories, interleaved with injected
-   write failures, aborted transactions and crash reboots: after every
-   step the live file system's lookups must agree with its own entry
-   lists, and at each checkpoint with a fresh mount of a copy of the
-   media, with fsck clean on both. *)
+(* No crash, journal abort or failed write can leave a stale parsed
+   directory, decoded inode or whole-file read behind.  Random namespace
+   histories with file writes, interleaved with injected write failures,
+   aborted transactions and crash reboots: after every step the live file
+   system's lookups must agree with its own entry lists, and at each
+   checkpoint its tree, and the stat and whole-file read of everything
+   in it, with a fresh mount of a copy of the media, with fsck clean on
+   both. *)
 
 type ufs_op =
   | U_create of int * int  (** dir, name *)
@@ -341,6 +557,7 @@ type ufs_op =
   | U_unlink of int * int
   | U_rmdir of int * int
   | U_rename of int * int * int * int
+  | U_write of int * int * int  (** dir, name, size step *)
   | U_bad_create of int  (** invalid name: the transaction aborts after allocating *)
   | U_fail_writes of int  (** the device fails every write after the next [n] *)
   | U_crash
@@ -352,6 +569,7 @@ let print_ufs_op = function
   | U_unlink (d, n) -> Printf.sprintf "unlink %d/%d" d n
   | U_rmdir (d, n) -> Printf.sprintf "rmdir %d/%d" d n
   | U_rename (a, b, c, d) -> Printf.sprintf "rename %d/%d %d/%d" a b c d
+  | U_write (d, n, k) -> Printf.sprintf "write %d/%d %d" d n k
   | U_bad_create d -> Printf.sprintf "bad-create %d" d
   | U_fail_writes n -> Printf.sprintf "fail-writes-after %d" n
   | U_crash -> "crash"
@@ -372,6 +590,7 @@ let ufs_op_gen =
         (3, map2 (fun d n -> U_unlink (d, n)) dir name);
         (2, map2 (fun d n -> U_rmdir (d, n)) dir name);
         (4, map2 (fun (a, b) (c, d) -> U_rename (a, b, c, d)) (pair dir name) (pair dir name));
+        (3, map3 (fun d n k -> U_write (d, n, k)) dir name (int_bound 9));
         (1, map (fun d -> U_bad_create d) dir);
         (1, map (fun n -> U_fail_writes n) (int_bound 12));
         (1, return U_crash);
@@ -432,22 +651,42 @@ let lookups_agree ~ctx fs =
           (List.init 14 ufs_prop_name))
     (ufs_tree fs (Ufs.root fs))
 
+(* Every directory's entries, and the stat and whole-file read of every
+   inode the tree names. *)
+let ufs_state fs =
+  let tree = ufs_tree fs (Ufs.root fs) in
+  let inums =
+    List.sort_uniq compare
+      (Ufs.root fs
+      :: List.concat_map
+           (function _, Ok entries -> List.map (fun (_, i, _) -> i) entries | _, Error _ -> [])
+           tree)
+  in
+  (tree, answers fs ~files:inums ~names:[])
+
 let matches_fresh_mount ~ctx disk fs =
+  (* Taken before the sync, whose checkpoint writes would move the write
+     epoch. *)
+  let before = ufs_state fs in
   Disk.clear_failures disk;
   (match Ufs.sync fs with
    | Ok () -> ()
    | Error e -> QCheck.Test.fail_reportf "%s: sync: %s" ctx (Errno.to_string e));
-  let copy = Disk.create ~nblocks:(Disk.nblocks disk) ~block_size:(Disk.block_size disk) () in
-  Disk.restore copy (Disk.snapshot disk);
   let fresh =
-    match Ufs.mount ~now:(fun () -> 0) copy with
+    match Ufs.mount ~now:(fun () -> 0) (copy_of disk) with
     | Ok f -> f
     | Error e -> QCheck.Test.fail_reportf "%s: mount: %s" ctx (Errno.to_string e)
   in
-  let live = ufs_tree fs (Ufs.root fs) and cold = ufs_tree fresh (Ufs.root fresh) in
-  if live <> cold then
-    QCheck.Test.fail_reportf "%s: live and fresh mount differ@.live:  %s@.fresh: %s" ctx
-      (show_tree live) (show_tree cold);
+  let cold = ufs_state fresh in
+  List.iter
+    (fun (which, (tree, files)) ->
+      if tree <> fst cold then
+        QCheck.Test.fail_reportf "%s: live (%s) and fresh mount differ@.live:  %s@.fresh: %s"
+          ctx which (show_tree tree) (show_tree (fst cold));
+      if files <> snd cold then
+        QCheck.Test.fail_reportf "%s: live (%s) and fresh mount differ@.live:  %s@.fresh: %s"
+          ctx which (String.concat "; " files) (String.concat "; " (snd cold)))
+    [ ("before sync", before); ("after sync", ufs_state fs) ];
   lookups_agree ~ctx fresh;
   List.iter
     (fun (which, f) ->
@@ -490,6 +729,11 @@ let run_ufs_history (journaled, ops) =
          if not into_itself then
            ignore
              (Ufs.rename fs ~sdir ~sname:(ufs_prop_name b) ~ddir ~dname:(ufs_prop_name d))
+       | U_write (d, n, k) ->
+         (match Ufs.dir_lookup fs (dir_at d) (ufs_prop_name n) with
+          | Ok i when (match Ufs.stat fs i with Ok a -> a.Ufs.kind = Ufs.Reg | Error _ -> false) ->
+            ignore (Ufs.write fs i ~off:(k mod 3 * 300) (String.make (k * 157) (Char.chr (97 + k))))
+          | Ok _ | Error _ -> ())
        | U_bad_create d ->
          (* Allocates the inode, then fails on the name: only a journaled
             file system rolls that back, so only there is it fsck-clean. *)
@@ -539,5 +783,10 @@ let suite =
     case "sparse files read zeros" test_sparse_file_reads_zeros;
     case "cached lookup allocates less than a block" test_cached_lookup_allocation;
     case "changed block under a cached view" test_changed_block_under_cached_view;
+    case "cached reads replay their block accesses" test_cached_reads_replay_accesses;
+    case "write epoch: aborted transaction" test_epoch_aborted_txn;
+    case "write epoch: failed device write" test_epoch_failed_device_write;
+    case "write epoch: direct writes under the cache" test_epoch_direct_writes;
+    case "write epoch: crash reboot drops staged commits" test_epoch_crash_reboot;
   ]
   @ List.map QCheck_alcotest.to_alcotest ufs_props
