@@ -60,7 +60,8 @@ let micro_shadow_tests () =
 
 (* Directory index: a name lookup and an insert on an n-entry Ficus
    directory.  Both are map operations, so the per-op cost should stay
-   close to flat from 1k to 100k entries. *)
+   close to flat from 1k to 100k entries.  The whole-file encode every
+   update and merge pays is linear, and timed beside them. *)
 let micro_fdir_tests () =
   List.concat_map
     (fun n ->
@@ -87,6 +88,9 @@ let micro_fdir_tests () =
                ignore
                  (Fdir.add d ~rid:1 ~name:"fresh" ~fid:(fid (n + 1)) ~kind:Aux_attrs.Freg
                     ~birth:(birth (n + 1)))));
+        Test.make
+          ~name:(Printf.sprintf "fdir-encode/%dk" (n / 1000))
+          (Staged.stage (fun () -> ignore (Fdir.encode d)));
       ])
     [ 1_000; 10_000; 100_000 ]
 

@@ -20,18 +20,26 @@ let ( let* ) = Result.bind
 
 let or_eio = function Some x -> Ok x | None -> Error Errno.EIO
 
-let summary_line = function
-  | None -> ""
-  | Some s -> "summary=" ^ Vv.encode s ^ "\n"
-
 (* ---------------- getvv ---------------- *)
 
+let add_line buf key add v =
+  Buffer.add_string buf key;
+  add buf v;
+  Buffer.add_char buf '\n'
+
+let add_version_info buf vi =
+  add_line buf "kind=" Buffer.add_string (Aux_attrs.kind_to_string vi.vi_kind);
+  add_line buf "vv=" Vv.add_encoded vi.vi_vv;
+  add_line buf "size=" Vv.add_int vi.vi_size;
+  add_line buf "uid=" Vv.add_int vi.vi_uid;
+  Buffer.add_string buf (if vi.vi_stored then "stored=1\n" else "stored=0\n");
+  add_line buf "span=" Vv.add_int vi.vi_span;
+  Option.iter (add_line buf "summary=" Vv.add_encoded) vi.vi_summary
+
 let encode_version_info vi =
-  Printf.sprintf "kind=%s\nvv=%s\nsize=%d\nuid=%d\nstored=%d\nspan=%d\n%s"
-    (Aux_attrs.kind_to_string vi.vi_kind)
-    (Vv.encode vi.vi_vv) vi.vi_size vi.vi_uid
-    (if vi.vi_stored then 1 else 0)
-    vi.vi_span (summary_line vi.vi_summary)
+  let buf = Buffer.create 96 in
+  add_version_info buf vi;
+  Buffer.contents buf
 
 let version_info_of_fields fields =
   let find k = List.assoc_opt k fields in
@@ -127,31 +135,51 @@ let decode_chunks reply =
 
 (* ---------------- getdirvvs ---------------- *)
 
-let encode_dir_versions dv =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (summary_line dv.dv_summary);
+let encode_dir_versions ~summary ~fdir children =
+  let buf = Buffer.create (String.length fdir + 64 + (128 * List.length children)) in
+  Option.iter (add_line buf "summary=" Vv.add_encoded) summary;
   Buffer.add_string buf "fdir:\n";
-  Buffer.add_string buf (Fdir.encode dv.dv_fdir);
+  Buffer.add_string buf fdir;
   Buffer.add_string buf "endfdir:\n";
   List.iter
     (fun (fid, vi) ->
-      Buffer.add_string buf ("child=" ^ Ids.fid_to_hex fid ^ "\n");
-      Buffer.add_string buf (encode_version_info vi))
-    dv.dv_children;
+      add_line buf "child=" Ids.add_fid_hex fid;
+      add_version_info buf vi)
+    children;
   Buffer.contents buf
 
+(* Whether the line starting at [i] reads exactly [marker]. *)
+let line_is reply i marker =
+  let m = String.length marker and n = String.length reply in
+  let rec same k = k = m || (reply.[i + k] = marker.[k] && same (k + 1)) in
+  i + m <= n && (i + m = n || reply.[i + m] = '\n') && same 0
+
+(* The start of the first line at or after [i] that reads [marker]. *)
+let rec find_line reply marker i =
+  if i > String.length reply then None
+  else if line_is reply i marker then Some i
+  else
+    match String.index_from_opt reply i '\n' with
+    | None -> None
+    | Some j -> find_line reply marker (j + 1)
+
+(* The [fdir:] section is decoded as the one slice of the reply between
+   its framing lines; the header before it and the child blocks after it
+   are key=value lines. *)
 let decode_dir_versions reply =
-  let lines = String.split_on_char '\n' reply in
-  let rec split_until marker acc = function
-    | [] -> Error Errno.EIO
-    | l :: rest when l = marker -> Ok (List.rev acc, rest)
-    | l :: rest -> split_until marker (l :: acc) rest
-  in
-  let* header, rest = split_until "fdir:" [] lines in
-  let* body, rest = split_until "endfdir:" [] rest in
-  let* dv_fdir = or_eio (Fdir.decode (String.concat "\n" body ^ "\n")) in
+  let n = String.length reply in
+  let* start = or_eio (find_line reply "fdir:" 0) in
+  let body = start + String.length "fdir:\n" in
+  let* stop = or_eio (find_line reply "endfdir:" body) in
+  let* dv_fdir = or_eio (Fdir.decode (String.sub reply body (stop - body))) in
   let dv_summary =
-    Option.bind (List.assoc_opt "summary" (Aux_attrs.fields (String.concat "\n" header))) Vv.decode
+    Option.bind
+      (List.assoc_opt "summary" (Aux_attrs.fields (String.sub reply 0 (max 0 (start - 1)))))
+      Vv.decode
+  in
+  let tail = stop + String.length "endfdir:\n" in
+  let rest =
+    if tail >= n then [] else String.split_on_char '\n' (String.sub reply tail (n - tail))
   in
   let is_child l = String.length l > 6 && String.sub l 0 6 = "child=" in
   let finish acc = function

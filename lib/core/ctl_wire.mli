@@ -63,11 +63,14 @@ val decode_chunks : string -> ((string * string) list, Errno.t) result
 (** Every body is checked against its digest ([EIO] on mismatch), so a
     corrupt body is never assembled into a file. *)
 
-val encode_dir_versions : dir_versions -> string
-(** ["getdirvvs"]: [summary=], then the {!Fdir.encode} body framed by
-    [fdir:]/[endfdir:] lines, then per child a [child=<hex-fid>] line
-    followed by its {!encode_version_info} block.  The framing keeps
-    payload bytes that look like markers from confusing the parser. *)
+val encode_dir_versions :
+  summary:Version_vector.t option -> fdir:string -> (Ids.file_id * version_info) list -> string
+(** ["getdirvvs"]: [summary=], then the [fdir] bytes (an {!Fdir.encode}
+    output: the server passes the DIR file it just read, as stored)
+    framed by [fdir:]/[endfdir:] lines, then per child a
+    [child=<hex-fid>] line followed by its {!encode_version_info} block.
+    The framing keeps payload bytes that look like markers from confusing
+    the parser. *)
 
 val decode_dir_versions : string -> (dir_versions, Errno.t) result
 

@@ -293,38 +293,73 @@ let merge ?(may_expire = fun _ -> true) ~local_rid ~remote_rid ~peers local remo
   { merged; actions = List.rev actions; new_collisions }
 
 (* ------------------------------------------------------------------ *)
-(* Serialization: line-oriented, names percent-escaped.                *)
+(* Serialization: line-oriented, names percent-escaped.  Every update
+   and merge rewrites the whole file, so [encode] writes each line
+   straight into one buffer sized up front and builds no string per
+   entry; a name is escaped byte by byte only when it holds one of the
+   four escaped bytes.                                                 *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '%' | '\n' | '\t' -> Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escaped = function ' ' | '%' | '\n' | '\t' -> true | _ -> false
+
+(* [String.exists] would allocate a closure per name. *)
+let rec has_escaped s i = i < String.length s && (escaped s.[i] || has_escaped s (i + 1))
+
+let hex_digit = "0123456789abcdef"
+
+let add_escaped buf s =
+  if not (has_escaped s 0) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        if escaped c then begin
+          Buffer.add_char buf '%';
+          Buffer.add_char buf hex_digit.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digit.[Char.code c land 15]
+        end
+        else Buffer.add_char buf c)
+      s
 
 let unescape = Ctl_name.unescape
 
+(* An upper estimate of the encoded size: fixed fields take at most
+   about 48 bytes a line, and a tombstone's death vector a few more. *)
+let encoded_size_hint t =
+  Bmap.fold
+    (fun _ e n -> n + 48 + String.length e.name + match e.status with Live -> 0 | Dead _ -> 16)
+    t.entries
+    (64 * (1 + Kmap.cardinal t.known))
+
 let encode t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "V %s\n" (Vv.encode t.vv));
+  let buf = Buffer.create (encoded_size_hint t) in
+  Buffer.add_string buf "V ";
+  Vv.add_encoded buf t.vv;
+  Buffer.add_char buf '\n';
   Kmap.iter
-    (fun rid vv -> Buffer.add_string buf (Printf.sprintf "K %d %s\n" rid (Vv.encode vv)))
+    (fun rid vv ->
+      Buffer.add_string buf "K ";
+      Vv.add_int buf rid;
+      Buffer.add_char buf ' ';
+      Vv.add_encoded buf vv;
+      Buffer.add_char buf '\n')
     t.known;  (* Kmap iterates in ascending rid order, as the sort did *)
   Bmap.iter
     (fun _ e ->
-      let status =
-        match e.status with
-        | Live -> "L"
-        | Dead { death_vv } -> Printf.sprintf "D %s" (Vv.encode death_vv)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "E %s %s %d.%d %s %s\n" (escape e.name) (Ids.fid_to_hex e.fid)
-           e.birth.b_rid e.birth.b_seq
-           (Aux_attrs.kind_to_string e.kind)
-           status))
+      Buffer.add_string buf "E ";
+      add_escaped buf e.name;
+      Buffer.add_char buf ' ';
+      Ids.add_fid_hex buf e.fid;
+      Buffer.add_char buf ' ';
+      Vv.add_int buf e.birth.b_rid;
+      Buffer.add_char buf '.';
+      Vv.add_int buf e.birth.b_seq;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Aux_attrs.kind_to_string e.kind);
+      (match e.status with
+       | Live -> Buffer.add_string buf " L\n"
+       | Dead { death_vv } ->
+         Buffer.add_string buf " D ";
+         Vv.add_encoded buf death_vv;
+         Buffer.add_char buf '\n'))
     t.entries;
   Buffer.contents buf
 

@@ -29,7 +29,21 @@ let vref_of_string s =
      | _, _ -> None)
   | _ -> None
 
-let fid_to_hex fid = Printf.sprintf "%08x.%08x" fid.issuer fid.uniq
+(* [n]'s lowercase hex digits, at least [width] of them, as [%0*x]
+   prints them (a negative [n] as its unsigned 63-bit pattern). *)
+let rec add_hex buf n width =
+  if width > 1 || n lsr 4 <> 0 then add_hex buf (n lsr 4) (width - 1);
+  Buffer.add_char buf "0123456789abcdef".[n land 15]
+
+let add_fid_hex buf fid =
+  add_hex buf fid.issuer 8;
+  Buffer.add_char buf '.';
+  add_hex buf fid.uniq 8
+
+let fid_to_hex fid =
+  let buf = Buffer.create 17 in
+  add_fid_hex buf fid;
+  Buffer.contents buf
 
 let fid_of_hex s =
   if String.length s <> 17 || s.[8] <> '.' then None

@@ -43,6 +43,9 @@ val fid_to_hex : file_id -> string
     hexadecimal UFS name ["xxxxxxxx.xxxxxxxx"] under which the replica's
     storage lives. *)
 
+val add_fid_hex : Buffer.t -> file_id -> unit
+(** Appends {!fid_to_hex}'s bytes to the buffer, building no string. *)
+
 val fid_of_hex : string -> file_id option
 
 val fid_to_at_name : file_id -> string

@@ -186,7 +186,10 @@ let fdir_slot_put t fid contents fdir =
     Hashtbl.reset t.fdir_slots;
   Hashtbl.replace t.fdir_slots fid (contents, fdir)
 
-let load_fdir t ~fid ufs_dir =
+(* The DIR file's bytes as read, and their decoding.  Every DIR file is
+   an {!Fdir.encode} output, so the bytes are also the directory's
+   encoding: callers that need it compare or serve them as they are. *)
+let load_fdir_bytes t ~fid ufs_dir =
   let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
   let* contents = Vnode.read_all dirfile in
   match Hashtbl.find_opt t.fdir_slots fid with
@@ -194,13 +197,17 @@ let load_fdir t ~fid ufs_dir =
     (* Keep the string just read: while the UFS returns it again, the
        next compare is a physical-equality hit. *)
     if bytes != contents then Hashtbl.replace t.fdir_slots fid (contents, d);
-    Ok d
+    Ok (contents, d)
   | Some _ | None ->
     (match Fdir.decode contents with
      | None -> Error Errno.EIO
      | Some d ->
        fdir_slot_put t fid contents d;
-       Ok d)
+       Ok (contents, d))
+
+let load_fdir t ~fid ufs_dir =
+  let* _, d = load_fdir_bytes t ~fid ufs_dir in
+  Ok d
 
 (* Chunk maps are far larger per entry than decoded directories (the
    whole file contents is the key), so the cap is small; the working set
@@ -223,12 +230,14 @@ let chunks_of_content t contents =
     chunks
 
 (* Write-through: seeding the slot with the bytes just written means
-   the next load after an update hits. *)
-let store_fdir t ~fid ufs_dir fdir =
+   the next load after an update hits.  [contents] is [fdir]'s
+   encoding, made once by the caller. *)
+let store_encoded t ~fid ufs_dir contents fdir =
   let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
-  let contents = Fdir.encode fdir in
   fdir_slot_put t fid contents fdir;
   Vnode.write_all dirfile contents
+
+let store_fdir t ~fid ufs_dir fdir = store_encoded t ~fid ufs_dir (Fdir.encode fdir) fdir
 
 (* Create the UFS storage of a fresh, empty Ficus directory. *)
 let make_dir_storage t parent_ufs fid aux =
@@ -420,12 +429,12 @@ let file_event ?vv t path fid = emit ?vv t ~fidpath:path ~fid ~kind:Aux_attrs.Fr
 (* Version info                                                        *)
 
 (* The UFS directory of the Ficus directory at [path], whose storage
-   [holder] holds, and its decoding. *)
+   [holder] holds, its DIR file's bytes and their decoding. *)
 let dir_at t holder path =
   let fid = path_fid path in
   let* ufs_dir = holder.Vnode.lookup (Ids.fid_to_hex fid) in
-  let* fdir = load_fdir t ~fid ufs_dir in
-  Ok (ufs_dir, fdir)
+  let* bytes, fdir = load_fdir_bytes t ~fid ufs_dir in
+  Ok (ufs_dir, bytes, fdir)
 
 (* Version info of the [kind] entry at [path], whose storage and aux file
    [holder] holds: the parent's UFS directory, or the volume container
@@ -462,7 +471,7 @@ let entry_info t holder path kind =
     in
     Ok (info ~vv:aux.Aux_attrs.vv ~size ~stored ~span:aux.Aux_attrs.span ~summary:None)
   | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
-    let* _, fdir = dir_at t holder path in
+    let* _, _, fdir = dir_at t holder path in
     let summary =
       Vv.merge (Option.value ~default:Vv.empty aux.Aux_attrs.summary) (pending_summary t path)
     in
@@ -681,8 +690,8 @@ let ctl_lookup t path name =
        let* target, holder, vi = ctl_target t path who in
        if vi.vi_kind = Aux_attrs.Freg then Error Errno.ENOTDIR
        else
-         let* _, fdir = dir_at t holder target in
-         Ok (ctl_vnode (Fdir.encode fdir))
+         let* _, bytes, _ = dir_at t holder target in
+         Ok (ctl_vnode bytes)
      | "getdirvvs", who :: _ ->
        (* Batched: one directory's summary + fdir + version info for all
           its children in a single response.  Flush pending summary
@@ -692,7 +701,7 @@ let ctl_lookup t path name =
        let* target, holder, vi = ctl_target t path who in
        if vi.vi_kind = Aux_attrs.Freg then Error Errno.ENOTDIR
        else
-         let* ufs_dir, fdir = dir_at t holder target in
+         let* ufs_dir, bytes, fdir = dir_at t holder target in
          (* A child whose info fails is left out; the reconciler takes
             the per-child path for it. *)
          let child e =
@@ -703,12 +712,8 @@ let ctl_lookup t path name =
          in
          Ok
            (ctl_vnode
-              (Ctl_wire.encode_dir_versions
-                 {
-                   Ctl_wire.dv_summary = vi.vi_summary;
-                   dv_fdir = fdir;
-                   dv_children = List.filter_map child (Fdir.live_fids fdir);
-                 }))
+              (Ctl_wire.encode_dir_versions ~summary:vi.vi_summary ~fdir:bytes
+                 (List.filter_map child (Fdir.live_fids fdir))))
      | "getchunkmap", who :: _ ->
        (* Delta negotiation, step 1: the file's version info, whole-file
           digest and content-defined chunk map — a header-sized answer
@@ -1203,7 +1208,7 @@ let apply_action t path ufs_dir merged action =
 
 let merge_dir t path ~remote_rid remote =
   let* ufs_dir = resolve_dir t path in
-  let* local = load_fdir t ~fid:(path_fid path) ufs_dir in
+  let* local_bytes, local = load_fdir_bytes t ~fid:(path_fid path) ufs_dir in
   let peer_rids = List.map fst t.peers in
   (* CRDT mode keeps a tombstoned directory's storage in place for the
      repair pass — so its tombstone must stay discoverable too.  Defer
@@ -1238,11 +1243,12 @@ let merge_dir t path ~remote_rid remote =
       apply rest
   in
   let* () = apply result.Fdir.actions in
-  let* () = store_fdir t ~fid:(path_fid path) ufs_dir result.Fdir.merged in
+  let merged_bytes = Fdir.encode result.Fdir.merged in
+  let* () = store_encoded t ~fid:(path_fid path) ufs_dir merged_bytes result.Fdir.merged in
   (* Any observable change to the stored directory — entries, tombstone
      expiry, known-map gossip — is an incorporation event peers must not
-     prune past. *)
-  if Fdir.encode local <> Fdir.encode result.Fdir.merged then note_summary_event t path;
+     prune past.  The loaded bytes are [local]'s encoding. *)
+  if not (String.equal local_bytes merged_bytes) then note_summary_event t path;
   List.iter
     (fun (colliding_name, births) ->
       let fid =

@@ -72,10 +72,34 @@ let pp ppf v =
 
 let to_string v = Fmt.str "%a" pp v
 
+(* Digits of a non-positive [m], most significant first: counting down
+   from zero covers [min_int] without overflow. *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+let add_encoded buf v =
+  let first = ref true in
+  Imap.iter
+    (fun r n ->
+      if not !first then Buffer.add_char buf ',';
+      first := false;
+      add_int buf r;
+      Buffer.add_char buf ':';
+      add_int buf n)
+    v
+
 let encode v =
-  to_list v
-  |> List.map (fun (r, n) -> Printf.sprintf "%d:%d" r n)
-  |> String.concat ","
+  let buf = Buffer.create 16 in
+  add_encoded buf v;
+  Buffer.contents buf
 
 let decode s =
   if String.trim s = "" then Some empty

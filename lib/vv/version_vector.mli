@@ -73,3 +73,10 @@ val encode : t -> string
 
 val decode : string -> t option
 (** Inverse of {!encode}; [None] on malformed input. *)
+
+val add_encoded : Buffer.t -> t -> unit
+(** Appends {!encode}'s bytes to the buffer, building no string. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Appends an int's decimal digits, as [%d] prints them, without
+    allocating: the integer writer of the text codecs built on this one. *)

@@ -30,7 +30,7 @@ let vi_gen =
 let name_gen =
   QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\n'; '%'; '='; '-'; ':' ]) (int_range 1 6))
 
-let fdir_gen =
+let fdir_gen_of name_gen =
   QCheck.Gen.(
     map
       (fun ops ->
@@ -48,6 +48,8 @@ let fdir_gen =
           (Fdir.empty 1, 2) ops
         |> fst)
       (list_size (int_bound 8) (triple name_gen kind_gen bool)))
+
+let fdir_gen = fdir_gen_of name_gen
 
 let body_gen = QCheck.Gen.(string_size ~gen:char (int_bound 64))
 let digest_gen = QCheck.Gen.map Chunking.digest_hex body_gen
@@ -108,7 +110,10 @@ let props =
           (fun dv_summary dv_fdir dv_children -> { Ctl_wire.dv_summary; dv_fdir; dv_children })
           (opt vv_gen) fdir_gen
           (list_size (int_bound 4) (pair fid_gen vi_gen)))
-      Ctl_wire.encode_dir_versions Ctl_wire.decode_dir_versions dv_equal;
+      (fun dv ->
+        Ctl_wire.encode_dir_versions ~summary:dv.Ctl_wire.dv_summary
+          ~fdir:(Fdir.encode dv.Ctl_wire.dv_fdir) dv.Ctl_wire.dv_children)
+      Ctl_wire.decode_dir_versions dv_equal;
     roundtrip "resolve" (QCheck.Gen.pair fid_gen kind_gen)
       (fun (fid, kind) -> Ctl_wire.encode_resolve fid kind)
       Ctl_wire.decode_resolve
@@ -121,6 +126,96 @@ let props =
       (fun (alloc, vol, rid) (vref, rid') ->
         Ids.vref_equal vref { Ids.alloc; vol } && rid = rid');
   ]
+
+(* ---------------- oracle: the line-splitting decoder ---------------- *)
+
+(* Names that spell the reply's framing lines, beside the framing
+   alphabet: escaping keeps them inside their entry lines. *)
+let marker_name_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ "fdir:"; "endfdir:"; "child=00000001.00000002"; "summary=1:1"; "kind=reg" ]);
+        (2, name_gen);
+      ])
+
+let marker_fdir_gen = fdir_gen_of marker_name_gen
+
+type edit = Keep | Set of int * char | Cut of int | Insert of int * string
+
+let print_edit = function
+  | Keep -> "keep"
+  | Set (i, c) -> Printf.sprintf "set %d %C" i c
+  | Cut i -> Printf.sprintf "cut %d" i
+  | Insert (i, l) -> Printf.sprintf "insert %d %S" i l
+
+(* Positions are taken modulo the reply's length.  Edits at line ends
+   are drawn as often as anywhere else, since the framing lives there:
+   an inserted line goes at the start of the line holding its position. *)
+let edit_gen =
+  QCheck.Gen.(
+    let pos = nat and line_end = map (fun i -> -1 - i) nat in
+    let anywhere = frequency [ (1, pos); (1, line_end) ] in
+    frequency
+      [
+        (1, return Keep);
+        ( 4,
+          map2
+            (fun i c -> Set (i, c))
+            anywhere
+            (frequency [ (3, oneofl [ '\n'; ':'; '='; ' '; 'f'; 'E'; '-'; 'x' ]); (1, char) ]) );
+        (2, map (fun i -> Cut i) anywhere);
+        ( 2,
+          map2
+            (fun i l -> Insert (i, l))
+            pos
+            (oneofl
+               [ "fdir:\n"; "endfdir:\n"; "child=00000001.00000009\n"; "\n"; "summary=2:2\n" ]) );
+      ])
+
+(* A negative position [-1 - k] names the end of the line holding
+   position [k]: its newline, or the end of the reply. *)
+let position reply i =
+  let n = String.length reply in
+  if i >= 0 then i mod (n + 1)
+  else
+    let k = (-1 - i) mod (n + 1) in
+    Option.value ~default:n (String.index_from_opt reply k '\n')
+
+let apply_edit reply = function
+  | Keep -> reply
+  | Set (i, c) ->
+    let b = Bytes.of_string reply in
+    Bytes.set b (min (position reply i) (Bytes.length b - 1)) c;
+    Bytes.to_string b
+  | Cut i -> String.sub reply 0 (position reply i)
+  | Insert (i, line) ->
+    let i = position reply i in
+    let start =
+      if i = 0 then 0
+      else match String.rindex_from_opt reply (i - 1) '\n' with Some j -> j + 1 | None -> 0
+    in
+    String.sub reply 0 start ^ line ^ String.sub reply start (String.length reply - start)
+
+let reply_gen =
+  QCheck.Gen.map3
+    (fun summary fdir children ->
+      Ctl_wire.encode_dir_versions ~summary ~fdir:(Fdir.encode fdir) children)
+    (QCheck.Gen.opt vv_gen) marker_fdir_gen
+    (QCheck.Gen.list_size (QCheck.Gen.int_bound 3) (QCheck.Gen.pair fid_gen vi_gen))
+
+let slice_decoder_law =
+  QCheck.Test.make ~name:"getdirvvs: slicing decoder agrees with the line-splitting one"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (reply, e) -> Printf.sprintf "%S after %s" reply (print_edit e))
+       (QCheck.Gen.pair reply_gen edit_gen))
+    (fun (reply, edit) ->
+      let reply = apply_edit reply edit in
+      match Ctl_wire.decode_dir_versions reply, Ctl_wire_lines.decode_dir_versions reply with
+      | Ok a, Ok b -> dv_equal a b
+      | Error a, Error b -> a = b
+      | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* ---------------- golden bytes ---------------- *)
 
@@ -170,4 +265,6 @@ let golden_case (op, args, expected) =
       let reply = ok (root.Vnode.lookup (ok (Ctl_name.encode ~op ~args))) in
       Alcotest.(check string) op expected (ok (Vnode.read_all reply)))
 
-let suite = List.map golden_case golden @ List.map QCheck_alcotest.to_alcotest props
+let suite =
+  List.map golden_case golden
+  @ List.map QCheck_alcotest.to_alcotest (props @ [ slice_decoder_law ])

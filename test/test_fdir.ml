@@ -226,6 +226,72 @@ let test_lookup_allocation_bounded () =
   Alcotest.(check bool) "kill ok" true (Result.is_ok killed);
   check "kill" words
 
+(* Allocation guard: one encode of a 1,024-entry directory, an eighth
+   of it tombstones and some names escaped, allocates little beyond its
+   output: the pre-sized buffer and the final copy.  A [Printf] per line
+   costs tens of words per entry.  Both buffers are large enough to go
+   straight to the major heap, so words allocated there (less
+   promotions) count beside the minor ones.  The minor count comes from
+   [Gc.minor_words], which is exact: [Gc.counters]' minor count lags
+   behind it on OCaml 5. *)
+let words_of f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+
+let test_encode_allocation_bounded () =
+  let n = 1_024 in
+  let rec fill d i =
+    if i > n then d
+    else
+      let name = if i mod 16 = 0 then Printf.sprintf "f %06d%%" i else Printf.sprintf "f%06d" i in
+      let d = add d ~rid:1 ~name ~f:(fid i) ~b:(birth 1 i) in
+      fill (if i mod 8 = 0 then ok (Fdir.kill d ~rid:1 (birth 1 i)) else d) (i + 1)
+  in
+  let d = fill (Fdir.empty 1) 1 in
+  let bytes, words = words_of (fun () -> Fdir.encode d) in
+  Alcotest.(check string) "same bytes as decode/encode" bytes
+    (Fdir.encode (Option.get (Fdir.decode bytes)));
+  let out = String.length bytes / (Sys.word_size / 8) in
+  if words > 4 * out then
+    Alcotest.failf "encode of %d entries allocated %d words for %d words of output (bound 4x)" n
+      words out
+
+(* The encoder against the Printf-based one of {!Fdir_list}, on names
+   holding every escaped byte (and bytes near them) and on wide births:
+   the escape path and the integer writers, which the oracle law's
+   plain names and small numbers leave alone. *)
+let escape_law =
+  let name_gen =
+    QCheck.Gen.(
+      string_size
+        ~gen:(oneofl [ 'a'; ' '; '%'; '\n'; '\t'; '\r'; '#'; '\xff'; '\x00' ])
+        (int_range 1 5))
+  in
+  let seq_gen =
+    QCheck.Gen.(frequency [ (3, int_range 2 99); (1, oneofl [ 0xffffffff; max_int ]) ])
+  in
+  QCheck.Test.make ~name:"encode matches the Printf oracle on escaped names" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list (triple string int bool))
+       QCheck.Gen.(list_size (int_bound 8) (triple name_gen seq_gen bool)))
+    (fun ops ->
+      let step (m, o) (name, seq, dead) =
+        let birth = birth 2 seq and f = { Ids.issuer = seq; uniq = seq } in
+        match
+          ( Fdir.add m ~rid:2 ~name ~fid:f ~kind:Aux_attrs.Fdir ~birth,
+            Fdir_list.add o ~rid:2 ~name ~fid:f ~kind:Aux_attrs.Fdir ~birth )
+        with
+        | Ok m, Ok o when dead ->
+          (ok (Fdir.kill m ~rid:3 birth), ok (Fdir_list.kill o ~rid:3 birth))
+        | Ok m, Ok o -> (m, o)
+        | _, _ -> (m, o)
+      in
+      let m, o = List.fold_left step (Fdir.empty 1, Fdir_list.empty 1) ops in
+      String.equal (Fdir.encode m) (Fdir_list.encode o))
+
 (* ------------------------------------------------------------------ *)
 (* Oracle law: the map representation against the list representation
    it replaced ({!Fdir_list}), over random add / kill / rename / link /
@@ -469,5 +535,6 @@ let suite =
     case "decode rejects garbage" test_decode_rejects_garbage;
     case "decode rejects a duplicate birth" test_decode_rejects_duplicate_birth;
     case "lookups and inserts allocate O(log n)" test_lookup_allocation_bounded;
+    case "encode allocates at most 4x its output" test_encode_allocation_bounded;
   ]
-  @ List.map QCheck_alcotest.to_alcotest oracle_props
+  @ List.map QCheck_alcotest.to_alcotest (escape_law :: oracle_props)

@@ -45,11 +45,38 @@ let test_compare_total_order () =
   Alcotest.(check bool) "b < c" true (Ids.fid_compare b c < 0);
   Alcotest.(check bool) "a = a" true (Ids.fid_compare a a = 0)
 
+(* The Printf-free hex writer makes the bytes of ["%08x.%08x"]; every
+   32-bit component, 0 and 0xffffffff included, decodes back. *)
+let hex_law =
+  let part =
+    QCheck.Gen.(
+      frequency [ (3, int_bound 0xffffffff); (1, oneofl [ 0; 0xf; 0x10; 0xffffffff ]) ])
+  in
+  QCheck.Test.make ~name:"fid hex matches the Printf form and decodes back" ~count:500
+    (QCheck.make ~print:Ids.fid_to_hex
+       QCheck.Gen.(map2 (fun issuer uniq -> { Ids.issuer; uniq }) part part))
+    (fun f ->
+      let hex = Ids.fid_to_hex f in
+      String.equal hex (Printf.sprintf "%08x.%08x" f.Ids.issuer f.Ids.uniq)
+      && match Ids.fid_of_hex hex with Some f' -> Ids.fid_equal f f' | None -> false)
+
+(* Past 32 bits the name widens, as Printf's does (and no longer
+   decodes as a 17-character name). *)
+let test_hex_wide_components () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "Printf form"
+        (Printf.sprintf "%08x.%08x" f.Ids.issuer f.Ids.uniq)
+        (Ids.fid_to_hex f))
+    [ { Ids.issuer = 0x100000000; uniq = 0 }; { Ids.issuer = max_int; uniq = -1 } ]
+
 let suite =
   [
+    case "hex of wide components" test_hex_wide_components;
     case "hex roundtrip" test_hex_roundtrip;
     case "hex rejects malformed" test_hex_rejects_malformed;
     case "@-name encoding" test_at_name;
     case "fidpath roundtrip" test_fidpath;
     case "fid compare total order" test_compare_total_order;
   ]
+  @ [ QCheck_alcotest.to_alcotest hex_law ]

@@ -323,8 +323,40 @@ let test_summary_recomputed_on_attach () =
   Alcotest.(check bool) "subdirectory recomputed too" true
     (Vv.get (summary [ e.Fdir.fid ]) 1 > 0)
 
+(* [merge_dir] notes a summary event exactly when the stored DIR bytes
+   change: a repeated merge leaves both the served summary and the
+   pending bumps alone, and a merge that moves only the known map (its
+   [K] lines) notes one. *)
+let test_merge_summary_event_iff_bytes_change () =
+  let _, _, _, p1 = fresh_phys () in
+  let _, _, _, p2 = fresh_phys ~rid:2 () in
+  let _ = ok ((Physical.root p2).Vnode.create "g") in
+  let remote = ok (Physical.fetch_dir p2 []) in
+  let merge r = ignore (ok (Physical.merge_dir p1 [] ~remote_rid:2 r)) in
+  let served () = Option.get (ok (Physical.get_version p1 [])).Physical.vi_summary in
+  let stored () = Fdir.encode (ok (Physical.fetch_dir p1 [])) in
+  let pending_flushed () = ok (Physical.flush_summaries p1) in
+  merge remote;
+  Alcotest.(check bool) "the first merge notes an event" true (pending_flushed () > 0);
+  let summary = served () and bytes = stored () in
+  merge remote;
+  Alcotest.(check string) "same bytes" bytes (stored ());
+  Alcotest.check vv_testable "served summary unchanged" summary (served ());
+  Alcotest.(check int) "no pending bump" 0 (pending_flushed ());
+  merge (Option.get (Fdir.decode (bytes ^ "K 3 1:1\n")));
+  let lines s =
+    List.filter (fun l -> not (String.starts_with ~prefix:"K " l)) (String.split_on_char '\n' s)
+  in
+  Alcotest.(check bool) "the known map moved" true (stored () <> bytes);
+  Alcotest.(check (list string)) "and nothing else" (lines bytes) (lines (stored ()));
+  Alcotest.(check bool) "served summary grew" true
+    (Vv.dominates (served ()) summary && not (Vv.equal (served ()) summary));
+  Alcotest.(check bool) "a pending bump" true (pending_flushed () > 0)
+
 let suite =
   [
+    case "merge notes a summary event iff the DIR bytes change"
+      test_merge_summary_event_iff_bytes_change;
     case "on-disk layout" test_create_layout;
     case "dual name/handle mapping" test_dual_mapping_at_names;
     case "write bumps version vector" test_write_bumps_version_vector;

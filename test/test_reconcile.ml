@@ -215,12 +215,9 @@ let stale_file_at_host1 () =
 let omit_child fid body =
   let* dv = Ctl_wire.decode_dir_versions body in
   Ok
-    (Ctl_wire.encode_dir_versions
-       {
-         dv with
-         Ctl_wire.dv_children =
-           List.filter (fun (g, _) -> not (Ids.fid_equal g fid)) dv.Ctl_wire.dv_children;
-       })
+    (Ctl_wire.encode_dir_versions ~summary:dv.Ctl_wire.dv_summary
+       ~fdir:(Fdir.encode dv.Ctl_wire.dv_fdir)
+       (List.filter (fun (g, _) -> not (Ids.fid_equal g fid)) dv.Ctl_wire.dv_children))
 
 let check_converged phys0 phys1 fid =
   let vi p = ok (Physical.get_version p [ fid ]) in

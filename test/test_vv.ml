@@ -85,6 +85,24 @@ let test_decode_rejects_garbage () =
     (fun s -> Alcotest.(check bool) s true (Vv.decode s = None))
     [ "1:"; "x:1"; "1:-2"; "1:2,,3:4"; "1" ]
 
+(* The Printf-free encoder writes the bytes of the Printf form it
+   replaced, and decodes back, at the edges of [int] too. *)
+let printf_encode v =
+  String.concat "," (List.map (fun (r, n) -> Printf.sprintf "%d:%d" r n) (Vv.to_list v))
+
+let codec_law =
+  let edge = QCheck.Gen.oneofl [ 0; 1; 9; 10; 0xffffffff; max_int ] in
+  let rid =
+    QCheck.Gen.(frequency [ (3, int_bound 70); (1, edge); (1, oneofl [ -1; -10; min_int ]) ])
+  in
+  let count = QCheck.Gen.(frequency [ (3, int_range 1 1000); (1, edge) ]) in
+  QCheck.Test.make ~name:"encode matches the Printf form and decodes back" ~count:500
+    (QCheck.make ~print:Vv.to_string
+       QCheck.Gen.(map Vv.of_list (list_size (int_bound 6) (pair rid count))))
+    (fun v ->
+      String.equal (Vv.encode v) (printf_encode v)
+      && match Vv.decode (Vv.encode v) with Some v' -> Vv.equal v v' | None -> false)
+
 let suite =
   [
     case "empty vector" test_empty;
@@ -98,3 +116,4 @@ let suite =
     case "encode/decode roundtrip" test_codec_roundtrip;
     case "decode rejects garbage" test_decode_rejects_garbage;
   ]
+  @ [ QCheck_alcotest.to_alcotest codec_law ]
