@@ -3,8 +3,9 @@
    (Experiments.names: E1-E10, F2, A1-A5, CHAOS, WAL, OBSLAG,
    RECONSCALE, MEMBER, CONSENSUS, HEALTH, DELTA, MERGE, SCALE; see
    DESIGN.md and EXPERIMENTS.md), then runs bechamel microbenchmarks for
-   the two timing-sensitive claims (layer crossing, shadow commit) and
-   for directory lookup and insert at 1k/10k/100k entries.
+   the two timing-sensitive claims (layer crossing, shadow commit), for
+   directory lookup and insert at 1k/10k/100k entries, and for delta
+   propagation's hashing (chunk split, digest, one 128-byte-edit pull).
 
    Usage:
      bench/main.exe                   run everything
@@ -94,8 +95,45 @@ let micro_fdir_tests () =
       ])
     [ 1_000; 10_000; 100_000 ]
 
+(* Delta propagation's hashing: the content-defined split and the whole
+   MD5 of a 256 KiB file, and one propagation step of a 128-byte edit
+   to it (the origin's write, then the peer's delta pull and shadow
+   install), all on full-entropy bytes. *)
+let micro_delta_tests () =
+  let size = 256 * 1024 in
+  let synth seed =
+    String.concat "" (List.init (size / 16) (fun i -> Digest.string (Printf.sprintf "%s-%d" seed i)))
+  in
+  let data = synth "micro" in
+  let cluster =
+    Cluster.create ~prop_delta:true ~selection:Logical.Prefer_local ~disk_blocks:2048
+      ~block_size:4096 ~cache_capacity:2048 ~nhosts:2 ()
+  in
+  let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  let root0 = get (Cluster.logical_root cluster 0 vref) in
+  let fv = get (root0.Vnode.create "big") in
+  get (Vnode.write_all fv data);
+  let (_ : int) = Cluster.run_propagation cluster in
+  let phys1 = Option.get (Cluster.replica (Cluster.host cluster 1) vref) in
+  let fid = (Option.get (Fdir.find_live (get (Physical.fetch_dir phys1 [])) "big")).Fdir.fid in
+  let host0 = Cluster.host_name (Cluster.host cluster 0) in
+  let connect () = Cluster.connect_from cluster 1 ~host:host0 ~vref ~rid:1 in
+  let edits = ref 0 in
+  [
+    Test.make ~name:"chunk-split/256KiB" (Staged.stage (fun () -> ignore (Chunking.split data)));
+    Test.make ~name:"digest/256KiB" (Staged.stage (fun () -> ignore (Chunking.digest_hex data)));
+    Test.make ~name:"delta-pull/128B-edit"
+      (Staged.stage (fun () ->
+           incr edits;
+           get (fv.Vnode.write ~off:(size / 2) (String.make 128 (Char.chr (!edits land 0xff))));
+           ignore
+             (get (Delta.pull_file ~via:"prop" ~local:phys1 ~connect ~origin_rid:1 [ fid ]))));
+  ]
+
 let run_micro () =
-  let tests = micro_layer_tests () @ micro_shadow_tests () @ micro_fdir_tests () in
+  let tests =
+    micro_layer_tests () @ micro_shadow_tests () @ micro_fdir_tests () @ micro_delta_tests ()
+  in
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let ols =

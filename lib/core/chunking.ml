@@ -36,26 +36,46 @@ let gear =
 
 let digest_hex s = Digest.to_hex (Digest.string s)
 
+(* Byte-identical to hashing every byte of every chunk, at a fraction
+   of the work.  h_i's low [mask_bits] bits are the low bits of
+   sum_{j <= i} gear[b_j] << (i - j), and a term shifted by [mask_bits]
+   or more contributes only zeros there (carries move upward only, and
+   the wrap of [lsl] at the word size drops high bits only), so the
+   boundary test at byte [i] reads exactly bytes [i - mask_bits + 1 ..
+   i].  No boundary may fall before [start + min_size - 1], so hashing
+   can begin [mask_bits - 1] bytes before it instead of at [start].
+   Each chunk is digested in place. *)
 let split data =
   let n = String.length data in
   let chunks = ref [] in
   let cut start len =
-    let body = String.sub data start len in
-    chunks := { off = start; len; digest = digest_hex body } :: !chunks
+    chunks :=
+      { off = start; len; digest = Digest.to_hex (Digest.substring data start len) }
+      :: !chunks
   in
+  let byte_gear i = Array.unsafe_get gear (Char.code (String.unsafe_get data i)) in
   let start = ref 0 in
-  let h = ref 0 in
-  for i = 0 to n - 1 do
-    h := ((!h lsl 1) + Array.unsafe_get gear (Char.code (String.unsafe_get data i)))
-         land max_int;
-    let len = i - !start + 1 in
-    if len >= max_size || (len >= min_size && !h land mask = 0) then begin
-      cut !start len;
-      start := i + 1;
-      h := 0
+  while !start < n do
+    let first = !start + min_size - 1 in
+    let last = min (n - 1) (!start + max_size - 1) in
+    if first > last then begin
+      cut !start (n - !start);
+      start := n
+    end
+    else begin
+      let h = ref 0 in
+      for j = first - mask_bits + 1 to first do
+        h := (!h lsl 1) + byte_gear j
+      done;
+      let i = ref first in
+      while !h land mask <> 0 && !i < last do
+        incr i;
+        h := (!h lsl 1) + byte_gear !i
+      done;
+      cut !start (!i - !start + 1);
+      start := !i + 1
     end
   done;
-  if !start < n then cut !start (n - !start);
   List.rev !chunks
 
 let total_length chunks = List.fold_left (fun acc c -> acc + c.len) 0 chunks
@@ -65,7 +85,12 @@ let total_length chunks = List.fold_left (fun acc c -> acc + c.len) 0 chunks
 let encode_map chunks =
   let buf = Buffer.create (44 * List.length chunks) in
   List.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "chunk=%s %d\n" c.digest c.len))
+    (fun c ->
+      Buffer.add_string buf "chunk=";
+      Buffer.add_string buf c.digest;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (string_of_int c.len);
+      Buffer.add_char buf '\n')
     chunks;
   Buffer.contents buf
 
@@ -119,3 +144,31 @@ let reassemble chunks ~have ~fetched =
       chunks
   in
   if ok then Some (Buffer.contents buf) else None
+
+module Content = struct
+  type t = {
+    bytes : string;
+    mutable digest : string option;
+    mutable map : chunk list option;
+  }
+
+  let make bytes = { bytes; digest = None; map = None }
+  let verified bytes ~digest map = { bytes; digest = Some digest; map = Some map }
+  let bytes c = c.bytes
+
+  let digest c =
+    match c.digest with
+    | Some d -> d
+    | None ->
+      let d = digest_hex c.bytes in
+      c.digest <- Some d;
+      d
+
+  let map c =
+    match c.map with
+    | Some m -> m
+    | None ->
+      let m = split c.bytes in
+      c.map <- Some m;
+      m
+end

@@ -35,7 +35,9 @@ val split : string -> chunk list
 (** Deterministic: equal contents yield equal chunk lists on every
     replica.  Chunks are contiguous, cover the input exactly, and every
     chunk but the last has [min_size <= len <= max_size].  The empty
-    string splits into no chunks. *)
+    string splits into no chunks.  A boundary depends only on the
+    [mask_bits] bytes ending at it, so each chunk's hashing starts that
+    many bytes before its first allowed boundary. *)
 
 val digest_hex : string -> string
 (** Hex MD5 of a whole body (the same digest [split] gives each chunk). *)
@@ -63,3 +65,27 @@ val reassemble :
     ones ([fetched]).  [None] if any digest is unresolvable or a body's
     length disagrees with the map — callers fall back to a whole-file
     fetch. *)
+
+(** File contents together with their whole digest and chunk map, each
+    computed at most once, on first use.  This is the one form in which
+    replicated bytes move from the pull to the install and into the
+    chunk cache, so no step re-hashes what an earlier one hashed. *)
+module Content : sig
+  type t
+
+  val make : string -> t
+  (** Nothing hashed yet. *)
+
+  val verified : string -> digest:string -> chunk list -> t
+  (** Bytes whose whole digest and chunk map are already known: a delta
+      pull's reassembly after every chunk body and the whole digest
+      checked out.  The caller vouches for both. *)
+
+  val bytes : t -> string
+
+  val digest : t -> string
+  (** {!digest_hex} of the bytes, computed at most once. *)
+
+  val map : t -> chunk list
+  (** {!split} of the bytes, computed at most once. *)
+end

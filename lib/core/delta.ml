@@ -11,7 +11,7 @@ type stats = {
 }
 
 type outcome =
-  | Data of Physical.version_info * string
+  | Data of Physical.version_info * Chunking.Content.t
   | Up_to_date of Physical.version_info
 
 let ( let* ) = Result.bind
@@ -33,7 +33,9 @@ let stats_of ~mode ~wire ~size ~hit ~miss =
 
 let whole ~obs ~mode ~extra_wire remote_root path =
   let* vi, data, wire = Remote.fetch_file ~obs remote_root path in
-  Ok (Data (vi, data), stats_of ~mode ~wire:(wire + extra_wire) ~size:0 ~hit:0 ~miss:0)
+  Ok
+    ( Data (vi, Chunking.Content.make data),
+      stats_of ~mode ~wire:(wire + extra_wire) ~size:0 ~hit:0 ~miss:0 )
 
 let fetch_whole ~obs remote_root path = whole ~obs ~mode:Whole ~extra_wire:0 remote_root path
 
@@ -90,10 +92,14 @@ let fetch_file ~local ~remote_root path =
         let reassembled =
           Chunking.reassemble remote_chunks ~have ~fetched:(Hashtbl.find_opt bodies)
         in
+        (* Every fetched body matched its digest on decode; with the
+           whole digest matching too, the reassembled bytes are the
+           origin's, the map is theirs, and the install adopts both. *)
         let verified =
           match reassembled with
-          | Some data when Chunking.digest_hex data <> digest -> None
-          | r -> r
+          | Some data when Chunking.digest_hex data = digest ->
+            Some (Chunking.Content.verified data ~digest remote_chunks)
+          | Some _ | None -> None
         in
         (match verified with
          | None ->

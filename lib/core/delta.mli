@@ -30,7 +30,9 @@ type stats = {
 }
 
 type outcome =
-  | Data of Physical.version_info * string
+  | Data of Physical.version_info * Chunking.Content.t
+      (** the version's bytes; after a delta pull they carry the
+          verified whole digest and the origin's chunk map *)
   | Up_to_date of Physical.version_info
       (** the chunk-map header showed the local history dominates: no
           contents travelled and nothing needs installing *)

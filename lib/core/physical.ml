@@ -8,6 +8,33 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    attribute interleaved multi-host logs. *)
 let log_tags host = Logs.Tag.add Obs.host_tag host Logs.Tag.empty
 
+(* Tables keyed by whole file contents.  Hashing a 256 KiB key costs
+   more than a cache probe should, so the hash reads the length and four
+   16-byte windows (head, two inner quarters, tail); keys still compare
+   byte for byte, so contents that differ only outside the windows
+   share a bucket but never an entry. *)
+module Content_tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let window = 16
+
+  let hash s =
+    let n = String.length s in
+    let h = ref n in
+    let mix off =
+      for i = off to min (n - 1) (off + window - 1) do
+        h := (!h * 31) + Char.code (String.unsafe_get s i)
+      done
+    in
+    if n <= 4 * window then mix 0 else begin
+      mix 0;
+      mix (n / 4);
+      mix (n / 2);
+      mix (n - window)
+    end;
+    !h land max_int
+end)
 
 type fidpath = Ids.file_id list
 
@@ -50,11 +77,13 @@ type t = {
      bytes miss — and the heap holds one version per directory.  Fdir
      values are immutable, so sharing the decoded structure is safe.  Bounded; see [fdir_slot_put]. *)
   fdir_slots : (Ids.file_id, string * Fdir.t) Hashtbl.t;
-  (* Chunk-map cache for delta propagation, content-keyed like
-     [fdir_slots] (same structural-staleness-freedom argument: new
-     contents are a new key) and write-through from the install path, so
-     serving a chunk map for a just-installed file never re-chunks. *)
-  chunk_cache : (string, Chunking.chunk list) Hashtbl.t;
+  (* Hashed contents for delta propagation, keyed by the bytes
+     themselves like [fdir_slots] (same structural-staleness-freedom
+     argument: new contents are a new key) and write-through from the
+     install path, so serving a chunk map or digest for a just-installed
+     file never re-hashes it.  Each entry computes its digest and map at
+     most once. *)
+  chunk_cache : Chunking.Content.t Content_tbl.t;
 }
 
 type version_info = Ctl_wire.version_info = {
@@ -214,20 +243,24 @@ let load_fdir t ~fid ufs_dir =
    is the files currently moving through propagation. *)
 let chunk_cache_cap = 64
 
-let chunk_cache_put t contents chunks =
-  if Hashtbl.length t.chunk_cache >= chunk_cache_cap then Hashtbl.reset t.chunk_cache;
-  Hashtbl.replace t.chunk_cache contents chunks
+let chunk_cache_put t content =
+  if Content_tbl.length t.chunk_cache >= chunk_cache_cap then Content_tbl.reset t.chunk_cache;
+  Content_tbl.replace t.chunk_cache (Chunking.Content.bytes content) content
 
-let chunks_of_content t contents =
-  match Hashtbl.find_opt t.chunk_cache contents with
-  | Some chunks ->
+(* The cached hashed form of [contents].  Every caller goes on to read
+   its map, so a miss here is one split. *)
+let cached_content t contents =
+  match Content_tbl.find_opt t.chunk_cache contents with
+  | Some content ->
     Counters.incr t.counters "phys.chunkmap.hit";
-    chunks
+    content
   | None ->
     Counters.incr t.counters "phys.chunkmap.miss";
-    let chunks = Chunking.split contents in
-    chunk_cache_put t contents chunks;
-    chunks
+    let content = Chunking.Content.make contents in
+    chunk_cache_put t content;
+    content
+
+let chunks_of_content t contents = Chunking.Content.map (cached_content t contents)
 
 (* Write-through: seeding the slot with the bytes just written means
    the next load after an update hits.  [contents] is [fdir]'s
@@ -643,11 +676,12 @@ let ctl_file t path who =
 
 (* Whole-content digest for the chunk-map header: trust the aux record
    when present (the install path writes it, every local write clears
-   it — a [Some] is never stale), else compute from the contents. *)
-let stored_digest holder fid data =
+   it — a [Some] is never stale), else take the cached content's, which
+   is computed once per stored content however many peers ask. *)
+let stored_digest holder fid content =
   match Aux_attrs.load ~dir:holder fid with
   | Ok { Aux_attrs.digest = Some d; _ } -> d
-  | Ok _ | Error _ -> Chunking.digest_hex data
+  | Ok _ | Error _ -> Chunking.Content.digest content
 
 (* The `.#ficus#stats` body: the whole observability snapshot in the
    same line-oriented style as the other ctl responses — metrics first,
@@ -720,8 +754,9 @@ let ctl_lookup t path name =
           from which the puller works out which bodies it is missing. *)
        Counters.incr t.counters "phys.ctl.getchunkmap";
        let* fid, holder, vi, data = ctl_file t path who in
-       let digest = stored_digest holder fid data in
-       Ok (ctl_vnode (Ctl_wire.encode_chunk_map vi ~digest (chunks_of_content t data)))
+       let content = cached_content t data in
+       let digest = stored_digest holder fid content in
+       Ok (ctl_vnode (Ctl_wire.encode_chunk_map vi ~digest (Chunking.Content.map content)))
      | "readchunks", who :: wanted :: _ ->
        (* Delta negotiation, step 2: the bodies of the comma-separated
           digests.  A digest we no longer hold means the file changed
@@ -1032,16 +1067,16 @@ let root t = dir_vnode t [] Aux_attrs.Fdir
 (* Installation (pull side of propagation and reconciliation)          *)
 
 (* The one install commit: shadow-swap [data] in as [fid]'s contents,
-   store [aux] (stamped with the contents' digest), write the chunk map
-   through — the next chunk-map request for these contents (a peer
-   pulling them onward) is a cache probe, not a re-chunk — and record
-   the local state change, so peers that summarized us before must walk
-   us again. *)
+   store [aux] (stamped with the contents' digest: the one a delta pull
+   verified, else computed here), write the hashed contents through —
+   the next chunk-map request for them (a peer pulling them onward) is
+   a cache probe, not a re-hash — and record the local state change, so
+   peers that summarized us before must walk us again. *)
 let commit_file t ~parent ~parent_ufs fid ~aux ~data =
-  let* () = Shadow.install ~dir:parent_ufs fid ~data in
-  let aux = { aux with Aux_attrs.digest = Some (Chunking.digest_hex data) } in
+  let* () = Shadow.install ~dir:parent_ufs fid ~data:(Chunking.Content.bytes data) in
+  let aux = { aux with Aux_attrs.digest = Some (Chunking.Content.digest data) } in
   let* () = Aux_attrs.store ~dir:parent_ufs fid aux in
-  chunk_cache_put t data (Chunking.split data);
+  chunk_cache_put t data;
   note_summary_event t parent;
   Ok ()
 
@@ -1080,7 +1115,7 @@ let install_file ?(span = 0) ?(via = "prop") t path ~vv ~uid ~data ~origin_rid =
           m ~tags:(log_tags t.host) "r%d: conflict on %s superseded by a dominating remote version" t.rid
             (Ids.fidpath_to_string path));
     Counters.incr t.counters "phys.install";
-    Counters.add t.counters "phys.install.bytes" (String.length data);
+    Counters.add t.counters "phys.install.bytes" (String.length (Chunking.Content.bytes data));
     Ok Installed
   in
   match local with
@@ -1117,7 +1152,7 @@ let install_file ?(span = 0) ?(via = "prop") t path ~vv ~uid ~data ~origin_rid =
                     local_vv = aux.Aux_attrs.vv;
                     remote_vv = vv;
                     remote_rid = origin_rid;
-                    remote_data = data;
+                    remote_data = Chunking.Content.bytes data;
                   })
            in
            Log.warn (fun m ->
@@ -1131,7 +1166,7 @@ let force_install t path ~vv ~uid ~data =
   let* parent, fid = split_file_path path in
   let* parent_ufs = resolve_dir t parent in
   let aux = { (Aux_attrs.make Aux_attrs.Freg) with Aux_attrs.vv = vv; uid } in
-  let* () = commit_file t ~parent ~parent_ufs fid ~aux ~data in
+  let* () = commit_file t ~parent ~parent_ufs fid ~aux ~data:(Chunking.Content.make data) in
   file_event ~vv t path fid;
   Ok ()
 
@@ -1540,7 +1575,7 @@ let make ~obs ~container ~clock ~host ~vref ~rid ~peers =
     resolver = Resolver.Owner_report;
     pending_summaries = Hashtbl.create 64;
     fdir_slots = Hashtbl.create 64;
-    chunk_cache = Hashtbl.create 16;
+    chunk_cache = Content_tbl.create 16;
   }
 
 let create ?(obs = Obs.default) ~container ~clock ~host ~vref ~rid ~peers () =

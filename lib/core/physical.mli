@@ -112,10 +112,13 @@ val fetch_dir : t -> fidpath -> (Fdir.t, Errno.t) result
 val chunks_of_content : t -> string -> Chunking.chunk list
 (** The content-defined chunk map of [contents], served from the
     content-keyed chunk cache (write-through from the install path;
-    computed and cached on miss).  Content addressing makes a stale map
-    structurally impossible — changed contents are a different key.  The
-    delta puller uses this for its {e local} copy; remote maps travel via
-    the ["getchunkmap"] ctl op. *)
+    computed and cached on miss).  Keys compare byte for byte, so a
+    stale map is structurally impossible — changed contents are a
+    different key.  The cached entry also carries the contents' whole
+    digest, computed at most once, which the ["getchunkmap"] reply uses
+    when the aux record has none (a locally written version).  The
+    delta puller uses this for its {e local} copy; remote maps travel
+    via the ["getchunkmap"] ctl op. *)
 
 type install_outcome =
   | Installed       (** remote version adopted atomically *)
@@ -126,10 +129,12 @@ type install_outcome =
 
 val install_file :
   ?span:int -> ?via:string ->
-  t -> fidpath -> vv:Version_vector.t -> uid:int -> data:string ->
+  t -> fidpath -> vv:Version_vector.t -> uid:int -> data:Chunking.Content.t ->
   origin_rid:Ids.replica_id -> (install_outcome, Errno.t) result
 (** Adopt a newer remote version of a regular file via shadow-file atomic
-    commit.  A concurrent history is never overwritten: it is reported
+    commit.  The aux record stores [data]'s digest and the chunk cache
+    takes [data] as is, so a digest and map a delta pull verified are
+    adopted, not recomputed.  A concurrent history is never overwritten: it is reported
     ([Conflict]) with the remote version preserved in the log.  [span]
     attributes the install to the originating update's trace (recording
     shadow-swap and install events and the propagation-lag observation);
@@ -138,8 +143,8 @@ val install_file :
 val force_install :
   t -> fidpath -> vv:Version_vector.t -> uid:int -> data:string ->
   (unit, Errno.t) result
-(** Conflict resolution: install [data] with the given (caller-computed,
-    dominating) version vector, clear the conflict flag and emit an
+(** Conflict resolution: install [data] (hashed once, as a whole-file
+    install is) with the given (caller-computed, dominating) version vector, clear the conflict flag and emit an
     update notification. *)
 
 val merge_dir :

@@ -2,7 +2,9 @@
    for the minimum stamp.  Capacities here are small (hundreds), and the
    simulation favours obvious correctness over asymptotics. *)
 
-type entry = { buf : bytes; mutable stamp : int }
+(* [ok] is [Ok buf], made once per cached block, so a hit allocates
+   nothing. *)
+type entry = { buf : bytes; ok : (bytes, Errno.t) result; mutable stamp : int }
 
 type t = {
   disk : Disk.t;
@@ -39,27 +41,27 @@ let evict_if_full t =
     | None -> ()
   end
 
-let insert t i buf =
+let insert t i buf ok =
   if t.capacity > 0 then begin
     evict_if_full t;
-    let e = { buf; stamp = 0 } in
+    let e = { buf; ok; stamp = 0 } in
     Hashtbl.replace t.table i e;
     touch t e
   end
 
 let read t i =
-  match Hashtbl.find_opt t.table i with
-  | Some e ->
+  match Hashtbl.find t.table i with
+  | e ->
     t.hits <- t.hits + 1;
     touch t e;
-    Ok e.buf
-  | None ->
+    e.ok
+  | exception Not_found ->
     t.misses <- t.misses + 1;
     (match Disk.read t.disk i with
      | Error _ as e -> e
-     | Ok buf ->
-       insert t i buf;
-       Ok buf)
+     | Ok buf as ok ->
+       insert t i buf ok;
+       ok)
 
 let read_copy t i =
   match read t i with Error _ as e -> e | Ok buf -> Ok (Bytes.copy buf)
@@ -73,7 +75,9 @@ let write t i buf =
      | Some e ->
        Bytes.blit buf 0 e.buf 0 (Bytes.length buf);
        touch t e
-     | None -> insert t i (Bytes.copy buf));
+     | None ->
+       let buf = Bytes.copy buf in
+       insert t i buf (Ok buf));
     Ok ()
 
 let invalidate t =

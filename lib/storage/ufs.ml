@@ -88,9 +88,10 @@ type t = {
      access the uncached read makes, so the buffer cache, the journal
      and the device see exactly the same traffic; only the decoding and
      copying go.  The files' bytes are capped at what the buffer cache
-     itself can hold. *)
+     itself can hold.  An inode is kept as its read's result, so a hit
+     allocates nothing. *)
   mutable cached_at : int;
-  inos : (inum, ino) Hashtbl.t;
+  inos : (inum, (ino, Errno.t) result) Hashtbl.t;
   files : (inum, string) Hashtbl.t;
   mutable file_bytes : int;
   file_budget : int;
@@ -275,10 +276,8 @@ let count_clear_bits t ~start ~nbitmap_blocks ~limit =
 
 let inodes_per_block t = t.bs / t.sb.inode_size
 
-let inode_loc t inum =
-  let blk = t.sb.itable_start + ((inum - 1) / inodes_per_block t) in
-  let off = (inum - 1) mod inodes_per_block t * t.sb.inode_size in
-  (blk, off)
+let inode_block t inum = t.sb.itable_start + ((inum - 1) / inodes_per_block t)
+let inode_offset t inum = (inum - 1) mod inodes_per_block t * t.sb.inode_size
 
 let decode_ino b off =
   {
@@ -311,26 +310,27 @@ let read_ino t inum =
   if not (valid_inum t inum) then Error Errno.EINVAL
   else begin
     sync_epoch t;
-    let blk, off = inode_loc t inum in
-    match bread t blk with
+    match bread t (inode_block t inum) with
     | Error _ as e -> e
     | Ok b ->
-      match Hashtbl.find_opt t.inos inum with
-      | Some ino -> Ok ino
-      | None ->
-        let ino = decode_ino b off in
+      match Hashtbl.find t.inos inum with
+      | ino -> ino
+      | exception Not_found ->
+        let ino = Ok (decode_ino b (inode_offset t inum)) in
         Hashtbl.replace t.inos inum ino;
-        Ok ino
+        ino
   end
 
+(* Matches rather than [let*]: this is on every cached walk. *)
 let read_live_ino t inum =
-  let* ino = read_ino t inum in
-  if ino.i_kind = 0 then Error Errno.ESTALE else Ok ino
+  match read_ino t inum with
+  | Ok ino when ino.i_kind = 0 -> Error Errno.ESTALE
+  | r -> r
 
 let write_ino t inum ino =
-  let blk, off = inode_loc t inum in
+  let blk = inode_block t inum in
   let* b = bread_copy t blk in
-  encode_ino b off ino;
+  encode_ino b (inode_offset t inum) ino;
   bwrite t blk b
 
 (* ------------------------------------------------------------------ *)
@@ -574,32 +574,44 @@ let bmap_alloc t ino n =
 (* ------------------------------------------------------------------ *)
 (* File read / write / truncate                                        *)
 
+(* File block [n]'s bytes: the cached block itself, shared, or a fresh
+   zero block for a hole.  The same block reads as [bmap] then [bread],
+   without the intermediate result, so a cached block costs no
+   allocation. *)
+let phys_block t phys = if phys = 0 then Ok (Bytes.make t.bs '\000') else bread t phys
+
+let file_block t ino n =
+  if n < ndirect then phys_block t ino.i_direct.(n)
+  else if n >= max_file_blocks t then Error Errno.EFBIG
+  else if ino.i_indirect = 0 then phys_block t 0
+  else
+    match bread t ino.i_indirect with
+    | Error _ as e -> e
+    | Ok b -> phys_block t (Codec.get_u32 b (4 * (n - ndirect)))
+
 (* Visit the file bytes [off, off+len) block by block, in order, as
    [f pos blk boff chunk]: [chunk] bytes at offset [pos] of the range are
    [blk]'s bytes from [boff].  The chunks tile the range, so a buffer
    they are copied into needs no initialising.  [blk] is the cached block
    itself, shared, so [f] must not mutate it; a hole reads as a fresh
    zero block.
-   Matches rather than [let*]: a bind's continuation would be a closure
-   allocated per block. *)
-let iter_blocks t ino ~off ~len f =
-  let rec go pos =
-    if pos >= len then Ok ()
-    else
-      let fpos = off + pos in
-      let fblk = fpos / t.bs in
-      let boff = fpos mod t.bs in
-      let chunk = min (t.bs - boff) (len - pos) in
-      match bmap t ino fblk with
-      | Error e -> Error e
-      | Ok phys ->
-        match if phys = 0 then Ok (Bytes.make t.bs '\000') else bread t phys with
-        | Error e -> Error e
-        | Ok blk ->
-          f pos blk boff chunk;
-          go (pos + chunk)
-  in
-  go 0
+   Matches rather than [let*], and a top-level loop rather than a local
+   one: a bind's continuation would be a closure allocated per block, a
+   local loop one per walk. *)
+let rec iter_blocks_from t ino ~off ~len f pos =
+  if pos >= len then Ok ()
+  else
+    let fpos = off + pos in
+    let fblk = fpos / t.bs in
+    let boff = fpos mod t.bs in
+    let chunk = min (t.bs - boff) (len - pos) in
+    match file_block t ino fblk with
+    | Error e -> Error e
+    | Ok blk ->
+      f pos blk boff chunk;
+      iter_blocks_from t ino ~off ~len f (pos + chunk)
+
+let iter_blocks t ino ~off ~len f = iter_blocks_from t ino ~off ~len f 0
 
 (* A replay: the block accesses of a read whose bytes are already known. *)
 let ignore_block _ _ _ _ = ()
@@ -802,50 +814,56 @@ let equal_sub s pos b boff n =
   in
   words 0
 
-(* [load_dir]'s progress: a view checked in this epoch (nothing to
-   compare), still equal to the cached view, or copying. *)
-type reading = Known of dir_view | Same of dir_view | Copy of bytes
+(* [load_dir]'s progress past a view not checked in this epoch: still
+   equal to the cached view, or copying. *)
+type reading = Same of dir_view | Copy of bytes
 
 (* Reads the directory's blocks exactly as [read_at] would.  A view
-   checked in this epoch is the answer as it stands.  Otherwise each block
-   is checked against the cached view in place, and only at the first
-   block that differs does it copy: the equal prefix from the view, then
-   that block and every later one, so a miss reads the same blocks as a
-   hit. *)
+   checked in this epoch is the answer as it stands: its walk only
+   replays the block accesses, and allocates nothing per block or per
+   walk.  Otherwise each block is checked against the cached view in
+   place, and only at the first block that differs does it copy: the
+   equal prefix from the view, then that block and every later one, so
+   a miss reads the same blocks as a hit. *)
 let load_dir t inum =
-  let* ino = read_live_ino t inum in
-  if ino.i_kind <> 2 then Error Errno.ENOTDIR
-  else
+  match read_live_ino t inum with
+  | Error _ as e -> e
+  | Ok ino when ino.i_kind <> 2 -> Error Errno.ENOTDIR
+  | Ok ino ->
     let len = ino.i_size in
-    let state =
-      ref
-        (match Hashtbl.find_opt t.dirs inum with
-         | Some view when view.checked = epoch t -> Known view
-         | Some view when String.length view.bytes = len -> Same view
-         | Some _ | None -> Copy (Bytes.create len))
-    in
-    let* () =
-      iter_blocks t ino ~off:0 ~len (fun pos blk boff chunk ->
-          (match !state with
-           | Same view when not (equal_sub view.bytes pos blk boff chunk) ->
-             let out = Bytes.create len in
-             Bytes.blit_string view.bytes 0 out 0 pos;
-             state := Copy out
-           | Known _ | Same _ | Copy _ -> ());
-          match !state with
-          | Copy out -> Bytes.blit blk boff out pos chunk
-          | Known _ | Same _ -> ())
-    in
-    match !state with
-    | Known view -> Ok (ino, view)
-    | Same view ->
-      view.checked <- epoch t;
-      Ok (ino, view)
-    | Copy out ->
-      let data = Bytes.unsafe_to_string out in
-      let view = dir_view t data (parse_dir data) in
-      remember_dir t inum view;
-      Ok (ino, view)
+    (match Hashtbl.find_opt t.dirs inum with
+     | Some view when view.checked = epoch t ->
+       (match iter_blocks t ino ~off:0 ~len ignore_block with
+        | Error e -> Error e
+        | Ok () -> Ok (ino, view))
+     | cached ->
+       let state =
+         ref
+           (match cached with
+            | Some view when String.length view.bytes = len -> Same view
+            | Some _ | None -> Copy (Bytes.create len))
+       in
+       let* () =
+         iter_blocks t ino ~off:0 ~len (fun pos blk boff chunk ->
+             (match !state with
+              | Same view when not (equal_sub view.bytes pos blk boff chunk) ->
+                let out = Bytes.create len in
+                Bytes.blit_string view.bytes 0 out 0 pos;
+                state := Copy out
+              | Same _ | Copy _ -> ());
+             match !state with
+             | Copy out -> Bytes.blit blk boff out pos chunk
+             | Same _ -> ())
+       in
+       (match !state with
+        | Same view ->
+          view.checked <- epoch t;
+          Ok (ino, view)
+        | Copy out ->
+          let data = Bytes.unsafe_to_string out in
+          let view = dir_view t data (parse_dir data) in
+          remember_dir t inum view;
+          Ok (ino, view)))
 
 let dir_find view name = Hashtbl.find_opt (Lazy.force view.names) name
 
@@ -874,9 +892,15 @@ let dir_entries t inum =
   let* _ino, view = load_dir t inum in
   Ok view.entries
 
+(* Matches rather than [let*], and no option: this is the cached walk
+   every name resolution takes. *)
 let dir_lookup t inum name =
-  let* _ino, view = load_dir t inum in
-  match dir_find view name with Some child -> Ok child | None -> Error Errno.ENOENT
+  match load_dir t inum with
+  | Error _ as e -> e
+  | Ok (_, view) ->
+    (match Hashtbl.find (Lazy.force view.names) name with
+     | child -> Ok child
+     | exception Not_found -> Error Errno.ENOENT)
 
 (* ------------------------------------------------------------------ *)
 (* Public attribute operations                                         *)

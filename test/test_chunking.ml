@@ -23,6 +23,29 @@ let synth ?(seed = "chunk") n =
   done;
   Buffer.sub buf 0 n
 
+(* Inputs for the oracle law: full-entropy bytes, two-symbol and
+   constant runs (which rarely or never hash to a boundary, so they
+   force [max_size] cuts), at lengths spread over a few dozen chunks and
+   at the clamp edges. *)
+let arb_oracle =
+  let open QCheck.Gen in
+  let edge =
+    oneofl
+      [ 0; 1; Chunking.min_size - 1; Chunking.min_size; Chunking.min_size + 1;
+        Chunking.max_size - 1; Chunking.max_size; Chunking.max_size + 1 ]
+  in
+  let len = frequency [ (1, edge); (3, int_bound 120_000) ] in
+  let gen =
+    len >>= fun n ->
+    frequency
+      [
+        (2, string_size ~gen:char (return n));
+        (1, pair char char >>= fun (a, b) -> string_size ~gen:(oneofl [ a; b ]) (return n));
+        (1, map (fun c -> String.make n c) char);
+      ]
+  in
+  QCheck.make ~print:(fun s -> Printf.sprintf "<%d bytes>" (String.length s)) gen
+
 let digests chunks = List.map (fun c -> c.Chunking.digest) chunks
 
 (* Longest common suffix length of two lists. *)
@@ -85,6 +108,8 @@ let qcheck_props =
         let d2 = digests (Chunking.split (p ^ s)) in
         let shared = common_suffix d1 d2 in
         List.length d1 - shared <= 6);
+    prop "split agrees with the byte-at-a-time oracle" ~count:300 arb_oracle (fun s ->
+        Chunking.split s = Chunking_ref.split s);
     prop "reassemble resolves from either source" arb_bytes (fun s ->
         let chunks = Chunking.split s in
         (* Serve even-indexed chunks as "local", the rest as "fetched". *)
@@ -127,6 +152,62 @@ let test_boundary_resync () =
   Alcotest.(check bool) "front insert keeps a long common suffix" true
     (common_suffix d1 front >= List.length d1 - 3)
 
+(* The map a replica serves is wire protocol: every replica must cut the
+   same boundaries and print them the same way, or negotiation ships
+   every chunk.  Pinned for a fixed 256 KiB stream. *)
+let test_map_golden () =
+  let chunks = Chunking.split (synth (256 * 1024)) in
+  let map = Chunking.encode_map chunks in
+  Alcotest.(check int) "chunks" 52 (List.length chunks);
+  Alcotest.(check int) "map bytes" 2294 (String.length map);
+  Alcotest.(check string) "map digest" "da63e8c0f77a3513a421ae4195698551"
+    (Chunking.digest_hex map)
+
+(* The windowed split starts hashing each chunk [mask_bits - 1] bytes
+   before its first allowed boundary.  Random inputs rarely put a
+   boundary exactly there, so these chunks are built to: each is
+   [min_size] bytes whose last two are searched until the oracle's
+   window hash at the last byte has its low [mask_bits] bits zero. *)
+let test_boundaries_at_min_size () =
+  let window_hash b stop =
+    let h = ref 0 in
+    for j = stop - Chunking.mask_bits + 1 to stop do
+      h := (!h lsl 1) + Chunking_ref.gear.(Char.code (Bytes.get b j))
+    done;
+    !h land Chunking_ref.mask
+  in
+  let nchunks = 24 in
+  let n = Chunking.min_size in
+  let b = Bytes.of_string (synth ~seed:"min-size" (nchunks * n)) in
+  for k = 0 to nchunks - 1 do
+    let stop = ((k + 1) * n) - 1 in
+    let rec search x =
+      if x > 0xffff then Alcotest.fail "no boundary pair";
+      Bytes.set b (stop - 1) (Char.chr (x lsr 8));
+      Bytes.set b stop (Char.chr (x land 0xff));
+      if window_hash b stop <> 0 then search (x + 1)
+    in
+    search 0
+  done;
+  let s = Bytes.to_string b in
+  let chunks = Chunking.split s in
+  Alcotest.(check bool) "agrees with the oracle" true (chunks = Chunking_ref.split s);
+  Alcotest.(check (list int)) "every cut at min_size" (List.init nchunks (fun _ -> n))
+    (List.map (fun c -> c.Chunking.len) chunks)
+
+let test_content_hashes_once () =
+  let s = synth 40_000 in
+  let c = Chunking.Content.make s in
+  Alcotest.(check string) "digest" (Chunking.digest_hex s) (Chunking.Content.digest c);
+  Alcotest.(check bool) "map" true (Chunking.Content.map c = Chunking.split s);
+  Alcotest.(check bool) "digest is kept" true
+    (Chunking.Content.digest c == Chunking.Content.digest c);
+  Alcotest.(check bool) "map is kept" true
+    (Chunking.Content.map c == Chunking.Content.map c);
+  let v = Chunking.Content.verified s ~digest:"d" [] in
+  Alcotest.(check string) "a verified digest is adopted" "d" (Chunking.Content.digest v);
+  Alcotest.(check bool) "a verified map is adopted" true (Chunking.Content.map v = [])
+
 let test_malformed_maps_rejected () =
   List.iter
     (fun s ->
@@ -152,6 +233,10 @@ let suite =
   @ [
       Alcotest.test_case "one-block edit dirties few chunks" `Quick
         test_boundary_resync;
+      Alcotest.test_case "chunk map of a fixed stream is pinned" `Quick test_map_golden;
+      Alcotest.test_case "boundaries at the first allowed byte" `Quick
+        test_boundaries_at_min_size;
+      Alcotest.test_case "content hashes at most once" `Quick test_content_hashes_once;
       Alcotest.test_case "malformed maps rejected" `Quick
         test_malformed_maps_rejected;
       Alcotest.test_case "reassemble fails closed on missing chunks" `Quick

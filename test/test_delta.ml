@@ -105,7 +105,8 @@ let test_raced_contents_fall_back () =
     (stats.Delta.mode = Delta.Fallback);
   (match outcome with
    | Delta.Data (_, data) ->
-     Alcotest.(check string) "fallback data is the origin's" (content cluster 0 vref) data
+     Alcotest.(check string) "fallback data is the origin's" (content cluster 0 vref)
+       (Chunking.Content.bytes data)
    | Delta.Up_to_date _ -> Alcotest.fail "expected data from the fallback fetch");
   let _, plain = ok (Delta.fetch_whole ~obs:(Physical.obs phys1) remote_root path) in
   Alcotest.(check bool) "the chunk map stays on the bill" true
@@ -189,6 +190,147 @@ let test_small_files_skip_negotiation () =
   let _, data = ok (Physical.fetch_file phys1 [ e.Fdir.fid ]) in
   Alcotest.(check string) "propagated" "tiny contents v2" data
 
+
+(* ---------------- hash-once: adopted maps and digests ---------------- *)
+
+(* The raw ["getchunkmap"] reply a replica serves for [path] (a child
+   of its root), as a puller receives it. *)
+let raw_chunk_map phys path =
+  let fid = List.hd (List.rev path) in
+  let name = ok (Ctl_name.encode ~op:"getchunkmap" ~args:[ Ids.fid_to_at_name fid; "n0" ]) in
+  ok (Vnode.read_all (ok ((Physical.root phys).Vnode.lookup name)))
+
+let served_digest reply =
+  let _, digest, _ = ok (Ctl_wire.decode_chunk_map reply) in
+  digest
+
+let edit_128 = String.make 128 'e'
+
+let test_delta_install_adopts_verified_map () =
+  let cluster, vref, fv, size = big_cluster () in
+  let delta_pulls = counter cluster "prop.pull.delta" in
+  ok (fv.Vnode.write ~off:(size / 2) edit_128);
+  let (_ : int) = Cluster.run_propagation cluster in
+  Alcotest.(check bool) "the edit travelled as a delta" true
+    (counter cluster "prop.pull.delta" > delta_pulls);
+  Alcotest.(check int) "no fallbacks" 0 (counter cluster "prop.delta_fallback");
+  let phys1 = Option.get (Cluster.replica (Cluster.host cluster 1) vref) in
+  let path = big_fidpath phys1 in
+  let _, data = ok (Physical.fetch_file phys1 path) in
+  Alcotest.(check string) "installed the origin's bytes" (content cluster 0 vref) data;
+  let hits = Counters.get (Physical.counters phys1) "phys.chunkmap.hit" in
+  let map = Physical.chunks_of_content phys1 data in
+  Alcotest.(check int) "the installed bytes' map is cached" (hits + 1)
+    (Counters.get (Physical.counters phys1) "phys.chunkmap.hit");
+  Alcotest.(check bool) "the adopted map is the split of the bytes" true
+    (map = Chunking.split data);
+  (* An installed version's reply carries the aux record's digest. *)
+  let warm = raw_chunk_map phys1 path in
+  Alcotest.(check string) "the stored digest is the bytes'" (Chunking.digest_hex data)
+    (served_digest warm);
+  ok ~msg:"reboot host1" (Cluster.reboot cluster 1);
+  let cold = Option.get (Cluster.replica (Cluster.host cluster 1) vref) in
+  Alcotest.(check string) "a cold replica serves the same reply" warm (raw_chunk_map cold path)
+
+let test_origin_serves_current_digest () =
+  (* A local write clears the aux digest; the origin then serves the
+     digest of its cached content, which must be the new bytes', never
+     an earlier version's. *)
+  let cluster, vref, fv, size = big_cluster () in
+  let phys0 = Option.get (Cluster.replica (Cluster.host cluster 0) vref) in
+  let path = big_fidpath phys0 in
+  let served () =
+    let reply = raw_chunk_map phys0 path in
+    let _, digest, map = ok (Ctl_wire.decode_chunk_map reply) in
+    let bytes = content cluster 0 vref in
+    Alcotest.(check string) "digest of the stored bytes" (Chunking.digest_hex bytes) digest;
+    Alcotest.(check bool) "map of the stored bytes" true (map = Chunking.split bytes);
+    digest
+  in
+  ok (fv.Vnode.write ~off:(size / 2) edit_128);
+  let first = served () in
+  Alcotest.(check string) "asking twice" first (served ());
+  ok (fv.Vnode.write ~off:(size / 2) (String.make 128 'f'));
+  Alcotest.(check bool) "a second write serves a new digest" true (served () <> first)
+
+let test_equal_length_contents_keep_own_maps () =
+  (* The cache hashes a few sampled windows of each key; two contents of
+     one length that differ only between them share a bucket, and must
+     still keep their own entries. *)
+  let cluster, vref, _fv, _size = big_cluster () in
+  let phys1 = Option.get (Cluster.replica (Cluster.host cluster 1) vref) in
+  let a = synth ~seed:"windows" (64 * 1024) in
+  let b = Bytes.of_string a in
+  List.iter (fun i -> Bytes.set b i '!') [ 100; 20_000; 40_000; 60_000 ];
+  let b = Bytes.to_string b in
+  let misses () = Counters.get (Physical.counters phys1) "phys.chunkmap.miss" in
+  let m0 = misses () in
+  Alcotest.(check bool) "a's map" true (Physical.chunks_of_content phys1 a = Chunking.split a);
+  Alcotest.(check bool) "b's map" true (Physical.chunks_of_content phys1 b = Chunking.split b);
+  Alcotest.(check int) "both missed" (m0 + 2) (misses ());
+  Alcotest.(check bool) "a's map again" true
+    (Physical.chunks_of_content phys1 a = Chunking.split a);
+  Alcotest.(check int) "then a hit" (m0 + 2) (misses ())
+
+let replace_once hay ~sub ~by =
+  let n = String.length sub in
+  let rec find i = if String.sub hay i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub hay 0 i ^ by ^ String.sub hay (i + n) (String.length hay - i - n)
+
+let test_unverified_map_never_adopted () =
+  (* An origin whose map header names the wrong whole digest: every
+     chunk body checks out, the reassembly does not.  The pull falls
+     back to the whole file, and the install stores the digest and map
+     of the bytes it installed, never the header's. *)
+  let cluster, vref, fv, size = big_cluster () in
+  ok (fv.Vnode.write ~off:(size / 2) edit_128);
+  let phys1 = Option.get (Cluster.replica (Cluster.host cluster 1) vref) in
+  let host0 = Cluster.host_name (Cluster.host cluster 0) in
+  let remote_root = ok ((Cluster.connect_from cluster 1) ~host:host0 ~vref ~rid:1) in
+  let bogus = Chunking.digest_hex "not these bytes" in
+  let tampered_root =
+    {
+      remote_root with
+      Vnode.lookup =
+        (fun name ->
+          let r = remote_root.Vnode.lookup name in
+          if not (contains name "getchunkmap") then r
+          else
+            Result.map
+              (fun v ->
+                let reply = ok (Vnode.read_all v) in
+                let reply =
+                  replace_once reply ~sub:("digest=" ^ served_digest reply)
+                    ~by:("digest=" ^ bogus)
+                in
+                {
+                  v with
+                  Vnode.read =
+                    (fun ~off ~len ->
+                      let off = min off (String.length reply) in
+                      Ok (String.sub reply off (min len (String.length reply - off))));
+                })
+              r);
+    }
+  in
+  let path = big_fidpath phys1 in
+  (match
+     ok
+       (Delta.pull_file ~via:"prop" ~local:phys1
+          ~connect:(fun () -> Ok tampered_root)
+          ~origin_rid:1 path)
+   with
+   | Delta.Fetched (stats, Ok (Some Physical.Installed)) ->
+     Alcotest.(check bool) "fell back to the whole file" true
+       (stats.Delta.mode = Delta.Fallback)
+   | _ -> Alcotest.fail "expected a fallback install");
+  let _, data = ok (Physical.fetch_file phys1 path) in
+  Alcotest.(check string) "installed the origin's bytes" (content cluster 0 vref) data;
+  let _, digest, map = ok (Ctl_wire.decode_chunk_map (raw_chunk_map phys1 path)) in
+  Alcotest.(check string) "stored digest is the bytes'" (Chunking.digest_hex data) digest;
+  Alcotest.(check bool) "cached map is the bytes'" true (map = Chunking.split data)
+
 let suite =
   [
     case "delta pull ships chunks, not the file" test_delta_pull_ships_chunks;
@@ -197,4 +339,9 @@ let suite =
     case "dominated notification skipped without RPC" test_dominated_notification_skipped;
     case "chunk serving survives reboot" test_chunk_serving_survives_reboot;
     case "small files skip negotiation" test_small_files_skip_negotiation;
+    case "delta install adopts the verified map and digest"
+      test_delta_install_adopts_verified_map;
+    case "origin serves the current version's digest" test_origin_serves_current_digest;
+    case "equal-length contents keep their own maps" test_equal_length_contents_keep_own_maps;
+    case "an unverified map is never adopted" test_unverified_map_never_adopted;
   ]

@@ -76,6 +76,7 @@ let test_notifications_emitted () =
   Alcotest.(check bool) "file event for write" true (List.mem Aux_attrs.Freg kinds)
 
 let test_install_file_outcomes () =
+  let remote = Chunking.Content.make in
   let _, _, _, phys = fresh_phys () in
   let root = Physical.root phys in
   let f = ok (root.Vnode.create "f") in
@@ -86,25 +87,25 @@ let test_install_file_outcomes () =
   let local_vv = (ok (Physical.get_version phys path)).Physical.vi_vv in
   (* Dominating remote version: installed. *)
   let newer = Vv.bump local_vv 2 in
-  (match ok (Physical.install_file phys path ~vv:newer ~uid:0 ~data:"remote v2" ~origin_rid:2) with
+  (match ok (Physical.install_file phys path ~vv:newer ~uid:0 ~data:(remote "remote v2") ~origin_rid:2) with
    | Physical.Installed -> ()
    | _ -> Alcotest.fail "expected Installed");
   Alcotest.(check string) "contents replaced" "remote v2" (ok (Vnode.read_all f));
   (* Same version again: up to date. *)
-  (match ok (Physical.install_file phys path ~vv:newer ~uid:0 ~data:"remote v2" ~origin_rid:2) with
+  (match ok (Physical.install_file phys path ~vv:newer ~uid:0 ~data:(remote "remote v2") ~origin_rid:2) with
    | Physical.Up_to_date -> ()
    | _ -> Alcotest.fail "expected Up_to_date");
   (* Concurrent: conflict, local kept, logged once. *)
   let concurrent = Vv.bump newer 3 in
   ok (Vnode.write_all f "local v3");
   (match
-     ok (Physical.install_file phys path ~vv:concurrent ~uid:0 ~data:"remote v3" ~origin_rid:3)
+     ok (Physical.install_file phys path ~vv:concurrent ~uid:0 ~data:(remote "remote v3") ~origin_rid:3)
    with
    | Physical.Conflict _ -> ()
    | _ -> Alcotest.fail "expected Conflict");
   Alcotest.(check string) "local kept" "local v3" (ok (Vnode.read_all f));
   let (_ : Physical.install_outcome) =
-    ok (Physical.install_file phys path ~vv:concurrent ~uid:0 ~data:"remote v3" ~origin_rid:3)
+    ok (Physical.install_file phys path ~vv:concurrent ~uid:0 ~data:(remote "remote v3") ~origin_rid:3)
   in
   Alcotest.(check int) "reported once" 1
     (List.length (Conflict_log.pending (Physical.conflicts phys)))
