@@ -21,11 +21,10 @@ type t = {
           reconciliation attribute a pulled version to the update's
           original timeline. *)
   summary : Version_vector.t option;
-      (** subtree summary vector, directories only: a lower bound on the
-          update events this replica has incorporated anywhere in the
-          subtree rooted here, keyed by originating replica.  [None] in
-          pre-summary encodings (recomputed at attach time) and for
-          regular files. *)
+      (** directories only: the stored part of the subtree summary
+          vector, read and written only by {!Summary} (which states its
+          two roles).  [None] for regular files and for a directory no
+          summary has been written to yet. *)
   digest : string option;
       (** regular files: hex MD5 of the stored contents, recorded by the
           install path and {e cleared} by every local write (which goes

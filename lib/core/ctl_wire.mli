@@ -18,11 +18,11 @@ type version_info = {
           untraced); lets a reconciling peer continue the update's
           timeline *)
   vi_summary : Version_vector.t option;
-      (** directories only: the subtree summary vector — a lower bound on
-          the update events this replica has incorporated anywhere under
-          the directory, keyed by originating replica.  [None] for
-          regular files.  A reconciler whose own summary dominates the
-          remote one may skip the whole subtree. *)
+      (** directories only: the directory's subtree summary
+          ({!Summary.own}); [None] for regular files.  Served to a peer it
+          is trusted as an upper bound, and a reconciler whose own
+          summary dominates it skips the whole subtree ({!Summary}
+          states both roles). *)
 }
 
 type dir_versions = {

@@ -63,13 +63,7 @@ type t = {
      Volatile: the cluster wiring re-applies it after attach/reboot. *)
   mutable dir_merge : [ `Legacy | `Crdt ];
   mutable resolver : Resolver.t;
-  (* Subtree-summary bumps not yet written to the aux files: path key ->
-     (path, pending vector).  An I/O batching device, but not a safe one:
-     losing it in a crash under-claims this replica's own summary (a
-     wider walk when it pulls) and also the summary it serves, which a
-     puller trusts as covering every update here, so it can prune real
-     updates (ROADMAP "Crash-lost summary bumps"). *)
-  pending_summaries : (string, fidpath * Vv.t ref) Hashtbl.t;
+  summaries : Summary.t; (* pending subtree-summary bumps *)
   (* Decoded directories, one slot per directory keyed by its fid: the
      DIR bytes last read or written there and their decoding.  A load
      still reads the DIR file and hits only when the bytes are equal, so
@@ -284,50 +278,14 @@ let make_dir_storage t parent_ufs fid aux =
   Ok child
 
 (* ------------------------------------------------------------------ *)
-(* Subtree summary vectors (incremental reconciliation)
+(* Subtree summary vectors: see {!Summary}                             *)
 
-   Each directory's aux file carries a summary vector: a lower bound, per
-   originating replica, on the update *events* whose effects this replica
-   has incorporated anywhere in the subtree rooted at that directory.
-   Events are numbered from the same monotone counter as fids
-   ([next_uniq]), so a claim "r:n" means "every local event numbered <= n
-   is reflected here".  Reconciliation can then skip a whole subtree
-   whose local summary dominates the remote one.
-
-   Bumps are accumulated in memory and flushed lazily (serving a
-   [getdirvvs] request flushes first), so local mutators pay no extra
-   I/O.  The vector plays two roles.  As the puller's own summary it is
-   a lower bound, and losing pending bumps in a crash only makes the next
-   pass walk more than necessary.  Served to a peer it is an upper
-   bound, taken as covering every update here, and the same loss lets
-   the peer's pass prune updates it has not seen (an open bug, ROADMAP
-   "Crash-lost summary bumps"). *)
-
-let summary_key path = String.concat "/" (List.map Ids.fid_to_hex path)
-
-let pending_summary t path =
-  match Hashtbl.find_opt t.pending_summaries (summary_key path) with
-  | Some (_, r) -> !r
-  | None -> Vv.empty
-
-(* Record one local update event touching the directory at [dirpath]:
-   merge a fresh event number into the pending summary of that directory
-   and of every ancestor up to the volume root. *)
-let note_summary_event t dirpath =
+(* Record one local update event touching the directory at [dirpath],
+   numbered from the uniquifier counter. *)
+let note_event t dirpath =
   let seq = t.next_uniq in
   t.next_uniq <- seq + 1;
-  let s = Vv.singleton t.rid seq in
-  let note p =
-    let k = summary_key p in
-    match Hashtbl.find_opt t.pending_summaries k with
-    | Some (_, r) -> r := Vv.merge !r s
-    | None -> Hashtbl.replace t.pending_summaries k (p, ref s)
-  in
-  let rec go prefix_rev rest =
-    note (List.rev prefix_rev);
-    match rest with [] -> () | fid :: tl -> go (fid :: prefix_rev) tl
-  in
-  go [] dirpath
+  Summary.note t.summaries dirpath ~seq
 
 (* Where the aux file of the directory at [path] lives: the volume
    container for the root, the parent's UFS directory otherwise. *)
@@ -339,73 +297,16 @@ let dir_aux_location t path =
     let* parent_ufs = resolve_dir t parent in
     Ok (parent_ufs, fid)
 
-(* Write all pending summary bumps to the aux files.  The uniq watermark
-   is persisted first: a durable claim must never reference an event
-   number that a reboot could reissue. *)
-let flush_summaries t =
-  if Hashtbl.length t.pending_summaries = 0 then Ok 0
-  else begin
-    let* () = store_meta t in
-    let entries =
-      Hashtbl.fold (fun _ (p, r) acc -> (p, !r) :: acc) t.pending_summaries []
-    in
-    Hashtbl.reset t.pending_summaries;
-    let flush_one (path, pend) =
-      match dir_aux_location t path with
-      | Error Errno.ENOENT -> Ok false (* directory removed; ancestors carry the claim *)
-      | Error _ as e -> e
-      | Ok (dir, fid) ->
-        (match Aux_attrs.load ~dir fid with
-         | Error Errno.ENOENT -> Ok false
-         | Error _ as e -> e
-         | Ok aux ->
-           let cur = Option.value ~default:Vv.empty aux.Aux_attrs.summary in
-           let merged = Vv.merge cur pend in
-           let unchanged =
-             match aux.Aux_attrs.summary with Some s -> Vv.equal s merged | None -> false
-           in
-           if unchanged then Ok false
-           else
-             let* () =
-               Aux_attrs.store ~dir fid { aux with Aux_attrs.summary = Some merged }
-             in
-             Ok true)
-    in
-    let rec go n = function
-      | [] -> Ok n
-      | e :: rest ->
-        let* wrote = flush_one e in
-        go (if wrote then n + 1 else n) rest
-    in
-    let* n = go 0 entries in
-    Counters.add t.counters "phys.summary.flush" n;
-    Ok n
-  end
+let summary_io t =
+  {
+    Summary.rid = t.rid;
+    counters = t.counters;
+    persist_watermark = (fun () -> store_meta t);
+    aux_dir = dir_aux_location t;
+  }
 
-(* Fold a remote peer's summary into ours after reconciliation has fully
-   incorporated that peer's subtree.  Never allocates an event: joins
-   must reach a fixpoint for quiescent pruning to kick in. *)
-let join_summary t path remote_summary =
-  let k = summary_key path in
-  let pend =
-    match Hashtbl.find_opt t.pending_summaries k with Some (_, r) -> Some !r | None -> None
-  in
-  let* () = match pend with Some _ -> store_meta t | None -> Ok () in
-  let* dir, fid = dir_aux_location t path in
-  let* aux = Aux_attrs.load ~dir fid in
-  let cur = Option.value ~default:Vv.empty aux.Aux_attrs.summary in
-  let merged =
-    Vv.merge (Vv.merge cur (Option.value ~default:Vv.empty pend)) remote_summary
-  in
-  let unchanged =
-    match aux.Aux_attrs.summary with Some s -> Vv.equal s merged | None -> false
-  in
-  let* () =
-    if unchanged then Ok ()
-    else Aux_attrs.store ~dir fid { aux with Aux_attrs.summary = Some merged }
-  in
-  Hashtbl.remove t.pending_summaries k;
-  Ok ()
+let flush_summaries t = Summary.flush t.summaries (summary_io t)
+let join_summary t path served = Summary.join t.summaries (summary_io t) path served
 
 (* Recursively delete a UFS subtree under [name] in [dir]. *)
 let rec rm_tree dir name =
@@ -505,12 +406,9 @@ let entry_info t holder path kind =
     Ok (info ~vv:aux.Aux_attrs.vv ~size ~stored ~span:aux.Aux_attrs.span ~summary:None)
   | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
     let* _, _, fdir = dir_at t holder path in
-    let summary =
-      Vv.merge (Option.value ~default:Vv.empty aux.Aux_attrs.summary) (pending_summary t path)
-    in
     Ok
       (info ~vv:(Fdir.vv fdir) ~size:(Fdir.live_count fdir) ~stored:true ~span:0
-         ~summary:(Some summary))
+         ~summary:(Some (Summary.own t.summaries ~rid:t.rid path aux)))
 
 let get_version t path =
   match split_file_path path with
@@ -557,7 +455,7 @@ let update_dir t path f =
   let* fdir = load_fdir t ~fid ufs_dir in
   let* fdir, result = f ufs_dir fdir in
   let* () = store_fdir t ~fid ufs_dir fdir in
-  note_summary_event t path;
+  note_event t path;
   dir_event t path;
   Ok result
 
@@ -959,21 +857,14 @@ and dir_rename t path sname dst dname =
     let* src_fdir = load_fdir t ~fid:(path_fid path) src_ufs in
     let* dst_fdir = load_fdir t ~fid:(path_fid dst_path) dst_ufs in
     let* entry, dst_fdir, birth = prepare src_fdir dst_ufs dst_fdir in
-    (* Moving a directory relocates its subtree's aux files.  Flush
-       pending summary events first, while their recorded fidpaths
-       still resolve — flushed later they would miss the moved aux and
-       the subtree's own summary would lose them, letting peers prune
-       it as already incorporated. *)
-    let* _ =
-      if entry.Fdir.kind = Aux_attrs.Freg then Ok 0 else flush_summaries t
-    in
+    let* () = Summary.before_move t.summaries (summary_io t) entry.Fdir.kind in
     let* src_fdir = Fdir.kill src_fdir ~rid:t.rid entry.Fdir.birth in
     let* dst_fdir = add_entry dst_fdir entry birth in
     let* () = move_storage entry src_ufs dst_ufs in
     let* () = store_fdir t ~fid:(path_fid path) src_ufs src_fdir in
     let* () = store_fdir t ~fid:(path_fid dst_path) dst_ufs dst_fdir in
-    note_summary_event t path;
-    note_summary_event t dst_path;
+    note_event t path;
+    note_event t dst_path;
     dir_event t path;
     dir_event t dst_path;
     Ok ()
@@ -1030,7 +921,7 @@ and file_updated t path parent parent_ufs fid =
   let* vv = bump_file_version t parent_ufs fid in
   Counters.incr t.counters "phys.update";
   Span.emit "phys:update";
-  note_summary_event t parent;
+  note_event t parent;
   file_event ~vv t path fid;
   Ok ()
 
@@ -1077,7 +968,7 @@ let commit_file t ~parent ~parent_ufs fid ~aux ~data =
   let aux = { aux with Aux_attrs.digest = Some (Chunking.Content.digest data) } in
   let* () = Aux_attrs.store ~dir:parent_ufs fid aux in
   chunk_cache_put t data;
-  note_summary_event t parent;
+  note_event t parent;
   Ok ()
 
 let install_file ?(span = 0) ?(via = "prop") t path ~vv ~uid ~data ~origin_rid =
@@ -1283,7 +1174,7 @@ let merge_dir t path ~remote_rid remote =
   (* Any observable change to the stored directory — entries, tombstone
      expiry, known-map gossip — is an incorporation event peers must not
      prune past.  The loaded bytes are [local]'s encoding. *)
-  if not (String.equal local_bytes merged_bytes) then note_summary_event t path;
+  if not (String.equal local_bytes merged_bytes) then note_event t path;
   List.iter
     (fun (colliding_name, births) ->
       let fid =
@@ -1389,7 +1280,7 @@ let demote_entry t path birth =
   | Error _ as e -> e
   | Ok fdir ->
     let* () = store_fdir t ~fid:(path_fid path) ufs_dir fdir in
-    note_summary_event t path;
+    note_event t path;
     dir_event t path;
     Counters.incr t.counters "phys.crdt.demote";
     Ok true
@@ -1422,7 +1313,7 @@ let ensure_lost_found t =
      | Ok root_fdir ->
        let* v = storage () in
        let* () = store_fdir t ~fid:Ids.root_fid root_ufs root_fdir in
-       note_summary_event t [];
+       note_event t [];
        dir_event t [];
        Ok (Some v))
 
@@ -1451,7 +1342,7 @@ let attach_to_lost_found t ~fid ~kind =
            | Error _ -> Ok false
            | Ok lf_fdir ->
              let* () = store_fdir t ~fid:lost_found_fid lf_ufs lf_fdir in
-             note_summary_event t lf_path;
+             note_event t lf_path;
              dir_event t lf_path;
              Ok true)
       in
@@ -1462,9 +1353,7 @@ let attach_to_lost_found t ~fid ~kind =
           let* holder = find_dir_storage t fid in
           (match holder with
            | Some parent_ufs ->
-             (* Same rule as dir_rename: flush pending summary events
-                before relocating the subtree's aux files. *)
-             let* _ = flush_summaries t in
+             let* () = Summary.before_move t.summaries (summary_io t) kind in
              let* () = parent_ufs.Vnode.rename hex lf_ufs hex in
              let* () =
                match Aux_attrs.load ~dir:parent_ufs fid with
@@ -1482,7 +1371,7 @@ let attach_to_lost_found t ~fid ~kind =
         | Error _ as e -> e
       in
       if entry_added || storage_moved then begin
-        note_summary_event t lf_path;
+        note_event t lf_path;
         Counters.incr t.counters "phys.crdt.attach";
         Ok true
       end
@@ -1522,7 +1411,7 @@ let make_graft_point t ~parent ~name ~target ~replicas =
   let* child_fdir = add_replicas child_fdir replicas in
   let* () = store_fdir t ~fid:fid child_ufs child_fdir in
   let* () = store_fdir t ~fid:(path_fid parent) ufs_dir fdir in
-  note_summary_event t (parent @ [ fid ]);
+  note_event t (parent @ [ fid ]);
   dir_event t parent;
   Ok ()
 
@@ -1573,7 +1462,7 @@ let make ~obs ~container ~clock ~host ~vref ~rid ~peers =
     open_count = 0;
     dir_merge = `Legacy;
     resolver = Resolver.Owner_report;
-    pending_summaries = Hashtbl.create 64;
+    summaries = Summary.create ();
     fdir_slots = Hashtbl.create 64;
     chunk_cache = Content_tbl.create 16;
   }
@@ -1581,12 +1470,7 @@ let make ~obs ~container ~clock ~host ~vref ~rid ~peers =
 let create ?(obs = Obs.default) ~container ~clock ~host ~vref ~rid ~peers () =
   let t = make ~obs ~container ~clock ~host ~vref ~rid ~peers in
   let* () = store_meta t in
-  let root_aux =
-    (* A summary-native image: the root claims the (empty) event history
-       from birth, so attach never mistakes it for a pre-summary image. *)
-    { (Aux_attrs.make Aux_attrs.Fdir) with Aux_attrs.summary = Some Vv.empty }
-  in
-  let* _root = make_dir_storage t container Ids.root_fid root_aux in
+  let* _root = make_dir_storage t container Ids.root_fid (Aux_attrs.make Aux_attrs.Fdir) in
   Ok t
 
 (* Remove leftover shadow files under [dir], recursively. *)
@@ -1616,43 +1500,9 @@ let recover t =
   let* root_ufs = t.container.Vnode.lookup (Ids.fid_to_hex Ids.root_fid) in
   sweep_shadows root_ufs
 
-(* fsck path for images written before summary vectors existed: claim,
-   for every directory, exactly this replica's own event history (all of
-   it is trivially incorporated locally; all other components stay zero,
-   which under-claims this replica's own summary but, once served, hides
-   other replicas' updates held here from a puller; ROADMAP "Crash-lost
-   summary bumps"). *)
-let recompute_summaries t =
-  let claim = Vv.singleton t.rid (t.next_uniq - 1) in
-  let rec go parent_ufs fid =
-    let* aux = Aux_attrs.load ~dir:parent_ufs fid in
-    let* () = Aux_attrs.store ~dir:parent_ufs fid { aux with Aux_attrs.summary = Some claim } in
-    let* child_ufs = parent_ufs.Vnode.lookup (Ids.fid_to_hex fid) in
-    let* fdir = load_fdir t ~fid:fid child_ufs in
-    let rec walk = function
-      | [] -> Ok ()
-      | e :: rest ->
-        (match e.Fdir.kind with
-         | Aux_attrs.Freg -> walk rest
-         | Aux_attrs.Fdir | Aux_attrs.Fgraft ->
-           let* () = go child_ufs e.Fdir.fid in
-           walk rest)
-    in
-    walk (Fdir.live_fids fdir)
-  in
-  Counters.incr t.counters "phys.summary.recompute";
-  go t.container Ids.root_fid
-
 let attach ?(obs = Obs.default) ~container ~clock ~host () =
   (* Identity and peers come from META. *)
   let t = make ~obs ~container ~clock ~host ~vref:{ Ids.alloc = 0; vol = 0 } ~rid:0 ~peers:[] in
   let* () = load_meta t in
   let* _count = recover t in
-  let* () =
-    match Aux_attrs.load ~dir:container Ids.root_fid with
-    | Ok { Aux_attrs.summary = Some _; _ } -> Ok ()
-    | Ok { Aux_attrs.summary = None; _ } -> recompute_summaries t
-    | Error Errno.ENOENT -> Ok ()
-    | Error _ as e -> e
-  in
   Ok t

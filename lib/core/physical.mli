@@ -175,23 +175,11 @@ val add_graft_replica :
   t -> fidpath -> Ids.replica_id -> string -> (unit, Errno.t) result
 (** Record an additional volume replica in a graft point. *)
 
-(** {1 Subtree summaries (incremental reconciliation)} *)
+(** {1 Subtree summaries}: {!Summary.join} and {!Summary.flush} (also
+    run before serving [getdirvvs]) on this replica's pending bumps. *)
 
 val join_summary : t -> fidpath -> Version_vector.t -> (unit, Errno.t) result
-(** After a reconciliation pass has {e fully} incorporated a peer's
-    subtree at [fidpath] (every child merged, pulled, pruned or
-    conflict-logged — no errors), fold the peer's summary into the local
-    one so future passes can prune.  Joins never allocate events, so
-    mutually quiescent replicas reach a fixpoint. *)
-
 val flush_summaries : t -> (int, Errno.t) result
-(** Write pending in-memory summary bumps to the aux files (done
-    automatically when serving a [getdirvvs] request); returns how many
-    directories were updated.  Pending bumps lost in a crash are safe
-    only in the local summary's role as a lower bound (a wider walk when
-    this replica pulls); in a summary this replica serves they hide
-    updates from a puller that prunes on it — an open bug (ROADMAP
-    "Crash-lost summary bumps"). *)
 
 (** {1 CRDT tree-repair primitives}
 

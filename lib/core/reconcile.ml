@@ -136,13 +136,12 @@ let reconcile_subtree ~local ~remote_root ~remote_rid path =
   in
   go (List.rev path)
 
-(* The prune test: the local directory at [path] has a summary that
-   dominates the peer's [remote_summary], so everything below it there is
-   already incorporated here. *)
-let summarized local path remote_summary =
-  match Physical.get_version local path, remote_summary with
-  | Ok { Physical.vi_summary = Some ls; _ }, Some rs -> Version_vector.dominates ls rs
-  | _, _ -> false
+(* {!Summary.prunes} against the local directory at [path]. *)
+let summarized local path served =
+  let own =
+    match Physical.get_version local path with Ok vi -> vi.Physical.vi_summary | Error _ -> None
+  in
+  Summary.prunes ~own ~served
 
 (* ------------------------------------------------------------------ *)
 (* Incremental walk: one batched getdirvvs per directory instead of a

@@ -1,0 +1,88 @@
+module Vv = Version_vector
+
+let ( let* ) = Result.bind
+
+type fidpath = Ids.file_id list
+
+(* Every bump is [rid:seq] with [seq] increasing, so the latest [seq]
+   stands for a directory's whole pending vector. *)
+type entry = { path : fidpath; mutable seq : int }
+
+(* Keyed by the path's fids in hex, joined by '/'.  A flush writes in
+   this table's iteration order, which decides what the block cache
+   holds when: another key or hash moves the storage counts. *)
+type t = (string, entry) Hashtbl.t
+
+type io = {
+  rid : Ids.replica_id;
+  counters : Counters.t;
+  persist_watermark : unit -> (unit, Errno.t) result;
+  aux_dir : fidpath -> (Vnode.t * Ids.file_id, Errno.t) result;
+}
+
+let create () = Hashtbl.create 64
+let key path = String.concat "/" (List.map Ids.fid_to_hex path)
+
+let note t path ~seq =
+  let rec go key prefix_rev rest =
+    (match Hashtbl.find_opt t key with
+     | Some e -> e.seq <- seq
+     | None -> Hashtbl.replace t key { path = List.rev prefix_rev; seq });
+    match rest with
+    | [] -> ()
+    | fid :: tl ->
+      let hex = Ids.fid_to_hex fid in
+      go (if prefix_rev = [] then hex else key ^ "/" ^ hex) (fid :: prefix_rev) tl
+  in
+  go "" [] path
+
+let pending ~rid = function Some e -> Vv.singleton rid e.seq | None -> Vv.empty
+let stored aux = Option.value ~default:Vv.empty aux.Aux_attrs.summary
+let own t ~rid path aux = Vv.merge (stored aux) (pending ~rid (Hashtbl.find_opt t (key path)))
+
+(* The one fold step: merge [v] into the directory's stored vector,
+   writing the aux file only when that changes it.  Whether it wrote. *)
+let fold io path v =
+  let* dir, fid = io.aux_dir path in
+  let* aux = Aux_attrs.load ~dir fid in
+  let merged = Vv.merge (stored aux) v in
+  match aux.Aux_attrs.summary with
+  | Some s when Vv.equal s merged -> Ok false
+  | Some _ | None ->
+    let* () = Aux_attrs.store ~dir fid { aux with Aux_attrs.summary = Some merged } in
+    Ok true
+
+let flush t io =
+  if Hashtbl.length t = 0 then Ok 0
+  else
+    let* () = io.persist_watermark () in
+    let rec go n = function
+      | [] -> Ok n
+      | (k, e) :: rest ->
+        let* wrote =
+          match fold io e.path (Vv.singleton io.rid e.seq) with
+          | Error Errno.ENOENT -> Ok false
+          | r -> r
+        in
+        Hashtbl.remove t k;
+        go (if wrote then n + 1 else n) rest
+    in
+    let* n = go 0 (Hashtbl.fold (fun k e acc -> (k, e) :: acc) t []) in
+    Hashtbl.reset t;
+    Counters.add io.counters "phys.summary.flush" n;
+    Ok n
+
+let before_move t io = function
+  | Aux_attrs.Freg -> Ok ()
+  | Aux_attrs.Fdir | Aux_attrs.Fgraft -> Result.map ignore (flush t io)
+
+let join t io path served =
+  let k = key path in
+  let e = Hashtbl.find_opt t k in
+  let* () = if Option.is_none e then Ok () else io.persist_watermark () in
+  let* (_ : bool) = fold io path (Vv.merge (pending ~rid:io.rid e) served) in
+  Hashtbl.remove t k;
+  Ok ()
+
+let prunes ~own ~served =
+  match own, served with Some o, Some s -> Vv.dominates o s | _, _ -> false

@@ -1,0 +1,73 @@
+(** Subtree summary vectors: the one home of incremental
+    reconciliation's pruning claim.
+
+    A directory's summary covers the update {e events} this replica has
+    incorporated anywhere in its subtree, keyed by originating replica.
+    Events are numbered from the replica's uniquifier counter, so
+    ["r:n"] says "every event of [r] numbered [<= n] is reflected here".
+    It is the vector stored in the directory's aux file joined with the
+    bump still pending in memory ({!own}).  The same vector has two
+    roles, and only one of them tolerates a lost bump:
+
+    - {b The puller's own summary is a lower bound.}  Claiming too
+      little only makes the next pass walk more than it must.
+    - {b A served summary is trusted as an upper bound.}  A puller whose
+      own summary dominates it ({!prunes}) skips the whole subtree, so it
+      must cover every update stored there.  A pending bump lost in a
+      crash makes it under-claim, and the puller prunes updates it has
+      never seen — an open bug (ROADMAP "Crash-lost summary bumps").
+
+    Bumps are batched so mutators pay no extra I/O, and written
+    ({!flush}) before a summary is served and before a directory's
+    storage moves ({!before_move}). *)
+
+type fidpath = Ids.file_id list
+
+type t
+(** One replica's pending bumps: per directory, the latest event noted
+    there and not yet written to its aux file. *)
+
+val create : unit -> t
+
+(** What writing bumps needs from the replica that owns them. *)
+type io = {
+  rid : Ids.replica_id;  (** the component this replica's events bump *)
+  counters : Counters.t;  (** bills [phys.summary.flush] *)
+  persist_watermark : unit -> (unit, Errno.t) result;
+      (** makes the event counter durable first, so no durable claim
+          names an event number a reboot could reissue *)
+  aux_dir : fidpath -> (Vnode.t * Ids.file_id, Errno.t) result;
+      (** the UFS directory holding a directory's aux file, and its fid;
+          [ENOENT] once it is gone *)
+}
+
+val note : t -> fidpath -> seq:int -> unit
+(** Record local event [seq] (larger than every event before it) at the
+    directory at [fidpath]: it bumps that directory and every ancestor,
+    so a dominating claim anywhere covers the whole subtree. *)
+
+val own : t -> rid:Ids.replica_id -> fidpath -> Aux_attrs.t -> Version_vector.t
+(** The summary of the directory at [fidpath], given its aux attributes. *)
+
+val flush : t -> io -> (int, Errno.t) result
+(** Write every pending bump into its aux file (a directory that is gone
+    is skipped: its ancestors carry the claim); returns how many files
+    changed.  A bump is dropped only once its store succeeds, so a flush
+    that fails keeps the rest for the next one. *)
+
+val before_move : t -> io -> Aux_attrs.fkind -> (unit, Errno.t) result
+(** Call before moving the storage of a [kind] entry.  Pending bumps are
+    filed by path and a directory's move carries its subtree's aux
+    files away: flushed after it, they would find no directory and be
+    dropped.  So a directory move flushes first; a file move does not. *)
+
+val join : t -> io -> fidpath -> Version_vector.t -> (unit, Errno.t) result
+(** Once a pass has {e fully} incorporated a peer's subtree at [fidpath]
+    (no child failed), fold the peer's served summary and the pending
+    bump into the stored vector.  Joins allocate no event, so quiescent
+    replicas reach a fixpoint. *)
+
+val prunes : own:Version_vector.t option -> served:Version_vector.t option -> bool
+(** The prune test: the puller's [own] summary of a directory dominates
+    (or equals) the one a peer [served], so nothing below it there is
+    new.  [false] when either is missing. *)

@@ -495,9 +495,11 @@ let sync_peers_from_gossip t =
 
 (* Full per-replica state walk: fidpath string -> version_info for every
    live entry, root included.  The divergence gauge compares these maps
-   pairwise rather than trusting subtree summary vectors, which are
-   deliberately lower bounds and would under-report.  Defensive on
-   errors (a graft point mid-resolution just drops out of the map). *)
+   pairwise rather than trusting subtree summary vectors: those are a
+   pruning claim (see {!Summary} for its two roles) that under-claims
+   when bumps are lost, which is divergence the gauge must still see.
+   Defensive on errors (a graft point mid-resolution just drops out of
+   the map). *)
 let walk_versions phys =
   let acc = Hashtbl.create 64 in
   (match Physical.get_version phys [] with

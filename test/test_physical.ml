@@ -301,29 +301,6 @@ let test_summary_tracks_mutations () =
   let vi = ok (Physical.get_version phys [ e.Fdir.fid; (Option.get (Fdir.find_live (ok (Physical.fetch_dir phys [ e.Fdir.fid ])) "f")).Fdir.fid ]) in
   Alcotest.(check bool) "files carry no summary" true (vi.Physical.vi_summary = None)
 
-let test_summary_recomputed_on_attach () =
-  (* A pre-summary disk image (root aux without the field) is upgraded
-     on attach: every directory gets a conservative claim covering every
-     event this replica has allocated. *)
-  let _fs, clock, container, phys = fresh_phys () in
-  let root = Physical.root phys in
-  let d = ok (root.Vnode.mkdir "d") in
-  let f = ok (d.Vnode.create "f") in
-  ok (f.Vnode.write ~off:0 "x");
-  let aux = ok (Aux_attrs.load ~dir:container Ids.root_fid) in
-  ok (Aux_attrs.store ~dir:container Ids.root_fid { aux with Aux_attrs.summary = None });
-  let phys2 = ok (Physical.attach ~container ~clock ~host:"hostA" ()) in
-  let summary path =
-    match (ok (Physical.get_version phys2 path)).Physical.vi_summary with
-    | Some s -> s
-    | None -> Alcotest.fail "no summary after attach"
-  in
-  Alcotest.(check bool) "root claim covers local events" true
-    (Vv.get (summary []) 1 > 0);
-  let e = Option.get (Fdir.find_live (ok (Physical.fetch_dir phys2 [])) "d") in
-  Alcotest.(check bool) "subdirectory recomputed too" true
-    (Vv.get (summary [ e.Fdir.fid ]) 1 > 0)
-
 (* [merge_dir] notes a summary event exactly when the stored DIR bytes
    change: a repeated merge leaves both the served summary and the
    pending bumps alone, and a merge that moves only the known map (its
@@ -375,5 +352,4 @@ let suite =
     case "attach after restart" test_attach_after_restart;
     case "recover sweeps shadows" test_recover_sweeps_shadows;
     case "subtree summaries track mutations" test_summary_tracks_mutations;
-    case "summaries recomputed on pre-summary attach" test_summary_recomputed_on_attach;
   ]
