@@ -86,16 +86,7 @@ let decode s =
 let ( let* ) = Result.bind
 
 let load ~dir fid =
-  let* aux_vnode = dir.Vnode.lookup (Ids.aux_name fid) in
-  let* contents = Vnode.read_all aux_vnode in
-  match decode contents with None -> Error Errno.EIO | Some t -> Ok t
+  let* payload = Shadow.load_record ~dir (Ids.aux_name fid) in
+  match decode payload with None -> Error Errno.EIO | Some t -> Ok t
 
-let store ~dir fid t =
-  let name = Ids.aux_name fid in
-  let* aux_vnode =
-    match dir.Vnode.lookup name with
-    | Ok v -> Ok v
-    | Error Errno.ENOENT -> dir.Vnode.create name
-    | Error _ as e -> e
-  in
-  Vnode.write_all aux_vnode (encode t)
+let store ~dir fid t = Shadow.store_record ~dir (Ids.aux_name fid) (encode t)

@@ -55,7 +55,10 @@ val kind_of_string : string -> fkind option
     charged I/Os. *)
 
 val load : dir:Vnode.t -> Ids.file_id -> (t, Errno.t) result
-(** Read and parse [<hex>.aux] in [dir]; [EIO] if unparseable. *)
+(** Read and parse [<hex>.aux] in [dir]; [EIO] if its record does not
+    check or does not parse. *)
 
 val store : dir:Vnode.t -> Ids.file_id -> t -> (unit, Errno.t) result
-(** Create or overwrite the aux file. *)
+(** Create or overwrite the aux file, as one {!Shadow.store_record}: a
+    failure at any device write leaves the old or the new attributes,
+    never neither. *)

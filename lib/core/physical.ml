@@ -133,18 +133,12 @@ let encode_meta t =
   Ctl_wire.encode_meta t.vref t.rid
   ^ Printf.sprintf "next_uniq=%d\npeers=%s\n" t.next_uniq (Ctl_wire.peers_to_string t.peers)
 
-let store_meta t =
-  let* meta =
-    match t.container.Vnode.lookup meta_name with
-    | Ok v -> Ok v
-    | Error Errno.ENOENT -> t.container.Vnode.create meta_name
-    | Error _ as e -> e
-  in
-  Vnode.write_all meta (encode_meta t)
+(* One record (see {!Shadow.store_record}), so a failure at any device
+   write leaves the old watermark and peers or the new ones. *)
+let store_meta t = Shadow.store_record ~dir:t.container meta_name (encode_meta t)
 
 let load_meta t =
-  let* meta = t.container.Vnode.lookup meta_name in
-  let* contents = Vnode.read_all meta in
+  let* contents = Shadow.load_record ~dir:t.container meta_name in
   let* vref, rid = Ctl_wire.decode_meta contents in
   let find k = List.assoc_opt k (Aux_attrs.fields contents) in
   match
@@ -262,7 +256,7 @@ let chunks_of_content t contents = Chunking.Content.map (cached_content t conten
 let store_encoded t ~fid ufs_dir contents fdir =
   let* dirfile = ufs_dir.Vnode.lookup dirfile_name in
   fdir_slot_put t fid contents fdir;
-  Vnode.write_all dirfile contents
+  Vnode.overwrite dirfile contents
 
 let store_fdir t ~fid ufs_dir fdir = store_encoded t ~fid ufs_dir (Fdir.encode fdir) fdir
 
@@ -270,7 +264,7 @@ let store_fdir t ~fid ufs_dir fdir = store_encoded t ~fid ufs_dir (Fdir.encode f
 let make_dir_storage t parent_ufs fid aux =
   let* child = parent_ufs.Vnode.mkdir (Ids.fid_to_hex fid) in
   let* dirfile = child.Vnode.create dirfile_name in
-  let* () = Vnode.write_all dirfile (Fdir.encode (Fdir.empty t.rid)) in
+  let* () = Vnode.overwrite dirfile (Fdir.encode (Fdir.empty t.rid)) in
   (* The DIR file's mode/uid double as the Ficus directory's attributes
      (presented by dir_getattr, updated by dir_setattr). *)
   let* () = dirfile.Vnode.setattr { Vnode.setattr_none with Vnode.set_mode = Some 0o755 } in

@@ -27,3 +27,29 @@ val install_parts :
     fragments (as delta propagation reassembles them: locally held chunks
     interleaved with freshly fetched ones), written sequentially into the
     shadow before the same single-rename commit point. *)
+
+(** {1 Records}
+
+    A small file that must read back as either its old or its new
+    contents, never a mixture, without a rename per update: the aux
+    attribute files ({!Aux_attrs}) and the physical layer's [META].
+    Each store rewrites the file's own inode, so a record hard-linked
+    into several directories stays shared. *)
+
+val record_size : int
+(** 512 bytes, the fixed size of a record that fits in one block; the
+    physical layer never runs on blocks smaller than that. *)
+
+val store_record : dir:Vnode.t -> string -> string -> (unit, Errno.t) result
+(** [store_record ~dir name payload] creates or replaces the record
+    [name] in [dir].  The payload is framed with its length, offset and
+    digest.  One that fits is padded to {!record_size} and overwritten in
+    place ({!Vnode.overwrite}): the size never changes, so the data write
+    is the commit and the only other write is the inode's.  A larger one
+    is first written past the first block, clear of the live payload,
+    and committed by rewriting the first block to point at it. *)
+
+val load_record : dir:Vnode.t -> string -> (string, Errno.t) result
+(** The payload of the record [name] in [dir]; [EIO] unless the header's
+    length, offset and digest all check, so a torn, short or zeroed
+    record is never read as another one. *)

@@ -163,7 +163,7 @@ let raft_save ufs s =
       | Ok f -> f
       | Error e -> failwith ("Cluster: raft state: " ^ Errno.to_string e))
   in
-  (match Vnode.write_all file s with
+  (match Vnode.overwrite file s with
   | Ok () -> ()
   | Error e -> failwith ("Cluster: raft persist: " ^ Errno.to_string e));
   match file.Vnode.fsync () with

@@ -691,9 +691,13 @@ let free_blocks_from t ino ~keep =
       let* () = free_block t ino.i_indirect in
       Ok { ino with i_direct = direct; i_indirect = 0 }
 
+(* To the current size it changes nothing, not even mtime, as POSIX
+   [ftruncate] does: an overwrite that keeps a file's length then costs
+   only its data writes and one inode write. *)
 let truncate_ino t inum ino len =
   if len < 0 then Error Errno.EINVAL
-  else if len >= ino.i_size then
+  else if len = ino.i_size then Ok ()
+  else if len > ino.i_size then
     (* Extension: the gap reads back as zeros (sparse or zero-padded). *)
     write_ino t inum { ino with i_size = len; i_mtime = t.now () }
   else begin
@@ -776,15 +780,20 @@ let valid_name name =
   let len = String.length name in
   len > 0 && len <= max_name && not (String.contains name '/')
 
-(* A view of [bytes], which the directory holds in the current epoch. *)
-let dir_view t bytes entries =
+(* A view of [bytes], which the directory holds in the current epoch;
+   its name index is [names] when the caller has it, else built on
+   first lookup. *)
+let dir_view ?names t bytes entries =
   let names =
-    lazy
-      (let tbl = Hashtbl.create (List.length entries) in
-       List.iter
-         (fun (n, inum, _) -> if not (Hashtbl.mem tbl n) then Hashtbl.replace tbl n inum)
-         entries;
-       tbl)
+    match names with
+    | Some tbl -> Lazy.from_val tbl
+    | None ->
+      lazy
+        (let tbl = Hashtbl.create (List.length entries) in
+         List.iter
+           (fun (n, inum, _) -> if not (Hashtbl.mem tbl n) then Hashtbl.replace tbl n inum)
+           entries;
+         tbl)
   in
   { bytes; entries; names; checked = epoch t }
 
@@ -867,26 +876,45 @@ let load_dir t inum =
 
 let dir_find view name = Hashtbl.find_opt (Lazy.force view.names) name
 
-(* Rewrite directory contents in place.  For a directory that fits in one
-   block this is a single data-block write followed by bookkeeping: a
-   crash in between leaves either the old or the new entry set, never a
-   mixture and never an empty directory (see the terminator note above).
-   The entries are encoded once, terminator included, and the bytes
-   written are exactly what the next read returns, so they seed the
-   parsed view. *)
-let store_dir t inum ino entries =
-  if entries = [] then truncate_ino t inum ino 0
-  else begin
-    let data = serialize_dir entries in
-    let* () = write_at t inum ino ~off:0 data in
-    let* ino = read_live_ino t inum in
-    let* () =
-      if ino.i_size > String.length data then truncate_ino t inum ino (String.length data)
-      else Ok ()
-    in
-    remember_dir t inum (dir_view t data entries);
-    Ok ()
-  end
+(* Rewrite directory contents in place, writing only the blocks whose
+   bytes change.  [view] holds the directory's current data ([load_dir]
+   has just checked it against the disk), so each new block is compared
+   with it in place: an append writes the last block, and a block whose
+   bytes are unchanged is not written, which adds no crash state.  A
+   block that changes is written whole, its new bytes then zeros, so a
+   shrink leaves no stale tail.  For a directory that fits in one block
+   this is a single data-block write followed by bookkeeping: a crash in
+   between leaves either the old or the new entry set, never a mixture
+   and never an empty directory (see the terminator note above).  The
+   entries are encoded once, terminator included, and the bytes written
+   are exactly what the next read returns, so they seed the parsed
+   view, with [names] as its name index if given. *)
+let store_dir ?names t inum ino view entries =
+  let data = if entries = [] then "" else serialize_dir entries in
+  let len = String.length data in
+  let old_len = String.length view.bytes in
+  let nblocks = (len + t.bs - 1) / t.bs in
+  let rec store ino n =
+    if n >= nblocks then Ok ino
+    else
+      let lo = n * t.bs in
+      let chunk = min t.bs (len - lo) in
+      if lo + chunk <= old_len
+         && (chunk = t.bs || lo + chunk = old_len)
+         && equal_sub view.bytes lo (Bytes.unsafe_of_string data) lo chunk
+      then store ino (n + 1)
+      else
+        let* phys, ino = bmap_alloc t ino n in
+        let buf = Bytes.make t.bs '\000' in
+        Bytes.blit_string data lo buf 0 chunk;
+        let* () = bwrite t phys buf in
+        store ino (n + 1)
+  in
+  let* ino = store ino 0 in
+  let* ino = if len < old_len then free_blocks_from t ino ~keep:nblocks else Ok ino in
+  let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
+  remember_dir t inum (dir_view ?names t data entries);
+  Ok ()
 
 let dir_entries t inum =
   let* _ino, view = load_dir t inum in
@@ -981,8 +1009,16 @@ let add_entry t dir name child kind =
     Error (if String.length name > max_name then Errno.ENAMETOOLONG else Errno.EINVAL)
   else
     let* ino, view = load_dir t dir in
-    if dir_find view name <> None then Error Errno.EEXIST
-    else store_dir t dir ino (view.entries @ [ (name, child, kind) ])
+    let names = Lazy.force view.names in
+    if Hashtbl.mem names name then Error Errno.EEXIST
+    else
+      (* The new view takes the old one's name index plus this name,
+         rather than rebuilding it: the old view is replaced, and no
+         caller reads it again.  Changed only once the store is done, so
+         a failed store leaves the old view as it was. *)
+      let* () = store_dir ~names t dir ino view (view.entries @ [ (name, child, kind) ]) in
+      Hashtbl.replace names name child;
+      Ok ()
 
 (* [create] and [mkdir]: the name is checked before an inode is
    allocated.  The directory is read twice before the check; the
@@ -1014,7 +1050,7 @@ let remove_entry t dir name =
   | None -> Error Errno.ENOENT
   | Some (_, child, kind) ->
     let entries = List.filter (fun (n, _, _) -> n <> name) view.entries in
-    let* () = store_dir t dir ino entries in
+    let* () = store_dir t dir ino view entries in
     Ok (child, kind)
 
 let drop_link t inum =
@@ -1091,7 +1127,7 @@ let rename t ~sdir ~sname ~ddir ~dname =
         List.filter (fun (n, _, _) -> n <> sname && n <> dname) view.entries
         @ [ (dname, src, src_kind) ]
       in
-      let* () = store_dir t sdir ino entries in
+      let* () = store_dir t sdir ino view entries in
       drop_link t d
     | Some d ->
       let* () = check_replaceable t ~src_is_dir d in
@@ -1104,7 +1140,7 @@ let rename t ~sdir ~sname ~ddir ~dname =
       let entries =
         List.map (fun (n, i, k) -> if n = sname then (dname, i, k) else (n, i, k)) view.entries
       in
-      store_dir t sdir ino entries
+      store_dir t sdir ino view entries
     | None ->
       let* _ = remove_entry t sdir sname in
       add_entry t ddir dname src src_kind

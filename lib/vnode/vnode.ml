@@ -122,3 +122,20 @@ let write_all v contents =
   match v.setattr { setattr_none with set_size = Some 0 } with
   | Error _ as e -> e
   | Ok () -> v.write ~off:0 contents
+
+(* Extend, write, trim.  A file that grows is extended first, so a
+   failure during the write leaves the old bytes followed by zeros
+   rather than the new bytes cut at the old length; an empty file has
+   no old bytes to mix with. *)
+let overwrite v contents =
+  let resize len = v.setattr { setattr_none with set_size = Some len } in
+  let len = String.length contents in
+  match v.getattr () with
+  | Error _ as e -> e
+  | Ok a ->
+    (match if a.size > 0 && a.size < len then resize len else Ok () with
+     | Error _ as e -> e
+     | Ok () ->
+       (match v.write ~off:0 contents with
+        | Error _ as e -> e
+        | Ok () -> resize len))

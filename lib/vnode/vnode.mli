@@ -127,3 +127,12 @@ val read_all : t -> string io
 
 val write_all : t -> string -> unit io
 (** Truncate to zero then write the full contents. *)
+
+val overwrite : t -> string -> unit io
+(** Replace the contents in place: write them at offset 0, then trim the
+    file to their length.  A rewrite of the same length allocates and
+    frees no block.  A non-empty file that grows is first extended to the
+    new length, so an interrupted write leaves the old bytes followed by
+    zeros, never the new bytes cut at the old length; a shrinking one
+    holds the new bytes over its old length until the trim.  The storage
+    writers' replace; a client's {!write_all} truncates first. *)

@@ -84,6 +84,26 @@ let test_reuses_leftover_shadow () =
   ok (Shadow.install ~dir:root fid ~data:"v2");
   Alcotest.(check string) "clean contents" "v2" (read_file root (Ids.fid_to_hex fid))
 
+(* A record hard-linked into a second directory (as [Physical]'s
+   [dir_link] links a file's aux) stays one record through stores that
+   fit one block, stores that do not, and the moves between them. *)
+let test_linked_record_stays_shared () =
+  let _, root, _ = setup () in
+  let a = ok (root.Vnode.mkdir "a") and b = ok (root.Vnode.mkdir "b") in
+  ok (Shadow.store_record ~dir:a "r" "small");
+  ok (b.Vnode.link (ok (a.Vnode.lookup "r")) "r");
+  List.iter
+    (fun payload ->
+      ok (Shadow.store_record ~dir:a "r" payload);
+      Alcotest.(check string)
+        (Printf.sprintf "%d bytes, read through the other name" (String.length payload))
+        payload
+        (ok (Shadow.load_record ~dir:b "r")))
+    [ String.make 700 'l'; String.make 1500 'L'; String.make 600 'm'; "small again" ];
+  let attrs = ok ((ok (b.Vnode.lookup "r")).Vnode.getattr ()) in
+  Alcotest.(check int) "still two links" 2 attrs.Vnode.nlink;
+  Alcotest.(check int) "trimmed back to one block" Shadow.record_size attrs.Vnode.size
+
 let suite =
   [
     case "install creates" test_install_creates;
@@ -91,4 +111,5 @@ let suite =
     case "crash mid-install preserves original" test_crash_mid_install_preserves_original;
     case "crash sweep: original always safe" test_crash_at_every_write_preserves_original;
     case "reuses a leftover shadow" test_reuses_leftover_shadow;
+    case "a linked record stays shared" test_linked_record_stays_shared;
   ]

@@ -216,6 +216,93 @@ let disk_props =
       run_disk_law;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* UFS write counts: a small update costs a constant number of device
+   writes, and the ones that change nothing cost none.                 *)
+
+(* Device writes made by [f]. *)
+let writes_of disk f =
+  let before = Disk.writes disk in
+  f ();
+  Disk.writes disk - before
+
+let test_same_size_replace_costs_two_writes () =
+  let disk, fs = fresh_ufs () in
+  let root = Ufs_vnode.root fs in
+  let f = ok (root.Vnode.create "f") in
+  ok (Vnode.overwrite f (String.make 300 'a'));
+  let n = writes_of disk (fun () -> ok (Vnode.overwrite f (String.make 300 'b'))) in
+  Alcotest.(check int) "one data write and one inode write" 2 n;
+  Alcotest.(check string) "read back" (String.make 300 'b') (ok (Vnode.read_all f))
+
+let test_truncate_to_size_writes_nothing () =
+  let disk, fs = fresh_ufs () in
+  let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "f") in
+  ok (Ufs.write fs f ~off:0 "twelve bytes");
+  let mtime = (ok (Ufs.stat fs f)).Ufs.mtime in
+  Alcotest.(check int) "no device write" 0 (writes_of disk (fun () -> ok (Ufs.truncate fs f 12)));
+  Alcotest.(check int) "mtime unchanged" mtime (ok (Ufs.stat fs f)).Ufs.mtime
+
+(* 150 entries of 6 + 10 bytes span three 1 KiB blocks; one more entry
+   changes the last block only. *)
+let test_directory_append_writes_changed_blocks () =
+  let disk, fs = fresh_ufs () in
+  let d = ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "d") in
+  let target = ok (Ufs.create fs ~dir:(Ufs.root fs) "target") in
+  for i = 1 to 150 do
+    ok (Ufs.link fs ~dir:d (Printf.sprintf "name%06d" i) target)
+  done;
+  Alcotest.(check int) "three blocks" 3 (((ok (Ufs.stat fs d)).Ufs.size + 1023) / 1024);
+  let n = writes_of disk (fun () -> ok (Ufs.link fs ~dir:d "name000151" target)) in
+  Alcotest.(check int) "last block, directory inode, target inode" 3 n;
+  Alcotest.(check int) "151 entries" 151 (List.length (ok (Ufs.dir_entries fs d)));
+  Alcotest.(check (result unit string)) "fsck clean" (Ok ()) (Ufs.check fs)
+
+(* A sequence of replaces, 0 to 15 blocks of 512 bytes (past the 12
+   direct blocks into the single-indirect one), made both by the
+   in-place overwrite and by truncate-then-write: each step reads back
+   the last contents, fsck stays clean, and both ways hold the same
+   number of free blocks, so the in-place path leaks none. *)
+let replace_arb =
+  let bs = 512 in
+  let size =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_bound (15 * bs));
+          (2, map (fun n -> n * bs) (int_bound 15));
+          (1, int_bound 40);
+        ])
+  in
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat "; " (List.map (fun (n, c) -> Printf.sprintf "%d x %C" n c) steps))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 12) (pair size (map Char.chr (int_range 97 122))))
+
+let replace_law =
+  QCheck.Test.make ~name:"in-place replace reads back, keeps fsck clean and leaks no block"
+    ~count:100 replace_arb (fun steps ->
+      let file () =
+        let _, fs = fresh_ufs ~block_size:512 ~blocks:512 () in
+        (fs, ok ((Ufs_vnode.root fs).Vnode.create "f"))
+      in
+      let fs, f = file () and fs', f' = file () in
+      List.iteri
+        (fun i (n, c) ->
+          let data = String.init n (fun k -> if k mod 7 = 0 then c else Char.chr (97 + (k mod 26))) in
+          ok (Vnode.overwrite f data);
+          ok (Vnode.write_all f' data);
+          if ok (Vnode.read_all f) <> data then QCheck.Test.fail_reportf "step %d: read back differs" i;
+          (match Ufs.check fs with
+           | Ok () -> ()
+           | Error e -> QCheck.Test.fail_reportf "step %d: fsck: %s" i e);
+          if ok (Ufs.nfree_blocks fs) <> ok (Ufs.nfree_blocks fs') then
+            QCheck.Test.fail_reportf "step %d: %d free blocks, truncate-then-write leaves %d" i
+              (ok (Ufs.nfree_blocks fs)) (ok (Ufs.nfree_blocks fs')))
+        steps;
+      true)
+
 let suite =
   [
     case "disk read/write" test_disk_read_write;
@@ -229,5 +316,8 @@ let suite =
     case "cache LRU eviction" test_cache_lru_eviction;
     case "cache invalidate" test_cache_invalidate;
     case "zero capacity disables caching" test_zero_capacity_disables_caching;
+    case "same-size replace costs two writes" test_same_size_replace_costs_two_writes;
+    case "truncate to the size writes nothing" test_truncate_to_size_writes_nothing;
+    case "directory append writes changed blocks" test_directory_append_writes_changed_blocks;
   ]
-  @ List.map QCheck_alcotest.to_alcotest disk_props
+  @ List.map QCheck_alcotest.to_alcotest (disk_props @ [ replace_law ])

@@ -1,5 +1,6 @@
-(* Subtree summaries on one replica: a failed flush keeps what it did
-   not write, and a qcheck law over local schedules — own summaries
+(* Subtree summaries on one replica: an aux store cut at any device
+   write leaves the old or the new record, a failed flush keeps what it
+   did not write, and a qcheck law over local schedules — own summaries
    never fall, a flush moves none of them, and every directory covers
    its child directories in this replica's component. *)
 
@@ -53,15 +54,132 @@ let summaries phys =
   List.map (fun (_, fids) -> (path_fid fids, own phys fids)) (live_dirs phys)
 
 (* ------------------------------------------------------------------ *)
+(* A cut aux store                                                     *)
+
+(* Fail the device after every possible number of writes into one
+   [Aux_attrs.store] over an existing record, on an unjournaled disk,
+   and read the record back, from the cache and again after a cold
+   reboot: it is the old record or the new one, the new one once the
+   store succeeded, and never unreadable.  The pairs cover a record that
+   grows and one that shrinks inside one block ("r1:10" cut back to the
+   old length would read as "r1:1"), and records too large for one
+   block, written past the live one or, after one that was, back at the
+   first free offset. *)
+let test_cut_aux_store () =
+  let fid = { Ids.issuer = 1; uniq = 7 } in
+  let reg vv = { (Aux_attrs.make Aux_attrs.Freg) with Aux_attrs.vv = Vv.of_list vv } in
+  let small = reg [ (1, 9) ] in
+  let grown = { (reg [ (1, 10) ]) with Aux_attrs.digest = Some (String.make 32 'a') } in
+  let large = reg (List.init 60 (fun i -> (i + 1, 1_000_000 + i))) in
+  let larger = { large with Aux_attrs.conflict = true; span = 12345 } in
+  assert (String.length (Aux_attrs.encode large) > Shadow.record_size);
+  let pairs =
+    [
+      ([ small ], grown);
+      ([ grown ], small);
+      ([ small ], large);
+      ([ large ], grown);
+      ([ large ], larger);
+      ([ large; larger ], large);
+      ([ large; larger ], small);
+    ]
+  in
+  let sweep block_size (history, next) =
+    let old = List.nth history (List.length history - 1) in
+    let rec cut k =
+      let disk, fs = fresh_ufs ~block_size () in
+      let dir = Ufs_vnode.root fs in
+      List.iter (fun aux -> ok (Aux_attrs.store ~dir fid aux)) history;
+      Disk.fail_writes_after disk k;
+      let result = Aux_attrs.store ~dir fid next in
+      Disk.clear_failures disk;
+      let check when_ =
+        let got =
+          match Aux_attrs.load ~dir fid with
+          | Ok aux -> Aux_attrs.encode aux
+          | Error e ->
+            Alcotest.failf "%d-byte blocks, cut after %d writes, %s: %s" block_size k when_
+              (Errno.to_string e)
+        in
+        let is_next = got = Aux_attrs.encode next in
+        if not (is_next || (Result.is_error result && got = Aux_attrs.encode old)) then
+          Alcotest.failf "%d-byte blocks, cut after %d writes, %s: a third record %S" block_size
+            k when_ got
+      in
+      check "cached";
+      ok (Ufs.crash_reboot fs);
+      check "after a reboot";
+      if Result.is_error result then cut (k + 1) else k
+    in
+    cut 0
+  in
+  List.iter
+    (fun block_size ->
+      List.iter
+        (fun pair -> Alcotest.(check bool) "some cut failed" true (sweep block_size pair > 0))
+        pairs)
+    [ 512; 1024 ]
+
+(* Fail the device after every possible number of writes into a create
+   in a directory that already holds [n] files, on an unjournaled disk,
+   then reboot cold and attach.  The directory's [DIR] file grows, so it
+   is extended before it is written: a cut reads back as the old
+   directory, the new one, or an error, never as the new version vector
+   over the old entries.  Two files fit one block; fifty-one fill two,
+   and the new entry starts a third. *)
+let test_cut_dir_create () =
+  let names n = List.init n (Printf.sprintf "file-%02d") in
+  let setup n =
+    let disk, fs = fresh_ufs () in
+    let clock = Clock.create () in
+    let container = ok (Namei.mkdir_p ~root:(Ufs_vnode.root fs) "vol") in
+    let vref = { Ids.alloc = 0; vol = 1 } in
+    let phys =
+      ok (Physical.create ~container ~clock ~host:"hostA" ~vref ~rid ~peers:[ (rid, "hostA") ] ())
+    in
+    let root = Physical.root phys in
+    List.iter (fun name -> ok ((ok (root.Vnode.create name)).Vnode.write ~off:0 name)) (names n);
+    let (_ : int) = ok (Physical.flush_summaries phys) in
+    (disk, fs, clock, container, phys)
+  in
+  let root_dir phys = Fdir.encode (ok (Physical.fetch_dir phys [])) in
+  let sweep n =
+    let expected =
+      let _, _, _, _, phys = setup n in
+      ignore (ok ((Physical.root phys).Vnode.create "new-file"));
+      root_dir phys
+    in
+    let rec cut k =
+      let disk, fs, clock, container, phys = setup n in
+      let old = root_dir phys in
+      Disk.fail_writes_after disk k;
+      let result = (Physical.root phys).Vnode.create "new-file" in
+      Disk.clear_failures disk;
+      ok (Ufs.crash_reboot fs);
+      (match Physical.attach ~container ~clock ~host:"hostA" () with
+       | Error _ -> ()
+       | Ok phys -> (
+         match Physical.fetch_dir phys [] with
+         | Error _ -> ()
+         | Ok fdir ->
+           let got = Fdir.encode fdir in
+           if not (got = expected || (Result.is_error result && got = old)) then
+             Alcotest.failf "%d files, cut after %d writes: a third directory %S" n k got));
+      if Result.is_error result then cut (k + 1) else k
+    in
+    Alcotest.(check bool) "some cut failed" true (cut 0 > 0)
+  in
+  List.iter sweep [ 2; 51 ]
+
+(* ------------------------------------------------------------------ *)
 (* A failed flush                                                      *)
 
 (* Fail the device after every possible number of writes into a flush
-   of three directories' bumps.  Whenever the flush fails, no own
-   summary has moved, and the next flush writes them all (a fresh
-   attach, which has nothing pending, reads the same vectors).  A cut in
-   the middle of an aux store leaves that file unreadable on this
-   unjournaled disk; such points belong to the crash sweep (ROADMAP
-   "Crash at every device write") and are skipped here. *)
+   of three directories' bumps, on an unjournaled disk.  Every aux file
+   and META stay readable at every cut, since each store commits with
+   one block write.  Whenever the flush fails, no own summary has moved,
+   and the next flush writes them all (a fresh attach, which has nothing
+   pending, reads the same vectors). *)
 let test_failed_flush_keeps_bumps () =
   let checked = ref 0 in
   let hex = List.map (fun (f, s) -> (Ids.fid_to_hex f, s)) in
@@ -81,12 +199,15 @@ let test_failed_flush_keeps_bumps () =
     Disk.fail_writes_after disk k;
     let result = Physical.flush_summaries phys in
     Disk.clear_failures disk;
-    let readable () =
-      List.for_all (fun (_, fids) -> Result.is_ok (Physical.get_version phys fids)) (live_dirs phys)
-    in
+    List.iter
+      (fun (_, fids) ->
+        if Result.is_error (Physical.get_version phys fids) then
+          Alcotest.failf "an aux file is unreadable (device failed after %d writes)" k)
+      (live_dirs phys);
+    if Result.is_error (Physical.attach ~container ~clock ~host:"hostA" ()) then
+      Alcotest.failf "META is unreadable (device failed after %d writes)" k;
     match result with
     | Ok _ -> ()
-    | Error _ when not (readable ()) -> sweep (k + 1)
     | Error _ ->
       incr checked;
       same (Printf.sprintf "own summaries unchanged (device failed after %d writes)" k) before
@@ -250,6 +371,9 @@ let law =
 
 let suite =
   [
+    case "an aux store cut at any device write keeps the old or the new record"
+      test_cut_aux_store;
+    case "a DIR store cut at any device write is never a third directory" test_cut_dir_create;
     case "a failed flush keeps the bumps it did not write" test_failed_flush_keeps_bumps;
     QCheck_alcotest.to_alcotest law;
   ]
