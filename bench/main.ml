@@ -208,7 +208,7 @@ let check_schema path =
    bechamel runs.  SCALE runs at a reduced trace length (see below) so
    the smoke artifact still carries the full JSON schema. *)
 let smoke_names =
-  [ "e2"; "e3"; "e4"; "e6"; "e9"; "e10"; "f2"; "a1"; "a3"; "a4"; "a5"; "chaos"; "wal";
+  [ "e2"; "e3"; "e4"; "e6"; "e7"; "e9"; "e10"; "f2"; "a1"; "a3"; "a4"; "a5"; "chaos"; "wal";
     "obslag"; "reconscale"; "member"; "consensus"; "health"; "delta"; "merge";
     "scale" ]
 

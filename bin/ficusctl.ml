@@ -126,56 +126,29 @@ let availability_cmd =
 (* ------------------------------------------------------------------ *)
 
 let simulate hosts epochs partition_prob write_fraction seed =
-  let cluster = Cluster.create ~nhosts:hosts ~seed () in
-  let all_hosts = List.init hosts Fun.id in
-  let vref = get (Cluster.create_volume cluster ~on:all_hosts) in
-  let roots = List.map (fun i -> get (Cluster.logical_root cluster i vref)) all_hosts in
-  let cfg = { Workload.default with write_fraction; seed } in
-  get (Workload.setup (List.hd roots) cfg);
-  let (_ : int) = Cluster.run_propagation cluster in
-  let (_ : int) = get (Cluster.converge cluster vref ()) in
-  let rng = Random.State.make [| seed |] in
-  let total = ref { Workload.reads = 0; writes = 0; errors = 0 } in
-  for _ = 1 to epochs do
-    if Random.State.float rng 1.0 < partition_prob then
-      Cluster.partition cluster (List.map (fun i -> [ i ]) all_hosts)
-    else Cluster.heal cluster;
-    List.iter
-      (fun root ->
-        let s = Workload.run root { cfg with seed = Random.State.int rng 100000 } ~ops:20 in
-        total :=
-          {
-            Workload.reads = !total.Workload.reads + s.Workload.reads;
-            writes = !total.Workload.writes + s.Workload.writes;
-            errors = !total.Workload.errors + s.Workload.errors;
-          })
-      roots;
-    Cluster.heal cluster;
-    let (_ : int) = Cluster.run_propagation cluster in
-    (match Cluster.converge cluster vref ~max_rounds:20 () with Ok _ | Error _ -> ())
-  done;
-  let conflicts =
-    List.fold_left
-      (fun acc i ->
-        match Cluster.replica (Cluster.host cluster i) vref with
-        | Some phys -> acc + List.length (Conflict_log.all (Physical.conflicts phys))
-        | None -> acc)
-      0 all_hosts
-  in
-  Table.print ~title:"simulation report"
-    ~headers:[ "metric"; "value" ]
-    [
-      [ "hosts"; string_of_int hosts ];
-      [ "epochs"; string_of_int epochs ];
-      [ "reads"; string_of_int !total.Workload.reads ];
-      [ "writes"; string_of_int !total.Workload.writes ];
-      [ "op errors"; string_of_int !total.Workload.errors ];
-      [ "conflicts detected"; string_of_int conflicts ];
-      [ "conflict rate";
-        (if !total.Workload.writes = 0 then "n/a"
-         else Table.fmt_pct (float_of_int conflicts /. float_of_int !total.Workload.writes)) ];
-    ];
-  0
+  if write_fraction < 0.0 || write_fraction > 1.0 then begin
+    prerr_endline "ficusctl: --write-fraction must lie in [0, 1]";
+    2
+  end
+  else begin
+    let { Experiments.reads; writes; errors; conflicts } =
+      Experiments.partitioned_epochs ~hosts ~epochs ~partition_prob ~write_fraction ~seed
+    in
+    Table.print ~title:"simulation report"
+      ~headers:[ "metric"; "value" ]
+      [
+        [ "hosts"; string_of_int hosts ];
+        [ "epochs"; string_of_int epochs ];
+        [ "reads"; string_of_int reads ];
+        [ "writes"; string_of_int writes ];
+        [ "op errors"; string_of_int errors ];
+        [ "conflicts detected"; string_of_int conflicts ];
+        [ "conflict rate";
+          (if writes = 0 then "n/a"
+           else Table.fmt_pct (float_of_int conflicts /. float_of_int writes)) ];
+      ];
+    0
+  end
 
 let simulate_cmd =
   let hosts = Arg.(value & opt int 3 & info [ "hosts" ] ~docv:"N" ~doc:"Host count") in
@@ -255,15 +228,15 @@ let trace out ops cap =
   Trace_export.attach exporter spans;
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1; 2 ]) in
   let roots = List.init 3 (fun i -> get (Cluster.logical_root cluster i vref)) in
-  let cfg = { Workload.default with seed = 7 } in
-  get (Workload.setup (List.hd roots) cfg);
+  get (Workload.setup_trace (List.hd roots) (Experiments.epoch_trace ~write_fraction:0.2 ~seed:7));
   let (_ : int) = Cluster.run_propagation cluster in
   let (_ : int) = get (Cluster.converge cluster vref ()) in
   let errors = ref 0 in
   List.iteri
     (fun i root ->
-      let s = Workload.run root { cfg with seed = 100 + i } ~ops in
-      errors := !errors + s.Workload.errors;
+      let cfg = Experiments.epoch_trace ~write_fraction:0.2 ~seed:(100 + i) in
+      let s = Workload.replay ~root_for:(fun _ -> root) cfg ~ops in
+      errors := !errors + s.Workload.tr_errors;
       let (_ : int * Reconcile.stats) = Cluster.tick_daemons cluster 50 in
       ())
     roots;
@@ -317,8 +290,7 @@ let top hosts epochs seed =
   let all_hosts = List.init hosts Fun.id in
   let vref = get (Cluster.create_volume cluster ~on:all_hosts) in
   let roots = List.map (fun i -> get (Cluster.logical_root cluster i vref)) all_hosts in
-  let cfg = { Workload.default with seed } in
-  get (Workload.setup (List.hd roots) cfg);
+  get (Workload.setup_trace (List.hd roots) (Experiments.epoch_trace ~write_fraction:0.2 ~seed));
   let (_ : int) = Cluster.run_propagation cluster in
   let (_ : int) = get (Cluster.converge cluster vref ()) in
   let rng = Random.State.make [| seed |] in
@@ -330,9 +302,10 @@ let top hosts epochs seed =
     else Cluster.heal cluster;
     List.iter
       (fun root ->
-        let (_ : Workload.stats) =
-          Workload.run root { cfg with seed = Random.State.int rng 100000 } ~ops:20
+        let cfg =
+          Experiments.epoch_trace ~write_fraction:0.2 ~seed:(Random.State.int rng 100000)
         in
+        let (_ : Workload.trace_stats) = Workload.replay ~root_for:(fun _ -> root) cfg ~ops:20 in
         ())
       roots;
     let (_ : int * Reconcile.stats) = Cluster.tick_daemons cluster 25 in

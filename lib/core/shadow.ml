@@ -8,29 +8,18 @@ let lookup_or_create ~dir name =
   | Error Errno.ENOENT -> dir.Vnode.create name
   | Error _ as e -> e
 
-(* Write the new contents — possibly arriving as a list of delta-fetch
-   parts — into the shadow file, then substitute it for the original by
-   one directory-reference change (the commit point).  Writing part by
-   part keeps the reassembly path on the exact same write points the
-   crash sweep covers: nothing is visible under the real name until the
-   rename. *)
-let install_parts ~dir fid ~parts =
+(* Write the new contents into the shadow file, then substitute it for
+   the original by one directory-reference change (the commit point):
+   nothing is visible under the real name until the rename. *)
+let install ~dir fid ~data =
   let shadow = shadow_name fid in
   let target = Ids.fid_to_hex fid in
   (* A leftover from an interrupted install is reused. *)
   let* shadow_vnode = lookup_or_create ~dir shadow in
   let* () = shadow_vnode.Vnode.setattr { Vnode.setattr_none with Vnode.set_size = Some 0 } in
-  let rec write_from off = function
-    | [] -> Ok ()
-    | part :: rest ->
-      let* () = shadow_vnode.Vnode.write ~off part in
-      write_from (off + String.length part) rest
-  in
-  let* () = write_from 0 parts in
+  let* () = shadow_vnode.Vnode.write ~off:0 data in
   (* Commit point: one low-level directory-reference change. *)
   dir.Vnode.rename shadow dir target
-
-let install ~dir fid ~data = install_parts ~dir fid ~parts:[ data ]
 
 let recover ~dir fid =
   match dir.Vnode.remove (shadow_name fid) with Ok () | Error _ -> ()

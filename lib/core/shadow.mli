@@ -21,13 +21,6 @@ val install : dir:Vnode.t -> Ids.file_id -> data:string -> (unit, Errno.t) resul
 val recover : dir:Vnode.t -> Ids.file_id -> unit
 (** Discard a leftover shadow, if any (crash recovery). *)
 
-val install_parts :
-  dir:Vnode.t -> Ids.file_id -> parts:string list -> (unit, Errno.t) result
-(** {!install} with the new contents supplied as an ordered list of
-    fragments (as delta propagation reassembles them: locally held chunks
-    interleaved with freshly fetched ones), written sequentially into the
-    shadow before the same single-rename commit point. *)
-
 (** {1 Records}
 
     A small file that must read back as either its old or its new

@@ -9,13 +9,6 @@ type m = {
   name_ttl : int;
   attr_cache : (fh, Vnode.attrs * int) Hashtbl.t;          (* fh -> attrs, expiry *)
   name_cache : (fh * string, fh * int) Hashtbl.t;          (* dir fh, name -> fh, expiry *)
-  readdir_cache : (fh, Vnode.dirent list * int * int) Hashtbl.t;
-      (* dir fh -> entries, mutation serial at fill, expiry *)
-  mutable mutation_serial : int;
-      (* bumped by every namespace mutation through this mount; a cached
-         listing is served only while its serial still matches, so the
-         client never re-reads its own mutations stale (the same
-         discipline the name cache gets from targeted removals) *)
   counters : Counters.t;
   mutable root_fh : fh;
 }
@@ -24,10 +17,8 @@ type Vnode.vdata += Nfs_vnode of m * fh
 
 let now m = Clock.now (Sim_net.clock m.net)
 
-(* Retransmissions of one idempotent request after EUNREACHABLE, and
-   how long a directory listing stays cached. *)
+(* Retransmissions of one idempotent request after EUNREACHABLE. *)
 let max_retries = 3
-let readdir_ttl = 30
 
 (* A retransmission is only safe when replaying the request cannot
    corrupt state.  This is the classical NFS idempotency split: reads
@@ -75,19 +66,12 @@ let ( let* ) = Result.bind
 (* Drop any cached state about [fh]; on ESTALE or update. *)
 let forget_attrs m fh = Hashtbl.remove m.attr_cache fh
 
-(* A namespace mutation under [fh]: the listing is gone and the
-   mount-wide serial moves, invalidating any listing filled before now. *)
-let dirty_dir m fh =
-  m.mutation_serial <- m.mutation_serial + 1;
-  Hashtbl.remove m.readdir_cache fh
-
 (* Every cached fact about [fh], including name-cache entries resolving
    to it, is suspect once the server said ESTALE (its epoch moved — the
    handle is from before a restart) or stopped being reachable (we may
    reconnect to a restarted server). *)
 let invalidate_fh m fh =
   forget_attrs m fh;
-  Hashtbl.remove m.readdir_cache fh;
   let stale =
     Hashtbl.fold
       (fun key (fh', _) acc -> if fh' = fh then key :: acc else acc)
@@ -124,20 +108,6 @@ let cached_attrs m fh =
     Some attrs
   | Some _ ->
     Hashtbl.remove m.attr_cache fh;
-    None
-  | None -> None
-
-let cache_readdir m fh entries =
-  Hashtbl.replace m.readdir_cache fh (entries, m.mutation_serial, now m + readdir_ttl)
-
-let cached_readdir m fh =
-  match Hashtbl.find_opt m.readdir_cache fh with
-  | Some (entries, serial, expiry)
-    when now m < expiry && serial = m.mutation_serial ->
-    Counters.incr m.counters "nfs.client.readdir_hits";
-    Some entries
-  | Some _ ->
-    Hashtbl.remove m.readdir_cache fh;
     None
   | None -> None
 
@@ -196,7 +166,6 @@ let rec make m fh : Vnode.t =
     create =
       (fun name ->
         forget_attrs m fh;
-        dirty_dir m fh;
         let* resp = rpc m (Create (fh, name)) in
         let* child_fh, _ = node_result resp in
         cache_name m fh name child_fh;
@@ -204,7 +173,6 @@ let rec make m fh : Vnode.t =
     mkdir =
       (fun name ->
         forget_attrs m fh;
-        dirty_dir m fh;
         let* resp = rpc m (Mkdir (fh, name)) in
         let* child_fh, _ = node_result resp in
         cache_name m fh name child_fh;
@@ -213,13 +181,11 @@ let rec make m fh : Vnode.t =
       (fun name ->
         forget_attrs m fh;
         Hashtbl.remove m.name_cache (fh, name);
-        dirty_dir m fh;
         expect_ok m fh (Remove (fh, name)));
     rmdir =
       (fun name ->
         forget_attrs m fh;
         Hashtbl.remove m.name_cache (fh, name);
-        dirty_dir m fh;
         expect_ok m fh (Rmdir (fh, name)));
     rename =
       (fun sname dst_dir dname ->
@@ -228,28 +194,20 @@ let rec make m fh : Vnode.t =
         Hashtbl.remove m.name_cache (dfh, dname);
         forget_attrs m fh;
         forget_attrs m dfh;
-        dirty_dir m fh;
-        dirty_dir m dfh;
         expect_ok m fh (Rename (fh, sname, dfh, dname)));
     link =
       (fun target name ->
         let* tfh = sibling target in
         forget_attrs m fh;
         forget_attrs m tfh;
-        dirty_dir m fh;
         expect_ok m fh (Link (fh, tfh, name)));
     readdir =
       (fun () ->
-        match cached_readdir m fh with
-        | Some entries -> Ok entries
-        | None ->
-          let* resp = rpc m (Readdir fh) in
-          (match resp with
-           | R_dirents entries ->
-             cache_readdir m fh entries;
-             Ok entries
-           | R_error e -> on_error m fh e
-           | _ -> Error Errno.EINVAL));
+        let* resp = rpc m (Readdir fh) in
+        match resp with
+        | R_dirents entries -> Ok entries
+        | R_error e -> on_error m fh e
+        | _ -> Error Errno.EINVAL);
     read =
       (fun ~off ~len ->
         let* resp = rpc m (Read (fh, off, len)) in
@@ -287,8 +245,6 @@ let mount ?(attr_ttl = 30) ?(name_ttl = 30) ?(obs = Obs.default) net
       name_ttl;
       attr_cache = Hashtbl.create 64;
       name_cache = Hashtbl.create 64;
-      readdir_cache = Hashtbl.create 16;
-      mutation_serial = 0;
       counters = Obs.counters obs;
       root_fh = "";
     }
@@ -306,7 +262,6 @@ let root m = make m m.root_fh
 
 let flush_caches m =
   Hashtbl.reset m.attr_cache;
-  Hashtbl.reset m.name_cache;
-  Hashtbl.reset m.readdir_cache
+  Hashtbl.reset m.name_cache
 
 let counters m = m.counters

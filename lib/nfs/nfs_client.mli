@@ -26,40 +26,30 @@ val mount :
   server:Sim_net.host_id ->
   export:string ->
   (m, Errno.t) result
-(** TTLs are in simulated clock ticks (attribute and name caches
-    default to 30, and the readdir cache's is fixed at 30, matching
-    SunOS's 3-second attribute cache at 10 ticks/s).  File blocks are
-    never cached: every [read] is an RPC, so replication experiments
-    see every read.  Fails with [EUNREACHABLE] if the server cannot be
-    reached, [ENOENT] for an unknown export.
-
-    The readdir cache follows the name cache's discipline plus a
-    mount-wide {e invalidation serial}: every namespace mutation made
-    through this mount bumps the serial and drops the affected
-    directory's listing, and a cached listing is served only while both
-    its TTL and its fill-time serial are current — so a client always
-    re-reads its own mutations, while cross-host staleness is bounded
-    by the TTL exactly as for attributes and names.  Hits are counted
-    in ["nfs.client.readdir_hits"].
+(** TTLs are in simulated clock ticks (both default to 30, matching
+    SunOS's 3-second attribute cache at 10 ticks/s).  File blocks and
+    directory listings are never cached: every [read] and [readdir] is
+    an RPC, so replication experiments see every read.  Fails with
+    [EUNREACHABLE] if the server cannot be reached, [ENOENT] for an
+    unknown export.
 
     Up to 3 retransmissions follow an [EUNREACHABLE] RPC failure of an
     {e idempotent} request (reads, lookups, absolute-offset writes) —
     the real client's timeout/retransmit loop.  Namespace mutations
     (create, remove, rename…) are never retransmitted.  On [ESTALE] or
-    a still-unreachable server, every cached attribute, name and
-    listing for the file handle involved is invalidated. *)
+    a still-unreachable server, every cached attribute and name for the
+    file handle involved is invalidated. *)
 
 val root : m -> Vnode.t
 
 val flush_caches : m -> unit
-(** Drop the attribute, name and readdir caches (client reboot /
-    explicit purge). *)
+(** Drop the attribute and name caches (client reboot / explicit
+    purge). *)
 
 val counters : m -> Counters.t
 (** A view of [obs]'s registry (default {!Obs.default}; see
     {!Obs.counters}): ["nfs.client.calls"], ["nfs.client.bytes_out"],
     ["nfs.client.bytes_in"], ["nfs.client.attr_hits"],
-    ["nfs.client.name_hits"], ["nfs.client.readdir_hits"],
-    ["nfs.client.openclose_dropped"],
+    ["nfs.client.name_hits"], ["nfs.client.openclose_dropped"],
     ["nfs.client.retries"], ["nfs.client.backoff_ticks"] (modeled
     retransmission waiting), ["nfs.client.stale"]. *)

@@ -354,45 +354,67 @@ let e6_reconciliation () =
 (* ------------------------------------------------------------------ *)
 (* E7: conflict rarity (paper §1, abstract)                            *)
 
-let e7_conflict_rarity () =
-  let run ~partition_prob ~write_fraction =
-    let cluster = Cluster.create ~nhosts:2 () in
-    let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
-    let root0 = get (Cluster.logical_root cluster 0 vref) in
-    let cfg = { Workload.default with write_fraction; seed = 21 } in
-    get (Workload.setup root0 cfg);
+type epoch_totals = { reads : int; writes : int; errors : int; conflicts : int }
+
+(* One user's working set: 32 files under Zipf(1.0) popularity, read
+   and written in the given proportion. *)
+let epoch_trace ~write_fraction ~seed =
+  let w = Float.to_int (Float.round (100.0 *. write_fraction)) in
+  {
+    Workload.default_trace with
+    Workload.t_seed = seed;
+    t_users = 1;
+    t_files = 32;
+    t_zipf_s = 1.0;
+    t_mix = { Workload.read_w = 100 - w; write_w = w; rename_w = 0; mkdir_w = 0 };
+  }
+
+let partitioned_epochs ~hosts ~epochs ~partition_prob ~write_fraction ~seed =
+  let cluster = Cluster.create ~nhosts:hosts ~seed () in
+  let all = List.init hosts Fun.id in
+  let vref = get (Cluster.create_volume cluster ~on:all) in
+  let roots = List.map (fun i -> get (Cluster.logical_root cluster i vref)) all in
+  get (Workload.setup_trace (List.hd roots) (epoch_trace ~write_fraction ~seed));
+  let (_ : int) = Cluster.run_propagation cluster in
+  let (_ : int) = get (Cluster.converge cluster vref ()) in
+  let rng = Random.State.make [| seed |] in
+  let reads = ref 0 and writes = ref 0 and errors = ref 0 in
+  for _epoch = 1 to epochs do
+    if Random.State.float rng 1.0 < partition_prob then
+      Cluster.partition cluster (List.map (fun i -> [ i ]) all)
+    else Cluster.heal cluster;
+    List.iter
+      (fun root ->
+        let cfg = epoch_trace ~write_fraction ~seed:(Random.State.int rng 10_000) in
+        let s = Workload.replay ~root_for:(fun _ -> root) cfg ~ops:30 in
+        reads := !reads + s.Workload.tr_reads;
+        writes := !writes + s.Workload.tr_writes;
+        errors := !errors + s.Workload.tr_errors)
+      roots;
+    Cluster.heal cluster;
     let (_ : int) = Cluster.run_propagation cluster in
-    let (_ : int) = get (Cluster.converge cluster vref ()) in
-    let root1 = get (Cluster.logical_root cluster 1 vref) in
-    let rng = Random.State.make [| 77 |] in
-    let updates = ref 0 in
-    for _epoch = 1 to 25 do
-      let partitioned = Random.State.float rng 1.0 < partition_prob in
-      if partitioned then Cluster.partition cluster [ [ 0 ]; [ 1 ] ] else Cluster.heal cluster;
-      let s0 = Workload.run root0 { cfg with seed = Random.State.int rng 10000 } ~ops:30 in
-      let s1 = Workload.run root1 { cfg with seed = Random.State.int rng 10000 } ~ops:30 in
-      updates := !updates + s0.Workload.writes + s1.Workload.writes;
-      Cluster.heal cluster;
-      let (_ : int) = Cluster.run_propagation cluster in
-      (match Cluster.converge cluster vref ~max_rounds:20 () with Ok _ | Error _ -> ())
-    done;
-    let conflicts =
-      List.fold_left
-        (fun acc i ->
-          match Cluster.replica (Cluster.host cluster i) vref with
-          | None -> acc
-          | Some phys -> acc + List.length (Conflict_log.all (Physical.conflicts phys)))
-        0 [ 0; 1 ]
-    in
-    (!updates, conflicts)
+    (match Cluster.converge cluster vref ~max_rounds:20 () with Ok _ | Error _ -> ())
+  done;
+  let conflicts =
+    List.fold_left
+      (fun acc i ->
+        match Cluster.replica (Cluster.host cluster i) vref with
+        | None -> acc
+        | Some phys -> acc + List.length (Conflict_log.all (Physical.conflicts phys)))
+      0 all
   in
+  { reads = !reads; writes = !writes; errors = !errors; conflicts }
+
+let e7_conflict_rarity () =
   let rows = ref [] in
   let rates = Hashtbl.create 8 in
   List.iter
     (fun partition_prob ->
       List.iter
         (fun write_fraction ->
-          let updates, conflicts = run ~partition_prob ~write_fraction in
+          let { writes = updates; conflicts; _ } =
+            partitioned_epochs ~hosts:2 ~epochs:25 ~partition_prob ~write_fraction ~seed:77
+          in
           let rate = if updates = 0 then 0.0 else float_of_int conflicts /. float_of_int updates in
           Hashtbl.replace rates (partition_prob, write_fraction) rate;
           rows :=
@@ -770,21 +792,33 @@ let a4_trace_overhead () =
   (* Capture only the steady-state operation phase: the directory tree
      is built untraced, so the trace is pure lookup/read/write traffic
      and can be replayed repeatedly. *)
-  let cfg = { Workload.default with ndirs = 3; files_per_dir = 6; payload = 512 } in
+  let cfg =
+    {
+      Workload.default_trace with
+      Workload.t_seed = 5;
+      t_users = 3;
+      t_files = 6;
+      t_zipf_s = 1.0;
+      t_payload = 512;
+      t_mix = { Workload.read_w = 80; write_w = 20; rename_w = 0; mkdir_w = 0 };
+    }
+  in
   let capture_fs =
     let disk = Disk.create ~nblocks:8192 ~block_size:1024 () in
     let t = ref 0 in
     get (Ufs.mkfs ~now:(fun () -> incr t; !t) disk)
   in
-  get (Workload.setup (Ufs_vnode.root capture_fs) cfg);
+  get (Workload.setup_trace (Ufs_vnode.root capture_fs) cfg);
   let trace = Trace_layer.create () in
   let troot = Trace_layer.wrap trace (Ufs_vnode.root capture_fs) in
-  let (_ : Workload.stats) = Workload.run troot cfg ~ops:300 in
+  let (_ : Workload.trace_stats) =
+    Workload.replay ~root_for:(fun _ -> troot) cfg ~ops:300
+  in
   let events = Trace_layer.events trace in
   (* Replay targets get the identical setup (untraced), then a warm-up
      pass, then the measured pass. *)
   let replay_on name root disk =
-    get (Workload.setup root cfg);
+    get (Workload.setup_trace root cfg);
     let (_ : Trace_layer.replay_stats) = Trace_layer.replay root events in
     Disk.reset_stats disk;
     let stats = Trace_layer.replay root events in

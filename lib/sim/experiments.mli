@@ -51,6 +51,23 @@ val e7_conflict_rarity : unit -> verdict
 (** §1/abstract: conflicting updates are rare under realistic locality
     and partition rates — the premise that makes optimism attractive. *)
 
+type epoch_totals = { reads : int; writes : int; errors : int; conflicts : int }
+
+val epoch_trace : write_fraction:float -> seed:int -> Workload.trace_config
+(** One user's working set: 32 files under Zipf(1.0) popularity, mixed
+    [100 - w] reads to [w] writes, [w] the write fraction in percent. *)
+
+val partitioned_epochs :
+  hosts:int -> epochs:int -> partition_prob:float -> write_fraction:float ->
+  seed:int -> epoch_totals
+(** The partitioned-epoch driver behind E7 and [ficusctl simulate]: a
+    volume replicated on every host, one {!epoch_trace} working set set
+    up and converged, then [epochs] epochs.  Each epoch is split into
+    singleton partitions with probability [partition_prob], every host
+    replays 30 ops of a freshly seeded trace, and the cluster heals and
+    converges.  Returns the op counts and the conflicts every replica's
+    log recorded.  [seed] seeds the cluster and the epoch draws. *)
+
 val e8_shadow_commit : unit -> verdict
 (** §3.2 fn.5: the shadow commit rewrites the whole file, so the cost of
     propagating a small update grows with file size. *)

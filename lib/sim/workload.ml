@@ -1,48 +1,4 @@
-type config = {
-  seed : int;
-  ndirs : int;
-  files_per_dir : int;
-  payload : int;
-  write_fraction : float;
-  zipf_s : float;
-  burst : int;
-}
-
-let default =
-  {
-    seed = 5;
-    ndirs = 4;
-    files_per_dir = 8;
-    payload = 256;
-    write_fraction = 0.2;
-    zipf_s = 1.0;
-    burst = 1;
-  }
-
-type stats = { reads : int; writes : int; errors : int }
-
-let nfiles cfg = cfg.ndirs * cfg.files_per_dir
-
-let file_path cfg i =
-  Printf.sprintf "d%d/f%d" (i / cfg.files_per_dir) (i mod cfg.files_per_dir)
-
 let ( let* ) = Result.bind
-
-let setup root cfg =
-  let rec make_dirs d =
-    if d >= cfg.ndirs then Ok ()
-    else
-      let* dir = root.Vnode.mkdir (Printf.sprintf "d%d" d) in
-      let rec make_files f =
-        if f >= cfg.files_per_dir then Ok ()
-        else
-          let* _file = dir.Vnode.create (Printf.sprintf "f%d" f) in
-          make_files (f + 1)
-      in
-      let* () = make_files 0 in
-      make_dirs (d + 1)
-  in
-  make_dirs 0
 
 (* Zipf(s) over ranks 1..n by inverse-CDF on precomputed cumulative
    weights. *)
@@ -67,10 +23,9 @@ let zipf_sampler ~n ~s rng =
     in
     find 0 (n - 1)
 
-(* ------------------------------------------------------------------ *)
-(* The million-op trace generator: per-user working sets, Zipfian file
-   popularity within each set, a read/write/rename/mkdir mix, streamed
-   lazily so replaying millions of ops never materializes the trace. *)
+(* The trace generator: per-user working sets, Zipfian file popularity
+   within each set, a read/write/rename/mkdir mix, streamed lazily so
+   replaying millions of ops never materializes the trace. *)
 
 type op_kind = Read | Write | Rename | Mkdir
 
@@ -250,42 +205,3 @@ let replay ~root_for ?(batch = 0) ?on_batch cfg ~ops =
     tr_mkdirs = !mkdirs;
     tr_errors = !errors;
   }
-
-let run root cfg ~ops =
-  let rng = Random.State.make [| cfg.seed |] in
-  let pick = zipf_sampler ~n:(nfiles cfg) ~s:cfg.zipf_s rng in
-  let payload i = String.make cfg.payload (Char.chr (Char.code 'a' + (i mod 26))) in
-  let stats = ref { reads = 0; writes = 0; errors = 0 } in
-  let record outcome kind =
-    let s = !stats in
-    stats :=
-      (match outcome, kind with
-       | Ok _, `Read -> { s with reads = s.reads + 1 }
-       | Ok _, `Write -> { s with writes = s.writes + 1 }
-       | Error _, _ -> { s with errors = s.errors + 1 })
-  in
-  let op_on i kind =
-    match Namei.walk ~root (file_path cfg i) with
-    | Error _ as e -> record e kind
-    | Ok file ->
-      (match kind with
-       | `Read -> record (file.Vnode.read ~off:0 ~len:cfg.payload) `Read
-       | `Write -> record (file.Vnode.write ~off:0 (payload i)) `Write)
-  in
-  let remaining = ref ops in
-  while !remaining > 0 do
-    let i = pick () in
-    if Random.State.float rng 1.0 < cfg.write_fraction then begin
-      (* A burst of updates to the same file. *)
-      let burst = min cfg.burst !remaining in
-      for _ = 1 to burst do
-        op_on i `Write
-      done;
-      remaining := !remaining - burst
-    end
-    else begin
-      op_on i `Read;
-      decr remaining
-    end
-  done;
-  !stats

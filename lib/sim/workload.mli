@@ -1,53 +1,16 @@
-(** Deterministic synthetic workloads.
+(** The deterministic synthetic workload: Zipfian per-user traces.
 
-    The paper leans on two empirical observations about general-purpose
-    Unix file usage (Floyd 1986): strong reference {e locality} (which
-    the namespace-parallel on-disk layout exploits) and {e bursty}
-    updates (which delayed propagation exploits).  This generator
-    reproduces both knobs: a Zipf-skewed file popularity distribution
-    and a configurable updates-per-burst count. *)
-
-type config = {
-  seed : int;
-  ndirs : int;             (** directories under the root *)
-  files_per_dir : int;
-  payload : int;           (** bytes written per update *)
-  write_fraction : float;  (** probability an operation is an update *)
-  zipf_s : float;          (** skew of file selection; 0 = uniform *)
-  burst : int;             (** consecutive updates applied to a chosen file *)
-}
-
-val default : config
-
-type stats = { reads : int; writes : int; errors : int }
-
-val setup : Vnode.t -> config -> (unit, Errno.t) result
-(** Create the directory tree and empty files under the given (logical)
-    root. *)
-
-val run : Vnode.t -> config -> ops:int -> stats
-(** Execute [ops] operations against the tree; individual failures are
-    counted, not raised. *)
-
-val file_path : config -> int -> string
-(** Path of the i-th file (for assertions). *)
-
-val nfiles : config -> int
-
-val zipf_sampler : n:int -> s:float -> Random.State.t -> unit -> int
-(** Zipf(s) over ranks [0..n-1] by inverse-CDF on precomputed cumulative
-    weights ([s = 0] is uniform).  Exposed for the distribution sanity
-    test. *)
-
-(** {1 The scale trace}
-
-    A second, larger-scale generator for the SCALE experiment: each user
-    owns a private working set ([u<i>/f0 .. f<files-1>]) and accesses it
-    with Zipfian skew; operations mix reads, writes, renames and mkdirs
-    by configurable integer weights.  The trace is an infinite lazy
-    sequence — millions of ops stream through {!replay} without ever
-    being materialized — and is a pure function of the seed, which is
-    what makes a full cluster replay reproducible bit-for-bit. *)
+    The paper leans on Floyd's (1986) observation that general-purpose
+    Unix file usage shows strong reference {e locality}: the
+    namespace-parallel on-disk layout exploits it, and the case for
+    optimism (conflicts are rare) rests on it.  Each user owns a
+    private working set ([u<i>/f0 .. f<files-1>]) and accesses it with
+    Zipfian skew; operations mix reads, writes, renames and mkdirs by
+    integer weights.  The trace is an infinite lazy sequence, so
+    millions of ops stream through {!replay} without ever being
+    materialized, and it is a pure function of the seed, which is what
+    makes a cluster replay reproducible bit-for-bit.  E7, A4, SCALE,
+    [ficusctl] and perfbench all replay it. *)
 
 type op_kind = Read | Write | Rename | Mkdir
 
@@ -106,3 +69,8 @@ val replay :
     [batch > 0]) is called after every [batch] completed ops — the hook
     where a cluster replay pumps its daemons.  Individual op failures
     are counted, not raised. *)
+
+val zipf_sampler : n:int -> s:float -> Random.State.t -> unit -> int
+(** Zipf(s) over ranks [0..n-1] by inverse-CDF on precomputed cumulative
+    weights ([s = 0] is uniform).  Exposed for the distribution sanity
+    test. *)

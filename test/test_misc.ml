@@ -1,5 +1,5 @@
 (* Smaller core modules: aux attribute files, the conflict log, the
-   new-version cache, the workload generator. *)
+   new-version cache. *)
 
 open Util
 module Vv = Version_vector
@@ -134,55 +134,6 @@ let test_nvc_dedup_counter_and_vv_merge () =
   let e = List.hd (New_version_cache.take_ready nvc ~now:5 ~min_age:0) in
   Alcotest.check vv_testable "vvs merged" (Vv.singleton 1 2) e.New_version_cache.vv
 
-(* ---------------- workload generator ---------------- *)
-
-let test_workload_deterministic () =
-  let run () =
-    let _, fs = fresh_ufs ~blocks:4096 () in
-    let root = Ufs_vnode.root fs in
-    let cfg = Workload.default in
-    ok (Workload.setup root cfg);
-    let stats = Workload.run root cfg ~ops:100 in
-    (stats, read_file root (Workload.file_path cfg 0))
-  in
-  let (s1, c1) = run () and (s2, c2) = run () in
-  Alcotest.(check bool) "same stats" true (s1 = s2);
-  Alcotest.(check string) "same contents" c1 c2
-
-let test_workload_op_counts () =
-  let _, fs = fresh_ufs ~blocks:4096 () in
-  let root = Ufs_vnode.root fs in
-  let cfg = { Workload.default with write_fraction = 0.5; burst = 1 } in
-  ok (Workload.setup root cfg);
-  let stats = Workload.run root cfg ~ops:200 in
-  Alcotest.(check int) "all ops accounted" 200
-    (stats.Workload.reads + stats.Workload.writes + stats.Workload.errors);
-  Alcotest.(check int) "no errors" 0 stats.Workload.errors;
-  Alcotest.(check bool) "mix of both" true (stats.Workload.reads > 0 && stats.Workload.writes > 0)
-
-let test_workload_zipf_skew () =
-  (* With heavy skew, the most popular file receives far more writes
-     than a tail file. *)
-  let _, fs = fresh_ufs ~blocks:8192 () in
-  let root = Ufs_vnode.root fs in
-  let cfg = { Workload.default with write_fraction = 1.0; zipf_s = 1.5; payload = 4 } in
-  ok (Workload.setup root cfg);
-  let (_ : Workload.stats) = Workload.run root cfg ~ops:300 in
-  let mtime i = (ok (Namei.walk ~root (Workload.file_path cfg i)) |> fun v -> ok (v.Vnode.getattr ())).Vnode.mtime in
-  (* The hot file was written recently; the coldest tail file likely
-     never (mtime still from setup). *)
-  Alcotest.(check bool) "hot file touched later than coldest" true
-    (mtime 0 > mtime (Workload.nfiles cfg - 1))
-
-let test_workload_burst () =
-  let _, fs = fresh_ufs ~blocks:4096 () in
-  let root = Ufs_vnode.root fs in
-  let cfg = { Workload.default with write_fraction = 1.0; burst = 10 } in
-  ok (Workload.setup root cfg);
-  let stats = Workload.run root cfg ~ops:50 in
-  Alcotest.(check int) "exactly the requested ops" 50
-    (stats.Workload.reads + stats.Workload.writes + stats.Workload.errors)
-
 let suite =
   [
     case "aux codec roundtrip" test_aux_codec_roundtrip;
@@ -193,8 +144,4 @@ let suite =
     case "nvc keeps earliest age, newest origin" test_nvc_keeps_earliest_age_and_newest_origin;
     case "nvc min-age filter and requeue" test_nvc_min_age_filter;
     case "nvc dedup counter and vv merge" test_nvc_dedup_counter_and_vv_merge;
-    case "workload deterministic" test_workload_deterministic;
-    case "workload op counts" test_workload_op_counts;
-    case "workload zipf skew" test_workload_zipf_skew;
-    case "workload burst" test_workload_burst;
   ]

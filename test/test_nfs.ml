@@ -113,6 +113,20 @@ let test_write_invalidates_attr_cache () =
   ok (f.Vnode.write ~off:0 "123456");
   Alcotest.(check int) "own write visible immediately" 6 (ok (f.Vnode.getattr ())).Vnode.size
 
+let test_listing_shows_remote_create () =
+  (* Listings are not cached: a second client's create shows in the
+     first client's next readdir without the clock moving. *)
+  let _, net, _, sid, cid, _ = setup () in
+  let other = Sim_net.add_host net "other" in
+  let root = Nfs_client.root (mount (net, sid, cid)) in
+  let root' = Nfs_client.root (mount (net, sid, other)) in
+  let names () =
+    List.map (fun e -> e.Vnode.entry_name) (ok (root.Vnode.readdir ()))
+  in
+  Alcotest.(check (list string)) "empty" [] (names ());
+  let _ = ok (root'.Vnode.create "from-other") in
+  Alcotest.(check (list string)) "same tick" [ "from-other" ] (names ())
+
 let test_stale_handles_after_restart () =
   let _, net, server, sid, cid, _ = setup () in
   let m = mount (net, sid, cid) in
@@ -174,6 +188,8 @@ let suite =
     case "attribute cache staleness and expiry" test_attr_cache_staleness_and_expiry;
     case "name cache staleness" test_name_cache_staleness;
     case "write invalidates attr cache" test_write_invalidates_attr_cache;
+    case "an NFS listing shows another host's create in the same tick"
+      test_listing_shows_remote_create;
     case "stale handles after server restart" test_stale_handles_after_restart;
     case "partition gives EUNREACHABLE" test_partition_gives_unreachable;
     case "rename and link through NFS" test_rename_and_link_through_nfs;

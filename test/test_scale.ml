@@ -235,13 +235,11 @@ let test_trace_deterministic () =
 
 let test_replay_deterministic () =
   (* Replay the same trace twice over fresh single-host stacks: op
-     counts and the final namespace must match bit-for-bit. *)
-  let run () =
+     counts and the final namespace must match bit-for-bit.  Two inputs:
+     SCALE's four-kind mix, and E7's reads-and-writes working set. *)
+  let run cfg =
     let _, fs = fresh_ufs ~blocks:8192 () in
     let root = Ufs_vnode.root fs in
-    let cfg =
-      { Workload.default_trace with Workload.t_users = 4; t_files = 8 }
-    in
     (match Workload.setup_trace root cfg with
      | Ok () -> ()
      | Error e -> Alcotest.failf "setup: %s" (Errno.to_string e));
@@ -275,13 +273,24 @@ let test_replay_deterministic () =
          entries);
     (stats, List.sort compare !dump)
   in
-  let s1, d1 = run () and s2, d2 = run () in
-  Alcotest.(check bool) "identical stats" true (s1 = s2);
-  Alcotest.(check bool) "identical namespace" true (d1 = d2);
-  Alcotest.(check int) "no op errors" 0 s1.Workload.tr_errors;
-  Alcotest.(check bool) "every kind exercised" true
-    (s1.Workload.tr_reads > 0 && s1.Workload.tr_writes > 0
-   && s1.Workload.tr_renames > 0 && s1.Workload.tr_mkdirs > 0)
+  List.iter
+    (fun cfg ->
+      let s1, d1 = run cfg and s2, d2 = run cfg in
+      Alcotest.(check bool) "identical stats" true (s1 = s2);
+      Alcotest.(check bool) "identical namespace" true (d1 = d2);
+      Alcotest.(check int) "no op errors" 0 s1.Workload.tr_errors;
+      Alcotest.(check int) "all ops accounted" 2_000
+        Workload.(s1.tr_reads + s1.tr_writes + s1.tr_renames + s1.tr_mkdirs
+                  + s1.tr_errors);
+      let { Workload.read_w; write_w; rename_w; mkdir_w } = cfg.Workload.t_mix in
+      Alcotest.(check (list bool)) "exactly the weighted kinds exercised"
+        [ read_w > 0; write_w > 0; rename_w > 0; mkdir_w > 0 ]
+        Workload.
+          [ s1.tr_reads > 0; s1.tr_writes > 0; s1.tr_renames > 0; s1.tr_mkdirs > 0 ])
+    [
+      { Workload.default_trace with Workload.t_users = 4; t_files = 8 };
+      Experiments.epoch_trace ~write_fraction:0.5 ~seed:5;
+    ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest (net_props @ cluster_props)
