@@ -18,18 +18,22 @@ let () =
   (* Build a host by hand so we can slip the encryption layer between
      the physical layer and the UFS. *)
   let clock = Clock.create () in
+  let obs = Obs.create () in
   let disk = Disk.create ~nblocks:4096 ~block_size:1024 () in
   let ufs = get (Ufs.mkfs ~now:(Clock.fn clock) disk) in
   let plain_container = Ufs_vnode.root ufs in
   let container = Crypt_layer.wrap ~key:"at-rest-key" plain_container in
   let vref = { Ids.alloc = 0; vol = 1 } in
   let phys =
-    get (Physical.create ~container ~clock ~host:"h0" ~vref ~rid:1 ~peers:[ (1, "h0") ] ())
+    get (Physical.create ~obs ~container ~clock ~host:"h0" ~vref ~rid:1 ~peers:[ (1, "h0") ] ())
   in
 
   (* Logical layer over the (single-replica) volume. *)
   let connect ~host:_ ~vref:_ ~rid:_ = Ok (Physical.root phys) in
-  let logical = Logical.create ~host:"h0" ~clock ~connect () in
+  let logical =
+    Logical.create ~selection:Logical.Most_recent ~obs ~liveness:(fun _ -> Gossip.Alive)
+      ~host:"h0" ~clock ~connect ()
+  in
   Logical.graft_volume logical vref ~replicas:[ (1, "h0") ];
   let lroot = get (Logical.root logical vref) in
 

@@ -30,8 +30,7 @@ type t = {
   obs : Obs.t;
 }
 
-let create ?(selection = Most_recent) ?(obs = Obs.default)
-    ?(liveness = fun _ -> Gossip.Alive) ~host ~clock ~connect () =
+let create ~selection ~obs ~liveness ~host ~clock ~connect () =
   {
     host;
     clock;
@@ -46,7 +45,6 @@ let create ?(selection = Most_recent) ?(obs = Obs.default)
 
 let host t = t.host
 let counters t = t.counters
-let obs t = t.obs
 
 (* Every mutating operation is stamped with a fresh causal span here, at
    the top of the stack: the span id rides the ambient context down

@@ -27,17 +27,16 @@ type selection =
   | First_available   (** first reachable replica in graft order *)
 
 val create :
-  ?selection:selection ->
-  ?obs:Obs.t ->
-  ?liveness:(string -> Gossip.liveness) ->
+  selection:selection ->
+  obs:Obs.t ->
+  liveness:(string -> Gossip.liveness) ->
   host:string -> clock:Clock.t -> connect:Remote.connector -> unit -> t
 (** [host] is this logical layer's host name, used to recognize local
     replicas; [connect] supplies physical-root vnodes (direct or via
-    NFS).  Default selection is [Most_recent].  [obs] (default
-    {!Obs.default}) receives metrics and the causal span that every
+    NFS).  [obs] receives metrics and the causal span that every
     mutating operation originates here, at the top of the stack.
 
-    [liveness] (default: everyone [Alive]) lets the gossip failure
+    [liveness] (everyone [Alive] without gossip) lets the gossip failure
     detector steer replica selection: the first pass over a graft's
     replicas skips hosts judged [Suspect] or [Dead] (counted in
     ["logical.skipped_doubtful"]).
@@ -56,7 +55,6 @@ val create :
     suspicion or to a heal within the tick. *)
 
 val host : t -> string
-val obs : t -> Obs.t
 val counters : t -> Counters.t
 (** A view of [obs]'s registry ({!Obs.counters}): ["logical.ops"],
     ["logical.updates"] (mutating ops, each stamped with a fresh span),

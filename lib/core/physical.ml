@@ -965,7 +965,7 @@ let commit_file t ~parent ~parent_ufs fid ~aux ~data =
   note_event t parent;
   Ok ()
 
-let install_file ?(span = 0) ?(via = "prop") t path ~vv ~uid ~data ~origin_rid =
+let install_file ~span ~via t path ~vv ~uid ~data ~origin_rid =
   let* parent, fid = split_file_path path in
   let* parent_ufs = resolve_dir t parent in
   let* local =
@@ -1461,7 +1461,7 @@ let make ~obs ~container ~clock ~host ~vref ~rid ~peers =
     chunk_cache = Content_tbl.create 16;
   }
 
-let create ?(obs = Obs.default) ~container ~clock ~host ~vref ~rid ~peers () =
+let create ~obs ~container ~clock ~host ~vref ~rid ~peers () =
   let t = make ~obs ~container ~clock ~host ~vref ~rid ~peers in
   let* () = store_meta t in
   let* _root = make_dir_storage t container Ids.root_fid (Aux_attrs.make Aux_attrs.Fdir) in
@@ -1494,7 +1494,7 @@ let recover t =
   let* root_ufs = t.container.Vnode.lookup (Ids.fid_to_hex Ids.root_fid) in
   sweep_shadows root_ufs
 
-let attach ?(obs = Obs.default) ~container ~clock ~host () =
+let attach ~obs ~container ~clock ~host () =
   (* Identity and peers come from META. *)
   let t = make ~obs ~container ~clock ~host ~vref:{ Ids.alloc = 0; vol = 0 } ~rid:0 ~peers:[] in
   let* () = load_meta t in

@@ -32,17 +32,17 @@ type fidpath = Ids.file_id list
 (** {1 Lifecycle} *)
 
 val create :
-  ?obs:Obs.t ->
+  obs:Obs.t ->
   container:Vnode.t -> clock:Clock.t -> host:string ->
   vref:Ids.volume_ref -> rid:Ids.replica_id ->
   peers:(Ids.replica_id * string) list -> unit -> (t, Errno.t) result
 (** Initialize a fresh volume replica in [container] (an empty UFS
     directory).  [peers] must list every replica of the volume including
     this one with its host name.  [obs] is the observability bundle the
-    layer reports into (defaults to the process-wide {!Obs.default}). *)
+    layer reports into. *)
 
 val attach :
-  ?obs:Obs.t -> container:Vnode.t -> clock:Clock.t -> host:string -> unit -> (t, Errno.t) result
+  obs:Obs.t -> container:Vnode.t -> clock:Clock.t -> host:string -> unit -> (t, Errno.t) result
 (** Mount an existing volume replica (e.g. after a simulated reboot);
     reads ["META"] and discards leftover shadow files. *)
 
@@ -128,7 +128,7 @@ type install_outcome =
           the local version vector *)
 
 val install_file :
-  ?span:int -> ?via:string ->
+  span:int -> via:string ->
   t -> fidpath -> vv:Version_vector.t -> uid:int -> data:Chunking.Content.t ->
   origin_rid:Ids.replica_id -> (install_outcome, Errno.t) result
 (** Adopt a newer remote version of a regular file via shadow-file atomic
@@ -137,8 +137,9 @@ val install_file :
     adopted, not recomputed.  A concurrent history is never overwritten: it is reported
     ([Conflict]) with the remote version preserved in the log.  [span]
     attributes the install to the originating update's trace (recording
-    shadow-swap and install events and the propagation-lag observation);
-    [via] labels the install path (["prop"] or ["recon"]). *)
+    shadow-swap and install events and the propagation-lag observation;
+    {!Span.none} for none); [via] labels the install path (["prop"] or
+    ["recon"]). *)
 
 val force_install :
   t -> fidpath -> vv:Version_vector.t -> uid:int -> data:string ->
@@ -221,4 +222,3 @@ val attach_to_lost_found :
 val recover : t -> (int, Errno.t) result
 (** Remove leftover shadow files after a crash; returns how many. *)
 
-val orphans_dirname : string

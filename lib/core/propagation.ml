@@ -26,8 +26,7 @@ type t = {
 let max_attempts = 5
 let deadline = 500
 
-let create ?(delay = 0) ?(obs = Obs.default) ?(delta = true)
-    ?(liveness = fun _ -> Gossip.Alive) ~clock ~host ~connect ~local_replica () =
+let create ~delay ~obs ~delta ~liveness ~clock ~host ~connect ~local_replica () =
   {
     nvc = New_version_cache.create ();
     clock;

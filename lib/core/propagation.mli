@@ -20,20 +20,20 @@
 type t
 
 val create :
-  ?delay:int ->
-  ?obs:Obs.t ->
-  ?delta:bool ->
-  ?liveness:(string -> Gossip.liveness) ->
+  delay:int ->
+  obs:Obs.t ->
+  delta:bool ->
+  liveness:(string -> Gossip.liveness) ->
   clock:Clock.t ->
   host:string ->
   connect:Remote.connector ->
   local_replica:(Ids.volume_ref -> Physical.t option) ->
   unit -> t
-(** [delay] (default 0) is the minimum age before a cache entry is acted
+(** [delay] is the minimum age before a cache entry is acted
     on — the "later, more convenient time"; larger delays batch bursty
     updates.  An entry gets at most 5 attempts.
 
-    [delta] (default [true]) selects the chunk-negotiation fetch path
+    [delta] selects the chunk-negotiation fetch path
     ({!Delta.fetch_file}) for regular files; [false] forces plain
     whole-file fetches — the measurement baseline for the DELTA
     experiment and an escape hatch if chunking misbehaves.
@@ -47,7 +47,7 @@ val create :
     An entry older than 500 ticks is abandoned at its next failure
     regardless of attempts left.
 
-    [liveness] (default: everyone [Alive]) is the gossip failure
+    [liveness] is the gossip failure
     detector's verdict on a host name.  Pulls whose origin is [Suspect]
     or [Dead] are parked without an RPC (counted as
     ["prop.rpcs_skipped_dead"]) until the origin refutes the suspicion

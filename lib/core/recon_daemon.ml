@@ -10,8 +10,7 @@ type t = {
   mutable next_due : int;
 }
 
-let create ?(period = 100) ?(obs = Obs.default)
-    ?(liveness = fun _ -> Gossip.Alive) ~clock ~host ~connect ~replicas () =
+let create ~period ~obs ~liveness ~clock ~host ~connect ~replicas () =
   {
     period;
     clock;

@@ -14,22 +14,22 @@
 type t
 
 val create :
-  ?period:int ->
-  ?obs:Obs.t ->
-  ?liveness:(string -> Gossip.liveness) ->
+  period:int ->
+  obs:Obs.t ->
+  liveness:(string -> Gossip.liveness) ->
   clock:Clock.t ->
   host:string ->
   connect:Remote.connector ->
   replicas:(unit -> (Ids.volume_ref * Physical.t) list) ->
   unit -> t
-(** [period] (default 100 ticks) is the interval between passes;
+(** [period] (in ticks) is the interval between passes;
     [replicas] lists the volume replicas this host currently stores
     (re-read each pass, so dynamically added replicas join the
     rotation).  The daemon's {!counters} are a view of [obs]'s metrics
     registry ({!Obs.counters}), so they appear in cluster-wide
     snapshots.
 
-    [liveness] (default: everyone [Alive]) reorders each pass so peers
+    [liveness] reorders each pass so peers
     the gossip failure detector calls [Suspect] or [Dead] are tried
     after every healthy one; when a healthy peer then absorbs the pass,
     the doubtful peers it spared are counted in

@@ -46,15 +46,6 @@ type resolution = {
   losers : int;         (** live links demoted (multi-parent + cycle cuts) *)
 }
 
-val compare_link : link -> link -> int
-(** The deterministic total order used to pick one winning parent per
-    node: orphanage links first (a completed repair is never undone by
-    a later merge — the anti-oscillation rule), then descending birth
-    sequence (the per-origin update counter, our join-stable proxy for
-    vv dominance: a later rename by the same origin always has a
-    larger [b_seq]), then origin host id, then parent fid.  Every
-    replica sorts any common subset of links identically. *)
-
 val resolve :
   root:node -> orphanage:node -> nodes:node list -> links:link list -> resolution
 (** [resolve ~root ~orphanage ~nodes ~links] decides a repair.
@@ -68,4 +59,12 @@ val resolve :
     cycle entered it by).  The orphanage and the root are fixed points
     and never re-parented.  Decisions are ordered: [Attach]es first
     (parents must exist before children move), then [Demote]s, then
-    [Keep]s. *)
+    [Keep]s.
+
+    The winning parent comes first in a deterministic total order on
+    links: orphanage links first (a completed repair is never undone by
+    a later merge — the anti-oscillation rule), then descending birth
+    sequence (the per-origin update counter, our join-stable proxy for
+    vv dominance: a later rename by the same origin always has a
+    larger [b_seq]), then origin host id, then parent fid.  Every
+    replica sorts any common subset of links identically. *)

@@ -27,18 +27,15 @@ val add : t -> version -> t
 
 val join : t -> t -> t
 val versions : t -> version list
-(** The antichain, in [lww_compare] winner-first order. *)
+(** The antichain, winner first: descending [Version_vector.sum], then
+    data digest, then encoded vector. *)
 
 val cardinal : t -> int
-
-val lww_compare : version -> version -> int
-(** Winner-first total order: descending [Version_vector.sum], then
-    data digest, then encoded vector. *)
 
 val winner : t -> version option
 (** The last-writer-wins pick; [None] on an empty register. *)
 
 val merge_all : (string -> string -> string) -> t -> version option
 (** App-level merge: fold the user callback over the antichain in
-    [lww_compare] order (so every replica folds identically); the
+    {!versions} order (so every replica folds identically); the
     result's vector is the join of every input's.  [None] when empty. *)

@@ -288,9 +288,8 @@ let handle t ~src:_ payload =
       List.iter (merge t) g_delta
   | _ -> ()
 
-let create ?(config = default_config) ?seed ~obs ~net id =
+let create ~config ~seed ~obs ~net id =
   let name = Sim_net.host_name net id in
-  let seed = Option.value seed ~default:(0x60551 + id) in
   let t =
     {
       g_host = name;

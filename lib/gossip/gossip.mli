@@ -67,10 +67,6 @@ val entry_join : entry -> entry -> entry
 (** Least upper bound of two entries for the same host (max by
     {!entry_key}).  Raises [Invalid_argument] on differing hosts. *)
 
-val entry_fresher : entry -> entry -> bool
-(** [entry_fresher a b]: does [a] carry strictly newer evidence of life
-    — a greater [(incarnation, heartbeat)] stamp — than [b]? *)
-
 (** {1 Configuration} *)
 
 type config = {
@@ -91,10 +87,11 @@ val default_config : config
 type t
 
 val create :
-  ?config:config -> ?seed:int -> obs:Obs.t -> net:Sim_net.t ->
+  config:config -> seed:int -> obs:Obs.t -> net:Sim_net.t ->
   Sim_net.host_id -> t
 (** Create the gossip daemon for one simulated host and register its
-    datagram handler on [net].  The daemon starts knowing only itself
+    datagram handler on [net].  [seed] and the host id seed the PRNG
+    that picks gossip partners.  The daemon starts knowing only itself
     (status [Member], no replicas); acquaintances arrive epidemically,
     or immediately via {!introduce} at bootstrap. *)
 

@@ -102,14 +102,11 @@ val write : t -> int -> bytes -> unit io
 
 (** {1 Group commit} *)
 
-val flush : t -> unit io
-(** Force staged commits into the log now (one sealed record group).
-    Makes every committed transaction durable. *)
-
 val checkpoint : t -> unit io
 (** Write logged blocks to their home locations and advance the tail,
-    emptying the log.  Also {!flush}es first, so
-    [checkpoint] alone is "make everything durable and home". *)
+    emptying the log.  It first forces staged commits into the log (one
+    sealed record group), so [checkpoint] alone is "make everything
+    durable and home". *)
 
 val tick : t -> unit io
 (** Clock-driven flush daemon hook: flush iff the oldest staged commit

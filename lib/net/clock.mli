@@ -7,7 +7,7 @@
 
 type t
 
-val create : ?start:int -> unit -> t
+val create : unit -> t
 val now : t -> int
 val advance : t -> int -> unit
 (** Move time forward; negative amounts are rejected. *)

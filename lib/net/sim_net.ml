@@ -74,7 +74,7 @@ type t = {
   counters : Counters.t;
 }
 
-let create ?(seed = 42) ?(obs = Obs.default) ?(indexed = true) clock =
+let create ~seed ~obs ~indexed clock =
   {
     clock;
     rng = Random.State.make [| seed |];
@@ -87,8 +87,6 @@ let create ?(seed = 42) ?(obs = Obs.default) ?(indexed = true) clock =
     deliver_hook = None;
     counters = Obs.counters obs;
   }
-
-let indexed t = match t.queue with Indexed _ -> true | Linear _ -> false
 
 let set_deliver_hook t f = t.deliver_hook <- Some f
 

@@ -46,24 +46,20 @@ type faults = {
 val no_faults : faults
 (** All zeros: the pre-fault-injection behavior. *)
 
-val create : ?seed:int -> ?obs:Obs.t -> ?indexed:bool -> Clock.t -> t
+val create : seed:int -> obs:Obs.t -> indexed:bool -> Clock.t -> t
 (** A network with no hosts and no faults: {!set_faults} is the one way
-    to inject them.  [seed] (default 42) seeds the PRNG every fault draw
-    uses.
+    to inject them.  [seed] seeds the PRNG every fault draw uses.
 
     The network's counters ({!counters}) are a view of [obs]'s metrics
-    registry (default {!Obs.default}), so they also appear in its
-    snapshot.
+    registry, so they also appear in its snapshot.
 
-    [indexed] (default [true]) selects the queue representation: an
+    [indexed] selects the queue representation: an
     event queue keyed by delivery tick, so {!pump} touches only ripe
     packets, versus the legacy flat list that every pump partitions and
     sorts.  The two are observably identical — same delivery order, same
     PRNG consumption, same counters — differing only in cost; the linear
     path is kept as the oracle for the equivalence property test and as
     the before arm of the SCALE benchmark. *)
-
-val indexed : t -> bool
 
 val set_deliver_hook : t -> (host_id -> unit) -> unit
 (** Install a callback invoked with the destination host id of every

@@ -233,7 +233,7 @@ let rec make m fh : Vnode.t =
     inactive = (fun () -> Ok ());
   }
 
-let mount ?(attr_ttl = 30) ?(name_ttl = 30) ?(obs = Obs.default) net
+let mount ?(attr_ttl = 30) ?(name_ttl = 30) ~obs net
     ~client ~server ~export =
   let m =
     {

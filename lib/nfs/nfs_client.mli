@@ -20,7 +20,7 @@ type m
 val mount :
   ?attr_ttl:int ->
   ?name_ttl:int ->
-  ?obs:Obs.t ->
+  obs:Obs.t ->
   Sim_net.t ->
   client:Sim_net.host_id ->
   server:Sim_net.host_id ->
@@ -47,9 +47,9 @@ val flush_caches : m -> unit
     purge). *)
 
 val counters : m -> Counters.t
-(** A view of [obs]'s registry (default {!Obs.default}; see
-    {!Obs.counters}): ["nfs.client.calls"], ["nfs.client.bytes_out"],
-    ["nfs.client.bytes_in"], ["nfs.client.attr_hits"],
-    ["nfs.client.name_hits"], ["nfs.client.openclose_dropped"],
-    ["nfs.client.retries"], ["nfs.client.backoff_ticks"] (modeled
-    retransmission waiting), ["nfs.client.stale"]. *)
+(** A view of [obs]'s registry ({!Obs.counters}): ["nfs.client.calls"],
+    ["nfs.client.bytes_out"], ["nfs.client.bytes_in"],
+    ["nfs.client.attr_hits"], ["nfs.client.name_hits"],
+    ["nfs.client.openclose_dropped"], ["nfs.client.retries"],
+    ["nfs.client.backoff_ticks"] (modeled retransmission waiting),
+    ["nfs.client.stale"]. *)

@@ -114,7 +114,7 @@ let rec handle t req : response =
   in
   match result with Ok resp -> resp | Error e -> R_error e
 
-let create ?(obs = Obs.default) net ~host =
+let create ~obs net ~host =
   let t =
     {
       net;

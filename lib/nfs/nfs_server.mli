@@ -9,9 +9,9 @@
 
 type t
 
-val create : ?obs:Obs.t -> Sim_net.t -> host:Sim_net.host_id -> t
+val create : obs:Obs.t -> Sim_net.t -> host:Sim_net.host_id -> t
 (** Create the server and register its RPC handler on [host].  [obs]
-    (default {!Obs.default}) receives the trace events of
+    receives the trace events of
     {!Nfs_proto.Traced} requests; the server re-establishes the caller's
     span context around the layers below it. *)
 
@@ -24,7 +24,3 @@ val add_export : t -> name:string -> Vnode.t -> unit
 val restart : t -> unit
 (** Forget every issued file handle (new epoch), as a stateless server
     does on reboot.  Exports survive — they are configuration. *)
-
-val handle : t -> Nfs_proto.request -> Nfs_proto.response
-(** The request dispatcher (exposed for direct-call tests; the network
-    path goes through the registered RPC handler). *)

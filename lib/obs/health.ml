@@ -79,12 +79,8 @@ type t = {
   mutable events : event list; (* newest first *)
 }
 
-let create ?metrics config =
-  let counters =
-    match metrics with
-    | Some m -> Counters.child (Metrics.counters m)
-    | None -> Counters.create ()
-  in
+let create ~metrics config =
+  let counters = Counters.child (Metrics.counters metrics) in
   { config; counters; state = Hashtbl.create 8; events = [] }
 
 let config t = t.config

@@ -10,8 +10,6 @@
 
 type level = Degraded | Stuck
 
-val level_name : level -> string
-
 type slo = { degraded : int; stuck : int; confirm : int }
 (** A sample [v] is healthy below [degraded], [Degraded] while
     [degraded <= v < stuck], [Stuck] at [v >= stuck].  A level is only
@@ -45,11 +43,11 @@ type event = {
 
 type t
 
-val create : ?metrics:Metrics.t -> config -> t
+val create : metrics:Metrics.t -> config -> t
 (** Event counts are kept as [health.events_degraded] /
-    [health.events_stuck] / [health.recoveries] in a counter set that,
-    with [?metrics], is a view of that registry ({!Counters.child}), so
-    they surface there live. *)
+    [health.events_stuck] / [health.recoveries] in a counter set that
+    is a view of [metrics] ({!Counters.child}), so they surface there
+    live. *)
 
 val config : t -> config
 

@@ -12,12 +12,6 @@ let create () =
   Span.set_evict_notify spans (fun () -> Metrics.incr metrics "spans.evicted");
   { metrics; spans; ctl_serial = 0 }
 
-(* A process-wide default, used by components constructed without an
-   explicit [?obs] (unit tests building a bare Physical.t, say).  Each
-   Cluster.create makes its own bundle, so simulations never bleed
-   metrics into each other. *)
-let default = create ()
-
 let counters t = Counters.child (Metrics.counters t.metrics)
 
 (* Log lines are tagged with the emitting host so a multi-host

@@ -10,10 +10,6 @@ type t = { metrics : Metrics.t; spans : Span.t; mutable ctl_serial : int }
 
 val create : unit -> t
 
-val default : t
-(** Fallback bundle for components built without an explicit [?obs].
-    Clusters create their own so simulations stay isolated. *)
-
 val counters : t -> Counters.t
 (** A new private counter set for one component, made as a
     {!Counters.child} view of the bundle's registry: the component reads

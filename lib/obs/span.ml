@@ -172,11 +172,9 @@ let make_ctx ~spans ~id ~host ~now = { c_spans = spans; c_id = id; c_host = host
 let capture () = !current
 let ambient_id () = match !current with None -> none | Some c -> c.c_id
 
-let emit_in c ?host label =
-  let host = Option.value ~default:c.c_host host in
-  event c.c_spans c.c_id ~host ~tick:(c.c_now ()) label
+let emit_in c label = event c.c_spans c.c_id ~host:c.c_host ~tick:(c.c_now ()) label
 
-let emit ?host label = match !current with None -> () | Some c -> emit_in c ?host label
+let emit label = match !current with None -> () | Some c -> emit_in c label
 
 let with_ctx c f =
   let saved = !current in

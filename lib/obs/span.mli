@@ -94,8 +94,8 @@ val capture : unit -> ctx option
     commit that seals later than the write it covers). *)
 
 val ambient_id : unit -> int
-val emit : ?host:string -> string -> unit
+val emit : string -> unit
 (** Record an event on the ambient span; silently does nothing when no
     context is installed. *)
 
-val emit_in : ctx -> ?host:string -> string -> unit
+val emit_in : ctx -> string -> unit

@@ -181,10 +181,6 @@ let volume t ~alloc ~vol =
     (fun vs -> (vs.vs_replicas, vs.vs_cindex))
     (Hashtbl.find_opt t.cp_vols (alloc, vol))
 
-let grafts t =
-  Hashtbl.fold (fun path (vref, _) acc -> (path, vref) :: acc) t.cp_grafts []
-  |> List.sort compare
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot: the whole registry in one string, same cursor format.     *)
 

@@ -30,7 +30,6 @@ type cmd =
           commands overwrite earlier ones. *)
 
 val encode_cmd : cmd -> string
-val decode_cmd : string -> cmd option
 
 type t
 
@@ -55,4 +54,3 @@ val volume : t -> alloc:int -> vol:int -> ((int * string) list * int) option
 (** Committed replica set and the log index of the command that last
     touched this volume. *)
 
-val grafts : t -> (string * (int * int)) list

@@ -38,7 +38,7 @@ type t = {
   r_apply : index:int -> string -> unit;
   r_snapshot_fn : unit -> string;
   r_restore : string -> unit;
-  r_persist : persist option;
+  r_persist : persist;
   (* Hard state: survives crashes via [r_persist]. *)
   mutable r_term : int;
   mutable r_voted_for : string option;
@@ -212,10 +212,7 @@ let decode_hard s =
     snap_data,
     log )
 
-let persist t =
-  match t.r_persist with
-  | Some p -> p.p_save (encode_hard t)
-  | None -> ()
+let persist t = t.r_persist.p_save (encode_hard t)
 
 let load_hard t s =
   let term, voted, snap_index, snap_term, snap_data, log = decode_hard s in
@@ -647,19 +644,16 @@ let crash_recover t =
   t.r_votes <- [];
   Hashtbl.reset t.r_next;
   Hashtbl.reset t.r_match;
-  (match t.r_persist with
-  | Some p -> (
-    match p.p_load () with
-    | Some s -> load_hard t s
-    | None ->
-      (* The durable state vanished: model a wiped disk, back to blank. *)
-      t.r_term <- 0;
-      t.r_voted_for <- None;
-      t.r_log <- [];
-      t.r_snap_index <- 0;
-      t.r_snap_term <- 0;
-      t.r_snap_data <- "")
-  | None -> ());
+  (match t.r_persist.p_load () with
+  | Some s -> load_hard t s
+  | None ->
+    (* The durable state vanished: model a wiped disk, back to blank. *)
+    t.r_term <- 0;
+    t.r_voted_for <- None;
+    t.r_log <- [];
+    t.r_snap_index <- 0;
+    t.r_snap_term <- 0;
+    t.r_snap_data <- "");
   (* Roll the state machine back to the snapshot; committed entries
      above it re-apply as the commit index re-advances. *)
   t.r_restore t.r_snap_data;
@@ -670,7 +664,7 @@ let crash_recover t =
 
 let stop t = t.r_stopped <- true
 
-let create ?(config = default_config) ?seed ?persist:p ~obs ~net ~peers ~apply
+let create ~config ~seed ~persist ~obs ~net ~peers ~apply
     ~snapshot ~restore id =
   if config.heartbeat <= 0 || config.election_min <= 0
      || config.election_max < config.election_min
@@ -678,7 +672,6 @@ let create ?(config = default_config) ?seed ?persist:p ~obs ~net ~peers ~apply
   let name = Sim_net.host_name net id in
   if not (List.exists (String.equal name) peers) then
     invalid_arg "Raft.create: host not in peers";
-  let seed = Option.value seed ~default:(0x4a71 + id) in
   let t =
     {
       r_host = name;
@@ -692,7 +685,7 @@ let create ?(config = default_config) ?seed ?persist:p ~obs ~net ~peers ~apply
       r_apply = apply;
       r_snapshot_fn = snapshot;
       r_restore = restore;
-      r_persist = p;
+      r_persist = persist;
       r_term = 0;
       r_voted_for = None;
       r_log = [];
@@ -711,15 +704,12 @@ let create ?(config = default_config) ?seed ?persist:p ~obs ~net ~peers ~apply
       r_stopped = false;
     }
   in
-  (match p with
-  | Some p -> (
-    match p.p_load () with
-    | Some s ->
-      load_hard t s;
-      if not (String.equal t.r_snap_data "") then t.r_restore t.r_snap_data;
-      t.r_applied <- t.r_snap_index;
-      t.r_commit <- t.r_snap_index
-    | None -> ())
+  (match persist.p_load () with
+  | Some s ->
+    load_hard t s;
+    if not (String.equal t.r_snap_data "") then t.r_restore t.r_snap_data;
+    t.r_applied <- t.r_snap_index;
+    t.r_commit <- t.r_snap_index
   | None -> ());
   reset_deadline t;
   Sim_net.register_handler net id (fun ~src:_ payload -> handle t payload);

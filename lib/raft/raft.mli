@@ -71,9 +71,9 @@ type persist = {
 type t
 
 val create :
-  ?config:config ->
-  ?seed:int ->
-  ?persist:persist ->
+  config:config ->
+  seed:int ->
+  persist:persist ->
   obs:Obs.t ->
   net:Sim_net.t ->
   peers:string list ->
@@ -87,8 +87,9 @@ val create :
     called exactly once per committed command, in index order (no-ops
     excluded).  [snapshot] must render the state machine after every
     [apply] so far; [restore] must replace it (the empty string restores
-    the initial state).  If [persist] is given, hard state is saved
-    through it and {!create} starts from whatever [p_load] returns. *)
+    the initial state).  Hard state is saved through [persist], and
+    {!create} starts from whatever [p_load] returns.  [seed] and the
+    host id seed the election-timeout PRNG. *)
 
 val host : t -> string
 val config : t -> config
@@ -98,7 +99,6 @@ val leader_hint : t -> string option
 (** Who this member currently believes leads (itself when leader). *)
 
 val commit_index : t -> int
-val last_index : t -> int
 val snapshot_index : t -> int
 
 val log_view : t -> (int * int) list

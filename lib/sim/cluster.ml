@@ -213,7 +213,7 @@ let control_rpc raft cp payload =
   | _ -> None
 
 let create ?(seed = 11) ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes
-    ?disk_blocks_for ?ninodes_for ?(cache_capacity = 256) ?(propagation_delay = 0)
+    ?disk_blocks_for ?ninodes_for ?cache_capacity ?(propagation_delay = 0)
     ?(prop_delta = true) ?(reconcile_period = 100) ?(selection = Logical.Most_recent)
     ?(journal_blocks = 0) ?gossip ?(indexed = true) ?(control = `Gossip) ?health
     ?(dir_merge = `Legacy) ?(resolver = Resolver.Owner_report) ~nhosts () =
@@ -276,7 +276,7 @@ let create ?(seed = 11) ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes
     let h_disk = Disk.create ~label:h_name ~nblocks ~block_size () in
     let h_ufs =
       match
-        Ufs.mkfs ~cache_capacity ?ninodes:h_ninodes ~journal_blocks
+        Ufs.mkfs ?cache_capacity ?ninodes:h_ninodes ~journal_blocks
           ~now:(Clock.fn clock) h_disk
       with
       | Ok fs -> fs
@@ -1226,8 +1226,6 @@ let raft_leader t =
       | _ -> acc)
     None t.control_members
   |> Option.map fst
-
-let control_members t = t.control_members
 
 (* ------------------------------------------------------------------ *)
 (* Failure and time control                                            *)

@@ -40,7 +40,7 @@ val create :
     failures with {!set_faults}.
 
     [prop_delta] (default [true]) is forwarded to every host's
-    {!Propagation.create} [?delta]: [false] forces whole-file fetches on
+    {!Propagation.create} [delta]: [false] forces whole-file fetches on
     the propagation path — the before arm of the DELTA experiment.
 
     [gossip] (default: absent, the seed behavior) gives every host a
@@ -52,17 +52,22 @@ val create :
     peer lists are re-derived from each host's own membership table
     instead of being pushed.
 
-    [ninodes] is forwarded to {!Ufs.mkfs} (default: derived from the
-    disk size) — large synthetic workloads need more inodes than the
-    derived count.
+    Each host's daemons take their settings from here:
+    [propagation_delay] (default 0) is {!Propagation.create}'s [delay],
+    [reconcile_period] (default 100 ticks) is {!Recon_daemon.create}'s
+    [period], and [selection] (default [Most_recent], the paper's) is
+    {!Logical.create}'s.  [seed] (default 11) seeds the network's fault
+    PRNG and, offset per host, the gossip and raft PRNGs.
+
+    [ninodes] and [cache_capacity] are forwarded to {!Ufs.mkfs}
+    (defaults: derived from the disk size, and {!Block_cache.create}'s)
+    — large synthetic workloads need more inodes than the derived
+    count.
 
     [disk_blocks_for] / [ninodes_for] size individual hosts' disks by
-    host index, overriding [disk_blocks] / [ninodes] where given.  A
-    large cluster in which only a few hosts store replicas can give the
-    idle majority small disks — the simulator's per-host disk arrays
-    are eagerly allocated, so uniform sizing makes cluster construction
-    (and its memory footprint) scale with [nhosts * disk_blocks] even
-    when most hosts never store a byte.
+    host index, overriding [disk_blocks] / [ninodes] where given.  Disks
+    are sparse (a block costs memory only once written), so a host's
+    size bounds what it can store, not what the cluster allocates.
 
     [indexed] (default [true]) selects the simulator's indexed hot
     paths: the network uses an event queue keyed by delivery tick
@@ -139,9 +144,6 @@ val gossip : host -> Gossip.t option
 val control_plane : host -> Control_plane.t option
 (** The consensus member / replicated registry on coordinator-group
     hosts; [None] elsewhere. *)
-
-val control_members : t -> int list
-(** Coordinator-group host indexes; [[]] without [?control:`Raft]. *)
 
 val raft_leader : t -> int option
 (** The member currently acting as leader (highest term if a deposed

@@ -93,7 +93,7 @@ let open_cost_setup () =
   let clock = Clock.create () in
   let phys =
     get
-      (Physical.create ~container:(Ufs_vnode.root fufs) ~clock ~host:"h0"
+      (Physical.create ~obs:(Obs.create ()) ~container:(Ufs_vnode.root fufs) ~clock ~host:"h0"
          ~vref:{ Ids.alloc = 0; vol = 1 } ~rid:1 ~peers:[ (1, "h0") ] ())
   in
   let p_root = Physical.root phys in
@@ -837,7 +837,7 @@ let a4_trace_overhead () =
   let clock = Clock.create () in
   let phys =
     get
-      (Physical.create ~container:(Ufs_vnode.root ficus_fs) ~clock ~host:"h"
+      (Physical.create ~obs:(Obs.create ()) ~container:(Ufs_vnode.root ficus_fs) ~clock ~host:"h"
          ~vref:{ Ids.alloc = 0; vol = 1 } ~rid:1 ~peers:[ (1, "h") ] ())
   in
   let results =

@@ -22,6 +22,7 @@ let create ?(capacity = 256) disk =
     misses = 0 }
 
 let disk t = t.disk
+let capacity t = t.capacity
 
 let touch t e =
   t.tick <- t.tick + 1;

@@ -16,6 +16,7 @@ val create : ?capacity:int -> Disk.t -> t
     of zero disables caching — every access reaches the device. *)
 
 val disk : t -> Disk.t
+val capacity : t -> int
 
 val read : t -> int -> (bytes, Errno.t) result
 (** Cached read.  The returned buffer is shared with the cache: callers

@@ -382,7 +382,8 @@ let disk t = Block_cache.disk t.cache
 (* The journal talks to the world through closures: home blocks go
    through the buffer cache (write-through, so checkpoint and replay
    leave cache and media consistent); log-region blocks go straight to
-   the device so log traffic never pollutes the LRU. *)
+   the device so log traffic never pollutes the LRU.  The flush
+   thresholds are options: [None] takes {!Journal.create}'s default. *)
 let make_journal ~cache ~sb ~bs ~flush_blocks ~flush_age ~now =
   let disk = Block_cache.disk cache in
   Journal.create
@@ -393,16 +394,16 @@ let make_journal ~cache ~sb ~bs ~flush_blocks ~flush_age ~now =
       log_read = (fun blk -> Disk.read disk blk);
       log_write = (fun blk buf -> Disk.write disk blk buf);
     }
-    ~start:sb.journal_start ~blocks:sb.journal_blocks ~flush_blocks ~flush_age ~now ()
+    ~start:sb.journal_start ~blocks:sb.journal_blocks ?flush_blocks ?flush_age ~now ()
 
-let make cache sb ~now ~cache_capacity journal =
+let make cache sb ~now journal =
   let bs = Disk.block_size (Block_cache.disk cache) in
   { cache; sb; bs; now; journal; writes = 0; cached_at = 0; inos = Hashtbl.create 64;
-    files = Hashtbl.create 16; file_bytes = 0; file_budget = cache_capacity * bs;
+    files = Hashtbl.create 16; file_bytes = 0; file_budget = Block_cache.capacity cache * bs;
     dirs = Hashtbl.create 64 }
 
-let mkfs ?(cache_capacity = 256) ?ninodes ?(inode_size = default_inode_size)
-    ?(journal_blocks = 0) ?(journal_flush_blocks = 32) ?(journal_flush_age = 8) ~now disk =
+let mkfs ?cache_capacity ?ninodes ?(inode_size = default_inode_size)
+    ?(journal_blocks = 0) ?journal_flush_blocks ?journal_flush_age ~now disk =
   let bs = Disk.block_size disk in
   if bs < 512 || inode_size < default_inode_size || bs mod inode_size <> 0
      || journal_blocks < 0
@@ -414,10 +415,10 @@ let mkfs ?(cache_capacity = 256) ?ninodes ?(inode_size = default_inode_size)
     let sb = layout ~bs ~nblocks ~ninodes ~inode_size ~journal_blocks in
     if sb.data_start >= sb.journal_start then Error Errno.ENOSPC
     else begin
-      let cache = Block_cache.create ~capacity:cache_capacity disk in
+      let cache = Block_cache.create ?capacity:cache_capacity disk in
       (* Format with direct write-through; the journal only starts
          intercepting once the image is complete. *)
-      let t = make cache sb ~now ~cache_capacity None in
+      let t = make cache sb ~now None in
       let* () = Block_cache.write cache 0 (encode_sb bs sb) in
       (* Zero both bitmaps and the inode table. *)
       let zero = Bytes.make bs '\000' in
@@ -462,14 +463,13 @@ let mkfs ?(cache_capacity = 256) ?ninodes ?(inode_size = default_inode_size)
       end
     end
 
-let mount ?(cache_capacity = 256) ?(journal_flush_blocks = 32) ?(journal_flush_age = 8)
-    ~now disk =
+let mount ?cache_capacity ?journal_flush_blocks ?journal_flush_age ~now disk =
   let bs = Disk.block_size disk in
-  let cache = Block_cache.create ~capacity:cache_capacity disk in
+  let cache = Block_cache.create ?capacity:cache_capacity disk in
   let* b = Block_cache.read cache 0 in
   let* sb = decode_sb b in
   if sb.nblocks <> Disk.nblocks disk then Error Errno.EINVAL
-  else if sb.journal_blocks = 0 then Ok (make cache sb ~now ~cache_capacity None)
+  else if sb.journal_blocks = 0 then Ok (make cache sb ~now None)
   else begin
     let j =
       make_journal ~cache ~sb ~bs ~flush_blocks:journal_flush_blocks
@@ -478,7 +478,7 @@ let mount ?(cache_capacity = 256) ?(journal_flush_blocks = 32) ?(journal_flush_a
     (* Crash recovery: re-apply every sealed record group, discard any
        torn tail, and start with an empty log. *)
     let* (_applied : int) = Journal.recover j in
-    Ok (make cache sb ~now ~cache_capacity (Some j))
+    Ok (make cache sb ~now (Some j))
   end
 
 let nfree_blocks t =

@@ -63,11 +63,14 @@ val mkfs :
 
     [journal_blocks] (default 0 = unjournaled, else at least 4) reserves
     that many blocks at the tail of the disk for the write-ahead
-    journal.  [journal_flush_blocks] (default 32) and
-    [journal_flush_age] (default 8 clock units) are the group-commit
-    thresholds: staged transactions flush to the log when that many
-    distinct blocks are dirty, or when {!journal_tick} finds the oldest
-    commit has waited that long. *)
+    journal.  [journal_flush_blocks] and [journal_flush_age] are the
+    group-commit thresholds ({!Journal.create}'s [flush_blocks] and
+    [flush_age], with its defaults): staged transactions flush to the
+    log when that many distinct blocks are dirty, or when
+    {!journal_tick} finds the oldest commit has waited that long.
+    [cache_capacity] sizes the buffer cache ({!Block_cache.create}'s
+    [capacity], with its default); cached whole-file reads share a
+    budget of that many blocks. *)
 
 val mount :
   ?cache_capacity:int -> ?journal_flush_blocks:int -> ?journal_flush_age:int ->

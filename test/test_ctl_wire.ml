@@ -226,7 +226,7 @@ let golden_replica () =
   let container = ok (Namei.mkdir_p ~root:(Ufs_vnode.root fs) "vol") in
   let phys =
     ok
-      (Physical.create ~container ~clock:(Clock.create ()) ~host:"host0"
+      (Physical.create ~obs:(Obs.create ()) ~container ~clock:(Clock.create ()) ~host:"host0"
          ~vref:{ Ids.alloc = 0; vol = 1 } ~rid:1
          ~peers:[ (1, "host0"); (2, "host1") ]
          ())

@@ -75,13 +75,13 @@ let test_recon_daemon_survives_unreachable_peer () =
 (* ---------------- NFS reads ---------------- *)
 
 let test_data_cache_disabled_by_default () =
-  let net = Sim_net.create (Clock.create ()) in
+  let net = Sim_net.create ~seed:42 ~obs:(Obs.create ()) ~indexed:true (Clock.create ()) in
   let server_id = Sim_net.add_host net "server" in
   let client_id = Sim_net.add_host net "client" in
   let _, fs = fresh_ufs () in
-  let server = Nfs_server.create net ~host:server_id in
+  let server = Nfs_server.create ~obs:(Obs.create ()) net ~host:server_id in
   Nfs_server.add_export server ~name:"export" (Ufs_vnode.root fs);
-  let m = ok (Nfs_client.mount net ~client:client_id ~server:server_id ~export:"export") in
+  let m = ok (Nfs_client.mount ~obs:(Obs.create ()) net ~client:client_id ~server:server_id ~export:"export") in
   let root = Nfs_client.root m in
   let f = ok (root.Vnode.create "f") in
   ok (f.Vnode.write ~off:0 "original");

@@ -153,7 +153,7 @@ let test_quiescent_soak () =
 (* SLO classifier semantics                                             *)
 
 let test_confirm_and_edge_trigger () =
-  let h = Health.create { Health.period = 1; slos = [ ("g", Health.slo ~confirm:2 ~degraded:10 ~stuck:100 ()) ] } in
+  let h = Health.create ~metrics:(Metrics.create ()) { Health.period = 1; slos = [ ("g", Health.slo ~confirm:2 ~degraded:10 ~stuck:100 ()) ] } in
   let obs tick value = Health.observe h ~tick ~gauge:"g" ~value ~span:Span.none ~detail:"" in
   obs 1 50;
   Alcotest.(check int) "one breach below confirm: silent" 0 (Health.events_degraded h);
@@ -172,7 +172,7 @@ let test_confirm_and_edge_trigger () =
   obs 8 50;
   Alcotest.(check int) "re-escalation fires again" 2 (Health.events_degraded h);
   (* The streak must be consecutive: a dip resets it. *)
-  let h2 = Health.create { Health.period = 1; slos = [ ("g", Health.slo ~confirm:3 ~degraded:10 ~stuck:100 ()) ] } in
+  let h2 = Health.create ~metrics:(Metrics.create ()) { Health.period = 1; slos = [ ("g", Health.slo ~confirm:3 ~degraded:10 ~stuck:100 ()) ] } in
   let obs2 tick value = Health.observe h2 ~tick ~gauge:"g" ~value ~span:Span.none ~detail:"" in
   obs2 1 50; obs2 2 50; obs2 3 0; obs2 4 50; obs2 5 50;
   Alcotest.(check int) "dip resets the confirm streak" 0 (Health.events_degraded h2);

@@ -104,7 +104,7 @@ let test_ficus_physical_over_crypt () =
   let clock = Clock.create () in
   let phys =
     ok
-      (Physical.create ~container ~clock ~host:"h" ~vref:{ Ids.alloc = 0; vol = 1 } ~rid:1
+      (Physical.create ~obs:(Obs.create ()) ~container ~clock ~host:"h" ~vref:{ Ids.alloc = 0; vol = 1 } ~rid:1
          ~peers:[ (1, "h") ] ())
   in
   let root = Physical.root phys in

@@ -6,19 +6,19 @@ type Sim_net.payload += Ping of int | Pong of int
 
 let setup () =
   let clock = Clock.create () in
-  let net = Sim_net.create clock in
+  let net = Sim_net.create ~seed:42 ~obs:(Obs.create ()) ~indexed:true clock in
   let a = Sim_net.add_host net "a" in
   let b = Sim_net.add_host net "b" in
   let c = Sim_net.add_host net "c" in
   (clock, net, a, b, c)
 
 let test_clock () =
-  let clock = Clock.create ~start:5 () in
-  Alcotest.(check int) "start" 5 (Clock.now clock);
+  let clock = Clock.create () in
+  Alcotest.(check int) "start" 0 (Clock.now clock);
   Clock.advance clock 10;
   Clock.tick clock;
-  Alcotest.(check int) "advanced" 16 (Clock.now clock);
-  Alcotest.(check int) "fn" 16 (Clock.fn clock ());
+  Alcotest.(check int) "advanced" 11 (Clock.now clock);
+  Alcotest.(check int) "fn" 11 (Clock.fn clock ());
   Alcotest.check_raises "negative" (Invalid_argument "Clock.advance") (fun () ->
       Clock.advance clock (-1))
 
@@ -54,7 +54,7 @@ let test_partition_drops_datagrams () =
 
 let test_datagram_loss () =
   let clock = Clock.create () in
-  let net = Sim_net.create ~seed:3 clock in
+  let net = Sim_net.create ~seed:3 ~obs:(Obs.create ()) ~indexed:true clock in
   Sim_net.set_faults net { Sim_net.no_faults with loss = 1.0 };
   let a = Sim_net.add_host net "a" in
   let b = Sim_net.add_host net "b" in

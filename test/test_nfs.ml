@@ -5,16 +5,16 @@ open Util
 
 let setup () =
   let clock = Clock.create () in
-  let net = Sim_net.create clock in
+  let net = Sim_net.create ~seed:42 ~obs:(Obs.create ()) ~indexed:true clock in
   let server_id = Sim_net.add_host net "server" in
   let client_id = Sim_net.add_host net "client" in
   let _, fs = fresh_ufs () in
-  let server = Nfs_server.create net ~host:server_id in
+  let server = Nfs_server.create ~obs:(Obs.create ()) net ~host:server_id in
   Nfs_server.add_export server ~name:"export" (Ufs_vnode.root fs);
   (clock, net, server, server_id, client_id, fs)
 
 let mount ?attr_ttl ?name_ttl (net, server_id, client_id) =
-  ok (Nfs_client.mount ?attr_ttl ?name_ttl net ~client:client_id ~server:server_id ~export:"export")
+  ok (Nfs_client.mount ?attr_ttl ?name_ttl ~obs:(Obs.create ()) net ~client:client_id ~server:server_id ~export:"export")
 
 let test_mount_and_basic_ops () =
   let _, net, _, sid, cid, _ = setup () in
@@ -31,7 +31,7 @@ let test_mount_and_basic_ops () =
 let test_unknown_export () =
   let _, net, _, sid, cid, _ = setup () in
   expect_err Errno.ENOENT
-    (Result.map (fun _ -> ()) (Nfs_client.mount net ~client:cid ~server:sid ~export:"nope"))
+    (Result.map (fun _ -> ()) (Nfs_client.mount ~obs:(Obs.create ()) net ~client:cid ~server:sid ~export:"nope"))
 
 let test_open_close_not_forwarded () =
   (* The defining semantic gap (paper §2.2): a layer above NFS never
@@ -43,7 +43,7 @@ let test_open_close_not_forwarded () =
     { base with Vnode.openv = (fun _ -> incr opens; Ok ()) }
   in
   Nfs_server.add_export server ~name:"export2" counting;
-  let m = ok (Nfs_client.mount net ~client:cid ~server:sid ~export:"export2") in
+  let m = ok (Nfs_client.mount ~obs:(Obs.create ()) net ~client:cid ~server:sid ~export:"export2") in
   let root = Nfs_client.root m in
   ok (root.Vnode.openv Vnode.Read_only);
   ok (root.Vnode.closev ());
@@ -68,7 +68,7 @@ let test_ctl_lookup_passes_through () =
     }
   in
   Nfs_server.add_export server ~name:"export2" spying;
-  let m = ok (Nfs_client.mount net ~client:cid ~server:sid ~export:"export2") in
+  let m = ok (Nfs_client.mount ~obs:(Obs.create ()) net ~client:cid ~server:sid ~export:"export2") in
   let root = Nfs_client.root m in
   let name = ok (Ctl_name.encode ~op:"open" ~args:[ "."; "rw" ]) in
   let _ = ok (root.Vnode.lookup name) in

@@ -10,7 +10,7 @@ let fresh_phys ?(rid = 1) ?(peers = [ (1, "hostA"); (2, "hostB") ]) () =
   let clock = Clock.create () in
   let container = ok (Namei.mkdir_p ~root:(Ufs_vnode.root fs) "vol") in
   let vref = { Ids.alloc = 0; vol = 1 } in
-  let phys = ok (Physical.create ~container ~clock ~host:"hostA" ~vref ~rid ~peers ()) in
+  let phys = ok (Physical.create ~obs:(Obs.create ()) ~container ~clock ~host:"hostA" ~vref ~rid ~peers ()) in
   (fs, clock, container, phys)
 
 let test_create_layout () =
@@ -87,25 +87,25 @@ let test_install_file_outcomes () =
   let local_vv = (ok (Physical.get_version phys path)).Physical.vi_vv in
   (* Dominating remote version: installed. *)
   let newer = Vv.bump local_vv 2 in
-  (match ok (Physical.install_file phys path ~vv:newer ~uid:0 ~data:(remote "remote v2") ~origin_rid:2) with
+  (match ok (Physical.install_file ~span:Span.none ~via:"prop" phys path ~vv:newer ~uid:0 ~data:(remote "remote v2") ~origin_rid:2) with
    | Physical.Installed -> ()
    | _ -> Alcotest.fail "expected Installed");
   Alcotest.(check string) "contents replaced" "remote v2" (ok (Vnode.read_all f));
   (* Same version again: up to date. *)
-  (match ok (Physical.install_file phys path ~vv:newer ~uid:0 ~data:(remote "remote v2") ~origin_rid:2) with
+  (match ok (Physical.install_file ~span:Span.none ~via:"prop" phys path ~vv:newer ~uid:0 ~data:(remote "remote v2") ~origin_rid:2) with
    | Physical.Up_to_date -> ()
    | _ -> Alcotest.fail "expected Up_to_date");
   (* Concurrent: conflict, local kept, logged once. *)
   let concurrent = Vv.bump newer 3 in
   ok (Vnode.write_all f "local v3");
   (match
-     ok (Physical.install_file phys path ~vv:concurrent ~uid:0 ~data:(remote "remote v3") ~origin_rid:3)
+     ok (Physical.install_file ~span:Span.none ~via:"prop" phys path ~vv:concurrent ~uid:0 ~data:(remote "remote v3") ~origin_rid:3)
    with
    | Physical.Conflict _ -> ()
    | _ -> Alcotest.fail "expected Conflict");
   Alcotest.(check string) "local kept" "local v3" (ok (Vnode.read_all f));
   let (_ : Physical.install_outcome) =
-    ok (Physical.install_file phys path ~vv:concurrent ~uid:0 ~data:(remote "remote v3") ~origin_rid:3)
+    ok (Physical.install_file ~span:Span.none ~via:"prop" phys path ~vv:concurrent ~uid:0 ~data:(remote "remote v3") ~origin_rid:3)
   in
   Alcotest.(check int) "reported once" 1
     (List.length (Conflict_log.pending (Physical.conflicts phys)))
@@ -243,7 +243,7 @@ let test_attach_after_restart () =
   let f = ok (root.Vnode.create "keep") in
   ok (f.Vnode.write ~off:0 "persisted");
   ignore fs;
-  let phys2 = ok (Physical.attach ~container ~clock ~host:"hostA" ()) in
+  let phys2 = ok (Physical.attach ~obs:(Obs.create ()) ~container ~clock ~host:"hostA" ()) in
   Alcotest.(check int) "rid recovered" 1 (Physical.rid phys2);
   Alcotest.(check int) "peers recovered" 2 (List.length (Physical.peers phys2));
   let root2 = Physical.root phys2 in

@@ -80,12 +80,13 @@ let test_backoff_grows_and_reconciliation_converges () =
   let vref = { Ids.alloc = 0; vol = 1 } in
   let phys =
     ok
-      (Physical.create ~container:(Ufs_vnode.root fs) ~clock ~host:"me" ~vref ~rid:2
+      (Physical.create ~obs:(Obs.create ()) ~container:(Ufs_vnode.root fs) ~clock ~host:"me" ~vref ~rid:2
          ~peers:[ (1, "origin"); (2, "me") ] ())
   in
   let connect ~host:_ ~vref:_ ~rid:_ = Error Errno.EUNREACHABLE in
   let prop =
-    Propagation.create ~clock ~host:"me" ~connect
+    Propagation.create ~delay:0 ~obs:(Obs.create ()) ~delta:true
+      ~liveness:(fun _ -> Gossip.Alive) ~clock ~host:"me" ~connect
       ~local_replica:(fun v -> if Ids.vref_equal v vref then Some phys else None)
       ()
   in

@@ -338,13 +338,13 @@ let ufs_props =
         run_ops_via direct_root ops;
         (* Identical ops through an NFS mount (caches off). *)
         let clock = Clock.create () in
-        let net = Sim_net.create clock in
+        let net = Sim_net.create ~seed:42 ~obs:(Obs.create ()) ~indexed:true clock in
         let sid = Sim_net.add_host net "server" in
         let cid = Sim_net.add_host net "client" in
         let _, nfs_fs = Util.fresh_ufs ~blocks:4096 () in
-        let server = Nfs_server.create net ~host:sid in
+        let server = Nfs_server.create ~obs:(Obs.create ()) net ~host:sid in
         Nfs_server.add_export server ~name:"e" (Ufs_vnode.root nfs_fs);
-        (match Nfs_client.mount ~attr_ttl:0 ~name_ttl:0 net ~client:cid ~server:sid ~export:"e" with
+        (match Nfs_client.mount ~attr_ttl:0 ~name_ttl:0 ~obs:(Obs.create ()) net ~client:cid ~server:sid ~export:"e" with
          | Error _ -> false
          | Ok m ->
            run_ops_via (Nfs_client.root m) ops;

@@ -28,8 +28,8 @@ type group = {
 
 let mk_group ?(config = Raft.default_config) ~seed n =
   let clock = Clock.create () in
-  let net = Sim_net.create ~seed clock in
   let obs = Obs.create () in
+  let net = Sim_net.create ~seed ~obs ~indexed:true clock in
   let peers = List.init n (Printf.sprintf "m%d") in
   let nodes =
     Array.init n (fun i ->

@@ -47,7 +47,7 @@ let run_net_schedule ~indexed schedule =
     { Sim_net.no_faults with latency_min = 0; latency_max = 3;
       duplication_prob = 0.2; reorder_prob = 0.2; loss = 0.1 }
   in
-  let net = Sim_net.create ~seed:42 ~indexed clock in
+  let net = Sim_net.create ~seed:42 ~obs:(Obs.create ()) ~indexed clock in
   Sim_net.set_faults net faults;
   let hosts = Array.init 5 (fun i -> Sim_net.add_host net (Printf.sprintf "h%d" i)) in
   let log = ref [] in

@@ -9,17 +9,17 @@ let test_nfs_over_nfs () =
   (* host2 mounts host1's export; host1's export is itself an NFS mount
      of host0's UFS: a two-hop chain of identical interfaces. *)
   let clock = Clock.create () in
-  let net = Sim_net.create clock in
+  let net = Sim_net.create ~seed:42 ~obs:(Obs.create ()) ~indexed:true clock in
   let h0 = Sim_net.add_host net "h0" in
   let h1 = Sim_net.add_host net "h1" in
   let h2 = Sim_net.add_host net "h2" in
   let _, fs = fresh_ufs () in
-  let s0 = Nfs_server.create net ~host:h0 in
+  let s0 = Nfs_server.create ~obs:(Obs.create ()) net ~host:h0 in
   Nfs_server.add_export s0 ~name:"disk" (Ufs_vnode.root fs);
-  let m1 = ok (Nfs_client.mount ~attr_ttl:0 ~name_ttl:0 net ~client:h1 ~server:h0 ~export:"disk") in
-  let s1 = Nfs_server.create net ~host:h1 in
+  let m1 = ok (Nfs_client.mount ~attr_ttl:0 ~name_ttl:0 ~obs:(Obs.create ()) net ~client:h1 ~server:h0 ~export:"disk") in
+  let s1 = Nfs_server.create ~obs:(Obs.create ()) net ~host:h1 in
   Nfs_server.add_export s1 ~name:"relay" (Nfs_client.root m1);
-  let m2 = ok (Nfs_client.mount ~attr_ttl:0 ~name_ttl:0 net ~client:h2 ~server:h1 ~export:"relay") in
+  let m2 = ok (Nfs_client.mount ~attr_ttl:0 ~name_ttl:0 ~obs:(Obs.create ()) net ~client:h2 ~server:h1 ~export:"relay") in
   let root = Nfs_client.root m2 in
   (* Full read/write/namespace activity through both hops. *)
   let d = ok (root.Vnode.mkdir "dir") in
@@ -48,7 +48,7 @@ let test_ficus_logical_over_nfs_relay () =
   let clock = Clock.create () in
   let phys =
     ok
-      (Physical.create ~container ~clock ~host:"h" ~vref:{ Ids.alloc = 0; vol = 1 } ~rid:1
+      (Physical.create ~obs:(Obs.create ()) ~container ~clock ~host:"h" ~vref:{ Ids.alloc = 0; vol = 1 } ~rid:1
          ~peers:[ (1, "h") ] ())
   in
   let root = Physical.root phys in

@@ -15,7 +15,7 @@ let fresh () =
   let container = ok (Namei.mkdir_p ~root:(Ufs_vnode.root fs) "vol") in
   let vref = { Ids.alloc = 0; vol = 1 } in
   let phys =
-    ok (Physical.create ~container ~clock ~host:"hostA" ~vref ~rid ~peers:[ (rid, "hostA") ] ())
+    ok (Physical.create ~obs:(Obs.create ()) ~container ~clock ~host:"hostA" ~vref ~rid ~peers:[ (rid, "hostA") ] ())
   in
   (disk, clock, container, phys)
 
@@ -135,7 +135,7 @@ let test_cut_dir_create () =
     let container = ok (Namei.mkdir_p ~root:(Ufs_vnode.root fs) "vol") in
     let vref = { Ids.alloc = 0; vol = 1 } in
     let phys =
-      ok (Physical.create ~container ~clock ~host:"hostA" ~vref ~rid ~peers:[ (rid, "hostA") ] ())
+      ok (Physical.create ~obs:(Obs.create ()) ~container ~clock ~host:"hostA" ~vref ~rid ~peers:[ (rid, "hostA") ] ())
     in
     let root = Physical.root phys in
     List.iter (fun name -> ok ((ok (root.Vnode.create name)).Vnode.write ~off:0 name)) (names n);
@@ -156,7 +156,7 @@ let test_cut_dir_create () =
       let result = (Physical.root phys).Vnode.create "new-file" in
       Disk.clear_failures disk;
       ok (Ufs.crash_reboot fs);
-      (match Physical.attach ~container ~clock ~host:"hostA" () with
+      (match Physical.attach ~obs:(Obs.create ()) ~container ~clock ~host:"hostA" () with
        | Error _ -> ()
        | Ok phys -> (
          match Physical.fetch_dir phys [] with
@@ -204,7 +204,7 @@ let test_failed_flush_keeps_bumps () =
         if Result.is_error (Physical.get_version phys fids) then
           Alcotest.failf "an aux file is unreadable (device failed after %d writes)" k)
       (live_dirs phys);
-    if Result.is_error (Physical.attach ~container ~clock ~host:"hostA" ()) then
+    if Result.is_error (Physical.attach ~obs:(Obs.create ()) ~container ~clock ~host:"hostA" ()) then
       Alcotest.failf "META is unreadable (device failed after %d writes)" k;
     match result with
     | Ok _ -> ()
@@ -214,7 +214,7 @@ let test_failed_flush_keeps_bumps () =
         (summaries phys);
       let (_ : int) = ok (Physical.flush_summaries phys) in
       same (Printf.sprintf "the next flush wrote them (device failed after %d writes)" k) before
-        (summaries (ok (Physical.attach ~container ~clock ~host:"hostA" ())));
+        (summaries (ok (Physical.attach ~obs:(Obs.create ()) ~container ~clock ~host:"hostA" ())));
       sweep (k + 1)
   in
   sweep 0;
