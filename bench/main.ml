@@ -106,7 +106,7 @@ let micro_delta_tests () =
   in
   let data = synth "micro" in
   let cluster =
-    Cluster.create ~prop_delta:true ~selection:Logical.Prefer_local ~disk_blocks:2048
+    Cluster.create ~selection:Logical.Prefer_local ~disk_blocks:2048
       ~block_size:4096 ~cache_capacity:2048 ~nhosts:2 ()
   in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in

@@ -43,7 +43,6 @@ let create ~selection ~obs ~liveness ~host ~clock ~connect () =
     obs;
   }
 
-let host t = t.host
 let counters t = t.counters
 
 (* Every mutating operation is stamped with a fresh causal span here, at

@@ -54,7 +54,6 @@ val create :
     liveness ignored — one-copy availability is never forfeited to a
     suspicion or to a heal within the tick. *)
 
-val host : t -> string
 val counters : t -> Counters.t
 (** A view of [obs]'s registry ({!Obs.counters}): ["logical.ops"],
     ["logical.updates"] (mutating ops, each stamped with a fresh span),

@@ -98,7 +98,6 @@ let orphans_dirname = "ORPHANS"
 let meta_name = "META"
 let dirfile_name = "DIR"
 
-let vref t = t.vref
 let rid t = t.rid
 let host t = t.host
 let peers t = t.peers

@@ -46,7 +46,6 @@ val attach :
 (** Mount an existing volume replica (e.g. after a simulated reboot);
     reads ["META"] and discards leftover shadow files. *)
 
-val vref : t -> Ids.volume_ref
 val rid : t -> Ids.replica_id
 val host : t -> string
 val peers : t -> (Ids.replica_id * string) list

@@ -14,7 +14,6 @@ type t = {
   connect : Remote.connector;
   local_replica : Ids.volume_ref -> Physical.t option;
   liveness : string -> Gossip.liveness;
-  delta : bool;
   delay : int;
   rng : Random.State.t;
   counters : Counters.t;
@@ -26,7 +25,7 @@ type t = {
 let max_attempts = 5
 let deadline = 500
 
-let create ~delay ~obs ~delta ~liveness ~clock ~host ~connect ~local_replica () =
+let create ~delay ~obs ~liveness ~clock ~host ~connect ~local_replica () =
   {
     nvc = New_version_cache.create ();
     clock;
@@ -34,7 +33,6 @@ let create ~delay ~obs ~delta ~liveness ~clock ~host ~connect ~local_replica () 
     connect;
     local_replica;
     liveness;
-    delta;
     delay;
     rng = Random.State.make [| Hashtbl.hash host |];
     counters = Obs.counters obs;
@@ -94,7 +92,7 @@ let pull t phys (e : New_version_cache.entry) =
       else Some e.New_version_cache.vv
     in
     let* pull =
-      Delta.pull_file ~whole:(not t.delta) ~span:e.New_version_cache.span ~detail:true
+      Delta.pull_file ~span:e.New_version_cache.span ~detail:true
         ~via:"prop" ~local:phys ~connect ~origin_rid:e.New_version_cache.origin_rid
         ?remote_vv e.New_version_cache.fidpath
     in

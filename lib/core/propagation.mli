@@ -6,7 +6,8 @@
 
     - regular files: the pull step shared with reconciliation
       ({!Delta.pull_file}) fetches contents + version vector from the
-      origin replica and adopts them via the shadow-file atomic commit
+      origin replica, negotiating chunks against the local copy, and
+      adopts them via the shadow-file atomic commit
       ({!Physical.install_file}); a concurrent local history is reported,
       never overwritten;
     - directories: fetch the origin's directory state and reconcile with
@@ -22,7 +23,6 @@ type t
 val create :
   delay:int ->
   obs:Obs.t ->
-  delta:bool ->
   liveness:(string -> Gossip.liveness) ->
   clock:Clock.t ->
   host:string ->
@@ -32,11 +32,6 @@ val create :
 (** [delay] is the minimum age before a cache entry is acted
     on — the "later, more convenient time"; larger delays batch bursty
     updates.  An entry gets at most 5 attempts.
-
-    [delta] selects the chunk-negotiation fetch path
-    ({!Delta.fetch_file}) for regular files; [false] forces plain
-    whole-file fetches — the measurement baseline for the DELTA
-    experiment and an escape hatch if chunking misbehaves.
 
     A pull that fails with [EUNREACHABLE] is requeued with exponential
     backoff plus jitter (other failures — typically ordering, a parent

@@ -106,7 +106,6 @@ let spans t = t.g_obs.Obs.spans
 
 let self t = Hashtbl.find t.g_table t.g_host
 
-let host t = t.g_host
 let config t = t.g_config
 
 let find_id t name =

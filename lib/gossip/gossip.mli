@@ -95,7 +95,6 @@ val create :
     (status [Member], no replicas); acquaintances arrive epidemically,
     or immediately via {!introduce} at bootstrap. *)
 
-val host : t -> string
 val config : t -> config
 
 val introduce : t -> t -> unit
@@ -144,9 +143,6 @@ val peers_version : t -> int
 val liveness : t -> string -> liveness
 (** Current verdict for a host name.  Unknown hosts — and the local host
     itself — are [Alive]: suspicion requires evidence. *)
-
-val membership : t -> entry list
-(** The local table, sorted by host name (self included). *)
 
 val view : t -> (string * int * status * (int * int * int) list) list
 (** Heartbeat-free projection [(host, incarnation, status, replicas)],

@@ -10,7 +10,6 @@ type t = {
   obs : Obs.t;
 }
 
-let host t = t.host
 
 let encode_fh t slot = Printf.sprintf "fh:%d:%d:%d" t.host t.epoch slot
 

@@ -15,8 +15,6 @@ val create : obs:Obs.t -> Sim_net.t -> host:Sim_net.host_id -> t
     {!Nfs_proto.Traced} requests; the server re-establishes the caller's
     span context around the layers below it. *)
 
-val host : t -> Sim_net.host_id
-
 val add_export : t -> name:string -> Vnode.t -> unit
 (** Export a stack root under [name]; replaces any previous export with
     the same name. *)

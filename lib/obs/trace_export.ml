@@ -50,6 +50,8 @@ let line t fmt =
       t.n_lines <- t.n_lines + 1)
     fmt
 
+(* One span's complete record: a "ph":"b" line, one "ph":"i" line per
+   event, and a "ph":"e" line. *)
 let write_span t (x : Span.exported) =
   if t.closed then invalid_arg "Trace_export.write_span: closed";
   let last_tick =

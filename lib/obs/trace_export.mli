@@ -13,14 +13,11 @@ val create : string -> t
 (** Open [path] for appending trace lines (truncates any existing
     file). *)
 
-val write_span : t -> Span.exported -> unit
-(** Emit one span's complete record: a ["ph":"b"] line, one
-    ["ph":"i"] line per event, and a ["ph":"e"] line.
-    @raise Invalid_argument after [close]. *)
-
 val attach : t -> Span.t -> unit
-(** Install [write_span] as the store's export hook, so spans stream
-    out as retention evicts them. *)
+(** Install the store's export hook, so spans stream out as retention
+    evicts them: each span's complete record is a ["ph":"b"] line, one
+    ["ph":"i"] line per event, and a ["ph":"e"] line.  Exporting after
+    {!close} raises [Invalid_argument]. *)
 
 val drain : t -> Span.t -> int
 (** Export every still-live span in id order (used at end of run to

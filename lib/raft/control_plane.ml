@@ -15,7 +15,6 @@ type cmd =
       sr_vol : int;
       sr_replicas : (int * string) list;
     }
-  | Set_graft of { sg_path : string; sg_alloc : int; sg_vol : int }
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
@@ -40,10 +39,7 @@ let encode_cmd cmd =
     buf_replicas b rv_replicas
   | Set_replicas { sr_alloc; sr_vol; sr_replicas } ->
     Printf.bprintf b "setr %d %d " sr_alloc sr_vol;
-    buf_replicas b sr_replicas
-  | Set_graft { sg_path; sg_alloc; sg_vol } ->
-    Printf.bprintf b "graf %d %d " sg_alloc sg_vol;
-    buf_str b sg_path);
+    buf_replicas b sr_replicas);
   Buffer.contents b
 
 (* A tiny cursor parser shared by command and snapshot decoding. *)
@@ -115,13 +111,6 @@ let decode_cmd s =
         expect c ' ';
         let sr_replicas = cur_replicas c in
         Some (Set_replicas { sr_alloc; sr_vol; sr_replicas })
-      | "graf" ->
-        let sg_alloc = cur_int c in
-        expect c ' ';
-        let sg_vol = cur_int c in
-        expect c ' ';
-        let sg_path = cur_str c in
-        Some (Set_graft { sg_path; sg_alloc; sg_vol })
       | _ -> None
     with Bad -> None
 
@@ -136,7 +125,6 @@ type vol_state = {
 
 type t = {
   cp_vols : (int * int, vol_state) Hashtbl.t;
-  cp_grafts : (string, (int * int) * int) Hashtbl.t;
   mutable cp_applied : int;
   mutable cp_bad : int;  (* undecodable commands skipped *)
 }
@@ -144,7 +132,6 @@ type t = {
 let create () =
   {
     cp_vols = Hashtbl.create 8;
-    cp_grafts = Hashtbl.create 8;
     cp_applied = 0;
     cp_bad = 0;
   }
@@ -169,9 +156,7 @@ let apply t ~index cmd =
           vs with
           vs_replicas = List.sort compare sr_replicas;
           vs_cindex = index;
-        })
-  | Some (Set_graft { sg_path; sg_alloc; sg_vol }) ->
-    Hashtbl.replace t.cp_grafts sg_path ((sg_alloc, sg_vol), index));
+        }));
   t.cp_applied <- max t.cp_applied index
 
 let applied_index t = t.cp_applied
@@ -199,21 +184,10 @@ let snapshot t =
       Buffer.add_char b ' ';
       buf_replicas b vs.vs_replicas)
     vols;
-  let grafts =
-    Hashtbl.fold (fun path tgt acc -> (path, tgt) :: acc) t.cp_grafts []
-    |> List.sort compare
-  in
-  Printf.bprintf b " %d" (List.length grafts);
-  List.iter
-    (fun (path, ((alloc, vol), cindex)) ->
-      Printf.bprintf b " %d %d %d " alloc vol cindex;
-      buf_str b path)
-    grafts;
   Buffer.contents b
 
 let restore t s =
   Hashtbl.reset t.cp_vols;
-  Hashtbl.reset t.cp_grafts;
   t.cp_applied <- 0;
   t.cp_bad <- 0;
   if not (String.equal s "") then begin
@@ -239,19 +213,6 @@ let restore t s =
         let vs_replicas = cur_replicas c in
         Hashtbl.replace t.cp_vols (alloc, vol)
           { vs_label; vs_replicas; vs_cindex }
-      done;
-      expect c ' ';
-      let ngrafts = cur_int c in
-      for _ = 1 to ngrafts do
-        expect c ' ';
-        let alloc = cur_int c in
-        expect c ' ';
-        let vol = cur_int c in
-        expect c ' ';
-        let cindex = cur_int c in
-        expect c ' ';
-        let path = cur_str c in
-        Hashtbl.replace t.cp_grafts path ((alloc, vol), cindex)
       done
     with Bad -> failwith "Control_plane: corrupt snapshot"
   end

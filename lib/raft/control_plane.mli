@@ -1,7 +1,7 @@
 (** The control-plane state machine replicated by {!Raft}.
 
     Commands are the cluster's control metadata mutations — volume
-    registration, replica-set changes, graft-table edits — encoded as
+    registration and replica-set changes — encoded as
     opaque strings for the log.  Application is deterministic and
     sequential, so every coordinator that applies the same committed
     prefix holds the same registry; the log index of the last command
@@ -25,9 +25,6 @@ type cmd =
     }
       (** Replace the volume's replica set (add/remove replica).  No-op
           for unregistered volumes. *)
-  | Set_graft of { sg_path : string; sg_alloc : int; sg_vol : int }
-      (** Bind a graft point (a logical pathname) to a volume; later
-          commands overwrite earlier ones. *)
 
 val encode_cmd : cmd -> string
 

@@ -102,7 +102,6 @@ let metrics t = t.r_obs.Obs.metrics
 let spans t = t.r_obs.Obs.spans
 
 let host t = t.r_host
-let config t = t.r_config
 let role t = t.r_role
 let term t = t.r_term
 let leader_hint t = t.r_leader

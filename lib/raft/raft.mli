@@ -2,7 +2,7 @@
 
     Ficus keeps file {e data} optimistic — any replica accepts any
     update, divergence is reconciled later — but control-plane metadata
-    (which hosts hold which replicas, where volumes are grafted) has no
+    (which hosts hold which replicas of each volume) has no
     natural merge: two partitions editing the same replica set can
     disagree for unbounded time under pure gossip.  This module provides
     the alternative the ROADMAP calls for: a small elected-coordinator
@@ -92,7 +92,6 @@ val create :
     host id seed the election-timeout PRNG. *)
 
 val host : t -> string
-val config : t -> config
 val role : t -> role
 val term : t -> int
 val leader_hint : t -> string option

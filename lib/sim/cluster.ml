@@ -68,7 +68,6 @@ type t = {
 let clock t = t.clock
 let net t = t.net
 let obs t = t.obs
-let health t = t.health
 let profile t = t.profile
 let nhosts t = Array.length t.hosts
 let host t i = t.hosts.(i)
@@ -214,7 +213,7 @@ let control_rpc raft cp payload =
 
 let create ?(seed = 11) ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes
     ?disk_blocks_for ?ninodes_for ?cache_capacity ?(propagation_delay = 0)
-    ?(prop_delta = true) ?(reconcile_period = 100) ?(selection = Logical.Most_recent)
+    ?(reconcile_period = 100) ?(selection = Logical.Most_recent)
     ?(journal_blocks = 0) ?gossip ?(indexed = true) ?(control = `Gossip) ?health
     ?(dir_merge = `Legacy) ?(resolver = Resolver.Owner_report) ~nhosts () =
   if nhosts <= 0 then invalid_arg "Cluster.create";
@@ -273,7 +272,7 @@ let create ?(seed = 11) ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes
     let h_ninodes =
       match ninodes_for with Some f -> Some (f i) | None -> ninodes
     in
-    let h_disk = Disk.create ~label:h_name ~nblocks ~block_size () in
+    let h_disk = Disk.create ~nblocks ~block_size () in
     let h_ufs =
       match
         Ufs.mkfs ?cache_capacity ?ninodes:h_ninodes ~journal_blocks
@@ -329,7 +328,7 @@ let create ?(seed = 11) ?(disk_blocks = 4096) ?(block_size = 1024) ?ninodes
            Logical.create ~selection ~obs ~liveness ~host:h_name ~clock ~connect ()
          in
          let h_prop =
-           Propagation.create ~delay:propagation_delay ~delta:prop_delta ~obs
+           Propagation.create ~delay:propagation_delay ~obs
              ~liveness ~clock ~host:h_name ~connect ~local_replica ()
          in
          let h_recon =
@@ -945,19 +944,14 @@ let raft_read_replicas t ~src:i vref =
   in
   try_members t.control_members
 
-(* Serialize [cmds] through the coordinator log from host [src], in
-   order.  [Ok None] on gossip-only clusters, which have no log;
-   otherwise the committed index of the last command. *)
-let control_commit t ~src cmds =
+(* Serialize [cmd] through the coordinator log from host [src].
+   [Ok None] on gossip-only clusters, which have no log; otherwise the
+   command's committed index. *)
+let control_commit t ~src cmd =
   if not (is_raft t) then Ok None
   else
-    let rec go last = function
-      | [] -> Ok (Some last)
-      | cmd :: rest ->
-        let* idx = raft_commit t ~src (Control_plane.encode_cmd cmd) in
-        go idx rest
-    in
-    go 0 cmds
+    let* idx = raft_commit t ~src (Control_plane.encode_cmd cmd) in
+    Ok (Some idx)
 
 (* With raft control, base a replica-set change on the leader's
    committed set when it is reachable — concurrent edits serialize
@@ -976,27 +970,19 @@ let create_volume t ~on =
     let vref = { Ids.alloc = 0; vol = t.next_vol } in
     t.next_vol <- t.next_vol + 1;
     let peers = List.mapi (fun k i -> (k + 1, t.hosts.(i).h_name)) on in
-    (* Raft control plane: serialize the registration and its
-       graft-point binding through the coordinator log before any local
-       mechanics.  No reachable quorum within the budget fails the
-       operation with nothing changed anywhere. *)
+    (* Raft control plane: serialize the registration through the
+       coordinator log before any local mechanics.  No reachable quorum
+       within the budget fails the operation with nothing changed
+       anywhere. *)
     let* cindex =
       control_commit t ~src:first
-        [
-          Control_plane.Register_volume
-            {
-              rv_alloc = vref.Ids.alloc;
-              rv_vol = vref.Ids.vol;
-              rv_label = Printf.sprintf "vol%d" vref.Ids.vol;
-              rv_replicas = peers;
-            };
-          Control_plane.Set_graft
-            {
-              sg_path = Printf.sprintf "vol.%d.%d" vref.Ids.alloc vref.Ids.vol;
-              sg_alloc = vref.Ids.alloc;
-              sg_vol = vref.Ids.vol;
-            };
-        ]
+        (Control_plane.Register_volume
+           {
+             rv_alloc = vref.Ids.alloc;
+             rv_vol = vref.Ids.vol;
+             rv_label = Printf.sprintf "vol%d" vref.Ids.vol;
+             rv_replicas = peers;
+           })
     in
     let rec place rid = function
       | [] -> Ok ()
@@ -1047,10 +1033,8 @@ let add_replica t ~host:i vref =
     let peers = peers @ [ (rid, h.h_name) ] in
     let* cindex =
       control_commit t ~src:i
-        [
-          Control_plane.Set_replicas
-            { sr_alloc = vref.Ids.alloc; sr_vol = vref.Ids.vol; sr_replicas = peers };
-        ]
+        (Control_plane.Set_replicas
+           { sr_alloc = vref.Ids.alloc; sr_vol = vref.Ids.vol; sr_replicas = peers })
     in
     let* container =
       Namei.mkdir_p ~root:(Ufs_vnode.root h.h_ufs) (container_path vref rid)
@@ -1101,10 +1085,8 @@ let remove_replica t ~host:i vref =
        anti-entropy exchange with a coordinator. *)
     let* cindex =
       control_commit t ~src:i
-        [
-          Control_plane.Set_replicas
-            { sr_alloc = vref.Ids.alloc; sr_vol = vref.Ids.vol; sr_replicas = remaining };
-        ]
+        (Control_plane.Set_replicas
+           { sr_alloc = vref.Ids.alloc; sr_vol = vref.Ids.vol; sr_replicas = remaining })
     in
     h.h_replicas <- List.filter (fun (v, _) -> not (Ids.vref_equal v vref)) h.h_replicas;
     Hashtbl.remove h.h_replica_idx (vref.Ids.alloc, vref.Ids.vol);

@@ -21,7 +21,6 @@ val create :
   ?ninodes_for:(int -> int) ->
   ?cache_capacity:int ->
   ?propagation_delay:int ->
-  ?prop_delta:bool ->
   ?reconcile_period:int ->
   ?selection:Logical.selection ->
   ?journal_blocks:int ->
@@ -38,10 +37,6 @@ val create :
     daemon is then driven by {!tick_daemons}.  The network starts
     fault-free; inject loss, latency, duplication, reordering or RPC
     failures with {!set_faults}.
-
-    [prop_delta] (default [true]) is forwarded to every host's
-    {!Propagation.create} [delta]: [false] forces whole-file fetches on
-    the propagation path — the before arm of the DELTA experiment.
 
     [gossip] (default: absent, the seed behavior) gives every host a
     {!Gossip} membership daemon driven by {!tick_daemons}.  Hosts are
@@ -81,8 +76,8 @@ val create :
     PRNG draws.
 
     [control] (default [`Gossip], the seed behavior) selects how
-    control-plane metadata — the volume registry, replica sets, graft
-    bindings — is owned.  [`Raft members] gives each listed host (by
+    control-plane metadata — the volume registry and replica sets — is
+    owned.  [`Raft members] gives each listed host (by
     index; 3–5 is sensible) a {!Raft} member replicating a
     {!Control_plane} registry, with hard state persisted on the member's
     own journaled UFS.  {!create_volume}, {!add_replica} and
@@ -205,10 +200,6 @@ val replica_view : t -> int -> Ids.volume_ref -> (Ids.replica_id * string) list
     differ are inside a control-plane divergence window — the quantity
     the CONSENSUS experiment integrates over time. *)
 
-val graft : t -> int -> Ids.volume_ref -> (unit, Errno.t) result
-(** Explicitly graft the volume on a host's logical layer (the replica
-    list is read from the volume's peers). *)
-
 val logical_root : t -> int -> Ids.volume_ref -> (Vnode.t, Errno.t) result
 (** Graft if needed and return the client-facing root vnode for the
     volume as seen from this host. *)
@@ -309,10 +300,6 @@ val metrics_snapshot : t -> metrics_snapshot
     → install path across hosts. *)
 
 (** {1 Health plane} *)
-
-val health : t -> Health.t option
-(** The convergence watchdog, when the cluster was created with
-    [?health]. *)
 
 val health_events : t -> Health.event list
 (** Every [Degraded]/[Stuck] event the watchdog has raised, oldest

@@ -79,7 +79,7 @@ let open_cost_setup () =
      cylinder-group UFS). *)
   let inode_size = 1024 in
   (* Plain UFS. *)
-  let u_disk = Disk.create ~label:"plain" ~nblocks:4096 ~block_size:1024 () in
+  let u_disk = Disk.create ~nblocks:4096 ~block_size:1024 () in
   let t = ref 0 in
   let now () = incr t; !t in
   let ufs = get (Ufs.mkfs ~cache_capacity:512 ~inode_size ~ninodes:256 ~now u_disk) in
@@ -88,7 +88,7 @@ let open_cost_setup () =
   let u_f = get (u_d.Vnode.create "f") in
   get (u_f.Vnode.write ~off:0 "contents");
   (* Ficus physical layer over its own UFS (container = UFS root). *)
-  let f_disk = Disk.create ~label:"ficus" ~nblocks:4096 ~block_size:1024 () in
+  let f_disk = Disk.create ~nblocks:4096 ~block_size:1024 () in
   let fufs = get (Ufs.mkfs ~cache_capacity:512 ~inode_size ~ninodes:256 ~now f_disk) in
   let clock = Clock.create () in
   let phys =
@@ -783,15 +783,16 @@ let a3_selection_policy () =
     (most_recent > first && first > 0)
     (Printf.sprintf "Most_recent %d RPCs/read vs First_available %d" most_recent first)
 
-(* A4: end-to-end overhead on an identical operation sequence.  Capture
-   a realistic workload as a trace over a bare UFS, then replay the same
-   trace over plain UFS and over a full single-replica Ficus stack, and
-   compare disk I/O (§6: "Its perceived performance is good").  The warm
-   steady state — not first touch — is where the paper claims parity. *)
+(* A4: end-to-end overhead on an identical operation sequence.  The
+   same seeded workload replays over plain UFS and over a full
+   single-replica Ficus stack, and the two are compared by disk I/O
+   (§6: "Its perceived performance is good").  [Workload.trace] is a
+   pure function of its seed, so both stacks see the identical
+   operations.  The warm steady state — not first touch — is where the
+   paper claims parity. *)
 let a4_trace_overhead () =
-  (* Capture only the steady-state operation phase: the directory tree
-     is built untraced, so the trace is pure lookup/read/write traffic
-     and can be replayed repeatedly. *)
+  (* Only lookup/read/write traffic, so a pass can be replayed
+     repeatedly over the tree [Workload.setup_trace] builds. *)
   let cfg =
     {
       Workload.default_trace with
@@ -803,26 +804,16 @@ let a4_trace_overhead () =
       t_mix = { Workload.read_w = 80; write_w = 20; rename_w = 0; mkdir_w = 0 };
     }
   in
-  let capture_fs =
-    let disk = Disk.create ~nblocks:8192 ~block_size:1024 () in
-    let t = ref 0 in
-    get (Ufs.mkfs ~now:(fun () -> incr t; !t) disk)
-  in
-  get (Workload.setup_trace (Ufs_vnode.root capture_fs) cfg);
-  let trace = Trace_layer.create () in
-  let troot = Trace_layer.wrap trace (Ufs_vnode.root capture_fs) in
-  let (_ : Workload.trace_stats) =
-    Workload.replay ~root_for:(fun _ -> troot) cfg ~ops:300
-  in
-  let events = Trace_layer.events trace in
-  (* Replay targets get the identical setup (untraced), then a warm-up
-     pass, then the measured pass. *)
+  let ops = 300 in
+  (* Each stack gets the identical setup, then a warm-up pass, then the
+     measured pass. *)
   let replay_on name root disk =
     get (Workload.setup_trace root cfg);
-    let (_ : Trace_layer.replay_stats) = Trace_layer.replay root events in
+    let pass () = Workload.replay ~root_for:(fun _ -> root) cfg ~ops in
+    let (_ : Workload.trace_stats) = pass () in
     Disk.reset_stats disk;
-    let stats = Trace_layer.replay root events in
-    (name, Disk.reads disk, Disk.writes disk, stats.Trace_layer.failed)
+    let stats = pass () in
+    (name, Disk.reads disk, Disk.writes disk, stats.Workload.tr_errors)
   in
   let plain_disk = Disk.create ~nblocks:8192 ~block_size:1024 () in
   let plain_fs =
@@ -849,8 +840,8 @@ let a4_trace_overhead () =
   Table.print
     ~title:
       (Printf.sprintf
-         "A4: disk I/O replaying an identical %d-event workload trace (steady state)"
-         (List.length events))
+         "A4: disk I/O replaying an identical %d-op workload trace (steady state)"
+         ops)
     ~headers:[ "stack"; "disk reads"; "disk writes"; "replay failures" ]
     (List.map
        (fun (n, r, w, f) -> [ n; string_of_int r; string_of_int w; string_of_int f ])
@@ -2275,50 +2266,61 @@ let delta_synth n =
   done;
   Buffer.sub buf 0 n
 
-(* One arm: a 2-host volume, a multi-MB file written on host0 and
-   propagated, then a one-block in-place edit propagated again.  Returns
-   what the edit's propagation put on the wire plus both replicas' final
-   content digests. *)
-let delta_arm ~delta ~size =
+(* One arm's set-up: a 2-host volume, a multi-MB file written on host0
+   and propagated, then a one-block in-place edit on host0 that host1
+   has not yet pulled. *)
+let delta_edited ~size =
   let cluster =
     (* 4 KiB blocks: the UFS block map (12 direct + one indirect) tops
        out at ~268 KiB on 1 KiB blocks — too small for a multi-MB file. *)
-    Cluster.create ~prop_delta:delta ~selection:Logical.Prefer_local
-      ~disk_blocks:4096 ~block_size:4096 ~cache_capacity:4096 ~nhosts:2 ()
+    Cluster.create ~selection:Logical.Prefer_local ~disk_blocks:4096 ~block_size:4096
+      ~cache_capacity:4096 ~nhosts:2 ()
   in
   let vref = get (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
   let root0 = get (Cluster.logical_root cluster 0 vref) in
   let fv = get (root0.Vnode.create "big") in
   get (Vnode.write_all fv (delta_synth size));
   let (_ : int) = Cluster.run_propagation cluster in
-  let counter = Metrics.counter (Cluster.obs cluster).Obs.metrics in
-  let before = counter "prop.bytes" in
   (* The one-block edit: overwrite 100 bytes in the middle; everything
      else is bit-identical to what host1 already stores. *)
   get (fv.Vnode.write ~off:(size / 2) (String.make 100 '!'));
-  let (_ : int) = Cluster.run_propagation cluster in
-  let edit_bytes = counter "prop.bytes" - before in
+  (cluster, vref)
+
+(* Both replicas' content digests. *)
+let delta_digests cluster vref =
   let content i =
     let root = get (Cluster.logical_root cluster i vref) in
     get (Vnode.read_all (get (root.Vnode.lookup "big")))
   in
-  let d0 = Chunking.digest_hex (content 0) and d1 = Chunking.digest_hex (content 1) in
-  ( edit_bytes,
-    counter "prop.bytes_saved",
-    counter "prop.chunks_hit",
-    counter "prop.chunks_miss",
-    counter "prop.pull.delta",
-    counter "prop.delta_fallback",
-    (d0, d1) )
+  (Chunking.digest_hex (content 0), Chunking.digest_hex (content 1))
 
 let delta_propagation () =
   let size = 2 * 1024 * 1024 in
-  let w_bytes, _, _, _, w_delta_pulls, _, (w_d0, w_d1) =
-    delta_arm ~delta:false ~size
+  (* Whole-copy arm: host1 pulls the edited file itself as a plain
+     whole-file fetch. *)
+  let w_cluster, w_vref = delta_edited ~size in
+  let w_stats =
+    let phys1 = Option.get (Cluster.replica (Cluster.host w_cluster 1) w_vref) in
+    let fid = (Option.get (Fdir.find_live (get (Physical.fetch_dir phys1 [])) "big")).Fdir.fid in
+    let host0 = Cluster.host_name (Cluster.host w_cluster 0) in
+    let connect () = Cluster.connect_from w_cluster 1 ~host:host0 ~vref:w_vref ~rid:1 in
+    match get (Delta.pull_file ~whole:true ~via:"prop" ~local:phys1 ~connect ~origin_rid:1 [ fid ]) with
+    | Delta.Fetched (stats, install) ->
+      ignore (get install);
+      stats
+    | Delta.Current -> failwith "DELTA: host1 already holds the edit"
   in
-  let d_bytes, d_saved, d_hit, d_miss, d_delta_pulls, d_fallbacks, (d_d0, d_d1) =
-    delta_arm ~delta:true ~size
-  in
+  let w_bytes = w_stats.Delta.wire_bytes in
+  let w_d0, w_d1 = delta_digests w_cluster w_vref in
+  (* Delta arm: the propagation daemon pulls it, negotiating chunks. *)
+  let d_cluster, d_vref = delta_edited ~size in
+  let counter = Metrics.counter (Cluster.obs d_cluster).Obs.metrics in
+  let before = counter "prop.bytes" in
+  let (_ : int) = Cluster.run_propagation d_cluster in
+  let d_bytes = counter "prop.bytes" - before in
+  let d_saved = counter "prop.bytes_saved" in
+  let d_hit = counter "prop.chunks_hit" and d_miss = counter "prop.chunks_miss" in
+  let d_d0, d_d1 = delta_digests d_cluster d_vref in
   let ratio =
     if d_bytes = 0 then float_of_int w_bytes
     else float_of_int w_bytes /. float_of_int d_bytes
@@ -2357,9 +2359,9 @@ let delta_propagation () =
   let holds =
     ratio >= 20.0
     && digests_equal
-    && d_delta_pulls > 0
-    && d_fallbacks = 0
-    && w_delta_pulls = 0
+    && counter "prop.pull.delta" > 0
+    && counter "prop.delta_fallback" = 0
+    && w_stats.Delta.mode = Delta.Whole
     && d_hit > d_miss (* most chunks resolved locally, only the edit travelled *)
   in
   verdict ~metrics "DELTA"

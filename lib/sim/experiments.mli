@@ -103,9 +103,11 @@ val a3_selection_policy : unit -> verdict
     First_available. *)
 
 val a4_trace_overhead : unit -> verdict
-(** End-to-end overhead: replay an identical captured workload trace
-    over plain UFS and over the full Ficus stack; steady-state disk I/O
-    must stay within a small constant factor (§6). *)
+(** End-to-end overhead: replay the same seeded 300-op
+    {!Workload.trace} over plain UFS and over the full Ficus stack (the
+    trace is a pure function of its seed, so both stacks see identical
+    operations); steady-state disk I/O must stay within a small
+    constant factor (§6). *)
 
 val a5_journal_io : unit -> verdict
 (** Write-ahead journal economics: an identical create/delete-heavy
@@ -193,14 +195,15 @@ val health_watchdog : unit -> verdict
 val delta_propagation : unit -> verdict
 (** Content-defined chunking on the propagation path, two arms on
     identical 2-host clusters: a 2 MiB file is written on host0 and
-    propagated, then 100 bytes in the middle are overwritten and
-    propagated again.  The whole-copy arm ([~prop_delta:false], the
-    seed's shadow-commit economics — see {!e8_shadow_commit}) reships
-    the file; the delta arm negotiates the chunk map and fetches only
-    the chunks the edit dirtied.  The edit must travel with >= 20x
-    fewer bytes than the baseline, with zero fallbacks, most chunks
-    resolved locally, and bit-identical final contents on every
-    replica in both arms. *)
+    propagated, then 100 bytes in the middle are overwritten.  In the
+    whole-copy arm host1 pulls the edit itself with
+    [Delta.pull_file ~whole:true] (the seed's shadow-commit economics —
+    see {!e8_shadow_commit}) and reships the file; in the delta arm the
+    propagation daemon negotiates the chunk map and fetches only the
+    chunks the edit dirtied.  The edit must travel with >= 20x fewer
+    bytes than the baseline, the baseline's pull must travel as
+    [Delta.Whole], with zero fallbacks, most chunks resolved locally,
+    and bit-identical final contents on every replica in both arms. *)
 
 val scale_ops : int ref
 (** Trace length for {!scale_trace} (default 1_000_000).  The bench

@@ -54,8 +54,6 @@ val pulls : t -> int
 val recon_errors : t -> int
 (** Reconciliation errors summed over the [Tick] steps run so far. *)
 
-val step_to_string : step -> string
-
 val to_string : step list -> string
 (** One line, e.g.
     [h0 create f "base"; propagate; converge 10; partition 0|1; heal]. *)

@@ -1,5 +1,4 @@
 type t = {
-  label : string;
   block_size : int;
   zero : bytes;  (* shared by every block not yet written; never written through *)
   blocks : bytes array;
@@ -10,11 +9,10 @@ type t = {
       (* [Some n]: n more writes succeed, then EIO *)
 }
 
-let create ?(label = "disk") ?(on_io = fun () -> ()) ~nblocks ~block_size () =
+let create ?(on_io = fun () -> ()) ~nblocks ~block_size () =
   if nblocks <= 0 || block_size <= 0 then invalid_arg "Disk.create";
   let zero = Bytes.make block_size '\000' in
   {
-    label;
     block_size;
     zero;
     blocks = Array.make nblocks zero;
@@ -24,7 +22,6 @@ let create ?(label = "disk") ?(on_io = fun () -> ()) ~nblocks ~block_size () =
     writes_before_failure = None;
   }
 
-let label t = t.label
 let nblocks t = Array.length t.blocks
 let block_size t = t.block_size
 

@@ -10,18 +10,16 @@
 type t
 
 val create :
-  ?label:string ->
   ?on_io:(unit -> unit) ->
   nblocks:int -> block_size:int -> unit -> t
 (** Fresh device that reads as zeros.  A block takes no memory of its
     own until it is first written: every unwritten block shares one zero
     block that is never written through, and the first {!write} to a
-    block installs a private copy.  [label] appears in error messages and
-    stats.  [on_io], if given, is invoked once per device access —
-    typically a closure advancing the simulated clock by the device's
-    access time, which turns I/O counts into simulated latency. *)
+    block installs a private copy.  [on_io], if given, is invoked once
+    per device access — typically a closure advancing the simulated
+    clock by the device's access time, which turns I/O counts into
+    simulated latency. *)
 
-val label : t -> string
 val nblocks : t -> int
 val block_size : t -> int
 

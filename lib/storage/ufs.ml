@@ -1148,7 +1148,6 @@ let rename t ~sdir ~sname ~ddir ~dname =
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)
 
-let journaled t = t.journal <> None
 
 let sync t =
   match t.journal with

@@ -133,9 +133,6 @@ val rename : t -> sdir:inum -> sname:string -> ddir:inum -> dname:string -> unit
 
 (** {1 Maintenance} *)
 
-val journaled : t -> bool
-(** Whether this file system was formatted with a write-ahead journal. *)
-
 val sync : t -> unit io
 (** Make every completed operation durable.  Journaled: force the group
     commit (staged transactions are sealed into the log) and checkpoint

@@ -5,7 +5,5 @@
 type Vnode.vdata += Ufs_vnode of Ufs.t * Ufs.inum
 (** Exposed so co-resident layers (and tests) can recognize UFS vnodes. *)
 
-val of_inum : Ufs.t -> Ufs.inum -> Vnode.t
-
 val root : Ufs.t -> Vnode.t
 (** The vnode for the UFS root directory. *)

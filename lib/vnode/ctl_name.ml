@@ -1,3 +1,4 @@
+(* No legal Ficus file name may start with this. *)
 let prefix = ".#ficus#"
 
 let max_component = 255

@@ -13,9 +13,6 @@
     and that this costs nothing in practice ("we've never seen a
     component of even length 40"). *)
 
-val prefix : string
-(** [".#ficus#"] — no legal Ficus file name may start with this. *)
-
 val max_component : int
 (** 255, the UFS name-component limit. *)
 

@@ -1,3 +1,5 @@
+(* Path components, ignoring repeated and leading/trailing slashes:
+   ["/a//b/"] is [["a"; "b"]]. *)
 let split path =
   String.split_on_char '/' path |> List.filter (fun c -> c <> "")
 

@@ -6,10 +6,6 @@
     each component individually — exactly how graft points get noticed
     during translation (paper §4.4). *)
 
-val split : string -> string list
-(** Path components, ignoring repeated and leading/trailing slashes.
-    ["/a//b/"] is [["a"; "b"]]. *)
-
 val walk : root:Vnode.t -> string -> Vnode.t Vnode.io
 (** Resolve [path] starting at [root].  An empty path or ["/"] resolves to
     [root] itself. *)

@@ -102,12 +102,6 @@ let forward ~hook ~data ~wrap ~unwrap lower =
     inactive = (fun () -> hook.around "inactive" lower.inactive);
   }
 
-let kind_to_string = function
-  | VREG -> "VREG"
-  | VDIR -> "VDIR"
-  | VGRAFT -> "VGRAFT"
-  | VCTL -> "VCTL"
-
 let is_dir v =
   match v.getattr () with
   | Error _ as e -> e

@@ -117,8 +117,6 @@ val forward :
     [Error] from it fails the operation.  A layer that changes some
     operations overrides them by functional update of the result. *)
 
-val kind_to_string : vtype -> string
-
 val is_dir : t -> bool io
 (** Convenience: [getattr] and test for [VDIR] or [VGRAFT]. *)
 

@@ -19,9 +19,9 @@ let synth ?(seed = "delta") n =
 (* A 2-host cluster with a multi-chunk file already propagated to both
    replicas.  4 KiB blocks: the UFS block map tops out at ~268 KiB on
    the default 1 KiB blocks. *)
-let big_cluster ?(delta = true) ?(size = 256 * 1024) () =
+let big_cluster ?(size = 256 * 1024) () =
   let cluster =
-    Cluster.create ~prop_delta:delta ~selection:Logical.Prefer_local
+    Cluster.create ~selection:Logical.Prefer_local
       ~disk_blocks:2048 ~block_size:4096 ~cache_capacity:2048 ~nhosts:2 ()
   in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
@@ -63,15 +63,22 @@ let test_delta_pull_ships_chunks () =
     (Chunking.digest_hex (content cluster 1 vref))
 
 let test_whole_copy_baseline_reships () =
-  (* The ~prop_delta:false arm must keep the seed behavior: the edit
-     reships the file, and no delta counters move. *)
-  let cluster, vref, fv, size = big_cluster ~delta:false () in
-  let before = counter cluster "prop.bytes" in
+  (* The whole-copy baseline DELTA measures against: the edit reships
+     the file, and the pull is no delta. *)
+  let cluster, vref, fv, size = big_cluster () in
   ok (fv.Vnode.write ~off:(size / 2) "one-block edit");
-  let (_ : int) = Cluster.run_propagation cluster in
-  let edit_bytes = counter cluster "prop.bytes" - before in
-  Alcotest.(check bool) "whole file travelled" true (edit_bytes >= size);
-  Alcotest.(check int) "no delta pulls" 0 (counter cluster "prop.pull.delta");
+  let phys1 = Option.get (Cluster.replica (Cluster.host cluster 1) vref) in
+  let host0 = Cluster.host_name (Cluster.host cluster 0) in
+  let connect () = Cluster.connect_from cluster 1 ~host:host0 ~vref ~rid:1 in
+  (match
+     ok
+       (Delta.pull_file ~whole:true ~via:"prop" ~local:phys1 ~connect ~origin_rid:1
+          (big_fidpath phys1))
+   with
+   | Delta.Fetched (stats, Ok (Some Physical.Installed)) ->
+     Alcotest.(check bool) "whole file travelled" true (stats.Delta.wire_bytes >= size);
+     Alcotest.(check bool) "no delta pull" true (stats.Delta.mode = Delta.Whole)
+   | _ -> Alcotest.fail "expected a whole-file install");
   Alcotest.(check string) "replicas converged"
     (Chunking.digest_hex (content cluster 0 vref))
     (Chunking.digest_hex (content cluster 1 vref))

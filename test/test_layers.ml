@@ -62,6 +62,45 @@ let test_measure_transparent_rename () =
   ok (d1.Vnode.rename "f" d2 "g");
   Alcotest.(check int) "renames" 1 (Metrics.counter metrics "measure.rename.calls")
 
+(* A4 compares plain UFS and the Ficus stack on one operation sequence
+   by replaying the same seeded workload on each; that rests on the
+   replay making the identical vnode calls on both. *)
+let test_measure_same_workload_same_calls () =
+  let cfg =
+    {
+      Workload.default_trace with
+      Workload.t_seed = 5;
+      t_users = 3;
+      t_files = 6;
+      t_zipf_s = 1.0;
+      t_payload = 512;
+      t_mix = { Workload.read_w = 80; write_w = 20; rename_w = 0; mkdir_w = 0 };
+    }
+  in
+  let calls root =
+    let metrics = Metrics.create () in
+    let root = Measure_layer.wrap ~metrics root in
+    ok (Workload.setup_trace root cfg);
+    let stats = Workload.replay ~root_for:(fun _ -> root) cfg ~ops:300 in
+    Alcotest.(check int) "replay errors" 0 stats.Workload.tr_errors;
+    Alcotest.(check int) "every replayed read measured" stats.Workload.tr_reads
+      (Metrics.counter metrics "measure.read.calls");
+    Measure_layer.report metrics
+  in
+  let phys =
+    let _, fs = fresh_ufs () in
+    ok
+      (Physical.create ~obs:(Obs.create ()) ~container:(Ufs_vnode.root fs)
+         ~clock:(Clock.create ()) ~host:"h" ~vref:{ Ids.alloc = 0; vol = 1 } ~rid:1
+         ~peers:[ (1, "h") ] ())
+  in
+  let plain = calls (ufs_root ()) in
+  let ficus = calls (Physical.root phys) in
+  Alcotest.(check (list (triple string int int))) "same per-op calls" plain ficus;
+  List.iter
+    (fun (op, _, errors) -> Alcotest.(check int) (op ^ " errors") 0 errors)
+    plain
+
 (* ---------------- encryption ---------------- *)
 
 let test_crypt_roundtrip () =
@@ -217,6 +256,8 @@ let suite =
     case "measure: counts ops and errors" test_measure_counts_ops;
     case "measure: attributes simulated time" test_measure_timing;
     case "measure: transparent to sibling ops" test_measure_transparent_rename;
+    case "measure: a workload replay makes the same calls on UFS and Ficus"
+      test_measure_same_workload_same_calls;
     case "crypt: roundtrip" test_crypt_roundtrip;
     case "crypt: random access" test_crypt_random_access;
     case "crypt: ciphertext at rest + involution" test_crypt_ciphertext_at_rest;

@@ -85,7 +85,7 @@ let test_backoff_grows_and_reconciliation_converges () =
   in
   let connect ~host:_ ~vref:_ ~rid:_ = Error Errno.EUNREACHABLE in
   let prop =
-    Propagation.create ~delay:0 ~obs:(Obs.create ()) ~delta:true
+    Propagation.create ~delay:0 ~obs:(Obs.create ())
       ~liveness:(fun _ -> Gossip.Alive) ~clock ~host:"me" ~connect
       ~local_replica:(fun v -> if Ids.vref_equal v vref then Some phys else None)
       ()
