@@ -12,6 +12,7 @@ type version_info = {
 
 type dir_versions = {
   dv_summary : Vv.t option;
+  dv_filtered : Ids.file_id list option;
   dv_fdir : Fdir.t;
   dv_children : (Ids.file_id * version_info) list;
 }
@@ -135,9 +136,17 @@ let decode_chunks reply =
 
 (* ---------------- getdirvvs ---------------- *)
 
-let encode_dir_versions ~summary ~fdir children =
+let add_fids buf fids =
+  List.iteri
+    (fun i fid ->
+      if i > 0 then Buffer.add_char buf ',';
+      Ids.add_fid_hex buf fid)
+    fids
+
+let encode_dir_versions ~summary ~filtered ~fdir children =
   let buf = Buffer.create (String.length fdir + 64 + (128 * List.length children)) in
   Option.iter (add_line buf "summary=" Vv.add_encoded) summary;
+  Option.iter (add_line buf "filtered=" add_fids) filtered;
   Buffer.add_string buf "fdir:\n";
   Buffer.add_string buf fdir;
   Buffer.add_string buf "endfdir:\n";
@@ -163,6 +172,15 @@ let rec find_line reply marker i =
     | None -> None
     | Some j -> find_line reply marker (j + 1)
 
+(* The [filtered=] header field: absent, or the failed children. *)
+let filtered_of_field = function
+  | None -> Ok None
+  | Some "" -> Ok (Some [])
+  | Some fids ->
+    let parsed = List.map Ids.fid_of_hex (String.split_on_char ',' fids) in
+    if List.exists Option.is_none parsed then Error Errno.EIO
+    else Ok (Some (List.filter_map Fun.id parsed))
+
 (* The [fdir:] section is decoded as the one slice of the reply between
    its framing lines; the header before it and the child blocks after it
    are key=value lines. *)
@@ -172,11 +190,9 @@ let decode_dir_versions reply =
   let body = start + String.length "fdir:\n" in
   let* stop = or_eio (find_line reply "endfdir:" body) in
   let* dv_fdir = or_eio (Fdir.decode (String.sub reply body (stop - body))) in
-  let dv_summary =
-    Option.bind
-      (List.assoc_opt "summary" (Aux_attrs.fields (String.sub reply 0 (max 0 (start - 1)))))
-      Vv.decode
-  in
+  let header = Aux_attrs.fields (String.sub reply 0 (max 0 (start - 1))) in
+  let dv_summary = Option.bind (List.assoc_opt "summary" header) Vv.decode in
+  let* dv_filtered = filtered_of_field (List.assoc_opt "filtered" header) in
   let tail = stop + String.length "endfdir:\n" in
   let rest =
     if tail >= n then [] else String.split_on_char '\n' (String.sub reply tail (n - tail))
@@ -202,7 +218,7 @@ let decode_dir_versions reply =
        | Some fid, block -> children acc (Some fid, l :: block) rest)
   in
   let* dv_children = children [] (None, []) rest in
-  Ok { dv_summary; dv_fdir; dv_children }
+  Ok { dv_summary; dv_filtered; dv_fdir; dv_children }
 
 (* ---------------- resolve / peers / meta ---------------- *)
 

@@ -27,11 +27,16 @@ type version_info = {
 
 type dir_versions = {
   dv_summary : Version_vector.t option;  (** the directory's subtree summary *)
+  dv_filtered : Ids.file_id list option;
+      (** [None]: the reply answers for every live child, and a child
+          missing from [dv_children] is one the server could not
+          describe.  [Some failed]: the request named a floor and the
+          reply answers only for the children changed above it; [failed]
+          lists the ones among them the server could not describe. *)
   dv_fdir : Fdir.t;
   dv_children : (Ids.file_id * version_info) list;
       (** version info for the live children, one batched RPC instead of a
-          [getvv] per file.  A child the server could not describe is
-          missing here; see {!Reconcile}. *)
+          [getvv] per file; see {!Reconcile}. *)
 }
 
 (** {1 Replies} *)
@@ -64,13 +69,16 @@ val decode_chunks : string -> ((string * string) list, Errno.t) result
     corrupt body is never assembled into a file. *)
 
 val encode_dir_versions :
-  summary:Version_vector.t option -> fdir:string -> (Ids.file_id * version_info) list -> string
-(** ["getdirvvs"]: [summary=], then the [fdir] bytes (an {!Fdir.encode}
-    output: the server passes the DIR file it just read, as stored)
-    framed by [fdir:]/[endfdir:] lines, then per child a
-    [child=<hex-fid>] line followed by its {!encode_version_info} block.
-    The framing keeps payload bytes that look like markers from confusing
-    the parser. *)
+  summary:Version_vector.t option -> filtered:Ids.file_id list option -> fdir:string ->
+  (Ids.file_id * version_info) list -> string
+(** ["getdirvvs"]: [summary=], for a filtered reply a
+    [filtered=<hex-fid>,…] line listing the failed children (empty when
+    none failed), then the [fdir] bytes (an {!Fdir.encode} output: the
+    server passes the DIR file it just read, as stored) framed by
+    [fdir:]/[endfdir:] lines, then per child a [child=<hex-fid>] line
+    followed by its {!encode_version_info} block.  The framing keeps
+    payload bytes that look like markers from confusing the parser.  An
+    unfiltered reply has no [filtered=] line. *)
 
 val decode_dir_versions : string -> (dir_versions, Errno.t) result
 

@@ -273,12 +273,13 @@ let make_dir_storage t parent_ufs fid aux =
 (* ------------------------------------------------------------------ *)
 (* Subtree summary vectors: see {!Summary}                             *)
 
-(* Record one local update event touching the directory at [dirpath],
-   numbered from the uniquifier counter. *)
-let note_event t dirpath =
+(* Record one local update event touching the directory at [dirpath]
+   and the version info of its [changed] children, numbered from the
+   uniquifier counter. *)
+let note_event t dirpath ~changed =
   let seq = t.next_uniq in
   t.next_uniq <- seq + 1;
-  Summary.note t.summaries dirpath ~seq
+  Summary.note t.summaries dirpath ~changed ~seq
 
 (* Where the aux file of the directory at [path] lives: the volume
    container for the root, the parent's UFS directory otherwise. *)
@@ -300,6 +301,8 @@ let summary_io t =
 
 let flush_summaries t = Summary.flush t.summaries (summary_io t)
 let join_summary t path served = Summary.join t.summaries (summary_io t) path served
+let recon_floor t ~peer own = Summary.floor t.summaries ~peer own
+let recon_walked t ~peer = Summary.walked t.summaries ~peer
 
 (* Recursively delete a UFS subtree under [name] in [dir]. *)
 let rec rm_tree dir name =
@@ -441,14 +444,15 @@ let find_entry fdir who =
 
 (* The one directory-update step: load the directory at [path], let [f]
    rewrite it (and the storage of its children), store it, then record
-   the local event and notify the peers. *)
+   the local event — against the children [f] names as changed — and
+   notify the peers. *)
 let update_dir t path f =
   let fid = path_fid path in
   let* ufs_dir = resolve_dir t path in
   let* fdir = load_fdir t ~fid ufs_dir in
-  let* fdir, result = f ufs_dir fdir in
+  let* fdir, changed, result = f ufs_dir fdir in
   let* () = store_fdir t ~fid ufs_dir fdir in
-  note_event t path;
+  note_event t path ~changed;
   dir_event t path;
   Ok result
 
@@ -617,28 +621,40 @@ let ctl_lookup t path name =
        else
          let* _, bytes, _ = dir_at t holder target in
          Ok (ctl_vnode bytes)
-     | "getdirvvs", who :: _ ->
-       (* Batched: one directory's summary + fdir + version info for all
-          its children in a single response.  Flush pending summary
-          bumps first so every claim we serve is durable. *)
+     | "getdirvvs", who :: rest ->
+       (* Batched: one directory's summary + fdir + version info for its
+          children in a single response.  Flush pending summary bumps
+          first so every claim we serve is durable.  A request naming
+          the puller's floor (before the serial) is answered only for
+          the children the change index stamped above it. *)
        Counters.incr t.counters "phys.ctl.getdirvvs";
        let* (_ : int) = flush_summaries t in
        let* target, holder, vi = ctl_target t path who in
        if vi.vi_kind = Aux_attrs.Freg then Error Errno.ENOTDIR
        else
          let* ufs_dir, bytes, fdir = dir_at t holder target in
-         (* A child whose info fails is left out; the reconciler takes
-            the per-child path for it. *)
+         let floor = match rest with f :: _ :: _ -> int_of_string_opt f | _ -> None in
+         let changed = Summary.stamped t.summaries ~dir:(path_fid target) ~floor in
+         let wanted = Option.value changed ~default:(fun _ -> true) in
+         (* A child whose info fails is left out, and a filtered reply
+            lists it; the reconciler takes the per-child path for it. *)
+         let failed = ref [] in
          let child e =
-           Result.to_option
-             (Result.map
-                (fun vi -> (e.Fdir.fid, vi))
-                (entry_info t ufs_dir (target @ [ e.Fdir.fid ]) e.Fdir.kind))
+           if not (wanted e.Fdir.fid) then None
+           else
+             match entry_info t ufs_dir (target @ [ e.Fdir.fid ]) e.Fdir.kind with
+             | Ok vi -> Some (e.Fdir.fid, vi)
+             | Error _ ->
+               failed := e.Fdir.fid :: !failed;
+               None
          in
+         let children = List.filter_map child (Fdir.live_fids fdir) in
+         Counters.add t.counters "phys.ctl.getdirvvs.children" (List.length children);
+         let filtered = Option.map (fun _ -> List.rev !failed) changed in
          Ok
            (ctl_vnode
-              (Ctl_wire.encode_dir_versions ~summary:vi.vi_summary ~fdir:bytes
-                 (List.filter_map child (Fdir.live_fids fdir))))
+              (Ctl_wire.encode_dir_versions ~summary:vi.vi_summary ~filtered ~fdir:bytes
+                 children))
      | "getchunkmap", who :: _ ->
        (* Delta negotiation, step 1: the file's version info, whole-file
           digest and content-defined chunk map — a header-sized answer
@@ -770,7 +786,7 @@ and dir_create t path name =
           { (Aux_attrs.make Aux_attrs.Freg) with Aux_attrs.vv = Vv.singleton t.rid 1 }
         in
         let* () = Aux_attrs.store ~dir:ufs_dir fid aux in
-        Ok (fdir, fid))
+        Ok (fdir, [ fid ], fid))
   in
   Ok (reg_vnode t (path @ [ fid ]))
 
@@ -780,7 +796,7 @@ and dir_mkdir t path name =
         let* fid, birth = fresh_id t in
         let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Fdir ~birth in
         let* _child = make_dir_storage t ufs_dir fid (Aux_attrs.make Aux_attrs.Fdir) in
-        Ok (fdir, fid))
+        Ok (fdir, [ fid ], fid))
   in
   Ok (dir_vnode t (path @ [ fid ]) Aux_attrs.Fdir)
 
@@ -791,7 +807,7 @@ and dir_remove t path name =
       else
         let* fdir = Fdir.kill fdir ~rid:t.rid e.Fdir.birth in
         let* () = drop_file_storage fdir ufs_dir e.Fdir.fid in
-        Ok (fdir, ()))
+        Ok (fdir, [], ()))
 
 and dir_rmdir t path name =
   update_dir t path (fun ufs_dir fdir ->
@@ -805,7 +821,7 @@ and dir_rmdir t path name =
           let* fdir = Fdir.kill fdir ~rid:t.rid e.Fdir.birth in
           let* () = rm_tree ufs_dir (Ids.fid_to_hex e.Fdir.fid) in
           let* () = ignore_enoent (ufs_dir.Vnode.remove (Ids.aux_name e.Fdir.fid)) in
-          Ok (fdir, ()))
+          Ok (fdir, [], ()))
 
 and dir_rename t path sname dst dname =
   let* dst_path =
@@ -843,21 +859,26 @@ and dir_rename t path sname dst dname =
         let* entry, fdir, birth = prepare fdir ufs_dir fdir in
         let* fdir = Fdir.kill fdir ~rid:t.rid entry.Fdir.birth in
         let* fdir = add_entry fdir entry birth in
-        Ok (fdir, ()))
+        Ok (fdir, [], ()))
   else begin
     let* src_ufs = resolve_dir t path in
     let* dst_ufs = resolve_dir t dst_path in
     let* src_fdir = load_fdir t ~fid:(path_fid path) src_ufs in
     let* dst_fdir = load_fdir t ~fid:(path_fid dst_path) dst_ufs in
     let* entry, dst_fdir, birth = prepare src_fdir dst_ufs dst_fdir in
+    (* A directory cannot move under itself: its storage would leave
+       the tree. *)
+    let* () =
+      if List.exists (Ids.fid_equal entry.Fdir.fid) dst_path then Error Errno.EINVAL else Ok ()
+    in
     let* () = Summary.before_move t.summaries (summary_io t) entry.Fdir.kind in
     let* src_fdir = Fdir.kill src_fdir ~rid:t.rid entry.Fdir.birth in
     let* dst_fdir = add_entry dst_fdir entry birth in
     let* () = move_storage entry src_ufs dst_ufs in
     let* () = store_fdir t ~fid:(path_fid path) src_ufs src_fdir in
     let* () = store_fdir t ~fid:(path_fid dst_path) dst_ufs dst_fdir in
-    note_event t path;
-    note_event t dst_path;
+    note_event t path ~changed:[ entry.Fdir.fid ];
+    note_event t dst_path ~changed:[ entry.Fdir.fid ];
     dir_event t path;
     dir_event t dst_path;
     Ok ()
@@ -888,7 +909,7 @@ and dir_link t path target name =
            | Error _ as e -> e)
         | Error _ as e -> e
       in
-      Ok (fdir, ()))
+      Ok (fdir, [ tfid ], ()))
 
 and dir_readdir t path =
   let* fdir = fetch_dir t path in
@@ -914,7 +935,7 @@ and file_updated t path parent parent_ufs fid =
   let* vv = bump_file_version t parent_ufs fid in
   Counters.incr t.counters "phys.update";
   Span.emit "phys:update";
-  note_event t parent;
+  note_event t parent ~changed:[ fid ];
   file_event ~vv t path fid;
   Ok ()
 
@@ -961,7 +982,7 @@ let commit_file t ~parent ~parent_ufs fid ~aux ~data =
   let aux = { aux with Aux_attrs.digest = Some (Chunking.Content.digest data) } in
   let* () = Aux_attrs.store ~dir:parent_ufs fid aux in
   chunk_cache_put t data;
-  note_event t parent;
+  note_event t parent ~changed:[ fid ];
   Ok ()
 
 let install_file ~span ~via t path ~vv ~uid ~data ~origin_rid =
@@ -1166,8 +1187,14 @@ let merge_dir t path ~remote_rid remote =
   let* () = store_encoded t ~fid:(path_fid path) ufs_dir merged_bytes result.Fdir.merged in
   (* Any observable change to the stored directory — entries, tombstone
      expiry, known-map gossip — is an incorporation event peers must not
-     prune past.  The loaded bytes are [local]'s encoding. *)
-  if not (String.equal local_bytes merged_bytes) then note_event t path;
+     prune past.  The loaded bytes are [local]'s encoding.  Of the
+     children, only those given storage here changed. *)
+  let materialized = function
+    | Fdir.Materialize e -> Some e.Fdir.fid
+    | Fdir.Unmaterialize _ | Fdir.Expire _ -> None
+  in
+  if not (String.equal local_bytes merged_bytes) then
+    note_event t path ~changed:(List.filter_map materialized result.Fdir.actions);
   List.iter
     (fun (colliding_name, births) ->
       let fid =
@@ -1273,7 +1300,7 @@ let demote_entry t path birth =
   | Error _ as e -> e
   | Ok fdir ->
     let* () = store_fdir t ~fid:(path_fid path) ufs_dir fdir in
-    note_event t path;
+    note_event t path ~changed:[];
     dir_event t path;
     Counters.incr t.counters "phys.crdt.demote";
     Ok true
@@ -1306,7 +1333,7 @@ let ensure_lost_found t =
      | Ok root_fdir ->
        let* v = storage () in
        let* () = store_fdir t ~fid:Ids.root_fid root_ufs root_fdir in
-       note_event t [];
+       note_event t [] ~changed:[ lost_found_fid ];
        dir_event t [];
        Ok (Some v))
 
@@ -1335,7 +1362,7 @@ let attach_to_lost_found t ~fid ~kind =
            | Error _ -> Ok false
            | Ok lf_fdir ->
              let* () = store_fdir t ~fid:lost_found_fid lf_ufs lf_fdir in
-             note_event t lf_path;
+             note_event t lf_path ~changed:[ fid ];
              dir_event t lf_path;
              Ok true)
       in
@@ -1364,7 +1391,7 @@ let attach_to_lost_found t ~fid ~kind =
         | Error _ as e -> e
       in
       if entry_added || storage_moved then begin
-        note_event t lf_path;
+        note_event t lf_path ~changed:[ fid ];
         Counters.incr t.counters "phys.crdt.attach";
         Ok true
       end
@@ -1382,7 +1409,7 @@ let add_plain_entry t ufs_dir fdir name =
   let* fid, birth = fresh_id t in
   let* fdir = Fdir.add fdir ~rid:t.rid ~name ~fid ~kind:Aux_attrs.Freg ~birth in
   let* () = Aux_attrs.store ~dir:ufs_dir fid (Aux_attrs.make Aux_attrs.Freg) in
-  Ok fdir
+  Ok (fid, fdir)
 
 let make_graft_point t ~parent ~name ~target ~replicas =
   let* ufs_dir = resolve_dir t parent in
@@ -1394,17 +1421,18 @@ let make_graft_point t ~parent ~name ~target ~replicas =
   in
   let* child_ufs = make_dir_storage t ufs_dir fid aux in
   let* child_fdir = load_fdir t ~fid:fid child_ufs in
-  let* child_fdir = add_plain_entry t child_ufs child_fdir (volume_entry_name target) in
+  let* _, child_fdir = add_plain_entry t child_ufs child_fdir (volume_entry_name target) in
   let rec add_replicas fdir = function
     | [] -> Ok fdir
     | (r, h) :: rest ->
-      let* fdir = add_plain_entry t child_ufs fdir (replica_entry_name r h) in
+      let* _, fdir = add_plain_entry t child_ufs fdir (replica_entry_name r h) in
       add_replicas fdir rest
   in
   let* child_fdir = add_replicas child_fdir replicas in
   let* () = store_fdir t ~fid:fid child_ufs child_fdir in
   let* () = store_fdir t ~fid:(path_fid parent) ufs_dir fdir in
-  note_event t (parent @ [ fid ]);
+  note_event t (parent @ [ fid ])
+    ~changed:(List.map (fun e -> e.Fdir.fid) (Fdir.live_fids child_fdir));
   dir_event t parent;
   Ok ()
 
@@ -1433,20 +1461,22 @@ let graft_point_info t path =
 
 let add_graft_replica t path r h =
   update_dir t path (fun ufs_dir fdir ->
-      let* fdir = add_plain_entry t ufs_dir fdir (replica_entry_name r h) in
-      Ok (fdir, ()))
+      let* fid, fdir = add_plain_entry t ufs_dir fdir (replica_entry_name r h) in
+      Ok (fdir, [ fid ], ()))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
-let make ~obs ~container ~clock ~host ~vref ~rid ~peers =
+(* A fresh replica issues uniquifiers from 2 (1 is the root fid); an
+   attached one from its META watermark. *)
+let make ~obs ~container ~clock ~host ~vref ~rid ~peers ~next_uniq =
   {
     container;
     clock;
     host;
     vref;
     rid;
-    next_uniq = 2; (* 1 is the root fid *)
+    next_uniq;
     peers;
     notifier = None;
     conflicts = Conflict_log.create ();
@@ -1455,13 +1485,13 @@ let make ~obs ~container ~clock ~host ~vref ~rid ~peers =
     open_count = 0;
     dir_merge = `Legacy;
     resolver = Resolver.Owner_report;
-    summaries = Summary.create ();
+    summaries = Summary.create ~since:next_uniq;
     fdir_slots = Hashtbl.create 64;
     chunk_cache = Content_tbl.create 16;
   }
 
 let create ~obs ~container ~clock ~host ~vref ~rid ~peers () =
-  let t = make ~obs ~container ~clock ~host ~vref ~rid ~peers in
+  let t = make ~obs ~container ~clock ~host ~vref ~rid ~peers ~next_uniq:2 in
   let* () = store_meta t in
   let* _root = make_dir_storage t container Ids.root_fid (Aux_attrs.make Aux_attrs.Fdir) in
   Ok t
@@ -1495,7 +1525,12 @@ let recover t =
 
 let attach ~obs ~container ~clock ~host () =
   (* Identity and peers come from META. *)
-  let t = make ~obs ~container ~clock ~host ~vref:{ Ids.alloc = 0; vol = 0 } ~rid:0 ~peers:[] in
+  let t =
+    make ~obs ~container ~clock ~host ~vref:{ Ids.alloc = 0; vol = 0 } ~rid:0 ~peers:[]
+      ~next_uniq:2
+  in
   let* () = load_meta t in
+  (* The change index starts empty: it covers the events from here on. *)
+  let t = { t with summaries = Summary.create ~since:t.next_uniq } in
   let* _count = recover t in
   Ok t

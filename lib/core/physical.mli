@@ -176,10 +176,15 @@ val add_graft_replica :
 (** Record an additional volume replica in a graft point. *)
 
 (** {1 Subtree summaries}: {!Summary.join} and {!Summary.flush} (also
-    run before serving [getdirvvs]) on this replica's pending bumps. *)
+    run before serving [getdirvvs]) on this replica's pending bumps, and
+    the puller's side of the change index: {!Summary.floor} and
+    {!Summary.walked}.  A [getdirvvs] that names a floor is answered
+    from {!Summary.stamped}. *)
 
 val join_summary : t -> fidpath -> Version_vector.t -> (unit, Errno.t) result
 val flush_summaries : t -> (int, Errno.t) result
+val recon_floor : t -> peer:Ids.replica_id -> Version_vector.t option -> int option
+val recon_walked : t -> peer:Ids.replica_id -> unit
 
 (** {1 CRDT tree-repair primitives}
 

@@ -136,19 +136,49 @@ let reconcile_subtree ~local ~remote_root ~remote_rid path =
   in
   go (List.rev path)
 
-(* {!Summary.prunes} against the local directory at [path]. *)
-let summarized local path served =
-  let own =
-    match Physical.get_version local path with Ok vi -> vi.Physical.vi_summary | Error _ -> None
-  in
-  Summary.prunes ~own ~served
+(* The local summary of the directory at [path]. *)
+let own_summary local path =
+  match Physical.get_version local path with Ok vi -> vi.Physical.vi_summary | Error _ -> None
+
+let fetch_dir_versions ~local ~remote_root path ~floor =
+  let* dv, wire = Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root path ~floor in
+  Counters.add (Physical.counters local) "recon.dirvvs_bytes" wire;
+  Ok dv
+
+(* The fids this merge made live that no entry named before it.  A
+   rename materializes a new birth of a fid that was live already: one
+   of its births just died, or another one stays live. *)
+let fresh_fids (result : Fdir.merge_result) =
+  let fresh = Hashtbl.create 8 and births = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Fdir.Materialize e ->
+        Hashtbl.replace fresh e.Fdir.fid ();
+        Hashtbl.replace births e.Fdir.birth ()
+      | Fdir.Unmaterialize _ | Fdir.Expire _ -> ())
+    result.Fdir.actions;
+  if Hashtbl.length fresh > 0 then begin
+    List.iter
+      (function
+        | Fdir.Unmaterialize e -> Hashtbl.remove fresh e.Fdir.fid
+        | Fdir.Materialize _ | Fdir.Expire _ -> ())
+      result.Fdir.actions;
+    List.iter
+      (fun e ->
+        if e.Fdir.status = Fdir.Live && not (Hashtbl.mem births e.Fdir.birth) then
+          Hashtbl.remove fresh e.Fdir.fid)
+      (Fdir.entries result.Fdir.merged)
+  end;
+  fresh
 
 (* ------------------------------------------------------------------ *)
 (* Incremental walk: one batched getdirvvs per directory instead of a
-   getvv per file, and whole-subtree pruning when the local summary
-   vector dominates the remote one.  Returns the completeness flag that
-   gates summary joins: a peer's claims may only be adopted after every
-   child was merged, pulled, pruned or conflict-logged without error. *)
+   getvv per file, whole-subtree pruning when the local summary vector
+   dominates the remote one, and, once a floor goes with the request,
+   version blocks only for the children changed above it.  Returns the
+   completeness flag that gates summary joins: a peer's claims may only
+   be adopted after every child was merged, pulled, pruned, covered by
+   the floor or conflict-logged without error. *)
 
 let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
   let path = List.rev rev_path in
@@ -167,10 +197,8 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
     complete := false;
     count { empty_stats with errors = 1; rpcs }
   in
-  let descend child_rev =
-    match
-      Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root (List.rev child_rev)
-    with
+  let descend child_rev ~floor =
+    match fetch_dir_versions ~local ~remote_root (List.rev child_rev) ~floor with
     | Error Errno.ENOENT ->
       (* Raced with a remote removal; the tombstone arrives later. *)
       count { empty_stats with rpcs = 1 }
@@ -183,9 +211,25 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
        | Error _ -> failed ~rpcs:1 ())
   in
   (* A child live in the peer's directory but without a version block
-     (its version info failed there) takes the per-child path, so the
-     walk never claims coverage of what it did not see. *)
-  let omitted fid = Fdir.find_by_fid dv.Ctl_wire.dv_fdir fid <> None in
+     takes the per-child path, so the walk never claims coverage of what
+     it did not see — unless the reply was filtered and the child is
+     covered by the floor.  A filtered reply lists the children whose
+     info failed; and a child this merge just made live here cannot be
+     covered, so a reply that leaves one out is counted. *)
+  let covered =
+    match dv.Ctl_wire.dv_filtered with
+    | None -> fun _ -> false
+    | Some failed ->
+      let fresh = fresh_fids merge_result in
+      fun fid ->
+        if List.exists (Ids.fid_equal fid) failed then false
+        else if Hashtbl.mem fresh fid then begin
+          Counters.incr (Physical.counters local) "recon.unstamped_child";
+          false
+        end
+        else true
+  in
+  let remote_live fid = Fdir.find_by_fid dv.Ctl_wire.dv_fdir fid <> None in
   List.iter
     (fun e ->
       let fid = e.Fdir.fid in
@@ -195,15 +239,19 @@ let rec reconcile_subtree_incr ~local ~remote_root ~remote_rid rev_path dv =
         (match pull_known_file ~local ~remote_root ~remote_rid (List.rev child_rev) rvi with
          | Ok s -> count s
          | Error _ -> failed ())
-      | Aux_attrs.Freg, None when omitted fid ->
-        (match reconcile_file ~local ~remote_root ~remote_rid (List.rev child_rev) with
-         | Ok s -> count s
-         | Error _ -> failed ())
+      | Aux_attrs.Freg, None when remote_live fid ->
+        if not (covered fid) then (
+          match reconcile_file ~local ~remote_root ~remote_rid (List.rev child_rev) with
+          | Ok s -> count s
+          | Error _ -> failed ())
       | (Aux_attrs.Fdir | Aux_attrs.Fgraft), Some rvi ->
-        if summarized local (List.rev child_rev) rvi.Physical.vi_summary then
+        let own = own_summary local (List.rev child_rev) in
+        if Summary.prunes ~own ~served:rvi.Physical.vi_summary then
           count { empty_stats with subtrees_pruned = 1 }
-        else descend child_rev
-      | (Aux_attrs.Fdir | Aux_attrs.Fgraft), None when omitted fid -> descend child_rev
+        else descend child_rev ~floor:(Physical.recon_floor local ~peer:remote_rid own)
+      | (Aux_attrs.Fdir | Aux_attrs.Fgraft), None when remote_live fid ->
+        if covered fid then count { empty_stats with subtrees_pruned = 1 }
+        else descend child_rev ~floor:None
       | _, None ->
         (* Not live remotely: a tombstone already merged, or a local-only
            subtree — the peer stores nothing to incorporate. *)
@@ -225,14 +273,19 @@ let count_pass local s =
 
 let reconcile_volume ~local ~remote_root ~remote_rid () =
   let result =
-    let* dv = Remote.fetch_dir_versions ~obs:(Physical.obs local) remote_root [] in
+    let own = own_summary local [] in
+    let floor = Physical.recon_floor local ~peer:remote_rid own in
+    let* dv = fetch_dir_versions ~local ~remote_root [] ~floor in
     (* Root fast path: when our root summary dominates the peer's, the
        whole volume is already incorporated — a quiescent pass costs one
        RPC. *)
-    if summarized local [] dv.Ctl_wire.dv_summary then
+    if Summary.prunes ~own ~served:dv.Ctl_wire.dv_summary then
       Ok { empty_stats with rpcs = 1; subtrees_pruned = 1 }
     else
-      let* s, _complete = reconcile_subtree_incr ~local ~remote_root ~remote_rid [] dv in
+      let* s, complete = reconcile_subtree_incr ~local ~remote_root ~remote_rid [] dv in
+      (* From the next pass on, floors go with the requests: this one
+         read every child it was sent, conflicts included. *)
+      if complete then Physical.recon_walked local ~peer:remote_rid;
       Ok (add_stats s { empty_stats with rpcs = 1 })
   in
   (match result with

@@ -18,7 +18,9 @@
     [getdirvvs] RPC per directory (instead of a [getvv] per file), and
     whole subtrees are skipped when the local subtree summary vector
     dominates the remote one — a quiescent pass over any volume costs a
-    single RPC.
+    single RPC.  Each request carries the puller's floor
+    ({!Summary.floor}), so the peer answers only for the children
+    changed above it and an active pass costs what changed.
 
     Per regular file, both walks take the pull step they share with the
     propagation daemon ({!Delta.pull_file}). *)
@@ -38,7 +40,8 @@ type stats = {
           incremental walk minimizes *)
   subtrees_pruned : int;
       (** subtrees skipped because the local summary dominated the
-          remote one *)
+          remote one, or because the floor the request carried covered
+          them *)
 }
 
 val empty_stats : stats
@@ -60,9 +63,11 @@ val reconcile_volume :
   local:Physical.t -> remote_root:Vnode.t -> remote_rid:Ids.replica_id ->
   unit -> (stats, Errno.t) result
 (** Incremental reconciliation from the volume root: batched version
-    fetches and summary-vector pruning.  Also feeds the [recon.rpcs] and
-    [recon.pruned_subtrees] counters of the local replica
-    ({!Physical.counters}).
+    fetches, summary-vector pruning and floors.  Also feeds the
+    [recon.rpcs], [recon.pruned_subtrees], [recon.dirvvs_bytes] and
+    [recon.unstamped_child] counters of the local replica
+    ({!Physical.counters}).  A pass that walks the volume without error
+    enables floors against [remote_rid] from the next pass on.
 
     The local replica's merge policy ({!Physical.set_merge_policy})
     selects the directory-merge discipline.  Under [`Crdt], every

@@ -84,8 +84,11 @@ let fetch_chunks ~obs root path digests =
   in
   batches 0 digests
 
-let fetch_dir_versions ~obs root path =
-  query Ctl_wire.decode_dir_versions (ctl_at ~obs root path ~op:"getdirvvs")
+let fetch_dir_versions ~obs root path ~floor =
+  let extra = match floor with Some f -> [ string_of_int f ] | None -> [] in
+  let* body, wire = ctl_at ~extra ~obs root path ~op:"getdirvvs" in
+  let* dv = Ctl_wire.decode_dir_versions body in
+  Ok (dv, wire)
 
 let resolve ~obs dir name = query Ctl_wire.decode_resolve (ctl ~obs dir ~op:"resolve" ~args:[ name ])
 let peers ~obs root = query Ctl_wire.decode_peers (ctl ~obs root ~op:"peers" ~args:[])

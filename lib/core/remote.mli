@@ -60,9 +60,12 @@ val fetch_chunks :
     map was served — fall back to a whole-file fetch. *)
 
 val fetch_dir_versions :
-  obs:Obs.t -> Vnode.t -> Physical.fidpath -> (Ctl_wire.dir_versions, Errno.t) result
-(** Batched ["getdirvvs"] fetch: a directory's summary, fdir and all
-    child version infos in a single round trip. *)
+  obs:Obs.t -> Vnode.t -> Physical.fidpath -> floor:int option ->
+  (Ctl_wire.dir_versions * int, Errno.t) result
+(** Batched ["getdirvvs"] fetch: a directory's summary, fdir and child
+    version infos in a single round trip, plus wire bytes.  With a
+    [floor] ({!Summary.floor}) the server may answer only for the
+    children changed above it ({!Ctl_wire.dir_versions}). *)
 
 val resolve :
   obs:Obs.t -> Vnode.t -> string -> (Ids.file_id * Aux_attrs.fkind, Errno.t) result

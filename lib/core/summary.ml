@@ -8,10 +8,22 @@ type fidpath = Ids.file_id list
    stands for a directory's whole pending vector. *)
 type entry = { path : fidpath; mutable seq : int }
 
-(* Keyed by the path's fids in hex, joined by '/'.  A flush writes in
-   this table's iteration order, which decides what the block cache
-   holds when: another key or hash moves the storage counts. *)
-type t = (string, entry) Hashtbl.t
+type t = {
+  (* Pending bumps, keyed by the path's fids in hex, joined by '/'.  A
+     flush writes in this table's iteration order, which decides what
+     the block cache holds when: another key or hash moves the storage
+     counts. *)
+  pending : (string, entry) Hashtbl.t;
+  (* The change index: per directory fid, per child fid, the latest
+     event noted since [since] that changed the child or its subtree.
+     Keyed by fid, so a directory's stamps travel with it when it
+     moves. *)
+  child_stamps : (Ids.file_id, (Ids.file_id, int) Hashtbl.t) Hashtbl.t;
+  since : int;
+  (* Peers this replica has finished a walked pass against since it
+     attached. *)
+  walked : (Ids.replica_id, unit) Hashtbl.t;
+}
 
 type io = {
   rid : Ids.replica_id;
@@ -20,25 +32,72 @@ type io = {
   aux_dir : fidpath -> (Vnode.t * Ids.file_id, Errno.t) result;
 }
 
-let create () = Hashtbl.create 64
+let create ~since =
+  {
+    pending = Hashtbl.create 64;
+    child_stamps = Hashtbl.create 64;
+    since;
+    walked = Hashtbl.create 4;
+  }
+
 let key path = String.concat "/" (List.map Ids.fid_to_hex path)
 
-let note t path ~seq =
+let stamp t dir child seq =
+  match Hashtbl.find_opt t.child_stamps dir with
+  | Some children -> Hashtbl.replace children child seq
+  | None ->
+    let children = Hashtbl.create 8 in
+    Hashtbl.replace children child seq;
+    Hashtbl.replace t.child_stamps dir children
+
+let note t path ~changed ~seq =
   let rec go key prefix_rev rest =
-    (match Hashtbl.find_opt t key with
+    (match Hashtbl.find_opt t.pending key with
      | Some e -> e.seq <- seq
-     | None -> Hashtbl.replace t key { path = List.rev prefix_rev; seq });
+     | None -> Hashtbl.replace t.pending key { path = List.rev prefix_rev; seq });
     match rest with
     | [] -> ()
     | fid :: tl ->
       let hex = Ids.fid_to_hex fid in
       go (if prefix_rev = [] then hex else key ^ "/" ^ hex) (fid :: prefix_rev) tl
   in
-  go "" [] path
+  go "" [] path;
+  let rec stamp_path dir = function
+    | [] -> List.iter (fun child -> stamp t dir child seq) changed
+    | fid :: rest ->
+      stamp t dir fid seq;
+      stamp_path fid rest
+  in
+  stamp_path Ids.root_fid path
+
+(* Only a floor at or above [since] filters.  Below it lie events from
+   before the attach, which the index never saw, and the numbers of
+   events a crash lost before their watermark was written, which the
+   replica issues again from [since] on. *)
+let stamped t ~dir ~floor =
+  match floor with
+  | Some floor when floor >= t.since ->
+    let children = Hashtbl.find_opt t.child_stamps dir in
+    Some
+      (fun child ->
+        match Option.bind children (fun c -> Hashtbl.find_opt c child) with
+        | Some seq -> seq > floor
+        | None -> false)
+  | Some _ | None -> None
+
+let floor t ~peer own =
+  if not (Hashtbl.mem t.walked peer) then None
+  else
+    match own with
+    | Some v when Vv.get v peer > 0 -> Some (Vv.get v peer)
+    | Some _ | None -> None
+
+let walked t ~peer = Hashtbl.replace t.walked peer ()
 
 let pending ~rid = function Some e -> Vv.singleton rid e.seq | None -> Vv.empty
 let stored aux = Option.value ~default:Vv.empty aux.Aux_attrs.summary
-let own t ~rid path aux = Vv.merge (stored aux) (pending ~rid (Hashtbl.find_opt t (key path)))
+let own t ~rid path aux =
+  Vv.merge (stored aux) (pending ~rid (Hashtbl.find_opt t.pending (key path)))
 
 (* The one fold step: merge [v] into the directory's stored vector,
    writing the aux file only when that changes it.  Whether it wrote. *)
@@ -53,7 +112,7 @@ let fold io path v =
     Ok true
 
 let flush t io =
-  if Hashtbl.length t = 0 then Ok 0
+  if Hashtbl.length t.pending = 0 then Ok 0
   else
     let* () = io.persist_watermark () in
     let rec go n = function
@@ -64,11 +123,11 @@ let flush t io =
           | Error Errno.ENOENT -> Ok false
           | r -> r
         in
-        Hashtbl.remove t k;
+        Hashtbl.remove t.pending k;
         go (if wrote then n + 1 else n) rest
     in
-    let* n = go 0 (Hashtbl.fold (fun k e acc -> (k, e) :: acc) t []) in
-    Hashtbl.reset t;
+    let* n = go 0 (Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.pending []) in
+    Hashtbl.reset t.pending;
     Counters.add io.counters "phys.summary.flush" n;
     Ok n
 
@@ -78,10 +137,10 @@ let before_move t io = function
 
 let join t io path served =
   let k = key path in
-  let e = Hashtbl.find_opt t k in
+  let e = Hashtbl.find_opt t.pending k in
   let* () = if Option.is_none e then Ok () else io.persist_watermark () in
   let* (_ : bool) = fold io path (Vv.merge (pending ~rid:io.rid e) served) in
-  Hashtbl.remove t k;
+  Hashtbl.remove t.pending k;
   Ok ()
 
 let prunes ~own ~served =

@@ -19,15 +19,25 @@
 
     Bumps are batched so mutators pay no extra I/O, and written
     ({!flush}) before a summary is served and before a directory's
-    storage moves ({!before_move}). *)
+    storage moves ({!before_move}).
+
+    The same events feed an in-memory {e change index} that lets a
+    server answer a [getdirvvs] for the children a puller has not seen:
+    per directory fid, per child fid, the latest event that changed the
+    child's version info or anything below it ({!note}, {!stamped}).
+    The puller's side is its {!floor}: the server's component of its
+    own summary of the directory, a lower bound. *)
 
 type fidpath = Ids.file_id list
 
 type t
-(** One replica's pending bumps: per directory, the latest event noted
-    there and not yet written to its aux file. *)
+(** One replica's pending bumps (per directory, the latest event noted
+    there and not yet written to its aux file), its change index and
+    the peers it has walked since it attached.  All volatile. *)
 
-val create : unit -> t
+val create : since:int -> t
+(** [since] is the first event number the replica issues after it
+    attached: the change index covers events from there on. *)
 
 (** What writing bumps needs from the replica that owns them. *)
 type io = {
@@ -41,10 +51,33 @@ type io = {
           [ENOENT] once it is gone *)
 }
 
-val note : t -> fidpath -> seq:int -> unit
+val note : t -> fidpath -> changed:Ids.file_id list -> seq:int -> unit
 (** Record local event [seq] (larger than every event before it) at the
     directory at [fidpath]: it bumps that directory and every ancestor,
-    so a dominating claim anywhere covers the whole subtree. *)
+    so a dominating claim anywhere covers the whole subtree.  In the
+    change index it stamps each ancestor's child on [fidpath] and, in
+    the directory itself, the [changed] children: those whose version
+    info the event changed (a create, a write, an install, either end of
+    a move across directories).  An event that changes only the
+    directory's [DIR] file (a rename within it, a merge, a removal)
+    passes [[]]: a puller always receives the [DIR] whole. *)
+
+val stamped : t -> dir:Ids.file_id -> floor:int option -> (Ids.file_id -> bool) option
+(** The server's filter for a [getdirvvs] of directory [dir] carrying a
+    puller's [floor]: [Some changed], where [changed child] holds for a
+    child stamped above [floor], or [None] (answer every child) when
+    the floor is absent or below [since] — events before the attach are
+    not in the index. *)
+
+val floor : t -> peer:Ids.replica_id -> Version_vector.t option -> int option
+(** The floor a puller sends [peer] for a directory whose own summary is
+    given: its [peer] component.  [None] when it is 0, and until {!walked}
+    has recorded a pass against [peer] since the attach — so the first
+    walk after a reboot re-reads every child and re-reports the file
+    conflicts the volatile conflict log lost. *)
+
+val walked : t -> peer:Ids.replica_id -> unit
+(** Record that a pass against [peer] walked the volume without error. *)
 
 val own : t -> rid:Ids.replica_id -> fidpath -> Aux_attrs.t -> Version_vector.t
 (** The summary of the directory at [fidpath], given its aux attributes. *)

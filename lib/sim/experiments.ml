@@ -1409,8 +1409,21 @@ let reconscale_incremental_recon () =
   let host0_name = Cluster.host_name (Cluster.host cluster 0) in
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = get (connect ~host:host0_name ~vref ~rid:1) in
+  (* The child version blocks host0 serves during a pass. *)
+  let host0_counters =
+    match Cluster.replica (Cluster.host cluster 0) vref with
+    | Some p -> Physical.counters p
+    | None -> failwith "reconscale: host0 stores no replica"
+  in
+  let answered pass =
+    let before = Counters.get host0_counters "phys.ctl.getdirvvs.children" in
+    let s = get (pass ()) in
+    (s, Counters.get host0_counters "phys.ctl.getdirvvs.children" - before)
+  in
   let full = get (Reconcile.reconcile_subtree ~local:phys1 ~remote_root ~remote_rid:1 []) in
-  let incr = get (Reconcile.reconcile_volume ~local:phys1 ~remote_root ~remote_rid:1 ()) in
+  let incr, incr_children =
+    answered (fun () -> Reconcile.reconcile_volume ~local:phys1 ~remote_root ~remote_rid:1 ())
+  in
   let ratio =
     if incr.Reconcile.rpcs = 0 then float_of_int full.Reconcile.rpcs
     else float_of_int full.Reconcile.rpcs /. float_of_int incr.Reconcile.rpcs
@@ -1419,7 +1432,9 @@ let reconscale_incremental_recon () =
      directory, prune the untouched siblings, and pull just the file. *)
   let d1 = get (root0.Vnode.lookup "d01") in
   get (Vnode.write_all (get (d1.Vnode.lookup "f001")) "targeted update");
-  let targeted = get (Reconcile.reconcile_volume ~local:phys1 ~remote_root ~remote_rid:1 ()) in
+  let targeted, targeted_children =
+    answered (fun () -> Reconcile.reconcile_volume ~local:phys1 ~remote_root ~remote_rid:1 ())
+  in
   (* The consolidated counters must surface in one cluster snapshot. *)
   let snap = Cluster.metrics_snapshot cluster in
   let counter name =
@@ -1431,6 +1446,8 @@ let reconscale_incremental_recon () =
     counter "recon.rpcs" > 0
     && counter "recon.pruned_subtrees" > 0
     && counter "prop.pull.file" > 0
+    && counter "phys.ctl.getdirvvs.children" > 0
+    && counter "recon.dirvvs_bytes" > 0
   in
   let metrics =
     [ ( "reconciliation",
@@ -1438,36 +1455,43 @@ let reconscale_incremental_recon () =
           [ ("recon.full_rpcs", Int full.Reconcile.rpcs);
             ("recon.rpcs", Int incr.Reconcile.rpcs);
             ( "recon.pruned_subtrees",
-              Int (incr.Reconcile.subtrees_pruned + targeted.Reconcile.subtrees_pruned) ) ] ) ]
+              Int (incr.Reconcile.subtrees_pruned + targeted.Reconcile.subtrees_pruned) );
+            ("recon.children_answered", Int targeted_children) ] ) ]
   in
   Table.print ~title:"RECONSCALE: RPCs for one reconciliation pass, 1024-file quiescent volume"
-    ~headers:[ "pass"; "rpcs"; "pruned"; "pulled" ]
+    ~headers:[ "pass"; "rpcs"; "pruned"; "pulled"; "children answered" ]
     [
       [ "full walk"; string_of_int full.Reconcile.rpcs;
         string_of_int full.Reconcile.subtrees_pruned;
-        string_of_int full.Reconcile.files_pulled ];
+        string_of_int full.Reconcile.files_pulled; "-" ];
       [ "incremental (quiescent)"; string_of_int incr.Reconcile.rpcs;
         string_of_int incr.Reconcile.subtrees_pruned;
-        string_of_int incr.Reconcile.files_pulled ];
+        string_of_int incr.Reconcile.files_pulled; string_of_int incr_children ];
       [ "incremental (1 file changed)"; string_of_int targeted.Reconcile.rpcs;
         string_of_int targeted.Reconcile.subtrees_pruned;
-        string_of_int targeted.Reconcile.files_pulled ];
+        string_of_int targeted.Reconcile.files_pulled; string_of_int targeted_children ];
     ];
+  (* The point change is answered with one child block per directory on
+     its path: "d01" at the root and "f001" in "d01", not the root's 16
+     and d01's 64. *)
   let holds =
     ratio >= 10.0
     && incr.Reconcile.files_pulled = 0
     && targeted.Reconcile.files_pulled = 1
     && targeted.Reconcile.subtrees_pruned >= ndirs - 1
     && targeted.Reconcile.rpcs <= 10
+    && targeted_children = 2
     && counters_visible
   in
   verdict ~metrics "RECONSCALE"
-    "summary pruning cuts quiescent reconciliation RPCs >= 10x; a point change costs a handful"
+    "summary pruning cuts quiescent reconciliation RPCs >= 10x; a point change costs a handful \
+     of RPCs and one child block per directory on its path"
     holds
     (Printf.sprintf
-       "full=%d rpcs, quiescent incremental=%d (%.0fx), targeted=%d rpcs / %d pruned / %d pulled"
+       "full=%d rpcs, quiescent incremental=%d (%.0fx), targeted=%d rpcs / %d pruned / %d pulled \
+        / %d children answered"
        full.Reconcile.rpcs incr.Reconcile.rpcs ratio targeted.Reconcile.rpcs
-       targeted.Reconcile.subtrees_pruned targeted.Reconcile.files_pulled)
+       targeted.Reconcile.subtrees_pruned targeted.Reconcile.files_pulled targeted_children)
 
 (* ------------------------------------------------------------------ *)
 (* MEMBER: epidemic membership + failure-detector economics            *)
@@ -2524,7 +2548,9 @@ let registry =
             "journal_txns" ] ) ] );
     ( "reconscale",
       reconscale_incremental_recon,
-      [ ("reconciliation", [ "recon.full_rpcs"; "recon.rpcs"; "recon.pruned_subtrees" ]) ] );
+      [ ( "reconciliation",
+          [ "recon.full_rpcs"; "recon.rpcs"; "recon.pruned_subtrees"; "recon.children_answered" ] )
+      ] );
     ( "member",
       member_gossip,
       [ ( "membership",

@@ -16,10 +16,20 @@ let decode_dir_versions reply =
   let* header, rest = split_until "fdir:" [] lines in
   let* body, rest = split_until "endfdir:" [] rest in
   let* dv_fdir = or_eio (Fdir.decode (String.concat "\n" body ^ "\n")) in
-  let dv_summary =
-    Option.bind
-      (List.assoc_opt "summary" (Aux_attrs.fields (String.concat "\n" header)))
-      Version_vector.decode
+  let header = Aux_attrs.fields (String.concat "\n" header) in
+  let dv_summary = Option.bind (List.assoc_opt "summary" header) Version_vector.decode in
+  let* dv_filtered =
+    match List.assoc_opt "filtered" header with
+    | None -> Ok None
+    | Some "" -> Ok (Some [])
+    | Some fids ->
+      List.fold_right
+        (fun hex acc ->
+          let* acc = acc in
+          let* fid = or_eio (Ids.fid_of_hex hex) in
+          Ok (fid :: acc))
+        (String.split_on_char ',' fids) (Ok [])
+      |> Result.map Option.some
   in
   let is_child l = String.length l > 6 && String.sub l 0 6 = "child=" in
   let finish acc = function
@@ -42,4 +52,4 @@ let decode_dir_versions reply =
        | Some fid, block -> children acc (Some fid, l :: block) rest)
   in
   let* dv_children = children [] (None, []) rest in
-  Ok { Ctl_wire.dv_summary; dv_fdir; dv_children }
+  Ok { Ctl_wire.dv_summary; dv_filtered; dv_fdir; dv_children }

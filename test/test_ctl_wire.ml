@@ -17,6 +17,9 @@ let vv_gen =
 let kind_gen = QCheck.Gen.oneofl [ Aux_attrs.Freg; Aux_attrs.Fdir; Aux_attrs.Fgraft ]
 let fid_gen = QCheck.Gen.(map2 (fun issuer uniq -> { Ids.issuer; uniq }) (int_bound 9) (int_bound 0xffffff))
 
+(* A filtered reply's failed-child list, or an unfiltered reply. *)
+let filtered_gen = QCheck.Gen.(opt (list_size (int_bound 3) fid_gen))
+
 let vi_gen =
   QCheck.Gen.(
     map
@@ -80,6 +83,7 @@ let vi_equal (a : Ctl_wire.version_info) (b : Ctl_wire.version_info) =
 
 let dv_equal (a : Ctl_wire.dir_versions) (b : Ctl_wire.dir_versions) =
   Option.equal Vv.equal a.dv_summary b.dv_summary
+  && Option.equal (List.equal Ids.fid_equal) a.dv_filtered b.dv_filtered
   && Fdir.encode a.dv_fdir = Fdir.encode b.dv_fdir
   && List.equal
        (fun (f, v) (g, w) -> Ids.fid_equal f g && vi_equal v w)
@@ -106,13 +110,15 @@ let props =
       Ctl_wire.encode_chunks Ctl_wire.decode_chunks ( = );
     roundtrip "getdirvvs"
       QCheck.Gen.(
-        map3
-          (fun dv_summary dv_fdir dv_children -> { Ctl_wire.dv_summary; dv_fdir; dv_children })
-          (opt vv_gen) fdir_gen
+        map4
+          (fun dv_summary dv_filtered dv_fdir dv_children ->
+            { Ctl_wire.dv_summary; dv_filtered; dv_fdir; dv_children })
+          (opt vv_gen) filtered_gen fdir_gen
           (list_size (int_bound 4) (pair fid_gen vi_gen)))
       (fun dv ->
         Ctl_wire.encode_dir_versions ~summary:dv.Ctl_wire.dv_summary
-          ~fdir:(Fdir.encode dv.Ctl_wire.dv_fdir) dv.Ctl_wire.dv_children)
+          ~filtered:dv.Ctl_wire.dv_filtered ~fdir:(Fdir.encode dv.Ctl_wire.dv_fdir)
+          dv.Ctl_wire.dv_children)
       Ctl_wire.decode_dir_versions dv_equal;
     roundtrip "resolve" (QCheck.Gen.pair fid_gen kind_gen)
       (fun (fid, kind) -> Ctl_wire.encode_resolve fid kind)
@@ -135,7 +141,10 @@ let marker_name_gen =
   QCheck.Gen.(
     frequency
       [
-        (1, oneofl [ "fdir:"; "endfdir:"; "child=00000001.00000002"; "summary=1:1"; "kind=reg" ]);
+        ( 1,
+          oneofl
+            [ "fdir:"; "endfdir:"; "child=00000001.00000002"; "summary=1:1"; "kind=reg";
+              "filtered=00000001.00000002" ] );
         (2, name_gen);
       ])
 
@@ -163,14 +172,15 @@ let edit_gen =
           map2
             (fun i c -> Set (i, c))
             anywhere
-            (frequency [ (3, oneofl [ '\n'; ':'; '='; ' '; 'f'; 'E'; '-'; 'x' ]); (1, char) ]) );
+            (frequency [ (3, oneofl [ '\n'; ':'; '='; ' '; 'f'; 'E'; '-'; 'x'; ',' ]); (1, char) ]) );
         (2, map (fun i -> Cut i) anywhere);
         ( 2,
           map2
             (fun i l -> Insert (i, l))
             pos
             (oneofl
-               [ "fdir:\n"; "endfdir:\n"; "child=00000001.00000009\n"; "\n"; "summary=2:2\n" ]) );
+               [ "fdir:\n"; "endfdir:\n"; "child=00000001.00000009\n"; "\n"; "summary=2:2\n";
+                 "filtered=\n"; "filtered=00000001.00000009\n" ]) );
       ])
 
 (* A negative position [-1 - k] names the end of the line holding
@@ -198,10 +208,10 @@ let apply_edit reply = function
     String.sub reply 0 start ^ line ^ String.sub reply start (String.length reply - start)
 
 let reply_gen =
-  QCheck.Gen.map3
-    (fun summary fdir children ->
-      Ctl_wire.encode_dir_versions ~summary ~fdir:(Fdir.encode fdir) children)
-    (QCheck.Gen.opt vv_gen) marker_fdir_gen
+  QCheck.Gen.map4
+    (fun summary filtered fdir children ->
+      Ctl_wire.encode_dir_versions ~summary ~filtered ~fdir:(Fdir.encode fdir) children)
+    (QCheck.Gen.opt vv_gen) filtered_gen marker_fdir_gen
     (QCheck.Gen.list_size (QCheck.Gen.int_bound 3) (QCheck.Gen.pair fid_gen vi_gen))
 
 let slice_decoder_law =
@@ -265,6 +275,19 @@ let golden_case (op, args, expected) =
       let reply = ok (root.Vnode.lookup (ok (Ctl_name.encode ~op ~args))) in
       Alcotest.(check string) op expected (ok (Vnode.read_all reply)))
 
+(* A floor (the argument before the serial) at event 4, the write of
+   "f": only "d", made at event 6, is stamped above it. *)
+let golden_filtered =
+  case "golden getdirvvs with a floor" (fun () ->
+      let root = golden_replica () in
+      let args = [ "."; "4"; "n1" ] in
+      let reply = ok (root.Vnode.lookup (ok (Ctl_name.encode ~op:"getdirvvs" ~args))) in
+      Alcotest.(check string) "getdirvvs"
+        "summary=1:6\nfiltered=\nfdir:\nV 1:2\nK 1 1:2\nE f 00000001.00000002 1.2 reg L\n\
+         E d 00000001.00000005 1.5 dir L\nendfdir:\n\
+         child=00000001.00000005\nkind=dir\nvv=\nsize=0\nuid=0\nstored=1\nspan=0\nsummary=\n"
+        (ok (Vnode.read_all reply)))
+
 let suite =
-  List.map golden_case golden
+  List.map golden_case golden @ [ golden_filtered ]
   @ List.map QCheck_alcotest.to_alcotest (props @ [ slice_decoder_law ])

@@ -534,11 +534,41 @@ let ctl_name_props =
 (* ------------------------------------------------------------------ *)
 (* Incremental reconciliation equivalence                              *)
 
+(* Incremental reconciliation's schedules add what its floors must
+   survive to {!cl_op_gen}: files and directories renamed across
+   directories, and reboots, which empty a server's change index and a
+   puller's record of walked peers. *)
+let recon_op_gen ~hosts =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, cl_op_gen ~hosts);
+        ( 2,
+          map3
+            (fun h f d ->
+              [ Schedule.Rename (h mod hosts, Printf.sprintf "f%d" f, Printf.sprintf "d%d/f%d" d f) ])
+            (int_bound 2) (int_bound 3) (int_bound 2) );
+        ( 1,
+          map3
+            (fun h d e ->
+              [ Schedule.Rename (h mod hosts, Printf.sprintf "d%d" d, Printf.sprintf "d%d/d%d" e d) ])
+            (int_bound 2) (int_bound 2) (int_bound 2) );
+        (1, map (fun h -> [ Schedule.Reboot (h mod hosts) ]) (int_bound 2));
+      ])
+
+let recon_arb ~hosts =
+  QCheck.make
+    ~print:(fun epochs -> String.concat " | " (List.map Schedule.to_string epochs))
+    QCheck.Gen.(list_size (1 -- 3) (map List.concat (list_size (int_bound 7) (recon_op_gen ~hosts))))
+
 (* Summary pruning and batched version RPCs are pure optimizations: on
    any divergence history, driving convergence with the incremental
    pass must land every replica in exactly the state the original
    full-walk pass produces. *)
 let recon_equiv_props =
+  let hosts = [ 0; 1; 2 ] in
+  (* Each host pulls from the next around the ring, so a floor one host
+     sends another may have been learned through the third. *)
   let ring_reconcile cluster vref ~full =
     let step me peer =
       match Cluster.replica (Cluster.host cluster me) vref with
@@ -557,21 +587,43 @@ let recon_equiv_props =
     in
     for _ = 1 to 4 do
       step 0 1;
-      step 1 0
+      step 1 2;
+      step 2 0
     done
   in
   let run_scenario epochs ~full =
-    match cl_start [ 0; 1 ] with
+    match cl_start hosts with
     | None -> None
     | Some (cluster, vref, s) ->
+      (* A reboot here is a clean one: the host's pending summary bumps
+         are written first.  A crash that loses them makes the
+         incremental walk prune real updates whatever the floors do
+         (ROADMAP "Crash-lost summary bumps"). *)
+      let apply step =
+        (match step with
+         | Schedule.Reboot h ->
+           Option.iter
+             (fun phys -> ignore (Physical.flush_summaries phys))
+             (Cluster.replica (Cluster.host cluster h) vref)
+         | _ -> ());
+        ignore (Schedule.apply s step)
+      in
       List.iter
         (fun ops ->
-          ignore (Schedule.run_all s ((Schedule.Partition [ [ 0 ]; [ 1 ] ] :: ops) @ [ Heal ]));
+          let partition = Schedule.Partition (List.map (fun h -> [ h ]) hosts) in
+          List.iter apply ((partition :: ops) @ [ Heal ]);
           ring_reconcile cluster vref ~full)
         epochs;
-      (match (tree cluster vref 0, tree cluster vref 1) with
-       | Some a, Some b -> Some (a, b)
-       | _ -> None)
+      let trees = List.filter_map (tree cluster vref) hosts in
+      let unstamped =
+        List.fold_left
+          (fun n i ->
+            match Cluster.replica (Cluster.host cluster i) vref with
+            | Some phys -> n + Counters.get (Physical.counters phys) "recon.unstamped_child"
+            | None -> n)
+          0 hosts
+      in
+      if List.length trees = List.length hosts then Some (trees, unstamped) else None
   in
   (* Collision-repair suffixes ("name#rid.seq") embed the fid sequence
      number, and the incremental pass legitimately allocates fewer
@@ -588,14 +640,15 @@ let recon_equiv_props =
          t)
   in
   [
-    prop "incremental reconciliation equals the full walk" ~count:25 (cl_arb ~hosts:2)
+    prop "incremental reconciliation equals the full walk" ~count:25 (recon_arb ~hosts:3)
       (fun epochs ->
         match (run_scenario epochs ~full:true, run_scenario epochs ~full:false) with
-        | Some (f0, f1), Some (i0, i1) ->
+        | Some (full, _), Some (incr, unstamped) ->
           (* Per-host across methods; cross-host equality is the churn
              property's business (unresolved file conflicts keep
-             replicas on their own contents by design). *)
-          normalize f0 = normalize i0 && normalize f1 = normalize i1
+             replicas on their own contents by design).  No reply may
+             leave out a child the puller's merge just made live. *)
+          List.for_all2 (fun f i -> normalize f = normalize i) full incr && unstamped = 0
         | _ -> false);
   ]
 

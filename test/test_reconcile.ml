@@ -198,12 +198,15 @@ let rewriting_root real op f =
   }
 
 (* A converged file "f" then updated at host0 below the daemons: no
-   notification reaches host1, so only reconciliation can carry it. *)
-let stale_file_at_host1 () =
+   notification reaches host1, so only reconciliation can carry it.
+   Converging leaves host1 with a walked pass against host0, so its
+   next request carries a floor; a rebooted host1 sends none. *)
+let stale_file_at_host1 ~floor =
   let cluster = Cluster.create ~nhosts:2 () in
   let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
   create_file (ok (Cluster.logical_root cluster 0 vref)) "f" "first";
   let (_ : int) = ok (Cluster.converge cluster vref ()) in
+  if not floor then ok (Cluster.reboot cluster 1);
   let phys i = Option.get (Cluster.replica (Cluster.host cluster i) vref) in
   ok (Vnode.write_all (ok ((Physical.root (phys 0)).Vnode.lookup "f")) "second");
   let remote_root = ok ((Cluster.connect_from cluster 1) ~host:"host0" ~vref ~rid:1) in
@@ -211,11 +214,14 @@ let stale_file_at_host1 () =
   (phys 0, phys 1, remote_root, fid)
 
 (* A getdirvvs reply without [fid]'s child block, as a server sends when
-   that child's version info fails. *)
-let omit_child fid body =
+   that child's version info fails: a filtered reply also lists it.
+   [filtered] records whether the reply was. *)
+let omit_child filtered fid body =
   let* dv = Ctl_wire.decode_dir_versions body in
+  filtered := dv.Ctl_wire.dv_filtered <> None;
   Ok
     (Ctl_wire.encode_dir_versions ~summary:dv.Ctl_wire.dv_summary
+       ~filtered:(Option.map (fun failed -> fid :: failed) dv.Ctl_wire.dv_filtered)
        ~fdir:(Fdir.encode dv.Ctl_wire.dv_fdir)
        (List.filter (fun (g, _) -> not (Ids.fid_equal g fid)) dv.Ctl_wire.dv_children))
 
@@ -226,32 +232,146 @@ let check_converged phys0 phys1 fid =
   Alcotest.(check string) "same tree" (ok (Crdt_merge.digest phys0)) (ok (Crdt_merge.digest phys1))
 
 let test_omitted_child_takes_per_child_path () =
-  let phys0, phys1, remote_root, fid = stale_file_at_host1 () in
-  let pass root =
-    let (_ : Reconcile.stats) =
-      ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root:root ~remote_rid:1 ())
-    in
-    ()
-  in
-  pass (rewriting_root remote_root "getdirvvs" (omit_child fid));
-  for _ = 1 to 3 do pass remote_root done;
-  check_converged phys0 phys1 fid
+  List.iter
+    (fun floor ->
+      let phys0, phys1, remote_root, fid = stale_file_at_host1 ~floor in
+      let pass root =
+        let (_ : Reconcile.stats) =
+          ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root:root ~remote_rid:1 ())
+        in
+        ()
+      in
+      let filtered = ref (not floor) in
+      pass (rewriting_root remote_root "getdirvvs" (omit_child filtered fid));
+      Alcotest.(check bool) "the reply is filtered iff a floor went" floor !filtered;
+      for _ = 1 to 3 do pass remote_root done;
+      check_converged phys0 phys1 fid)
+    [ true; false ]
 
 let test_failed_omitted_child_leaves_walk_incomplete () =
   (* The per-child fetch fails too: the pass must not join the peer's
      summary, so the next pass walks to the file instead of pruning. *)
-  let phys0, phys1, remote_root, fid = stale_file_at_host1 () in
-  let broken =
-    rewriting_root
-      (rewriting_root remote_root "getdirvvs" (omit_child fid))
-      "getvv"
-      (fun _ -> Error Errno.EIO)
-  in
-  let s = ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root:broken ~remote_rid:1 ()) in
-  Alcotest.(check int) "the failure is counted" 1 s.Reconcile.errors;
-  let s = ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root ~remote_rid:1 ()) in
-  Alcotest.(check int) "the next pass does not prune" 0 s.Reconcile.subtrees_pruned;
-  check_converged phys0 phys1 fid
+  List.iter
+    (fun floor ->
+      let phys0, phys1, remote_root, fid = stale_file_at_host1 ~floor in
+      let broken =
+        rewriting_root
+          (rewriting_root remote_root "getdirvvs" (omit_child (ref false) fid))
+          "getvv"
+          (fun _ -> Error Errno.EIO)
+      in
+      let s = ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root:broken ~remote_rid:1 ()) in
+      Alcotest.(check int) "the failure is counted" 1 s.Reconcile.errors;
+      let s = ok (Reconcile.reconcile_volume ~local:phys1 ~remote_root ~remote_rid:1 ()) in
+      Alcotest.(check int) "the next pass does not prune" 0 s.Reconcile.subtrees_pruned;
+      check_converged phys0 phys1 fid)
+    [ true; false ]
+
+(* ---------------- floors: answers proportional to the change ---------------- *)
+
+let phys cluster vref i = Option.get (Cluster.replica (Cluster.host cluster i) vref)
+
+(* Child blocks host0 serves during [f ()]. *)
+let children_served cluster vref f =
+  let counters = Physical.counters (phys cluster vref 0) in
+  let before = Counters.get counters "phys.ctl.getdirvvs.children" in
+  let r = f () in
+  (r, Counters.get counters "phys.ctl.getdirvvs.children" - before)
+
+(* One pass host1 <- host0. *)
+let pull_from_host0 cluster vref =
+  let remote_root = ok ((Cluster.connect_from cluster 1) ~host:"host0" ~vref ~rid:1) in
+  ok (Reconcile.reconcile_volume ~local:(phys cluster vref 1) ~remote_root ~remote_rid:1 ())
+
+(* A converged volume whose root holds [n] files written at host0's
+   physical layer, below the daemons. *)
+let converged_files n =
+  let cluster = Cluster.create ~nhosts:2 ~disk_blocks:16384 ~ninodes:4096 () in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  let root = Physical.root (phys cluster vref 0) in
+  for i = 1 to n do
+    ok (Vnode.write_all (ok (root.Vnode.create (Printf.sprintf "f%04d" i))) "x")
+  done;
+  let (_ : int) = ok (Cluster.converge cluster vref ~max_rounds:20 ()) in
+  (cluster, vref)
+
+let write_at_host0 cluster vref name data =
+  let root = Physical.root (phys cluster vref 0) in
+  ok (Vnode.write_all (ok (root.Vnode.lookup name)) data)
+
+let test_one_write_one_block () =
+  let cluster, vref = converged_files 1024 in
+  write_at_host0 cluster vref "f0513" "changed";
+  let s, served = children_served cluster vref (fun () -> pull_from_host0 cluster vref) in
+  Alcotest.(check int) "one child block for one changed file" 1 served;
+  Alcotest.(check int) "the file is pulled" 1 s.Reconcile.files_pulled;
+  let f = Option.get (Fdir.find_live (ok (Physical.fetch_dir (phys cluster vref 0) [])) "f0513") in
+  check_converged (phys cluster vref 0) (phys cluster vref 1) f.Fdir.fid
+
+let test_server_reboot_answers_in_full () =
+  (* Host1's floor predates host0's reboot, so it is below host0's attach
+     point: the index never saw the events before it, and the answer is
+     whole.  Once host1 joins a summary from after the reboot, its floor
+     filters again. *)
+  let cluster, vref = converged_files 8 in
+  ok (Cluster.reboot cluster 0);
+  write_at_host0 cluster vref "f0003" "after reboot";
+  let s, served = children_served cluster vref (fun () -> pull_from_host0 cluster vref) in
+  Alcotest.(check int) "every child answered" 8 served;
+  Alcotest.(check int) "the file is pulled" 1 s.Reconcile.files_pulled;
+  write_at_host0 cluster vref "f0005" "again";
+  let s, served = children_served cluster vref (fun () -> pull_from_host0 cluster vref) in
+  Alcotest.(check int) "filtered again" 1 served;
+  Alcotest.(check int) "that file is pulled" 1 s.Reconcile.files_pulled
+
+let test_puller_reboot_rereports_conflict () =
+  (* The conflict log is volatile.  After host1 reboots, its first pass
+     against host0 sends no floor, so the conflicted file's block comes
+     back and the conflict is reported again — a floor would cover it. *)
+  let cluster = Cluster.create ~nhosts:2 () in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  let s = Schedule.start cluster vref in
+  ok
+    (Schedule.run s
+       [
+         Create (0, "doc", "base"); Propagate; Converge 10; Partition [ [ 0 ]; [ 1 ] ];
+         Write (0, "doc", "A"); Write (1, "doc", "B"); Heal;
+       ]);
+  let (_ : Reconcile.stats) = ok (Cluster.reconcile_ring cluster vref) in
+  let (_ : Reconcile.stats) = ok (Cluster.reconcile_ring cluster vref) in
+  let pending () = List.length (Conflict_log.pending (Physical.conflicts (phys cluster vref 1))) in
+  Alcotest.(check int) "reported before the reboot" 1 (pending ());
+  ok (Cluster.reboot cluster 1);
+  Alcotest.(check int) "lost with the reboot" 0 (pending ());
+  (* Something else changes at host0, so the pass walks. *)
+  ok (Vnode.write_all (ok ((Physical.root (phys cluster vref 0)).Vnode.create "other")) "x");
+  let st, served = children_served cluster vref (fun () -> pull_from_host0 cluster vref) in
+  Alcotest.(check int) "both children answered" 2 served;
+  Alcotest.(check int) "the conflict is met" 1 st.Reconcile.files_conflicted;
+  Alcotest.(check int) "and reported again" 1 (pending ())
+
+let test_moved_directory_is_walked () =
+  (* A directory moved across directories at host0 stamps both ends, so
+     host1's next pass (floors on) walks it at its new place. *)
+  let cluster = Cluster.create ~nhosts:2 () in
+  let vref = ok (Cluster.create_volume cluster ~on:[ 0; 1 ]) in
+  let s = Schedule.start cluster vref in
+  ok
+    (Schedule.run s
+       [
+         Mkdir (0, "a"); Mkdir (0, "b"); Mkdir (0, "a/sub"); Create (0, "a/sub/f", "inside");
+         Propagate; Converge 10;
+       ]);
+  let root0 = Physical.root (phys cluster vref 0) in
+  let a = ok (root0.Vnode.lookup "a") and b = ok (root0.Vnode.lookup "b") in
+  ok (a.Vnode.rename "sub" b "sub");
+  let (_ : Reconcile.stats) = pull_from_host0 cluster vref in
+  let root1 = Physical.root (phys cluster vref 1) in
+  Alcotest.(check string) "the file at the new place" "inside" (read_file root1 "b/sub/f");
+  expect_err Errno.ENOENT (Result.map ignore (Namei.walk ~root:root1 "a/sub"));
+  Alcotest.(check string) "same tree"
+    (ok (Crdt_merge.digest (phys cluster vref 0)))
+    (ok (Crdt_merge.digest (phys cluster vref 1)))
 
 let suite =
   [
@@ -259,6 +379,13 @@ let suite =
       test_omitted_child_takes_per_child_path;
     case "failed omitted child leaves the walk incomplete"
       test_failed_omitted_child_leaves_walk_incomplete;
+    case "floor: one write in a 1024-entry directory answers one child"
+      test_one_write_one_block;
+    case "floor: below the server's attach point gets a full answer"
+      test_server_reboot_answers_in_full;
+    case "floor: a rebooted puller reports a pending conflict again"
+      test_puller_reboot_rereports_conflict;
+    case "floor: a directory moved across directories is walked" test_moved_directory_is_walked;
     case "subtree reconciles nested changes" test_subtree_reconciles_nested_changes;
     case "conflict superseded everywhere after resolution"
       test_conflict_superseded_everywhere_after_resolution;

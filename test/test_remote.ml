@@ -96,7 +96,8 @@ let test_fetch_dir_versions () =
   let _ = ok (root0.Vnode.mkdir "sub") in
   let connect = Cluster.connect_from cluster 1 in
   let remote_root = ok (connect ~host:"host0" ~vref ~rid:1) in
-  let dv = ok (Remote.fetch_dir_versions ~obs remote_root []) in
+  let dv, _wire = ok (Remote.fetch_dir_versions ~obs remote_root [] ~floor:None) in
+  Alcotest.(check bool) "no floor: unfiltered" true (dv.Ctl_wire.dv_filtered = None);
   Alcotest.(check bool) "summary present" true (dv.Ctl_wire.dv_summary <> None);
   let live = Fdir.live dv.Ctl_wire.dv_fdir in
   Alcotest.(check int) "three live entries" 3 (List.length live);
