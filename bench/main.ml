@@ -130,9 +130,29 @@ let micro_delta_tests () =
              (get (Delta.pull_file ~via:"prop" ~local:phys1 ~connect ~origin_rid:1 [ fid ]))));
   ]
 
+(* The buffer cache, 256 blocks and full: a hit, and a miss that evicts
+   (a cyclic walk over 257 blocks, so the least recently used block is
+   always the next one wanted). *)
+let micro_cache_tests () =
+  let walk ~blocks ~from =
+    let c = Block_cache.create ~capacity:256 (Disk.create ~nblocks:1024 ~block_size:1024 ()) in
+    for i = 0 to 255 do
+      ignore (get (Block_cache.read c i))
+    done;
+    let next = ref from in
+    fun () ->
+      ignore (Block_cache.read c !next);
+      next := if !next + 1 = blocks then 0 else !next + 1
+  in
+  [
+    Test.make ~name:"block-cache/hit" (Staged.stage (walk ~blocks:256 ~from:0));
+    Test.make ~name:"block-cache/miss-evict" (Staged.stage (walk ~blocks:257 ~from:256));
+  ]
+
 let run_micro () =
   let tests =
     micro_layer_tests () @ micro_shadow_tests () @ micro_fdir_tests () @ micro_delta_tests ()
+    @ micro_cache_tests ()
   in
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in

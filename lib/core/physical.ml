@@ -1184,17 +1184,23 @@ let merge_dir t path ~remote_rid remote =
   in
   let* () = apply result.Fdir.actions in
   let merged_bytes = Fdir.encode result.Fdir.merged in
-  let* () = store_encoded t ~fid:(path_fid path) ufs_dir merged_bytes result.Fdir.merged in
   (* Any observable change to the stored directory — entries, tombstone
      expiry, known-map gossip — is an incorporation event peers must not
-     prune past.  The loaded bytes are [local]'s encoding.  Of the
-     children, only those given storage here changed. *)
+     prune past.  The loaded bytes are [local]'s encoding, so a merge
+     that changes none of them stores nothing.  Of the children, only
+     those given storage here changed. *)
   let materialized = function
     | Fdir.Materialize e -> Some e.Fdir.fid
     | Fdir.Unmaterialize _ | Fdir.Expire _ -> None
   in
-  if not (String.equal local_bytes merged_bytes) then
-    note_event t path ~changed:(List.filter_map materialized result.Fdir.actions);
+  let* () =
+    if String.equal local_bytes merged_bytes then Ok ()
+    else begin
+      let* () = store_encoded t ~fid:(path_fid path) ufs_dir merged_bytes result.Fdir.merged in
+      note_event t path ~changed:(List.filter_map materialized result.Fdir.actions);
+      Ok ()
+    end
+  in
   List.iter
     (fun (colliding_name, births) ->
       let fid =

@@ -4,6 +4,8 @@
     measurable property: a block hit costs zero device I/Os, a miss costs
     one.  Writes go through to the device immediately (UFS here is
     synchronous-metadata, like the original), updating the cached copy.
+    A miss on a full cache evicts the least recently touched block; a
+    read or a write touches its block.
 
     Ficus relies on the UFS cache continuing to exploit the namespace
     locality of its hex-encoded on-disk layout (paper §2.6); experiments
@@ -13,7 +15,11 @@ type t
 
 val create : ?capacity:int -> Disk.t -> t
 (** [capacity] is the number of cached blocks (default 256).  A capacity
-    of zero disables caching — every access reaches the device. *)
+    of zero disables caching — every access reaches the device.
+
+    Every operation is O(1).  Besides the cached blocks themselves, the
+    cache costs one int per disk block (the block-to-slot map, sized
+    from {!Disk.nblocks}) and four words per slot. *)
 
 val disk : t -> Disk.t
 val capacity : t -> int

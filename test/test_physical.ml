@@ -331,10 +331,32 @@ let test_merge_summary_event_iff_bytes_change () =
     (Vv.dominates (served ()) summary && not (Vv.equal (served ()) summary));
   Alcotest.(check bool) "a pending bump" true (pending_flushed () > 0)
 
+(* A merge that leaves the DIR bytes as they were writes nothing: not
+   when the same remote directory comes again, and not when the remote
+   one is the local one. *)
+let test_merge_of_equal_dir_writes_nothing () =
+  let fs, _, _, p1 = fresh_phys () in
+  let _, _, _, p2 = fresh_phys ~rid:2 () in
+  let _ = ok ((Physical.root p2).Vnode.create "g") in
+  let remote = ok (Physical.fetch_dir p2 []) in
+  let disk = Ufs.disk fs in
+  let merge_writes r =
+    let before = Disk.writes disk in
+    ignore (ok (Physical.merge_dir p1 [] ~remote_rid:2 r));
+    Disk.writes disk - before
+  in
+  Alcotest.(check bool) "the first merge writes" true (merge_writes remote > 0);
+  Alcotest.(check int) "the same remote again" 0 (merge_writes remote);
+  Alcotest.(check int) "a remote equal to the local" 0
+    (merge_writes (ok (Physical.fetch_dir p1 [])));
+  Alcotest.(check bool) "g adopted" true
+    (Fdir.find_live (ok (Physical.fetch_dir p1 [])) "g" <> None)
+
 let suite =
   [
     case "merge notes a summary event iff the DIR bytes change"
       test_merge_summary_event_iff_bytes_change;
+    case "a merge that changes no DIR byte writes nothing" test_merge_of_equal_dir_writes_nothing;
     case "on-disk layout" test_create_layout;
     case "dual name/handle mapping" test_dual_mapping_at_names;
     case "write bumps version vector" test_write_bumps_version_vector;

@@ -217,6 +217,114 @@ let disk_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Law: the int-array LRU answers every access as the stamp-scan one it
+   replaced (test/block_cache_ref.ml) does, so it evicts the same block
+   at every step: the same bytes or error, hits, misses, version and
+   device I/Os.  Each cache has a disk of its own, failing alike.      *)
+
+type cache_op =
+  | C_read of int  (** block, out of range allowed *)
+  | C_read_copy of int  (** read a copy, then scribble over it *)
+  | C_write of int * int  (** block, fill seed *)
+  | C_invalidate
+  | C_fail_writes_after of int
+  | C_clear_failures
+
+let print_cache_op = function
+  | C_read i -> Printf.sprintf "read %d" i
+  | C_read_copy i -> Printf.sprintf "read-copy %d" i
+  | C_write (i, c) -> Printf.sprintf "write %d/%d" i c
+  | C_invalidate -> "invalidate"
+  | C_fail_writes_after n -> Printf.sprintf "fail-writes-after %d" n
+  | C_clear_failures -> "clear-failures"
+
+let cache_nblocks = 32
+let cache_bs = 16
+
+let cache_ops_arb =
+  (* Mostly a few hot blocks, so small caches both hit and evict. *)
+  let blk =
+    QCheck.Gen.(
+      frequency [ (6, int_bound 9); (3, int_bound (cache_nblocks - 1)); (1, int_range (-1) cache_nblocks) ])
+  in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map print_cache_op ops)))
+    ~shrink:QCheck.Shrink.(pair nil list)
+    QCheck.Gen.(
+      pair (oneofl [ 0; 1; 2; 3; 8 ])
+        (list_size (int_range 1 120)
+           (frequency
+              [
+                (8, map (fun i -> C_read i) blk);
+                (2, map (fun i -> C_read_copy i) blk);
+                (4, map2 (fun i c -> C_write (i, c)) blk (int_bound 255));
+                (1, return C_invalidate);
+                (1, map (fun n -> C_fail_writes_after n) (int_bound 4));
+                (1, return C_clear_failures);
+              ])))
+
+let run_cache_law (capacity, ops) =
+  let disk () = Disk.create ~nblocks:cache_nblocks ~block_size:cache_bs () in
+  let d = disk () and d' = disk () in
+  let c = Block_cache.create ~capacity d and r = Block_cache_ref.create ~capacity d' in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let same step what a b =
+    if a <> b then fail "step %d: %s answered otherwise than the oracle" step what
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+       | C_read i -> same step "read" (Block_cache.read c i) (Block_cache_ref.read r i)
+       | C_read_copy i ->
+         let a = Block_cache.read_copy c i and b = Block_cache_ref.read_copy r i in
+         same step "read_copy" a b;
+         Result.iter (fun b -> Bytes.fill b 0 cache_bs 'M') a
+       | C_write (i, k) ->
+         let buf = Bytes.init cache_bs (fun j -> Char.chr ((k + j) land 0xff)) in
+         same step "write" (Block_cache.write c i buf) (Block_cache_ref.write r i buf);
+         (* The caller keeps its buffer: changing it changes nothing. *)
+         Bytes.fill buf 0 cache_bs '!'
+       | C_invalidate ->
+         Block_cache.invalidate c;
+         Block_cache_ref.invalidate r
+       | C_fail_writes_after n ->
+         Disk.fail_writes_after d n;
+         Disk.fail_writes_after d' n
+       | C_clear_failures ->
+         Disk.clear_failures d;
+         Disk.clear_failures d');
+      let ours = Block_cache.[ hits c; misses c; version c; Disk.reads d; Disk.writes d ]
+      and theirs = Block_cache_ref.[ hits r; misses r; version r; Disk.reads d'; Disk.writes d' ] in
+      if ours <> theirs then
+        fail "step %d: hits, misses, version, reads, writes %s; the oracle %s" step
+          (String.concat "," (List.map string_of_int ours))
+          (String.concat "," (List.map string_of_int theirs)))
+    ops;
+  true
+
+(* A hit on a full cache allocates nothing.  Counted with
+   [Gc.minor_words], which is exact. *)
+let test_cache_hit_allocates_nothing () =
+  let d = Disk.create ~nblocks:64 ~block_size:64 () in
+  let c = Block_cache.create ~capacity:8 d in
+  for i = 0 to 8 do
+    ignore (ok (Block_cache.read c i))
+  done;
+  let hits = Block_cache.hits c in
+  let before = Gc.minor_words () in
+  for k = 1 to 1_000 do
+    ignore (Block_cache.read c (1 + (k land 7)))
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "1,000 hits" 1_000 (Block_cache.hits c - hits);
+  Alcotest.(check int) "minor words" 0 words
+
+let cache_law =
+  QCheck.Test.make ~name:"block cache agrees with the stamp-scan LRU" ~count:500 cache_ops_arb
+    run_cache_law
+
+(* ------------------------------------------------------------------ *)
 (* UFS write counts: a small update costs a constant number of device
    writes, and the ones that change nothing cost none.                 *)
 
@@ -316,8 +424,9 @@ let suite =
     case "cache LRU eviction" test_cache_lru_eviction;
     case "cache invalidate" test_cache_invalidate;
     case "zero capacity disables caching" test_zero_capacity_disables_caching;
+    case "cache hit allocates nothing" test_cache_hit_allocates_nothing;
     case "same-size replace costs two writes" test_same_size_replace_costs_two_writes;
     case "truncate to the size writes nothing" test_truncate_to_size_writes_nothing;
     case "directory append writes changed blocks" test_directory_append_writes_changed_blocks;
   ]
-  @ List.map QCheck_alcotest.to_alcotest (disk_props @ [ replace_law ])
+  @ List.map QCheck_alcotest.to_alcotest (disk_props @ [ cache_law; replace_law ])
