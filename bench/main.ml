@@ -96,9 +96,10 @@ let micro_fdir_tests () =
     [ 1_000; 10_000; 100_000 ]
 
 (* Delta propagation's hashing: the content-defined split and the whole
-   MD5 of a 256 KiB file, and one propagation step of a 128-byte edit
-   to it (the origin's write, then the peer's delta pull and shadow
-   install), all on full-entropy bytes. *)
+   MD5 of a 256 KiB file, the re-split of its map around a 128-byte
+   overwrite, and one propagation step of a 128-byte edit to it (the
+   origin's write, then the peer's delta pull and shadow install), all
+   on full-entropy bytes. *)
 let micro_delta_tests () =
   let size = 256 * 1024 in
   let synth seed =
@@ -119,8 +120,15 @@ let micro_delta_tests () =
   let host0 = Cluster.host_name (Cluster.host cluster 0) in
   let connect () = Cluster.connect_from cluster 1 ~host:host0 ~vref ~rid:1 in
   let edits = ref 0 in
+  let map = Chunking.split data in
+  let edited =
+    String.sub data 0 (size / 2) ^ String.make 128 '!'
+    ^ String.sub data ((size / 2) + 128) ((size / 2) - 128)
+  in
   [
-    Test.make ~name:"chunk-split/256KiB" (Staged.stage (fun () -> ignore (Chunking.split data)));
+    Test.make ~name:"chunking/split-256k" (Staged.stage (fun () -> ignore (Chunking.split data)));
+    Test.make ~name:"chunking/resplit-256k"
+      (Staged.stage (fun () -> ignore (Chunking.resplit ~old:data map edited)));
     Test.make ~name:"digest/256KiB" (Staged.stage (fun () -> ignore (Chunking.digest_hex data)));
     Test.make ~name:"delta-pull/128B-edit"
       (Staged.stage (fun () ->
@@ -149,10 +157,18 @@ let micro_cache_tests () =
     Test.make ~name:"block-cache/miss-evict" (Staged.stage (walk ~blocks:257 ~from:256));
   ]
 
+(* The journal's record checksum over one 4 KiB block. *)
+let micro_journal_tests () =
+  let block = Bytes.init 4096 (fun i -> Char.chr (i * 131 land 0xff)) in
+  [
+    Test.make ~name:"journal/checksum-4k"
+      (Staged.stage (fun () -> ignore (Journal.checksum ~seed:0 block 0 4096)));
+  ]
+
 let run_micro () =
   let tests =
     micro_layer_tests () @ micro_shadow_tests () @ micro_fdir_tests () @ micro_delta_tests ()
-    @ micro_cache_tests ()
+    @ micro_cache_tests () @ micro_journal_tests ()
   in
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -224,11 +240,12 @@ let check_schema path =
     | missing -> fail "missing key(s): %s" (String.concat ", " missing))
 
 (* The fast, deterministic subset for CI: no timing-sensitive
-   experiments (E1 is wall-clock based), no parameter sweeps, no
-   bechamel runs.  SCALE runs at a reduced trace length (see below) so
-   the smoke artifact still carries the full JSON schema. *)
+   experiments (E1 is wall-clock based), no long parameter sweeps (E8's
+   four sizes count device writes in under a second), no bechamel runs.
+   SCALE runs at a reduced trace length (see below) so the smoke
+   artifact still carries the full JSON schema. *)
 let smoke_names =
-  [ "e2"; "e3"; "e4"; "e6"; "e7"; "e9"; "e10"; "f2"; "a1"; "a3"; "a4"; "a5"; "chaos"; "wal";
+  [ "e2"; "e3"; "e4"; "e6"; "e7"; "e8"; "e9"; "e10"; "f2"; "a1"; "a3"; "a4"; "a5"; "chaos"; "wal";
     "obslag"; "reconscale"; "member"; "consensus"; "health"; "delta"; "merge";
     "scale" ]
 

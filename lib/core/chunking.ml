@@ -36,47 +36,103 @@ let gear =
 
 let digest_hex s = Digest.to_hex (Digest.string s)
 
-(* Byte-identical to hashing every byte of every chunk, at a fraction
-   of the work.  h_i's low [mask_bits] bits are the low bits of
+let byte_gear data i = Array.unsafe_get gear (Char.code (String.unsafe_get data i))
+
+let chunk_at data off len =
+  { off; len; digest = Digest.to_hex (Digest.substring data off len) }
+
+(* The end (exclusive) of the chunk that starts at [start < length data].
+   Byte-identical to hashing every byte of the chunk, at a fraction of
+   the work.  h_i's low [mask_bits] bits are the low bits of
    sum_{j <= i} gear[b_j] << (i - j), and a term shifted by [mask_bits]
    or more contributes only zeros there (carries move upward only, and
    the wrap of [lsl] at the word size drops high bits only), so the
    boundary test at byte [i] reads exactly bytes [i - mask_bits + 1 ..
    i].  No boundary may fall before [start + min_size - 1], so hashing
-   can begin [mask_bits - 1] bytes before it instead of at [start].
-   Each chunk is digested in place. *)
+   can begin [mask_bits - 1] bytes before it instead of at [start]. *)
+let next_cut data start =
+  let first = start + min_size - 1 in
+  let last = min (String.length data - 1) (start + max_size - 1) in
+  if first > last then String.length data
+  else begin
+    let h = ref 0 in
+    for j = first - mask_bits + 1 to first do
+      h := (!h lsl 1) + byte_gear data j
+    done;
+    let i = ref first in
+    while !h land mask <> 0 && !i < last do
+      incr i;
+      h := (!h lsl 1) + byte_gear data !i
+    done;
+    !i + 1
+  end
+
+(* Each chunk is digested in place. *)
 let split data =
-  let n = String.length data in
-  let chunks = ref [] in
-  let cut start len =
-    chunks :=
-      { off = start; len; digest = Digest.to_hex (Digest.substring data start len) }
-      :: !chunks
+  let rec go start acc =
+    if start >= String.length data then List.rev acc
+    else
+      let stop = next_cut data start in
+      go stop (chunk_at data start (stop - start) :: acc)
   in
-  let byte_gear i = Array.unsafe_get gear (Char.code (String.unsafe_get data i)) in
-  let start = ref 0 in
-  while !start < n do
-    let first = !start + min_size - 1 in
-    let last = min (n - 1) (!start + max_size - 1) in
-    if first > last then begin
-      cut !start (n - !start);
-      start := n
-    end
-    else begin
-      let h = ref 0 in
-      for j = first - mask_bits + 1 to first do
-        h := (!h lsl 1) + byte_gear j
-      done;
-      let i = ref first in
-      while !h land mask <> 0 && !i < last do
-        incr i;
-        h := (!h lsl 1) + byte_gear !i
-      done;
-      cut !start (!i - !start + 1);
-      start := !i + 1
-    end
+  go 0 []
+
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* [a.[ia, ia+len)] equals [b.[ib, ib+len)], a word at a time; the
+   caller keeps both ranges in bounds. *)
+let equal_range a ia b ib len =
+  let i = ref 0 in
+  while !i + 8 <= len && (string_get64u a (ia + !i) : int64) = string_get64u b (ib + !i) do
+    i := !i + 8
   done;
-  List.rev !chunks
+  while !i < len && String.unsafe_get a (ia + !i) = String.unsafe_get b (ib + !i) do
+    incr i
+  done;
+  !i = len
+
+(* A cut depends only on its chunk's start and the bytes up to it
+   ([next_cut] never reads past the cut, and only the last chunk can be
+   cut short by the end of the file).  So at a cut of [data] where an
+   old chunk starts over the same bytes, that old chunk is the next
+   chunk of [data], digest and all; the last old chunk also needs the
+   same end of file.  An edit moves the bytes after it by the length
+   change, so an old chunk is looked for at the same offset (before the
+   edit, and between in-place edits) and at the offset shifted by the
+   length change (after the last edit).  Every other chunk is cut and
+   digested afresh: about the edited chunks. *)
+let resplit ~old old_map data =
+  let n = String.length data in
+  if String.equal old data then (old_map, 0)
+  else begin
+    let delta = n - String.length old in
+    let olds = Array.of_list old_map in
+    let nolds = Array.length olds in
+    (* The first old chunk that, shifted by [shift], starts at or after [start]. *)
+    let rec skip shift j start =
+      if j < nolds && olds.(j).off + shift < start then skip shift (j + 1) start else j
+    in
+    let same shift j start =
+      j < nolds
+      && olds.(j).off + shift = start
+      && start + olds.(j).len <= n
+      && (j + 1 < nolds || start + olds.(j).len = n)
+      && equal_range old olds.(j).off data start olds.(j).len
+    in
+    (* [j0] and [jd] follow [start] unshifted and shifted by [delta]. *)
+    let rec go start j0 jd acc hashed =
+      if start >= n then (List.rev acc, hashed)
+      else
+        let j0 = skip 0 j0 start and jd = skip delta jd start in
+        let reused = if same 0 j0 start then Some j0 else if same delta jd start then Some jd else None in
+        match reused with
+        | Some j -> go (start + olds.(j).len) j0 jd ({ (olds.(j)) with off = start } :: acc) hashed
+        | None ->
+          let stop = next_cut data start in
+          go stop j0 jd (chunk_at data start (stop - start) :: acc) (hashed + (stop - start))
+    in
+    go 0 0 0 [] 0
+  end
 
 let total_length chunks = List.fold_left (fun acc c -> acc + c.len) 0 chunks
 
@@ -154,7 +210,9 @@ module Content = struct
 
   let make bytes = { bytes; digest = None; map = None }
   let verified bytes ~digest map = { bytes; digest = Some digest; map = Some map }
+  let with_map bytes map = { bytes; digest = None; map = Some map }
   let bytes c = c.bytes
+  let has_map c = Option.is_some c.map
 
   let digest c =
     match c.digest with

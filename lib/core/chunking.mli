@@ -39,6 +39,25 @@ val split : string -> chunk list
     [mask_bits] bytes ending at it, so each chunk's hashing starts that
     many bytes before its first allowed boundary. *)
 
+val resplit : old:string -> chunk list -> string -> chunk list * int
+(** [resplit ~old old_map data], where [old_map] is [split old]:
+    [split data], and the number of bytes it digested to get there.
+    The map follows the edit from [old] to [data], as LBFS reuses
+    chunks.  Walking the cuts of [data] from the start, an old chunk
+    that starts at the cut over the same bytes is the next chunk, digest
+    and all.  It is looked for at the same offset and at the offset
+    shifted by the length change.  The last old chunk also needs the
+    same end of file.  So:
+    - every old chunk that ends before the first changed byte is kept;
+    - cutting and digesting restart at the start of the chunk holding
+      that byte;
+    - once a cut past the last changed byte lands on an old cut shifted
+      by the length change, every later chunk and its digest is reused;
+    - so is an unchanged chunk between two in-place edits.
+    An edit inside one chunk of a large file digests about that chunk
+    instead of the whole file.  Bytes are compared 8 at a time.  Equal
+    contents return [old_map] itself and 0. *)
+
 val digest_hex : string -> string
 (** Hex MD5 of a whole body (the same digest [split] gives each chunk). *)
 
@@ -69,7 +88,7 @@ val reassemble :
 (** File contents together with their whole digest and chunk map, each
     computed at most once, on first use.  This is the one form in which
     replicated bytes move from the pull to the install and into the
-    chunk cache, so no step re-hashes what an earlier one hashed. *)
+    chunk-map slot, so no step re-hashes what an earlier one hashed. *)
 module Content : sig
   type t
 
@@ -81,7 +100,14 @@ module Content : sig
       pull's reassembly after every chunk body and the whole digest
       checked out.  The caller vouches for both. *)
 
+  val with_map : string -> chunk list -> t
+  (** Bytes whose chunk map is already known ({!split} of them, or a
+      {!resplit} that equals it); the digest is computed on first use. *)
+
   val bytes : t -> string
+
+  val has_map : t -> bool
+  (** Whether {!map} is already computed. *)
 
   val digest : t -> string
   (** {!digest_hex} of the bytes, computed at most once. *)

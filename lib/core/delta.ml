@@ -74,7 +74,7 @@ let fetch_file ~local ~remote_root path =
       let have_tbl = Hashtbl.create 64 in
       List.iter
         (fun c -> Hashtbl.replace have_tbl c.Chunking.digest c)
-        (Physical.chunks_of_content local ldata);
+        (Physical.chunks_of_content local ~fid:(Physical.path_fid path) ldata);
       let missing =
         List.filter (fun c -> not (Hashtbl.mem have_tbl c.Chunking.digest)) remote_chunks
       in

@@ -8,34 +8,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    attribute interleaved multi-host logs. *)
 let log_tags host = Logs.Tag.add Obs.host_tag host Logs.Tag.empty
 
-(* Tables keyed by whole file contents.  Hashing a 256 KiB key costs
-   more than a cache probe should, so the hash reads the length and four
-   16-byte windows (head, two inner quarters, tail); keys still compare
-   byte for byte, so contents that differ only outside the windows
-   share a bucket but never an entry. *)
-module Content_tbl = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let window = 16
-
-  let hash s =
-    let n = String.length s in
-    let h = ref n in
-    let mix off =
-      for i = off to min (n - 1) (off + window - 1) do
-        h := (!h * 31) + Char.code (String.unsafe_get s i)
-      done
-    in
-    if n <= 4 * window then mix 0 else begin
-      mix 0;
-      mix (n / 4);
-      mix (n / 2);
-      mix (n - window)
-    end;
-    !h land max_int
-end)
-
 type fidpath = Ids.file_id list
 
 type t = {
@@ -71,13 +43,15 @@ type t = {
      bytes miss — and the heap holds one version per directory.  Fdir
      values are immutable, so sharing the decoded structure is safe.  Bounded; see [fdir_slot_put]. *)
   fdir_slots : (Ids.file_id, string * Fdir.t) Hashtbl.t;
-  (* Hashed contents for delta propagation, keyed by the bytes
-     themselves like [fdir_slots] (same structural-staleness-freedom
-     argument: new contents are a new key) and write-through from the
-     install path, so serving a chunk map or digest for a just-installed
-     file never re-hashes it.  Each entry computes its digest and map at
-     most once. *)
-  chunk_cache : Chunking.Content.t Content_tbl.t;
+  (* Hashed contents for delta propagation, one slot per file keyed by
+     its fid: the contents last hashed or installed there.  Like
+     [fdir_slots], a probe hits only when the bytes are equal, so a map
+     is never stale; a miss on a fid with a slot derives the new map
+     from the slot's around the edit ({!Chunking.resplit}) instead of
+     splitting the whole file.  Write-through from the install path, so
+     serving a chunk map or digest for a just-installed file never
+     re-hashes it.  Volatile, and never trusted for coherence. *)
+  chunk_slots : (Ids.file_id, Chunking.Content.t) Hashtbl.t;
 }
 
 type version_info = Ctl_wire.version_info = {
@@ -225,29 +199,47 @@ let load_fdir t ~fid ufs_dir =
   let* _, d = load_fdir_bytes t ~fid ufs_dir in
   Ok d
 
-(* Chunk maps are far larger per entry than decoded directories (the
-   whole file contents is the key), so the cap is small; the working set
-   is the files currently moving through propagation. *)
-let chunk_cache_cap = 64
+(* A slot holds a whole file's contents, far more than a decoded
+   directory, so the cap is small; the working set is the files
+   currently moving through propagation. *)
+let chunk_slot_cap = 64
 
-let chunk_cache_put t content =
-  if Content_tbl.length t.chunk_cache >= chunk_cache_cap then Content_tbl.reset t.chunk_cache;
-  Content_tbl.replace t.chunk_cache (Chunking.Content.bytes content) content
+let chunk_slot_put t fid content =
+  if Hashtbl.length t.chunk_slots >= chunk_slot_cap && not (Hashtbl.mem t.chunk_slots fid) then
+    Hashtbl.reset t.chunk_slots;
+  Hashtbl.replace t.chunk_slots fid content
 
-(* The cached hashed form of [contents].  Every caller goes on to read
-   its map, so a miss here is one split. *)
-let cached_content t contents =
-  match Content_tbl.find_opt t.chunk_cache contents with
-  | Some content ->
+(* The hashed form of [fid]'s [contents], its map computed: every
+   caller goes on to read it.  A hit is the slot itself; a miss derives
+   the map from the slot's when it has one, else splits the whole file.
+   [phys.chunkmap.hashed_bytes] counts the bytes digested for maps. *)
+let cached_content t ~fid contents =
+  let hashed n = Counters.add t.counters "phys.chunkmap.hashed_bytes" n in
+  match Hashtbl.find_opt t.chunk_slots fid with
+  | Some content when String.equal (Chunking.Content.bytes content) contents ->
     Counters.incr t.counters "phys.chunkmap.hit";
+    if not (Chunking.Content.has_map content) then hashed (String.length contents);
     content
-  | None ->
+  | slot ->
     Counters.incr t.counters "phys.chunkmap.miss";
-    let content = Chunking.Content.make contents in
-    chunk_cache_put t content;
+    let map =
+      match slot with
+      | Some prev when Chunking.Content.has_map prev ->
+        Counters.incr t.counters "phys.chunkmap.derived";
+        let map, n =
+          Chunking.resplit ~old:(Chunking.Content.bytes prev) (Chunking.Content.map prev) contents
+        in
+        hashed n;
+        map
+      | Some _ | None ->
+        hashed (String.length contents);
+        Chunking.split contents
+    in
+    let content = Chunking.Content.with_map contents map in
+    chunk_slot_put t fid content;
     content
 
-let chunks_of_content t contents = Chunking.Content.map (cached_content t contents)
+let chunks_of_content t ~fid contents = Chunking.Content.map (cached_content t ~fid contents)
 
 (* Write-through: seeding the slot with the bytes just written means
    the next load after an update hits.  [contents] is [fdir]'s
@@ -661,7 +653,7 @@ let ctl_lookup t path name =
           from which the puller works out which bodies it is missing. *)
        Counters.incr t.counters "phys.ctl.getchunkmap";
        let* fid, holder, vi, data = ctl_file t path who in
-       let content = cached_content t data in
+       let content = cached_content t ~fid data in
        let digest = stored_digest holder fid content in
        Ok (ctl_vnode (Ctl_wire.encode_chunk_map vi ~digest (Chunking.Content.map content)))
      | "readchunks", who :: wanted :: _ ->
@@ -671,13 +663,13 @@ let ctl_lookup t path name =
           to fall back to a whole-file fetch rather than mix
           generations. *)
        Counters.incr t.counters "phys.ctl.readchunks";
-       let* _, _, _, data = ctl_file t path who in
+       let* fid, _, _, data = ctl_file t path who in
        let by_digest = Hashtbl.create 16 in
        List.iter
          (fun c ->
            if not (Hashtbl.mem by_digest c.Chunking.digest) then
              Hashtbl.add by_digest c.Chunking.digest c)
-         (chunks_of_content t data);
+         (chunks_of_content t ~fid data);
        let rec bodies acc = function
          | [] -> Ok (List.rev acc)
          | d :: rest ->
@@ -975,13 +967,17 @@ let root t = dir_vnode t [] Aux_attrs.Fdir
    store [aux] (stamped with the contents' digest: the one a delta pull
    verified, else computed here), write the hashed contents through —
    the next chunk-map request for them (a peer pulling them onward) is
-   a cache probe, not a re-hash — and record the local state change, so
-   peers that summarized us before must walk us again. *)
+   a slot probe, not a re-hash — and record the local state change, so
+   peers that summarized us before must walk us again.  Contents whose
+   map is not known yet (a whole-file pull) leave a mapped slot in
+   place: the next probe derives their map from it. *)
 let commit_file t ~parent ~parent_ufs fid ~aux ~data =
   let* () = Shadow.install ~dir:parent_ufs fid ~data:(Chunking.Content.bytes data) in
   let aux = { aux with Aux_attrs.digest = Some (Chunking.Content.digest data) } in
   let* () = Aux_attrs.store ~dir:parent_ufs fid aux in
-  chunk_cache_put t data;
+  (match Hashtbl.find_opt t.chunk_slots fid with
+   | Some prev when Chunking.Content.has_map prev && not (Chunking.Content.has_map data) -> ()
+   | Some _ | None -> chunk_slot_put t fid data);
   note_event t parent ~changed:[ fid ];
   Ok ()
 
@@ -1493,7 +1489,7 @@ let make ~obs ~container ~clock ~host ~vref ~rid ~peers ~next_uniq =
     resolver = Resolver.Owner_report;
     summaries = Summary.create ~since:next_uniq;
     fdir_slots = Hashtbl.create 64;
-    chunk_cache = Content_tbl.create 16;
+    chunk_slots = Hashtbl.create 16;
   }
 
 let create ~obs ~container ~clock ~host ~vref ~rid ~peers () =

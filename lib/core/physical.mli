@@ -29,6 +29,9 @@ type fidpath = Ids.file_id list
 (** Path of file-ids from the volume root; [[]] is the root directory
     itself, and for files the last element is the file's own fid. *)
 
+val path_fid : fidpath -> Ids.file_id
+(** The fid a path names: its last element, or the root's. *)
+
 (** {1 Lifecycle} *)
 
 val create :
@@ -108,12 +111,15 @@ val get_version : t -> fidpath -> (version_info, Errno.t) result
 val fetch_file : t -> fidpath -> (version_info * string, Errno.t) result
 val fetch_dir : t -> fidpath -> (Fdir.t, Errno.t) result
 
-val chunks_of_content : t -> string -> Chunking.chunk list
-(** The content-defined chunk map of [contents], served from the
-    content-keyed chunk cache (write-through from the install path;
-    computed and cached on miss).  Keys compare byte for byte, so a
-    stale map is structurally impossible — changed contents are a
-    different key.  The cached entry also carries the contents' whole
+val chunks_of_content : t -> fid:Ids.file_id -> string -> Chunking.chunk list
+(** The content-defined chunk map of [contents], [fid]'s stored bytes,
+    served from [fid]'s chunk-map slot (write-through from the install
+    path).  A hit needs the slot's bytes to equal [contents], so a stale
+    map is structurally impossible.  A miss derives the map from the
+    slot's previous contents with {!Chunking.resplit} (counted by
+    [phys.chunkmap.derived]), or splits the whole file when the fid has
+    no mapped slot; [phys.chunkmap.hashed_bytes] counts the bytes
+    digested either way.  The slot also carries the contents' whole
     digest, computed at most once, which the ["getchunkmap"] reply uses
     when the aux record has none (a locally written version).  The
     delta puller uses this for its {e local} copy; remote maps travel
@@ -131,7 +137,7 @@ val install_file :
   t -> fidpath -> vv:Version_vector.t -> uid:int -> data:Chunking.Content.t ->
   origin_rid:Ids.replica_id -> (install_outcome, Errno.t) result
 (** Adopt a newer remote version of a regular file via shadow-file atomic
-    commit.  The aux record stores [data]'s digest and the chunk cache
+    commit.  The aux record stores [data]'s digest and the chunk-map slot
     takes [data] as is, so a digest and map a delta pull verified are
     adopted, not recomputed.  A concurrent history is never overwritten: it is reported
     ([Conflict]) with the remote version preserved in the log.  [span]

@@ -57,13 +57,33 @@ let jsb_magic = 0x0F1C4A53 (* "FicJS" *)
 let hdr_magic = 0x0F1C4A48
 let seal_magic = 0x0F1C4A43
 
-(* FNV-1a over a byte range, 32-bit.  [seed] chains block checksums. *)
-let fnv1a ?(seed = 0x811c9dc5) b off len =
-  let h = ref seed in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xffffffff
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Starts every checksum chain. *)
+let seed0 = 0x811c9dc5
+
+(* The record and header checksum, 32 bits on disk: a 64-bit
+   multiply-xorshift step per 8-byte word (then per byte of a short
+   tail), folded to 32 bits.  Each step is a bijection of the running
+   state for a fixed input, so any one changed word changes the 64-bit
+   state; only the fold can collide.  [seed] chains block checksums.
+   The state is a local [Int64] ref no closure captures, so the
+   compiler keeps it unboxed: nothing is allocated per word. *)
+let checksum ~seed b off len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg "Journal.checksum";
+  let h = ref (Int64.of_int seed) in
+  let stop = off + len in
+  let i = ref off in
+  while !i < stop do
+    let w =
+      if !i + 8 <= stop then bytes_get64u b !i
+      else Int64.of_int (Char.code (Bytes.unsafe_get b !i))
+    in
+    i := if !i + 8 <= stop then !i + 8 else !i + 1;
+    let x = Int64.mul (Int64.logxor !h w) 0x9E3779B97F4A7C15L in
+    h := Int64.logxor x (Int64.shift_right_logical x 29)
   done;
-  !h
+  Int64.to_int (Int64.logxor !h (Int64.shift_right_logical !h 32)) land 0xffffffff
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int (v land 0xffffffff))
@@ -110,12 +130,12 @@ let write_jsb t ~tail ~seq =
   set_u32 b 0 jsb_magic;
   set_u32 b 4 tail;
   set_u32 b 8 seq;
-  set_u32 b 12 (fnv1a b 0 12);
+  set_u32 b 12 (checksum ~seed:seed0 b 0 12);
   t.dev.log_write t.start b
 
 let read_jsb t =
   let* b = t.dev.log_read t.start in
-  if get_u32 b 0 <> jsb_magic || get_u32 b 12 <> fnv1a b 0 12 then Error Errno.EINVAL
+  if get_u32 b 0 <> jsb_magic || get_u32 b 12 <> checksum ~seed:seed0 b 0 12 then Error Errno.EINVAL
   else Ok (get_u32 b 4, get_u32 b 8)
 
 let format t = write_jsb t ~tail:0 ~seq:1
@@ -154,7 +174,7 @@ let write_record t ~pos ~seq ~group_end items =
   let bs = t.dev.block_size in
   let count = List.length items in
   let payload_cksum =
-    List.fold_left (fun h (_, data) -> fnv1a ~seed:h data 0 bs) 0x811c9dc5 items
+    List.fold_left (fun h (_, data) -> checksum ~seed:h data 0 bs) seed0 items
   in
   let hdr = Bytes.make bs '\000' in
   set_u32 hdr 0 hdr_magic;
@@ -163,7 +183,7 @@ let write_record t ~pos ~seq ~group_end items =
   set_u32 hdr 12 (if group_end then 1 else 0);
   set_u32 hdr 16 payload_cksum;
   List.iteri (fun i (blk, _) -> set_u32 hdr (20 + (4 * i)) blk) items;
-  set_u32 hdr (bs - 4) (fnv1a hdr 0 (bs - 4));
+  set_u32 hdr (bs - 4) (checksum ~seed:seed0 hdr 0 (bs - 4));
   let* () = t.dev.log_write (slot_block t pos) hdr in
   let rec payloads i = function
     | [] -> Ok ()
@@ -176,7 +196,7 @@ let write_record t ~pos ~seq ~group_end items =
   set_u32 seal 0 seal_magic;
   set_u32 seal 4 seq;
   set_u32 seal 8 payload_cksum;
-  set_u32 seal 12 (fnv1a seal 0 12);
+  set_u32 seal 12 (checksum ~seed:seed0 seal 0 12);
   (* The seal is written last: its presence (with matching seq and
      checksum) is what makes the record — and, on the group-end record,
      the whole group — committed. *)
@@ -359,7 +379,7 @@ let recover t =
         if
           get_u32 hdr 0 <> hdr_magic
           || get_u32 hdr 4 <> seq
-          || get_u32 hdr (bs - 4) <> fnv1a hdr 0 (bs - 4)
+          || get_u32 hdr (bs - 4) <> checksum ~seed:seed0 hdr 0 (bs - 4)
         then Ok ()
         else
           let count = get_u32 hdr 8 in
@@ -372,15 +392,15 @@ let recover t =
               else
                 let* data = t.dev.log_read (slot_block t (pos + 1 + i)) in
                 let blk = get_u32 hdr (20 + (4 * i)) in
-                payloads (i + 1) ((blk, data) :: acc) (fnv1a ~seed:cksum data 0 bs)
+                payloads (i + 1) ((blk, data) :: acc) (checksum ~seed:cksum data 0 bs)
             in
-            let* entries, payload_cksum = payloads 0 [] 0x811c9dc5 in
+            let* entries, payload_cksum = payloads 0 [] seed0 in
             let* seal = t.dev.log_read (slot_block t (pos + count + 1)) in
             if
               get_u32 seal 0 <> seal_magic
               || get_u32 seal 4 <> seq
               || get_u32 seal 8 <> hdr_cksum
-              || get_u32 seal 12 <> fnv1a seal 0 12
+              || get_u32 seal 12 <> checksum ~seed:seed0 seal 0 12
               || payload_cksum <> hdr_cksum
             then Ok () (* torn record: discard it and everything after *)
             else begin

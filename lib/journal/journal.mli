@@ -39,6 +39,13 @@ type device = {
 
 type t
 
+val checksum : seed:int -> bytes -> int -> int -> int
+(** [checksum ~seed b off len]: the 32-bit checksum the log's headers,
+    seals and payloads carry, over [len] bytes of [b] from [off].  It
+    runs a 64-bit multiply-xorshift over 8-byte words and folds the
+    state to 32 bits; [seed] is the previous block's checksum when a
+    record's payload blocks are chained. *)
+
 val create :
   device ->
   start:int ->

@@ -463,22 +463,29 @@ let e8_shadow_commit () =
     let w1 = Disk.writes d1 in
     let (_ : int) = Cluster.run_propagation cluster in
     let shadow_writes = Disk.writes d1 - w1 in
-    (in_place_writes, shadow_writes)
+    let data_blocks = (size + Disk.block_size d1 - 1) / Disk.block_size d1 in
+    (in_place_writes, shadow_writes, data_blocks)
   in
   let sizes = [ 1024; 8192; 65536; 262144 ] in
   let results = List.map (fun s -> (s, run s)) sizes in
   Table.print
     ~title:"E8: disk writes to apply a 16-byte update (origin in-place vs. receiver shadow commit)"
-    ~headers:[ "file size"; "in-place writes"; "shadow-commit writes" ]
+    ~headers:[ "file size"; "data blocks"; "in-place writes"; "shadow-commit writes" ]
     (List.map
-       (fun (s, (ip, sh)) -> [ string_of_int s; string_of_int ip; string_of_int sh ])
+       (fun (s, (ip, sh, blocks)) ->
+         [ string_of_int s; string_of_int blocks; string_of_int ip; string_of_int sh ])
        results);
-  let _, (ip_small, sh_small) = List.nth results 0 in
-  let _, (ip_big, sh_big) = List.nth results 3 in
-  let holds = ip_big <= ip_small + 2 && sh_big > sh_small * 8 in
+  let _, (ip_small, sh_small, _) = List.nth results 0 in
+  let _, (ip_big, sh_big, _) = List.nth results 3 in
+  (* The commit rewrites every data block; the bitmap, indirect block,
+     inodes, directories and aux records around it cost a bounded number
+     of writes per install, not a multiple of the file's blocks. *)
+  let metadata_bounded = List.for_all (fun (_, (_, sh, blocks)) -> sh <= blocks + 24) results in
+  let holds = ip_big <= ip_small + 2 && sh_big > sh_small * 8 && metadata_bounded in
   verdict "E8" "shadow commit rewrites the whole file; in-place cost is constant" holds
-    (Printf.sprintf "in-place %d->%d writes, shadow %d->%d writes as size x256" ip_small ip_big
-       sh_small sh_big)
+    (Printf.sprintf
+       "in-place %d->%d writes, shadow %d->%d writes as size x256 (<= data blocks + 24: %b)"
+       ip_small ip_big sh_small sh_big metadata_bounded)
 
 (* ------------------------------------------------------------------ *)
 (* E9: open/close over the lookup channel (paper §2.3, footnote 2)     *)

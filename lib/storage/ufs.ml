@@ -213,44 +213,64 @@ let bit_test t ~start bit =
   let byte = Codec.get_u8 b (bit mod bits_per_block / 8) in
   Ok (byte land (1 lsl (bit mod 8)) <> 0)
 
-let bit_update t ~start bit value =
+(* Set or clear [bits] (any order), one read-modify-write per bitmap
+   block, in block order. *)
+let update_bits t ~start bits value =
   let bits_per_block = t.bs * 8 in
-  let blk = start + (bit / bits_per_block) in
-  let* b = bread_copy t blk in
-  let idx = bit mod bits_per_block / 8 in
-  let mask = 1 lsl (bit mod 8) in
-  let byte = Codec.get_u8 b idx in
-  let byte = if value then byte lor mask else byte land lnot mask in
-  Codec.set_u8 b idx byte;
-  bwrite t blk b
-
-(* First clear bit below [limit], or ENOSPC-style [None]. *)
-let bit_find_clear t ~start ~nbitmap_blocks ~limit =
-  let bits_per_block = t.bs * 8 in
-  let rec scan_block bi =
-    if bi >= nbitmap_blocks then Ok None
-    else
-      let* b = bread t (start + bi) in
-      let base = bi * bits_per_block in
-      let rec scan_byte i =
-        if i >= t.bs then scan_block (bi + 1)
-        else
-          let byte = Codec.get_u8 b i in
-          if byte = 0xff then scan_byte (i + 1)
-          else
-            let rec scan_bit j =
-              if j >= 8 then scan_byte (i + 1)
-              else
-                let bit = base + (i * 8) + j in
-                if bit >= limit then Ok None
-                else if byte land (1 lsl j) = 0 then Ok (Some bit)
-                else scan_bit (j + 1)
-            in
-            scan_bit 0
-      in
-      scan_byte 0
+  let rec go = function
+    | [] -> Ok ()
+    | bit :: _ as bits ->
+      let bi = bit / bits_per_block in
+      match bread_copy t (start + bi) with
+      | Error _ as e -> e
+      | Ok b ->
+        let rec set = function
+          | bit :: rest when bit / bits_per_block = bi ->
+            let idx = bit mod bits_per_block / 8 in
+            let mask = 1 lsl (bit mod 8) in
+            let byte = Codec.get_u8 b idx in
+            Codec.set_u8 b idx (if value then byte lor mask else byte land lnot mask);
+            set rest
+          | rest -> rest
+        in
+        let rest = set bits in
+        let* () = bwrite t (start + bi) b in
+        go rest
   in
-  scan_block 0
+  go (List.sort_uniq Int.compare bits)
+
+let bit_update t ~start bit value = update_bits t ~start [ bit ] value
+
+(* The [k] lowest clear bits below [limit], in increasing order (what
+   [k] successive lowest-first allocations pick), or all of them if
+   there are fewer.  Each bitmap block is read at most once. *)
+let find_clear_bits t ~start ~nbitmap_blocks ~limit k =
+  let bits_per_block = t.bs * 8 in
+  let rec scan_block bi found count =
+    if count >= k || bi >= nbitmap_blocks || bi * bits_per_block >= limit then
+      Ok (List.rev found)
+    else
+      match bread t (start + bi) with
+      | Error _ as e -> e
+      | Ok b ->
+        let base = bi * bits_per_block in
+        let found = ref found and count = ref count in
+        let i = ref 0 in
+        while !count < k && !i < t.bs && base + (!i * 8) < limit do
+          let byte = Codec.get_u8 b !i in
+          if byte <> 0xff then
+            for j = 0 to 7 do
+              let bit = base + (!i * 8) + j in
+              if !count < k && bit < limit && byte land (1 lsl j) = 0 then begin
+                found := bit :: !found;
+                incr count
+              end
+            done;
+          incr i
+        done;
+        scan_block (bi + 1) !found !count
+  in
+  scan_block 0 [] 0
 
 let count_clear_bits t ~start ~nbitmap_blocks ~limit =
   let bits_per_block = t.bs * 8 in
@@ -488,28 +508,14 @@ let nfree_blocks t =
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 
-let alloc_block t =
-  let* found =
-    bit_find_clear t ~start:t.sb.bbitmap_start ~nbitmap_blocks:t.sb.bbitmap_blocks
-      ~limit:t.sb.nblocks
-  in
-  match found with
-  | None -> Error Errno.ENOSPC
-  | Some blk ->
-    let* () = bit_update t ~start:t.sb.bbitmap_start blk true in
-    Ok blk
-
-let free_block t blk =
-  if blk = 0 then Ok () else bit_update t ~start:t.sb.bbitmap_start blk false
-
 let alloc_inode t ~kind ~mode ~uid =
   let* found =
-    bit_find_clear t ~start:t.sb.ibitmap_start ~nbitmap_blocks:t.sb.ibitmap_blocks
-      ~limit:(t.sb.ninodes + 1)
+    find_clear_bits t ~start:t.sb.ibitmap_start ~nbitmap_blocks:t.sb.ibitmap_blocks
+      ~limit:(t.sb.ninodes + 1) 1
   in
   match found with
-  | None -> Error Errno.ENFILE
-  | Some inum ->
+  | [] -> Error Errno.ENFILE
+  | inum :: _ ->
     let* () = bit_update t ~start:t.sb.ibitmap_start inum true in
     let* old = read_ino t inum in
     let ino =
@@ -542,34 +548,136 @@ let bmap t ino n =
     let* b = bread t ino.i_indirect in
     Ok (Codec.get_u32 b (4 * (n - ndirect)))
 
-(* Ensure file block [n] is mapped, allocating as needed.  Returns the
-   physical block and the (possibly updated) inode. *)
-let bmap_alloc t ino n =
-  if n >= max_file_blocks t then Error Errno.EFBIG
-  else if n < ndirect then
-    if ino.i_direct.(n) <> 0 then Ok (ino.i_direct.(n), ino)
-    else
-      let* blk = alloc_block t in
-      let direct = Array.copy ino.i_direct in
-      direct.(n) <- blk;
-      Ok (blk, { ino with i_direct = direct })
+(* A call's block-map edits, made by [map_blocks] for the file blocks
+   it is about to write.  The crash order is the caller's: [map_blocks]
+   has already set the new blocks' bitmap bits; the caller writes the
+   data blocks, then [write_indirect], then the inode ([ino]).  A crash
+   in between leaks blocks (allocated but unreferenced) and never leaves
+   a pointer to a free or unwritten block. *)
+type mapping = {
+  ino : ino;  (* the inode with the call's new pointers *)
+  phys : int array;  (* the physical block of each requested file block *)
+  fresh : bool array;  (* allocated by this call: its old bytes are zeros *)
+  indirect : (int * bytes) option;  (* the indirect block's new bytes, if they changed *)
+}
+
+(* Map file blocks [blocks] (increasing) of [ino], allocating every
+   unmapped one.  The new blocks are exactly the ones the per-block
+   lowest-free-first loop would pick: one allocation per unmapped block
+   in file order, a new indirect block just before the first block it
+   maps.  The indirect block is read once and every bitmap block is
+   read-modified-written once, whatever the number of blocks. *)
+let map_blocks t ino blocks =
+  let nb = Array.length blocks in
+  let last = if nb = 0 then -1 else blocks.(nb - 1) in
+  if last >= max_file_blocks t then Error Errno.EFBIG
   else
-    let* indirect, ino =
-      if ino.i_indirect <> 0 then Ok (ino.i_indirect, ino)
-      else
-        let* blk = alloc_block t in
-        let* () = bwrite t blk (Bytes.make t.bs '\000') in
-        Ok (blk, { ino with i_indirect = blk })
+    let* ind =
+      if last >= ndirect && ino.i_indirect <> 0 then Result.map Option.some (bread t ino.i_indirect)
+      else Ok None
     in
-    let* b = bread_copy t indirect in
-    let slot = 4 * (n - ndirect) in
-    let existing = Codec.get_u32 b slot in
-    if existing <> 0 then Ok (existing, ino)
+    let phys = Array.make nb 0 and fresh = Array.make nb false in
+    let need = ref 0 and new_ind = ref false in
+    for i = 0 to nb - 1 do
+      let n = blocks.(i) in
+      let p =
+        if n < ndirect then ino.i_direct.(n)
+        else match ind with Some b -> Codec.get_u32 b (4 * (n - ndirect)) | None -> 0
+      in
+      phys.(i) <- p;
+      if p = 0 then begin
+        fresh.(i) <- true;
+        incr need;
+        (* and one for the indirect block, if this is its first pointer *)
+        if n >= ndirect && ino.i_indirect = 0 && not !new_ind then begin
+          new_ind := true;
+          incr need
+        end
+      end
+    done;
+    let need = !need in
+    if need = 0 then Ok { ino; phys; fresh; indirect = None }
     else
-      let* blk = alloc_block t in
-      Codec.set_u32 b slot blk;
-      let* () = bwrite t indirect b in
-      Ok (blk, ino)
+      let* found =
+        find_clear_bits t ~start:t.sb.bbitmap_start ~nbitmap_blocks:t.sb.bbitmap_blocks
+          ~limit:t.sb.nblocks need
+      in
+      if List.length found < need then Error Errno.ENOSPC
+      else
+        let* () = update_bits t ~start:t.sb.bbitmap_start found true in
+        let bits = Array.of_list found and next = ref 0 in
+        let take () =
+          incr next;
+          bits.(!next - 1)
+        in
+        let direct = Array.copy ino.i_direct in
+        let ind_blk = ref ino.i_indirect and ind_buf = ref None in
+        Array.iteri
+          (fun i n ->
+            if fresh.(i) then
+              if n < ndirect then begin
+                phys.(i) <- take ();
+                direct.(n) <- phys.(i)
+              end
+              else begin
+                let buf =
+                  match !ind_buf, ind with
+                  | Some buf, _ -> buf
+                  | None, Some b -> Bytes.copy b
+                  | None, None ->
+                    ind_blk := take ();
+                    Bytes.make t.bs '\000'
+                in
+                ind_buf := Some buf;
+                phys.(i) <- take ();
+                Codec.set_u32 buf (4 * (n - ndirect)) phys.(i)
+              end)
+          blocks;
+        Ok
+          {
+            ino = { ino with i_direct = direct; i_indirect = !ind_blk };
+            phys;
+            fresh;
+            indirect = Option.map (fun buf -> (!ind_blk, buf)) !ind_buf;
+          }
+
+let write_indirect t m =
+  match m.indirect with None -> Ok () | Some (blk, buf) -> bwrite t blk buf
+
+(* Drop every block at file-block index >= [keep] from [ino]'s pointers:
+   rewrites the indirect block if it stays, and returns the inode
+   without the dropped pointers and the blocks to free.  The caller
+   writes that inode, then [free_blocks]: pointers go before bitmap
+   bits, so a crash in between leaks blocks and never leaves a live
+   file referencing a free one. *)
+let unmap_from t ino ~keep =
+  let direct = Array.copy ino.i_direct in
+  let freed = ref [] in
+  for n = keep to ndirect - 1 do
+    if direct.(n) <> 0 then begin
+      freed := direct.(n) :: !freed;
+      direct.(n) <- 0
+    end
+  done;
+  if ino.i_indirect = 0 then Ok ({ ino with i_direct = direct }, !freed)
+  else
+    let* b = bread_copy t ino.i_indirect in
+    let any_kept = ref false in
+    for i = 0 to ptrs_per_block t - 1 do
+      let ptr = Codec.get_u32 b (4 * i) in
+      if ptr <> 0 then
+        if ndirect + i < keep then any_kept := true
+        else begin
+          freed := ptr :: !freed;
+          Codec.set_u32 b (4 * i) 0
+        end
+    done;
+    if !any_kept then
+      let* () = bwrite t ino.i_indirect b in
+      Ok ({ ino with i_direct = direct }, !freed)
+    else Ok ({ ino with i_direct = direct; i_indirect = 0 }, ino.i_indirect :: !freed)
+
+let free_blocks t blocks = update_bits t ~start:t.sb.bbitmap_start blocks false
 
 (* ------------------------------------------------------------------ *)
 (* File read / write / truncate                                        *)
@@ -630,66 +738,35 @@ let read_at t ino ~off ~len =
       Ok (Bytes.unsafe_to_string out)
     end
 
+(* Maps the whole range first ([map_blocks]: bitmap bits set), then
+   writes the data blocks in file order, the indirect block and the
+   inode last.  A journaled call is one transaction. *)
 let write_at t inum ino ~off data =
   if off < 0 then Error Errno.EINVAL
   else begin
     let len = String.length data in
-    let rec store ino pos =
-      if pos >= len then Ok ino
+    let first = off / t.bs in
+    let nblocks = if len = 0 then 0 else ((off + len - 1) / t.bs) - first + 1 in
+    let* m = map_blocks t ino (Array.init nblocks (fun i -> first + i)) in
+    let rec store i =
+      if i >= nblocks then Ok ()
       else
-        let fpos = off + pos in
-        let fblk = fpos / t.bs in
+        let fpos = max off ((first + i) * t.bs) in
+        let pos = fpos - off in
         let boff = fpos mod t.bs in
         let chunk = min (t.bs - boff) (len - pos) in
-        let* was_mapped = bmap t ino fblk in
-        let* phys, ino = bmap_alloc t ino fblk in
         let* buf =
-          if chunk = t.bs || was_mapped = 0 then Ok (Bytes.make t.bs '\000')
-          else bread_copy t phys
+          if chunk = t.bs || m.fresh.(i) then Ok (Bytes.make t.bs '\000')
+          else bread_copy t m.phys.(i)
         in
         Bytes.blit_string data pos buf boff chunk;
-        let* () = bwrite t phys buf in
-        store ino (pos + chunk)
+        let* () = bwrite t m.phys.(i) buf in
+        store (i + 1)
     in
-    let* ino = store ino 0 in
-    let ino = { ino with i_size = max ino.i_size (off + len); i_mtime = t.now () } in
-    let* () = write_ino t inum ino in
-    Ok ()
+    let* () = store 0 in
+    let* () = write_indirect t m in
+    write_ino t inum { m.ino with i_size = max ino.i_size (off + len); i_mtime = t.now () }
   end
-
-(* Free all blocks at file-block index >= [keep]. *)
-let free_blocks_from t ino ~keep =
-  let rec free_direct n direct =
-    if n >= ndirect then Ok direct
-    else if n < keep || direct.(n) = 0 then free_direct (n + 1) direct
-    else
-      let* () = free_block t direct.(n) in
-      direct.(n) <- 0;
-      free_direct (n + 1) direct
-  in
-  let* direct = free_direct 0 (Array.copy ino.i_direct) in
-  if ino.i_indirect = 0 then Ok { ino with i_direct = direct }
-  else
-    let* b = bread_copy t ino.i_indirect in
-    let nptrs = ptrs_per_block t in
-    let rec free_ind i any_kept =
-      if i >= nptrs then Ok any_kept
-      else
-        let ptr = Codec.get_u32 b (4 * i) in
-        if ndirect + i < keep then free_ind (i + 1) (any_kept || ptr <> 0)
-        else if ptr = 0 then free_ind (i + 1) any_kept
-        else
-          let* () = free_block t ptr in
-          Codec.set_u32 b (4 * i) 0;
-          free_ind (i + 1) any_kept
-    in
-    let* any_kept = free_ind 0 false in
-    if any_kept then
-      let* () = bwrite t ino.i_indirect b in
-      Ok { ino with i_direct = direct }
-    else
-      let* () = free_block t ino.i_indirect in
-      Ok { ino with i_direct = direct; i_indirect = 0 }
 
 (* To the current size it changes nothing, not even mtime, as POSIX
    [ftruncate] does: an overwrite that keeps a file's length then costs
@@ -702,7 +779,7 @@ let truncate_ino t inum ino len =
     write_ino t inum { ino with i_size = len; i_mtime = t.now () }
   else begin
     let keep = (len + t.bs - 1) / t.bs in
-    let* ino = free_blocks_from t ino ~keep in
+    let* ino, freed = unmap_from t ino ~keep in
     (* Zero the tail of the last kept block so later extension cannot
        resurrect stale bytes. *)
     let* () =
@@ -715,13 +792,15 @@ let truncate_ino t inum ino len =
           Bytes.fill b (len mod t.bs) (t.bs - (len mod t.bs)) '\000';
           bwrite t phys b
     in
-    write_ino t inum { ino with i_size = len; i_mtime = t.now () }
+    let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
+    free_blocks t freed
   end
 
 let free_inode t inum ino =
-  let* _ino = free_blocks_from t ino ~keep:0 in
+  let* _, freed = unmap_from t ino ~keep:0 in
   (* Keep the generation in the dead slot so reallocation bumps it. *)
   let* () = write_ino t inum { empty_ino with i_gen = ino.i_gen } in
+  let* () = free_blocks t freed in
   bit_update t ~start:t.sb.ibitmap_start inum false
 
 (* ------------------------------------------------------------------ *)
@@ -894,25 +973,30 @@ let store_dir ?names t inum ino view entries =
   let len = String.length data in
   let old_len = String.length view.bytes in
   let nblocks = (len + t.bs - 1) / t.bs in
-  let rec store ino n =
-    if n >= nblocks then Ok ino
-    else
-      let lo = n * t.bs in
-      let chunk = min t.bs (len - lo) in
-      if lo + chunk <= old_len
-         && (chunk = t.bs || lo + chunk = old_len)
-         && equal_sub view.bytes lo (Bytes.unsafe_of_string data) lo chunk
-      then store ino (n + 1)
-      else
-        let* phys, ino = bmap_alloc t ino n in
-        let buf = Bytes.make t.bs '\000' in
-        Bytes.blit_string data lo buf 0 chunk;
-        let* () = bwrite t phys buf in
-        store ino (n + 1)
+  let unchanged n =
+    let lo = n * t.bs in
+    let chunk = min t.bs (len - lo) in
+    lo + chunk <= old_len
+    && (chunk = t.bs || lo + chunk = old_len)
+    && equal_sub view.bytes lo (Bytes.unsafe_of_string data) lo chunk
   in
-  let* ino = store ino 0 in
-  let* ino = if len < old_len then free_blocks_from t ino ~keep:nblocks else Ok ino in
+  let rec changed n acc = if n < 0 then acc else changed (n - 1) (if unchanged n then acc else n :: acc) in
+  let changed = changed (nblocks - 1) [] in
+  let* m = map_blocks t ino (Array.of_list changed) in
+  let rec store i = function
+    | [] -> Ok ()
+    | n :: rest ->
+      let lo = n * t.bs in
+      let buf = Bytes.make t.bs '\000' in
+      Bytes.blit_string data lo buf 0 (min t.bs (len - lo));
+      let* () = bwrite t m.phys.(i) buf in
+      store (i + 1) rest
+  in
+  let* () = store 0 changed in
+  let* () = write_indirect t m in
+  let* ino, freed = if len < old_len then unmap_from t m.ino ~keep:nblocks else Ok (m.ino, []) in
   let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
+  let* () = free_blocks t freed in
   remember_dir t inum (dir_view ?names t data entries);
   Ok ()
 

@@ -48,6 +48,77 @@ let arb_oracle =
 
 let digests chunks = List.map (fun c -> c.Chunking.digest) chunks
 
+(* Edits for the incremental-split law: each kind at the front, in the
+   middle and at the end, with payloads of random or constant bytes
+   (constant ones over a constant file keep forced [max_size] cuts in
+   place across the edit), from one byte to a few chunks long, alone or
+   two in a row (unchanged chunks between two edits). *)
+type edit =
+  | Overwrite of int * string
+  | Insert of int * string
+  | Delete of int * int
+  | Append of string
+  | Truncate of int
+  | Identical
+  | Both of edit * edit
+
+let rec apply_edit s = function
+  | Overwrite (at, p) ->
+    let at = min at (String.length s) in
+    let keep = max 0 (String.length s - at - String.length p) in
+    String.sub s 0 at ^ p ^ String.sub s (String.length s - keep) keep
+  | Insert (at, p) ->
+    let at = min at (String.length s) in
+    String.sub s 0 at ^ p ^ String.sub s at (String.length s - at)
+  | Delete (at, n) ->
+    let at = min at (String.length s) in
+    let n = min n (String.length s - at) in
+    String.sub s 0 at ^ String.sub s (at + n) (String.length s - at - n)
+  | Append p -> s ^ p
+  | Truncate n -> String.sub s 0 (min n (String.length s))
+  | Identical -> s
+  | Both (a, b) -> apply_edit (apply_edit s a) b
+
+let rec print_edit = function
+  | Overwrite (at, p) -> Printf.sprintf "overwrite %d+%d" at (String.length p)
+  | Insert (at, p) -> Printf.sprintf "insert %d+%d" at (String.length p)
+  | Delete (at, n) -> Printf.sprintf "delete %d+%d" at n
+  | Append p -> Printf.sprintf "append %d" (String.length p)
+  | Truncate n -> Printf.sprintf "truncate to %d" n
+  | Identical -> "identical"
+  | Both (a, b) -> print_edit a ^ ", then " ^ print_edit b
+
+let arb_edited =
+  let open QCheck.Gen in
+  let base = QCheck.gen arb_oracle in
+  let payload =
+    int_range 1 3 >>= fun k ->
+    let len = if k = 1 then int_range 1 200 else int_range 1 (2 * k * Chunking.max_size / 3) in
+    len >>= fun n ->
+    frequency [ (2, string_size ~gen:char (return n)); (1, map (String.make n) char) ]
+  in
+  let edit n =
+    let at = oneof [ return 0; int_bound (max 0 n); return n ] in
+    frequency
+      [
+        (3, map2 (fun at p -> Overwrite (at, p)) at payload);
+        (3, map2 (fun at p -> Insert (at, p)) at payload);
+        (2, map2 (fun at k -> Delete (at, k)) at (int_range 1 (2 * Chunking.max_size)));
+        (1, map (fun p -> Append p) payload);
+        (1, map (fun k -> Truncate k) (int_bound (max 0 n)));
+        (1, return Identical);
+      ]
+  in
+  let gen =
+    base >>= fun s ->
+    let n = String.length s in
+    frequency [ (3, edit n); (1, map2 (fun a b -> Both (a, b)) (edit n) (edit n)) ]
+    >|= fun e -> (s, e)
+  in
+  QCheck.make
+    ~print:(fun (s, e) -> Printf.sprintf "<%d bytes> %s" (String.length s) (print_edit e))
+    gen
+
 (* Longest common suffix length of two lists. *)
 let common_suffix a b =
   let rec go a b n =
@@ -110,6 +181,10 @@ let qcheck_props =
         List.length d1 - shared <= 6);
     prop "split agrees with the byte-at-a-time oracle" ~count:300 arb_oracle (fun s ->
         Chunking.split s = Chunking_ref.split s);
+    prop "resplit around an edit equals a fresh split" ~count:500 arb_edited (fun (old, e) ->
+        let data = apply_edit old e in
+        let map, _ = Chunking.resplit ~old (Chunking.split old) data in
+        map = Chunking.split data && map = Chunking_ref.split data);
     prop "reassemble resolves from either source" arb_bytes (fun s ->
         let chunks = Chunking.split s in
         (* Serve even-indexed chunks as "local", the rest as "fetched". *)
@@ -208,6 +283,39 @@ let test_content_hashes_once () =
   Alcotest.(check string) "a verified digest is adopted" "d" (Chunking.Content.digest v);
   Alcotest.(check bool) "a verified map is adopted" true (Chunking.Content.map v = [])
 
+(* An edit inside one chunk of a large file digests about that chunk,
+   not the file, whether it keeps the length or shifts every later byte;
+   two edits far apart digest about their two chunks; an identical file
+   digests nothing. *)
+let test_resplit_hashes_the_edit () =
+  let n = 256 * 1024 in
+  let s = synth n in
+  let map = Chunking.split s in
+  let edited = apply_edit s (Overwrite (n / 2, String.make 128 '!')) in
+  let map', hashed = Chunking.resplit ~old:s map edited in
+  Alcotest.(check bool) "equals the split" true (map' = Chunking.split edited);
+  Alcotest.(check bool)
+    (Printf.sprintf "digested %d bytes, at most two chunks" hashed)
+    true
+    (hashed > 0 && hashed <= 2 * Chunking.max_size);
+  let twice = apply_edit edited (Overwrite (n / 8, String.make 128 '?')) in
+  let map'', hashed = Chunking.resplit ~old:s map twice in
+  Alcotest.(check bool) "two edits: equals the split" true (map'' = Chunking.split twice);
+  Alcotest.(check bool)
+    (Printf.sprintf "two edits: digested %d bytes, at most four chunks" hashed)
+    true
+    (hashed > 0 && hashed <= 4 * Chunking.max_size);
+  let inserted = apply_edit s (Insert (n / 2, String.make 100 '+')) in
+  let map_i, hashed = Chunking.resplit ~old:s map inserted in
+  Alcotest.(check bool) "an insert: equals the split" true (map_i = Chunking.split inserted);
+  Alcotest.(check bool)
+    (Printf.sprintf "an insert: digested %d bytes, at most two chunks" hashed)
+    true
+    (hashed > 0 && hashed <= 2 * Chunking.max_size);
+  let same, none = Chunking.resplit ~old:s map s in
+  Alcotest.(check bool) "identical contents keep the map" true (same == map);
+  Alcotest.(check int) "and digest nothing" 0 none
+
 let test_malformed_maps_rejected () =
   List.iter
     (fun s ->
@@ -237,6 +345,8 @@ let suite =
       Alcotest.test_case "boundaries at the first allowed byte" `Quick
         test_boundaries_at_min_size;
       Alcotest.test_case "content hashes at most once" `Quick test_content_hashes_once;
+      Alcotest.test_case "resplit digests about the edited chunk" `Quick
+        test_resplit_hashes_the_edit;
       Alcotest.test_case "malformed maps rejected" `Quick
         test_malformed_maps_rejected;
       Alcotest.test_case "reassemble fails closed on missing chunks" `Quick

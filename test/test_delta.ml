@@ -226,7 +226,7 @@ let test_delta_install_adopts_verified_map () =
   let _, data = ok (Physical.fetch_file phys1 path) in
   Alcotest.(check string) "installed the origin's bytes" (content cluster 0 vref) data;
   let hits = Counters.get (Physical.counters phys1) "phys.chunkmap.hit" in
-  let map = Physical.chunks_of_content phys1 data in
+  let map = Physical.chunks_of_content phys1 ~fid:(Physical.path_fid path) data in
   Alcotest.(check int) "the installed bytes' map is cached" (hits + 1)
     (Counters.get (Physical.counters phys1) "phys.chunkmap.hit");
   Alcotest.(check bool) "the adopted map is the split of the bytes" true
@@ -260,24 +260,46 @@ let test_origin_serves_current_digest () =
   ok (fv.Vnode.write ~off:(size / 2) (String.make 128 'f'));
   Alcotest.(check bool) "a second write serves a new digest" true (served () <> first)
 
+let test_local_edit_derives_map () =
+  (* After a local 128-byte write the origin's next map is derived from
+     its slot around the edit: it is the split of the new bytes, and it
+     digests about one chunk, not the file. *)
+  let cluster, vref, fv, size = big_cluster () in
+  let phys0 = Option.get (Cluster.replica (Cluster.host cluster 0) vref) in
+  let path = big_fidpath phys0 in
+  let count name = Counters.get (Physical.counters phys0) name in
+  let (_ : string) = raw_chunk_map phys0 path in
+  ok (fv.Vnode.write ~off:(size / 2) edit_128);
+  let derived = count "phys.chunkmap.derived" and hashed = count "phys.chunkmap.hashed_bytes" in
+  let _, _, map = ok (Ctl_wire.decode_chunk_map (raw_chunk_map phys0 path)) in
+  Alcotest.(check bool) "serves the split of the new bytes" true
+    (map = Chunking.split (content cluster 0 vref));
+  Alcotest.(check int) "one derived map" (derived + 1) (count "phys.chunkmap.derived");
+  let digested = count "phys.chunkmap.hashed_bytes" - hashed in
+  Alcotest.(check bool)
+    (Printf.sprintf "digested %d bytes, at most two chunks" digested)
+    true
+    (digested > 0 && digested <= 2 * Chunking.max_size)
+
 let test_equal_length_contents_keep_own_maps () =
-  (* The cache hashes a few sampled windows of each key; two contents of
-     one length that differ only between them share a bucket, and must
-     still keep their own entries. *)
+  (* Each fid has a slot of its own: two files whose contents have one
+     length keep their own maps, and asking for either again hits. *)
   let cluster, vref, _fv, _size = big_cluster () in
   let phys1 = Option.get (Cluster.replica (Cluster.host cluster 1) vref) in
   let a = synth ~seed:"windows" (64 * 1024) in
   let b = Bytes.of_string a in
   List.iter (fun i -> Bytes.set b i '!') [ 100; 20_000; 40_000; 60_000 ];
   let b = Bytes.to_string b in
+  let fa = { Ids.issuer = 7; uniq = 1 } and fb = { Ids.issuer = 7; uniq = 2 } in
   let misses () = Counters.get (Physical.counters phys1) "phys.chunkmap.miss" in
   let m0 = misses () in
-  Alcotest.(check bool) "a's map" true (Physical.chunks_of_content phys1 a = Chunking.split a);
-  Alcotest.(check bool) "b's map" true (Physical.chunks_of_content phys1 b = Chunking.split b);
+  let map fid data = Physical.chunks_of_content phys1 ~fid data in
+  Alcotest.(check bool) "a's map" true (map fa a = Chunking.split a);
+  Alcotest.(check bool) "b's map" true (map fb b = Chunking.split b);
   Alcotest.(check int) "both missed" (m0 + 2) (misses ());
-  Alcotest.(check bool) "a's map again" true
-    (Physical.chunks_of_content phys1 a = Chunking.split a);
-  Alcotest.(check int) "then a hit" (m0 + 2) (misses ())
+  Alcotest.(check bool) "a's map again" true (map fa a = Chunking.split a);
+  Alcotest.(check bool) "b's map again" true (map fb b = Chunking.split b);
+  Alcotest.(check int) "then hits" (m0 + 2) (misses ())
 
 let replace_once hay ~sub ~by =
   let n = String.length sub in
@@ -350,5 +372,6 @@ let suite =
       test_delta_install_adopts_verified_map;
     case "origin serves the current version's digest" test_origin_serves_current_digest;
     case "equal-length contents keep their own maps" test_equal_length_contents_keep_own_maps;
+    case "a local edit derives the next map" test_local_edit_derives_map;
     case "an unverified map is never adopted" test_unverified_map_never_adopted;
   ]

@@ -67,5 +67,5 @@ let suite =
   Alcotest.test_case "bench json schema check" `Quick test_schema_check
   :: List.map
        (fun name -> Alcotest.test_case ("experiment " ^ name) `Slow (verdict_holds name))
-       [ "e2"; "e3"; "e4"; "e6"; "e7"; "e9"; "e10"; "f2"; "a1"; "a3"; "a4"; "a5"; "chaos"; "wal";
+       [ "e2"; "e3"; "e4"; "e6"; "e7"; "e8"; "e9"; "e10"; "f2"; "a1"; "a3"; "a4"; "a5"; "chaos"; "wal";
          "obslag"; "reconscale"; "member"; "consensus"; "health"; "delta"; "merge" ]

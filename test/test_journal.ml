@@ -137,6 +137,58 @@ let test_journaled_cluster_reboot () =
   Alcotest.(check string) "file survives host reboot" "journaled cluster"
     (ok (Vnode.read_all f))
 
+(* The log's checksum reads every byte: flipping any one bit of a 4 KiB
+   block, or of the 12-byte and [bs - 4]-byte spans the superblock and
+   headers cover (tails shorter than a word), changes it.  And it
+   allocates nothing per word. *)
+let test_checksum_sees_every_byte () =
+  let check len =
+    let b = Bytes.init len (fun i -> Char.chr (((i * 131) + 7) land 0xff)) in
+    let base = Journal.checksum ~seed:1 b 0 len in
+    Alcotest.(check int) "deterministic" base (Journal.checksum ~seed:1 b 0 len);
+    Alcotest.(check bool) "the seed chains" true (Journal.checksum ~seed:2 b 0 len <> base);
+    for i = 0 to len - 1 do
+      List.iter
+        (fun bit ->
+          let c = Bytes.get b i in
+          Bytes.set b i (Char.chr (Char.code c lxor bit));
+          if Journal.checksum ~seed:1 b 0 len = base then
+            Alcotest.failf "len %d: flipping bit %x of byte %d left the checksum" len bit i;
+          Bytes.set b i c)
+        [ 0x01; 0x80 ]
+    done
+  in
+  List.iter check [ 12; 1020; 4096 ];
+  (* The state stays unboxed: 100 checksums of a 4 KiB block allocate
+     nothing ([Gc.minor_words] is exact). *)
+  let b = Bytes.make 4096 'x' in
+  let before = Gc.minor_words () in
+  for seed = 1 to 100 do
+    ignore (Journal.checksum ~seed b 0 4096)
+  done;
+  Alcotest.(check int) "minor words" 0 (int_of_float (Gc.minor_words () -. before))
+
+(* A sealed group whose payload is corrupted on the device after the
+   flush is not replayed: the mount recovers the state before it. *)
+let test_corrupt_payload_not_replayed () =
+  let run ~corrupt =
+    let disk, _clock, fs = fresh_journaled ~flush_blocks:1 () in
+    let (_ : int) = ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "d") in
+    (* flush_blocks = 1: the mkdir's group is sealed in the log, not
+       yet home.  The first record starts at the first log slot. *)
+    let log = Disk.nblocks disk - 64 in
+    if corrupt then begin
+      let b = ok (Disk.read disk (log + 2)) in
+      Bytes.set b 100 (Char.chr (Char.code (Bytes.get b 100) lxor 1));
+      ok (Disk.write disk (log + 2) b)
+    end;
+    let fs = ok (Ufs.mount ~now:(fun () -> 0) disk) in
+    fsck fs;
+    Result.is_ok (Ufs.dir_lookup fs (Ufs.root fs) "d")
+  in
+  Alcotest.(check bool) "an intact group is replayed" true (run ~corrupt:false);
+  Alcotest.(check bool) "a corrupt one is not" false (run ~corrupt:true)
+
 let suite =
   [
     case "sync then crash loses nothing" test_sync_then_crash_loses_nothing;
@@ -145,4 +197,6 @@ let suite =
     case "staged state visible before any flush" test_staged_state_visible_before_flush;
     case "journal_tick flushes by age" test_tick_flushes_by_age;
     case "journaled cluster survives reboot" test_journaled_cluster_reboot;
+    case "the log checksum sees every byte" test_checksum_sees_every_byte;
+    case "a corrupt payload is not replayed" test_corrupt_payload_not_replayed;
   ]

@@ -58,6 +58,45 @@ let test_large_file_spans_indirect_blocks () =
   Alcotest.(check int) "shrunk" 100 (ok (Ufs.stat fs f)).Ufs.size;
   fsck fs
 
+(* Unjournaled, every call is write-through, so a crash after any
+   prefix of its device writes is a state the next mount sees.  Pointers
+   go before bitmap bits: allocation sets the bits first and the inode
+   last, freeing drops the pointers first and clears the bits last.  A
+   crash may leak blocks (allocated but unreferenced, write-through's
+   known cost) but must never leave a live file referencing a free
+   block, which the next allocation would hand out twice. *)
+let test_crash_order_never_frees_live_blocks () =
+  let twenty = String.init (20 * 1024) (fun i -> Char.chr (97 + (i mod 26))) in
+  let sweep what setup op =
+    let rec go k =
+      let disk, fs = fresh_ufs ~blocks:256 () in
+      let f = setup fs in
+      Disk.fail_writes_after disk k;
+      let r = op fs f in
+      Disk.clear_failures disk;
+      let fs = ok (Ufs.mount ~now:(fun () -> 0) disk) in
+      (match Ufs.check fs with
+       | Ok () -> ()
+       | Error msg ->
+         if
+           List.exists
+             (String.ends_with ~suffix:"referenced but free")
+             (String.split_on_char ';' msg)
+         then Alcotest.failf "%s, crash after %d device writes: %s" what k msg);
+      match r with Ok () -> k | Error _ -> go (k + 1)
+    in
+    let writes = go 0 in
+    Alcotest.(check bool) (Printf.sprintf "%s swept %d prefixes" what writes) true (writes > 2)
+  in
+  let file fs = ok (Ufs.create fs ~dir:(Ufs.root fs) "f") in
+  sweep "truncate 20 blocks to 1"
+    (fun fs ->
+      let f = file fs in
+      ok (Ufs.write fs f ~off:0 twenty);
+      f)
+    (fun fs f -> Ufs.truncate fs f 1000);
+  sweep "write 20 blocks into a fresh file" file (fun fs f -> Ufs.write fs f ~off:0 twenty)
+
 let test_truncate_zeroes_tail () =
   let _, fs = fresh_ufs () in
   let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "file") in
@@ -768,6 +807,7 @@ let suite =
     case "overwrite and extend" test_overwrite_and_extend;
     case "large file uses indirect blocks" test_large_file_spans_indirect_blocks;
     case "truncate zeroes the tail" test_truncate_zeroes_tail;
+    case "a crash never frees a live block" test_crash_order_never_frees_live_blocks;
     case "mkdir, lookup, entries" test_mkdir_lookup_entries;
     case "create existing rejected" test_create_existing_rejected;
     case "invalid names rejected" test_invalid_names_rejected;
