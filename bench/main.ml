@@ -165,10 +165,19 @@ let micro_journal_tests () =
       (Staged.stage (fun () -> ignore (Journal.checksum ~seed:0 block 0 4096)));
   ]
 
+(* Formatting a replica disk of the benchmark's [zipf_replay] workload:
+   16,384 blocks of 512 bytes, 12,288 inodes. *)
+let micro_ufs_tests () =
+  let disk = Disk.create ~nblocks:16_384 ~block_size:512 () in
+  [
+    Test.make ~name:"ufs/mkfs-16k"
+      (Staged.stage (fun () -> ignore (get (Ufs.mkfs ~ninodes:12_288 ~now:(fun () -> 0) disk))));
+  ]
+
 let run_micro () =
   let tests =
     micro_layer_tests () @ micro_shadow_tests () @ micro_fdir_tests () @ micro_delta_tests ()
-    @ micro_cache_tests () @ micro_journal_tests ()
+    @ micro_cache_tests () @ micro_journal_tests () @ micro_ufs_tests ()
   in
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in

@@ -1,10 +1,12 @@
 (* ficusctl: drive the Ficus simulation from the command line.
 
      ficusctl demo                          guided tour of the stack
-     ficusctl experiment e4 e6 ...          run reproduction experiments
      ficusctl availability -n 5 -g 3        availability table
      ficusctl simulate --hosts 3 --epochs 20 --partition-prob 0.4
-                                            partitioned workload + report *)
+                                            partitioned workload + report
+
+   and [stats], [trace], [top], [conflicts] and [resolve].  The
+   reproduction experiments run from [bench/main.exe]. *)
 
 open Cmdliner
 
@@ -47,29 +49,6 @@ let demo () =
 let demo_cmd =
   Cmd.v (Cmd.info "demo" ~doc:"Guided tour: replicate, partition, diverge, reconcile")
     Term.(const demo $ const ())
-
-(* ------------------------------------------------------------------ *)
-
-let experiment names =
-  let names = if names = [] then Experiments.names else names in
-  let verdicts =
-    List.map
-      (fun name ->
-        match Experiments.run_by_name name with
-        | Some v -> v
-        | None ->
-          Printf.eprintf "unknown experiment %S (known: %s)\n" name
-            (String.concat ", " Experiments.names);
-          exit 2)
-      names
-  in
-  if List.for_all (fun v -> v.Experiments.holds) verdicts then 0 else 1
-
-let experiment_cmd =
-  let names = Arg.(value & pos_all string [] & info [] ~docv:"NAME") in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Run reproduction experiments (default: all)")
-    Term.(const experiment $ names)
 
 (* ------------------------------------------------------------------ *)
 
@@ -526,6 +505,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            demo_cmd; experiment_cmd; availability_cmd; simulate_cmd; stats_cmd; trace_cmd;
+            demo_cmd; availability_cmd; simulate_cmd; stats_cmd; trace_cmd;
             top_cmd; conflicts_cmd; resolve_cmd;
           ]))

@@ -74,19 +74,3 @@ let wire_size_response = function
       header_size entries
   | R_data data -> header_size + String.length data
   | R_error _ -> header_size + 4
-
-let rec pp_request ppf = function
-  | Root e -> Fmt.pf ppf "ROOT %s" e
-  | Getattr fh -> Fmt.pf ppf "GETATTR %s" fh
-  | Setattr (fh, _) -> Fmt.pf ppf "SETATTR %s" fh
-  | Lookup (fh, n) -> Fmt.pf ppf "LOOKUP %s %s" fh n
-  | Create (fh, n) -> Fmt.pf ppf "CREATE %s %s" fh n
-  | Mkdir (fh, n) -> Fmt.pf ppf "MKDIR %s %s" fh n
-  | Remove (fh, n) -> Fmt.pf ppf "REMOVE %s %s" fh n
-  | Rmdir (fh, n) -> Fmt.pf ppf "RMDIR %s %s" fh n
-  | Rename (s, sn, d, dn) -> Fmt.pf ppf "RENAME %s/%s -> %s/%s" s sn d dn
-  | Link (d, t, n) -> Fmt.pf ppf "LINK %s <- %s as %s" t d n
-  | Readdir fh -> Fmt.pf ppf "READDIR %s" fh
-  | Read (fh, off, len) -> Fmt.pf ppf "READ %s off=%d len=%d" fh off len
-  | Write (fh, off, data) -> Fmt.pf ppf "WRITE %s off=%d len=%d" fh off (String.length data)
-  | Traced (span, req) -> Fmt.pf ppf "TRACED %d %a" span pp_request req

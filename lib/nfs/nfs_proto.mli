@@ -51,5 +51,3 @@ val wire_size_response : response -> int
     ["nfs.client.bytes_out"] / ["nfs.client.bytes_in"] as the
     transport-level cross-check of the propagation layer's own
     ["prop.bytes"] accounting. *)
-
-val pp_request : Format.formatter -> request -> unit

@@ -207,89 +207,68 @@ let sync_epoch t =
 (* ------------------------------------------------------------------ *)
 (* Bitmaps                                                             *)
 
-let bit_test t ~start bit =
-  let bits_per_block = t.bs * 8 in
-  let* b = bread t (start + (bit / bits_per_block)) in
-  let byte = Codec.get_u8 b (bit mod bits_per_block / 8) in
-  Ok (byte land (1 lsl (bit mod 8)) <> 0)
-
-(* Set or clear [bits] (any order), one read-modify-write per bitmap
-   block, in block order. *)
-let update_bits t ~start bits value =
-  let bits_per_block = t.bs * 8 in
-  let rec go = function
-    | [] -> Ok ()
-    | bit :: _ as bits ->
-      let bi = bit / bits_per_block in
-      match bread_copy t (start + bi) with
-      | Error _ as e -> e
-      | Ok b ->
-        let rec set = function
-          | bit :: rest when bit / bits_per_block = bi ->
-            let idx = bit mod bits_per_block / 8 in
-            let mask = 1 lsl (bit mod 8) in
-            let byte = Codec.get_u8 b idx in
-            Codec.set_u8 b idx (if value then byte lor mask else byte land lnot mask);
-            set rest
-          | rest -> rest
-        in
-        let rest = set bits in
-        let* () = bwrite t (start + bi) b in
-        go rest
-  in
-  go (List.sort_uniq Int.compare bits)
-
-let bit_update t ~start bit value = update_bits t ~start [ bit ] value
+(* A bitmap is [limit] bits from block [start] on: the inode bitmap's
+   bit per inode number, [ninodes + 1] of them, and the block bitmap's
+   bit per block, [nblocks] of them.  These two functions are the only
+   code that reads or changes one. *)
 
 (* The [k] lowest clear bits below [limit], in increasing order (what
    [k] successive lowest-first allocations pick), or all of them if
    there are fewer.  Each bitmap block is read at most once. *)
-let find_clear_bits t ~start ~nbitmap_blocks ~limit k =
+let clear_bits t ~start ~limit k =
   let bits_per_block = t.bs * 8 in
-  let rec scan_block bi found count =
-    if count >= k || bi >= nbitmap_blocks || bi * bits_per_block >= limit then
-      Ok (List.rev found)
+  let found = Array.make (min k limit) 0 in
+  let rec scan_block bi count =
+    if count >= k || bi * bits_per_block >= limit then Ok count
     else
       match bread t (start + bi) with
       | Error _ as e -> e
       | Ok b ->
         let base = bi * bits_per_block in
-        let found = ref found and count = ref count in
-        let i = ref 0 in
+        let count = ref count and i = ref 0 in
         while !count < k && !i < t.bs && base + (!i * 8) < limit do
           let byte = Codec.get_u8 b !i in
           if byte <> 0xff then
             for j = 0 to 7 do
               let bit = base + (!i * 8) + j in
               if !count < k && bit < limit && byte land (1 lsl j) = 0 then begin
-                found := bit :: !found;
+                found.(!count) <- bit;
                 incr count
               end
             done;
           incr i
         done;
-        scan_block (bi + 1) !found !count
+        scan_block (bi + 1) !count
   in
-  scan_block 0 [] 0
+  match scan_block 0 0 with
+  | Error _ as e -> e
+  | Ok n -> Ok (if n = Array.length found then found else Array.sub found 0 n)
 
-let count_clear_bits t ~start ~nbitmap_blocks ~limit =
+(* Set ([value]) or clear [bits] (increasing), one read-modify-write per
+   bitmap block, in block order. *)
+let set_bits t ~start bits value =
   let bits_per_block = t.bs * 8 in
-  let rec go bi acc =
-    if bi >= nbitmap_blocks then Ok acc
-    else
-      let* b = bread t (start + bi) in
-      let base = bi * bits_per_block in
-      let acc = ref acc in
-      for i = 0 to t.bs - 1 do
-        let byte = Codec.get_u8 b i in
-        for j = 0 to 7 do
-          let bit = base + (i * 8) + j in
-          if bit < limit && byte land (1 lsl j) = 0 then incr acc
-        done
-      done;
-      go (bi + 1) !acc
+  let n = Array.length bits in
+  let rec edit b bi i =
+    if i < n && bits.(i) / bits_per_block = bi then begin
+      let bit = bits.(i) mod bits_per_block in
+      let byte = Codec.get_u8 b (bit / 8) and mask = 1 lsl (bit mod 8) in
+      Codec.set_u8 b (bit / 8) (if value then byte lor mask else byte land lnot mask);
+      edit b bi (i + 1)
+    end
+    else i
   in
-  go 0 0
+  let rec go i =
+    if i >= n then Ok ()
+    else
+      let bi = bits.(i) / bits_per_block in
+      match bread_copy t (start + bi) with
+      | Error _ as e -> e
+      | Ok b ->
+        let next = edit b bi i in
+        (match bwrite t (start + bi) b with Error _ as e -> e | Ok () -> go next)
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Inode table                                                         *)
@@ -451,25 +430,15 @@ let mkfs ?cache_capacity ?ninodes ?(inode_size = default_inode_size)
       let* () = zero_range sb.ibitmap_start sb.ibitmap_blocks in
       let* () = zero_range sb.bbitmap_start sb.bbitmap_blocks in
       let* () = zero_range sb.itable_start sb.itable_blocks in
-      (* Reserve inode 0 and all metadata blocks. *)
-      let* () = bit_update t ~start:sb.ibitmap_start 0 true in
-      let rec mark blk =
-        if blk >= sb.data_start then Ok ()
-        else
-          let* () = bit_update t ~start:sb.bbitmap_start blk true in
-          mark (blk + 1)
+      (* Reserve inode 0 and the root's inode 1, every metadata block and
+         the journal region, so the allocator never hands them out. *)
+      let* () = set_bits t ~start:sb.ibitmap_start [| 0; 1 |] true in
+      let reserved =
+        Array.init (sb.data_start + journal_blocks) (fun i ->
+            if i < sb.data_start then i else sb.journal_start + i - sb.data_start)
       in
-      let* () = mark 0 in
-      (* Reserve the journal region so the allocator never hands it out. *)
-      let rec mark_journal blk =
-        if blk >= nblocks then Ok ()
-        else
-          let* () = bit_update t ~start:sb.bbitmap_start blk true in
-          mark_journal (blk + 1)
-      in
-      let* () = mark_journal sb.journal_start in
+      let* () = set_bits t ~start:sb.bbitmap_start reserved true in
       (* Root directory: inode 1, empty. *)
-      let* () = bit_update t ~start:sb.ibitmap_start 1 true in
       let root_ino = { empty_ino with i_kind = 2; i_nlink = 1; i_mtime = now (); i_mode = 0o755; i_gen = 1 } in
       let* () = write_ino t 1 root_ino in
       if journal_blocks = 0 then Ok t
@@ -501,22 +470,22 @@ let mount ?cache_capacity ?journal_flush_blocks ?journal_flush_age ~now disk =
     Ok (make cache sb ~now (Some j))
   end
 
+let free_block_bits t k = clear_bits t ~start:t.sb.bbitmap_start ~limit:t.sb.nblocks k
+let free_inode_bits t k = clear_bits t ~start:t.sb.ibitmap_start ~limit:(t.sb.ninodes + 1) k
+
 let nfree_blocks t =
-  count_clear_bits t ~start:t.sb.bbitmap_start ~nbitmap_blocks:t.sb.bbitmap_blocks
-    ~limit:t.sb.nblocks
+  let* free = free_block_bits t t.sb.nblocks in
+  Ok (Array.length free)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 
 let alloc_inode t ~kind ~mode ~uid =
-  let* found =
-    find_clear_bits t ~start:t.sb.ibitmap_start ~nbitmap_blocks:t.sb.ibitmap_blocks
-      ~limit:(t.sb.ninodes + 1) 1
-  in
-  match found with
-  | [] -> Error Errno.ENFILE
-  | inum :: _ ->
-    let* () = bit_update t ~start:t.sb.ibitmap_start inum true in
+  let* found = free_inode_bits t 1 in
+  if Array.length found = 0 then Error Errno.ENFILE
+  else
+    let inum = found.(0) in
+    let* () = set_bits t ~start:t.sb.ibitmap_start found true in
     let* old = read_ino t inum in
     let ino =
       {
@@ -535,18 +504,29 @@ let alloc_inode t ~kind ~mode ~uid =
 (* ------------------------------------------------------------------ *)
 (* Block mapping: 12 direct + 1 single indirect                        *)
 
-let ptrs_per_block t = t.bs / 4
+let max_file_blocks t = ndirect + (t.bs / 4)
 
-let max_file_blocks t = ndirect + ptrs_per_block t
+(* The block map, in two halves that every reader and writer of a
+   file's pointers goes through: [indirect_block] reads what a call over
+   file blocks up to [last] needs, once per call, and [block_ptr] decodes
+   one file block's pointer from it. *)
 
-(* Physical block for file block [n], or 0 if unmapped. *)
-let bmap t ino n =
-  if n < ndirect then Ok ino.i_direct.(n)
-  else if n >= max_file_blocks t then Error Errno.EFBIG
-  else if ino.i_indirect = 0 then Ok 0
-  else
-    let* b = bread t ino.i_indirect in
-    Ok (Codec.get_u32 b (4 * (n - ndirect)))
+let no_indirect = Ok Bytes.empty
+
+(* The indirect block's bytes, shared with the cache (not to be
+   mutated), when [last] is past the direct blocks and the inode has
+   one; [Bytes.empty] otherwise.  [EFBIG] past the largest file. *)
+let indirect_block t ino ~last =
+  if last >= max_file_blocks t then Error Errno.EFBIG
+  else if last < ndirect || ino.i_indirect = 0 then no_indirect
+  else bread t ino.i_indirect
+
+(* File block [n]'s physical block, or 0 if unmapped; [ind] is what
+   [indirect_block] returned for a [last] of at least [n]. *)
+let block_ptr ino ind n =
+  if n < ndirect then ino.i_direct.(n)
+  else if Bytes.length ind = 0 then 0
+  else Codec.get_u32 ind (4 * (n - ndirect))
 
 (* A call's block-map edits, made by [map_blocks] for the file blocks
    it is about to write.  The crash order is the caller's: [map_blocks]
@@ -569,157 +549,146 @@ type mapping = {
    read-modified-written once, whatever the number of blocks. *)
 let map_blocks t ino blocks =
   let nb = Array.length blocks in
-  let last = if nb = 0 then -1 else blocks.(nb - 1) in
-  if last >= max_file_blocks t then Error Errno.EFBIG
-  else
-    let* ind =
-      if last >= ndirect && ino.i_indirect <> 0 then Result.map Option.some (bread t ino.i_indirect)
-      else Ok None
-    in
-    let phys = Array.make nb 0 and fresh = Array.make nb false in
-    let need = ref 0 and new_ind = ref false in
-    for i = 0 to nb - 1 do
-      let n = blocks.(i) in
-      let p =
-        if n < ndirect then ino.i_direct.(n)
-        else match ind with Some b -> Codec.get_u32 b (4 * (n - ndirect)) | None -> 0
-      in
-      phys.(i) <- p;
-      if p = 0 then begin
-        fresh.(i) <- true;
-        incr need;
-        (* and one for the indirect block, if this is its first pointer *)
-        if n >= ndirect && ino.i_indirect = 0 && not !new_ind then begin
-          new_ind := true;
-          incr need
-        end
+  let* ind = indirect_block t ino ~last:(if nb = 0 then -1 else blocks.(nb - 1)) in
+  let phys = Array.make nb 0 and fresh = Array.make nb false in
+  let need = ref 0 and new_ind = ref false in
+  for i = 0 to nb - 1 do
+    let n = blocks.(i) in
+    let p = block_ptr ino ind n in
+    phys.(i) <- p;
+    if p = 0 then begin
+      fresh.(i) <- true;
+      incr need;
+      (* and one for the indirect block, if this is its first pointer *)
+      if n >= ndirect && ino.i_indirect = 0 && not !new_ind then begin
+        new_ind := true;
+        incr need
       end
-    done;
-    let need = !need in
-    if need = 0 then Ok { ino; phys; fresh; indirect = None }
+    end
+  done;
+  let need = !need in
+  if need = 0 then Ok { ino; phys; fresh; indirect = None }
+  else
+    let* found = free_block_bits t need in
+    if Array.length found < need then Error Errno.ENOSPC
     else
-      let* found =
-        find_clear_bits t ~start:t.sb.bbitmap_start ~nbitmap_blocks:t.sb.bbitmap_blocks
-          ~limit:t.sb.nblocks need
+      let* () = set_bits t ~start:t.sb.bbitmap_start found true in
+      let next = ref 0 in
+      let take () =
+        incr next;
+        found.(!next - 1)
       in
-      if List.length found < need then Error Errno.ENOSPC
-      else
-        let* () = update_bits t ~start:t.sb.bbitmap_start found true in
-        let bits = Array.of_list found and next = ref 0 in
-        let take () =
-          incr next;
-          bits.(!next - 1)
-        in
-        let direct = Array.copy ino.i_direct in
-        let ind_blk = ref ino.i_indirect and ind_buf = ref None in
-        Array.iteri
-          (fun i n ->
-            if fresh.(i) then
-              if n < ndirect then begin
-                phys.(i) <- take ();
-                direct.(n) <- phys.(i)
-              end
-              else begin
-                let buf =
-                  match !ind_buf, ind with
-                  | Some buf, _ -> buf
-                  | None, Some b -> Bytes.copy b
-                  | None, None ->
-                    ind_blk := take ();
-                    Bytes.make t.bs '\000'
-                in
-                ind_buf := Some buf;
-                phys.(i) <- take ();
-                Codec.set_u32 buf (4 * (n - ndirect)) phys.(i)
-              end)
-          blocks;
-        Ok
-          {
-            ino = { ino with i_direct = direct; i_indirect = !ind_blk };
-            phys;
-            fresh;
-            indirect = Option.map (fun buf -> (!ind_blk, buf)) !ind_buf;
-          }
+      let direct = Array.copy ino.i_direct in
+      let ind_blk = ref ino.i_indirect and ind_buf = ref None in
+      Array.iteri
+        (fun i n ->
+          if fresh.(i) then
+            if n < ndirect then begin
+              phys.(i) <- take ();
+              direct.(n) <- phys.(i)
+            end
+            else begin
+              let buf =
+                match !ind_buf with
+                | Some buf -> buf
+                | None when ino.i_indirect <> 0 -> Bytes.copy ind
+                | None ->
+                  ind_blk := take ();
+                  Bytes.make t.bs '\000'
+              in
+              ind_buf := Some buf;
+              phys.(i) <- take ();
+              Codec.set_u32 buf (4 * (n - ndirect)) phys.(i)
+            end)
+        blocks;
+      Ok
+        {
+          ino = { ino with i_direct = direct; i_indirect = !ind_blk };
+          phys;
+          fresh;
+          indirect = Option.map (fun buf -> (!ind_blk, buf)) !ind_buf;
+        }
 
 let write_indirect t m =
   match m.indirect with None -> Ok () | Some (blk, buf) -> bwrite t blk buf
 
 (* Drop every block at file-block index >= [keep] from [ino]'s pointers:
-   rewrites the indirect block if it stays, and returns the inode
-   without the dropped pointers and the blocks to free.  The caller
-   writes that inode, then [free_blocks]: pointers go before bitmap
-   bits, so a crash in between leaks blocks and never leaves a live
-   file referencing a free one. *)
+   rewrites the indirect block if it stays and one of its pointers goes,
+   and returns the inode without the dropped pointers and the blocks to
+   free, in increasing order.  The caller writes that inode, then
+   [free_blocks]: pointers go before bitmap bits, so a crash in between
+   leaks blocks and never leaves a live file referencing a free one. *)
 let unmap_from t ino ~keep =
-  let direct = Array.copy ino.i_direct in
-  let freed = ref [] in
-  for n = keep to ndirect - 1 do
-    if direct.(n) <> 0 then begin
-      freed := direct.(n) :: !freed;
-      direct.(n) <- 0
-    end
+  let last = if ino.i_indirect = 0 then ndirect - 1 else max_file_blocks t - 1 in
+  let* ind = indirect_block t ino ~last in
+  let freed = ref [] and kept_ind = ref false and cleared_ind = ref false in
+  for n = last downto min keep ndirect do
+    let p = block_ptr ino ind n in
+    if p <> 0 then
+      if n >= keep then begin
+        freed := p :: !freed;
+        if n >= ndirect then cleared_ind := true
+      end
+      else if n >= ndirect then kept_ind := true
   done;
-  if ino.i_indirect = 0 then Ok ({ ino with i_direct = direct }, !freed)
-  else
-    let* b = bread_copy t ino.i_indirect in
-    let any_kept = ref false in
-    for i = 0 to ptrs_per_block t - 1 do
-      let ptr = Codec.get_u32 b (4 * i) in
-      if ptr <> 0 then
-        if ndirect + i < keep then any_kept := true
-        else begin
-          freed := ptr :: !freed;
-          Codec.set_u32 b (4 * i) 0
-        end
-    done;
-    if !any_kept then
-      let* () = bwrite t ino.i_indirect b in
-      Ok ({ ino with i_direct = direct }, !freed)
-    else Ok ({ ino with i_direct = direct; i_indirect = 0 }, ino.i_indirect :: !freed)
+  let unmapped = { ino with i_direct = Array.mapi (fun n p -> if n < keep then p else 0) ino.i_direct } in
+  let sorted blocks =
+    let a = Array.of_list blocks in
+    Array.sort Int.compare a;
+    a
+  in
+  if ino.i_indirect = 0 then Ok (unmapped, sorted !freed)
+  else if not !kept_ind then
+    Ok ({ unmapped with i_indirect = 0 }, sorted (ino.i_indirect :: !freed))
+  else if not !cleared_ind then Ok (unmapped, sorted !freed)
+  else begin
+    let b = Bytes.copy ind in
+    let from = 4 * (keep - ndirect) in
+    Bytes.fill b from (t.bs - from) '\000';
+    let* () = bwrite t ino.i_indirect b in
+    Ok (unmapped, sorted !freed)
+  end
 
-let free_blocks t blocks = update_bits t ~start:t.sb.bbitmap_start blocks false
+let free_blocks t blocks = set_bits t ~start:t.sb.bbitmap_start blocks false
 
 (* ------------------------------------------------------------------ *)
 (* File read / write / truncate                                        *)
 
-(* File block [n]'s bytes: the cached block itself, shared, or a fresh
-   zero block for a hole.  The same block reads as [bmap] then [bread],
-   without the intermediate result, so a cached block costs no
-   allocation. *)
+(* A file block's bytes: the cached block itself, shared, or a fresh
+   zero block for a hole. *)
 let phys_block t phys = if phys = 0 then Ok (Bytes.make t.bs '\000') else bread t phys
-
-let file_block t ino n =
-  if n < ndirect then phys_block t ino.i_direct.(n)
-  else if n >= max_file_blocks t then Error Errno.EFBIG
-  else if ino.i_indirect = 0 then phys_block t 0
-  else
-    match bread t ino.i_indirect with
-    | Error _ as e -> e
-    | Ok b -> phys_block t (Codec.get_u32 b (4 * (n - ndirect)))
 
 (* Visit the file bytes [off, off+len) block by block, in order, as
    [f pos blk boff chunk]: [chunk] bytes at offset [pos] of the range are
    [blk]'s bytes from [boff].  The chunks tile the range, so a buffer
    they are copied into needs no initialising.  [blk] is the cached block
    itself, shared, so [f] must not mutate it; a hole reads as a fresh
-   zero block.
+   zero block.  The indirect block is read once, just before the first
+   block it maps, and [ind] carries it on.
    Matches rather than [let*], and a top-level loop rather than a local
    one: a bind's continuation would be a closure allocated per block, a
    local loop one per walk. *)
-let rec iter_blocks_from t ino ~off ~len f pos =
+let rec iter_blocks_from t ino ~off ~len f ind pos =
   if pos >= len then Ok ()
   else
-    let fpos = off + pos in
-    let fblk = fpos / t.bs in
-    let boff = fpos mod t.bs in
-    let chunk = min (t.bs - boff) (len - pos) in
-    match file_block t ino fblk with
-    | Error e -> Error e
-    | Ok blk ->
-      f pos blk boff chunk;
-      iter_blocks_from t ino ~off ~len f (pos + chunk)
+    let fblk = (off + pos) / t.bs in
+    if fblk >= ndirect && (pos = 0 || fblk = ndirect) then
+      match indirect_block t ino ~last:((off + len - 1) / t.bs) with
+      | Error e -> Error e
+      | Ok ind -> visit_block t ino ~off ~len f ind pos
+    else visit_block t ino ~off ~len f ind pos
 
-let iter_blocks t ino ~off ~len f = iter_blocks_from t ino ~off ~len f 0
+and visit_block t ino ~off ~len f ind pos =
+  let fpos = off + pos in
+  let boff = fpos mod t.bs in
+  let chunk = min (t.bs - boff) (len - pos) in
+  match phys_block t (block_ptr ino ind (fpos / t.bs)) with
+  | Error e -> Error e
+  | Ok blk ->
+    f pos blk boff chunk;
+    iter_blocks_from t ino ~off ~len f ind (pos + chunk)
+
+let iter_blocks t ino ~off ~len f = iter_blocks_from t ino ~off ~len f Bytes.empty 0
 
 (* A replay: the block accesses of a read whose bytes are already known. *)
 let ignore_block _ _ _ _ = ()
@@ -785,7 +754,9 @@ let truncate_ino t inum ino len =
     let* () =
       if len mod t.bs = 0 then Ok ()
       else
-        let* phys = bmap t ino (len / t.bs) in
+        let n = len / t.bs in
+        let* ind = indirect_block t ino ~last:n in
+        let phys = block_ptr ino ind n in
         if phys = 0 then Ok ()
         else
           let* b = bread_copy t phys in
@@ -801,7 +772,7 @@ let free_inode t inum ino =
   (* Keep the generation in the dead slot so reallocation bumps it. *)
   let* () = write_ino t inum { empty_ino with i_gen = ino.i_gen } in
   let* () = free_blocks t freed in
-  bit_update t ~start:t.sb.ibitmap_start inum false
+  set_bits t ~start:t.sb.ibitmap_start [| inum |] false
 
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
@@ -994,7 +965,7 @@ let store_dir ?names t inum ino view entries =
   in
   let* () = store 0 changed in
   let* () = write_indirect t m in
-  let* ino, freed = if len < old_len then unmap_from t m.ino ~keep:nblocks else Ok (m.ino, []) in
+  let* ino, freed = if len < old_len then unmap_from t m.ino ~keep:nblocks else Ok (m.ino, [||]) in
   let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
   let* () = free_blocks t freed in
   remember_dir t inum (dir_view ?names t data entries);
@@ -1105,11 +1076,9 @@ let add_entry t dir name child kind =
       Ok ()
 
 (* [create] and [mkdir]: the name is checked before an inode is
-   allocated.  The directory is read twice before the check; the
-   block-cache hit counts include the second read. *)
+   allocated. *)
 let make_node t ~dir name kind ~mode =
   with_txn t @@ fun () ->
-  let* _ = load_dir t dir in
   let* _ino, view = load_dir t dir in
   if dir_find view name <> None then Error Errno.EEXIST
   else
@@ -1277,17 +1246,15 @@ let check t =
   let problems = ref [] in
   let complain fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   let note_blocks ino =
-    Array.iter (fun b -> if b <> 0 then Hashtbl.replace reachable_blocks b ()) ino.i_direct;
-    if ino.i_indirect <> 0 then begin
-      Hashtbl.replace reachable_blocks ino.i_indirect ();
-      match bread t ino.i_indirect with
-      | Error _ -> complain "unreadable indirect block %d" ino.i_indirect
-      | Ok b ->
-        for i = 0 to ptrs_per_block t - 1 do
-          let p = Codec.get_u32 b (4 * i) in
-          if p <> 0 then Hashtbl.replace reachable_blocks p ()
-        done
-    end
+    let last = max_file_blocks t - 1 in
+    if ino.i_indirect <> 0 then Hashtbl.replace reachable_blocks ino.i_indirect ();
+    match indirect_block t ino ~last with
+    | Error _ -> complain "unreadable indirect block %d" ino.i_indirect
+    | Ok ind ->
+      for n = 0 to last do
+        let p = block_ptr ino ind n in
+        if p <> 0 then Hashtbl.replace reachable_blocks p ()
+      done
   in
   let rec walk inum =
     if not (Hashtbl.mem visited inum) then begin
@@ -1321,25 +1288,35 @@ let check t =
         if ino.i_kind <> 0 && ino.i_nlink <> refs then
           complain "inode %d: nlink=%d but %d references" inum ino.i_nlink refs)
     refcount;
-  (* Inode bitmap vs. reachability. *)
-  for inum = 1 to t.sb.ninodes do
-    match bit_test t ~start:t.sb.ibitmap_start inum with
-    | Error _ -> complain "unreadable inode bitmap for %d" inum
-    | Ok used ->
-      let reachable = Hashtbl.mem visited inum in
-      if used && not reachable then complain "inode %d allocated but unreachable" inum
-      else if (not used) && reachable then complain "inode %d reachable but free" inum
-  done;
-  (* Block bitmap vs. reachability (metadata blocks are always used,
-     and so is the journal region at the tail of the disk). *)
-  for blk = t.sb.data_start to t.sb.journal_start - 1 do
-    match bit_test t ~start:t.sb.bbitmap_start blk with
-    | Error _ -> complain "unreadable block bitmap for %d" blk
-    | Ok used ->
-      let reachable = Hashtbl.mem reachable_blocks blk in
-      if used && not reachable then complain "block %d allocated but unreferenced" blk
-      else if (not used) && reachable then complain "block %d referenced but free" blk
-  done;
+  (* Each bitmap, read once, against reachability: [used.(i)] is bit [i]. *)
+  let bitmap what clear limit =
+    match clear limit with
+    | Error _ ->
+      complain "unreadable %s bitmap" what;
+      None
+    | Ok clear ->
+      let used = Array.make limit true in
+      Array.iter (fun i -> used.(i) <- false) clear;
+      Some used
+  in
+  Option.iter
+    (fun used ->
+      for inum = 1 to t.sb.ninodes do
+        let reachable = Hashtbl.mem visited inum in
+        if used.(inum) && not reachable then complain "inode %d allocated but unreachable" inum
+        else if (not used.(inum)) && reachable then complain "inode %d reachable but free" inum
+      done)
+    (bitmap "inode" (free_inode_bits t) (t.sb.ninodes + 1));
+  (* Metadata blocks are always used, and so is the journal region at
+     the tail of the disk. *)
+  Option.iter
+    (fun used ->
+      for blk = t.sb.data_start to t.sb.journal_start - 1 do
+        let reachable = Hashtbl.mem reachable_blocks blk in
+        if used.(blk) && not reachable then complain "block %d allocated but unreferenced" blk
+        else if (not used.(blk)) && reachable then complain "block %d referenced but free" blk
+      done)
+    (bitmap "block" (free_block_bits t) t.sb.nblocks);
   match !problems with
   | [] -> Ok ()
   | ps -> Error (String.concat "; " (List.rev ps))

@@ -13,6 +13,17 @@
     (Ficus directories form a DAG — paper §2.5); by default all metadata
     writes are synchronous write-through.
 
+    A file maps 12 direct blocks and one single-indirect block of
+    pointers.  A read, a mapping and an unmapping each read the
+    indirect block at most once, and a trim writes it only when one of
+    its pointers goes.  Blocks and inodes are allocated
+    lowest-free-first, and an allocation or a free writes each bitmap
+    block it changes once.  Allocating sets the bitmap bits, then writes
+    the data, the indirect block and the inode; freeing writes the
+    pointers, then clears the bits.  So on a write-through disk a cut
+    call leaks blocks at worst and never leaves a live file on a free
+    block.
+
     Formatting with [~journal_blocks] reserves a write-ahead journal
     region at the tail of the disk and turns every mutating operation
     into a transaction: its block writes buffer in memory, group commit
@@ -87,6 +98,7 @@ val cache : t -> Block_cache.t
 val disk : t -> Disk.t
 
 val nfree_blocks : t -> int io
+(** The clear bits of the block bitmap. *)
 
 (** {1 Inode operations} *)
 
@@ -162,8 +174,9 @@ val crash_reboot : t -> unit io
     fresh {!mount} would.  Unjournaled: just the cold cache. *)
 
 val check : t -> (unit, string) result
-(** Cheap fsck: bitmap vs. reachable blocks/inodes, link counts.  Used by
-    property tests, {!val-crash_reboot} sweeps, and [Cluster.reboot]. *)
+(** Cheap fsck: bitmaps (each block read once) vs. reachable
+    blocks/inodes, link counts.  Used by property tests,
+    {!val-crash_reboot} sweeps, and [Cluster.reboot]. *)
 
 (** {1 Wire formats}
 

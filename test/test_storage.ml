@@ -366,6 +366,29 @@ let test_directory_append_writes_changed_blocks () =
   Alcotest.(check int) "151 entries" 151 (List.length (ok (Ufs.dir_entries fs d)));
   Alcotest.(check (result unit string)) "fsck clean" (Ok ()) (Ufs.check fs)
 
+(* The superblock, the zeroed bitmaps and inode table, one write per
+   bitmap block for the reservations, and the root inode: 3,084 writes
+   on a 16,384-block disk of 512-byte blocks with 12,288 inodes. *)
+let test_mkfs_writes_each_bitmap_block_once () =
+  let disk = Disk.create ~nblocks:16_384 ~block_size:512 () in
+  ignore (ok (Ufs.mkfs ~ninodes:12_288 ~now:(fun () -> 0) disk) : Ufs.t);
+  let n = Disk.writes disk in
+  if n > 3_100 then Alcotest.failf "mkfs made %d device writes (bound 3,100)" n
+
+(* 14 blocks of 1 KiB: two past the 12 direct ones.  A trim inside the
+   last block keeps every pointer, so the indirect block is not written:
+   the tail block's zeroing and the inode.  A trim that drops block 13
+   writes the indirect block, the inode and the bitmap. *)
+let test_trim_keeps_indirect_block () =
+  let disk, fs = fresh_ufs () in
+  let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "f") in
+  ok (Ufs.write fs f ~off:0 (String.make (14 * 1024) 'x'));
+  let n = writes_of disk (fun () -> ok (Ufs.truncate fs f ((13 * 1024) + 100))) in
+  Alcotest.(check int) "tail block and inode" 2 n;
+  let n = writes_of disk (fun () -> ok (Ufs.truncate fs f (13 * 1024))) in
+  Alcotest.(check int) "indirect block, inode and bitmap" 3 n;
+  Alcotest.(check (result unit string)) "fsck clean" (Ok ()) (Ufs.check fs)
+
 (* A sequence of replaces, 0 to 15 blocks of 512 bytes (past the 12
    direct blocks into the single-indirect one), made both by the
    in-place overwrite and by truncate-then-write: each step reads back
@@ -428,5 +451,7 @@ let suite =
     case "same-size replace costs two writes" test_same_size_replace_costs_two_writes;
     case "truncate to the size writes nothing" test_truncate_to_size_writes_nothing;
     case "directory append writes changed blocks" test_directory_append_writes_changed_blocks;
+    case "mkfs writes each bitmap block once" test_mkfs_writes_each_bitmap_block_once;
+    case "a trim that keeps every pointer keeps the indirect block" test_trim_keeps_indirect_block;
   ]
   @ List.map QCheck_alcotest.to_alcotest (disk_props @ [ cache_law; replace_law ])

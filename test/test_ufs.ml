@@ -404,6 +404,15 @@ let test_changed_block_under_cached_view () =
   Alcotest.(check int) "fresh mount agrees" inum (ok found);
   Alcotest.(check int) "block-cache accesses equal a fresh mount's" cold live
 
+(* A lookup in the 15-block directory reads its inode, its 15 data
+   blocks and the indirect block once: 17 block-cache accesses. *)
+let test_lookup_reads_indirect_block_once () =
+  let _, fs, d = big_dir_512 () in
+  let c = Ufs.cache fs in
+  Block_cache.reset_stats c;
+  ignore (ok (Ufs.dir_lookup fs d "entry-250") : Ufs.inum);
+  Alcotest.(check int) "block-cache accesses" 17 (Block_cache.hits c + Block_cache.misses c)
+
 (* ------------------------------------------------------------------ *)
 (* Every source of change moves the write epoch: after each one, the
    live file system's stat, whole-file read and lookup answers (warmed
@@ -793,10 +802,185 @@ let run_ufs_history (journaled, ops) =
   matches_fresh_mount ~ctx:"end" disk fs;
   true
 
+(* ------------------------------------------------------------------ *)
+(* The bitmaps against a per-bit model.  Six files on a 256-block disk
+   of 512-byte blocks grow, shrink and are recreated, some growths past
+   the free space and, journaled, some cut off by a failing device.  The
+   model predicts every block a call allocates (the lowest free bits, a
+   file's new indirect block just before the first block it maps) and
+   every block it frees; after each step the block bitmap on the media
+   must equal the model bit for bit, the free count must be the model's,
+   a recreated file must get the lowest free inode and fsck must be
+   clean. *)
+
+type alloc_op =
+  | A_grow of int * int  (** file, to this many blocks *)
+  | A_trunc of int * int  (** file, to this many bytes *)
+  | A_recreate of int  (** unlink the file and create it again, empty *)
+
+let print_alloc_op (op, fail) =
+  (match op with
+   | A_grow (f, n) -> Printf.sprintf "grow %d to %d blocks" f n
+   | A_trunc (f, n) -> Printf.sprintf "truncate %d to %d bytes" f n
+   | A_recreate f -> Printf.sprintf "recreate %d" f)
+  ^ match fail with Some k -> Printf.sprintf " (device fails after %d writes)" k | None -> ""
+
+let alloc_arb =
+  let open QCheck.Gen in
+  let file = int_bound 5 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun f n -> A_grow (f, n)) file (frequency [ (3, int_range 1 30); (1, int_range 31 90) ]));
+        (3, map2 (fun f n -> A_trunc (f, n)) file (int_bound (30 * 512)));
+        (1, map (fun f -> A_recreate f) file);
+      ]
+  in
+  let step = pair op (frequency [ (5, return None); (1, map Option.some (int_bound 12)) ]) in
+  QCheck.make
+    ~shrink:QCheck.Shrink.(pair nil list)
+    ~print:(fun (journaled, steps) ->
+      Printf.sprintf "%s: %s"
+        (if journaled then "journaled" else "unjournaled")
+        (String.concat "; " (List.map print_alloc_op steps)))
+    (pair bool (list_size (int_range 1 30) step))
+
+(* A file as the model sees it: no holes, so its blocks are its data
+   blocks in file order and an indirect block iff it has more than 12. *)
+type model_file = { mutable inum : int; mutable size : int; mutable data : int list; mutable ind : int }
+
+let media_bits disk ~start ~limit =
+  let bpb = 512 * 8 in
+  let blocks = Array.init ((limit + bpb - 1) / bpb) (fun i -> ok (Disk.read disk (start + i))) in
+  Array.init limit (fun i -> Codec.get_u8 blocks.(i / bpb) (i mod bpb / 8) land (1 lsl (i mod 8)) <> 0)
+
+let run_alloc_law (journaled, steps) =
+  let bs = 512 in
+  let disk = Disk.create ~nblocks:256 ~block_size:bs () in
+  let fs =
+    ok ~msg:"mkfs"
+      (Ufs.mkfs ~cache_capacity:16 ~ninodes:16 ~journal_blocks:(if journaled then 64 else 0)
+         ~now:(fun () -> 0) disk)
+  in
+  let root = Ufs.root fs in
+  let name i = Printf.sprintf "f%d" i in
+  let files =
+    Array.init 6 (fun i -> { inum = ok (Ufs.create fs ~dir:root (name i)); size = 0; data = []; ind = 0 })
+  in
+  ok (Ufs.sync fs);
+  let sb = ok (Disk.read disk 0) in
+  let bits () = media_bits disk ~start:(Codec.get_u32 sb 20) ~limit:256 in
+  let ibits () = media_bits disk ~start:(Codec.get_u32 sb 12) ~limit:17 in
+  let used = bits () and iused = ibits () in
+  let lowest_free n =
+    let rec go i acc k =
+      if k = 0 || i >= Array.length used then List.rev acc
+      else if used.(i) then go (i + 1) acc k
+      else go (i + 1) (i :: acc) (k - 1)
+    in
+    go 0 [] n
+  in
+  let set_used v = List.iter (fun b -> used.(b) <- v) in
+  let blocks_of size = (size + bs - 1) / bs in
+  List.iteri
+    (fun step (op, fail) ->
+      let ctx = Printf.sprintf "step %d (%s)" step (print_alloc_op (op, fail)) in
+      (* Unjournaled, a cut-off call leaves its prefix on the media by
+         design; journaled, only the calls that change one file's size
+         are cut off, so the size tells whether the call took effect. *)
+      let fail = match op with A_recreate _ -> None | _ -> if journaled then fail else None in
+      Option.iter (Disk.fail_writes_after disk) fail;
+      (* The call, the size it sets and what the model does if it takes
+         effect: a failed flush leaves a journaled call staged. *)
+      let f, r, size, apply =
+        match op with
+        | A_grow (i, n) ->
+          let f = files.(i) in
+          let have = blocks_of f.size in
+          if n <= have then (f, Ok (), f.size, ignore)
+          else
+            let need = n - have + if n > 12 && have <= 12 then 1 else 0 in
+            let r = Ufs.write fs f.inum ~off:f.size (String.make ((n * bs) - f.size) 'x') in
+            if fail = None && List.length (lowest_free need) < need <> (r = Error Errno.ENOSPC) then
+              QCheck.Test.fail_reportf "%s: %d blocks needed, %d free, the call returned %s" ctx need
+                (List.length (lowest_free need))
+                (match r with Ok () -> "Ok" | Error e -> Errno.to_string e);
+            ( f, r, n * bs,
+              fun () ->
+                let picks = ref (lowest_free need) in
+                let take () =
+                  let b = List.hd !picks in
+                  picks := List.tl !picks;
+                  used.(b) <- true;
+                  b
+                in
+                f.data <-
+                  f.data
+                  @ List.init (n - have) (fun k ->
+                        if have + k >= 12 && f.ind = 0 then f.ind <- take ();
+                        take ()) )
+        | A_trunc (i, len) ->
+          let f = files.(i) in
+          if len >= f.size then (f, Ok (), f.size, ignore)
+          else
+            ( f, Ufs.truncate fs f.inum len, len,
+              fun () ->
+                let keep = blocks_of len in
+                set_used false (List.filteri (fun k _ -> k >= keep) f.data);
+                f.data <- List.filteri (fun k _ -> k < keep) f.data;
+                if keep <= 12 && f.ind <> 0 then begin
+                  used.(f.ind) <- false;
+                  f.ind <- 0
+                end )
+        | A_recreate i ->
+          let f = files.(i) in
+          let r = Ufs.unlink fs ~dir:root (name i) in
+          let r =
+            Result.bind r (fun () ->
+                let inum = ok (Ufs.create fs ~dir:root (name i)) in
+                iused.(f.inum) <- false;
+                let lowest = Option.get (Array.find_index not iused) in
+                if inum <> lowest then
+                  QCheck.Test.fail_reportf "%s: new inode %d, lowest free %d" ctx inum lowest;
+                iused.(inum) <- true;
+                f.inum <- inum;
+                Ok ())
+          in
+          ( f, r, 0,
+            fun () ->
+              set_used false (if f.ind = 0 then f.data else f.ind :: f.data);
+              f.data <- [];
+              f.ind <- 0 )
+      in
+      Disk.clear_failures disk;
+      let now = (ok ~msg:ctx (Ufs.stat fs f.inum)).Ufs.size in
+      if now = size then begin
+        apply ();
+        f.size <- size
+      end
+      else if r = Ok () || now <> f.size then
+        QCheck.Test.fail_reportf "%s: size %d, expected %d (or %d if it failed)" ctx now size f.size;
+      ok ~msg:ctx (Ufs.sync fs);
+      if bits () <> used then
+        QCheck.Test.fail_reportf "%s: the block bitmap is not the model's" ctx;
+      if ibits () <> iused then
+        QCheck.Test.fail_reportf "%s: the inode bitmap is not the model's" ctx;
+      let free = Array.fold_left (fun n u -> if u then n else n + 1) 0 used in
+      if ok ~msg:ctx (Ufs.nfree_blocks fs) <> free then
+        QCheck.Test.fail_reportf "%s: %d free blocks, the model has %d" ctx
+          (ok (Ufs.nfree_blocks fs)) free;
+      match Ufs.check fs with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "%s: fsck: %s" ctx m)
+    steps;
+  true
+
 let ufs_props =
   [
     QCheck.Test.make ~name:"directory views survive crashes, aborts and write failures"
       ~count:200 ufs_history_arb run_ufs_history;
+    QCheck.Test.make ~name:"the bitmaps follow a per-bit model: free count, fsck, lowest first"
+      ~count:200 alloc_arb run_alloc_law;
   ]
 
 let suite =
@@ -826,6 +1010,7 @@ let suite =
     case "cached lookup allocates less than a block" test_cached_lookup_allocation;
     case "changed block under a cached view" test_changed_block_under_cached_view;
     case "cached reads replay their block accesses" test_cached_reads_replay_accesses;
+    case "a lookup reads the indirect block once" test_lookup_reads_indirect_block_once;
     case "write epoch: aborted transaction" test_epoch_aborted_txn;
     case "write epoch: failed device write" test_epoch_failed_device_write;
     case "write epoch: direct writes under the cache" test_epoch_direct_writes;
