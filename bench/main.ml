@@ -166,12 +166,38 @@ let micro_journal_tests () =
   ]
 
 (* Formatting a replica disk of the benchmark's [zipf_replay] workload:
-   16,384 blocks of 512 bytes, 12,288 inodes. *)
+   16,384 blocks of 512 bytes, 12,288 inodes; and a one-entry change to
+   a 1,024-entry DIR file (about 50 KiB at 1 KiB blocks) through
+   [Vnode.overwrite], alternating between the two versions, so each run
+   writes the changed block and the inode. *)
 let micro_ufs_tests () =
   let disk = Disk.create ~nblocks:16_384 ~block_size:512 () in
+  let dir renamed =
+    let rec fill d i =
+      if i > 1024 then d
+      else
+        let name = if i = renamed then Printf.sprintf "entry-X%05d" i else Printf.sprintf "entry-%06d" i in
+        fill
+          (get
+             (Fdir.add d ~rid:1 ~name ~fid:{ Ids.issuer = 1; uniq = i } ~kind:Aux_attrs.Freg
+                ~birth:{ Fdir.b_rid = 1; b_seq = i }))
+          (i + 1)
+    in
+    Fdir.encode (fill (Fdir.empty 1) 1)
+  in
+  let versions = [| dir 0; dir 512 |] in
+  let t = ref 0 in
+  let fs = get (Ufs.mkfs ~now:(fun () -> incr t; !t) (Disk.create ~nblocks:4096 ~block_size:1024 ())) in
+  let file = get ((Ufs_vnode.root fs).Vnode.create "DIR") in
+  get (Vnode.overwrite file versions.(0));
+  let turn = ref 0 in
   [
     Test.make ~name:"ufs/mkfs-16k"
       (Staged.stage (fun () -> ignore (get (Ufs.mkfs ~ninodes:12_288 ~now:(fun () -> 0) disk))));
+    Test.make ~name:"ufs/dir-overwrite-1k"
+      (Staged.stage (fun () ->
+           turn := 1 - !turn;
+           get (Vnode.overwrite file versions.(!turn))));
   ]
 
 let run_micro () =

@@ -791,7 +791,8 @@ let run_daemons t =
   let t2 = now_us () in
   (* The journal flush daemon runs off the same cron as propagation and
      reconciliation: age out any staged group commit.  (No-op on
-     unjournaled hosts; an EIO here surfaces on the next operation.) *)
+     unjournaled hosts.  A flush that fails here keeps the commits
+     staged for the next tick or flush; [Ufs.sync] reports it.) *)
   let journal_acts = ref 0 in
   Array.iter
     (fun h ->

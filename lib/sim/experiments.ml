@@ -2530,39 +2530,61 @@ let merge_repair () =
    suite holds each verdict's metrics to exactly these keys. *)
 let registry =
   [
+    (* §6: a layer crossing costs one call; cost grows slowly with depth *)
     ("e1", e1_layer_crossing, []);
+    (* §6: a cold open costs exactly 4 disk I/Os beyond plain UFS *)
     ("e2", e2_cold_open, []);
+    (* §6: a warm open costs no I/O beyond plain UFS *)
     ("e3", e3_warm_open, []);
+    (* §1/§3.1: one-copy availability beats primary copy and voting *)
     ("e4", e4_availability, []);
+    (* §3.2: notified updates reach every replica; delay collapses bursts *)
     ("e5", e5_propagation, []);
+    (* §3.3: directories reconcile; file conflicts are reported, none lost *)
     ("e6", e6_reconciliation, []);
+    (* §1: conflicting updates are rare under realistic locality *)
     ("e7", e7_conflict_rarity, []);
+    (* §3.2 fn.5: a shadow commit rewrites the file, cost grows with size *)
     ("e8", e8_shadow_commit, []);
+    (* §2.3 fn.2: open/close ride encoded lookups through NFS *)
     ("e9", e9_open_close_encoding, []);
+    (* §4: volumes graft on demand, prune when idle, re-graft *)
     ("e10", e10_autograft, []);
+    (* Figure 2: the same client code runs with a local or remote physical layer *)
     ("f2", f2_layer_placement, []);
+    (* ablation: reconciliation topology, ring vs all-pairs vs star *)
     ("a1", a1_reconciliation_topology, []);
+    (* ablation: two-phase tombstone GC needs every peer to gossip *)
     ("a2", a2_tombstone_gc, []);
+    (* ablation: replica selection policy's RPC cost per read *)
     ("a3", a3_selection_policy, []);
+    (* §6 at workload scale: one trace on UFS and Ficus, I/O within a small factor *)
     ("a4", a4_trace_overhead, []);
+    (* ablation: the journal makes fewer device writes than write-through *)
     ("a5", a5_journal_io, []);
+    (* §1/§3.3 under injected faults: replicas converge, disks fsck clean *)
     ("chaos", chaos_convergence, []);
+    (* a crash at every device write recovers a committed-op prefix *)
     ("wal", wal_crash_sweep, []);
+    (* every update's span yields a full propagation timeline; partitioned lag is higher *)
     ( "obslag",
       obslag_propagation_lag,
       [ ( "metrics",
           [ "spans"; "lag_p50"; "lag_p95"; "lag_p99"; "per_replica"; "journal_flushes";
             "journal_txns" ] ) ] );
+    (* incremental reconciliation prunes a quiescent volume in one RPC *)
     ( "reconscale",
       reconscale_incremental_recon,
       [ ( "reconciliation",
           [ "recon.full_rpcs"; "recon.rpcs"; "recon.pruned_subtrees"; "recon.children_answered" ] )
       ] );
+    (* epidemic membership converges in O(log n) rounds; dead hosts cost fewer RPCs *)
     ( "member",
       member_gossip,
       [ ( "membership",
           [ "gossip.rounds_to_converge"; "gossip.suspect_events"; "prop.rpcs_skipped_dead";
             "membership.eager_pushes"; "net.rpc.failed_seed"; "net.rpc.failed_gossip" ] ) ] );
+    (* a raft control plane refuses minority edits and re-agrees faster than gossip *)
     ( "consensus",
       consensus_control,
       [ ( "consensus",
@@ -2570,17 +2592,20 @@ let registry =
             "rounds_to_agreement"; "rounds_to_agreement_gossip"; "raft.leader_changes";
             "control.unavailable_ticks"; "control.ops"; "control.failed_ops";
             "data_available" ] ) ] );
+    (* the watchdog flags a stuck replica and stays silent when quiescent *)
     ( "health",
       health_watchdog,
       [ ( "health",
           [ "health.divergence_ticks_max"; "health.staleness_p99"; "health.events_degraded";
             "health.events_stuck"; "health.quiescent_events"; "health.stuck_span";
             "profile.top_daemon"; "profile.top_activations" ] ) ] );
+    (* chunked propagation ships a small edit with >= 20x fewer bytes *)
     ( "delta",
       delta_propagation,
       [ ( "delta",
           [ "file_size"; "prop.bytes_whole"; "prop.bytes"; "prop.bytes_saved";
             "prop.chunks_hit"; "prop.chunks_miss"; "delta.ratio"; "digests_equal" ] ) ] );
+    (* the CRDT merge repairs cross-rename cycles the OR-set merge only reports *)
     ( "merge",
       merge_repair,
       [ ( "merge",
@@ -2588,6 +2613,7 @@ let registry =
             "crdt.cycles_broken"; "crdt.orphans"; "crdt.losers_demoted";
             "merge.payload_kept"; "legacy.converged"; "legacy.digest_equal";
             "legacy.payload_kept"; "legacy.conflicts" ] ) ] );
+    (* SCALE: throughput, determinism and indexed ticks at 1M ops *)
     ( "scale",
       scale_trace,
       [ ( "scale",

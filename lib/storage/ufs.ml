@@ -47,13 +47,14 @@ type superblock = {
   journal_blocks : int;  (* 0 = unjournaled *)
 }
 
-(* A directory as last parsed: the data bytes it was parsed from, its
-   entries in on-disk order, and a name index built on first lookup.  A
-   pure function of [bytes]; [checked] is the write epoch (see [epoch])
-   at which [bytes] last equalled the directory's data. *)
-type dir_view = {
+(* A file or directory as last read or stored: its data bytes and, for a
+   directory, their entries in on-disk order and a name index, each
+   built when first needed.  A pure function of [bytes]; [checked] is
+   the write epoch (see [epoch]) at which [bytes] last equalled the
+   inode's data. *)
+type view = {
   bytes : string;
-  entries : (string * inum * kind) list;
+  entries : (string * inum * kind) list Lazy.t;
   names : (string, inum) Hashtbl.t Lazy.t;  (* first entry of each name *)
   mutable checked : int;
 }
@@ -83,25 +84,23 @@ type t = {
      reboot's included) it makes the write epoch ([epoch]): while the
      epoch stands, every block reads back as it did. *)
   mutable writes : int;
-  (* Decoded inodes and whole-file reads, valid for the epoch [cached_at]
-     and dropped as soon as it moves.  A hit still makes every block
-     access the uncached read makes, so the buffer cache, the journal
-     and the device see exactly the same traffic; only the decoding and
-     copying go.  The files' bytes are capped at what the buffer cache
-     itself can hold.  An inode is kept as its read's result, so a hit
-     allocates nothing. *)
+  (* Decoded inodes, valid for the epoch [cached_at] and dropped as soon
+     as it moves.  A hit still reads the inode block, so the buffer
+     cache, the journal and the device see exactly the same traffic;
+     only the decoding goes.  An inode is kept as its read's result, so
+     a hit allocates nothing. *)
   mutable cached_at : int;
   inos : (inum, (ino, Errno.t) result) Hashtbl.t;
-  files : (inum, string) Hashtbl.t;
-  mutable file_bytes : int;
-  file_budget : int;
-  (* Parsed directories by inode.  A view checked in the current epoch
-     is reused after replaying its block reads; otherwise every data
-     block read is compared in place with the view's bytes and the view
-     is reused only when all of them are equal, so it can never be stale
-     — not after a crash, a journal abort or a failed write — and
-     nothing here changes which blocks are read or written. *)
-  dirs : (inum, dir_view) Hashtbl.t;
+  (* One view per inode ([load_view]), for whole-file reads and
+     directories alike.  A view checked in the current epoch is reused
+     after replaying its block reads; otherwise every data block read is
+     compared in place with the view's bytes and the view is reused only
+     when all of them are equal, so it can never be stale — not after a
+     crash, a journal abort or a failed write — and nothing here changes
+     which blocks are read.  Each view is charged the blocks it spans, at
+     least one; [view_blocks] is their sum (see [remember]). *)
+  views : (inum, view) Hashtbl.t;
+  mutable view_blocks : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -179,12 +178,10 @@ let with_txn t f =
     Journal.begin_txn j;
     (match f () with
      | Ok _ as r ->
-       (match Journal.commit_txn j with
-        | Ok () -> r
-        | Error _ as e ->
-          (* The flush failed on the device; the staged writes stay in
-             memory for a later retry, but this caller sees the error. *)
-          e)
+       (* Staged: the call has taken effect.  A group-commit flush that
+          fails on the device keeps the staged writes for the next flush,
+          and [sync] reports it, as fsync reports a writeback error. *)
+       (match Journal.commit_txn j with Ok () | Error _ -> r)
      | Error _ as e ->
        t.writes <- t.writes + 1;
        Journal.abort_txn j;
@@ -194,14 +191,12 @@ let with_txn t f =
    neither moved. *)
 let epoch t = t.writes + Block_cache.version t.cache
 
-(* Drop the decoded inodes and whole-file reads once the epoch moves. *)
+(* Drop the decoded inodes once the epoch moves. *)
 let sync_epoch t =
   let now = epoch t in
   if t.cached_at <> now then begin
     t.cached_at <- now;
-    Hashtbl.reset t.inos;
-    Hashtbl.reset t.files;
-    t.file_bytes <- 0
+    Hashtbl.reset t.inos
   end
 
 (* ------------------------------------------------------------------ *)
@@ -398,8 +393,7 @@ let make_journal ~cache ~sb ~bs ~flush_blocks ~flush_age ~now =
 let make cache sb ~now journal =
   let bs = Disk.block_size (Block_cache.disk cache) in
   { cache; sb; bs; now; journal; writes = 0; cached_at = 0; inos = Hashtbl.create 64;
-    files = Hashtbl.create 16; file_bytes = 0; file_budget = Block_cache.capacity cache * bs;
-    dirs = Hashtbl.create 64 }
+    views = Hashtbl.create 64; view_blocks = 0 }
 
 let mkfs ?cache_capacity ?ninodes ?(inode_size = default_inode_size)
     ?(journal_blocks = 0) ?journal_flush_blocks ?journal_flush_age ~now disk =
@@ -652,7 +646,7 @@ let unmap_from t ino ~keep =
 let free_blocks t blocks = set_bits t ~start:t.sb.bbitmap_start blocks false
 
 (* ------------------------------------------------------------------ *)
-(* File read / write / truncate                                        *)
+(* Block walks                                                         *)
 
 (* A file block's bytes: the cached block itself, shared, or a fresh
    zero block for a hole. *)
@@ -693,89 +687,8 @@ let iter_blocks t ino ~off ~len f = iter_blocks_from t ino ~off ~len f Bytes.emp
 (* A replay: the block accesses of a read whose bytes are already known. *)
 let ignore_block _ _ _ _ = ()
 
-let read_at t ino ~off ~len =
-  if off < 0 || len < 0 then Error Errno.EINVAL
-  else
-    let len = min len (max 0 (ino.i_size - off)) in
-    if len = 0 then Ok ""
-    else begin
-      let out = Bytes.create len in
-      let* () =
-        iter_blocks t ino ~off ~len (fun pos blk boff chunk -> Bytes.blit blk boff out pos chunk)
-      in
-      (* [out] is private to this call. *)
-      Ok (Bytes.unsafe_to_string out)
-    end
-
-(* Maps the whole range first ([map_blocks]: bitmap bits set), then
-   writes the data blocks in file order, the indirect block and the
-   inode last.  A journaled call is one transaction. *)
-let write_at t inum ino ~off data =
-  if off < 0 then Error Errno.EINVAL
-  else begin
-    let len = String.length data in
-    let first = off / t.bs in
-    let nblocks = if len = 0 then 0 else ((off + len - 1) / t.bs) - first + 1 in
-    let* m = map_blocks t ino (Array.init nblocks (fun i -> first + i)) in
-    let rec store i =
-      if i >= nblocks then Ok ()
-      else
-        let fpos = max off ((first + i) * t.bs) in
-        let pos = fpos - off in
-        let boff = fpos mod t.bs in
-        let chunk = min (t.bs - boff) (len - pos) in
-        let* buf =
-          if chunk = t.bs || m.fresh.(i) then Ok (Bytes.make t.bs '\000')
-          else bread_copy t m.phys.(i)
-        in
-        Bytes.blit_string data pos buf boff chunk;
-        let* () = bwrite t m.phys.(i) buf in
-        store (i + 1)
-    in
-    let* () = store 0 in
-    let* () = write_indirect t m in
-    write_ino t inum { m.ino with i_size = max ino.i_size (off + len); i_mtime = t.now () }
-  end
-
-(* To the current size it changes nothing, not even mtime, as POSIX
-   [ftruncate] does: an overwrite that keeps a file's length then costs
-   only its data writes and one inode write. *)
-let truncate_ino t inum ino len =
-  if len < 0 then Error Errno.EINVAL
-  else if len = ino.i_size then Ok ()
-  else if len > ino.i_size then
-    (* Extension: the gap reads back as zeros (sparse or zero-padded). *)
-    write_ino t inum { ino with i_size = len; i_mtime = t.now () }
-  else begin
-    let keep = (len + t.bs - 1) / t.bs in
-    let* ino, freed = unmap_from t ino ~keep in
-    (* Zero the tail of the last kept block so later extension cannot
-       resurrect stale bytes. *)
-    let* () =
-      if len mod t.bs = 0 then Ok ()
-      else
-        let n = len / t.bs in
-        let* ind = indirect_block t ino ~last:n in
-        let phys = block_ptr ino ind n in
-        if phys = 0 then Ok ()
-        else
-          let* b = bread_copy t phys in
-          Bytes.fill b (len mod t.bs) (t.bs - (len mod t.bs)) '\000';
-          bwrite t phys b
-    in
-    let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
-    free_blocks t freed
-  end
-
-let free_inode t inum ino =
-  let* _, freed = unmap_from t ino ~keep:0 in
-  (* Keep the generation in the dead slot so reallocation bumps it. *)
-  let* () = write_ino t inum { empty_ino with i_gen = ino.i_gen } in
-  let* () = free_blocks t freed in
-  set_bits t ~start:t.sb.ibitmap_start [| inum |] false
-
 (* ------------------------------------------------------------------ *)
-(* Directories                                                         *)
+(* Views                                                               *)
 
 (* Directory data is a packed entry list:
    u32 inum, u8 kind, u8 namelen, name bytes. *)
@@ -811,6 +724,279 @@ let parse_dir data =
   in
   go 0 []
 
+(* A view of [bytes], which the inode holds in the current epoch; its
+   name index is [names] when the caller has it, else built on first
+   lookup. *)
+let make_view ?names t bytes entries =
+  let names =
+    match names with
+    | Some tbl -> Lazy.from_val tbl
+    | None ->
+      lazy
+        (let entries = Lazy.force entries in
+         let tbl = Hashtbl.create (List.length entries) in
+         List.iter
+           (fun (n, inum, _) -> if not (Hashtbl.mem tbl n) then Hashtbl.replace tbl n inum)
+           entries;
+         tbl)
+  in
+  { bytes; entries; names; checked = epoch t }
+
+let view_cost t view = max 1 ((String.length view.bytes + t.bs - 1) / t.bs)
+
+(* The views hold at most twice the blocks the buffer cache holds: a
+   working set of files and one of the directories naming them, each as
+   large as the cache (at the default capacity, 512 views of a block
+   or less).  A full reset when the next view would not fit only costs
+   copying the views in use again; a view larger than the bound is not
+   kept. *)
+let remember t inum view =
+  let budget = 2 * Block_cache.capacity t.cache in
+  (match Hashtbl.find_opt t.views inum with
+   | Some old ->
+     Hashtbl.remove t.views inum;
+     t.view_blocks <- t.view_blocks - view_cost t old
+   | None -> ());
+  let cost = view_cost t view in
+  if cost <= budget then begin
+    if t.view_blocks + cost > budget then begin
+      Hashtbl.reset t.views;
+      t.view_blocks <- 0
+    end;
+    Hashtbl.replace t.views inum view;
+    t.view_blocks <- t.view_blocks + cost
+  end
+
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Top-level loops: local ones would be closures allocated per call. *)
+let rec equal_tail s pos b boff n i =
+  i >= n
+  || (String.unsafe_get s (pos + i) = Bytes.unsafe_get b (boff + i) && equal_tail s pos b boff n (i + 1))
+
+let rec equal_words s pos b boff n i =
+  if i + 8 > n then equal_tail s pos b boff n i
+  else
+    (string_get64u s (pos + i) : int64) = bytes_get64u b (boff + i)
+    && equal_words s pos b boff n (i + 8)
+
+(* [s.[pos, pos+n)] equals [b.[boff, boff+n)], compared a word at a time
+   without allocating.  The range check up front is what makes the
+   unchecked loads safe. *)
+let equal_sub s pos b boff n =
+  n >= 0 && pos >= 0 && pos + n <= String.length s && boff >= 0 && boff + n <= Bytes.length b
+  && equal_words s pos b boff n 0
+
+(* [load_view]'s progress past a view not checked in this epoch: still
+   equal to the cached view, or copying. *)
+type reading = Same of view | Copy of bytes
+
+(* [inum]'s view, its data read exactly as [read_at] reads it.  A view
+   checked in this epoch is the answer as it stands: its walk only
+   replays the block accesses, and allocates nothing per block or per
+   walk.  Otherwise each block is checked against the cached view in
+   place, and only at the first block that differs does it copy: the
+   equal prefix from the view, then that block and every later one, so
+   a miss reads the same blocks as a hit. *)
+let load_view t inum ino =
+  let len = ino.i_size in
+  match Hashtbl.find_opt t.views inum with
+  | Some view when view.checked = epoch t ->
+    (match iter_blocks t ino ~off:0 ~len ignore_block with
+     | Error e -> Error e
+     | Ok () -> Ok view)
+  | cached ->
+    let state =
+      ref
+        (match cached with
+         | Some view when String.length view.bytes = len -> Same view
+         | Some _ | None -> Copy (Bytes.create len))
+    in
+    let* () =
+      iter_blocks t ino ~off:0 ~len (fun pos blk boff chunk ->
+          (match !state with
+           | Same view when not (equal_sub view.bytes pos blk boff chunk) ->
+             let out = Bytes.create len in
+             Bytes.blit_string view.bytes 0 out 0 pos;
+             state := Copy out
+           | Same _ | Copy _ -> ());
+          match !state with
+          | Copy out -> Bytes.blit blk boff out pos chunk
+          | Same _ -> ())
+    in
+    (match !state with
+     | Same view ->
+       view.checked <- epoch t;
+       Ok view
+     | Copy out ->
+       let data = Bytes.unsafe_to_string out in
+       let view = make_view t data (lazy (parse_dir data)) in
+       remember t inum view;
+       Ok view)
+
+(* What [inum] holds now, as far as it is known without a read: its
+   view's bytes when checked in this epoch, else nothing. *)
+let known_bytes t inum =
+  match Hashtbl.find_opt t.views inum with
+  | Some view when view.checked = epoch t -> view.bytes
+  | Some _ | None -> ""
+
+(* ------------------------------------------------------------------ *)
+(* File read / write / truncate                                        *)
+
+let read_at t ino ~off ~len =
+  if off < 0 || len < 0 then Error Errno.EINVAL
+  else
+    let len = min len (max 0 (ino.i_size - off)) in
+    if len = 0 then Ok ""
+    else begin
+      let out = Bytes.create len in
+      let* () =
+        iter_blocks t ino ~off ~len (fun pos blk boff chunk -> Bytes.blit blk boff out pos chunk)
+      in
+      (* [out] is private to this call. *)
+      Ok (Bytes.unsafe_to_string out)
+    end
+
+(* [b.[off, off+n)] is all zeros. *)
+let rec zero_sub b off n = n <= 0 || (Bytes.get b off = '\000' && zero_sub b (off + 1) (n - 1))
+
+(* Before an extension to [upto] makes them part of the file, drop the
+   blocks mapped past the end of [ino] and zero the bytes past the end
+   in its last block.  There are none unless an unjournaled write cut
+   off before its inode write left them (through its indirect block, or
+   in the last block), so this reads, and writes only then.  Returns the
+   inode without those pointers and the blocks to free once it is
+   written. *)
+let clear_past_end t ino ~upto =
+  let size = ino.i_size in
+  if upto <= size then Ok (ino, [||])
+  else
+    let* ino, freed = unmap_from t ino ~keep:((size + t.bs - 1) / t.bs) in
+    let boff = size mod t.bs in
+    let n = min (upto - size) (t.bs - boff) in
+    let* () =
+      if boff = 0 then Ok ()
+      else
+        let* ind = indirect_block t ino ~last:(size / t.bs) in
+        let phys = block_ptr ino ind (size / t.bs) in
+        if phys = 0 then Ok ()
+        else
+          let* b = bread t phys in
+          if zero_sub b boff n then Ok ()
+          else begin
+            let b = Bytes.copy b in
+            Bytes.fill b boff n '\000';
+            bwrite t phys b
+          end
+    in
+    Ok (ino, freed)
+
+(* The one data writer: the bytes [off, off+len) of [inum], [data] then
+   zeros.  Maps the whole range first ([map_blocks]: bitmap bits set),
+   then writes, in file order, every block whose bytes change, then the
+   indirect block, and returns the mapping: the caller writes the inode
+   last.  Each mapped block is compared in place with what it holds
+   now — the view when checked in this epoch, else the block as read —
+   and a block that already holds its new bytes is not written.  That
+   is safe because the write-through cache mirrors the device (a failed
+   write leaves the old bytes cached) and, journaled, reads see the
+   staged state, which group commit makes durable in order. *)
+let write_blocks t inum ino ~off ~len data =
+  let first = off / t.bs in
+  let nblocks = if len = 0 then 0 else ((off + len - 1) / t.bs) - first + 1 in
+  (* Taken before [map_blocks], whose bitmap writes move the epoch but
+     not the file's mapped blocks. *)
+  let known = known_bytes t inum in
+  let* m = map_blocks t ino (Array.init nblocks (fun i -> first + i)) in
+  let rec store i =
+    if i >= nblocks then Ok ()
+    else
+      let fpos = max off ((first + i) * t.bs) in
+      let pos = fpos - off in
+      let boff = fpos mod t.bs in
+      let chunk = min (t.bs - boff) (len - pos) in
+      let d = max 0 (min chunk (String.length data - pos)) in
+      (* [b] holds the chunk's new bytes from [at]: [d] of [data], then zeros. *)
+      let holds b at = equal_sub data pos b at d && zero_sub b (at + d) (chunk - d) in
+      (* The block's new bytes on [base]: its old bytes for a partial chunk,
+         else zeros. *)
+      let fill base =
+        let buf =
+          match base with Some b when chunk < t.bs -> Bytes.copy b | Some _ | None -> Bytes.make t.bs '\000'
+        in
+        Bytes.blit_string data pos buf boff d;
+        Bytes.fill buf (boff + d) (chunk - d) '\000';
+        bwrite t m.phys.(i) buf
+      in
+      let covered = fpos + chunk <= String.length known in
+      let* () =
+        if m.fresh.(i) then fill None
+        else if covered && holds (Bytes.unsafe_of_string known) fpos then Ok ()
+        else if covered && chunk = t.bs then fill None
+        else
+          let* blk = bread t m.phys.(i) in
+          if holds blk boff then Ok () else fill (Some blk)
+      in
+      store (i + 1)
+  in
+  let* () = store 0 in
+  let* () = write_indirect t m in
+  Ok m
+
+(* A journaled call is one transaction. *)
+let write_at t inum ino ~off data =
+  if off < 0 then Error Errno.EINVAL
+  else
+    let len = String.length data in
+    let* ino, freed = clear_past_end t ino ~upto:off in
+    let* m = write_blocks t inum ino ~off ~len data in
+    let* () = write_ino t inum { m.ino with i_size = max ino.i_size (off + len); i_mtime = t.now () } in
+    free_blocks t freed
+
+(* To the current size it changes nothing, not even mtime, as POSIX
+   [ftruncate] does: an overwrite that keeps a file's length then costs
+   only its data writes and one inode write. *)
+let truncate_ino t inum ino len =
+  if len < 0 then Error Errno.EINVAL
+  else if len = ino.i_size then Ok ()
+  else if len > ino.i_size then
+    (* Extension: the gap reads back as zeros (sparse or zero-padded). *)
+    let* ino, freed = clear_past_end t ino ~upto:len in
+    let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
+    free_blocks t freed
+  else begin
+    let keep = (len + t.bs - 1) / t.bs in
+    let* ino, freed = unmap_from t ino ~keep in
+    (* Zero the tail of the last kept block so later extension cannot
+       resurrect stale bytes. *)
+    let* () =
+      if len mod t.bs = 0 then Ok ()
+      else
+        let n = len / t.bs in
+        let* ind = indirect_block t ino ~last:n in
+        let phys = block_ptr ino ind n in
+        if phys = 0 then Ok ()
+        else
+          let* b = bread_copy t phys in
+          Bytes.fill b (len mod t.bs) (t.bs - (len mod t.bs)) '\000';
+          bwrite t phys b
+    in
+    let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
+    free_blocks t freed
+  end
+
+let free_inode t inum ino =
+  let* _, freed = unmap_from t ino ~keep:0 in
+  (* Keep the generation in the dead slot so reallocation bumps it. *)
+  let* () = write_ino t inum { empty_ino with i_gen = ino.i_gen } in
+  let* () = free_blocks t freed in
+  set_bits t ~start:t.sb.ibitmap_start [| inum |] false
+
+(* ------------------------------------------------------------------ *)
+(* Directories                                                         *)
+
 let serialize_dir entries =
   let size = List.fold_left (fun n (name, _, _) -> n + 6 + String.length name) 6 entries in
   let b = Bytes.make size '\000' in
@@ -830,150 +1016,45 @@ let valid_name name =
   let len = String.length name in
   len > 0 && len <= max_name && not (String.contains name '/')
 
-(* A view of [bytes], which the directory holds in the current epoch;
-   its name index is [names] when the caller has it, else built on
-   first lookup. *)
-let dir_view ?names t bytes entries =
-  let names =
-    match names with
-    | Some tbl -> Lazy.from_val tbl
-    | None ->
-      lazy
-        (let tbl = Hashtbl.create (List.length entries) in
-         List.iter
-           (fun (n, inum, _) -> if not (Hashtbl.mem tbl n) then Hashtbl.replace tbl n inum)
-           entries;
-         tbl)
-  in
-  { bytes; entries; names; checked = epoch t }
-
-(* Bounded: a full reset on overflow only costs re-parsing the
-   directories in use. *)
-let dirs_cap = 512
-
-let remember_dir t inum view =
-  if Hashtbl.length t.dirs >= dirs_cap && not (Hashtbl.mem t.dirs inum) then Hashtbl.reset t.dirs;
-  Hashtbl.replace t.dirs inum view
-
-external string_get64u : string -> int -> int64 = "%caml_string_get64u"
-external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
-
-(* [s.[pos, pos+n)] equals [b.[boff, boff+n)], compared a word at a time
-   without allocating.  The range check up front is what makes the
-   unchecked loads safe. *)
-let equal_sub s pos b boff n =
-  n >= 0 && pos >= 0 && pos + n <= String.length s && boff >= 0 && boff + n <= Bytes.length b
-  &&
-  let rec tail i =
-    i >= n || (String.unsafe_get s (pos + i) = Bytes.unsafe_get b (boff + i) && tail (i + 1))
-  in
-  let rec words i =
-    if i + 8 > n then tail i
-    else (string_get64u s (pos + i) : int64) = bytes_get64u b (boff + i) && words (i + 8)
-  in
-  words 0
-
-(* [load_dir]'s progress past a view not checked in this epoch: still
-   equal to the cached view, or copying. *)
-type reading = Same of dir_view | Copy of bytes
-
-(* Reads the directory's blocks exactly as [read_at] would.  A view
-   checked in this epoch is the answer as it stands: its walk only
-   replays the block accesses, and allocates nothing per block or per
-   walk.  Otherwise each block is checked against the cached view in
-   place, and only at the first block that differs does it copy: the
-   equal prefix from the view, then that block and every later one, so
-   a miss reads the same blocks as a hit. *)
 let load_dir t inum =
   match read_live_ino t inum with
   | Error _ as e -> e
   | Ok ino when ino.i_kind <> 2 -> Error Errno.ENOTDIR
   | Ok ino ->
-    let len = ino.i_size in
-    (match Hashtbl.find_opt t.dirs inum with
-     | Some view when view.checked = epoch t ->
-       (match iter_blocks t ino ~off:0 ~len ignore_block with
-        | Error e -> Error e
-        | Ok () -> Ok (ino, view))
-     | cached ->
-       let state =
-         ref
-           (match cached with
-            | Some view when String.length view.bytes = len -> Same view
-            | Some _ | None -> Copy (Bytes.create len))
-       in
-       let* () =
-         iter_blocks t ino ~off:0 ~len (fun pos blk boff chunk ->
-             (match !state with
-              | Same view when not (equal_sub view.bytes pos blk boff chunk) ->
-                let out = Bytes.create len in
-                Bytes.blit_string view.bytes 0 out 0 pos;
-                state := Copy out
-              | Same _ | Copy _ -> ());
-             match !state with
-             | Copy out -> Bytes.blit blk boff out pos chunk
-             | Same _ -> ())
-       in
-       (match !state with
-        | Same view ->
-          view.checked <- epoch t;
-          Ok (ino, view)
-        | Copy out ->
-          let data = Bytes.unsafe_to_string out in
-          let view = dir_view t data (parse_dir data) in
-          remember_dir t inum view;
-          Ok (ino, view)))
+    (match load_view t inum ino with
+     | Error e -> Error e
+     | Ok view -> Ok (ino, view))
 
+let entries_of view = Lazy.force view.entries
 let dir_find view name = Hashtbl.find_opt (Lazy.force view.names) name
 
-(* Rewrite directory contents in place, writing only the blocks whose
-   bytes change.  [view] holds the directory's current data ([load_dir]
-   has just checked it against the disk), so each new block is compared
-   with it in place: an append writes the last block, and a block whose
-   bytes are unchanged is not written, which adds no crash state.  A
-   block that changes is written whole, its new bytes then zeros, so a
-   shrink leaves no stale tail.  For a directory that fits in one block
-   this is a single data-block write followed by bookkeeping: a crash in
-   between leaves either the old or the new entry set, never a mixture
-   and never an empty directory (see the terminator note above).  The
-   entries are encoded once, terminator included, and the bytes written
-   are exactly what the next read returns, so they seed the parsed
-   view, with [names] as its name index if given. *)
+(* Rewrite directory contents in place through the one data writer, so
+   only the blocks whose bytes change are written: an append writes the
+   last block.  Each block is written whole, its new bytes then zeros,
+   so a shrink leaves no stale tail, and the blocks past the new end are
+   trimmed.  For a directory that fits in one block this is a single
+   data-block write followed by bookkeeping: a crash in between leaves
+   either the old or the new entry set, never a mixture and never an
+   empty directory (see the terminator note above).  The entries are
+   encoded once, terminator included, and the bytes written are exactly
+   what the next read returns, so they seed the view, with [names] as
+   its name index if given. *)
 let store_dir ?names t inum ino view entries =
   let data = if entries = [] then "" else serialize_dir entries in
   let len = String.length data in
-  let old_len = String.length view.bytes in
   let nblocks = (len + t.bs - 1) / t.bs in
-  let unchanged n =
-    let lo = n * t.bs in
-    let chunk = min t.bs (len - lo) in
-    lo + chunk <= old_len
-    && (chunk = t.bs || lo + chunk = old_len)
-    && equal_sub view.bytes lo (Bytes.unsafe_of_string data) lo chunk
+  let* m = write_blocks t inum ino ~off:0 ~len:(nblocks * t.bs) data in
+  let* ino, freed =
+    if len < String.length view.bytes then unmap_from t m.ino ~keep:nblocks else Ok (m.ino, [||])
   in
-  let rec changed n acc = if n < 0 then acc else changed (n - 1) (if unchanged n then acc else n :: acc) in
-  let changed = changed (nblocks - 1) [] in
-  let* m = map_blocks t ino (Array.of_list changed) in
-  let rec store i = function
-    | [] -> Ok ()
-    | n :: rest ->
-      let lo = n * t.bs in
-      let buf = Bytes.make t.bs '\000' in
-      Bytes.blit_string data lo buf 0 (min t.bs (len - lo));
-      let* () = bwrite t m.phys.(i) buf in
-      store (i + 1) rest
-  in
-  let* () = store 0 changed in
-  let* () = write_indirect t m in
-  let* ino, freed = if len < old_len then unmap_from t m.ino ~keep:nblocks else Ok (m.ino, [||]) in
   let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
   let* () = free_blocks t freed in
-  remember_dir t inum (dir_view ?names t data entries);
+  remember t inum (make_view ?names t data (Lazy.from_val entries));
   Ok ()
 
 let dir_entries t inum =
   let* _ino, view = load_dir t inum in
-  Ok view.entries
+  Ok (entries_of view)
 
 (* Matches rather than [let*], and no option: this is the cached walk
    every name resolution takes. *)
@@ -1016,35 +1097,16 @@ let set_mtime t inum mtime =
   let* ino = read_live_ino t inum in
   write_ino t inum { ino with i_mtime = mtime }
 
-(* Capped at what the buffer cache holds: a full reset when the next file
-   would not fit. *)
-let remember_file t inum data =
-  let n = String.length data in
-  if n <= t.file_budget then begin
-    if t.file_bytes + n > t.file_budget then begin
-      Hashtbl.reset t.files;
-      t.file_bytes <- 0
-    end;
-    Hashtbl.replace t.files inum data;
-    t.file_bytes <- t.file_bytes + n
-  end
-
-(* A whole-file read in an unchanged epoch returns the string the last
-   one returned, after making the same block accesses. *)
+(* A whole-file read returns the inode's view: in an unchanged epoch,
+   or when every block still equals it, the very string an earlier read
+   returned. *)
 let read t inum ~off ~len =
   let* ino = read_live_ino t inum in
   if ino.i_kind = 2 then Error Errno.EISDIR
   else if off <> 0 || len < ino.i_size then read_at t ino ~off ~len
   else
-    match Hashtbl.find_opt t.files inum with
-    | Some data ->
-      (match iter_blocks t ino ~off:0 ~len:ino.i_size ignore_block with
-       | Error _ as e -> e
-       | Ok () -> Ok data)
-    | None ->
-      let* data = read_at t ino ~off ~len in
-      remember_file t inum data;
-      Ok data
+    let* view = load_view t inum ino in
+    Ok view.bytes
 
 let write t inum ~off data =
   with_txn t @@ fun () ->
@@ -1071,7 +1133,7 @@ let add_entry t dir name child kind =
          rather than rebuilding it: the old view is replaced, and no
          caller reads it again.  Changed only once the store is done, so
          a failed store leaves the old view as it was. *)
-      let* () = store_dir ~names t dir ino view (view.entries @ [ (name, child, kind) ]) in
+      let* () = store_dir ~names t dir ino view (entries_of view @ [ (name, child, kind) ]) in
       Hashtbl.replace names name child;
       Ok ()
 
@@ -1099,10 +1161,10 @@ let link t ~dir name target =
 
 let remove_entry t dir name =
   let* ino, view = load_dir t dir in
-  match List.find_opt (fun (n, _, _) -> n = name) view.entries with
+  match List.find_opt (fun (n, _, _) -> n = name) (entries_of view) with
   | None -> Error Errno.ENOENT
   | Some (_, child, kind) ->
-    let entries = List.filter (fun (n, _, _) -> n <> name) view.entries in
+    let entries = List.filter (fun (n, _, _) -> n <> name) (entries_of view) in
     let* () = store_dir t dir ino view entries in
     Ok (child, kind)
 
@@ -1128,7 +1190,7 @@ let rmdir t ~dir name =
   if ino.i_kind <> 2 then Error Errno.ENOTDIR
   else
     let* _ino, view = load_dir t child in
-    if ino.i_nlink <= 1 && view.entries <> [] then Error Errno.ENOTEMPTY
+    if ino.i_nlink <= 1 && entries_of view <> [] then Error Errno.ENOTEMPTY
     else
       let* _ = remove_entry t dir name in
       drop_link t child
@@ -1143,7 +1205,7 @@ let check_replaceable t ~src_is_dir d =
   | false, true -> Error Errno.EISDIR
   | true, true ->
     let* _ino, view = load_dir t d in
-    if dst_ino.i_nlink <= 1 && view.entries <> [] then Error Errno.ENOTEMPTY else Ok ()
+    if dst_ino.i_nlink <= 1 && entries_of view <> [] then Error Errno.ENOTEMPTY else Ok ()
   | false, false -> Ok ()
 
 (* Journaled, the whole rename — including the shadow-file commit point
@@ -1177,7 +1239,7 @@ let rename t ~sdir ~sname ~ddir ~dname =
       let* () = check_replaceable t ~src_is_dir d in
       let* ino, view = load_dir t sdir in
       let entries =
-        List.filter (fun (n, _, _) -> n <> sname && n <> dname) view.entries
+        List.filter (fun (n, _, _) -> n <> sname && n <> dname) (entries_of view)
         @ [ (dname, src, src_kind) ]
       in
       let* () = store_dir t sdir ino view entries in
@@ -1191,7 +1253,7 @@ let rename t ~sdir ~sname ~ddir ~dname =
     | None when sdir = ddir ->
       let* ino, view = load_dir t sdir in
       let entries =
-        List.map (fun (n, i, k) -> if n = sname then (dname, i, k) else (n, i, k)) view.entries
+        List.map (fun (n, i, k) -> if n = sname then (dname, i, k) else (n, i, k)) (entries_of view)
       in
       store_dir t sdir ino view entries
     | None ->
@@ -1273,7 +1335,7 @@ let check t =
                 (fun (_, child, _) ->
                   bump child;
                   walk child)
-                view.entries
+                (entries_of view)
         end
     end
   in

@@ -34,12 +34,22 @@
 
     A write epoch lasts until the next block write, aborted transaction,
     or block-cache write or invalidation ({!Block_cache.version}).
-    Decoded inodes and whole-file reads are kept for one epoch; a parsed
-    directory is reused as it stands within the epoch it was checked in,
-    and after a byte comparison in later ones.  A read answered from them
-    still makes every block access the decoding read makes, in the same
-    order, so cache hits, misses and device I/O counts do not depend on
-    them. *)
+    Decoded inodes are kept for one epoch.  Each inode has at most one
+    view: the bytes it held when last read whole or stored, with a
+    directory's parse and name index built from them when first needed.
+    A view is reused as it stands within the epoch it was checked in;
+    in later ones each block read is compared with it in place, and it
+    is copied only from the first block that differs.  Views hold at
+    most twice the blocks the buffer cache holds (each charged at least
+    one block), and are dropped together when the next would not fit.
+    A read answered from them still makes every block access the
+    decoding read makes, in the same order, so cache hits, misses and
+    device reads do not depend on them.
+
+    Every data write, to a file or a directory, goes through one block
+    writer, which writes a mapped block only when its bytes change:
+    it compares the new bytes with the view when that was checked in
+    this epoch, else with the block as read. *)
 
 type t
 
@@ -80,8 +90,7 @@ val mkfs :
     log when that many distinct blocks are dirty, or when
     {!journal_tick} finds the oldest commit has waited that long.
     [cache_capacity] sizes the buffer cache ({!Block_cache.create}'s
-    [capacity], with its default); cached whole-file reads share a
-    budget of that many blocks. *)
+    [capacity], with its default), and with it the views' bound. *)
 
 val mount :
   ?cache_capacity:int -> ?journal_flush_blocks:int -> ?journal_flush_age:int ->
@@ -109,14 +118,19 @@ val set_mtime : t -> inum -> int -> unit io
 
 val read : t -> inum -> off:int -> len:int -> string io
 (** Short read at EOF; [""] past EOF; [EISDIR] on directories.  A
-    whole-file read ([off = 0], [len >= size]) in the write epoch of an
-    earlier one returns the very string that one returned. *)
+    whole-file read ([off = 0], [len >= size]) returns the file's view:
+    the very string an earlier whole read returned, as long as every
+    block still holds it, whatever else was written since. *)
 
 val write : t -> inum -> off:int -> string -> unit io
-(** Extends the file as needed; sparse gaps read back as zeros. *)
+(** Extends the file as needed; sparse gaps read back as zeros.  Writes
+    only the blocks whose bytes change, then the inode. *)
 
 val truncate : t -> inum -> int -> unit io
-(** Shrink (freeing blocks) or extend (zero-filled) to exactly [len]. *)
+(** Shrink (freeing blocks) or extend (zero-filled) to exactly [len].
+    An extension, here or by a write past the end, first drops whatever
+    an unjournaled write cut off before its inode write left past the
+    old end: blocks mapped there, and bytes in the last block. *)
 
 (** {1 Directory operations} *)
 
@@ -150,8 +164,12 @@ val sync : t -> unit io
     commit (staged transactions are sealed into the log) and checkpoint
     (logged blocks are written home and the log empties) — after [sync]
     returns [Ok], a crash at any later point loses nothing done before
-    it.  Unjournaled: a no-op, because the write-through cache already
-    put every completed operation on the device. *)
+    it.  A journaled call returns [Ok] once its transaction is staged,
+    even if the group-commit flush it set off failed on the device; that
+    failure shows here, as fsync reports a writeback error, and the
+    staged writes stay for the next flush.  Unjournaled: a no-op,
+    because the write-through cache already put every completed
+    operation on the device. *)
 
 val journal_tick : t -> unit io
 (** The clock-driven half of group commit: flush the staged

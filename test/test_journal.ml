@@ -1,7 +1,8 @@
 (* The write-ahead metadata journal: group commit, sync durability,
    crash/replay semantics, and the journaled cluster.  The exhaustive
-   every-write-point crash sweep lives in Experiments.wal_crash_sweep
-   (run from test_experiments.ml); these are the targeted unit cases. *)
+   every-write-point crash sweep is the WAL experiment
+   ([Experiments.run_by_name "wal"], run from test_experiments.ml);
+   these are the targeted unit cases. *)
 
 open Util
 
@@ -189,6 +190,44 @@ let test_corrupt_payload_not_replayed () =
   Alcotest.(check bool) "an intact group is replayed" true (run ~corrupt:false);
   Alcotest.(check bool) "a corrupt one is not" false (run ~corrupt:true)
 
+(* A grow whose group-commit flush fails on the device has taken effect
+   all the same: its writes are staged.  For every cut point that fails
+   the flush, the call returns [Ok] exactly when [stat] shows the new
+   size, [sync] reports the failure while the device still fails, and
+   once it is healthy [sync] puts exactly the change on the media. *)
+let test_failed_flush_keeps_the_call () =
+  let grown = String.make 3000 'n' in
+  let rec sweep k failed =
+    let disk, _clock, fs = fresh_journaled ~flush_blocks:2 () in
+    let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "f") in
+    ok (Ufs.write fs f ~off:0 "old");
+    ok (Ufs.sync fs);
+    Disk.fail_writes_after disk k;
+    let r = Ufs.write fs f ~off:0 grown in
+    let size = (ok (Ufs.stat fs f)).Ufs.size in
+    let what = Printf.sprintf "device fails after %d writes" k in
+    Alcotest.(check bool) (what ^ ": Ok exactly when stat shows the new size") (r = Ok ()) (size = 3000);
+    if not (Ufs.journal_pending fs) then begin
+      Alcotest.(check bool) "the sweep reached a flush that fails" true (failed > 0);
+      Disk.clear_failures disk
+    end
+    else begin
+      expect_err Errno.EIO (Ufs.sync fs);
+      Disk.clear_failures disk;
+      ok ~msg:what (Ufs.sync fs);
+      let copy = Disk.create ~nblocks:(Disk.nblocks disk) ~block_size:(Disk.block_size disk) () in
+      Disk.restore copy (Disk.snapshot disk);
+      let fresh = ok (Ufs.mount ~now:(fun () -> 0) copy) in
+      fsck fresh;
+      Alcotest.(check (list string)) (what ^ ": the names on the media") [ "f" ]
+        (List.map (fun (n, _, _) -> n) (ok (Ufs.dir_entries fresh (Ufs.root fresh))));
+      Alcotest.(check string) (what ^ ": the file on the media") grown
+        (ok (Ufs.read fresh f ~off:0 ~len:max_int));
+      sweep (k + 1) (failed + 1)
+    end
+  in
+  sweep 0 0
+
 let suite =
   [
     case "sync then crash loses nothing" test_sync_then_crash_loses_nothing;
@@ -199,4 +238,5 @@ let suite =
     case "journaled cluster survives reboot" test_journaled_cluster_reboot;
     case "the log checksum sees every byte" test_checksum_sees_every_byte;
     case "a corrupt payload is not replayed" test_corrupt_payload_not_replayed;
+    case "a call whose flush fails is kept, and sync reports it" test_failed_flush_keeps_the_call;
   ]

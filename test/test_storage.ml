@@ -366,6 +366,45 @@ let test_directory_append_writes_changed_blocks () =
   Alcotest.(check int) "151 entries" 151 (List.length (ok (Ufs.dir_entries fs d)));
   Alcotest.(check (result unit string)) "fsck clean" (Ok ()) (Ufs.check fs)
 
+(* A 1,024-entry Ficus DIR file of about 50 blocks, and the same DIR
+   with one entry's name changed in place (same length): overwriting
+   the first with the second writes the blocks that change and the
+   inode, not every block. *)
+let test_dir_overwrite_writes_changed_blocks () =
+  let disk, fs = fresh_ufs () in
+  let dir rename =
+    let rec fill d i =
+      if i > 1024 then d
+      else
+        let name = if i = rename then Printf.sprintf "entry-X%05d" i else Printf.sprintf "entry-%06d" i in
+        fill
+          (ok
+             (Fdir.add d ~rid:1 ~name ~fid:{ Ids.issuer = 1; uniq = i } ~kind:Aux_attrs.Freg
+                ~birth:{ Fdir.b_rid = 1; b_seq = i }))
+          (i + 1)
+    in
+    Fdir.encode (fill (Fdir.empty 1) 1)
+  in
+  let before = dir 0 and after = dir 512 in
+  Alcotest.(check int) "same length" (String.length before) (String.length after);
+  let blocks = (String.length before + 1023) / 1024 in
+  let changed =
+    List.length
+      (List.filter
+         (fun b ->
+           let lo = b * 1024 in
+           let n = min 1024 (String.length before - lo) in
+           String.sub before lo n <> String.sub after lo n)
+         (List.init blocks Fun.id))
+  in
+  Alcotest.(check bool) "past the indirect block, one or two blocks change" true
+    (blocks > 12 && changed >= 1 && changed <= 2);
+  let f = ok ((Ufs_vnode.root fs).Vnode.create "DIR") in
+  ok (Vnode.overwrite f before);
+  let n = writes_of disk (fun () -> ok (Vnode.overwrite f after)) in
+  Alcotest.(check int) "changed blocks and the inode" (changed + 1) n;
+  Alcotest.(check string) "read back" after (ok (Vnode.read_all f))
+
 (* The superblock, the zeroed bitmaps and inode table, one write per
    bitmap block for the reservations, and the root inode: 3,084 writes
    on a 16,384-block disk of 512-byte blocks with 12,288 inodes. *)
@@ -451,6 +490,8 @@ let suite =
     case "same-size replace costs two writes" test_same_size_replace_costs_two_writes;
     case "truncate to the size writes nothing" test_truncate_to_size_writes_nothing;
     case "directory append writes changed blocks" test_directory_append_writes_changed_blocks;
+    case "a one-entry change to a 1,024-entry DIR writes its block and the inode"
+      test_dir_overwrite_writes_changed_blocks;
     case "mkfs writes each bitmap block once" test_mkfs_writes_each_bitmap_block_once;
     case "a trim that keeps every pointer keeps the indirect block" test_trim_keeps_indirect_block;
   ]

@@ -404,6 +404,28 @@ let test_changed_block_under_cached_view () =
   Alcotest.(check int) "fresh mount agrees" inum (ok found);
   Alcotest.(check int) "block-cache accesses equal a fresh mount's" cold live
 
+(* A write to another file moves the write epoch, but every block of
+   this one still equals its view: the whole read checks them in place
+   and returns the very string the read before it returned, copying
+   nothing. *)
+let test_read_survives_unrelated_write () =
+  let _, fs = fresh_ufs ~blocks:1024 ~block_size:512 () in
+  let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "f") in
+  let g = ok (Ufs.create fs ~dir:(Ufs.root fs) "g") in
+  let contents = String.init 7000 (fun i -> Char.chr (i mod 251)) in
+  ok (Ufs.write fs f ~off:0 contents);
+  let first = ok (Ufs.read fs f ~off:0 ~len:max_int) in
+  ok (Ufs.write fs g ~off:0 "unrelated");
+  let again, words = words_of (fun () -> Ufs.read fs f ~off:0 ~len:max_int) in
+  Alcotest.(check string) "contents" contents (ok again);
+  Alcotest.(check bool) "the same string" true (ok again == first);
+  (* Decoding the inode again costs a few dozen words; a copy of the
+     file would cost 875. *)
+  let bound = String.length contents / (Sys.word_size / 8) / 4 in
+  if words >= bound then
+    Alcotest.failf "checked whole-file read allocated %d words (bound %d, a quarter of a copy)"
+      words bound
+
 (* A lookup in the 15-block directory reads its inode, its 15 data
    blocks and the indirect block once: 17 block-cache accesses. *)
 let test_lookup_reads_indirect_block_once () =
@@ -582,6 +604,59 @@ let test_epoch_crash_reboot () =
   agrees_with_fresh_mount ~msg:"after a crash reboot" disk fs ~files ~names;
   Alcotest.(check string) "staged write lost" (String.make 1500 'a')
     (ok (Ufs.read fs f ~off:0 ~len:max_int))
+
+(* A crash reboot drops the staged write the file's view was read
+   from; the same write made again must not be taken for one the file
+   holds, and reaches the media. *)
+let test_rewrite_after_crash_reaches_media () =
+  let disk = Disk.create ~nblocks:1024 ~block_size:512 () in
+  let fs =
+    ok
+      (Ufs.mkfs ~cache_capacity:64 ~journal_blocks:128 ~journal_flush_blocks:1000
+         ~journal_flush_age:1000 ~now:(fun () -> 1) disk)
+  in
+  let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "f") in
+  let old = String.make 3000 'a' and lost = String.make 3000 'b' in
+  ok (Ufs.write fs f ~off:0 old);
+  ok (Ufs.sync fs);
+  ok (Ufs.write fs f ~off:0 lost);
+  Alcotest.(check string) "staged write read" lost (ok (Ufs.read fs f ~off:0 ~len:max_int));
+  ok (Ufs.crash_reboot fs);
+  ok (Ufs.write fs f ~off:0 lost);
+  Alcotest.(check string) "written again" lost (ok (Ufs.read fs f ~off:0 ~len:max_int));
+  ok (Ufs.sync fs);
+  let fresh = ok (Ufs.mount ~now:(fun () -> 0) (copy_of disk)) in
+  Alcotest.(check string) "on the media" lost (ok (Ufs.read fresh f ~off:0 ~len:max_int))
+
+(* Unjournaled, a write past the end cut off before its inode write
+   leaves its bytes past the end of the file: in the last block, or in
+   blocks its indirect block already maps.  An extension, by truncate
+   or by a write past the end, still reads zeros there, and frees those
+   blocks. *)
+let test_extension_after_cut_write_reads_zeros () =
+  List.iter
+    (fun ((what, size, off, len, cut), (how, extend)) ->
+      let ctx = what ^ ", then " ^ how in
+      let disk, fs = fresh_ufs ~blocks:256 ~block_size:512 () in
+      let f = ok (Ufs.create fs ~dir:(Ufs.root fs) "f") in
+      ok (Ufs.write fs f ~off:0 (String.make size 'a'));
+      Disk.fail_writes_after disk cut;
+      expect_err Errno.EIO (Ufs.write fs f ~off (String.make len 'b'));
+      Disk.clear_failures disk;
+      let fs = ok (Ufs.mount ~now:(fun () -> 0) disk) in
+      Alcotest.(check int) (ctx ^ ": the cut write left the size") size (ok (Ufs.stat fs f)).Ufs.size;
+      ok (extend fs f (off + len + 10));
+      Alcotest.(check string) (ctx ^ ": the gap reads zeros") (String.make (off + len - size) '\000')
+        (ok (Ufs.read fs f ~off:size ~len:(off + len - size)));
+      fsck fs)
+    (List.concat_map
+       (fun cut -> [ (cut, ("truncate", fun fs f n -> Ufs.truncate fs f n)); (cut, ("a write past the end", fun fs f n -> Ufs.write fs f ~off:(n - 1) "z")) ])
+       [
+         (* the data block reaches the device, the inode does not *)
+         ("an append inside the last block", 100, 100, 50, 1);
+         (* the bitmap, two new blocks and the indirect block do *)
+         ("a write past the 13th block", 13 * 512, 14 * 512, 676, 4);
+       ])
 
 let test_sparse_file_reads_zeros () =
   let _, fs = fresh_ufs () in
@@ -975,12 +1050,231 @@ let run_alloc_law (journaled, steps) =
     steps;
   true
 
+(* ------------------------------------------------------------------ *)
+(* Views and the one block writer against a per-byte model.  Four files
+   and a directory on a 768-block disk of 512-byte blocks: writes (a
+   third of them rewriting bytes the file holds already, which the
+   writer then skips), truncates, partial reads, names added to and
+   removed from the directory, the buffer cache dropped, crash reboots
+   and, on some calls, a device that fails after a few writes.  After
+   each step every whole read equals the model and fsck is clean; after
+   a sync and a crash reboot the media holds what the model holds.
+   Journaled, a call takes effect exactly when it returns [Ok], and a
+   crash falls back to what the last flush made durable.  Unjournaled,
+   a file call the device cuts off is torn by design: the live reads
+   must then equal a fresh mount's, and the model takes them (directory
+   rewrites are not crash-atomic there, so they are not cut off). *)
+
+type view_op =
+  | W_write of int * int * int * int  (** file, offset, length, seed; seed < 0 rewrites what is there *)
+  | W_trunc of int * int  (** file, to this many bytes *)
+  | W_read of int * int * int  (** file, offset, length *)
+  | W_add of int  (** a name in the directory *)
+  | W_remove of int
+  | W_invalidate
+  | W_crash
+  | W_sync
+
+let print_view_op (op, fail) =
+  (match op with
+   | W_write (f, off, len, c) ->
+     Printf.sprintf "%s %d at %d, %d bytes" (if c < 0 then "rewrite" else "write") f off len
+   | W_trunc (f, n) -> Printf.sprintf "truncate %d to %d" f n
+   | W_read (f, off, len) -> Printf.sprintf "read %d at %d, %d bytes" f off len
+   | W_add n -> Printf.sprintf "add name %d" n
+   | W_remove n -> Printf.sprintf "remove name %d" n
+   | W_invalidate -> "invalidate"
+   | W_crash -> "crash"
+   | W_sync -> "sync")
+  ^ match fail with Some k -> Printf.sprintf " (device fails after %d writes)" k | None -> ""
+
+let view_arb =
+  let open QCheck.Gen in
+  (* Few offsets, lengths and seeds, so a write often repeats bytes an
+     earlier one wrote, which a crash or a torn call may have undone. *)
+  let file = int_bound 3
+  and off = map (fun k -> k * 128) (int_bound 56)
+  and len = oneof [ int_range 1 (3 * 512); map (fun k -> k * 256) (int_range 1 6) ] in
+  let op =
+    frequency
+      [
+        (4, map3 (fun (f, o) l c -> W_write (f, o, l, c)) (pair file off) len (int_bound 3));
+        (2, map3 (fun (f, o) l () -> W_write (f, o, l, -1)) (pair file off) len unit);
+        (2, map2 (fun f n -> W_trunc (f, n)) file (int_bound (17 * 512)));
+        (2, map3 (fun f o l -> W_read (f, o, l)) file off len);
+        (2, map (fun n -> W_add n) (int_bound 15));
+        (1, map (fun n -> W_remove n) (int_bound 15));
+        (1, return W_invalidate);
+        (1, return W_crash);
+        (1, return W_sync);
+      ]
+  in
+  let call = pair op (frequency [ (4, return None); (1, map Option.some (int_bound 10)) ]) in
+  QCheck.make
+    ~shrink:QCheck.Shrink.(pair nil list)
+    ~print:(fun (journaled, steps) ->
+      Printf.sprintf "%s: %s"
+        (if journaled then "journaled" else "unjournaled")
+        (String.concat " | " (List.map (fun calls -> String.concat "; " (List.map print_view_op calls)) steps)))
+    QCheck.Gen.(pair bool (list_size (int_range 1 30) (list_size (int_range 1 3) call)))
+
+let view_name n = Printf.sprintf "name-%02d-%s" n (String.make 80 'p')
+
+(* POSIX write and truncate on a byte string. *)
+let model_write s off data =
+  let len = String.length data and n = String.length s in
+  String.init (max n (off + len)) (fun i ->
+      if i >= off && i < off + len then data.[i - off] else if i < n then s.[i] else '\000')
+
+let model_trunc s n =
+  if n <= String.length s then String.sub s 0 n else s ^ String.make (n - String.length s) '\000'
+
+let run_view_law (journaled, steps) =
+  let disk = Disk.create ~nblocks:768 ~block_size:512 () in
+  let clock = ref 0 in
+  let now () = incr clock; !clock in
+  let fs =
+    ok ~msg:"mkfs"
+      (Ufs.mkfs ~cache_capacity:16 ~ninodes:64 ~journal_blocks:(if journaled then 128 else 0)
+         ~journal_flush_blocks:8 ~journal_flush_age:4 ~now disk)
+  in
+  let root = Ufs.root fs in
+  let files = Array.init 4 (fun i -> ok (Ufs.create fs ~dir:root (Printf.sprintf "f%d" i))) in
+  let dir = ok (Ufs.mkdir fs ~dir:root "d") in
+  ok (Ufs.sync fs);
+  (* The model: each file's bytes and the directory's names in order,
+     and, journaled, what the last flush made durable. *)
+  let contents = Array.make 4 "" and names = ref [] in
+  let durable = ref (Array.copy contents, []) in
+  let state fs =
+    ( Array.to_list (Array.map (fun i -> Ufs.read fs i ~off:0 ~len:max_int) files),
+      Result.map (List.map (fun (n, _, _) -> n)) (Ufs.dir_entries fs dir) )
+  in
+  let show (reads, entries) =
+    String.concat "; "
+      (List.mapi
+         (fun i r -> Printf.sprintf "f%d: %s" i (show_io (fun d -> Digest.to_hex (Digest.string d)) r))
+         reads)
+    ^ " | d: " ^ show_io (String.concat ",") entries
+  in
+  let expected () = (Array.to_list (Array.map Result.ok contents), Ok !names) in
+  let fsck ~ctx which f =
+    match Ufs.check f with
+    | Ok () -> ()
+    | Error m ->
+      (* Unjournaled, a cut-off call may leak what it allocated. *)
+      let leak p =
+        String.ends_with ~suffix:"allocated but unreachable" p
+        || String.ends_with ~suffix:"allocated but unreferenced" p
+      in
+      if journaled || not (List.for_all leak (String.split_on_char ';' m)) then
+        QCheck.Test.fail_reportf "%s: fsck (%s): %s" ctx which m
+  in
+  let fresh_mount ~ctx =
+    match Ufs.mount ~now:(fun () -> 0) (copy_of disk) with
+    | Ok f -> f
+    | Error e -> QCheck.Test.fail_reportf "%s: mount: %s" ctx (Errno.to_string e)
+  in
+  let holds ~ctx which got =
+    if got <> expected () then
+      QCheck.Test.fail_reportf "%s: %s differs from the model@.got:   %s@.model: %s" ctx which
+        (show got) (show (expected ()))
+  in
+  let call ~ctx (op, fail) =
+      let ctx = Printf.sprintf "%s (%s)" ctx (print_view_op (op, fail)) in
+      let cut =
+        match op with
+        | W_write _ | W_trunc _ -> fail
+        | W_add _ | W_remove _ -> if journaled then fail else None
+        | W_read _ | W_invalidate | W_crash | W_sync -> None
+      in
+      Option.iter (Disk.fail_writes_after disk) cut;
+      (* The call, and what the model does if it takes effect. *)
+      let r, apply =
+        match op with
+        | W_write (f, off, len, c) ->
+          let have = contents.(f) in
+          if c >= 0 then
+            let data = String.init len (fun k -> Char.chr (97 + ((c + k) mod 26))) in
+            (Ufs.write fs files.(f) ~off data, fun () -> contents.(f) <- model_write have off data)
+          else if have = "" then (Ok (), ignore)
+          else
+            let off = off mod String.length have in
+            let data = String.sub have off (min len (String.length have - off)) in
+            (Ufs.write fs files.(f) ~off data, ignore)
+        | W_trunc (f, n) ->
+          (Ufs.truncate fs files.(f) n, fun () -> contents.(f) <- model_trunc contents.(f) n)
+        | W_read (f, off, len) ->
+          let have = contents.(f) in
+          let want = if off >= String.length have then "" else String.sub have off (min len (String.length have - off)) in
+          (match Ufs.read fs files.(f) ~off ~len with
+           | Ok got when got = want -> ()
+           | r ->
+             QCheck.Test.fail_reportf "%s: read %s, the model holds %d bytes" ctx
+               (show_io (fun d -> Printf.sprintf "%d bytes" (String.length d)) r)
+               (String.length want));
+          (Ok (), ignore)
+        | W_add n ->
+          ( Result.map ignore (Ufs.create fs ~dir (view_name n)),
+            fun () -> names := !names @ [ view_name n ] )
+        | W_remove n ->
+          (Ufs.unlink fs ~dir (view_name n), fun () -> names := List.filter (( <> ) (view_name n)) !names)
+        | W_invalidate ->
+          Block_cache.invalidate (Ufs.cache fs);
+          (Ok (), ignore)
+        | W_crash ->
+          ignore (Ufs.crash_reboot fs);
+          if journaled then begin
+            Array.blit (fst !durable) 0 contents 0 4;
+            names := snd !durable
+          end;
+          (Ok (), ignore)
+        | W_sync ->
+          ok ~msg:ctx (Ufs.sync fs);
+          ignore (Ufs.crash_reboot fs);
+          (Ok (), ignore)
+      in
+      Disk.clear_failures disk;
+      (match r with
+       | Ok () -> apply ()
+       | Error _ when cut <> None && not journaled ->
+         (* Torn: the live reads must be the media's, and the model takes them. *)
+         let live = state fs in
+         if live <> state (fresh_mount ~ctx) then
+           QCheck.Test.fail_reportf "%s: a torn call left the live reads unlike the media's" ctx;
+         List.iteri (fun i r -> contents.(i) <- ok ~msg:ctx r) (fst live);
+         names := ok ~msg:ctx (snd live)
+       | Error _ -> ());
+      ignore (Ufs.journal_tick fs);
+      if journaled && not (Ufs.journal_pending fs) then durable := (Array.copy contents, !names);
+      if op = W_sync then begin
+        holds ~ctx "a fresh mount" (state (fresh_mount ~ctx));
+        fsck ~ctx "fresh" (fresh_mount ~ctx)
+      end
+  in
+  (* A step is a burst of calls, so a call can meet the views the one
+     before it left: the checks read every file. *)
+  List.iteri
+    (fun step calls ->
+      let ctx = Printf.sprintf "step %d" step in
+      List.iter (call ~ctx) calls;
+      holds ~ctx "the live file system" (state fs);
+      fsck ~ctx "live" fs)
+    steps;
+  ok ~msg:"end: sync" (Ufs.sync fs);
+  ok ~msg:"end: crash reboot" (Ufs.crash_reboot fs);
+  holds ~ctx:"end" "the rebooted file system" (state fs);
+  holds ~ctx:"end" "a fresh mount" (state (fresh_mount ~ctx:"end"));
+  true
+
 let ufs_props =
   [
     QCheck.Test.make ~name:"directory views survive crashes, aborts and write failures"
       ~count:200 ufs_history_arb run_ufs_history;
     QCheck.Test.make ~name:"the bitmaps follow a per-bit model: free count, fsck, lowest first"
       ~count:200 alloc_arb run_alloc_law;
+    QCheck.Test.make ~name:"whole reads follow a per-byte model through skipped writes and crashes"
+      ~count:400 view_arb run_view_law;
   ]
 
 let suite =
@@ -1007,13 +1301,16 @@ let suite =
     case "persistence across remount" test_persistence_across_mount;
     case "directory spanning blocks" test_directory_spanning_blocks;
     case "sparse files read zeros" test_sparse_file_reads_zeros;
+    case "an extension after a cut-off write reads zeros" test_extension_after_cut_write_reads_zeros;
     case "cached lookup allocates less than a block" test_cached_lookup_allocation;
     case "changed block under a cached view" test_changed_block_under_cached_view;
     case "cached reads replay their block accesses" test_cached_reads_replay_accesses;
+    case "a whole read survives a write to another file" test_read_survives_unrelated_write;
     case "a lookup reads the indirect block once" test_lookup_reads_indirect_block_once;
     case "write epoch: aborted transaction" test_epoch_aborted_txn;
     case "write epoch: failed device write" test_epoch_failed_device_write;
     case "write epoch: direct writes under the cache" test_epoch_direct_writes;
     case "write epoch: crash reboot drops staged commits" test_epoch_crash_reboot;
+    case "a write the crash undid is written again" test_rewrite_after_crash_reaches_media;
   ]
   @ List.map QCheck_alcotest.to_alcotest ufs_props
