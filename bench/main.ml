@@ -169,7 +169,11 @@ let micro_journal_tests () =
    16,384 blocks of 512 bytes, 12,288 inodes; and a one-entry change to
    a 1,024-entry DIR file (about 50 KiB at 1 KiB blocks) through
    [Vnode.overwrite], alternating between the two versions, so each run
-   writes the changed block and the inode. *)
+   writes the changed block and the inode.  Then a 2,048-entry UFS
+   directory at 2 KiB blocks (about 45 KiB of 16-digit hex names, as
+   the [bigdir] replicas' storage directories hold): a create and an
+   unlink of one more name, and a shadow commit (create a shadow file,
+   rename it over an existing name). *)
 let micro_ufs_tests () =
   let disk = Disk.create ~nblocks:16_384 ~block_size:512 () in
   let dir renamed =
@@ -191,6 +195,13 @@ let micro_ufs_tests () =
   let file = get ((Ufs_vnode.root fs).Vnode.create "DIR") in
   get (Vnode.overwrite file versions.(0));
   let turn = ref 0 in
+  let big_fs = get (Ufs.mkfs ~now:(fun () -> incr t; !t) (Disk.create ~nblocks:2048 ~block_size:2048 ())) in
+  let big = get (Ufs.mkdir big_fs ~dir:(Ufs.root big_fs) "big") in
+  let shared = get (Ufs.create big_fs ~dir:(Ufs.root big_fs) "shared") in
+  for i = 0 to 2047 do
+    get (Ufs.link big_fs ~dir:big (Printf.sprintf "%016x" (i * 7919)) shared)
+  done;
+  let target = Printf.sprintf "%016x" (1024 * 7919) in
   [
     Test.make ~name:"ufs/mkfs-16k"
       (Staged.stage (fun () -> ignore (get (Ufs.mkfs ~ninodes:12_288 ~now:(fun () -> 0) disk))));
@@ -198,6 +209,14 @@ let micro_ufs_tests () =
       (Staged.stage (fun () ->
            turn := 1 - !turn;
            get (Vnode.overwrite file versions.(!turn))));
+    Test.make ~name:"ufs/dir-create-2k"
+      (Staged.stage (fun () ->
+           ignore (get (Ufs.create big_fs ~dir:big "new-name"));
+           get (Ufs.unlink big_fs ~dir:big "new-name")));
+    Test.make ~name:"ufs/shadow-commit-2k"
+      (Staged.stage (fun () ->
+           ignore (get (Ufs.create big_fs ~dir:big "shadow"));
+           get (Ufs.rename big_fs ~sdir:big ~sname:"shadow" ~ddir:big ~dname:target)));
   ]
 
 let run_micro () =

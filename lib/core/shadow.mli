@@ -5,7 +5,10 @@
     contents are written to a {e shadow} file and then substituted for
     the original "by changing a low-level directory reference" — here the
     UFS [rename], the commit point.  A crash before the rename leaves the
-    original untouched; recovery just discards the shadow.
+    original untouched; recovery just discards the shadow.  The rename
+    retargets the name's directory record in place, so a crash during it
+    leaves the name on the old or the new version ({!Ufs.rename} gives
+    the one exception, a record split across two blocks).
 
     The paper's footnote 5 notes the cost: updating a few bytes of a
     large file still rewrites the whole file (experiment E8). *)

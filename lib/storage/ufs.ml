@@ -691,56 +691,57 @@ let ignore_block _ _ _ _ = ()
 (* Views                                                               *)
 
 (* Directory data is a packed entry list:
-   u32 inum, u8 kind, u8 namelen, name bytes. *)
+   u32 inum, u8 kind (1 Reg, 2 Dir), u8 namelen, name bytes. *)
+
+let record_inum data pos = Int32.to_int (String.get_int32_le data pos) land 0xffffffff
+let record_kind data pos = if String.unsafe_get data (pos + 4) = '\002' then Dir else Reg
 
 (* Directory data ends at a zero-inum terminator record (or at the data
    size).  The terminator makes in-place rewrites crash-safe: new content
    plus terminator is written first, and any stale tail bytes or a stale
-   (larger) size field are simply never parsed. *)
-let parse_dir data =
+   (larger) size field are simply never parsed.  [record_end data pos]
+   is where the record at [pos] ends, or -1 where parsing stops: at the
+   terminator, at the end of the data, or at a torn suffix (a crash cut
+   off a record that was being appended; everything before it is
+   intact). *)
+let record_end data pos =
   let n = String.length data in
+  if pos + 6 > n || record_inum data pos = 0 then -1
+  else
+    let next = pos + 6 + Char.code (String.unsafe_get data (pos + 5)) in
+    if next > n then -1 else next
+
+let parse_dir data =
   let rec go pos acc =
-    if pos + 6 > n then List.rev acc
-    else begin
-      let inum =
-        Char.code data.[pos]
-        lor (Char.code data.[pos + 1] lsl 8)
-        lor (Char.code data.[pos + 2] lsl 16)
-        lor (Char.code data.[pos + 3] lsl 24)
-      in
-      if inum = 0 then List.rev acc
-      else begin
-        let kind = if Char.code data.[pos + 4] = 2 then Dir else Reg in
-        let namelen = Char.code data.[pos + 5] in
-        if pos + 6 + namelen > n then
-          (* Torn suffix: a crash cut off a record that was being
-             appended.  Everything before it is intact. *)
-          List.rev acc
-        else
-          let name = String.sub data (pos + 6) namelen in
-          go (pos + 6 + namelen) ((name, inum, kind) :: acc)
-      end
-    end
+    let next = record_end data pos in
+    if next < 0 then List.rev acc
+    else go next ((String.sub data (pos + 6) (next - pos - 6), record_inum data pos, record_kind data pos) :: acc)
   in
   go 0 []
 
-(* A view of [bytes], which the inode holds in the current epoch; its
-   name index is [names] when the caller has it, else built on first
-   lookup. *)
-let make_view ?names t bytes entries =
-  let names =
-    match names with
-    | Some tbl -> Lazy.from_val tbl
-    | None ->
-      lazy
-        (let entries = Lazy.force entries in
-         let tbl = Hashtbl.create (List.length entries) in
-         List.iter
-           (fun (n, inum, _) -> if not (Hashtbl.mem tbl n) then Hashtbl.replace tbl n inum)
-           entries;
-         tbl)
+let rec count_records data pos n =
+  let next = record_end data pos in
+  if next < 0 then n else count_records data next (n + 1)
+
+(* The name index of [data]'s entries: the first inode of each name.
+   Built from the bytes, not from the entry list, which stays unbuilt. *)
+let index_of data =
+  let tbl = Hashtbl.create (count_records data 0 0) in
+  let rec go pos =
+    let next = record_end data pos in
+    if next >= 0 then begin
+      let name = String.sub data (pos + 6) (next - pos - 6) in
+      if not (Hashtbl.mem tbl name) then Hashtbl.replace tbl name (record_inum data pos);
+      go next
+    end
   in
-  { bytes; entries; names; checked = epoch t }
+  go 0;
+  tbl
+
+(* A view of [bytes], which the inode holds in the current epoch; its
+   name index is [names], else built on first lookup. *)
+let make_view t bytes names =
+  { bytes; entries = lazy (parse_dir bytes); names; checked = epoch t }
 
 let view_cost t view = max 1 ((String.length view.bytes + t.bs - 1) / t.bs)
 
@@ -831,7 +832,7 @@ let load_view t inum ino =
        Ok view
      | Copy out ->
        let data = Bytes.unsafe_to_string out in
-       let view = make_view t data (lazy (parse_dir data)) in
+       let view = make_view t data (lazy (index_of data)) in
        remember t inum view;
        Ok view)
 
@@ -893,8 +894,8 @@ let clear_past_end t ino ~upto =
     in
     Ok (ino, freed)
 
-(* The one data writer: the bytes [off, off+len) of [inum], [data] then
-   zeros.  Maps the whole range first ([map_blocks]: bitmap bits set),
+(* The one data writer: the bytes [off, off+len) of [inum], [data] from
+   [src] then zeros.  Maps the whole range first ([map_blocks]: bitmap bits set),
    then writes, in file order, every block whose bytes change, then the
    indirect block, and returns the mapping: the caller writes the inode
    last.  Each mapped block is compared in place with what it holds
@@ -903,7 +904,7 @@ let clear_past_end t ino ~upto =
    is safe because the write-through cache mirrors the device (a failed
    write leaves the old bytes cached) and, journaled, reads see the
    staged state, which group commit makes durable in order. *)
-let write_blocks t inum ino ~off ~len data =
+let write_blocks t inum ino ~off ~len data ~src =
   let first = off / t.bs in
   let nblocks = if len = 0 then 0 else ((off + len - 1) / t.bs) - first + 1 in
   (* Taken before [map_blocks], whose bitmap writes move the epoch but
@@ -914,9 +915,9 @@ let write_blocks t inum ino ~off ~len data =
     if i >= nblocks then Ok ()
     else
       let fpos = max off ((first + i) * t.bs) in
-      let pos = fpos - off in
+      let pos = src + fpos - off in
       let boff = fpos mod t.bs in
-      let chunk = min (t.bs - boff) (len - pos) in
+      let chunk = min (t.bs - boff) (off + len - fpos) in
       let d = max 0 (min chunk (String.length data - pos)) in
       (* [b] holds the chunk's new bytes from [at]: [d] of [data], then zeros. *)
       let holds b at = equal_sub data pos b at d && zero_sub b (at + d) (chunk - d) in
@@ -951,7 +952,7 @@ let write_at t inum ino ~off data =
   else
     let len = String.length data in
     let* ino, freed = clear_past_end t ino ~upto:off in
-    let* m = write_blocks t inum ino ~off ~len data in
+    let* m = write_blocks t inum ino ~off ~len data ~src:0 in
     let* () = write_ino t inum { m.ino with i_size = max ino.i_size (off + len); i_mtime = t.now () } in
     free_blocks t freed
 
@@ -997,21 +998,6 @@ let free_inode t inum ino =
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
 
-let serialize_dir entries =
-  let size = List.fold_left (fun n (name, _, _) -> n + 6 + String.length name) 6 entries in
-  let b = Bytes.make size '\000' in
-  let emit pos (name, inum, kind) =
-    let len = String.length name in
-    Codec.set_u32 b pos inum;
-    Codec.set_u8 b (pos + 4) (match kind with Reg -> 1 | Dir -> 2);
-    Codec.set_u8 b (pos + 5) len;
-    Bytes.blit_string name 0 b (pos + 6) len;
-    pos + 6 + len
-  in
-  (* The last 6 bytes stay zero: the terminator. *)
-  ignore (List.fold_left emit 0 entries : int);
-  Bytes.unsafe_to_string b
-
 let valid_name name =
   let len = String.length name in
   len > 0 && len <= max_name && not (String.contains name '/')
@@ -1026,31 +1012,161 @@ let load_dir t inum =
      | Ok view -> Ok (ino, view))
 
 let entries_of view = Lazy.force view.entries
-let dir_find view name = Hashtbl.find_opt (Lazy.force view.names) name
+let has_name view name = Hashtbl.mem (Lazy.force view.names) name
 
-(* Rewrite directory contents in place through the one data writer, so
-   only the blocks whose bytes change are written: an append writes the
-   last block.  Each block is written whole, its new bytes then zeros,
-   so a shrink leaves no stale tail, and the blocks past the new end are
-   trimmed.  For a directory that fits in one block this is a single
-   data-block write followed by bookkeeping: a crash in between leaves
-   either the old or the new entry set, never a mixture and never an
-   empty directory (see the terminator note above).  The entries are
-   encoded once, terminator included, and the bytes written are exactly
-   what the next read returns, so they seed the view, with [names] as
-   its name index if given. *)
-let store_dir ?names t inum ino view entries =
-  let data = if entries = [] then "" else serialize_dir entries in
+(* One change to a directory's entries, made on its packed bytes by
+   [edit_image]. *)
+type edit =
+  | Append of string * inum * kind  (* a name the directory lacks *)
+  | Drop of string  (* every record of the name *)
+  | Rename of string * string  (* every record of the first name takes the second, in place *)
+  | Retarget of string * string * inum * kind
+      (* the second name's first record takes this inode and kind in
+         place; its later records and every record of the first name go.
+         A rename over an existing name; with both names equal, only the
+         retarget. *)
+
+(* What an edit does to one record. *)
+type fate = Keep | Gone | Rewrite
+
+(* The record at [pos], ending at [next], is named [name]. *)
+let named data pos next name =
+  let len = String.length name in
+  next - pos - 6 = len && equal_sub data (pos + 6) (Bytes.unsafe_of_string name) 0 len
+
+(* [taken]: a [Retarget] has rewritten its record already. *)
+let fate edit data pos next ~taken =
+  match edit with
+  | Append _ -> Keep
+  | Drop name -> if named data pos next name then Gone else Keep
+  | Rename (s, _) -> if named data pos next s then Rewrite else Keep
+  | Retarget (s, d, _, _) ->
+    if named data pos next d then if taken then Gone else Rewrite
+    else if named data pos next s then Gone
+    else Keep
+
+let kind_code = function Reg -> 1 | Dir -> 2
+
+(* Write a record at [pos] of [b]; returns where it ends. *)
+let put_record b pos name inum kind =
+  let len = String.length name in
+  Codec.set_u32 b pos inum;
+  Codec.set_u8 b (pos + 4) (kind_code kind);
+  Codec.set_u8 b (pos + 5) len;
+  Bytes.blit_string name 0 b (pos + 6) len;
+  pos + 6 + len
+
+(* The one directory editor: [data] after [edit], and the offset from
+   which the two may differ.  The result is the records [parse_dir data]
+   reads, so edited, then the 6-byte terminator, or "" when no record is
+   left; a stale tail or a torn suffix past the last record gives way to
+   the terminator.  Every record before the offset is kept as it stands,
+   so the result holds [data]'s bytes there.  A first walk sizes the
+   result and finds the offset; the result is one buffer, its prefix one
+   blit, and a second walk fills the rest: kept records blitted (their
+   kind byte 1 or 2, as they parse), the changed one written, the new
+   one and the terminator last. *)
+let edit_image data edit =
+  let new_name = match edit with Rename (_, d) | Retarget (_, d, _, _) -> d | Append _ | Drop _ -> "" in
+  let size = ref (match edit with Append (name, _, _) -> 12 + String.length name | _ -> 6) in
+  let first = ref (-1) and taken = ref false in
+  let note pos = if !first < 0 then first := pos in
+  let rec sizing pos =
+    let next = record_end data pos in
+    if next < 0 then pos
+    else begin
+      (match fate edit data pos next ~taken:!taken with
+       | Keep ->
+         size := !size + next - pos;
+         (match String.unsafe_get data (pos + 4) with '\001' | '\002' -> () | _ -> note pos)
+       | Gone -> note pos
+       | Rewrite ->
+         taken := true;
+         size := !size + 6 + String.length new_name;
+         note pos);
+      sizing next
+    end
+  in
+  let stop = sizing 0 in
+  let first = if !first < 0 then stop else !first in
+  if !size = 6 then ("", 0)
+  else begin
+    let b = Bytes.create !size in
+    Bytes.blit_string data 0 b 0 first;
+    (* No record before [first] was rewritten. *)
+    taken := false;
+    let rec fill pos out =
+      let next = record_end data pos in
+      if next < 0 then out
+      else
+        match fate edit data pos next ~taken:!taken with
+        | Keep ->
+          Bytes.blit_string data pos b out (next - pos);
+          Codec.set_u8 b (out + 4) (kind_code (record_kind data pos));
+          fill next (out + next - pos)
+        | Gone -> fill next out
+        | Rewrite ->
+          taken := true;
+          (match edit with
+           | Retarget (_, d, inum, kind) -> fill next (put_record b out d inum kind)
+           | Append _ | Drop _ | Rename _ ->
+             fill next (put_record b out new_name (record_inum data pos) (record_kind data pos)))
+    in
+    let out = fill first first in
+    let out = match edit with Append (name, inum, kind) -> put_record b out name inum kind | _ -> out in
+    Bytes.fill b out 6 '\000';
+    (Bytes.unsafe_to_string b, first)
+  end
+
+(* Apply [edit] to directory [inum], whose inode and view [load_dir] has
+   just returned, through the one data writer from the block holding the
+   first byte that may change: the blocks before it hold their bytes
+   already.  Each block is written whole, its new bytes then zeros, so a
+   shrink leaves no stale tail, and the blocks past the new end are
+   trimmed.  A directory that fits in one block takes a single data-block
+   write followed by bookkeeping: a crash in between leaves either the
+   old or the new entry set, never a mixture and never an empty
+   directory (see the terminator note above).  The bytes written are
+   exactly what the next read returns, so they seed the view, which
+   takes the old view's name index edited in place: only once the store
+   is done, so a failed store leaves the old view as it was, and no
+   caller reads the old view again. *)
+let store_dir t inum ino view edit =
+  let data, first = edit_image view.bytes edit in
   let len = String.length data in
   let nblocks = (len + t.bs - 1) / t.bs in
-  let* m = write_blocks t inum ino ~off:0 ~len:(nblocks * t.bs) data in
+  let from = first / t.bs * t.bs in
+  let* m = write_blocks t inum ino ~off:from ~len:((nblocks * t.bs) - from) data ~src:from in
   let* ino, freed =
     if len < String.length view.bytes then unmap_from t m.ino ~keep:nblocks else Ok (m.ino, [||])
   in
   let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
   let* () = free_blocks t freed in
-  remember t inum (make_view ?names t data (Lazy.from_val entries));
+  let names =
+    if not (Lazy.is_val view.names) then lazy (index_of data)
+    else begin
+      let names = Lazy.force view.names in
+      (match edit with
+       | Append (name, child, _) -> Hashtbl.replace names name child
+       | Drop name -> Hashtbl.remove names name
+       | Rename (s, d) ->
+         let child = Hashtbl.find names s in
+         Hashtbl.remove names s;
+         Hashtbl.replace names d child
+       | Retarget (s, d, child, _) ->
+         Hashtbl.remove names s;
+         Hashtbl.replace names d child);
+      view.names
+    end
+  in
+  remember t inum (make_view t data names);
   Ok ()
+
+(* Load directory [dir] and apply [edit]: its callers have just looked
+   up the names it changes. *)
+let edit_dir t dir edit =
+  let* ino, view = load_dir t dir in
+  store_dir t dir ino view edit
 
 let dir_entries t inum =
   let* _ino, view = load_dir t inum in
@@ -1065,6 +1181,14 @@ let dir_lookup t inum name =
     (match Hashtbl.find (Lazy.force view.names) name with
      | child -> Ok child
      | exception Not_found -> Error Errno.ENOENT)
+
+let dir_image t inum =
+  let* _ino, view = load_dir t inum in
+  Ok view.bytes
+
+let dir_index t inum =
+  let* _ino, view = load_dir t inum in
+  Ok (List.sort compare (Hashtbl.fold (fun name child acc -> (name, child) :: acc) (Lazy.force view.names) []))
 
 (* ------------------------------------------------------------------ *)
 (* Public attribute operations                                         *)
@@ -1126,23 +1250,14 @@ let add_entry t dir name child kind =
     Error (if String.length name > max_name then Errno.ENAMETOOLONG else Errno.EINVAL)
   else
     let* ino, view = load_dir t dir in
-    let names = Lazy.force view.names in
-    if Hashtbl.mem names name then Error Errno.EEXIST
-    else
-      (* The new view takes the old one's name index plus this name,
-         rather than rebuilding it: the old view is replaced, and no
-         caller reads it again.  Changed only once the store is done, so
-         a failed store leaves the old view as it was. *)
-      let* () = store_dir ~names t dir ino view (entries_of view @ [ (name, child, kind) ]) in
-      Hashtbl.replace names name child;
-      Ok ()
+    if has_name view name then Error Errno.EEXIST else store_dir t dir ino view (Append (name, child, kind))
 
 (* [create] and [mkdir]: the name is checked before an inode is
    allocated. *)
 let make_node t ~dir name kind ~mode =
   with_txn t @@ fun () ->
   let* _ino, view = load_dir t dir in
-  if dir_find view name <> None then Error Errno.EEXIST
+  if has_name view name then Error Errno.EEXIST
   else
     let* inum = alloc_inode t ~kind ~mode ~uid:0 in
     let* () = add_entry t dir name inum kind in
@@ -1159,15 +1274,6 @@ let link t ~dir name target =
     let* () = add_entry t dir name target (if ino.i_kind = 2 then Dir else Reg) in
     write_ino t target { ino with i_nlink = ino.i_nlink + 1 }
 
-let remove_entry t dir name =
-  let* ino, view = load_dir t dir in
-  match List.find_opt (fun (n, _, _) -> n = name) (entries_of view) with
-  | None -> Error Errno.ENOENT
-  | Some (_, child, kind) ->
-    let entries = List.filter (fun (n, _, _) -> n <> name) (entries_of view) in
-    let* () = store_dir t dir ino view entries in
-    Ok (child, kind)
-
 let drop_link t inum =
   let* ino = read_live_ino t inum in
   let nlink = ino.i_nlink - 1 in
@@ -1180,7 +1286,7 @@ let unlink t ~dir name =
   let* ino = read_live_ino t child in
   if ino.i_kind = 2 then Error Errno.EISDIR
   else
-    let* _ = remove_entry t dir name in
+    let* () = edit_dir t dir (Drop name) in
     drop_link t child
 
 let rmdir t ~dir name =
@@ -1192,7 +1298,7 @@ let rmdir t ~dir name =
     let* _ino, view = load_dir t child in
     if ino.i_nlink <= 1 && entries_of view <> [] then Error Errno.ENOTEMPTY
     else
-      let* _ = remove_entry t dir name in
+      let* () = edit_dir t dir (Drop name) in
       drop_link t child
 
 (* Check that replacing [d] (the existing destination) is legal, without
@@ -1208,11 +1314,35 @@ let check_replaceable t ~src_is_dir d =
     if dst_ino.i_nlink <= 1 && entries_of view <> [] then Error Errno.ENOTEMPTY else Ok ()
   | false, false -> Ok ()
 
-(* Journaled, the whole rename — including the shadow-file commit point
-   below — is one transaction: the directory rewrite and the dropped
-   link become durable together, closing the crash window that
-   write-through ordering could only shrink (the "leaks the old inode"
-   case in the same-directory-replace arm). *)
+(* [target] is directory [dir] or lies under it: a walk down the
+   subdirectories, each visited once ([seen]; directories may be linked
+   into a DAG).  An entry that names no directory leads nowhere. *)
+let rec reaches t seen dir target =
+  if dir = target then Ok true
+  else if Hashtbl.mem seen dir then Ok false
+  else begin
+    Hashtbl.replace seen dir ();
+    match load_dir t dir with
+    | Error (Errno.ENOTDIR | Errno.ESTALE | Errno.EINVAL) -> Ok false
+    | Error _ as e -> e
+    | Ok (_, view) ->
+      let rec any = function
+        | [] -> Ok false
+        | (_, child, Dir) :: rest ->
+          let* found = reaches t seen child target in
+          if found then Ok true else any rest
+        | (_, _, Reg) :: rest -> any rest
+      in
+      any (entries_of view)
+  end
+
+(* Journaled, the whole rename is one transaction.  Unjournaled, its
+   writes are ordered so that a cut never loses the object: within one
+   directory the name changes in one record, and across directories the
+   destination entry is written before the source entry goes.  The
+   replaced inode is released last, so a cut before that leaks it (or
+   leaves two names on the object) but every name resolves to a
+   complete version. *)
 let rename t ~sdir ~sname ~ddir ~dname =
   with_txn t @@ fun () ->
   if not (valid_name dname) then Error Errno.EINVAL
@@ -1227,38 +1357,34 @@ let rename t ~sdir ~sname ~ddir ~dname =
       | Error Errno.ENOENT -> Ok None
       | Error _ as e -> e
     in
+    let replace = dst_existing <> None in
+    let release () = match dst_existing with Some d -> drop_link t d | None -> Ok () in
     match dst_existing with
     | Some d when d = src ->
       (* Same object under both names: POSIX says do nothing. *)
       Ok ()
-    | Some d when sdir = ddir ->
-      (* The commit point of the shadow-file protocol: one directory
-         rewrite retargets the name, and only afterwards is the replaced
-         inode released.  A crash in between leaks the old inode but the
-         name always resolves to a complete version. *)
-      let* () = check_replaceable t ~src_is_dir d in
-      let* ino, view = load_dir t sdir in
-      let entries =
-        List.filter (fun (n, _, _) -> n <> sname && n <> dname) (entries_of view)
-        @ [ (dname, src, src_kind) ]
-      in
-      let* () = store_dir t sdir ino view entries in
-      drop_link t d
-    | Some d ->
-      let* () = check_replaceable t ~src_is_dir d in
-      let* _ = remove_entry t ddir dname in
-      let* () = drop_link t d in
-      let* _ = remove_entry t sdir sname in
-      add_entry t ddir dname src src_kind
-    | None when sdir = ddir ->
-      let* ino, view = load_dir t sdir in
-      let entries =
-        List.map (fun (n, i, k) -> if n = sname then (dname, i, k) else (n, i, k)) (entries_of view)
-      in
-      store_dir t sdir ino view entries
-    | None ->
-      let* _ = remove_entry t sdir sname in
-      add_entry t ddir dname src src_kind
+    | _ ->
+      let* () = Option.fold ~none:(Ok ()) ~some:(check_replaceable t ~src_is_dir) dst_existing in
+      if sdir = ddir then
+        (* Over an existing name, this is the commit point of the
+           shadow-file protocol: one record retargets the name in place,
+           and the source's record (a new shadow's, at the tail) goes. *)
+        let* () =
+          edit_dir t sdir (if replace then Retarget (sname, dname, src, src_kind) else Rename (sname, dname))
+        in
+        release ()
+      else
+        (* A directory cannot move under itself: its subtree would leave
+           the tree. *)
+        let* inside = if src_is_dir then reaches t (Hashtbl.create 16) src ddir else Ok false in
+        if inside then Error Errno.EINVAL
+        else
+          let* () =
+            if replace then edit_dir t ddir (Retarget (dname, dname, src, src_kind))
+            else add_entry t ddir dname src src_kind
+          in
+          let* () = edit_dir t sdir (Drop sname) in
+          release ()
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)

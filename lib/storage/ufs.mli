@@ -49,7 +49,18 @@
     Every data write, to a file or a directory, goes through one block
     writer, which writes a mapped block only when its bytes change:
     it compares the new bytes with the view when that was checked in
-    this epoch, else with the block as read. *)
+    this epoch, else with the block as read.
+
+    Every directory mutation goes through one editor on the view's
+    packed bytes: it appends a record, drops every record of a name,
+    renames a record in place, or retargets one (a rename over an
+    existing name rewrites that record's inode number and kind where it
+    stands and drops the source's record).  It builds the new image in
+    one buffer, the records it keeps copied as they stand, and reports
+    the first byte that may change, so the block writer starts at that
+    byte's block.  The view's name index is edited in place with it; the
+    entry list is parsed only for {!dir_entries}, {!check} and the
+    emptiness test of a directory that goes. *)
 
 type t
 
@@ -154,8 +165,22 @@ val rmdir : t -> dir:inum -> string -> unit io
     directory is [ENOTEMPTY]; removing one of several links is fine. *)
 
 val rename : t -> sdir:inum -> sname:string -> ddir:inum -> dname:string -> unit io
-(** Atomic within the file system.  An existing destination is replaced
-    ([ENOTEMPTY] if it is a non-empty directory's last link). *)
+(** An existing destination is replaced ([ENOTEMPTY] if it is a
+    non-empty directory's last link); moving a directory to another
+    directory at or under itself is [EINVAL].  Journaled, the rename is
+    one transaction.  Unjournaled, a cut leaves the object under its
+    old name, its new one, or both, and every name resolves to a
+    complete version: within one directory the commit is one record
+    (the destination's, retargeted in place, or the source's, renamed)
+    and the drop of the source's record; across directories the
+    destination's record is written before the source's goes.  The
+    replaced inode is released last, so a cut before that leaks it or
+    leaves a link count one short.  Two residuals: a retarget whose
+    inode number straddles a block boundary is written as two blocks,
+    and a cut between them can leave the name on a third inode number;
+    and every removal of a record shifts the records after it, so a cut
+    inside a multi-block shift (an [unlink] of an early name) can lose
+    later names. *)
 
 (** {1 Maintenance} *)
 
@@ -196,13 +221,20 @@ val check : t -> (unit, string) result
     blocks/inodes, link counts.  Used by property tests,
     {!val-crash_reboot} sweeps, and [Cluster.reboot]. *)
 
-(** {1 Wire formats}
+(** {1 Exposed for property tests}
 
-    Exposed for property tests: the packed directory encoding (u32 inum,
-    u8 kind, u8 namelen, name bytes per entry, zero-inum terminator).
-    [serialize_dir] emits the 6-byte terminator itself.
-    [parse_dir] tolerates a torn suffix — a record cut off mid-append
-    parses as exactly the preceding complete entries. *)
+    The packed directory encoding: u32 inum, u8 kind (1 regular, 2
+    directory), u8 namelen, name bytes per entry, then a zero-inum
+    6-byte terminator; an empty directory holds no bytes.  [parse_dir]
+    tolerates a torn suffix — a record cut off mid-append parses as
+    exactly the preceding complete entries — and ignores whatever
+    follows the terminator. *)
 
-val serialize_dir : (string * inum * kind) list -> string
 val parse_dir : string -> (string * inum * kind) list
+
+val dir_image : t -> inum -> string io
+(** A directory's data bytes, read as a lookup reads them. *)
+
+val dir_index : t -> inum -> (string * inum) list io
+(** The name index lookups answer from, sorted by name: the first inode
+    of each name [parse_dir] reads. *)

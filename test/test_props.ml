@@ -474,13 +474,13 @@ let arb_dirents =
 let dir_codec_props =
   [
     prop "dir encoding round-trips" arb_dirents (fun entries ->
-        Ufs.parse_dir (Ufs.serialize_dir entries) = entries);
+        Ufs.parse_dir (Dir_ref.serialize_dir entries) = entries);
     prop "dir decoding stops at the zero terminator" arb_dirents (fun entries ->
-        Ufs.parse_dir (Ufs.serialize_dir entries ^ String.make 6 '\000') = entries);
+        Ufs.parse_dir (Dir_ref.serialize_dir entries ^ String.make 6 '\000') = entries);
     prop "torn dir suffix: every byte cut keeps exactly the complete prefix"
       ~count:100 arb_dirents
       (fun entries ->
-        let s = Ufs.serialize_dir entries in
+        let s = Dir_ref.serialize_dir entries in
         let expect cut =
           let rec go acc off = function
             | ((name, _, _) as e) :: tl when off + 6 + String.length name <= cut ->

@@ -366,6 +366,31 @@ let test_directory_append_writes_changed_blocks () =
   Alcotest.(check int) "151 entries" 151 (List.length (ok (Ufs.dir_entries fs d)));
   Alcotest.(check (result unit string)) "fsck clean" (Ok ()) (Ufs.check fs)
 
+(* A rename over an existing name in a 2,048-entry directory of about
+   35 blocks (past the indirect block) retargets the name's record where
+   it stands and drops the source's record from the tail: the target's
+   block, the last block, the directory inode and the replaced inode (a
+   link of a shared file, so only its count drops), wherever the target
+   is. *)
+let test_shadow_commit_writes_two_blocks () =
+  let disk, fs = fresh_ufs () in
+  let d = ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "d") in
+  let target = ok (Ufs.create fs ~dir:(Ufs.root fs) "target") in
+  let name i = Printf.sprintf "name%06d" i in
+  for i = 0 to 2047 do
+    ok (Ufs.link fs ~dir:d (name i) target)
+  done;
+  Alcotest.(check bool) "past the indirect block" true ((ok (Ufs.stat fs d)).Ufs.size > 12 * 1024);
+  List.iter
+    (fun i ->
+      let shadow = ok (Ufs.create fs ~dir:d "shadow") in
+      let n = writes_of disk (fun () -> ok (Ufs.rename fs ~sdir:d ~sname:"shadow" ~ddir:d ~dname:(name i))) in
+      if n > 4 then Alcotest.failf "a rename over entry %d made %d device writes (bound 4)" i n;
+      Alcotest.(check int) "retargeted" shadow (ok (Ufs.dir_lookup fs d (name i))))
+    [ 0; 700; 2047 ];
+  Alcotest.(check int) "2,048 entries" 2048 (List.length (ok (Ufs.dir_entries fs d)));
+  Alcotest.(check (result unit string)) "fsck clean" (Ok ()) (Ufs.check fs)
+
 (* A 1,024-entry Ficus DIR file of about 50 blocks, and the same DIR
    with one entry's name changed in place (same length): overwriting
    the first with the second writes the blocks that change and the
@@ -490,6 +515,8 @@ let suite =
     case "same-size replace costs two writes" test_same_size_replace_costs_two_writes;
     case "truncate to the size writes nothing" test_truncate_to_size_writes_nothing;
     case "directory append writes changed blocks" test_directory_append_writes_changed_blocks;
+    case "a rename over a name in a 2,048-entry directory writes two blocks and two inodes"
+      test_shadow_commit_writes_two_blocks;
     case "a one-entry change to a 1,024-entry DIR writes its block and the inode"
       test_dir_overwrite_writes_changed_blocks;
     case "mkfs writes each bitmap block once" test_mkfs_writes_each_bitmap_block_once;

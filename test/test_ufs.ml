@@ -842,18 +842,8 @@ let run_ufs_history (journaled, ops) =
        | U_unlink (d, n) -> ignore (Ufs.unlink fs ~dir:(dir_at d) (ufs_prop_name n))
        | U_rmdir (d, n) -> ignore (Ufs.rmdir fs ~dir:(dir_at d) (ufs_prop_name n))
        | U_rename (a, b, c, d) ->
-         let sdir = dir_at a and ddir = dir_at c in
-         (* Moving a directory under itself would detach the subtree: the
-            UFS, like the Ficus layers above it, leaves that check to its
-            callers. *)
-         let into_itself =
-           match Ufs.dir_lookup fs sdir (ufs_prop_name b) with
-           | Ok src -> List.mem_assoc ddir (ufs_tree fs src)
-           | Error _ -> false
-         in
-         if not into_itself then
-           ignore
-             (Ufs.rename fs ~sdir ~sname:(ufs_prop_name b) ~ddir ~dname:(ufs_prop_name d))
+         (* A directory moved under itself is refused ([EINVAL]). *)
+         ignore (Ufs.rename fs ~sdir:(dir_at a) ~sname:(ufs_prop_name b) ~ddir:(dir_at c) ~dname:(ufs_prop_name d))
        | U_write (d, n, k) ->
          (match Ufs.dir_lookup fs (dir_at d) (ufs_prop_name n) with
           | Ok i when (match Ufs.stat fs i with Ok a -> a.Ufs.kind = Ufs.Reg | Error _ -> false) ->
