@@ -14,22 +14,20 @@ type entry = {
 
 type key = int * int * string (* alloc, vol, fidpath *)
 
-type t = { table : (key, entry) Hashtbl.t; mutable notes : int; mutable deduped : int }
+type t = { table : (key, entry) Hashtbl.t }
 
-let create () = { table = Hashtbl.create 32; notes = 0; deduped = 0 }
+let create () = { table = Hashtbl.create 32 }
 
 let key_of vref fidpath =
   (vref.Ids.alloc, vref.Ids.vol, Ids.fidpath_to_string fidpath)
 
 let note t (e : Notify.event) ~now =
-  t.notes <- t.notes + 1;
   let key = key_of e.Notify.vref e.Notify.fidpath in
   match Hashtbl.find_opt t.table key with
   | Some pending ->
     (* Absorb: keep the earliest queue time, follow the newest origin,
        and merge the advertised histories — the pull must satisfy every
        notification it collapses. *)
-    t.deduped <- t.deduped + 1;
     Hashtbl.replace t.table key
       {
         pending with
@@ -77,5 +75,3 @@ let peek t =
   |> List.sort (fun a b -> Int.compare a.queued_at b.queued_at)
 
 let size t = Hashtbl.length t.table
-let notes t = t.notes
-let deduped t = t.deduped

@@ -57,10 +57,3 @@ val peek : t -> entry list
     disturbing the propagation daemon's backoff state. *)
 
 val size : t -> int
-val notes : t -> int
-(** Total notifications absorbed since creation (for the burst-collapse
-    measurement). *)
-
-val deduped : t -> int
-(** How many of those notifications collapsed into an already-pending
-    entry instead of creating a new one. *)

@@ -55,7 +55,7 @@ type superblock = {
 type view = {
   bytes : string;
   entries : (string * inum * kind) list Lazy.t;
-  names : (string, inum) Hashtbl.t Lazy.t;  (* first entry of each name *)
+  names : (string, int) Hashtbl.t Lazy.t;  (* each name's record offset *)
   mutable checked : int;
 }
 
@@ -398,7 +398,8 @@ let make cache sb ~now journal =
 let mkfs ?cache_capacity ?ninodes ?(inode_size = default_inode_size)
     ?(journal_blocks = 0) ?journal_flush_blocks ?journal_flush_age ~now disk =
   let bs = Disk.block_size disk in
-  if bs < 512 || inode_size < default_inode_size || bs mod inode_size <> 0
+  (* A directory record's u16 length must span a block. *)
+  if bs < 512 || bs > 0xffff || inode_size < default_inode_size || bs mod inode_size <> 0
      || journal_blocks < 0
      || (journal_blocks > 0 && journal_blocks < 4)
   then Error Errno.EINVAL
@@ -690,58 +691,60 @@ let ignore_block _ _ _ _ = ()
 (* ------------------------------------------------------------------ *)
 (* Views                                                               *)
 
-(* Directory data is a packed entry list:
-   u32 inum, u8 kind (1 Reg, 2 Dir), u8 namelen, name bytes. *)
+(* Directory data is whole blocks, each a chain of records, as in 4.2BSD:
+     u32 inum | u16 record length | u8 kind (1 Reg, 2 Dir) | u8 namelen | name
+   The record lengths of a block sum to the block size, so no record
+   crosses a block boundary and every block parses on its own.  A record
+   may be longer than its [header + namelen] bytes: the slack is free
+   space a later entry can take.  Inum 0 marks a free record; only a
+   block's first record is ever freed, since a record dropped from
+   anywhere else merges into the one before it.  No edit moves a
+   record, so the name index maps each name to its record's offset. *)
+
+let header = 8
 
 let record_inum data pos = Int32.to_int (String.get_int32_le data pos) land 0xffffffff
-let record_kind data pos = if String.unsafe_get data (pos + 4) = '\002' then Dir else Reg
+let record_len data pos = String.get_uint16_le data (pos + 4)
+let record_kind data pos = if String.unsafe_get data (pos + 6) = '\002' then Dir else Reg
+let name_len data pos = Char.code (String.unsafe_get data (pos + 7))
+let record_name data pos = String.sub data (pos + header) (name_len data pos)
 
-(* Directory data ends at a zero-inum terminator record (or at the data
-   size).  The terminator makes in-place rewrites crash-safe: new content
-   plus terminator is written first, and any stale tail bytes or a stale
-   (larger) size field are simply never parsed.  [record_end data pos]
-   is where the record at [pos] ends, or -1 where parsing stops: at the
-   terminator, at the end of the data, or at a torn suffix (a crash cut
-   off a record that was being appended; everything before it is
-   intact). *)
-let record_end data pos =
+(* Raised by [fold_records] with the first block of a directory whose
+   record chain does not end exactly at the block's end. *)
+exception Corrupt of int
+
+(* Fold [f] over the offsets of [data]'s live records, in order. *)
+let fold_records bs data f acc =
   let n = String.length data in
-  if pos + 6 > n || record_inum data pos = 0 then -1
-  else
-    let next = pos + 6 + Char.code (String.unsafe_get data (pos + 5)) in
-    if next > n then -1 else next
-
-let parse_dir data =
+  if n mod bs <> 0 then raise (Corrupt (n / bs));
   let rec go pos acc =
-    let next = record_end data pos in
-    if next < 0 then List.rev acc
-    else go next ((String.sub data (pos + 6) (next - pos - 6), record_inum data pos, record_kind data pos) :: acc)
+    if pos = n then acc
+    else
+      let block_end = pos - (pos mod bs) + bs in
+      let len = if pos + header <= block_end then record_len data pos else 0 in
+      if len < header || pos + len > block_end then raise (Corrupt (pos / bs))
+      else if record_inum data pos = 0 then go (pos + len) acc
+      else if header + name_len data pos > len then raise (Corrupt (pos / bs))
+      else go (pos + len) (f acc pos)
   in
-  go 0 []
+  go 0 acc
 
-let rec count_records data pos n =
-  let next = record_end data pos in
-  if next < 0 then n else count_records data next (n + 1)
+let entries_in bs data =
+  List.rev
+    (fold_records bs data (fun acc pos -> (record_name data pos, record_inum data pos, record_kind data pos) :: acc) [])
 
-(* The name index of [data]'s entries: the first inode of each name.
-   Built from the bytes, not from the entry list, which stays unbuilt. *)
-let index_of data =
-  let tbl = Hashtbl.create (count_records data 0 0) in
-  let rec go pos =
-    let next = record_end data pos in
-    if next >= 0 then begin
-      let name = String.sub data (pos + 6) (next - pos - 6) in
-      if not (Hashtbl.mem tbl name) then Hashtbl.replace tbl name (record_inum data pos);
-      go next
-    end
-  in
-  go 0;
+(* The name index of [data]: each name's record offset.  Built from the
+   bytes, not from the entry list, which stays unbuilt; a first pass
+   counts the records and checks every chain. *)
+let index_of bs data =
+  let tbl = Hashtbl.create (fold_records bs data (fun n _ -> n + 1) 0) in
+  fold_records bs data (fun () pos -> Hashtbl.replace tbl (record_name data pos) pos) ();
   tbl
 
 (* A view of [bytes], which the inode holds in the current epoch; its
    name index is [names], else built on first lookup. *)
 let make_view t bytes names =
-  { bytes; entries = lazy (parse_dir bytes); names; checked = epoch t }
+  { bytes; entries = lazy (entries_in t.bs bytes); names; checked = epoch t }
 
 let view_cost t view = max 1 ((String.length view.bytes + t.bs - 1) / t.bs)
 
@@ -832,7 +835,7 @@ let load_view t inum ino =
        Ok view
      | Copy out ->
        let data = Bytes.unsafe_to_string out in
-       let view = make_view t data (lazy (index_of data)) in
+       let view = make_view t data (lazy (index_of t.bs data)) in
        remember t inum view;
        Ok view)
 
@@ -1002,6 +1005,9 @@ let valid_name name =
   let len = String.length name in
   len > 0 && len <= max_name && not (String.contains name '/')
 
+(* A directory's inode and view; [EIO] when a block's record chain does
+   not end at its end.  The name index is built here, which checks every
+   chain, so [names] below never raises. *)
 let load_dir t inum =
   match read_live_ino t inum with
   | Error _ as e -> e
@@ -1009,158 +1015,128 @@ let load_dir t inum =
   | Ok ino ->
     (match load_view t inum ino with
      | Error e -> Error e
-     | Ok view -> Ok (ino, view))
+     | Ok view ->
+       (match Lazy.force view.names with
+        | _ -> Ok (ino, view)
+        | exception Corrupt _ -> Error Errno.EIO))
 
+let names view = Lazy.force view.names
 let entries_of view = Lazy.force view.entries
-let has_name view name = Hashtbl.mem (Lazy.force view.names) name
+let has_name view name = Hashtbl.mem (names view) name
 
-(* One change to a directory's entries, made on its packed bytes by
-   [edit_image]. *)
+(* One change to a directory's entries, each naming one record. *)
 type edit =
   | Append of string * inum * kind  (* a name the directory lacks *)
-  | Drop of string  (* every record of the name *)
-  | Rename of string * string  (* every record of the first name takes the second, in place *)
+  | Drop of string
+  | Rename of string * string  (* the first name's record takes the second, a name the directory lacks *)
   | Retarget of string * string * inum * kind
-      (* the second name's first record takes this inode and kind in
-         place; its later records and every record of the first name go.
-         A rename over an existing name; with both names equal, only the
-         retarget. *)
+      (* the second name's record takes this inode and kind in place and
+         the first name's record goes: a rename over an existing name;
+         with both names equal, only the retarget *)
 
-(* What an edit does to one record. *)
-type fate = Keep | Gone | Rewrite
-
-(* The record at [pos], ending at [next], is named [name]. *)
-let named data pos next name =
-  let len = String.length name in
-  next - pos - 6 = len && equal_sub data (pos + 6) (Bytes.unsafe_of_string name) 0 len
-
-(* [taken]: a [Retarget] has rewritten its record already. *)
-let fate edit data pos next ~taken =
-  match edit with
-  | Append _ -> Keep
-  | Drop name -> if named data pos next name then Gone else Keep
-  | Rename (s, _) -> if named data pos next s then Rewrite else Keep
-  | Retarget (s, d, _, _) ->
-    if named data pos next d then if taken then Gone else Rewrite
-    else if named data pos next s then Gone
-    else Keep
-
-let kind_code = function Reg -> 1 | Dir -> 2
-
-(* Write a record at [pos] of [b]; returns where it ends. *)
-let put_record b pos name inum kind =
-  let len = String.length name in
+(* Write a record of length [len] at [pos] of [b]. *)
+let put_record b pos len name inum kind =
   Codec.set_u32 b pos inum;
-  Codec.set_u8 b (pos + 4) (kind_code kind);
-  Codec.set_u8 b (pos + 5) len;
-  Bytes.blit_string name 0 b (pos + 6) len;
-  pos + 6 + len
+  Codec.set_u16 b (pos + 4) len;
+  Codec.set_u8 b (pos + 6) (match kind with Reg -> 1 | Dir -> 2);
+  Codec.set_u8 b (pos + 7) (String.length name);
+  Bytes.blit_string name 0 b (pos + header) (String.length name)
 
-(* The one directory editor: [data] after [edit], and the offset from
-   which the two may differ.  The result is the records [parse_dir data]
-   reads, so edited, then the 6-byte terminator, or "" when no record is
-   left; a stale tail or a torn suffix past the last record gives way to
-   the terminator.  Every record before the offset is kept as it stands,
-   so the result holds [data]'s bytes there.  A first walk sizes the
-   result and finds the offset; the result is one buffer, its prefix one
-   blit, and a second walk fills the rest: kept records blitted (their
-   kind byte 1 or 2, as they parse), the changed one written, the new
-   one and the terminator last. *)
-let edit_image data edit =
-  let new_name = match edit with Rename (_, d) | Retarget (_, d, _, _) -> d | Append _ | Drop _ -> "" in
-  let size = ref (match edit with Append (name, _, _) -> 12 + String.length name | _ -> 6) in
-  let first = ref (-1) and taken = ref false in
-  let note pos = if !first < 0 then first := pos in
-  let rec sizing pos =
-    let next = record_end data pos in
-    if next < 0 then pos
-    else begin
-      (match fate edit data pos next ~taken:!taken with
-       | Keep ->
-         size := !size + next - pos;
-         (match String.unsafe_get data (pos + 4) with '\001' | '\002' -> () | _ -> note pos)
-       | Gone -> note pos
-       | Rewrite ->
-         taken := true;
-         size := !size + 6 + String.length new_name;
-         note pos);
-      sizing next
-    end
-  in
-  let stop = sizing 0 in
-  let first = if !first < 0 then stop else !first in
-  if !size = 6 then ("", 0)
-  else begin
-    let b = Bytes.create !size in
-    Bytes.blit_string data 0 b 0 first;
-    (* No record before [first] was rewritten. *)
-    taken := false;
-    let rec fill pos out =
-      let next = record_end data pos in
-      if next < 0 then out
-      else
-        match fate edit data pos next ~taken:!taken with
-        | Keep ->
-          Bytes.blit_string data pos b out (next - pos);
-          Codec.set_u8 b (out + 4) (kind_code (record_kind data pos));
-          fill next (out + next - pos)
-        | Gone -> fill next out
-        | Rewrite ->
-          taken := true;
-          (match edit with
-           | Retarget (_, d, inum, kind) -> fill next (put_record b out d inum kind)
-           | Append _ | Drop _ | Rename _ ->
-             fill next (put_record b out new_name (record_inum data pos) (record_kind data pos)))
-    in
-    let out = fill first first in
-    let out = match edit with Append (name, inum, kind) -> put_record b out name inum kind | _ -> out in
-    Bytes.fill b out 6 '\000';
-    (Bytes.unsafe_to_string b, first)
+(* The first record of [data] from [pos] on with [need] bytes to spare: a
+   free record at least that long, or a live one with that much slack;
+   the end of [data] if there is none. *)
+let rec find_slot data need pos =
+  if pos >= String.length data then pos
+  else
+    let len = record_len data pos in
+    let used = if record_inum data pos = 0 then 0 else header + name_len data pos in
+    if len - used >= need then pos else find_slot data need (pos + len)
+
+(* Free the record at [pos] of [b]: a block's first record becomes free
+   space, any other merges into the record before it.  Returns the
+   offset of the record it changed. *)
+let free_record bs b pos =
+  if pos mod bs = 0 then begin
+    Codec.set_u32 b pos 0;
+    pos
   end
+  else
+    let rec prev p =
+      let next = p + Codec.get_u16 b (p + 4) in
+      if next = pos then p else prev next
+    in
+    let p = prev (pos - (pos mod bs)) in
+    Codec.set_u16 b (p + 4) (Codec.get_u16 b (p + 4) + Codec.get_u16 b (pos + 4));
+    p
 
 (* Apply [edit] to directory [inum], whose inode and view [load_dir] has
-   just returned, through the one data writer from the block holding the
-   first byte that may change: the blocks before it hold their bytes
-   already.  Each block is written whole, its new bytes then zeros, so a
-   shrink leaves no stale tail, and the blocks past the new end are
-   trimmed.  A directory that fits in one block takes a single data-block
-   write followed by bookkeeping: a crash in between leaves either the
-   old or the new entry set, never a mixture and never an empty
-   directory (see the terminator note above).  The bytes written are
-   exactly what the next read returns, so they seed the view, which
+   just returned.  The edit changes the records it names where they
+   stand, in at most two blocks, and the one data writer writes each
+   block that changed, then the inode is written.  An entry that fits
+   in no record takes a new block, so a directory grows by whole blocks
+   and keeps them until it goes.  Unjournaled, each block write leaves
+   whole records, so a cut loses no name, and a name's new record is
+   written before its old one goes: a retarget writes the target's
+   block before the source's, wherever first fit put the source's
+   record, and a rename whose new name does not fit its record appends
+   the new name and then drops the old one, two stores.  A cut between
+   the two leaves the object under both names.  The bytes written
+   are exactly what the next read returns, so they seed the view, which
    takes the old view's name index edited in place: only once the store
    is done, so a failed store leaves the old view as it was, and no
    caller reads the old view again. *)
-let store_dir t inum ino view edit =
-  let data, first = edit_image view.bytes edit in
-  let len = String.length data in
-  let nblocks = (len + t.bs - 1) / t.bs in
-  let from = first / t.bs * t.bs in
-  let* m = write_blocks t inum ino ~off:from ~len:((nblocks * t.bs) - from) data ~src:from in
-  let* ino, freed =
-    if len < String.length view.bytes then unmap_from t m.ino ~keep:nblocks else Ok (m.ino, [||])
-  in
-  let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
-  let* () = free_blocks t freed in
-  let names =
-    if not (Lazy.is_val view.names) then lazy (index_of data)
-    else begin
-      let names = Lazy.force view.names in
-      (match edit with
-       | Append (name, child, _) -> Hashtbl.replace names name child
-       | Drop name -> Hashtbl.remove names name
-       | Rename (s, d) ->
-         let child = Hashtbl.find names s in
-         Hashtbl.remove names s;
-         Hashtbl.replace names d child
-       | Retarget (s, d, child, _) ->
-         Hashtbl.remove names s;
-         Hashtbl.replace names d child);
-      view.names
-    end
-  in
-  remember t inum (make_view t data names);
-  Ok ()
+let rec store_dir t inum ino view edit =
+  let data = view.bytes and index = names view in
+  match edit with
+  | Rename (s, d) when header + String.length d > record_len data (Hashtbl.find index s) ->
+    let pos = Hashtbl.find index s in
+    let* () = store_dir t inum ino view (Append (d, record_inum data pos, record_kind data pos)) in
+    let* ino, view = load_dir t inum in
+    store_dir t inum ino view (Drop s)
+  | _ ->
+    let n = String.length data in
+    let slot = match edit with Append (name, _, _) -> find_slot data (header + String.length name) 0 | _ -> -1 in
+    let len = if slot = n then n + t.bs else n in
+    let b = Bytes.make len '\000' in
+    Bytes.blit_string data 0 b 0 n;
+    (* A new block is one free record. *)
+    if slot = n then Codec.set_u16 b (n + 4) t.bs;
+    (* The changed records' offsets, the one a name moves to first, and
+       where each name now stands. *)
+    let changed, moves =
+      match edit with
+      | Append (name, child, kind) ->
+        let rlen = Codec.get_u16 b (slot + 4) in
+        let used = if Codec.get_u32 b slot = 0 then 0 else header + Codec.get_u8 b (slot + 7) in
+        if used > 0 then Codec.set_u16 b (slot + 4) used;
+        put_record b (slot + used) (rlen - used) name child kind;
+        ([ slot ], [ (name, Some (slot + used)) ])
+      | Drop name -> ([ free_record t.bs b (Hashtbl.find index name) ], [ (name, None) ])
+      | Rename (s, d) ->
+        let pos = Hashtbl.find index s in
+        put_record b pos (record_len data pos) d (record_inum data pos) (record_kind data pos);
+        ([ pos ], [ (s, None); (d, Some pos) ])
+      | Retarget (s, d, child, kind) ->
+        let pos = Hashtbl.find index d in
+        put_record b pos (record_len data pos) d child kind;
+        if s = d then ([ pos ], [])
+        else ([ pos; free_record t.bs b (Hashtbl.find index s) ], [ (s, None) ])
+    in
+    let data = Bytes.unsafe_to_string b in
+    let rec write_each ino = function
+      | [] -> Ok ino
+      | pos :: rest ->
+        let off = pos / t.bs * t.bs in
+        let* m = write_blocks t inum ino ~off ~len:t.bs data ~src:off in
+        write_each m.ino rest
+    in
+    let* ino = write_each ino changed in
+    let* () = write_ino t inum { ino with i_size = len; i_mtime = t.now () } in
+    List.iter
+      (fun (name, pos) -> match pos with Some pos -> Hashtbl.replace index name pos | None -> Hashtbl.remove index name)
+      moves;
+    remember t inum (make_view t data view.names);
+    Ok ()
 
 (* Load directory [dir] and apply [edit]: its callers have just looked
    up the names it changes. *)
@@ -1178,9 +1154,11 @@ let dir_lookup t inum name =
   match load_dir t inum with
   | Error _ as e -> e
   | Ok (_, view) ->
-    (match Hashtbl.find (Lazy.force view.names) name with
-     | child -> Ok child
+    (match Hashtbl.find (names view) name with
+     | pos -> Ok (record_inum view.bytes pos)
      | exception Not_found -> Error Errno.ENOENT)
+
+let parse_dir t data = match entries_in t.bs data with entries -> Ok entries | exception Corrupt _ -> Error Errno.EIO
 
 let dir_image t inum =
   let* _ino, view = load_dir t inum in
@@ -1188,7 +1166,7 @@ let dir_image t inum =
 
 let dir_index t inum =
   let* _ino, view = load_dir t inum in
-  Ok (List.sort compare (Hashtbl.fold (fun name child acc -> (name, child) :: acc) (Lazy.force view.names) []))
+  Ok (List.sort compare (Hashtbl.fold (fun name pos acc -> (name, record_inum view.bytes pos) :: acc) (names view) []))
 
 (* ------------------------------------------------------------------ *)
 (* Public attribute operations                                         *)
@@ -1368,7 +1346,7 @@ let rename t ~sdir ~sname ~ddir ~dname =
       if sdir = ddir then
         (* Over an existing name, this is the commit point of the
            shadow-file protocol: one record retargets the name in place,
-           and the source's record (a new shadow's, at the tail) goes. *)
+           and the source's record (a new shadow's) goes. *)
         let* () =
           edit_dir t sdir (if replace then Retarget (sname, dname, src, src_kind) else Rename (sname, dname))
         in
@@ -1454,14 +1432,18 @@ let check t =
         else begin
           note_blocks ino;
           if ino.i_kind = 2 then
-            match load_dir t inum with
+            match load_view t inum ino with
             | Error _ -> complain "unreadable directory %d" inum
-            | Ok (_, view) ->
-              List.iter
-                (fun (_, child, _) ->
-                  bump child;
-                  walk child)
-                (entries_of view)
+            | Ok view ->
+              (match entries_of view with
+               | entries ->
+                 List.iter
+                   (fun (_, child, _) ->
+                     bump child;
+                     walk child)
+                   entries
+               | exception Corrupt blk ->
+                 complain "directory %d: the records of its block %d do not end at the block's end" inum blk)
         end
     end
   in

@@ -51,16 +51,21 @@
     it compares the new bytes with the view when that was checked in
     this epoch, else with the block as read.
 
-    Every directory mutation goes through one editor on the view's
-    packed bytes: it appends a record, drops every record of a name,
-    renames a record in place, or retargets one (a rename over an
-    existing name rewrites that record's inode number and kind where it
-    stands and drops the source's record).  It builds the new image in
-    one buffer, the records it keeps copied as they stand, and reports
-    the first byte that may change, so the block writer starts at that
-    byte's block.  The view's name index is edited in place with it; the
-    entry list is parsed only for {!dir_entries}, {!check} and the
-    emptiness test of a directory that goes. *)
+    A directory is whole blocks, each a chain of self-sized records as in
+    4.2BSD, so every block parses on its own and no record crosses a
+    block boundary (the format is under {!parse_dir}).  Every directory
+    mutation changes the records it names where they stand: an append
+    takes the first free record or live record's slack with room, else
+    a new block; a drop frees its record (a block's first record becomes
+    free space, any other merges into the record before it); a rename
+    rewrites its record in place when the new name fits; a rename over
+    an existing name rewrites that record's inode number and kind and
+    drops the source's record.  So an edit writes only the blocks
+    holding those records, at most two, then the inode, and a
+    directory keeps its blocks until it goes.  The view's name index
+    maps each name to its record's offset and is edited in place with
+    it; the entry list is parsed only for {!dir_entries}, {!check} and
+    the emptiness test of a directory that goes. *)
 
 type t
 
@@ -101,7 +106,9 @@ val mkfs :
     log when that many distinct blocks are dirty, or when
     {!journal_tick} finds the oldest commit has waited that long.
     [cache_capacity] sizes the buffer cache ({!Block_cache.create}'s
-    [capacity], with its default), and with it the views' bound. *)
+    [capacity], with its default), and with it the views' bound.
+    [EINVAL] for a block size under 512 or over 65,535 (a directory
+    record's 16-bit length must span a block). *)
 
 val mount :
   ?cache_capacity:int -> ?journal_flush_blocks:int -> ?journal_flush_age:int ->
@@ -175,12 +182,11 @@ val rename : t -> sdir:inum -> sname:string -> ddir:inum -> dname:string -> unit
     and the drop of the source's record; across directories the
     destination's record is written before the source's goes.  The
     replaced inode is released last, so a cut before that leaks it or
-    leaves a link count one short.  Two residuals: a retarget whose
-    inode number straddles a block boundary is written as two blocks,
-    and a cut between them can leave the name on a third inode number;
-    and every removal of a record shifts the records after it, so a cut
-    inside a multi-block shift (an [unlink] of an early name) can lose
-    later names. *)
+    leaves a link count one short.  Every block write leaves whole
+    records, so a cut loses no name; but when the two records of a
+    same-directory rename sit in different blocks (or a new name does
+    not fit the old record), a cut between the two block writes can
+    leave the object under both names with a link count of 1. *)
 
 (** {1 Maintenance} *)
 
@@ -218,23 +224,27 @@ val crash_reboot : t -> unit io
 
 val check : t -> (unit, string) result
 (** Cheap fsck: bitmaps (each block read once) vs. reachable
-    blocks/inodes, link counts.  Used by property tests,
+    blocks/inodes, link counts, and each directory block whose record
+    chain does not end at its end, by number.  Used by property tests,
     {!val-crash_reboot} sweeps, and [Cluster.reboot]. *)
 
 (** {1 Exposed for property tests}
 
-    The packed directory encoding: u32 inum, u8 kind (1 regular, 2
-    directory), u8 namelen, name bytes per entry, then a zero-inum
-    6-byte terminator; an empty directory holds no bytes.  [parse_dir]
-    tolerates a torn suffix — a record cut off mid-append parses as
-    exactly the preceding complete entries — and ignores whatever
-    follows the terminator. *)
+    The directory format: whole blocks, each a chain of records
+    [u32 inum | u16 record length | u8 kind (1 regular, 2 directory) |
+    u8 namelen | name] whose lengths sum to exactly the block size.  A
+    record longer than its [8 + namelen] bytes holds free space after
+    its name; inum 0 marks a free record, which only a block's first
+    record can be.  An empty directory holds no bytes. *)
 
-val parse_dir : string -> (string * inum * kind) list
+val parse_dir : t -> string -> (string * inum * kind) list io
+(** The live records of a directory image of this file system's block
+    size, in order; [EIO] (as {!dir_lookup} answers such a directory)
+    unless the image is whole blocks and every block's record chain ends
+    exactly at its end. *)
 
 val dir_image : t -> inum -> string io
 (** A directory's data bytes, read as a lookup reads them. *)
 
 val dir_index : t -> inum -> (string * inum) list io
-(** The name index lookups answer from, sorted by name: the first inode
-    of each name [parse_dir] reads. *)
+(** The name index lookups answer from, sorted by name. *)

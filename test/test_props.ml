@@ -444,13 +444,12 @@ let cluster_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* UFS packed directory encoding: round-trip and torn-suffix safety    *)
+(* UFS directory format: round-trip and whole-block parsing            *)
 
-(* The on-disk directory format (u32 inum, u8 kind, u8 namelen, name
-   bytes per entry) is what a mid-append crash tears.  parse_dir's
-   contract: any byte-level truncation of a serialized directory parses
-   as exactly the preceding complete entries — never a partial entry,
-   never a lost earlier one. *)
+(* A directory block is a chain of records ending exactly at the
+   block's end, so every block parses on its own: what the UFS stores
+   reads back as the entries made, and any cut of an image parses only
+   at a block boundary, as the entries of the blocks kept. *)
 
 let dirent_gen =
   QCheck.Gen.(
@@ -459,39 +458,48 @@ let dirent_gen =
       map (fun cs -> String.init (List.length cs) (List.nth cs))
         (list_size (int_range 1 8) letter)
     in
-    map
-      (fun (name, inum, dir) -> (name, inum + 1, if dir then Ufs.Dir else Ufs.Reg))
-      (triple name (int_bound 60000) bool))
+    pair name bool)
 
+(* Up to 80 distinct names of up to 16-byte records: up to three
+   512-byte blocks. *)
 let arb_dirents =
-  let print_dirent (n, i, k) =
-    Printf.sprintf "(%S, %d, %s)" n i (match k with Ufs.Dir -> "Dir" | Ufs.Reg -> "Reg")
-  in
   QCheck.make
-    ~print:(fun l -> "[" ^ String.concat "; " (List.map print_dirent l) ^ "]")
-    QCheck.Gen.(list_size (int_bound 12) dirent_gen)
+    ~print:(fun l ->
+      "[" ^ String.concat "; " (List.map (fun (n, dir) -> Printf.sprintf "(%S, %b)" n dir) l) ^ "]")
+    QCheck.Gen.(
+      map (List.sort_uniq (fun (a, _) (b, _) -> compare a b)) (list_size (int_bound 80) dirent_gen))
+
+(* A fresh UFS of 512-byte blocks, a directory holding [names] and what
+   was made: (name, inode, kind) in creation order. *)
+let dir_of names =
+  let disk = Disk.create ~nblocks:512 ~block_size:512 () in
+  let fs = Result.get_ok (Ufs.mkfs ~ninodes:256 ~now:(fun () -> 0) disk) in
+  let d = Result.get_ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "d") in
+  let made =
+    List.map
+      (fun (name, dir) ->
+        let kind = if dir then Ufs.Dir else Ufs.Reg in
+        (name, Result.get_ok ((if dir then Ufs.mkdir else Ufs.create) fs ~dir:d name), kind))
+      names
+  in
+  (fs, Result.get_ok (Ufs.dir_image fs d), made)
 
 let dir_codec_props =
   [
-    prop "dir encoding round-trips" arb_dirents (fun entries ->
-        Ufs.parse_dir (Dir_ref.serialize_dir entries) = entries);
-    prop "dir decoding stops at the zero terminator" arb_dirents (fun entries ->
-        Ufs.parse_dir (Dir_ref.serialize_dir entries ^ String.make 6 '\000') = entries);
-    prop "torn dir suffix: every byte cut keeps exactly the complete prefix"
+    prop "dir encoding round-trips" arb_dirents (fun names ->
+        let fs, image, made = dir_of names in
+        Result.map (List.sort compare) (Ufs.parse_dir fs image) = Ok (List.sort compare made));
+    prop "torn dir suffix: every byte cut parses only at a block boundary, as the blocks kept"
       ~count:100 arb_dirents
-      (fun entries ->
-        let s = Dir_ref.serialize_dir entries in
-        let expect cut =
-          let rec go acc off = function
-            | ((name, _, _) as e) :: tl when off + 6 + String.length name <= cut ->
-              go (e :: acc) (off + 6 + String.length name) tl
-            | _ -> List.rev acc
-          in
-          go [] 0 entries
-        in
-        let ok = ref true in
-        for cut = 0 to String.length s do
-          if Ufs.parse_dir (String.sub s 0 cut) <> expect cut then ok := false
+      (fun names ->
+        let fs, image, made = dir_of names in
+        let entries = Result.get_ok (Ufs.parse_dir fs image) in
+        let rec is_prefix a b = match a, b with [], _ -> true | x :: a, y :: b -> x = y && is_prefix a b | _ :: _, [] -> false in
+        let ok = ref (List.length entries = List.length made) in
+        for cut = 0 to String.length image do
+          match Ufs.parse_dir fs (String.sub image 0 cut) with
+          | Ok kept -> if cut mod 512 <> 0 || not (is_prefix kept entries) then ok := false
+          | Error _ -> if cut mod 512 = 0 then ok := false
         done;
         !ok);
   ]

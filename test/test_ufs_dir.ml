@@ -1,6 +1,7 @@
-(* UFS directory updates: the in-place editor against the whole-list
-   reference encoder, the shadow commit and cross-directory renames at
-   every device cut, and a rename into the source's own subtree. *)
+(* UFS directory updates: the slot editor against the entry-list model,
+   the shadow commit, an unlink and cross-directory renames at every
+   device cut, a corrupt block, and a rename into the source's own
+   subtree. *)
 
 open Util
 
@@ -72,8 +73,7 @@ let test_cross_dir_rename_keeps_object_named () =
     let disk, fs = ufs_512 () in
     let root = Ufs.root fs in
     let s = ok (Ufs.mkdir fs ~dir:root "s") and d = ok (Ufs.mkdir fs ~dir:root "d") in
-    (* Other names around both entries, so the source's drop shifts
-       records and the destination's record is not the last. *)
+    (* Other names after both entries, so each record shares its block. *)
     let pad dir tag =
       List.iter (fun i -> ignore (ok (Ufs.create fs ~dir (Printf.sprintf "%s%02d-%s" tag i (String.make 40 'p'))))) (List.init 12 Fun.id)
     in
@@ -109,29 +109,41 @@ let test_cross_dir_rename_keeps_object_named () =
   List.iter (fun (dir, replace) -> case ~dir ~replace) [ (false, false); (false, true); (true, false); (true, true) ]
 
 (* ------------------------------------------------------------------ *)
-(* The shadow commit at every target position and every cut           *)
+(* The shadow commit and an unlink at every cut                        *)
 
-(* 81 records in a directory of 512-byte blocks: one of 18 bytes, then
-   17-byte ones, three blocks in all.  Records 30 and 60 start at bytes
-   511 and 1021, so their inode numbers straddle a block boundary.  For
-   each target position a shadow file is created at the end and renamed
-   over the target, with the device cut after every write of the
-   rename: after a remount no other name is lost, and the target reads
-   its old or its new contents except where its inode number straddles
-   a block boundary, where the outcome is counted and printed.  200
-   other files make the shadow's inode number differ from the target's
-   in its second byte, so a cut between the straddling record's two
-   blocks can leave the name on a third inode. *)
+(* 81 names in a directory of 512-byte blocks, and their inodes. *)
+let n_names = 81
+
+let dir_of_81 name =
+  let disk, fs = ufs_512 ~blocks:1024 () in
+  let d = ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "d") in
+  let inums = Array.init n_names (fun i -> ok (Ufs.create fs ~dir:d (name i))) in
+  (disk, fs, d, inums)
+
+(* Every name but [except] resolves to its inode. *)
+let names_kept ~ctx fs d name inums ~except =
+  Array.iteri
+    (fun i inum ->
+      if i <> except && Ufs.dir_lookup fs d (name i) <> Ok inum then Alcotest.failf "%s: %s lost" ctx (name i))
+    inums
+
+(* Names of 11 bytes, the first of 12: four blocks.  For each target
+   position a shadow file is created (it takes the last block's free
+   space) and renamed over the target, with the device cut after every
+   write of the rename: after a remount no other name is lost and the
+   target reads its old or its new contents, the new one keeping a
+   name.  200 other files make the
+   shadow's inode number differ from the target's in its second byte,
+   so a record written in part would name a third inode.  Where the
+   target's record is in another block than the shadow's, the target's
+   block is written first, so one cut leaves the new version under both
+   names; the positions where that happens are counted and printed. *)
 let test_shadow_commit_sweep () =
-  let n = 81 in
   let name i = if i = 0 then "name-0000000" else Printf.sprintf "name-%06d" i in
-  let straddling = ref 0 and torn = ref 0 in
-  for target = 0 to n - 1 do
-    let disk, fs = ufs_512 ~blocks:1024 () in
-    let root = Ufs.root fs in
-    let d = ok (Ufs.mkdir fs ~dir:root "d") in
-    let inums = Array.init n (fun i -> ok (Ufs.create fs ~dir:d (name i))) in
-    let pad = ok (Ufs.mkdir fs ~dir:root "pad") in
+  let both = ref 0 in
+  for target = 0 to n_names - 1 do
+    let disk, fs, d, inums = dir_of_81 name in
+    let pad = ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "pad") in
     for i = 0 to 199 do
       ignore (ok (Ufs.create fs ~dir:pad (Printf.sprintf "p%d" i)))
     done;
@@ -139,52 +151,89 @@ let test_shadow_commit_sweep () =
     ok (Ufs.write fs inums.(target) ~off:0 old_data);
     let shadow = ok (Ufs.create fs ~dir:d "shadow") in
     ok (Ufs.write fs shadow ~off:0 new_data);
-    let off = if target = 0 then 0 else 18 + ((target - 1) * 17) in
-    Alcotest.(check string) "record layout" (name target)
-      (String.sub (ok (Ufs.dir_image fs d)) (off + 6) (String.length (name target)));
-    let straddles = off mod 512 > 512 - 4 in
-    if straddles then incr straddling;
+    let seen_both = ref false in
     ignore
       (sweep_cuts (Disk.snapshot disk)
          (fun fs -> Ufs.rename fs ~sdir:d ~sname:"shadow" ~ddir:d ~dname:(name target))
          (fun k fs ->
-           Array.iteri
-             (fun i inum ->
-               if i <> target && Ufs.dir_lookup fs d (name i) <> Ok inum then
-                 Alcotest.failf "target %d, cut after %d writes: %s lost" target k (name i))
-             inums;
+           let ctx = Printf.sprintf "target %d, cut after %d writes" target k in
+           names_kept ~ctx fs d name inums ~except:target;
            let got =
              match Ufs.dir_lookup fs d (name target) with
              | Ok i -> Ufs.read fs i ~off:0 ~len:max_int
              | Error e -> Error e
            in
            if got <> Ok old_data && got <> Ok new_data then
-             if straddles then incr torn
-             else
-               Alcotest.failf "target %d, cut after %d writes: it reads %s" target k
-                 (show_io (Printf.sprintf "%S") got))
-        : int)
+             Alcotest.failf "%s: it reads %s" ctx (show_io (Printf.sprintf "%S") got);
+           let shadow_named = Ufs.dir_lookup fs d "shadow" = Ok shadow in
+           if got = Ok old_data && not shadow_named then Alcotest.failf "%s: the new version lost its name" ctx;
+           if got = Ok new_data && shadow_named then seen_both := true)
+        : int);
+    if !seen_both then incr both
   done;
-  Alcotest.(check int) "two straddling positions" 2 !straddling;
-  Printf.printf "shadow commit: %d straddling position(s); %d cut(s) there left the target on neither version\n"
-    !straddling !torn
+  Printf.printf "shadow commit: at %d of %d target positions a cut leaves the new version under both names\n"
+    !both n_names
+
+(* Unlinking the first name, with the device cut after every write: no
+   other name is lost, and fsck finds at most the unlinked inode leaked. *)
+let test_unlink_sweep () =
+  (* Names of 10 bytes: 28 records of 18 bytes to a block, three blocks. *)
+  let name i = Printf.sprintf "name-%05d" i in
+  let disk, fs, d, inums = dir_of_81 name in
+  if (ok (Ufs.stat fs d)).Ufs.size <> 3 * 512 then Alcotest.fail "the directory is not three blocks";
+  let w =
+    sweep_cuts (Disk.snapshot disk)
+      (fun fs -> Ufs.unlink fs ~dir:d (name 0))
+      (fun k fs ->
+        let ctx = Printf.sprintf "cut after %d writes" k in
+        names_kept ~ctx fs d name inums ~except:0;
+        let leak = Printf.sprintf "inode %d allocated but unreachable" inums.(0) in
+        List.iter
+          (fun p -> if String.trim p <> leak then Alcotest.failf "%s: fsck: %s" ctx p)
+          (problems fs))
+  in
+  if w < 3 then Alcotest.failf "only %d writes swept" w
 
 (* ------------------------------------------------------------------ *)
-(* The editor against the reference encoder                            *)
+(* A block whose record chain overruns it                              *)
+
+(* A directory block zeroed on the device (a record of length 0) makes
+   lookups answer EIO and fsck name the block. *)
+let test_corrupt_block_is_eio () =
+  let disk, fs = ufs_512 () in
+  let d = ok (Ufs.mkdir fs ~dir:(Ufs.root fs) "d") in
+  let before = Disk.snapshot disk in
+  ignore (ok (Ufs.create fs ~dir:d "f") : Ufs.inum);
+  let image = ok (Ufs.dir_image fs d) in
+  let after = Disk.snapshot disk in
+  let blk = ref (-1) in
+  Array.iteri (fun i b -> if Bytes.to_string b = image && Bytes.to_string b <> Bytes.to_string before.(i) then blk := i) after;
+  if !blk < 0 then Alcotest.fail "the directory's block was not found";
+  ok (Disk.write disk !blk (Bytes.make 512 '\000'));
+  let fs = remount disk in
+  expect_err Errno.EIO (Ufs.dir_lookup fs d "f");
+  expect_err Errno.EIO (Ufs.parse_dir fs (String.make 512 '\000'));
+  match Ufs.check fs with
+  | Ok () -> Alcotest.fail "fsck passed a corrupt directory"
+  | Error m ->
+    let want = Printf.sprintf "directory %d: the records of its block 0 do not end at the block's end" d in
+    if not (List.mem want (List.map String.trim (String.split_on_char ';' m))) then
+      Alcotest.failf "fsck: %s" m
+
+(* ------------------------------------------------------------------ *)
+(* The editor against the entry-list model                             *)
 
 (* Random create/mkdir/link/unlink/rmdir/rename steps over a few
    directories, journaled or not, some cut off by a failing device, and
    remounts.  The model is each directory's entry list, edited as
    [Dir_ref] edits it; after each step every reachable directory's
-   stored image is [Dir_ref.image] of its list and its name index is the
-   one rebuilt from [parse_dir].  Unjournaled, a cut-off call is torn:
-   the live images must then equal a fresh mount's, the model takes
-   their parse, and a directory holds the reference image again only
-   once an edit rewrites it (until then its image parses as the model:
-   a stale tail or a torn suffix may follow the last record), and fsck
-   is no longer required clean.  Journaled, a call takes effect exactly
-   when it returns [Ok], and a remount falls back to what the last
-   flush made durable. *)
+   stored image is whole blocks whose record chains each end exactly at
+   the block's end ([Ufs.parse_dir] accepts it), its entries are the
+   model's and its name index is the model's.  Unjournaled, a cut-off
+   call is torn: the live images must then equal a fresh mount's, the
+   model takes their parse, and fsck is no longer required clean.
+   Journaled, a call takes effect exactly when it returns [Ok], and a
+   remount falls back to what the last flush made durable. *)
 
 type dir_op =
   | D_create of int * int  (** dir, name *)
@@ -250,12 +299,10 @@ let run_dir_law (journaled, calls) =
   in
   let root = Ufs.root !fs in
   (* The model: each directory's entries; journaled, the durable ones;
-     the directories whose image may not be the reference one; whether
-     an unjournaled call was torn. *)
+     whether an unjournaled call was torn. *)
   let model = Hashtbl.create 16 in
   Hashtbl.replace model root [];
   let durable = ref (Hashtbl.copy model) in
-  let loose = Hashtbl.create 16 in
   let torn_ever = ref false in
   let entries d = Option.value ~default:[] (Hashtbl.find_opt model d) in
   (* The directories reachable from the root in the model, in walk order. *)
@@ -283,7 +330,8 @@ let run_dir_law (journaled, calls) =
         | Ok img ->
           List.fold_left
             (fun acc (_, i, k) -> if k = Ufs.Dir then walk acc i else acc)
-            ((d, img) :: acc) (Ufs.parse_dir img)
+            ((d, img) :: acc)
+            (Result.value ~default:[] (Ufs.parse_dir f img))
       end
     in
     List.rev (walk [] root)
@@ -296,22 +344,22 @@ let run_dir_law (journaled, calls) =
           | Ok img -> img
           | Error e -> QCheck.Test.fail_reportf "%s: directory %d: %s" ctx d (Errno.to_string e)
         in
-        let want = entries d in
-        let parsed = Ufs.parse_dir img in
-        if Hashtbl.mem loose d then begin
-          if parsed <> want then
-            QCheck.Test.fail_reportf "%s: directory %d parses as %s, the model holds %s" ctx d
-              (show_entries parsed) (show_entries want)
-        end
-        else if img <> Dir_ref.image want then
-          QCheck.Test.fail_reportf "%s: directory %d is not the reference image of %s (it parses as %s)"
-            ctx d (show_entries want) (show_entries parsed);
+        let want = Dir_ref.sorted (entries d) in
+        let parsed =
+          match Ufs.parse_dir !fs img with
+          | Ok parsed -> Dir_ref.sorted parsed
+          | Error _ ->
+            QCheck.Test.fail_reportf "%s: directory %d: a block's record chain does not end at its end" ctx d
+        in
+        if parsed <> want then
+          QCheck.Test.fail_reportf "%s: directory %d holds %s, the model %s" ctx d (show_entries parsed)
+            (show_entries want);
         match Ufs.dir_index !fs d with
-        | Ok idx when idx = Dir_ref.index parsed -> ()
+        | Ok idx when idx = Dir_ref.index want -> ()
         | r ->
-          QCheck.Test.fail_reportf "%s: directory %d: name index %s, rebuilt %s" ctx d
+          QCheck.Test.fail_reportf "%s: directory %d: name index %s, the model's %s" ctx d
             (show_io (fun l -> String.concat "," (List.map (fun (n, i) -> Printf.sprintf "%s=%d" n i) l)) r)
-            (String.concat "," (List.map (fun (n, i) -> Printf.sprintf "%s=%d" n i) (Dir_ref.index parsed))))
+            (String.concat "," (List.map (fun (n, i) -> Printf.sprintf "%s=%d" n i) (Dir_ref.index want))))
       (dirs ());
     if not !torn_ever then
       match Ufs.check !fs with
@@ -319,7 +367,7 @@ let run_dir_law (journaled, calls) =
       | Error m -> QCheck.Test.fail_reportf "%s: fsck: %s" ctx m
   in
   let kind_of inum = match Ufs.stat !fs inum with Ok a -> a.Ufs.kind | Error _ -> Ufs.Reg in
-  let set d es = Hashtbl.replace model d es; Hashtbl.remove loose d in
+  let set d es = Hashtbl.replace model d es in
   List.iteri
     (fun step ((op, cut) as call) ->
       let ctx = Printf.sprintf "step %d (%s)" step (print_dir_op call) in
@@ -405,11 +453,7 @@ let run_dir_law (journaled, calls) =
          if live <> fresh then QCheck.Test.fail_reportf "%s: a torn call left the live images unlike the media's" ctx;
          torn_ever := true;
          Hashtbl.reset model;
-         List.iter
-           (fun (d, img) ->
-             Hashtbl.replace model d (Ufs.parse_dir img);
-             Hashtbl.replace loose d ())
-           live
+         List.iter (fun (d, img) -> Hashtbl.replace model d (Result.value ~default:[] (Ufs.parse_dir !fs img))) live
        | Error _, _ -> ());
       ignore (Ufs.journal_tick !fs);
       if journaled && not (Ufs.journal_pending !fs) then durable := Hashtbl.copy model;
@@ -422,8 +466,11 @@ let suite =
     case "rename into its own subtree is EINVAL" test_rename_into_own_subtree;
     case "a cross-directory rename keeps the object named at every cut"
       test_cross_dir_rename_keeps_object_named;
-    case "the shadow commit loses no other name at any cut" test_shadow_commit_sweep;
+    case "the shadow commit loses no other name and reads old or new at every cut"
+      test_shadow_commit_sweep;
+    case "an unlink loses no other name at any cut" test_unlink_sweep;
+    case "a block whose records overrun it is EIO and fsck names it" test_corrupt_block_is_eio;
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"every directory edit stores the reference image and keeps the index"
+      (QCheck.Test.make ~name:"every directory edit stores the model's entries in whole-block chains"
          ~count:200 dir_law_arb run_dir_law);
   ]
