@@ -31,8 +31,9 @@ let () =
   (* Logical layer over the (single-replica) volume. *)
   let connect ~host:_ ~vref:_ ~rid:_ = Ok (Physical.root phys) in
   let logical =
-    Logical.create ~selection:Logical.Most_recent ~obs ~liveness:(fun _ -> Gossip.Alive)
-      ~host:"h0" ~clock ~connect ()
+    Logical.create ~selection:Logical.Most_recent ~obs ~detector:Gossip.no_detector
+      ~local_replica:(fun _ -> Some phys) ~nvc:(New_version_cache.create ()) ~host:"h0"
+      ~clock ~connect ()
   in
   Logical.graft_volume logical vref ~replicas:[ (1, "h0") ];
   let lroot = get (Logical.root logical vref) in

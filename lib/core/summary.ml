@@ -20,10 +20,14 @@ type t = {
      moves. *)
   child_stamps : (Ids.file_id, (Ids.file_id, int) Hashtbl.t) Hashtbl.t;
   since : int;
-  (* Peers this replica has finished a walked pass against since it
-     attached. *)
-  walked : (Ids.replica_id, unit) Hashtbl.t;
+  (* Per peer, the passes this replica has completed against it since
+     it attached. *)
+  passes : (Ids.replica_id, pass) Hashtbl.t;
 }
+
+(* The tick of the latest completed pass, and whether any pass walked
+   the volume (rather than pruning at the root). *)
+and pass = { mutable at : int; mutable walked : bool }
 
 type io = {
   rid : Ids.replica_id;
@@ -37,7 +41,7 @@ let create ~since =
     pending = Hashtbl.create 64;
     child_stamps = Hashtbl.create 64;
     since;
-    walked = Hashtbl.create 4;
+    passes = Hashtbl.create 4;
   }
 
 let key path = String.concat "/" (List.map Ids.fid_to_hex path)
@@ -86,13 +90,19 @@ let stamped t ~dir ~floor =
   | Some _ | None -> None
 
 let floor t ~peer own =
-  if not (Hashtbl.mem t.walked peer) then None
-  else
-    match own with
-    | Some v when Vv.get v peer > 0 -> Some (Vv.get v peer)
-    | Some _ | None -> None
+  match Hashtbl.find_opt t.passes peer, own with
+  | Some { walked = true; _ }, Some v when Vv.get v peer > 0 -> Some (Vv.get v peer)
+  | _, _ -> None
 
-let walked t ~peer = Hashtbl.replace t.walked peer ()
+let passed t ~peer ~tick ~walked =
+  match Hashtbl.find_opt t.passes peer with
+  | Some p ->
+    p.at <- tick;
+    p.walked <- p.walked || walked
+  | None -> Hashtbl.replace t.passes peer { at = tick; walked }
+
+let caught_up t ~peer ~since =
+  match Hashtbl.find_opt t.passes peer with Some p -> p.at > since | None -> false
 
 let pending ~rid = function Some e -> Vv.singleton rid e.seq | None -> Vv.empty
 let stored aux = Option.value ~default:Vv.empty aux.Aux_attrs.summary

@@ -66,6 +66,7 @@ type peer_state = {
   mutable p_entry : entry;
   mutable p_last_heard : int;
   mutable p_liveness : liveness;
+  mutable p_doubt : int;  (* latest tick of a silence, verdict or failure *)
 }
 
 type t = {
@@ -157,6 +158,16 @@ let note_heard t name =
       ps.p_last_heard <- now t
   | _ -> ()
 
+(* News of a peer that skips more than [suspect_missed] of its
+   heartbeats ends a silence longer than the suspect timeout, counted in
+   the peer's own rounds: a doubt, whether or not a [tick] judged the
+   peer while it lasted.  A new incarnation is one too.  Counting
+   heartbeats, not ticks since last heard, keeps a relayed copy of an
+   old heartbeat from hiding a long silence. *)
+let ends_silence t ~old ~incarnation ~heartbeat =
+  incarnation > old.e_incarnation
+  || heartbeat - old.e_heartbeat > t.g_config.suspect_missed
+
 (* Merge one received entry.  Owner-only mutation means a fresher entry
    is always strictly better news; the join keeps the table a lattice
    even when it is not. *)
@@ -188,6 +199,7 @@ let merge t e =
             p_entry = e;
             p_last_heard = now t;
             p_liveness = (if e.e_status = Left then Dead else Alive);
+            p_doubt = now t;
           };
         t.g_peers_version <- t.g_peers_version + 1;
         Metrics.incr (metrics t) "gossip.members_learned";
@@ -201,11 +213,14 @@ let merge t e =
           if joined.e_status <> old.e_status || joined.e_replicas <> old.e_replicas
           then t.g_peers_version <- t.g_peers_version + 1;
           Metrics.incr (metrics t) "gossip.updates";
-          if entry_fresher e old then
+          if entry_fresher e old then begin
             (* Fresh evidence of life, even secondhand, resets the
                failure detector (and may refute a suspicion on the next
                refresh). *)
-            ps.p_last_heard <- now t;
+            if ends_silence t ~old ~incarnation:e.e_incarnation ~heartbeat:e.e_heartbeat
+            then ps.p_doubt <- now t;
+            ps.p_last_heard <- now t
+          end;
           if e.e_span <> Span.none && e.e_span <> old.e_span then
             Span.event (spans t) e.e_span ~host:t.g_host ~tick:(now t)
               "gossip:learn"
@@ -264,6 +279,17 @@ let handle t ~src:_ payload =
   | Gossip_syn { g_from; g_digest } ->
       Metrics.incr (metrics t) "gossip.syn_received";
       note_heard t g_from;
+      (* The sender's own stamp is in its digest: its fresher entry
+         arrives only with the Ack2, after this refresh. *)
+      (match
+         ( List.find_opt (fun d -> String.equal d.d_host g_from) g_digest,
+           Hashtbl.find_opt t.g_table g_from )
+       with
+       | Some d, Some ps
+         when ends_silence t ~old:ps.p_entry ~incarnation:d.d_incarnation
+                ~heartbeat:d.d_heartbeat ->
+           ps.p_doubt <- now t
+       | _ -> ());
       let delta = fresher_than_digest t g_digest in
       let want = wanted_from_digest t g_digest in
       send t ~dst:g_from
@@ -316,7 +342,12 @@ let create ~config ~seed ~obs ~net id =
     }
   in
   Hashtbl.replace t.g_table name
-    { p_entry = entry; p_last_heard = Clock.now t.g_clock; p_liveness = Alive };
+    {
+      p_entry = entry;
+      p_last_heard = Clock.now t.g_clock;
+      p_liveness = Alive;
+      p_doubt = min_int;
+    };
   Sim_net.register_handler net id (fun ~src payload -> handle t ~src payload);
   t
 
@@ -441,6 +472,32 @@ let liveness t name =
     match Hashtbl.find_opt t.g_table name with
     | None -> Alive
     | Some ps -> verdict t ps
+
+let doubt t name =
+  match Hashtbl.find_opt t.g_table name with
+  | Some ps -> ps.p_doubt <- now t
+  | None -> ()
+
+(* A host this table does not know, or one judged [Suspect] or [Dead]
+   now, is doubted now. *)
+let doubted_at t name =
+  if String.equal name t.g_host then min_int
+  else
+    match Hashtbl.find_opt t.g_table name with
+    | None -> now t
+    | Some ps -> if verdict t ps <> Alive then now t else ps.p_doubt
+
+type detector = {
+  liveness : string -> liveness;
+  doubted_at : string -> int;
+  doubt : string -> unit;
+}
+
+let detector t =
+  { liveness = liveness t; doubted_at = doubted_at t; doubt = doubt t }
+
+let no_detector =
+  { liveness = (fun _ -> Alive); doubted_at = (fun _ -> max_int); doubt = ignore }
 
 let membership t =
   Hashtbl.fold (fun _ ps acc -> ps.p_entry :: acc) t.g_table []

@@ -120,6 +120,38 @@ let test_failure_detector () =
   Alcotest.(check bool) "host2 refuted back to alive" true
     (Gossip.liveness g0 "host2" = Gossip.Alive)
 
+(* A silence longer than the suspect timeout outlives its verdict as a
+   doubt, recorded when news of the peer returns; a consumer's report
+   is one too, and without a detector everyone is always doubted. *)
+let test_doubts () =
+  let cfg = Gossip.default_config in
+  let cluster = Cluster.create ~seed:7 ~nhosts:3 ~gossip:cfg () in
+  let g0 = Option.get (Cluster.gossip (Cluster.host cluster 0)) in
+  let now () = Clock.now (Cluster.clock cluster) in
+  let tick n = for _ = 1 to n do ignore (Cluster.tick_daemons cluster 1) done in
+  tick 40;
+  let cut = now () in
+  Alcotest.(check bool) "not doubted since the cut" true (Gossip.doubted_at g0 "host2" < cut);
+  Cluster.partition cluster [ [ 0; 1 ]; [ 2 ] ];
+  tick (4 * cfg.Gossip.period * cfg.Gossip.suspect_missed);
+  Alcotest.(check int) "doubted while judged doubtful" (now ()) (Gossip.doubted_at g0 "host2");
+  Cluster.heal cluster;
+  let n = ref 0 in
+  while Gossip.liveness g0 "host2" <> Gossip.Alive && !n < 64 do
+    tick 1;
+    incr n
+  done;
+  let heard = Gossip.doubted_at g0 "host2" in
+  Alcotest.(check bool) "the silence ended in a doubt" true (heard > cut);
+  tick 10;
+  Alcotest.(check int) "which outlives the verdict" heard (Gossip.doubted_at g0 "host2");
+  Alcotest.(check bool) "host1 never doubted since the cut" true
+    (Gossip.doubted_at g0 "host1" < cut);
+  Gossip.doubt g0 "host1";
+  Alcotest.(check int) "a reported failure is a doubt" (now ()) (Gossip.doubted_at g0 "host1");
+  Alcotest.(check int) "without a detector, always doubted" max_int
+    (Gossip.no_detector.Gossip.doubted_at "host1")
+
 (* ------------------------------------------------------------------ *)
 (* remove_replica inside a partition converges everywhere after heal   *)
 
@@ -179,6 +211,7 @@ let suite =
   List.map QCheck_alcotest.to_alcotest props
   @ [
       Alcotest.test_case "failure detector lifecycle" `Quick test_failure_detector;
+      Alcotest.test_case "silences and failures are doubts" `Quick test_doubts;
       Alcotest.test_case "remove_replica during partition converges after heal"
         `Quick test_remove_during_partition;
     ]

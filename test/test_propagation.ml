@@ -86,7 +86,7 @@ let test_backoff_grows_and_reconciliation_converges () =
   let connect ~host:_ ~vref:_ ~rid:_ = Error Errno.EUNREACHABLE in
   let prop =
     Propagation.create ~delay:0 ~obs:(Obs.create ())
-      ~liveness:(fun _ -> Gossip.Alive) ~clock ~host:"me" ~connect
+      ~detector:Gossip.no_detector ~clock ~host:"me" ~connect
       ~local_replica:(fun v -> if Ids.vref_equal v vref then Some phys else None)
       ()
   in
