@@ -10,3 +10,4 @@ type event = {
 }
 
 type Sim_net.payload += Ficus_notify of event
+type Sim_net.payload += Ficus_reconciled of event

@@ -36,3 +36,11 @@ type event = {
 }
 
 type Sim_net.payload += Ficus_notify of event
+
+type Sim_net.payload += Ficus_reconciled of event
+(** A version the origin installed by reconciliation (a file pulled, or
+    a directory whose entries a merge changed), with its version
+    vector.  Nothing is to be pulled: the event only tells a receiver
+    that the origin may hold a version of the object it has not heard
+    of, until it next completes a reconciliation pass from the origin
+    ({!New_version_cache.note_held}). *)

@@ -11,6 +11,7 @@ type m = {
   name_cache : (fh * string, fh * int) Hashtbl.t;          (* dir fh, name -> fh, expiry *)
   counters : Counters.t;
   mutable root_fh : fh;
+  mutable on_unreachable : unit -> unit;
 }
 
 type Vnode.vdata += Nfs_vnode of m * fh
@@ -53,7 +54,9 @@ let rpc m req =
       Counters.incr m.counters "nfs.client.retries";
       Counters.add m.counters "nfs.client.backoff_ticks" (1 lsl tries);
       go (tries + 1)
-    | Error _ as e -> e
+    | Error e ->
+      if e = Errno.EUNREACHABLE then m.on_unreachable ();
+      Error e
     | Ok (Nfs_response resp) ->
       Counters.add m.counters "nfs.client.bytes_in" (wire_size_response resp);
       Ok resp
@@ -247,6 +250,7 @@ let mount ?(attr_ttl = 30) ?(name_ttl = 30) ~obs net
       name_cache = Hashtbl.create 64;
       counters = Obs.counters obs;
       root_fh = "";
+      on_unreachable = ignore;
     }
   in
   let* resp = rpc m (Root export) in
@@ -259,6 +263,7 @@ let mount ?(attr_ttl = 30) ?(name_ttl = 30) ~obs net
   | _ -> Error Errno.EINVAL
 
 let root m = make m m.root_fh
+let on_unreachable m f = m.on_unreachable <- f
 
 let flush_caches m =
   Hashtbl.reset m.attr_cache;

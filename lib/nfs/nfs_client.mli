@@ -42,6 +42,11 @@ val mount :
 
 val root : m -> Vnode.t
 
+val on_unreachable : m -> (unit -> unit) -> unit
+(** Run the function whenever a call through this mount fails
+    [EUNREACHABLE], after its retransmissions (the server's host is
+    cut off or down).  Nothing runs by default. *)
+
 val flush_caches : m -> unit
 (** Drop the attribute and name caches (client reboot / explicit
     purge). *)
